@@ -1,5 +1,5 @@
-"""Query-engine benchmark: object reference path vs columnar fast path
-vs block-max pruned evaluation.
+"""Query-engine benchmark: object reference path vs the segmented
+columnar path vs block-max pruned evaluation.
 
 Measures the three claims the engines make:
 
@@ -16,8 +16,9 @@ Measures the three claims the engines make:
 The QPS thresholds are asserted on machines with ≥4 cores, where timing
 noise is low enough to hold them; the measured numbers are always
 recorded. Service-level rates (analyzer + Eq. 3 included) and
-engine-level rates (pre-analyzed queries, scoring only — where pruning's
-savings actually live) both go to
+engine-level rates (pre-analyzed queries straight into the finder's
+:class:`~repro.index.segments.SegmentedIndex`, scoring only — where
+pruning's savings actually live) both go to
 ``benchmarks/results/BENCH_query.json`` in the shared machine-readable
 schema (see ``conftest.save_json``) plus a rendered text report.
 
@@ -83,8 +84,6 @@ def bench_query(ctx, save_result, save_json):
 
     def measure(engine: str) -> dict:
         finder.engine = engine
-        if engine != "object":
-            finder.query_engine()  # compile outside the timed region
         service = ExpertSearchService(finder, cache_size=0)  # every query a miss
         service.find_experts_batch(queries, top_k=10, window=_WINDOW)  # warm
         t0 = time.perf_counter()
@@ -105,21 +104,22 @@ def bench_query(ctx, save_result, save_json):
 
     # engine-level timing: pre-analyzed queries, scoring only. The
     # service rate above buries pruning's savings under the per-query
-    # analyzer cost; this is the rate at which the engines themselves
-    # evaluate Eq. 1-3. Rounds interleave the two modes so drift hits
-    # both alike, and best-of sheds scheduler noise.
-    engine = finder.query_engine()
+    # analyzer cost; this is the rate at which the segmented index
+    # itself evaluates Eq. 1-3. Rounds interleave the two modes so drift
+    # hits both alike, and best-of sheds scheduler noise.
+    index = finder.segmented_index
     analyzed = [
         finder._analyzer.analyze("__query__", need.text, language="en")
         for need in queries
     ]
-    for query in analyzed:  # build pruned block records outside timing
-        engine.find_experts(query, alpha=0.6, window=_WINDOW, pruned=True)
+    for query in analyzed:  # build the per-column records outside timing
+        index.find_experts(query, alpha=0.6, window=_WINDOW, pruned=True)
+    index.pruning_stats.reset()
 
     def engine_pass(pruned: bool) -> float:
         t0 = time.perf_counter()
         for query in analyzed:
-            engine.find_experts(
+            index.find_experts(
                 query, alpha=0.6, window=_WINDOW, top_k=10, pruned=pruned
             )
         return time.perf_counter() - t0
@@ -131,12 +131,13 @@ def bench_query(ctx, save_result, save_json):
     engine_columnar_qps = len(analyzed) / best_exhaustive
     engine_pruned_qps = len(analyzed) / best_pruned
     pruned_speedup = engine_pruned_qps / engine_columnar_qps
-    skip_rate = engine.pruning_stats.skip_rate
+    skip_rate = index.pruning_stats.skip_rate
+    candidates = len(finder.evidence_counts)
 
     lines = [
         "Query engines — object reference vs columnar vs block-max pruned",
         f"dataset: scale={dataset.scale.value} seed={dataset.seed} "
-        f"({engine.document_count} docs, {engine.candidate_count} candidates, "
+        f"({index.document_count} docs, {candidates} candidates, "
         f"{len(queries)} queries x {_ROUNDS} uncached rounds, "
         f"window={_WINDOW})",
         "",
@@ -144,7 +145,7 @@ def bench_query(ctx, save_result, save_json):
         f"object   (reference): {object_m['uncached_qps']:8.0f} q/s   "
         f"p50 {object_m['p50_latency_s'] * 1e6:7.1f}µs   "
         f"p95 {object_m['p95_latency_s'] * 1e6:7.1f}µs",
-        f"columnar (compiled):  {columnar_m['uncached_qps']:8.0f} q/s   "
+        f"columnar (segments):  {columnar_m['uncached_qps']:8.0f} q/s   "
         f"p50 {columnar_m['p50_latency_s'] * 1e6:7.1f}µs   "
         f"p95 {columnar_m['p95_latency_s'] * 1e6:7.1f}µs",
         f"columnar-pruned:      {pruned_m['uncached_qps']:8.0f} q/s   "
@@ -166,8 +167,8 @@ def bench_query(ctx, save_result, save_json):
             "queries": len(queries),
             "rounds": _ROUNDS,
             "window": _WINDOW,
-            "documents": engine.document_count,
-            "candidates": engine.candidate_count,
+            "documents": index.document_count,
+            "candidates": candidates,
             "object_uncached_qps": object_m["uncached_qps"],
             "object_p50_latency_s": object_m["p50_latency_s"],
             "object_p95_latency_s": object_m["p95_latency_s"],
@@ -182,7 +183,7 @@ def bench_query(ctx, save_result, save_json):
             "engine_pruned_qps": engine_pruned_qps,
             "pruned_speedup": pruned_speedup,
             "block_skip_rate": skip_rate,
-            "block_span": engine.block_span,
+            "block_span": index.block_span,
         },
     )
 

@@ -1,26 +1,24 @@
-"""Streaming benchmark: segmented index vs monolithic invalidate-recompile.
+"""Streaming benchmark: observe → query on the one segmented path.
 
-Measures the two claims the segmented index makes:
+Measures what streaming costs now that every finder is a segmented
+index (an indexed observe lands in the write buffer; no compiled state
+is thrown away):
 
-* **equivalence** — after every streamed observe, the segmented finder
-  returns byte-identical rankings to a monolithic finder fed the same
-  stream, over the full query set (asserted unconditionally, at every
-  scale);
-* **steady-state streaming** — an observe followed by an uncached query
-  must be cheaper on the segmented finder, because the monolithic path
-  throws away its compiled columnar engine on every indexed observe and
-  recompiles the whole collection on the next query, while the segmented
-  path only appends to its write buffer (asserted on machines with ≥4
-  cores; the measured numbers are always recorded).
+* **equivalence** — after every streamed observe, the streamed finder's
+  columnar engine returns byte-identical rankings to an object-path
+  oracle fed the same stream — a ``VectorSpaceRetriever`` +
+  ``ExpertRanker`` rebuilt cold from the merged collection after every
+  indexed observe — over the full query set (asserted unconditionally,
+  at every scale);
+* **latency** — observe, and observe followed by one uncached query,
+  per streamed resource, plus the uncached QPS after the stream.
 
-Observe latency, observe→query latency, and post-stream uncached QPS for
-both finders go to ``benchmarks/results/BENCH_streaming.json`` in the
+The numbers go to ``benchmarks/results/BENCH_streaming.json`` in the
 shared machine-readable schema plus a rendered text report.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.core.config import FinderConfig
@@ -30,7 +28,7 @@ from repro.core.service import ExpertSearchService
 #: streamed resources (every 5th is Italian → evidence-only)
 _EVENTS = 40
 
-#: segmented write buffer seals after this many streamed resources
+#: the write buffer seals after this many streamed resources
 _SEAL_THRESHOLD = 16
 
 #: timed uncached passes over the query set after the stream
@@ -61,9 +59,9 @@ def bench_streaming(ctx, save_result, save_json):
             **kwargs,
         )
 
-    monolithic = build()
-    segmented = build(index_mode="segmented", seal_threshold=_SEAL_THRESHOLD)
-    monolithic.query_engine()  # start from a compiled steady state
+    streamed = build(seal_threshold=_SEAL_THRESHOLD)
+    oracle = build(seal_threshold=_SEAL_THRESHOLD)
+    oracle.engine = "object"
 
     events = []
     for i in range(_EVENTS):
@@ -82,65 +80,48 @@ def bench_streaming(ctx, save_result, save_json):
             )
         )
 
-    seg_observe, mono_observe = [], []
-    seg_oq, mono_oq = [], []
+    observe_s, observe_query_s = [], []
     for i, (rid, text, supporters, language) in enumerate(events):
         need = queries[i % len(queries)]
 
         t0 = time.perf_counter()
-        segmented.observe(rid, text, supporters, language=language)
+        streamed.observe(rid, text, supporters, language=language)
         t1 = time.perf_counter()
-        segmented.find_experts(need)
+        streamed.find_experts(need)
         t2 = time.perf_counter()
-        seg_observe.append(t1 - t0)
-        seg_oq.append(t2 - t0)
-
-        t0 = time.perf_counter()
-        monolithic.observe(rid, text, supporters, language=language)
-        t1 = time.perf_counter()
-        monolithic.find_experts(need)  # pays the full recompile when indexed
-        t2 = time.perf_counter()
-        mono_observe.append(t1 - t0)
-        mono_oq.append(t2 - t0)
+        observe_s.append(t1 - t0)
+        observe_query_s.append(t2 - t0)
 
         # equivalence, unconditionally and at every intermediate state:
-        # the segmented index is only an optimization if its rankings
-        # match the monolithic finder bit for bit after any interleaving
+        # the streamed segments must rank like the oracle rebuilt cold
+        # from the merged collection, bit for bit
+        oracle.observe(rid, text, supporters, language=language)
         for check in queries:
-            assert segmented.find_experts(check) == monolithic.find_experts(
+            assert streamed.find_experts(check) == oracle.find_experts(
                 check
-            ), f"segmented ranking diverged after {rid} on {check!r}"
+            ), f"streamed ranking diverged after {rid} on {check!r}"
 
-    def measure_qps(finder) -> float:
-        service = ExpertSearchService(finder, cache_size=0)  # every query a miss
-        service.find_experts_batch(queries, top_k=10)  # warm-up pass
-        t0 = time.perf_counter()
-        for _ in range(_ROUNDS):
-            service.find_experts_batch(queries, top_k=10)
-        return len(queries) * _ROUNDS / (time.perf_counter() - t0)
+    service = ExpertSearchService(streamed, cache_size=0)  # every query a miss
+    service.find_experts_batch(queries, top_k=10)  # warm-up pass
+    t0 = time.perf_counter()
+    for _ in range(_ROUNDS):
+        service.find_experts_batch(queries, top_k=10)
+    qps = len(queries) * _ROUNDS / (time.perf_counter() - t0)
 
-    seg_qps = measure_qps(segmented)
-    mono_qps = measure_qps(monolithic)
-    stats = segmented.index_stats
-    seg_oq_p50 = _percentile(seg_oq, 50)
-    mono_oq_p50 = _percentile(mono_oq, 50)
-    speedup = mono_oq_p50 / seg_oq_p50
-
+    stats = streamed.index_stats
     lines = [
-        "Streaming — segmented index vs monolithic invalidate-recompile",
+        "Streaming — observe → query on the segmented path",
         f"dataset: scale={dataset.scale.value} seed={dataset.seed} "
-        f"({segmented.indexed_resources} docs, {len(candidates)} candidates, "
+        f"({streamed.indexed_resources} docs, {len(candidates)} candidates, "
         f"{_EVENTS} observes, {len(queries)} queries)",
         f"segments after stream: {stats.segments} live, {stats.buffered} "
         f"buffered, {stats.seals} seals, {stats.compactions} compactions",
         "",
-        f"observe p50:        segmented {_percentile(seg_observe, 50) * 1e6:8.1f}µs"
-        f"   monolithic {_percentile(mono_observe, 50) * 1e6:8.1f}µs",
-        f"observe+query p50:  segmented {seg_oq_p50 * 1e3:8.2f}ms"
-        f"   monolithic {mono_oq_p50 * 1e3:8.2f}ms   ({speedup:.1f}x)",
-        f"observe+query p95:  segmented {_percentile(seg_oq, 95) * 1e3:8.2f}ms"
-        f"   monolithic {_percentile(mono_oq, 95) * 1e3:8.2f}ms",
-        f"uncached q/s after: segmented {seg_qps:8.0f}   monolithic {mono_qps:8.0f}",
+        f"observe:        p50 {_percentile(observe_s, 50) * 1e6:8.1f}µs"
+        f"   p95 {_percentile(observe_s, 95) * 1e6:8.1f}µs",
+        f"observe+query:  p50 {_percentile(observe_query_s, 50) * 1e3:8.2f}ms"
+        f"   p95 {_percentile(observe_query_s, 95) * 1e3:8.2f}ms",
+        f"uncached q/s after the stream: {qps:8.0f}",
     ]
     save_result("streaming", "\n".join(lines))
     save_json(
@@ -154,23 +135,10 @@ def bench_streaming(ctx, save_result, save_json):
             "segments": stats.segments,
             "seals": stats.seals,
             "compactions": stats.compactions,
-            "segmented_observe_p50_s": _percentile(seg_observe, 50),
-            "segmented_observe_p95_s": _percentile(seg_observe, 95),
-            "monolithic_observe_p50_s": _percentile(mono_observe, 50),
-            "monolithic_observe_p95_s": _percentile(mono_observe, 95),
-            "segmented_observe_query_p50_s": seg_oq_p50,
-            "segmented_observe_query_p95_s": _percentile(seg_oq, 95),
-            "monolithic_observe_query_p50_s": mono_oq_p50,
-            "monolithic_observe_query_p95_s": _percentile(mono_oq, 95),
-            "segmented_uncached_qps": seg_qps,
-            "monolithic_uncached_qps": mono_qps,
-            "observe_query_speedup": speedup,
+            "observe_p50_s": _percentile(observe_s, 50),
+            "observe_p95_s": _percentile(observe_s, 95),
+            "observe_query_p50_s": _percentile(observe_query_s, 50),
+            "observe_query_p95_s": _percentile(observe_query_s, 95),
+            "uncached_qps": qps,
         },
     )
-
-    cpu_count = os.cpu_count() or 1
-    if cpu_count >= 4:
-        assert seg_oq_p50 < mono_oq_p50, (
-            f"segmented observe→query p50 ({seg_oq_p50 * 1e3:.2f}ms) not below "
-            f"monolithic-invalidate ({mono_oq_p50 * 1e3:.2f}ms)"
-        )

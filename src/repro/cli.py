@@ -111,7 +111,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
         finder = _load_snapshot(args.snapshot, dataset)
     else:
         finder = _build_finder(dataset, args)
-    experts = finder.find_experts(args.text, top_k=args.top_k)
+    try:
+        experts = finder.find_experts(args.text, top_k=args.top_k)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from exc
     if not experts:
         print("no candidate shows matching expertise")
         return 1
@@ -138,8 +141,6 @@ def _build_finder(
         build_kwargs["workers"] = args.workers
     if getattr(args, "chunk_size", None):
         build_kwargs["chunk_size"] = args.chunk_size
-    if getattr(args, "index_mode", "monolithic") != "monolithic":
-        build_kwargs["index_mode"] = args.index_mode
     if getattr(args, "shards", None):
         build_kwargs["shards"] = args.shards
     if getattr(args, "seal_threshold", None):
@@ -169,8 +170,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
         segmented = finder.segmented_index
         if segmented is None:
             raise SystemExit(
-                "error: --compact requires a segmented finder "
-                "(build with --index-mode segmented or load a segmented snapshot)"
+                "error: --compact merges one segmented index; a sharded "
+                "finder keeps one per shard"
             )
         before = segmented.stats
         segmented.compact(full=True)
@@ -220,10 +221,11 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     else:
         finder = _build_finder(dataset, args)
         source = "cold build"
-    finder.engine = args.engine
-    if args.engine != "object" and finder.index_mode == "monolithic":
-        finder.query_engine()  # compile before timing starts
-    if finder.index_mode == "sharded" and args.engine != "object":
+    try:
+        finder.engine = args.engine
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from exc
+    if finder.sharded_index is not None:
         finder.start_scatter_pool()  # fork workers before timing starts
     ready = time.time()
     service = ExpertSearchService(finder, cache_size=args.cache_size)
@@ -232,6 +234,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     try:
         for _ in range(args.rounds):
             service.find_experts_batch(queries, top_k=args.top_k)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from exc
     finally:
         finder.close_scatter_pool()
     elapsed = time.time() - started
@@ -253,12 +257,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    engine_label = (
-        "segmented index"
-        if finder.index_mode == "segmented"
-        else f"{args.engine} engine"
+    print(
+        f"finder ready in {ready - t0:.1f}s "
+        f"({source}, {args.engine} engine, {finder.index_mode} index)"
     )
-    print(f"finder ready in {ready - t0:.1f}s ({source}, {engine_label})")
     print(
         f"{stats.queries} queries in {elapsed:.2f}s — {qps:.0f} q/s, "
         f"hit rate {stats.hit_rate:.0%}, "
@@ -485,13 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(e.g. to --compact it into a fresh snapshot)",
     )
     p_index.add_argument(
-        "--index-mode",
-        choices=("monolithic", "segmented"),
-        default="monolithic",
-        help="index layout: one monolithic collection or sealed segments "
-        "+ write buffer (rankings are identical)",
-    )
-    p_index.add_argument(
         "--shards",
         type=int,
         default=None,
@@ -503,19 +498,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--seal-threshold",
         type=int,
         default=None,
-        help="segmented mode: buffer size (resources) at which it seals",
+        help="write-buffer size (resources) at which it seals",
     )
     p_index.add_argument(
         "--block-span",
         type=int,
-        help="doc-index span per block-max pruning block (default: the "
-        "engine default); rankings are unaffected",
+        help="doc-index span per block-max pruning block (default 32); "
+        "rankings are unaffected",
     )
     p_index.add_argument(
         "--compact",
         action="store_true",
-        help="segmented mode: merge all segments (and the buffer) into "
-        "one segment before saving",
+        help="merge all segments (and the write buffer) into one segment "
+        "before saving",
     )
     p_index.add_argument(
         "--snapshot-format",
@@ -548,13 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
         "dynamic pruning, object = reference path)",
     )
     p_serve.add_argument(
-        "--index-mode",
-        choices=("monolithic", "segmented"),
-        default="monolithic",
-        help="index layout when building (ignored with --snapshot, which "
-        "carries its own mode)",
-    )
-    p_serve.add_argument(
         "--shards",
         type=int,
         default=None,
@@ -566,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seal-threshold",
         type=int,
         default=None,
-        help="segmented mode: buffer size (resources) at which it seals",
+        help="write-buffer size (resources) at which it seals",
     )
     p_serve.add_argument(
         "--json",

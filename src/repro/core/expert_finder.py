@@ -22,7 +22,6 @@ from types import EllipsisType, MappingProxyType
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
-    from repro.index.columnar import ColumnarQueryEngine
     from repro.index.segments import SegmentedIndex, SegmentStats
     from repro.index.sharded import ShardedIndex, ShardedQueryExecutor
 
@@ -44,40 +43,38 @@ from repro.socialgraph.graph import SocialGraph
 #: plus texts too short for identification (profile fragments)
 _INDEXABLE_LANGUAGES = frozenset({"en", "und"})
 
+#: why a sharded finder rejects the object path
+_SHARDED_OBJECT = (
+    "a sharded finder cannot serve the object engine "
+    "(its collection is split across shards)"
+)
+
 #: sentinel for "use the configured window" in rank-time overrides
 #: (``None`` already means "no window", so it cannot double as unset)
 _UNSET: EllipsisType = ...
 
-#: query-engine selectors: "columnar" serves from the compiled
-#: :class:`~repro.index.columnar.ColumnarQueryEngine` (or the segmented
-#: index), "columnar-pruned" adds block-max dynamic pruning on the same
-#: path (exact for absolute windows, automatic exhaustive fallback
+#: query-engine selectors: "columnar" scores the compiled segment
+#: columns (:class:`~repro.index.segments.SegmentedIndex`),
+#: "columnar-pruned" adds block-max dynamic pruning on the same path
+#: (exact for absolute windows, automatic exhaustive fallback
 #: otherwise), "object" is the reference retriever/ranker path; all
 #: rank byte-identically
 _ENGINES = ("columnar", "columnar-pruned", "object")
 
-#: index layouts: "monolithic" keeps one retriever/engine over the whole
-#: collection (observes invalidate the compiled engine); "segmented"
-#: serves from a :class:`~repro.index.segments.SegmentedIndex` (observes
-#: touch only its write buffer)
-_INDEX_MODES = ("monolithic", "segmented")
+
+def _check_shards(shards: int | None) -> None:
+    if shards is not None and (
+        isinstance(shards, bool) or not isinstance(shards, int) or shards < 1
+    ):
+        raise ValueError(f"shards must be a positive int, got {shards!r}")
 
 
-def _check_layout(index_mode: str, shards: int | None) -> None:
-    """Validate the (index_mode, shards) layout selection of a build."""
-    if index_mode not in _INDEX_MODES:
-        raise ValueError(
-            f"index_mode must be one of {_INDEX_MODES}, got {index_mode!r} "
-            "(candidate sharding is selected with shards=K, not index_mode)"
-        )
-    if shards is not None:
-        if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
-            raise ValueError(f"shards must be a positive int, got {shards!r}")
-        if index_mode != "monolithic":
-            raise ValueError(
-                "shards=K builds its own per-shard segmented indexes and "
-                f"cannot combine with index_mode={index_mode!r}"
-            )
+def _check_top_k(top_k: int | None) -> None:
+    """``top_k`` is None (the full list) or a non-negative, non-bool int."""
+    if top_k is not None and (
+        isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 0
+    ):
+        raise ValueError(f"top_k must be None or a non-negative int, got {top_k!r}")
 
 
 class ExpertFinder:
@@ -86,7 +83,6 @@ class ExpertFinder:
     def __init__(
         self,
         analyzer: ResourceAnalyzer,
-        retriever: VectorSpaceRetriever | None,
         evidence_of: Mapping[str, Sequence[tuple[str, int]]],
         config: FinderConfig,
         *,
@@ -95,27 +91,19 @@ class ExpertFinder:
         engine: str = "columnar",
         segmented: "SegmentedIndex | None" = None,
         sharded: "ShardedIndex | None" = None,
-        retriever_factory: Callable[[], VectorSpaceRetriever] | None = None,
-        block_span: int | None = None,
     ):
         if engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-        if block_span is not None and block_span <= 0:
-            raise ValueError(f"block_span must be positive, got {block_span}")
-        sources = sum(
-            source is not None
-            for source in (retriever, segmented, sharded, retriever_factory)
-        )
-        if sources != 1:
-            raise ValueError(
-                "exactly one of retriever (monolithic), segmented, sharded, "
-                "or retriever_factory (lazy monolithic) must be given"
-            )
+        index: "SegmentedIndex | ShardedIndex | None" = segmented or sharded
+        if index is None or (segmented is not None and sharded is not None):
+            raise ValueError("exactly one of segmented or sharded must be given")
         self._analyzer = analyzer
-        self._retriever = retriever
-        self._retriever_factory = retriever_factory
+        self._index = index
         self._segmented = segmented
         self._sharded = sharded
+        #: the object path's retriever over the merged collection, built
+        #: on first use and dropped by the next indexed observe
+        self._retriever: VectorSpaceRetriever | None = None
         self._evidence_of = evidence_of
         self._ranker = ExpertRanker(evidence_of, config)
         self._config = config
@@ -123,15 +111,10 @@ class ExpertFinder:
         self._indexed_count = indexed_count
         self._build_stats: BuildStats | None = None
         self._engine_kind = engine
-        self._engine: "ColumnarQueryEngine | None" = None
-        #: doc-index span per pruning block for engines this finder
-        #: compiles (None = the blockmax default); a segmented finder's
-        #: span lives on its SegmentedIndex instead
-        self._block_span = block_span
+        if sharded is not None and engine == "object":
+            raise ValueError(_SHARDED_OBJECT)
         #: cumulative block-max counters for this finder's pruned
-        #: queries; survives engine recompiles and snapshot reloads of
-        #: the same object (monolithic engines and the segmented index
-        #: report into it when selected via "columnar-pruned")
+        #: queries; survives snapshot reloads of the same object
         self._pruning_stats = PruningStats()
 
     # -- construction ------------------------------------------------------------
@@ -149,7 +132,6 @@ class ExpertFinder:
         workers: int = 1,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         analyzer_factory: Callable[[], ResourceAnalyzer] | None = None,
-        index_mode: str = "monolithic",
         shards: int | None = None,
         seal_threshold: int | None = None,
         compaction: str = "synchronous",
@@ -175,29 +157,24 @@ class ExpertFinder:
         Results are identical for any worker count; per-stage timings
         are exposed as :attr:`build_stats`.
 
-        *index_mode* selects the index layout: ``"monolithic"`` (one
-        retriever over the whole collection, the default) or
-        ``"segmented"`` (the built indexes become the base segment of a
+        The built indexes become the one sealed segment of a
         :class:`~repro.index.segments.SegmentedIndex`; streamed observes
         then touch only its write buffer, which seals every
-        *seal_threshold* resources and compacts per *compaction* —
-        rankings are byte-identical either way).
+        *seal_threshold* resources and compacts per *compaction*.
 
         *block_span* sets the doc-index span per block-max pruning block
-        for the engines this finder compiles (None = the default in
-        :mod:`repro.index.blockmax`); it never changes rankings, only
-        how coarsely the "columnar-pruned" engine can skip.
+        (None = the default in :mod:`repro.index.blockmax`); it never
+        changes rankings, only how coarsely the "columnar-pruned" engine
+        can skip.
 
         *shards* partitions the candidates (and their evidence) into K
         :class:`~repro.index.sharded.ShardIndex` groups behind a
         scatter-gather coordinator — rankings stay byte-identical while
         queries can fan out across a worker pool (see
-        :meth:`start_scatter_pool`). Sharding builds its own per-shard
-        segmented indexes, so it composes with streaming observes but
-        not with ``index_mode="segmented"``.
+        :meth:`start_scatter_pool`).
         """
         config = config or FinderConfig()
-        _check_layout(index_mode, shards)
+        _check_shards(shards)
         if not candidates:
             raise ValueError("candidates must be non-empty")
         if isinstance(candidates, Mapping):
@@ -262,7 +239,6 @@ class ExpertFinder:
             evidence_counts,
             len(documents),
             config,
-            index_mode=index_mode,
             shards=shards,
             seal_threshold=seal_threshold,
             compaction=compaction,
@@ -290,7 +266,6 @@ class ExpertFinder:
         workers: int = 1,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         analyzer_factory: Callable[[], ResourceAnalyzer] | None = None,
-        index_mode: str = "monolithic",
         shards: int | None = None,
         seal_threshold: int | None = None,
         compaction: str = "synchronous",
@@ -307,11 +282,12 @@ class ExpertFinder:
         chunk plus the growing indexes, not the stream), making this the
         entry point for the ``xl`` scale's generator
         (:mod:`repro.synthetic.stream`). The result is identical to
-        building from an equivalent materialized graph, and all layout
-        options — *index_mode*, *shards* — apply unchanged.
+        building from an equivalent materialized graph, and the layout
+        options — *shards*, *seal_threshold*, *compaction*, *block_span*
+        — apply unchanged.
         """
         config = config or FinderConfig()
-        _check_layout(index_mode, shards)
+        _check_shards(shards)
         if not candidates:
             raise ValueError("candidates must be non-empty")
         evidence_counts: dict[str, int] = {cid: 0 for cid in candidates}
@@ -385,7 +361,6 @@ class ExpertFinder:
             evidence_counts,
             indexed_count,
             config,
-            index_mode=index_mode,
             shards=shards,
             seal_threshold=seal_threshold,
             compaction=compaction,
@@ -413,18 +388,28 @@ class ExpertFinder:
         indexed_count: int,
         config: FinderConfig,
         *,
-        index_mode: str,
         shards: int | None,
         seal_threshold: int | None,
         compaction: str,
         block_span: int | None,
     ) -> "ExpertFinder":
-        """Wrap built indexes in the selected layout (the shared tail of
-        :meth:`build` and :meth:`from_stream`)."""
-        if shards is not None:
-            from repro.index.segments import DEFAULT_SEAL_THRESHOLD
-            from repro.index.sharded import ShardedIndex
+        """Wrap built indexes in a segmented (or K-sharded) index — the
+        shared tail of :meth:`build` and :meth:`from_stream`."""
+        from repro.index.segments import DEFAULT_SEAL_THRESHOLD, SegmentedIndex
+        from repro.index.sharded import ShardedIndex
 
+        layout: dict[str, Any] = {
+            "seal_threshold": (
+                DEFAULT_SEAL_THRESHOLD if seal_threshold is None else seal_threshold
+            ),
+            "compaction": compaction,
+            "block_span": block_span,
+        }
+        counts: dict[str, Any] = {
+            "evidence_counts": evidence_counts,
+            "indexed_count": indexed_count,
+        }
+        if shards is not None:
             sharded = ShardedIndex.from_built(
                 term_index,
                 entity_index,
@@ -432,63 +417,13 @@ class ExpertFinder:
                 evidence_counts,
                 config,
                 shards=shards,
-                seal_threshold=(
-                    DEFAULT_SEAL_THRESHOLD
-                    if seal_threshold is None
-                    else seal_threshold
-                ),
-                compaction=compaction,
-                block_span=block_span,
+                **layout,
             )
-            return cls(
-                analyzer,
-                None,
-                evidence_of,
-                config,
-                evidence_counts=evidence_counts,
-                indexed_count=indexed_count,
-                sharded=sharded,
-            )
-        if index_mode == "segmented":
-            from repro.index.segments import DEFAULT_SEAL_THRESHOLD, SegmentedIndex
-
-            segmented = SegmentedIndex.from_built(
-                term_index,
-                entity_index,
-                evidence_of,
-                config,
-                seal_threshold=(
-                    DEFAULT_SEAL_THRESHOLD
-                    if seal_threshold is None
-                    else seal_threshold
-                ),
-                compaction=compaction,
-                block_span=block_span,
-            )
-            return cls(
-                analyzer,
-                None,
-                evidence_of,
-                config,
-                evidence_counts=evidence_counts,
-                indexed_count=indexed_count,
-                segmented=segmented,
-            )
-        retriever = VectorSpaceRetriever(
-            term_index,
-            entity_index,
-            CollectionStatistics(term_index, entity_index),
-            idf_exponent=config.idf_exponent,
+            return cls(analyzer, evidence_of, config, sharded=sharded, **counts)
+        segmented = SegmentedIndex.from_built(
+            term_index, entity_index, evidence_of, config, **layout
         )
-        return cls(
-            analyzer,
-            retriever,
-            evidence_of,
-            config,
-            evidence_counts=evidence_counts,
-            indexed_count=indexed_count,
-            block_span=block_span,
-        )
+        return cls(analyzer, evidence_of, config, segmented=segmented, **counts)
 
     # -- persistence ---------------------------------------------------------------
 
@@ -524,45 +459,10 @@ class ExpertFinder:
         return self._config
 
     @property
-    def retriever(self) -> VectorSpaceRetriever:
-        """The underlying retriever (read-only use: snapshots, stats).
-
-        Only monolithic finders have one — a segmented finder's
-        collection lives in its :attr:`segmented_index`, a sharded one's
-        in its :attr:`sharded_index`. A v3-snapshot finder serves
-        queries from the mapped columnar engine and builds the
-        posting-object retriever here on first demand."""
-        if self._segmented is not None:
-            raise RuntimeError(
-                "a segmented finder has no monolithic retriever; "
-                "use segmented_index"
-            )
-        if self._sharded is not None:
-            raise RuntimeError(
-                "a sharded finder has no monolithic retriever; "
-                "use sharded_index"
-            )
-        return self._ensure_retriever()
-
-    def _ensure_retriever(self) -> VectorSpaceRetriever:
-        if self._retriever is None:
-            factory = self._retriever_factory
-            if factory is None:
-                raise RuntimeError(
-                    f"a {self.index_mode} finder has no monolithic retriever"
-                )
-            self._retriever_factory = None
-            self._retriever = factory()
-        return self._retriever
-
-    @property
     def index_mode(self) -> str:
-        """The index layout: "monolithic", "segmented", or "sharded"."""
-        if self._segmented is not None:
-            return "segmented"
-        if self._sharded is not None:
-            return "sharded"
-        return "monolithic"
+        """The index layout: "segmented", or "sharded" for a finder built
+        with ``shards=K``."""
+        return "segmented" if self._segmented is not None else "sharded"
 
     @property
     def segmented_index(self) -> "SegmentedIndex | None":
@@ -577,7 +477,7 @@ class ExpertFinder:
     @property
     def index_stats(self) -> "SegmentStats | None":
         """Segment/buffer gauges of the segmented index; None for
-        monolithic finders."""
+        sharded finders."""
         return None if self._segmented is None else self._segmented.stats
 
     @property
@@ -609,14 +509,14 @@ class ExpertFinder:
 
     @property
     def engine(self) -> str:
-        """Which path :meth:`find_experts` takes: "columnar" (compiled
-        fast path, the default), "columnar-pruned" (the same path with
-        block-max dynamic pruning — exact for absolute-count windows,
-        automatic exhaustive fallback otherwise), or "object" (the
-        reference retriever/ranker path). Rankings are byte-identical
-        on every engine; the object path additionally powers
-        :meth:`match_resources` and :meth:`rank_matches`, which expose
-        per-resource breakdowns."""
+        """Which path :meth:`find_experts` takes: "columnar" (the compiled
+        segment columns, the default), "columnar-pruned" (the same path
+        with block-max dynamic pruning — exact for absolute-count
+        windows, automatic exhaustive fallback otherwise), or "object"
+        (the reference retriever/ranker path, unavailable on sharded
+        finders). Rankings are byte-identical on every engine; the
+        object path additionally powers :meth:`match_resources` and
+        :meth:`rank_matches`, which expose per-resource breakdowns."""
         return self._engine_kind
 
     @property
@@ -630,37 +530,26 @@ class ExpertFinder:
     def engine(self, kind: str) -> None:
         if kind not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {kind!r}")
+        if kind == "object" and self._sharded is not None:
+            raise ValueError(_SHARDED_OBJECT)
         self._engine_kind = kind
 
-    def query_engine(self) -> "ColumnarQueryEngine":
-        """The compiled columnar engine for the current collection,
-        compiling it on first use. An indexing :meth:`observe`
-        invalidates the compiled form (the collection statistics shift),
-        so the next query pays one recompile.
-
-        Monolithic finders only — a segmented finder never compiles a
-        whole-collection engine (that is the point of the segments), and
-        a sharded finder's collection is split across its shards."""
-        if self._segmented is not None:
-            raise RuntimeError(
-                "a segmented finder has no whole-collection engine; "
-                "queries evaluate across its segments"
+    def _object_retriever(self) -> VectorSpaceRetriever:
+        """The object path's :class:`VectorSpaceRetriever` over the merged
+        segments + buffer — the reference the fast engines are tested
+        against. Built on first use; an indexed observe drops it."""
+        segmented = self._segmented
+        if segmented is None:
+            raise RuntimeError(_SHARDED_OBJECT)
+        if self._retriever is None:
+            term_index, entity_index, _evidence = segmented.merged_slice()
+            self._retriever = VectorSpaceRetriever(
+                term_index,
+                entity_index,
+                CollectionStatistics(term_index, entity_index),
+                idf_exponent=self._config.idf_exponent,
             )
-        if self._sharded is not None:
-            raise RuntimeError(
-                "a sharded finder has no whole-collection engine; "
-                "queries scatter across its shards"
-            )
-        if self._engine is None:
-            from repro.index.columnar import ColumnarQueryEngine
-
-            self._engine = ColumnarQueryEngine.compile(
-                self._ensure_retriever(),
-                self._evidence_of,
-                self._config,
-                block_span=self._block_span,
-            )
-        return self._engine
+        return self._retriever
 
     # -- streaming updates --------------------------------------------------------
 
@@ -680,13 +569,11 @@ class ExpertFinder:
         the index (False for non-English content, which is observed as
         evidence but not indexed, mirroring the build-time language cut).
 
-        On a monolithic finder an indexing observe invalidates the
-        compiled columnar engine (the collection statistics shift); on a
-        segmented finder it lands in the write buffer and no compiled
-        state is lost. Either way subsequent queries see updated
-        irf/eirf values immediately. A non-indexing observe changes no
-        statistics and cannot match any query, so compiled state always
-        survives it.
+        The resource lands in the write buffer (of every owning shard,
+        on a sharded finder) and no compiled segment state is lost;
+        subsequent queries see updated irf/eirf values immediately. A
+        non-indexing observe changes no statistics and cannot match any
+        query.
         """
         if not supporters:
             raise ValueError("a resource must support at least one candidate")
@@ -702,19 +589,11 @@ class ExpertFinder:
 
         analyzed = self._analyzer.analyze(node_id, text, language=language)
         indexed = analyzed.language in _INDEXABLE_LANGUAGES
-        if self._segmented is not None:
-            self._segmented.add(analyzed, supporters, index=indexed)
-        elif self._sharded is not None:
-            # routes restricted rows to the owning shards' write buffers
-            # and broadcasts to pool workers, keeping them in lockstep
-            self._sharded.add(analyzed, supporters, index=indexed)
-        elif indexed:
-            # the compiled engine snapshots the collection and the
-            # evidence relation — drop it so the next query recompiles
-            # (hydrating the retriever first for v3-loaded finders)
-            retriever = self._ensure_retriever()
-            self._engine = None
-            retriever.add_document(analyzed)
+        # a sharded index routes restricted rows to the owning shards'
+        # write buffers and broadcasts to pool workers in lockstep
+        self._index.add(analyzed, supporters, index=indexed)
+        if indexed:
+            self._retriever = None  # the collection statistics moved
         self._evidence_of[node_id] = list(supporters)
         for candidate_id, _ in supporters:
             self._evidence_counts[candidate_id] += 1
@@ -729,7 +608,8 @@ class ExpertFinder:
         alpha: float | None = None,
         limit: int | None = None,
     ) -> list[ResourceMatch]:
-        """The relevant-resource set RR for a need, best first (Eq. 1).
+        """The relevant-resource set RR for a need, best first (Eq. 1),
+        computed on the object path (not available on sharded finders).
 
         *alpha* overrides the configured value for parameter sweeps —
         the indexes do not depend on it, so no rebuild is needed.
@@ -737,21 +617,16 @@ class ExpertFinder:
         retriever's bounded-heap fast path; the prefix is identical to
         the unlimited result's.
         """
-        text = need.text if isinstance(need, ExpertiseNeed) else need
-        query = self._analyzer.analyze("__query__", text, language="en")
+        retriever = self._object_retriever()
+        query = self._analyze_need(need)
         effective_alpha = self._config.alpha if alpha is None else alpha
-        if self._segmented is not None:
-            if limit is None:
-                return self._segmented.retrieve(query, effective_alpha)
-            return self._segmented.retrieve_top_k(query, effective_alpha, limit)
-        if self._sharded is not None:
-            if limit is None:
-                return self._sharded.retrieve(query, effective_alpha)
-            return self._sharded.retrieve_top_k(query, effective_alpha, limit)
-        retriever = self._ensure_retriever()
         if limit is None:
             return retriever.retrieve(query, effective_alpha)
         return retriever.retrieve_top_k(query, effective_alpha, limit)
+
+    def _analyze_need(self, need: ExpertiseNeed | str) -> AnalyzedResource:
+        text = need.text if isinstance(need, ExpertiseNeed) else need
+        return self._analyzer.analyze("__query__", text, language="en")
 
     def rank_matches(
         self,
@@ -792,17 +667,15 @@ class ExpertFinder:
         window: int | float | None | EllipsisType = _UNSET,
     ) -> list[ExpertScore]:
         """Rank the candidate experts for *need* (Eq. 3); the full list EX
-        unless *top_k* truncates it. *alpha* and *window* override the
-        configured values for parameter sweeps (``window=None`` means "no
-        window"; leave it at the default to use the configured window).
+        unless *top_k* (None or a non-negative int) truncates it.
+        *alpha* and *window* override the configured values for
+        parameter sweeps (``window=None`` means "no window"; leave it at
+        the default to use the configured window).
 
-        With the default "columnar" :attr:`engine`, evaluation runs on
-        the compiled :class:`~repro.index.columnar.ColumnarQueryEngine`
-        (flat accumulators, no per-resource objects) — or, in segmented
-        :attr:`index_mode`, document-at-a-time across the live segments
-        plus the write buffer; the "object" engine is the reference
-        retriever/ranker path. All paths produce the same list, bit for
-        bit.
+        The "columnar" engines score document-at-a-time across the live
+        segments plus the write buffer (or scatter across shards); the
+        "object" engine is the reference retriever/ranker path. All
+        paths produce the same list, bit for bit.
 
         On the object path, when the effective window is an absolute
         resource count, only the top-window matches can contribute to
@@ -810,47 +683,26 @@ class ExpertFinder:
         and disabled windows depend on the total match count and
         retrieve fully.
         """
+        _check_top_k(top_k)
         effective_window = self._config.window if window is _UNSET else window
-        if self._engine_kind != "object":
-            pruned = self._engine_kind == "columnar-pruned"
-            text = need.text if isinstance(need, ExpertiseNeed) else need
-            query = self._analyzer.analyze("__query__", text, language="en")
-            effective_alpha = self._config.alpha if alpha is None else alpha
-            if self._segmented is not None:
-                return self._segmented.find_experts(
-                    query,
-                    alpha=effective_alpha,
-                    window=effective_window,
-                    top_k=top_k,
-                    pruned=pruned,
-                    stats=self._pruning_stats,
-                )
-            if self._sharded is not None:
-                return self._sharded.find_experts(
-                    query,
-                    alpha=effective_alpha,
-                    window=effective_window,
-                    top_k=top_k,
-                    pruned=pruned,
-                    stats=self._pruning_stats,
-                )
-            return self.query_engine().find_experts(
-                query,
-                alpha=effective_alpha,
-                window=effective_window,
-                top_k=top_k,
-                pruned=pruned,
-                stats=self._pruning_stats,
+        if self._engine_kind == "object":
+            limit = (
+                effective_window
+                if isinstance(effective_window, int)
+                and not isinstance(effective_window, bool)
+                else None
             )
-        limit = (
-            effective_window
-            if isinstance(effective_window, int)
-            and not isinstance(effective_window, bool)
-            else None
+            matches = self.match_resources(need, alpha=alpha, limit=limit)
+            ranked = self.rank_matches(matches, window=window)
+            return ranked if top_k is None else ranked[:top_k]
+        return self._index.find_experts(
+            self._analyze_need(need),
+            alpha=self._config.alpha if alpha is None else alpha,
+            window=effective_window,
+            top_k=top_k,
+            pruned=self._engine_kind == "columnar-pruned",
+            stats=self._pruning_stats,
         )
-        matches = self.match_resources(need, alpha=alpha, limit=limit)
-        ranked = self.rank_matches(matches, window=window)
-        return ranked if top_k is None else ranked[:top_k]
 
     def find_experts_many(
         self,
@@ -862,33 +714,20 @@ class ExpertFinder:
     ) -> list[list[ExpertScore]]:
         """Batch counterpart of :meth:`find_experts` — identical results
         to a serial loop. On a sharded finder with an active scatter
-        pool (and a non-object engine) the batch is pipelined through
-        the pool, overlapping this process's analyze/merge with the
-        workers' shard scoring; everywhere else it loops."""
+        pool the batch is pipelined through the pool, overlapping this
+        process's analyze/merge with the workers' shard scoring;
+        everywhere else it loops."""
+        _check_top_k(top_k)
         sharded = self._sharded
-        if (
-            sharded is None
-            or sharded.executor is None
-            or self._engine_kind == "object"
-        ):
+        if sharded is None or sharded.executor is None:
             return [
                 self.find_experts(need, top_k=top_k, alpha=alpha, window=window)
                 for need in needs
             ]
-        effective_alpha = self._config.alpha if alpha is None else alpha
-        effective_window = self._config.window if window is _UNSET else window
-        queries = [
-            self._analyzer.analyze(
-                "__query__",
-                need.text if isinstance(need, ExpertiseNeed) else need,
-                language="en",
-            )
-            for need in needs
-        ]
         return sharded.find_experts_many(
-            queries,
-            alpha=effective_alpha,
-            window=effective_window,
+            [self._analyze_need(need) for need in needs],
+            alpha=self._config.alpha if alpha is None else alpha,
+            window=self._config.window if window is _UNSET else window,
             top_k=top_k,
             pruned=self._engine_kind == "columnar-pruned",
             stats=self._pruning_stats,

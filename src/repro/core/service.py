@@ -63,7 +63,7 @@ class ServiceStats:
     not change any cached result keep the cache (``cache_survivals``)
     instead of clearing it (``invalidations``), and a segmented finder
     additionally reports its live segment count, buffered resources, and
-    compaction merges (all 0 for monolithic finders).
+    compaction merges (all 0 for sharded finders).
 
     The pruning fields mirror the finder's cumulative block-max counters
     (see :class:`~repro.index.blockmax.PruningStats`) — all 0 unless the

@@ -1,5 +1,5 @@
-"""Block-max metadata for dynamic pruning: shared by the columnar
-engine, sealed segments, and any future shard finders.
+"""Block-max metadata for dynamic pruning: built by sealed segments
+(including every shard's), and persisted with them in v3 snapshots.
 
 The pruning design is **document-range aligned**: the interned doc-index
 space is cut into fixed spans of ``block_span`` consecutive indexes, and
@@ -21,8 +21,8 @@ Re-sorting a column by doc index is invisible in the rankings: each
 document appears at most once per column, so its accumulated leg sum is
 the same float regardless of where in the column its posting sits, and
 every downstream sort key — ``(-score, doc)``, ``(-score, candidate)``
-— is unique. The engines therefore stay byte-identical to the object
-path on doc-sorted columns.
+— is unique. Segments therefore stay byte-identical to the object path
+on doc-sorted columns.
 
 Exactness under floats needs one guard: a document's final score is
 combined as ``α·T + (1−α)·E`` while the bound accumulates

@@ -1,35 +1,45 @@
-"""Segmented incremental index: sealed segments + write buffer + compaction.
+"""The segmented index: the one query path for Eq. 1 → window → Eq. 3.
 
-The monolithic serving path compiles the whole collection into one
-:class:`~repro.index.columnar.ColumnarQueryEngine`; a single streamed
-resource invalidates the compiled form and the next query pays a full
-recompile. This module adds the Lucene-style alternative (cf. production
+Every finder layout is a :class:`SegmentedIndex` (cf. production
 expert-mining systems, which absorb half a billion streamed signals this
-way — Spasojevic et al.):
+way — Spasojevic et al.): a cold build is one sealed segment plus an
+empty write buffer, and a candidate-sharded finder is K of them (see
+:mod:`repro.index.sharded`). The pieces:
 
 * **write buffer** — streamed resources (Eq. 1 term/entity postings plus
   Eq. 3 evidence rows) land in a small mutable :class:`_WriteBuffer`,
   scored with plain dict walks; an ``observe`` touches nothing else;
 * **sealed segments** — when the buffer reaches ``seal_threshold``
   resources it seals into an immutable :class:`Segment` whose postings
-  are compiled once into flat columns (interned doc indexes, ``array``
-  frequency columns) and never touched again;
+  are compiled once into flat doc-sorted columns (interned doc indexes
+  in sorted-id order, raw ``tf`` / ``ef`` / ``we`` columns) and never
+  touched again;
 * **tiered compaction** — segments of the same size tier are merged
   (reusing :meth:`InvertedIndex.merge` / :meth:`EntityIndex.merge`, which
   preserve postings order) either synchronously after a seal, from a
   background thread, or only on explicit :meth:`SegmentedIndex.compact`.
 
-Queries evaluate document-at-a-time across every live segment plus the
-buffer under **shared collection statistics**: ``irf``/``eirf`` use the
-union document count and the summed per-source document frequencies, so
-every per-posting product repeats the monolithic float operations
-exactly. Each document lives in exactly one source, its per-term
-accumulation order is the query's term order (one posting per term per
-document), and the global window cut and Eq.-3 fold order on the actual
-``(-score, doc_id)`` strings — rankings are therefore **byte-identical**
-to a monolithic cold rebuild at the same collection state, on both the
-columnar and the object engine (``tests/core/test_streaming.py`` pins
-this over interleaved streams).
+A query forms its per-item weights ``tw = irf^p`` / ``ew = eirf^p`` once
+from **shared collection statistics** (the union document count and the
+summed per-source document frequencies), then each segment scores its
+own documents: the per-column products ``tf·tw`` and ``(ef·ew)·we`` are
+memoised per weight in the lazily built column records, accumulated
+document-at-a-time into flat scratch lists, combined as
+``α·T + (1−α)·E`` and emitted as ``(-score, doc index)``. With an
+absolute window each segment sorts and cuts its own matches to the
+window (or, pruned, keeps a window-sized heap over block-max ordered
+blocks); string ids and evidence rows are looked up for the survivors
+only. One global ``(-score, doc_id)`` sort and window cut follows, then
+the Eq. 3 fold (:func:`fold_experts`).
+
+The per-segment cut is exact: each document lives in exactly one source
+and, within a segment, doc-index order is doc-id order, so the global
+top-W is contained in the union of the per-source top-W. Scores repeat
+the object path's float operations in the same order, so rankings are
+**byte-identical** to :class:`~repro.index.vsm.VectorSpaceRetriever` +
+:class:`~repro.core.ranking.ExpertRanker` over the same collection
+(``tests/core/test_streaming.py`` and ``tests/index/test_columnar.py``
+pin this).
 
 Thread model: one thread queries and writes; only compaction may run on
 a background thread. The live-segment list is swapped immutably under a
@@ -63,7 +73,7 @@ from repro.index.blockmax import (
 )
 from repro.index.entity_index import EntityIndex
 from repro.index.inverted import InvertedIndex
-from repro.index.vsm import ResourceMatch, _match_order, entity_weight
+from repro.index.vsm import entity_weight
 
 #: default buffer size (in resources) at which the buffer seals
 DEFAULT_SEAL_THRESHOLD = 256
@@ -73,12 +83,105 @@ DEFAULT_FANOUT = 4
 
 _COMPACTION_MODES = ("synchronous", "background", "manual")
 
-#: agenda blocks between shared-floor lock round-trips (see
-#: :meth:`SegmentedIndex._scored_entries_pruned`)
+#: blocks between shared-floor lock round-trips in a pruned walk (see
+#: :meth:`Segment.score_pruned`)
 _FLOOR_STRIDE = 32
 
 #: evidence rows: ``((candidate_id, distance), ...)`` in stream order
 _Rows = tuple[tuple[str, int], ...]
+
+#: one scored match: ``(-score, doc_id, evidence rows)``
+_Entry = tuple[float, str, _Rows]
+
+
+def plan_query(
+    alpha: float,
+    window: int | float | None,
+    pruned: bool,
+    stats: PruningStats,
+    count: int = 1,
+) -> tuple[int | None, bool]:
+    """Validate a query's parameters and route it: returns ``(cut,
+    pruned)``, where *cut* is the absolute window each source may cut
+    its own matches to (None for fractional and ``None`` windows, whose
+    width depends on the total match count) and *pruned* says whether
+    the block-max walk runs. Pruned requests that cannot prune are
+    counted as fallbacks in *stats*."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    window_size(window, 0)  # validate the window shape up front
+    # bools are rejected above, so a remaining int is a positive count
+    cut = window if isinstance(window, int) else None
+    if pruned:
+        if cut is None:
+            stats.fallback_queries += count
+            return None, False
+        stats.pruned_queries += count
+    return cut, pruned
+
+
+def fold_experts(
+    entries: Iterable[tuple[float, str, Iterable[tuple[str, int]]]],
+    weight_of: Mapping[int, float],
+    normalize: bool,
+    top_k: int | None,
+) -> list[ExpertScore]:
+    """Eq. 3 over windowed matches in rank order, mirroring
+    :meth:`~repro.core.ranking.ExpertRanker.rank` float for float: each
+    candidate accumulates ``score · wr`` in match order, positive totals
+    are ranked on ``(-score, candidate_id)``, and only the *top_k*
+    survivors become :class:`ExpertScore` objects."""
+    scores: dict[str, float] = {}
+    support: dict[str, int] = {}
+    for neg_score, _doc_id, rows in entries:
+        match_score = -neg_score
+        for candidate_id, distance in rows:
+            scores[candidate_id] = (
+                scores.get(candidate_id, 0.0) + match_score * weight_of[distance]
+            )
+            support[candidate_id] = support.get(candidate_id, 0) + 1
+    ranked: list[tuple[float, str, int]] = []
+    rank = ranked.append
+    for candidate_id, score in scores.items():
+        count = support[candidate_id]
+        if normalize:
+            score = score / count
+        if score > 0.0:
+            rank((-score, candidate_id, count))
+    ranked.sort()
+    if top_k is not None:
+        del ranked[top_k:]
+    return [ExpertScore(cid, -neg_score, count) for neg_score, cid, count in ranked]
+
+
+def _pair_weight(pair: tuple[int, float]) -> float:
+    return pair[1]
+
+
+def _agenda(docs: Sequence[int], weighted: Sequence[float], blocks: tuple) -> tuple:
+    """The pruned-mode record of one weighted column: ``(block id,
+    weighted block max)`` pairs, a block id → span map, and an empty
+    per-α cache of leg-scaled bounds.
+
+    Spans are kept weight-descending: multi-item accumulation is
+    order-insensitive (flags dedup in any order), and a single-item
+    block can stop at the first posting below the heap floor
+    (multiplication rounding is monotone, so every later posting scores
+    no higher). The block maximum is the span's first weight — the
+    exact weighted value, so entity bounds need no ``ef·we`` rescaling.
+    """
+    bids, boff, _raw_max = blocks
+    # the weights pass through a fresh array so every span's (doc, w)
+    # pairs and their float objects are allocated together — the walk
+    # reads them block by block
+    pairs = list(zip(docs, array("d", weighted)))
+    bounds = []
+    spans = {}
+    for i, b in enumerate(bids):
+        span = sorted(pairs[boff[i] : boff[i + 1]], key=_pair_weight, reverse=True)
+        spans[b] = span
+        bounds.append((b, span[0][1]))
+    return bounds, spans, {}
 
 
 @dataclass(frozen=True)
@@ -106,10 +209,11 @@ class Segment:
 
     Holds the slice's term/entity indexes (for union statistics, merges,
     and snapshots) plus compiled flat columns for query evaluation:
-    interned doc indexes with *raw* frequencies — unlike the monolithic
-    engine the collection statistics keep moving as the buffer grows, so
-    ``tf·irf^p`` / ``ef·eirf^p·we`` are formed at query time from the
-    shared per-query weights (the identical float operations, deferred).
+    interned doc indexes, sorted by doc, with *raw* frequencies — the
+    collection statistics keep moving as the buffer grows, so
+    ``tf·irf^p`` / ``ef·eirf^p·we`` are formed per query weight (the
+    identical float operations, deferred) and memoised in the column
+    records until the weight changes.
     """
 
     __slots__ = (
@@ -125,6 +229,8 @@ class Segment:
         "_term_acc",
         "_entity_acc",
         "_doc_flags",
+        "_block_ub",
+        "_block_flags",
         "_block_span",
         "_term_blocks",
         "_entity_blocks",
@@ -153,25 +259,30 @@ class Segment:
         self.evidence = dict(evidence)
         self._resource_ids = frozenset(self.evidence) | term_index.doc_ids()
 
-        # compile: dense doc indexes in sorted-id order + raw-frequency
-        # columns (the d_score is folded to we = 1 + dScore once; the
-        # posting product at query time is ef · weight · we, exactly the
-        # monolithic engine's compile-time expression)
+        # compile: dense doc indexes in sorted-id order + doc-sorted
+        # raw-frequency columns (the d_score is folded to we = 1 + dScore
+        # once; the posting product at query time is ef · ew · we, the
+        # object path's expression)
         doc_ids = sorted(term_index.doc_ids())
         doc_of = {doc_id: i for i, doc_id in enumerate(doc_ids)}
         self._doc_ids: list[str] = doc_ids
-        self._term_cols: dict[str, tuple[array, array]] = {}
+        self._term_cols: dict[str, tuple] = {}
         for term, postings in term_index.items():
+            rows = sorted((doc_of[p.doc_id], p.term_frequency) for p in postings)
             self._term_cols[term] = (
-                array("l", (doc_of[p.doc_id] for p in postings)),
-                array("l", (p.term_frequency for p in postings)),
+                array("l", [d for d, _ in rows]),
+                array("l", [f for _, f in rows]),
             )
-        self._entity_cols: dict[str, tuple[array, array, array]] = {}
+        self._entity_cols: dict[str, tuple] = {}
         for uri, postings in entity_index.items():
+            erows = sorted(
+                (doc_of[p.doc_id], p.entity_frequency, entity_weight(p.d_score))
+                for p in postings
+            )
             self._entity_cols[uri] = (
-                array("l", (doc_of[p.doc_id] for p in postings)),
-                array("l", (p.entity_frequency for p in postings)),
-                array("d", (entity_weight(p.d_score) for p in postings)),
+                array("l", [d for d, _, _ in erows]),
+                array("l", [f for _, f, _ in erows]),
+                array("d", [w for _, _, w in erows]),
             )
         self._init_blocks(block_span)
         self._init_scratch()
@@ -198,11 +309,12 @@ class Segment:
         values may be ``array``s or zero-copy ``memoryview`` casts.
         *hydrate* is a zero-argument callable returning the
         ``(InvertedIndex, EntityIndex)`` pair — invoked at most once, only
-        if a merge or snapshot re-save actually needs posting objects.
-        *term_blocks*/*entity_blocks* adopt per-column ``(bids, boff,
-        bmax)`` block metadata written by a v3+blocks snapshot (whose
-        columns are doc-sorted); when absent, pruning recomputes it on
-        first use — the recompute-on-absent compatibility rule.
+        if a merge, snapshot re-save or the object path actually needs
+        posting objects. *term_blocks*/*entity_blocks* adopt per-column
+        ``(bids, boff, bmax)`` block metadata written by a v3+blocks
+        snapshot (whose columns are doc-sorted); when absent, pruning
+        sorts the column and recomputes it on first use — the
+        recompute-on-absent compatibility rule.
         """
         segment = cls.__new__(cls)
         segment.segment_id = segment_id
@@ -228,28 +340,34 @@ class Segment:
         if block_span is not None and block_span <= 0:
             raise ValueError(f"block_span must be positive, got {block_span}")
         self._block_span = block_span or DEFAULT_BLOCK_SPAN
-        #: per-column ``(bids, boff, bmax)`` with *raw* maxima — max
-        #: ``tf`` per block for terms, max ``ef·we`` for entities — the
-        #: collection statistics (and so ``tw``/``ew``) keep moving as
-        #: the buffer grows, so bounds are scaled per query
+        #: per-column ``(bids, boff, bmax)`` over the doc-sorted columns;
+        #: the maxima are raw (``tf``, ``ef·we``) — the snapshot format's
+        #: shape — and pruning bounds come from the weighted spans
         self._term_blocks: dict[str, tuple] = {}
         self._entity_blocks: dict[str, tuple] = {}
-        #: lazily built pruned-mode records: ((bid, raw max) pairs for
-        #: the agenda walk, block id → posting-span map)
-        self._term_pruned: dict[str, tuple] = {}
-        self._entity_pruned: dict[str, tuple] = {}
+        #: lazily built per-column records keyed by the exact query
+        #: weight: ``[weight, docs, weighted values, agenda or None]``
+        self._term_pruned: dict[str, list] = {}
+        self._entity_pruned: dict[str, list] = {}
 
     def _init_scratch(self) -> None:
+        # scratch accumulators are plain lists: element access on a list
+        # returns the stored float object directly, where array('d')
+        # would box a fresh one per read (reset per query via the
+        # touched lists)
         n_docs = len(self._doc_ids)
+        n_blocks = (n_docs + self._block_span - 1) // self._block_span or 1
         self._term_acc = [0.0] * n_docs
         self._entity_acc = [0.0] * n_docs
         self._doc_flags = bytearray(n_docs)
+        self._block_ub = [0.0] * n_blocks
+        self._block_flags = bytearray(n_blocks)
 
     @property
     def term_index(self) -> InvertedIndex:
         """The posting-object term index, hydrating it on first use for
-        column-restored segments (merges and jsonl re-saves need it;
-        query evaluation and statistics never do)."""
+        column-restored segments (merges, jsonl re-saves and the object
+        path need it; query evaluation and statistics never do)."""
         if self._term_index is None:
             self._run_hydrate()
         return self._term_index
@@ -296,104 +414,362 @@ class Segment:
     def resource_ids(self) -> frozenset[str]:
         return self._resource_ids
 
-    def _score_docs(
+    # -- per-column records (the weighted memo + block-max agenda) -----------------
+
+    def _pruned_term(self, term: str, tw: float, pruned: bool = False) -> list | None:
+        """The term column's record for weight *tw*: ``tf·tw`` for every
+        posting, rebuilt only when the weight changes (a sealed segment's
+        frequencies never do). With *pruned*, the record also carries
+        the block-max agenda; columns restored without block metadata
+        are doc-sorted and blocked here first."""
+        rec = self._term_pruned.get(term)
+        if rec is None or rec[0] != tw:
+            cols = self._term_cols.get(term)
+            if cols is None:
+                return None
+            docs, tf = cols
+            rec = [tw, docs, [f * tw for f in tf], None]
+            self._term_pruned[term] = rec
+        if pruned and rec[3] is None:
+            blk = self._term_blocks.get(term)
+            if blk is None:
+                docs, tf = self._term_cols[term]
+                if not is_doc_sorted(docs):
+                    docs, tf = sort_column(docs, tf)
+                    self._term_cols[term] = (docs, tf)
+                    rec[1] = docs
+                    rec[2] = [f * tw for f in tf]
+                blk = compute_blocks(docs, tf, self._block_span)
+                self._term_blocks[term] = blk
+            rec[3] = _agenda(rec[1], rec[2], blk)
+        return rec
+
+    def _pruned_entity(self, uri: str, ew: float, pruned: bool = False) -> list | None:
+        """The entity column's record for weight *ew*: ``(ef·ew)·we``
+        per posting — the object path's association — memoised like
+        :meth:`_pruned_term`."""
+        rec = self._entity_pruned.get(uri)
+        if rec is None or rec[0] != ew:
+            cols = self._entity_cols.get(uri)
+            if cols is None:
+                return None
+            docs, ef, we = cols
+            rec = [ew, docs, [f * ew * w for f, w in zip(ef, we)], None]
+            self._entity_pruned[uri] = rec
+        if pruned and rec[3] is None:
+            blk = self._entity_blocks.get(uri)
+            if blk is None:
+                docs, ef, we = self._entity_cols[uri]
+                if not is_doc_sorted(docs):
+                    docs, ef, we = sort_column(docs, ef, we)
+                    self._entity_cols[uri] = (docs, ef, we)
+                    rec[1] = docs
+                    rec[2] = [f * ew * w for f, w in zip(ef, we)]
+                raw = array("d", [f * w for f, w in zip(ef, we)])
+                blk = compute_blocks(docs, raw, self._block_span)
+                self._entity_blocks[uri] = blk
+            rec[3] = _agenda(rec[1], rec[2], blk)
+        return rec
+
+    # -- query evaluation ----------------------------------------------------------
+
+    def score(
         self,
         terms: Sequence[tuple[str, float]],
         entities: Sequence[tuple[str, float]],
-        out: list[tuple[str, float, float]],
-    ) -> None:
-        """Append ``(doc_id, term_score, entity_score)`` for every doc of
-        this segment touched by the weighted query items; scratch is
-        reset on the way out."""
+        alpha: float,
+        cut: int | None,
+    ) -> list[_Entry]:
+        """Every positive Eq. 1 match of this segment as ``(-score,
+        doc_id, rows)``, cut to the best *cut* when given (unsorted
+        otherwise). Accumulation order per document is the query's item
+        order, terms before entities — the object path's order."""
         term_acc = self._term_acc
         entity_acc = self._entity_acc
         flags = self._doc_flags
         touched: list[int] = []
         touch = touched.append
-        term_cols = self._term_cols
         for term, tw in terms:
-            cols = term_cols.get(term)
-            if cols is None:
+            rec = self._pruned_term(term, tw)
+            if rec is None:
                 continue
-            for doc, tf in zip(cols[0], cols[1]):
-                term_acc[doc] += tf * tw
+            for doc, weighted in zip(rec[1], rec[2]):
+                term_acc[doc] += weighted
                 if not flags[doc]:
                     flags[doc] = 1
                     touch(doc)
-        entity_cols = self._entity_cols
         for uri, ew in entities:
-            cols = entity_cols.get(uri)
-            if cols is None:
+            rec = self._pruned_entity(uri, ew)
+            if rec is None:
                 continue
-            for doc, ef, we in zip(cols[0], cols[1], cols[2]):
-                entity_acc[doc] += ef * ew * we
+            for doc, weighted in zip(rec[1], rec[2]):
+                entity_acc[doc] += weighted
                 if not flags[doc]:
                     flags[doc] = 1
                     touch(doc)
-        doc_ids = self._doc_ids
-        emit = out.append
+
+        # combine the two legs, keep positive scores, reset the scratch
+        one_minus_alpha = 1.0 - alpha
+        hits: list[tuple[float, int]] = []
+        hit = hits.append
         for doc in touched:
-            emit((doc_ids[doc], term_acc[doc], entity_acc[doc]))
+            score = alpha * term_acc[doc] + one_minus_alpha * entity_acc[doc]
+            if score > 0.0:
+                hit((-score, doc))
             term_acc[doc] = 0.0
             entity_acc[doc] = 0.0
             flags[doc] = 0
+        # doc-index order is doc-id order within a segment, so this cut
+        # keeps exactly the segment's share of the global window
+        if cut is not None and cut < len(hits):
+            hits.sort()
+            del hits[cut:]
+        return self._resolve(hits)
 
-    # -- block-max metadata (see repro.index.blockmax) -----------------------------
+    def plan_pruned(
+        self,
+        terms: Sequence[tuple[str, float]],
+        entities: Sequence[tuple[str, float]],
+        alpha: float,
+    ) -> tuple:
+        """The block-max agenda of one query over this segment: per query
+        item, the leg-scaled block maxima are summed into the per-block
+        bound (the scratch ``_block_ub``) and the item's block → span
+        map is collected (consulted only for processed blocks). Returns
+        ``(best inflated bound, blocks best-first, term span maps,
+        entity span maps, slack)`` for :meth:`score_pruned`."""
+        one_minus_alpha = 1.0 - alpha
+        ub = self._block_ub
+        bflags = self._block_flags
+        tblocks: list[int] = []
+        tblock = tblocks.append
+        tmaps: list[dict] = []
+        emaps: list[dict] = []
+        for term, tw in terms:
+            rec = self._pruned_term(term, tw, True)
+            if rec is None:
+                continue
+            bounds, smap, scaled = rec[3]
+            tmaps.append(smap)
+            sub = scaled.get(alpha)
+            if sub is None:
+                sub = scaled[alpha] = [(b, alpha * mx) for b, mx in bounds]
+            for b, smx in sub:
+                if bflags[b]:
+                    ub[b] += smx
+                else:
+                    bflags[b] = 1
+                    ub[b] = smx
+                    tblock(b)
+        for uri, ew in entities:
+            rec = self._pruned_entity(uri, ew, True)
+            if rec is None:
+                continue
+            bounds, smap, scaled = rec[3]
+            emaps.append(smap)
+            sub = scaled.get(one_minus_alpha)
+            if sub is None:
+                sub = scaled[one_minus_alpha] = [
+                    (b, one_minus_alpha * mx) for b, mx in bounds
+                ]
+            for b, smx in sub:
+                if bflags[b]:
+                    ub[b] += smx
+                else:
+                    bflags[b] = 1
+                    ub[b] = smx
+                    tblock(b)
+        slack = ub_slack(len(tmaps) + len(emaps))
+        tblocks.sort(key=ub.__getitem__, reverse=True)
+        best = ub[tblocks[0]] * slack if tblocks else 0.0
+        return best, tblocks, tmaps, emaps, slack
 
-    def _pruned_term(self, term: str) -> tuple | None:
-        """The term's agenda record ``((bid, max tf) pairs, block id →
-        span map)``, built on first pruned use from compiled columns only
-        — column-restored segments stay unhydrated."""
-        rec = self._term_pruned.get(term)
-        if rec is None:
-            cols = self._term_cols.get(term)
-            if cols is None:
-                return None
-            docs, tf = cols
-            blk = self._term_blocks.get(term)
-            if blk is None:
-                if not is_doc_sorted(docs):
-                    docs, tf = sort_column(docs, tf)
-                    self._term_cols[term] = (docs, tf)
-                blk = compute_blocks(docs, tf, self._block_span)
-                self._term_blocks[term] = blk
-            bids, boff, bmax = blk
-            pairs = list(zip(docs, tf))
-            spans = {
-                bids[i]: pairs[boff[i] : boff[i + 1]] for i in range(len(bids))
-            }
-            rec = (list(zip(bids, bmax)), spans)
-            self._term_pruned[term] = rec
-        return rec
+    def score_pruned(
+        self,
+        plan: tuple,
+        alpha: float,
+        window: int,
+        bar: float,
+        stats: PruningStats,
+        shared_floor: Any = None,
+    ) -> tuple[list[_Entry], float]:
+        """Block-max evaluation of this segment's top-*window* matches
+        along the agenda *plan* from :meth:`plan_pruned`.
 
-    def _pruned_entity(self, uri: str) -> tuple | None:
-        """The entity's agenda record; block maxima bound the raw
-        ``ef·we`` product (its ``·ew`` scaling happens per query, and the
-        association difference against the evaluated ``ef·ew·we`` is
-        ulp-level — covered by :func:`~repro.index.blockmax.ub_slack`)."""
-        rec = self._entity_pruned.get(uri)
-        if rec is None:
-            cols = self._entity_cols.get(uri)
-            if cols is None:
-                return None
-            docs, ef, we = cols
-            blk = self._entity_blocks.get(uri)
-            if blk is None:
-                if not is_doc_sorted(docs):
-                    docs, ef, we = sort_column(docs, ef, we)
-                    self._entity_cols[uri] = (docs, ef, we)
-                raw = array("d", (f * w for f, w in zip(ef, we)))
-                blk = compute_blocks(docs, raw, self._block_span)
-                self._entity_blocks[uri] = blk
-            bids, boff, bmax = blk
-            triples = list(zip(docs, ef, we))
-            spans = {
-                bids[i]: triples[boff[i] : boff[i + 1]]
-                for i in range(len(bids))
-            }
-            rec = (list(zip(bids, bmax)), spans)
-            self._entity_pruned[uri] = rec
-        return rec
+        Blocks are processed best-bound first while a min-heap of
+        ``(score, -doc)`` pairs holds the segment's current window: the
+        heap minimum is exactly the worst element under the window
+        order ``(-score, doc)``, so the heap *is* the window set. Once
+        the heap is full, a block whose inflated bound sits below the
+        floor *score* — and every later block, bounds are descending —
+        cannot contribute and is skipped outright.
+
+        *bar* is a floor proven elsewhere (another segment's full
+        window, the buffer's, or — via *shared_floor*, a
+        ``multiprocessing.Value('d')`` — another shard worker's): some
+        ``window`` distinct documents score at least *bar*, so anything
+        strictly below it can never enter the global window. It is only
+        ever used with a strict ``<``. Returns the surviving matches and
+        this segment's floor (0.0 unless its window filled).
+        """
+        _best, tblocks, tmaps, emaps, slack = plan
+        term_acc = self._term_acc
+        entity_acc = self._entity_acc
+        flags = self._doc_flags
+        one_minus_alpha = 1.0 - alpha
+        ub = self._block_ub
+        bflags = self._block_flags
+        W = window
+        heappush = heapq.heappush
+        heapreplace = heapq.heapreplace
+        heap: list[tuple[float, int]] = []
+        nheap = 0
+        floor = 0.0
+        h0 = (0.0, 0)
+        # lim: the skip threshold — the larger of the proven outside
+        # floor and this segment's own floor once its window is full
+        lim = bar
+        if shared_floor is not None:
+            lim = _sync_floor(shared_floor, 0.0, lim)
+        btouched: list[int] = []
+        btouch = btouched.append
+        scanned = len(tblocks)
+        for bi, b in enumerate(tblocks):
+            if shared_floor is not None and bi and not bi % _FLOOR_STRIDE:
+                lim = _sync_floor(shared_floor, floor if nheap == W else 0.0, lim)
+            if ub[b] * slack < lim:
+                scanned = bi
+                break
+            ts = []
+            for m in tmaps:
+                sp = m.get(b)
+                if sp is not None:
+                    ts.append(sp)
+            es = []
+            for m in emaps:
+                sp = m.get(b)
+                if sp is not None:
+                    es.append(sp)
+            if len(ts) + len(es) == 1:
+                # single-item block: the combined score collapses to
+                # α·w + (1−α)·0.0 == α·w (or its mirror), bit for bit —
+                # and the span is weight-descending, so the first
+                # posting below the threshold (or at 0.0 before the heap
+                # fills) ends it
+                leg, span = (alpha, ts[0]) if ts else (one_minus_alpha, es[0])
+                for d, w in span:
+                    sc = leg * w
+                    if sc < lim:
+                        break
+                    if nheap == W:
+                        pair = (sc, -d)
+                        if pair > h0:
+                            heapreplace(heap, pair)
+                            h0 = heap[0]
+                            floor = h0[0]
+                            if floor > lim:
+                                lim = floor
+                    elif sc > 0.0:
+                        heappush(heap, (sc, -d))
+                        nheap += 1
+                        if nheap == W:
+                            h0 = heap[0]
+                            floor = h0[0]
+                            if floor > lim:
+                                lim = floor
+                    else:
+                        break
+                continue
+            # multi-item block: accumulate into the per-doc scratch, then
+            # finalize each touched doc. Blocks are doc-range complete —
+            # every posting of a block's documents sits in this block —
+            # so scores are final here. One-leg blocks skip the other
+            # leg's accumulator: its slots are all zero, and
+            # α·T + (1−α)·0.0 == α·T (and its mirror), bit for bit.
+            for sp in ts:
+                for d, w in sp:
+                    term_acc[d] += w
+                    if not flags[d]:
+                        flags[d] = 1
+                        btouch(d)
+            for sp in es:
+                for d, w in sp:
+                    entity_acc[d] += w
+                    if not flags[d]:
+                        flags[d] = 1
+                        btouch(d)
+            for d in btouched:
+                if not es:
+                    sc = alpha * term_acc[d]
+                    term_acc[d] = 0.0
+                elif not ts:
+                    sc = one_minus_alpha * entity_acc[d]
+                    entity_acc[d] = 0.0
+                else:
+                    sc = alpha * term_acc[d] + one_minus_alpha * entity_acc[d]
+                    term_acc[d] = 0.0
+                    entity_acc[d] = 0.0
+                flags[d] = 0
+                if sc < lim:
+                    continue
+                if nheap < W:
+                    if sc > 0.0:
+                        heappush(heap, (sc, -d))
+                        nheap += 1
+                        if nheap == W:
+                            h0 = heap[0]
+                            floor = h0[0]
+                            if floor > lim:
+                                lim = floor
+                else:
+                    pair = (sc, -d)
+                    if pair > h0:
+                        heapreplace(heap, pair)
+                        h0 = heap[0]
+                        floor = h0[0]
+                        if floor > lim:
+                            lim = floor
+            del btouched[:]
+        for b in tblocks:
+            bflags[b] = 0
+        stats.blocks_scanned += scanned
+        stats.blocks_skipped += len(tblocks) - scanned
+        full = nheap == W
+        if shared_floor is not None and full:
+            _sync_floor(shared_floor, floor, lim)
+        # the heap holds min(window, matches) docs: re-key them to the
+        # (-score, doc) window order (sorted, so the global merge of a
+        # lone segment is one linear pass)
+        hits = [(-sc, -nd) for sc, nd in heap]
+        hits.sort()
+        return self._resolve(hits), floor if full else 0.0
+
+    def _resolve(self, hits: list[tuple[float, int]]) -> list[_Entry]:
+        """``(-score, doc index)`` survivors → ``(-score, doc_id, rows)``."""
+        doc_ids = self._doc_ids
+        evidence = self.evidence
+        entries: list[_Entry] = []
+        entry = entries.append
+        for neg_score, doc in hits:
+            doc_id = doc_ids[doc]
+            entry((neg_score, doc_id, evidence.get(doc_id, ())))
+        return entries
+
+
+def _plan_bound(item: tuple[tuple, Segment]) -> float:
+    best: float = item[0][0]
+    return best
+
+
+def _sync_floor(shared_floor: Any, floor: float, lim: float) -> float:
+    """Publish *floor* (0.0 = nothing proven yet) to the cross-worker
+    value and return the larger of *lim* and the best published floor.
+    The shared value only ever rises within a query."""
+    with shared_floor.get_lock():
+        if floor > shared_floor.value:
+            shared_floor.value = floor
+        shared: float = shared_floor.value
+    return shared if shared > lim else lim
 
 
 class _WriteBuffer:
@@ -442,13 +818,13 @@ class _WriteBuffer:
             self.term_index.add_document(analyzed.doc_id, analyzed.term_counts)
             self.entity_index.add_document(analyzed.doc_id, analyzed.entity_counts)
 
-    def _score_docs(
+    def score(
         self,
         terms: Sequence[tuple[str, float]],
         entities: Sequence[tuple[str, float]],
-        out: list[tuple[str, float, float]],
-    ) -> None:
-        """Dict-walk counterpart of :meth:`Segment._score_docs` — the
+        alpha: float,
+    ) -> list[_Entry]:
+        """Dict-walk counterpart of :meth:`Segment.score` (uncut) — the
         buffer is small and changes on every observe, so it is never
         compiled."""
         term_scores: dict[str, float] = {}
@@ -468,18 +844,21 @@ class _WriteBuffer:
                     entity_scores.get(doc_id, 0.0)
                     + posting.entity_frequency * ew * entity_weight(posting.d_score)
                 )
-        emit = out.append
+        one_minus_alpha = 1.0 - alpha
+        evidence = self.evidence
+        entries: list[_Entry] = []
+        entry = entries.append
         # repro: lint-ok[determinism] emission order is scratch only —
-        # SegmentedIndex merges all segments' rows and sorts with the
+        # SegmentedIndex merges all sources' entries and sorts with the
         # total (-score, doc_id) key before any cut
         for doc_id in term_scores.keys() | entity_scores.keys():
-            emit(
-                (
-                    doc_id,
-                    term_scores.get(doc_id, 0.0),
-                    entity_scores.get(doc_id, 0.0),
-                )
+            score = (
+                alpha * term_scores.get(doc_id, 0.0)
+                + one_minus_alpha * entity_scores.get(doc_id, 0.0)
             )
+            if score > 0.0:
+                entry((-score, doc_id, evidence.get(doc_id, ())))
+        return entries
 
 
 class SegmentedIndex:
@@ -590,42 +969,20 @@ class SegmentedIndex:
         config: FinderConfig,
         segments: Iterable[tuple[int, InvertedIndex, EntityIndex, Mapping[str, _Rows]]],
         buffer: tuple[InvertedIndex, EntityIndex, Mapping[str, _Rows]] | None,
-        *,
-        seal_threshold: int = DEFAULT_SEAL_THRESHOLD,
-        compaction: str = "synchronous",
-        fanout: int = DEFAULT_FANOUT,
-        block_span: int | None = None,
+        **kwargs: Any,
     ) -> "SegmentedIndex":
         """Rebuild from snapshot state: sealed segments in manifest order
         (each ``(segment_id, term_index, entity_index, evidence)``) plus
         an optional unsealed buffer. Postings and evidence orders are
-        preserved, so restored rankings are byte-identical."""
-        index = cls(
-            config,
-            seal_threshold=seal_threshold,
-            compaction=compaction,
-            fanout=fanout,
-            block_span=block_span,
-        )
-        for segment_id, term_index, entity_index, evidence in segments:
-            index._register(
-                Segment(
-                    segment_id,
-                    term_index,
-                    entity_index,
-                    evidence,
-                    block_span=index._block_span,
-                )
-            )
-            index._next_segment_id = max(index._next_segment_id, segment_id + 1)
-        if buffer is not None:
-            term_index, entity_index, evidence = buffer
-            restored = _WriteBuffer.restore(term_index, entity_index, evidence)
-            index._absorb_ids(restored.resource_ids, "the write buffer")
-            index._validate_rows(restored.evidence.values())
-            index._buffer = restored
-            index._doc_count += restored.document_count
-        return index
+        preserved, so restored rankings are byte-identical. *kwargs* are
+        the constructor's options."""
+        block_span = kwargs.get("block_span") or DEFAULT_BLOCK_SPAN
+        compiled = [
+            Segment(segment_id, term_index, entity_index, evidence,
+                    block_span=block_span)
+            for segment_id, term_index, entity_index, evidence in segments
+        ]
+        return cls.restore_compiled(config, compiled, buffer, **kwargs)
 
     @classmethod
     def restore_compiled(
@@ -633,23 +990,13 @@ class SegmentedIndex:
         config: FinderConfig,
         segments: Iterable[Segment],
         buffer: tuple[InvertedIndex, EntityIndex, Mapping[str, _Rows]] | None,
-        *,
-        seal_threshold: int = DEFAULT_SEAL_THRESHOLD,
-        compaction: str = "synchronous",
-        fanout: int = DEFAULT_FANOUT,
-        block_span: int | None = None,
+        **kwargs: Any,
     ) -> "SegmentedIndex":
         """Rebuild from already-compiled :class:`Segment` objects (the
         snapshot-v3 mmap path, via :meth:`Segment.from_columns`) plus an
-        optional unsealed buffer; the same overlap/evidence validation as
-        :meth:`restore` applies."""
-        index = cls(
-            config,
-            seal_threshold=seal_threshold,
-            compaction=compaction,
-            fanout=fanout,
-            block_span=block_span,
-        )
+        optional unsealed buffer; duplicated resources and out-of-range
+        evidence distances are rejected."""
+        index = cls(config, **kwargs)
         for segment in segments:
             index._register(segment)
             index._next_segment_id = max(
@@ -682,12 +1029,12 @@ class SegmentedIndex:
 
     def _validate_rows(self, rows_of: Iterable[_Rows]) -> None:
         weight_of = self._weight_of
-        for rows in rows_of:
-            for _candidate_id, distance in rows:
-                if weight_of.get(distance) is None:
-                    raise ValueError(
-                        f"distance {distance} outside 0..{self._config.max_distance}"
-                    )
+        distances = {distance for rows in rows_of for _cid, distance in rows}
+        bad = distances - weight_of.keys()
+        if bad:
+            raise ValueError(
+                f"distance {min(bad)} outside 0..{self._config.max_distance}"
+            )
 
     def _next_id(self) -> int:
         with self._lock:
@@ -881,7 +1228,7 @@ class SegmentedIndex:
 
     @property
     def block_span(self) -> int:
-        """Doc-index span per pruning block, shared by every segment."""
+        """Doc-index span per pruning block for segments sealed here."""
         return self._block_span
 
     @property
@@ -897,7 +1244,7 @@ class SegmentedIndex:
 
     def irf(self, term: str) -> float:
         """Inverse resource frequency of *term* over the union — the same
-        integers (and therefore the same float) as a monolithic
+        integers (and therefore the same float) as a
         :class:`~repro.index.statistics.CollectionStatistics` over the
         merged collection."""
         cached = self._irf_cache.get(term)
@@ -964,350 +1311,66 @@ class SegmentedIndex:
         stats: PruningStats | None = None,
     ) -> list[ExpertScore]:
         """Rank the candidate experts for an analyzed *query* across all
-        live segments plus the buffer — byte-identical to the monolithic
-        engines at the same collection state. With ``pruned=True``,
-        absolute-count windows evaluate in the block-max mode (identical
-        output, fewer segment postings touched); other window shapes
-        fall back to the exhaustive path and are counted in *stats*."""
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        window_size(window, 0)  # validate the window shape up front
-        segments = self._segments
-        try:
-            if pruned:
-                if stats is None:
-                    stats = self.pruning_stats
-                # strictly-positive absolute counts only (bools excluded);
-                # every other shape — fractional or None — takes the
-                # exhaustive path
-                if type(window) is int and window > 0:
-                    stats.pruned_queries += 1
-                    return self._find_experts_pruned(
-                        segments, query, alpha, window, top_k, stats
-                    )
-                stats.fallback_queries += 1
-            return self._find_experts(segments, query, alpha, window, top_k)
-        except BaseException:
-            for segment in segments:
-                segment._init_scratch()
-            raise
+        live segments plus the buffer — byte-identical to the object
+        path over the same collection. With ``pruned=True``, absolute
+        windows evaluate each segment in the block-max mode (identical
+        output, fewer postings touched); other window shapes fall back
+        to the exhaustive path and are counted in *stats*."""
+        if stats is None:
+            stats = self.pruning_stats
+        cut, pruned = plan_query(alpha, window, pruned, stats)
+        entries = self._collect(query, alpha, cut, pruned, stats)
+        entries.sort()
+        del entries[window_size(window, len(entries)):]
+        return fold_experts(entries, self._weight_of, self._normalize, top_k)
 
-    def _find_experts(
+    def _collect(
         self,
-        segments: Sequence[Segment],
         query: AnalyzedResource,
         alpha: float,
-        window: int | float | None,
-        top_k: int | None,
-    ) -> list[ExpertScore]:
-        terms, entities = self._query_weights(query, alpha)
-        entries = self._scored_entries(segments, terms, entities, alpha)
-        entries.sort()
-        width = window_size(window, len(entries))
-        if width < len(entries):
-            del entries[width:]
-        return self._fold_entries(entries, top_k)
-
-    def _scored_entries(
-        self,
-        segments: Sequence[Segment],
-        terms: Sequence[tuple[str, float]],
-        entities: Sequence[tuple[str, float]],
-        alpha: float,
-    ) -> list[tuple[float, str, _Rows]]:
-        """Every positive Eq.-1 match as ``(-score, doc_id, rows)``,
-        unsorted. Each doc lives in exactly one source, so a global
-        ``(-score, doc_id)`` sort of the result reproduces the monolithic
-        window cut — entries carry their source's evidence rows for Eq. 3
-        (never compared: doc ids are unique, so the sort stops earlier)."""
-        one_minus_alpha = 1.0 - alpha
-        entries: list[tuple[float, str, _Rows]] = []
-        entry = entries.append
-        scored: list[tuple[str, float, float]] = []
-        for source in (*segments, self._buffer):
-            del scored[:]
-            source._score_docs(terms, entities, scored)
-            evidence = source.evidence
-            for doc_id, term_score, entity_score in scored:
-                score = alpha * term_score + one_minus_alpha * entity_score
-                if score > 0.0:
-                    entry((-score, doc_id, evidence.get(doc_id, ())))
-        return entries
-
-    def _find_experts_pruned(
-        self,
-        segments: Sequence[Segment],
-        query: AnalyzedResource,
-        alpha: float,
-        window: int,
-        top_k: int | None,
-        stats: PruningStats,
-    ) -> list[ExpertScore]:
-        """Block-max evaluation across segments (exact, absolute windows).
-
-        The buffer — small, uncompiled, and touched by every observe —
-        is scored exhaustively first, seeding the window-floor heap; the
-        segments' blocks then evaluate in one global best-bound-first
-        agenda, and once ``window`` positive matches are held, every
-        block whose inflated upper bound sits below the worst kept
-        *score* is skipped without touching its postings. Scores of
-        processed docs repeat the exhaustive float operations exactly,
-        skipped docs are strictly below the final window threshold, and
-        the final sort + cut resolves score ties on ``doc_id`` exactly
-        as the exhaustive path does — rankings stay byte-identical.
-        """
-        terms, entities = self._query_weights(query, alpha)
-        entries = self._scored_entries_pruned(
-            segments, terms, entities, alpha, window, stats
-        )
-
-        # entries hold every processed positive match; once any block
-        # was skipped the heap is full, so min(window, len(entries)) is
-        # exactly the exhaustive path's window_size
-        entries.sort()
-        width = window_size(window, len(entries))
-        if width < len(entries):
-            del entries[width:]
-        return self._fold_entries(entries, top_k)
-
-    def _scored_entries_pruned(
-        self,
-        segments: Sequence[Segment],
-        terms: Sequence[tuple[str, float]],
-        entities: Sequence[tuple[str, float]],
-        alpha: float,
-        window: int,
+        cut: int | None,
+        pruned: bool,
         stats: PruningStats,
         shared_floor: Any = None,
-    ) -> list[tuple[float, str, _Rows]]:
-        """Block-max walk returning every *processed* positive match as
-        ``(-score, doc_id, rows)``, unsorted — a superset of the best
-        ``window`` matches; every skipped doc is strictly below the final
-        window threshold.
-
-        *shared_floor* (a ``multiprocessing.Value('d')`` or None) lets
-        concurrent shard workers share one pruning threshold: a worker
-        publishes its local floor once its heap holds ``window`` scores,
-        and skips blocks whose inflated bound sits below the best floor
-        published by *any* worker. The shared value only ever rises
-        within a query, so the break stays exact (see
-        ``docs/architecture.md``).
-        """
-        one_minus_alpha = 1.0 - alpha
-        W = window
-        heappush = heapq.heappush
-        heapreplace = heapq.heapreplace
-
-        entries: list[tuple[float, str, _Rows]] = []
-        entry = entries.append
-        heap: list[float] = []  # the W best scores seen (floor = heap[0])
-        nheap = 0
-        floor = 0.0
-
-        buffer = self._buffer
-        scored: list[tuple[str, float, float]] = []
-        buffer._score_docs(terms, entities, scored)
-        evidence = buffer.evidence
-        for doc_id, term_score, entity_score in scored:
-            score = alpha * term_score + one_minus_alpha * entity_score
-            if score > 0.0:
-                entry((-score, doc_id, evidence.get(doc_id, ())))
-                if nheap < W:
-                    heappush(heap, score)
-                    nheap += 1
-                elif score > heap[0]:
-                    heapreplace(heap, score)
-        if nheap == W:
-            floor = heap[0]
-
-        # global agenda: per segment, fold each item's leg-scaled raw
-        # block maxima into a per-block bound, then merge all segments'
-        # blocks into one descending-bound order
-        agenda: list[tuple[float, int, int]] = []
-        per_seg: list[tuple[Segment, list, list]] = []
-        for si, segment in enumerate(segments):
-            ubmap: dict[int, float] = {}
-            tsp: list[tuple[dict, float]] = []
-            esp: list[tuple[dict, float]] = []
-            for term, tw in terms:
-                rec = segment._pruned_term(term)
-                if rec is None:
-                    continue
-                ubrec, smap = rec
-                tsp.append((smap, tw))
-                factor = alpha * tw
-                for b, mx in ubrec:
-                    ubmap[b] = ubmap.get(b, 0.0) + factor * mx
-            for uri, ew in entities:
-                rec = segment._pruned_entity(uri)
-                if rec is None:
-                    continue
-                ubrec, smap = rec
-                esp.append((smap, ew))
-                factor = one_minus_alpha * ew
-                for b, mx in ubrec:
-                    ubmap[b] = ubmap.get(b, 0.0) + factor * mx
-            per_seg.append((segment, tsp, esp))
-            for b, bound in ubmap.items():
-                agenda.append((bound, si, b))
-        agenda.sort(reverse=True)
-        slack = ub_slack(len(terms) + len(entities))
-
-        # cross-worker floor: read the best published floor, publish our
-        # own (both only rise); refreshed every _FLOOR_STRIDE blocks so
-        # the lock stays off the hot path
-        shared_val = 0.0
-        if shared_floor is not None:
-            with shared_floor.get_lock():
-                shared_val = shared_floor.value
-                if nheap == W and floor > shared_val:
-                    shared_floor.value = shared_val = floor
-
-        scanned = 0
-        for bound, si, b in agenda:
-            if nheap == W and bound * slack < floor:
-                break  # bounds are descending: every later block is below too
-            if shared_floor is not None:
-                if not scanned % _FLOOR_STRIDE:
-                    with shared_floor.get_lock():
-                        if nheap == W and floor > shared_floor.value:
-                            shared_floor.value = floor
-                        shared_val = shared_floor.value
-                if bound * slack < shared_val:
-                    break  # some worker's floor already rules this out
-            scanned += 1
-            segment, tsp, esp = per_seg[si]
-            term_acc = segment._term_acc
-            entity_acc = segment._entity_acc
-            flags = segment._doc_flags
-            btouched: list[int] = []
-            btouch = btouched.append
-            for smap, tw in tsp:
-                span = smap.get(b)
-                if span is None:
-                    continue
-                for d, tf in span:
-                    term_acc[d] += tf * tw
-                    if not flags[d]:
-                        flags[d] = 1
-                        btouch(d)
-            for smap, ew in esp:
-                span = smap.get(b)
-                if span is None:
-                    continue
-                for d, ef, we in span:
-                    entity_acc[d] += ef * ew * we
-                    if not flags[d]:
-                        flags[d] = 1
-                        btouch(d)
-            # blocks are doc-range complete (every posting of a block's
-            # documents sits in this block), so scores are final here
-            doc_ids = segment._doc_ids
-            evidence = segment.evidence
-            for d in btouched:
-                score = alpha * term_acc[d] + one_minus_alpha * entity_acc[d]
-                term_acc[d] = 0.0
-                entity_acc[d] = 0.0
-                flags[d] = 0
-                if score > 0.0:
-                    doc_id = doc_ids[d]
-                    entry((-score, doc_id, evidence.get(doc_id, ())))
-                    if nheap < W:
-                        heappush(heap, score)
-                        nheap += 1
-                        if nheap == W:
-                            floor = heap[0]
-                    elif score > floor:
-                        heapreplace(heap, score)
-                        floor = heap[0]
-        stats.blocks_scanned += scanned
-        stats.blocks_skipped += len(agenda) - scanned
-        if shared_floor is not None and nheap == W:
-            with shared_floor.get_lock():
-                if floor > shared_floor.value:
-                    shared_floor.value = floor
-        return entries
-
-    def _fold_entries(
-        self, entries: list[tuple[float, str, _Rows]], top_k: int | None
-    ) -> list[ExpertScore]:
-        # Eq. 3 fold in rank order, mirroring ExpertRanker.rank
-        weight_of = self._weight_of
-        scores: dict[str, float] = {}
-        support: dict[str, int] = {}
-        for neg_score, _doc_id, rows in entries:
-            match_score = -neg_score
-            for candidate_id, distance in rows:
-                scores[candidate_id] = (
-                    scores.get(candidate_id, 0.0)
-                    + match_score * weight_of[distance]
-                )
-                support[candidate_id] = support.get(candidate_id, 0) + 1
-        if self._normalize:
-            scores = {
-                cid: score / support[cid]
-                for cid, score in scores.items()
-                if support.get(cid)
-            }
-        ranked = [
-            ExpertScore(
-                candidate_id=cid,
-                score=score,
-                supporting_resources=support.get(cid, 0),
-            )
-            for cid, score in scores.items()
-            if score > 0.0
-        ]
-        ranked.sort(key=lambda e: (-e.score, e.candidate_id))
-        return ranked if top_k is None else ranked[:top_k]
-
-    def _matches(self, query: AnalyzedResource, alpha: float) -> list[ResourceMatch]:
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    ) -> list[_Entry]:
+        """Every source's share of the window as ``(-score, doc_id,
+        rows)``, unsorted: each source's best *cut* matches (all of
+        them when *cut* is None). A pruned walk carries the best proven
+        floor from source to source (and across shard workers through
+        *shared_floor*)."""
         terms, entities = self._query_weights(query, alpha)
-        one_minus_alpha = 1.0 - alpha
+        entries = self._buffer.score(terms, entities, alpha)
+        bar = 0.0
+        if cut is not None and len(entries) >= cut:
+            entries.sort()
+            del entries[cut:]
+            bar = -entries[-1][0]
         segments = self._segments
-        scored: list[tuple[str, float, float]] = []
         try:
-            for source in (*segments, self._buffer):
-                source._score_docs(terms, entities, scored)
+            if pruned and cut is not None:
+                # walk the segments best-bound first, so the floor they
+                # prove rules out as much of the rest as possible
+                plans = [
+                    (segment.plan_pruned(terms, entities, alpha), segment)
+                    for segment in segments
+                ]
+                plans.sort(key=_plan_bound, reverse=True)
+                for plan, segment in plans:
+                    hits, floor = segment.score_pruned(
+                        plan, alpha, cut, bar, stats, shared_floor
+                    )
+                    if floor > bar:
+                        bar = floor
+                    entries += hits
+            else:
+                for segment in segments:
+                    entries += segment.score(terms, entities, alpha, cut)
         except BaseException:
+            # scratch accumulators may be mid-query; rebuild them clean
             for segment in segments:
                 segment._init_scratch()
             raise
-        matches: list[ResourceMatch] = []
-        for doc_id, term_score, entity_score in scored:
-            combined = alpha * term_score + one_minus_alpha * entity_score
-            if combined > 0.0:
-                matches.append(
-                    ResourceMatch(
-                        doc_id=doc_id,
-                        score=combined,
-                        term_score=term_score,
-                        entity_score=entity_score,
-                    )
-                )
-        return matches
-
-    def retrieve(self, query: AnalyzedResource, alpha: float) -> list[ResourceMatch]:
-        """All resources with positive score for *query*, best first —
-        the segmented counterpart of
-        :meth:`~repro.index.vsm.VectorSpaceRetriever.retrieve`."""
-        matches = self._matches(query, alpha)
-        matches.sort(key=_match_order)
-        return matches
-
-    def retrieve_top_k(
-        self, query: AnalyzedResource, alpha: float, k: int
-    ) -> list[ResourceMatch]:
-        """The best *k* resources — exactly ``retrieve(query, alpha)[:k]``."""
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
-        if k == 0:
-            if not 0.0 <= alpha <= 1.0:
-                raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-            return []
-        return heapq.nsmallest(k, self._matches(query, alpha), key=_match_order)
+        return entries
 
     # -- introspection -------------------------------------------------------------
 
@@ -1335,6 +1398,31 @@ class SegmentedIndex:
     def iter_segments(self) -> tuple[Segment, ...]:
         """The live sealed segments, oldest first (a stable snapshot)."""
         return tuple(self._segments)
+
+    def merged_slice(
+        self,
+    ) -> tuple[InvertedIndex, EntityIndex, Mapping[str, _Rows]]:
+        """The whole collection as one ``(term_index, entity_index,
+        evidence)`` triple — what the object path and the sharded
+        snapshot writer read (hydrates column-restored segments). A lone
+        segment with an empty buffer is returned as is, so callers must
+        treat the result as read-only."""
+        segments = self._segments
+        buffer = self._buffer
+        if len(segments) == 1 and not buffer.resource_count:
+            (segment,) = segments
+            return segment.term_index, segment.entity_index, segment.evidence
+        term_index = InvertedIndex()
+        entity_index = EntityIndex()
+        evidence: dict[str, _Rows] = {}
+        for segment in segments:
+            term_index.merge(segment.term_index)
+            entity_index.merge(segment.entity_index)
+            evidence.update(segment.evidence)
+        term_index.merge(buffer.term_index)
+        entity_index.merge(buffer.entity_index)
+        evidence.update(buffer.evidence)
+        return term_index, entity_index, evidence
 
     @property
     def stats(self) -> SegmentStats:

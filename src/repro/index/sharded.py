@@ -22,7 +22,8 @@ Three layers:
   over one shard's resources whose ``_query_weights`` delegate to the
   shared global statistics; exposes :meth:`ShardIndex.shard_entries`
   (the scatter payload) on top of the inherited segment machinery
-  (columnar compile, block-max metadata, write buffer, compaction);
+  (per-segment scoring and cut, block-max pruning, write buffer,
+  compaction);
 * :class:`ShardedIndex` — the coordinator: partition, scatter (inline
   or through a :class:`ShardedQueryExecutor` process pool), exact merge
   + fold, and observe routing.
@@ -32,10 +33,13 @@ shards are inherited copy-on-write; snapshot-backed shards are opened
 *inside* each worker from the mmap-able v3 section files, so all
 workers share the page cache and warm-up is one ``open``, not one
 rebuild (``benchmarks/bench_sharded.py`` checks private RSS does not
-scale with worker count). Pruned evaluation composes: each worker runs
-its block-max agenda against a shared ``multiprocessing.Value`` floor,
-so a shard that fills its window early raises the skip threshold for
-every other shard mid-query.
+scale with worker count). An absolute window lets every shard cut its
+own matches to the window before shipping them (a duplicated document
+ranks no worse inside a shard than globally, so the union of the
+per-shard windows holds the global one). Pruned evaluation composes:
+each worker runs its block-max walk against a shared
+``multiprocessing.Value`` floor, so a shard that fills its window early
+raises the skip threshold for every other shard mid-query.
 """
 
 from __future__ import annotations
@@ -46,8 +50,6 @@ import time
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any
 from dataclasses import dataclass
-
-import heapq
 
 # Direct submodule imports only — same cycle rule as repro.index.segments.
 from repro.core.config import FinderConfig
@@ -62,8 +64,9 @@ from repro.index.segments import (
     DEFAULT_SEAL_THRESHOLD,
     SegmentedIndex,
     _Rows,
+    fold_experts,
+    plan_query,
 )
-from repro.index.vsm import ResourceMatch, _match_order
 
 #: queries a scatter_many batch keeps in flight per worker; bounds both
 #: pipe backlog and the coordinator's reply lag
@@ -97,8 +100,9 @@ class GlobalStatistics:
     shards lives in both), so per-shard document frequencies are *not*
     additive — these tables are built from the full collection and only
     ever updated from the full stream. The irf/eirf ratios repeat the
-    monolithic :class:`~repro.index.statistics.CollectionStatistics`
-    integers, and therefore its floats, exactly.
+    integers, and therefore the floats, of a
+    :class:`~repro.index.statistics.CollectionStatistics` over the whole
+    collection exactly.
     """
 
     __slots__ = (
@@ -141,7 +145,7 @@ class GlobalStatistics:
 
     def add_document(self, analyzed: AnalyzedResource) -> None:
         """Absorb one newly indexed document into N and the df tables
-        (mirrors what the monolithic indexes would have recorded)."""
+        (mirrors what unsharded indexes would have recorded)."""
         self.doc_count += 1
         term_df = self._term_df
         for term, count in analyzed.term_counts.items():
@@ -250,57 +254,27 @@ class ShardIndex(SegmentedIndex):
         query: AnalyzedResource,
         alpha: float,
         *,
-        window: int | None = None,
+        cut: int | None = None,
+        pruned: bool = False,
         stats: PruningStats | None = None,
         shared_floor: Any = None,
     ) -> list[tuple[float, str]]:
         """The scatter payload: ``(-score, doc_id)`` pairs for this
-        shard's matches, unsorted.
+        shard's share of the window, unsorted.
 
-        ``window=None`` returns *every* positive match (the exhaustive
-        scatter — exact for any window shape once the coordinator has
-        all shards' entries). A positive int runs the block-max walk and
-        returns a superset of the shard's local top-``window``; any doc
-        it drops is strictly below the shard's local floor, which can
-        never exceed the global one, so the coordinator's merge stays
-        exact. Evidence rows are *not* shipped — the coordinator folds
-        from its own full rows.
+        ``cut=None`` returns *every* positive match (exact for any
+        window shape once the coordinator has all shards' entries). A
+        positive int returns at most the shard's local top-``cut`` —
+        exhaustively scored, or with ``pruned=True`` by the block-max
+        walk; any doc it drops ranks below ``cut`` others inside the
+        shard, so the coordinator's merge stays exact. Evidence rows
+        are *not* shipped — the coordinator folds from its own full
+        rows.
         """
-        terms, entities = self._query_weights(query, alpha)
-        segments = self._segments
         if stats is None:
             stats = self.pruning_stats
-        try:
-            if window is None:
-                entries = self._scored_entries(segments, terms, entities, alpha)
-            else:
-                entries = self._scored_entries_pruned(
-                    segments, terms, entities, alpha, window, stats, shared_floor
-                )
-        except BaseException:
-            for segment in segments:
-                segment._init_scratch()
-            raise
+        entries = self._collect(query, alpha, cut, pruned, stats, shared_floor)
         return [(neg_score, doc_id) for neg_score, doc_id, _rows in entries]
-
-    def merged_slice(
-        self,
-    ) -> tuple[InvertedIndex, EntityIndex, dict[str, _Rows]]:
-        """This shard's whole collection slice merged into one
-        ``(term_index, entity_index, evidence)`` triple — the snapshot
-        serialization form (hydrates column-restored segments)."""
-        term_index = InvertedIndex()
-        entity_index = EntityIndex()
-        evidence: dict[str, _Rows] = {}
-        for segment in self.iter_segments():
-            term_index.merge(segment.term_index)
-            entity_index.merge(segment.entity_index)
-            evidence.update(segment.evidence)
-        buffer = self.write_buffer
-        term_index.merge(buffer.term_index)
-        entity_index.merge(buffer.entity_index)
-        evidence.update(buffer.evidence)
-        return term_index, entity_index, evidence
 
 
 @dataclass(frozen=True)
@@ -505,14 +479,15 @@ class ShardedIndex:
     ) -> list[ExpertScore]:
         """Scatter *query* to every shard, merge exactly, fold Eq. 3 —
         byte-identical to the single-index path at the same collection
-        state. ``pruned=True`` with an absolute window scatters the
-        block-max mode (sharing one floor across workers); fractional
-        and ``None`` windows take the exhaustive scatter, counted as
-        fallbacks exactly like the segmented path."""
+        state. An absolute window is cut per shard (and with
+        ``pruned=True`` scattered in the block-max mode, sharing one
+        floor across workers); fractional and ``None`` windows take the
+        exhaustive scatter, counted as fallbacks exactly like the
+        segmented path."""
         if stats is None:
             stats = self.pruning_stats
-        scatter_window = self._plan_query(window, alpha, pruned, stats, count=1)
-        entries = self._scatter(query, alpha, scatter_window, stats)
+        cut, pruned = plan_query(alpha, window, pruned, stats)
+        entries = self._scatter(query, alpha, cut, pruned, stats)
         return self._merge(entries, window, top_k)
 
     def find_experts_many(
@@ -532,55 +507,35 @@ class ShardedIndex:
         of the next; results are identical to a serial loop."""
         if stats is None:
             stats = self.pruning_stats
-        scatter_window = self._plan_query(
-            window, alpha, pruned, stats, count=len(queries)
-        )
+        cut, pruned = plan_query(alpha, window, pruned, stats, len(queries))
         executor = self._executor
         if executor is not None and len(queries) > 1:
             batches = executor.scatter_many(
-                [(query, alpha, scatter_window) for query in queries], stats
+                [(query, alpha, cut, pruned) for query in queries], stats
             )
         else:
             batches = [
-                self._scatter(query, alpha, scatter_window, stats)
-                for query in queries
+                self._scatter(query, alpha, cut, pruned, stats) for query in queries
             ]
         return [self._merge(entries, window, top_k) for entries in batches]
-
-    def _plan_query(
-        self,
-        window: int | float | None,
-        alpha: float,
-        pruned: bool,
-        stats: PruningStats,
-        count: int,
-    ) -> int | None:
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        window_size(window, 0)  # validate the window shape up front
-        if pruned:
-            # same routing rule as SegmentedIndex.find_experts: strictly
-            # positive absolute counts prune, everything else falls back
-            if type(window) is int and window > 0:
-                stats.pruned_queries += count
-                return window
-            stats.fallback_queries += count
-        return None
 
     def _scatter(
         self,
         query: AnalyzedResource,
         alpha: float,
-        window: int | None,
+        cut: int | None,
+        pruned: bool,
         stats: PruningStats,
     ) -> list[tuple[float, str]]:
         executor = self._executor
         if executor is not None:
-            return executor.scatter(query, alpha, window, stats)
+            return executor.scatter(query, alpha, cut, pruned, stats)
         entries: list[tuple[float, str]] = []
         for shard in self._shards:
             entries.extend(
-                shard.shard_entries(query, alpha, window=window, stats=stats)
+                shard.shard_entries(
+                    query, alpha, cut=cut, pruned=pruned, stats=stats
+                )
             )
         return entries
 
@@ -601,74 +556,19 @@ class ShardedIndex:
                 seen.add(doc_id)
                 keep(item)
         merged.sort()
-        width = window_size(window, len(merged))
-        if width < len(merged):
-            del merged[width:]
+        del merged[window_size(window, len(merged)):]
         # Eq. 3 fold over the coordinator's *full* evidence rows, in rank
-        # order — float-for-float the SegmentedIndex._fold_entries walk
-        weight_of = self._weight_of
+        # order (each shard only holds the rows of its own candidates)
         evidence = self._evidence
-        scores: dict[str, float] = {}
-        support: dict[str, int] = {}
-        for neg_score, doc_id in merged:
-            match_score = -neg_score
-            for candidate_id, distance in evidence.get(doc_id, ()):
-                scores[candidate_id] = (
-                    scores.get(candidate_id, 0.0)
-                    + match_score * weight_of[distance]
-                )
-                support[candidate_id] = support.get(candidate_id, 0) + 1
-        if self._normalize:
-            scores = {
-                cid: score / support[cid]
-                for cid, score in scores.items()
-                if support.get(cid)
-            }
-        ranked = [
-            ExpertScore(
-                candidate_id=cid,
-                score=score,
-                supporting_resources=support.get(cid, 0),
-            )
-            for cid, score in scores.items()
-            if score > 0.0
-        ]
-        ranked.sort(key=lambda e: (-e.score, e.candidate_id))
-        return ranked if top_k is None else ranked[:top_k]
-
-    def _matches(
-        self, query: AnalyzedResource, alpha: float
-    ) -> list[ResourceMatch]:
-        seen: set[str] = set()
-        matches: list[ResourceMatch] = []
-        for shard in self._shards:
-            for match in shard._matches(query, alpha):
-                if match.doc_id not in seen:
-                    seen.add(match.doc_id)
-                    matches.append(match)
-        return matches
-
-    def retrieve(
-        self, query: AnalyzedResource, alpha: float
-    ) -> list[ResourceMatch]:
-        """All resources with positive score, best first — duplicated
-        docs score identically in every owning shard, so the dedup'd
-        union equals the monolithic retrieval."""
-        matches = self._matches(query, alpha)
-        matches.sort(key=_match_order)
-        return matches
-
-    def retrieve_top_k(
-        self, query: AnalyzedResource, alpha: float, k: int
-    ) -> list[ResourceMatch]:
-        """The best *k* resources — exactly ``retrieve(query, alpha)[:k]``."""
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
-        if k == 0:
-            if not 0.0 <= alpha <= 1.0:
-                raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-            return []
-        return heapq.nsmallest(k, self._matches(query, alpha), key=_match_order)
+        return fold_experts(
+            [
+                (neg_score, doc_id, evidence.get(doc_id, ()))
+                for neg_score, doc_id in merged
+            ],
+            self._weight_of,
+            self._normalize,
+            top_k,
+        )
 
     # -- the scatter pool ----------------------------------------------------------
 
@@ -746,7 +646,7 @@ def _restrict_index(cls: type[Any], index: Any, doc_ids: set[str]) -> Any:
     """A new ``cls`` index holding only *doc_ids*' postings, in the
     original postings order (a filtered subsequence — per-document float
     accumulation is order-independent across documents, so restricted
-    scores repeat the monolithic products exactly)."""
+    scores repeat the unsharded products exactly)."""
     postings = {}
     for key, plist in index.items():
         kept = [p for p in plist if p.doc_id in doc_ids]
@@ -773,12 +673,13 @@ def _worker_main(conn: Any, source: Any, shared_floor: Any) -> None:
                 return
             try:
                 if op == "query":
-                    _op, query, alpha, window, share = request
+                    _op, query, alpha, cut, pruned, share = request
                     stats.reset()
                     entries = shard.shard_entries(
                         query,
                         alpha,
-                        window=window,
+                        cut=cut,
+                        pruned=pruned,
                         stats=stats,
                         shared_floor=shared_floor if share else None,
                     )
@@ -859,16 +760,17 @@ class ShardedQueryExecutor:
         self,
         query: AnalyzedResource,
         alpha: float,
-        window: int | None,
+        cut: int | None,
+        pruned: bool,
         stats: PruningStats | None = None,
     ) -> list[tuple[float, str]]:
         """One query to all workers; concatenated entries back. Pruned
-        scatters (absolute *window*) share the floor, which is reset
-        here — a query's floor must start from zero."""
-        if window is not None:
+        scatters share the floor, which is reset here — a query's floor
+        must start from zero."""
+        if pruned:
             with self._floor.get_lock():
                 self._floor.value = 0.0
-        self._broadcast(("query", query, alpha, window, window is not None))
+        self._broadcast(("query", query, alpha, cut, pruned, pruned))
         entries: list[tuple[float, str]] = []
         for k in range(len(self._conns)):
             reply = self._recv(k)
@@ -880,7 +782,7 @@ class ShardedQueryExecutor:
 
     def scatter_many(
         self,
-        requests: Sequence[tuple[AnalyzedResource, float, int | None]],
+        requests: Sequence[tuple[AnalyzedResource, float, int | None, bool]],
         stats: PruningStats | None = None,
     ) -> list[list[tuple[float, str]]]:
         """Pipeline a batch: up to ``DEFAULT_BATCH_INFLIGHT`` queries are
@@ -895,8 +797,8 @@ class ShardedQueryExecutor:
         depth_total = 0
         while len(results) < n:
             while sent < n and sent - len(results) < DEFAULT_BATCH_INFLIGHT:
-                query, alpha, window = requests[sent]
-                self._broadcast(("query", query, alpha, window, False))
+                query, alpha, cut, pruned = requests[sent]
+                self._broadcast(("query", query, alpha, cut, pruned, False))
                 sent += 1
             depth_total += sent - len(results)
             entries: list[tuple[float, str]] = []

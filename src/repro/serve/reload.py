@@ -1,7 +1,7 @@
 """Snapshot generations and graceful hot-reload.
 
 The gateway never mutates a serving finder in place. A *generation* is
-one fully loaded and fully compiled :class:`ExpertSearchService`; a
+one fully loaded :class:`ExpertSearchService`; a
 reload builds the next generation in an executor thread (the event loop
 keeps serving generation N while the snapshot loads), then swaps one
 attribute on the event-loop thread. Requests capture their generation
@@ -13,9 +13,9 @@ The retired generation's scatter pool (sharded finders fork per-shard
 worker processes) is closed as soon as its last in-flight request
 finishes — from the event-loop thread, so no locking is needed.
 
-The *source* callable owns "fully compiled": it must return a service
-whose engine is selected, compiled, and (for sharded finders) whose
-worker pool is already forked — :func:`build_service` does exactly
+The *source* callable owns "fully loaded": it must return a service
+whose engine is selected and (for sharded finders) whose worker pool is
+already forked — :func:`build_service` does exactly
 that and is what the CLI, tests, and benchmarks pass.
 """
 
@@ -35,22 +35,17 @@ def build_service(
     engine: str = "columnar",
     cache_size: int = 1024,
 ) -> ExpertSearchService:
-    """Select *engine*, compile/fork everything queries will need, and
-    wrap *finder* into a service — the standard gateway source body.
+    """Select *engine*, fork everything queries will need, and wrap
+    *finder* into a service — the standard gateway source body.
 
-    Compiling here (not lazily on the first request) is what lets
-    :class:`HotReloader` promise readiness means ready: the swap only
-    happens after this returns."""
+    Forking a sharded finder's scatter pool here (not lazily on the
+    first request) is what lets :class:`HotReloader` promise readiness
+    means ready: the swap only happens after this returns. A sharded
+    finder rejects the object engine (:attr:`ExpertFinder.engine`
+    raises ``ValueError``)."""
     finder.engine = engine
-    if finder.index_mode == "sharded":
-        if engine == "object":
-            raise ValueError(
-                "a sharded finder cannot serve the object engine "
-                "(its collection is split across shards)"
-            )
+    if finder.sharded_index is not None:
         finder.start_scatter_pool()
-    elif engine != "object" and finder.index_mode == "monolithic":
-        finder.query_engine()
     return ExpertSearchService(finder, cache_size=cache_size)
 
 

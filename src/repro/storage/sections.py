@@ -13,7 +13,7 @@ Naming conventions:
 
 * string tables are a bare name (``docs``, ``terms``) paired with an
   offsets section derived by :func:`offsets_name`;
-* CSR column groups share a prefix (``term``, ``ent``, ``ev``, ``sup``)
+* CSR column groups share a prefix (``term``, ``ent``, ``ev``, ``stat``)
   and name each parallel column ``prefix#column`` via :func:`csr`;
 * block-max metadata uses the four :data:`BLOCK_COLUMNS` columns under
   the owning group's prefix, plus the global :data:`BLOCK_SPAN` scalar.
@@ -27,10 +27,8 @@ from __future__ import annotations
 CURRENT_FILE = "CURRENT"
 #: config/counts records, shared by the v2 and v3 layouts
 META_FILE = "meta.jsonl"
-#: monolithic collection slice (string tables + posting CSRs)
+#: legacy (read-only) monolithic collection slice, loaded as one segment
 INDEX_BIN = "index.bin"
-#: compiled columnar engine (weighted columns + block metadata)
-ENGINE_BIN = "engine.bin"
 #: the segmented index's unsealed write buffer
 BUFFER_BIN = "buffer.bin"
 #: union collection statistics of a sharded snapshot
@@ -102,19 +100,10 @@ ENT_EF = csr("ent", "ef")
 ENT_WE = csr("ent", "we")
 ENT_DS = csr("ent", "ds")
 
-#: compiled-engine weighted postings: (doc, w) under term/ent prefixes
-TERM_W = csr("term", "w")
-ENT_W = csr("ent", "w")
-
 #: evidence rows: offsets + (cand, dist) columns
 EV_OFF = csr("ev", "off")
 EV_CAND = csr("ev", "cand")
 EV_DIST = csr("ev", "dist")
-
-#: supporters CSR of the compiled engine: offsets + (cand, w) columns
-SUP_OFF = csr("sup", "off")
-SUP_CAND = csr("sup", "cand")
-SUP_W = csr("sup", "w")
 
 #: union statistics (``stats.bin``): scalar N + per-table df columns
 STAT_N = csr("stat", "n")
@@ -148,7 +137,7 @@ def block_name(prefix: str, column: str) -> str:
 #: too common as record keys to exact-match)
 REGISTERED_FILES = frozenset(
     (
-        CURRENT_FILE, META_FILE, INDEX_BIN, ENGINE_BIN, BUFFER_BIN,
+        CURRENT_FILE, META_FILE, INDEX_BIN, BUFFER_BIN,
         STATS_BIN, EVIDENCE_BIN, MANIFEST_FILE, SHARD_MANIFEST_FILE,
         TERM_FILE, ENTITY_FILE, EVIDENCE_FILE, BUFFER_FILE,
     )

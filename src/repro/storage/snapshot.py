@@ -8,22 +8,24 @@ indexes). A snapshot captures everything query evaluation needs — the
 indexes, the evidence relation, and the build configuration — and
 nothing generation-time.
 
-Two formats share one directory convention and one loader:
+Every save writes the segmented layout: a segment manifest plus one
+container per sealed segment and, when non-empty, one for the write
+buffer (a sharded finder writes one container per shard instead). Two
+formats share one directory convention and one loader:
 
 **v3 (binary, the default)** — the serving format. The directory holds a
 ``CURRENT`` pointer file plus numbered ``gen-NNNNNNN/`` generation
 subdirectories; ``CURRENT`` names the one complete generation. Inside a
 generation, ``meta.jsonl`` keeps the config/counts records and the
 columnar payload lives in mmap-able section containers
-(:mod:`repro.storage.binary`): ``index.bin`` + ``engine.bin`` for a
-monolithic finder, ``segments.jsonl`` + ``segment-NNNN.bin`` (and
-``buffer.bin``) for a segmented one. Loading maps the buffers and builds
-the :class:`~repro.index.columnar.ColumnarQueryEngine` (or each
-:class:`~repro.index.segments.Segment`) directly over zero-copy
+(:mod:`repro.storage.binary`): ``segments.jsonl`` + ``segment-NNNN.bin``
+(and ``buffer.bin``), or ``shards.jsonl`` + ``shard-NNNN.bin`` +
+``stats.bin`` + ``evidence.bin``. Loading maps the buffers and builds
+each :class:`~repro.index.segments.Segment` directly over zero-copy
 ``memoryview`` casts — no JSON parsing, no posting objects, and N
 processes opening one snapshot share a single page-cache copy. The
-posting-object side (retriever, segment indexes) hydrates lazily, only
-if a merge, re-save, or object-path query actually needs it.
+posting-object indexes hydrate lazily, only if a merge, re-save, or
+object-path query actually needs them.
 
 A save writes the whole new generation (each file atomically:
 temp + fsync + rename), then atomically replaces ``CURRENT``, then
@@ -31,24 +33,31 @@ prunes older generations — a crash at *any* instant leaves the previous
 ``CURRENT`` target intact and loadable.
 
 **jsonl (v2, the debug/interchange format)** — flat line-oriented files
-(``meta.jsonl``, ``term_index.jsonl.gz``, …), human-inspectable and
-diff-able; write it with ``save_finder(..., snapshot_format="jsonl")``.
-Each file is written atomically, but the *set* of files is not staged as
-one unit — v3 is the crash-safe format.
+(``meta.jsonl``, ``segments.jsonl``, ``segment-NNNN.jsonl.gz``, …),
+human-inspectable and diff-able; write it with
+``save_finder(..., snapshot_format="jsonl")``. Each file is written
+atomically, but the *set* of files is not staged as one unit — v3 is the
+crash-safe format.
 
-Evidence-row order is preserved by both formats, and v3 additionally
-stores the engine's own computed float64 weights, so a loaded finder
+**Legacy monolithic snapshots**, written before every finder became a
+segmented index, stay readable: a v3 generation whose meta says
+``index_mode: "monolithic"`` loads its ``index.bin`` as segment 0 (its
+``engine.bin`` is not read), and a flat v2 ``term_index`` /
+``entity_index`` / ``evidence`` directory loads as one segment.
+Re-saving either writes the segmented layout.
+
+Evidence-row order is preserved by both formats, so a loaded finder
 repeats the builder's float operations exactly — rankings round-trip
 byte-identically on every path. Posting order is preserved too, with
-one deliberate exception: v3 writes engine and sealed-segment columns
+one deliberate exception: v3 writes sealed-segment and shard columns
 sorted by doc index, alongside the block-max metadata that order makes
 possible (``blk#span`` + flattened per-column block sections), so pruned
 evaluation works straight off the mmap. Re-sorting a column never moves
-a ranking (see :mod:`repro.index.blockmax`), and snapshots written
-before the block sections existed still load — their columns are
-re-sorted and their maxima recomputed lazily on first pruned use. The text analyzer is *not*
-persisted (it is code, not state); :func:`load_finder` takes it as an
-argument.
+a ranking (see :mod:`repro.index.blockmax`), and containers written
+without the block sections still load — their columns are re-sorted and
+their blocks recomputed lazily on first pruned use. The text analyzer
+is *not* persisted (it is code, not state); :func:`load_finder` takes it
+as an argument.
 """
 
 from __future__ import annotations
@@ -61,14 +70,13 @@ import re
 import shutil
 import tempfile
 from array import array
-from collections.abc import Callable, Iterator, Mapping, MutableMapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from typing import Any
 
 from repro.core.config import FinderConfig
 from repro.core.expert_finder import ExpertFinder
 from repro.index.analyzer import ResourceAnalyzer
 from repro.index.blockmax import compute_blocks
-from repro.index.columnar import ColumnarQueryEngine
 from repro.index.entity_index import EntityIndex, EntityPosting
 from repro.index.inverted import InvertedIndex, Posting
 from repro.index.segments import Segment, SegmentedIndex, _WriteBuffer
@@ -78,8 +86,7 @@ from repro.index.sharded import (
     ShardIndex,
     partition_candidates,
 )
-from repro.index.statistics import CollectionStatistics
-from repro.index.vsm import VectorSpaceRetriever, entity_weight
+from repro.index.vsm import entity_weight
 from repro.storage import sections as layout
 from repro.storage.binary import (
     MappedSections,
@@ -93,7 +100,8 @@ from repro.storage.jsonl import StorageFormatError, read_records, write_records
 #: mismatched snapshots instead of guessing
 #: (2: ``index_mode`` + the segmented manifest layout; 3: the binary
 #: generation layout — the v2 flat-jsonl layout stays loadable and
-#: writable via ``snapshot_format="jsonl"``)
+#: writable via ``snapshot_format="jsonl"``; both versions still read
+#: their legacy "monolithic" layout)
 SNAPSHOT_VERSION = 3
 
 #: the version written by (and required in) flat jsonl snapshots
@@ -123,12 +131,12 @@ _CURRENT_FILE = layout.CURRENT_FILE
 _CURRENT_MAGIC = "repro-snapshot-v3"
 _GEN_PATTERN = re.compile(r"gen-(\d{7})")
 _INDEX_BIN = layout.INDEX_BIN
-_ENGINE_BIN = layout.ENGINE_BIN
 _BUFFER_BIN = layout.BUFFER_BIN
 _STATS_BIN = layout.STATS_BIN
 _EVIDENCE_BIN = layout.EVIDENCE_BIN
 _SHARD_MANIFEST_FILE = layout.SHARD_MANIFEST_FILE
 
+#: index modes a meta record may name; "monolithic" is read-only legacy
 _INDEX_MODES = ("monolithic", "segmented", "sharded")
 
 _segment_file = layout.segment_file
@@ -213,50 +221,14 @@ def _meta_records(finder: ExpertFinder, version: int) -> Iterator[dict[str, Any]
 
 
 def _save_jsonl(finder: ExpertFinder, directory: pathlib.Path) -> None:
-    if finder.index_mode == "sharded":
+    segmented = finder.segmented_index
+    if segmented is None:
         raise ValueError(
             "sharded finders snapshot only in the v3 binary format (the "
             "scatter-pool workers mmap its per-shard section files); "
             "drop snapshot_format='jsonl' or rebuild without shards"
         )
-    keep: set[str] = {_META_FILE}
-    if finder.index_mode == "segmented":
-        keep |= _save_segmented(finder.segmented_index, directory)
-    else:
-        retriever = finder.retriever
-
-        def term_records() -> Iterator[dict[str, Any]]:
-            yield {"type": "docs", "ids": sorted(retriever.term_index.doc_ids())}
-            for term, postings in retriever.term_index.items():
-                yield {
-                    "type": "term",
-                    "t": term,
-                    "p": [[p.doc_id, p.term_frequency] for p in postings],
-                }
-
-        def entity_records() -> Iterator[dict[str, Any]]:
-            yield {"type": "docs", "ids": sorted(retriever.entity_index.doc_ids())}
-            for uri, postings in retriever.entity_index.items():
-                yield {
-                    "type": "entity",
-                    "e": uri,
-                    "p": [
-                        [p.doc_id, p.entity_frequency, p.d_score] for p in postings
-                    ],
-                }
-
-        def evidence_records() -> Iterator[dict[str, Any]]:
-            for doc_id, supporters in finder.evidence_of.items():
-                yield {
-                    "type": "evidence",
-                    "doc": doc_id,
-                    "s": [[cid, distance] for cid, distance in supporters],
-                }
-
-        write_records(directory / _TERM_FILE, TERM_INDEX_KIND, term_records())
-        write_records(directory / _ENTITY_FILE, ENTITY_INDEX_KIND, entity_records())
-        write_records(directory / _EVIDENCE_FILE, EVIDENCE_KIND, evidence_records())
-        keep |= {_TERM_FILE, _ENTITY_FILE, _EVIDENCE_FILE}
+    keep = {_META_FILE} | _save_segmented(segmented, directory)
     # data files first, meta last: a fresh snapshot torn mid-save lacks
     # its meta file and is rejected cleanly at load
     write_records(
@@ -272,8 +244,8 @@ def _slice_records(
     entity_index: EntityIndex,
     evidence: Any,
 ) -> Iterator[dict[str, Any]]:
-    """One segment's (or the buffer's) records: docs, postings, evidence
-    — the monolithic record shapes, scoped to the slice."""
+    """One segment's (or the buffer's) records: docs, postings,
+    evidence."""
     yield {"type": "docs", "ids": sorted(term_index.doc_ids())}
     for term, postings in term_index.items():
         yield {
@@ -411,8 +383,8 @@ def _slice_sections(
     *,
     block_span: int | None = None,
 ) -> list[tuple[str, str, Any]]:
-    """One collection slice (the whole monolith, one segment, or the
-    buffer) as binary sections: string tables + element-offset CSR
+    """One collection slice (one segment, one shard, or the buffer) as
+    binary sections: string tables + element-offset CSR
     columns, preserving postings and evidence-row order exactly — unless
     *block_span* is given (sealed segments), in which case each posting
     column is stored sorted by doc index with block-max sections
@@ -547,7 +519,7 @@ def _shard_manifest_records(sharded: ShardedIndex) -> Iterator[dict[str, Any]]:
         "shards": len(shards),
         "seal_threshold": first.seal_threshold,
         "fanout": first.fanout,
-        "block_span": first._block_span,
+        "block_span": first.block_span,
     }
     for k, shard in enumerate(shards):
         yield {
@@ -557,43 +529,6 @@ def _shard_manifest_records(sharded: ShardedIndex) -> Iterator[dict[str, Any]]:
             "docs": shard.document_count,
             "resources": shard.resource_count,
         }
-
-
-def _engine_sections(engine: ColumnarQueryEngine) -> list[tuple[str, str, Any]]:
-    """The compiled engine's columns as binary sections. Doc and
-    candidate id tables are not repeated here — they are identical to
-    ``index.bin``'s ``docs``/``cands`` (both sorted over the same sets).
-
-    ``snapshot_columns`` materializes block metadata for every column
-    (doc-sorting any stragglers first), so the block-max sections are
-    always written and a loaded engine starts pruned queries without
-    recomputing anything.
-    """
-    cols = engine.snapshot_columns()
-    sections: list[tuple[str, str, Any]] = []
-    for prefix, col_key in (("term", "term"), ("ent", "entity")):
-        col_dict = cols[f"{col_key}_cols"]
-        blocks = cols[f"{col_key}_blocks"]
-        keys = list(col_dict)
-        off = array("l", [0])
-        doc = array("l")
-        weight = array("d")
-        for key in keys:
-            doc_col, weight_col = col_dict[key]
-            doc.extend(doc_col)
-            weight.extend(weight_col)
-            off.append(len(doc))
-        name = layout.TERMS if prefix == "term" else layout.ENTITIES
-        sections += pack_strings(name, keys)
-        sections += [(layout.csr(prefix, "off"), "q", off),
-                     (layout.csr(prefix, "doc"), "q", doc),
-                     (layout.csr(prefix, "w"), "d", weight)]
-        sections += _block_sections(prefix, [blocks[k] for k in keys], "d")
-    sections += [(layout.BLOCK_SPAN, "q", array("l", [engine.block_span]))]
-    sections += [(layout.SUP_OFF, "q", cols["sup_offsets"]),
-                 (layout.SUP_CAND, "q", cols["sup_cand"]),
-                 (layout.SUP_W, "d", cols["sup_weight"])]
-    return sections
 
 
 def _next_generation(directory: pathlib.Path) -> str:
@@ -630,8 +565,9 @@ def _save_v3(finder: ExpertFinder, directory: pathlib.Path) -> None:
     write_records(
         gen_dir / _META_FILE, META_KIND, _meta_records(finder, SNAPSHOT_VERSION)
     )
-    if finder.index_mode == "segmented":
-        segmented = finder.segmented_index
+    segmented = finder.segmented_index
+    sharded = finder.sharded_index
+    if segmented is not None:
         segments = segmented.iter_segments()
         buffer = segmented.write_buffer
         # sealed segments get doc-sorted columns + block-max sections so
@@ -657,8 +593,7 @@ def _save_v3(finder: ExpertFinder, directory: pathlib.Path) -> None:
             MANIFEST_KIND,
             _manifest_records(segmented, segments, buffer, _segment_bin, _BUFFER_BIN),
         )
-    elif finder.index_mode == "sharded":
-        sharded = finder.sharded_index
+    elif sharded is not None:
         write_sections(gen_dir / _STATS_BIN, _stats_sections(sharded.statistics))
         # the coordinator's full evidence rows (each shard container only
         # carries the rows restricted to its own candidates)
@@ -674,7 +609,7 @@ def _save_v3(finder: ExpertFinder, directory: pathlib.Path) -> None:
                 gen_dir / _shard_bin(k),
                 _slice_sections(
                     term_index, entity_index, evidence,
-                    block_span=shard._block_span,
+                    block_span=shard.block_span,
                 ),
             )
         write_records(
@@ -682,15 +617,6 @@ def _save_v3(finder: ExpertFinder, directory: pathlib.Path) -> None:
             SHARD_MANIFEST_KIND,
             _shard_manifest_records(sharded),
         )
-    else:
-        retriever = finder.retriever
-        write_sections(
-            gen_dir / _INDEX_BIN,
-            _slice_sections(
-                retriever.term_index, retriever.entity_index, finder.evidence_of
-            ),
-        )
-        write_sections(gen_dir / _ENGINE_BIN, _engine_sections(finder.query_engine()))
     # the generation is complete and durable; flip CURRENT, then prune
     # what the flip obsoleted (older generations, flat v2 files) — a
     # crash anywhere here leaves a loadable snapshot on both sides
@@ -872,9 +798,7 @@ def _read_manifest(
     return header, entries, buffer_entry
 
 
-def _load_segmented(
-    directory: pathlib.Path, config: FinderConfig
-) -> tuple[SegmentedIndex, dict[str, list[tuple[str, int]]]]:
+def _load_segmented(directory: pathlib.Path, config: FinderConfig) -> SegmentedIndex:
     """Restore a segmented index from its manifest + per-segment files,
     without merging anything: per-segment postings orders, the segment
     order, and the buffered tail all survive the round trip."""
@@ -914,70 +838,48 @@ def _load_segmented(
             )
         buffer = load_entry(buffer_entry, path)
 
-    segmented = SegmentedIndex.restore(
+    return SegmentedIndex.restore(
         config,
         segments,
         buffer,
         seal_threshold=header["seal_threshold"],
         fanout=header.get("fanout", 4),
     )
-    return segmented, _collect_evidence(segmented)
+
+
+def _load_legacy_monolithic(
+    directory: pathlib.Path, config: FinderConfig
+) -> SegmentedIndex:
+    """A pre-segments flat v2 snapshot (``term_index``/``entity_index``/
+    ``evidence`` files), loaded as one sealed segment."""
+    term_index = _load_term_index(directory / _TERM_FILE)
+    entity_index = _load_entity_index(directory / _ENTITY_FILE)
+    # the builder indexes every resource into both indexes (possibly with
+    # empty postings), so diverging doc-id sets mean a corrupt snapshot —
+    # and would skew the shared collection-frequency denominators
+    if term_index.doc_ids() != entity_index.doc_ids():
+        raise StorageFormatError(
+            f"{directory}: term and entity indexes disagree on the indexed "
+            f"doc ids ({len(term_index.doc_ids())} vs "
+            f"{len(entity_index.doc_ids())})"
+        )
+    evidence_of = _load_evidence(directory / _EVIDENCE_FILE)
+    return SegmentedIndex.from_built(term_index, entity_index, evidence_of, config)
 
 
 def _collect_evidence(
     segmented: SegmentedIndex,
-) -> dict[str, list[tuple[str, int]]]:
-    evidence_of: dict[str, list[tuple[str, int]]] = {}
+) -> dict[str, Sequence[tuple[str, int]]]:
+    """The finder's resource → supporters relation: every source's rows
+    (shared, immutable tuples) in segment order, then the buffer's."""
+    evidence_of: dict[str, Sequence[tuple[str, int]]] = {}
     for segment in segmented.iter_segments():
-        for doc_id, rows in segment.evidence.items():
-            evidence_of[doc_id] = list(rows)
-    for doc_id, rows in segmented.write_buffer.evidence.items():
-        evidence_of[doc_id] = list(rows)
+        evidence_of.update(segment.evidence)
+    evidence_of.update(segmented.write_buffer.evidence)
     return evidence_of
 
 
 # -- binary (v3) reader ------------------------------------------------------------
-
-
-class _LazyEvidence(MutableMapping):
-    """The resource → supporters relation, hydrated from the mapped
-    evidence CSR on first access.
-
-    Columnar query evaluation never touches it — only the object path
-    (``rank_matches``), ``observe``, and re-saves do — so a v3 snapshot
-    open defers decoding the evidence string tables entirely.
-    """
-
-    __slots__ = ("_hydrate", "_data")
-
-    def __init__(
-        self, hydrate: Callable[[], dict[str, list[tuple[str, int]]]]
-    ):
-        self._hydrate: Callable[[], dict[str, list[tuple[str, int]]]] | None = hydrate
-        self._data: dict[str, list[tuple[str, int]]] | None = None
-
-    def _ensure(self) -> dict[str, list[tuple[str, int]]]:
-        data = self._data
-        if data is None:
-            hydrate = self._hydrate
-            self._hydrate = None
-            data = self._data = hydrate()
-        return data
-
-    def __getitem__(self, key: str) -> list[tuple[str, int]]:
-        return self._ensure()[key]
-
-    def __setitem__(self, key: str, value: list[tuple[str, int]]) -> None:
-        self._ensure()[key] = value
-
-    def __delitem__(self, key: str) -> None:
-        del self._ensure()[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._ensure())
-
-    def __len__(self) -> int:
-        return len(self._ensure())
 
 
 def _read_current(directory: pathlib.Path) -> pathlib.Path:
@@ -1082,12 +984,13 @@ def _decode_evidence(
     resources = mapped.strings("resources")
     cands = mapped.strings("cands")
     off, (vcand, vdist) = _csr(mapped, "ev", len(resources), ("cand", "dist"))
-    evidence: dict[str, tuple[tuple[str, int], ...]] = {}
-    for i, doc_id in enumerate(resources):
-        evidence[doc_id] = tuple(
-            (cands[vcand[j]], vdist[j]) for j in range(off[i], off[i + 1])
-        )
-    return evidence
+    # one pass over the whole CSR, then per-resource slices of it
+    rows = list(zip([cands[c] for c in vcand.tolist()], vdist.tolist()))
+    bounds = off.tolist()
+    return {
+        doc_id: tuple(rows[bounds[i] : bounds[i + 1]])
+        for i, doc_id in enumerate(resources)
+    }
 
 
 def _slice_hydrator(
@@ -1123,91 +1026,21 @@ def _slice_hydrator(
     return hydrate
 
 
-def _load_v3_monolithic(
-    gen_dir: pathlib.Path,
-    analyzer: ResourceAnalyzer,
-    config: FinderConfig,
-    indexed: int,
-    evidence_counts: dict[str, int],
-) -> ExpertFinder:
-    index_mapped = MappedSections.open(gen_dir / _INDEX_BIN)
-    engine_mapped = MappedSections.open(gen_dir / _ENGINE_BIN)
-    docs = index_mapped.strings("docs")
-    if len(docs) != indexed:
-        raise StorageFormatError(
-            f"{gen_dir / _INDEX_BIN}: index holds {len(docs)} document(s), "
-            f"metadata says {indexed}"
-        )
-    cands = index_mapped.strings("cands")
-
-    terms = engine_mapped.strings("terms")
-    toff, term_views = _csr(engine_mapped, "term", len(terms), ("doc", "w"))
-    entities = engine_mapped.strings("entities")
-    eoff, entity_views = _csr(engine_mapped, "ent", len(entities), ("doc", "w"))
-    sup_off, (sup_cand, sup_weight) = _csr(
-        engine_mapped, "sup", len(docs), ("cand", "w")
-    )
-    # block-max sections are adopted when present (their columns were
-    # written doc-sorted); pre-block snapshots recompute lazily on first
-    # pruned query — the recompute-on-absent compatibility rule
-    block_kwargs: dict[str, Any] = {}
-    if layout.BLOCK_SPAN in engine_mapped.names():
-        block_kwargs = {
-            "block_span": int(engine_mapped.array(layout.BLOCK_SPAN)[0]),
-            "term_blocks": _read_blocks(engine_mapped, "term", terms),
-            "entity_blocks": _read_blocks(engine_mapped, "ent", entities),
-        }
-    engine = ColumnarQueryEngine(
-        doc_ids=docs,
-        cand_ids=cands,
-        term_cols=_col_dict(terms, toff, term_views),
-        entity_cols=_col_dict(entities, eoff, entity_views),
-        sup_offsets=sup_off,
-        sup_cand=sup_cand,
-        sup_weight=sup_weight,
-        normalize=config.normalize,
-        **block_kwargs,
-    )
-
-    def evidence_hydrate() -> dict[str, list[tuple[str, int]]]:
-        return {
-            doc_id: list(rows)
-            for doc_id, rows in _decode_evidence(index_mapped).items()
-        }
-
-    index_hydrate = _slice_hydrator(index_mapped, docs)
-
-    def retriever_factory() -> VectorSpaceRetriever:
-        term_index, entity_index = index_hydrate()
-        return VectorSpaceRetriever(
-            term_index,
-            entity_index,
-            CollectionStatistics(term_index, entity_index),
-            idf_exponent=config.idf_exponent,
-        )
-
-    finder = ExpertFinder(
-        analyzer,
-        None,
-        _LazyEvidence(evidence_hydrate),
-        config,
-        evidence_counts=evidence_counts,
-        indexed_count=indexed,
-        retriever_factory=retriever_factory,
-    )
-    finder._engine = engine
-    return finder
-
-
 def _load_v3_segment(
-    path: pathlib.Path, segment_id: int, entry: dict[str, Any]
+    path: pathlib.Path,
+    segment_id: int,
+    entry: dict[str, Any],
+    source: str = "manifest",
 ) -> Segment:
+    """Map one section container as a compiled :class:`Segment`,
+    cross-checking its document count (and its resource count, when
+    *entry* records one) against what *source* says."""
     mapped = MappedSections.open(path)
     docs = mapped.strings("docs")
     if len(docs) != entry["docs"]:
         raise StorageFormatError(
             f"{path}: segment holds {len(docs)} document(s), "
-            f"manifest says {entry['docs']}"
+            f"{source} says {entry['docs']}"
         )
     terms = mapped.strings("terms")
     toff, term_views = _csr(mapped, "term", len(terms), ("doc", "tf"))
@@ -1215,10 +1048,10 @@ def _load_v3_segment(
     eoff, entity_views = _csr(mapped, "ent", len(entities), ("doc", "ef", "we", "ds"))
     evidence = _decode_evidence(mapped)
     resources = len(frozenset(evidence) | frozenset(docs))
-    if resources != entry["resources"]:
+    if "resources" in entry and resources != entry["resources"]:
         raise StorageFormatError(
             f"{path}: segment holds {resources} resource(s), "
-            f"manifest says {entry['resources']}"
+            f"{source} says {entry['resources']}"
         )
     block_kwargs: dict[str, Any] = {}
     if layout.BLOCK_SPAN in mapped.names():
@@ -1297,14 +1130,45 @@ def _load_v3_segmented(
         # keep the stored span for segments sealed after this load
         block_span=segments[0].block_span if segments else None,
     )
+    return _segmented_finder(
+        gen_dir, analyzer, config, indexed, evidence_counts, segmented
+    )
+
+
+def _load_v3_legacy_monolithic(
+    gen_dir: pathlib.Path,
+    analyzer: ResourceAnalyzer,
+    config: FinderConfig,
+    indexed: int,
+    evidence_counts: dict[str, int],
+) -> ExpertFinder:
+    """A pre-segments monolithic generation: ``index.bin`` is a
+    collection slice in postings order, loaded as the one sealed segment
+    (the compiled ``engine.bin`` beside it is not read)."""
+    segment = _load_v3_segment(
+        gen_dir / _INDEX_BIN, 0, {"docs": indexed}, source="metadata"
+    )
+    segmented = SegmentedIndex.restore_compiled(config, [segment], None)
+    return _segmented_finder(
+        gen_dir, analyzer, config, indexed, evidence_counts, segmented
+    )
+
+
+def _segmented_finder(
+    where: pathlib.Path,
+    analyzer: ResourceAnalyzer,
+    config: FinderConfig,
+    indexed: int,
+    evidence_counts: dict[str, int],
+    segmented: SegmentedIndex,
+) -> ExpertFinder:
     if segmented.document_count != indexed:
         raise StorageFormatError(
-            f"{gen_dir}: segments hold {segmented.document_count} "
+            f"{where}: segments hold {segmented.document_count} "
             f"indexed document(s), metadata says {indexed}"
         )
     return ExpertFinder(
         analyzer,
-        None,
         _collect_evidence(segmented),
         config,
         evidence_counts=evidence_counts,
@@ -1462,7 +1326,7 @@ def _load_v3_sharded(
             f"indexed document(s), metadata says {indexed}"
         )
     # the coordinator folds Eq. 3 from the full rows, so they hydrate
-    # eagerly (unlike the monolithic path, where only re-saves need them)
+    # eagerly
     evidence_mapped = MappedSections.open(gen_dir / _EVIDENCE_BIN)
     try:
         evidence_of = {
@@ -1491,7 +1355,6 @@ def _load_v3_sharded(
     ]
     return ExpertFinder(
         analyzer,
-        None,
         evidence_of,
         config,
         evidence_counts=evidence_counts,
@@ -1516,7 +1379,7 @@ def _load_v3(
             return _load_v3_segmented(
                 gen_dir, analyzer, config, indexed, evidence_counts
             )
-        return _load_v3_monolithic(
+        return _load_v3_legacy_monolithic(
             gen_dir, analyzer, config, indexed, evidence_counts
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -1559,57 +1422,13 @@ def load_finder(
             directory / _META_FILE, JSONL_SNAPSHOT_VERSION
         )
         if index_mode == "segmented":
-            segmented, evidence_of = _load_segmented(directory, config)
-            if segmented.document_count != indexed:
-                raise StorageFormatError(
-                    f"{directory}: segments hold {segmented.document_count} "
-                    f"indexed document(s), metadata says {indexed}"
-                )
-            return ExpertFinder(
-                analyzer,
-                None,
-                evidence_of,
-                config,
-                evidence_counts=evidence_counts,
-                indexed_count=indexed,
-                segmented=segmented,
-            )
-        term_index = _load_term_index(directory / _TERM_FILE)
-        entity_index = _load_entity_index(directory / _ENTITY_FILE)
-        evidence_of = _load_evidence(directory / _EVIDENCE_FILE)
+            segmented = _load_segmented(directory, config)
+        else:
+            segmented = _load_legacy_monolithic(directory, config)
+        return _segmented_finder(
+            directory, analyzer, config, indexed, evidence_counts, segmented
+        )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, StorageFormatError):
             raise
         raise StorageFormatError(f"{directory}: malformed snapshot: {exc}") from exc
-    # the builder indexes every resource into both indexes (possibly with
-    # empty postings), so diverging doc-id sets mean a corrupt snapshot —
-    # and would skew the shared collection-frequency denominators
-    if term_index.doc_ids() != entity_index.doc_ids():
-        raise StorageFormatError(
-            f"{directory}: term and entity indexes disagree on the indexed "
-            f"doc ids ({len(term_index.doc_ids())} vs "
-            f"{len(entity_index.doc_ids())})"
-        )
-    retriever = VectorSpaceRetriever(
-        term_index,
-        entity_index,
-        CollectionStatistics(term_index, entity_index),
-        idf_exponent=config.idf_exponent,
-    )
-    finder = ExpertFinder(
-        analyzer,
-        retriever,
-        evidence_of,
-        config,
-        evidence_counts=evidence_counts,
-        indexed_count=indexed,
-    )
-    # compile the columnar engine now: serving processes warm-start from
-    # snapshots, so the first query shouldn't pay compilation — and a
-    # snapshot whose evidence can't compile (e.g. out-of-range distance)
-    # is rejected at load time rather than at first query
-    try:
-        finder.query_engine()
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StorageFormatError(f"{directory}: malformed snapshot: {exc}") from exc
-    return finder

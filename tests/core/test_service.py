@@ -180,8 +180,9 @@ class TestObserve:
 
 class TestSegmentGauges:
     def test_monolithic_gauges_are_zero(self, service):
+        # a cold build is one sealed segment; nothing buffered or merged
         stats = service.stats
-        assert (stats.segments, stats.buffered_docs, stats.compactions) == (0, 0, 0)
+        assert (stats.segments, stats.buffered_docs, stats.compactions) == (1, 0, 0)
 
     def test_segmented_gauges_track_index(self, analyzer):
         g = SocialGraph(Platform.TWITTER)
@@ -198,7 +199,7 @@ class TestSegmentGauges:
         g.link_resource("alice", "t1", RelationKind.CREATES)
         finder = ExpertFinder.build(
             g, ("alice", "bob"), analyzer, FinderConfig(window=None),
-            index_mode="segmented", seal_threshold=2,
+            seal_threshold=2,
         )
         service = ExpertSearchService(finder)
         stats = service.stats

@@ -48,19 +48,19 @@ class TestObserve:
 
     def test_statistics_updated(self, finder):
         before = finder.indexed_resources
-        n_before = finder._retriever.statistics.resource_count
+        n_before = finder.segmented_index.document_count
         finder.observe("t2", "a brand new post about the gold medal race",
                        [("alice", 1)], language="en")
         assert finder.indexed_resources == before + 1
-        assert finder._retriever.statistics.resource_count == n_before + 1
+        assert finder.segmented_index.document_count == n_before + 1
 
     def test_irf_reflects_new_document(self, finder):
-        stats = finder._retriever.statistics
-        irf_before = stats.irf("guitar")
+        index = finder.segmented_index
+        irf_before = index.irf("guitar")
         finder.observe("t2", "more guitar practice with the band tonight",
                        [("alice", 1)], language="en")
         # "guitar" now appears in 2 of 3 docs → its irf must drop
-        assert stats.irf("guitar") < irf_before
+        assert index.irf("guitar") < irf_before
 
     def test_evidence_count_updated(self, finder):
         before = finder.evidence_count("bob")
@@ -118,17 +118,9 @@ def _both_engines(finder, need, **kwargs):
 
 
 class TestStreamingEngineEquivalence:
-    """Interleaved observe() + queries: the recompiled columnar engine
-    must track the object path exactly (satellite of the columnar
-    engine; the window/α sweeps live in tests/index/test_columnar.py)."""
-
-    def test_observe_invalidates_compiled_engine(self, finder):
-        engine = finder.query_engine()
-        assert finder.query_engine() is engine  # cached until observe
-        finder.observe("t2", "swimming laps", [("bob", 1)], language="en")
-        recompiled = finder.query_engine()
-        assert recompiled is not engine
-        assert recompiled.document_count == engine.document_count + 1
+    """Interleaved observe() + queries: the columnar engines must track
+    the object path exactly (the window/α sweeps live in
+    tests/index/test_columnar.py)."""
 
     def test_interleaved_observe_and_query(self, finder):
         need = "freestyle swimming"
@@ -163,7 +155,7 @@ class TestStreamingEngineEquivalence:
             [("alice", 1)],
         )
         assert not indexed
-        assert finder.query_engine().document_count == finder.indexed_resources
+        assert finder.segmented_index.document_count == finder.indexed_resources
         _both_engines(finder, "guitar rock song")
         _both_engines(finder, "piscina")
 
@@ -226,17 +218,16 @@ def _stream_graph(events=()):
 
 
 class TestSegmentedStreamingEquivalence:
-    """The tentpole property: a segmented finder fed an interleaved
-    observe()/find_experts() stream ranks byte-identically to (a) a
-    monolithic finder fed the same stream and (b) a monolithic COLD
-    REBUILD over a graph containing the same resources — on both
-    engines, at every intermediate state."""
+    """A finder fed an interleaved observe()/find_experts() stream that
+    seals often ranks byte-identically to (a) a finder fed the same
+    stream that never seals and (b) a COLD REBUILD over a graph
+    containing the same resources — on every engine, at every
+    intermediate state."""
 
     def test_interleaved_stream_matches_cold_rebuild(self, analyzer):
         config = FinderConfig(window=None)
         segmented = ExpertFinder.build(
-            _stream_graph(), _CANDIDATES, analyzer, config,
-            index_mode="segmented", seal_threshold=2,
+            _stream_graph(), _CANDIDATES, analyzer, config, seal_threshold=2,
         )
         monolithic = ExpertFinder.build(
             _stream_graph(), _CANDIDATES, analyzer, config
@@ -256,7 +247,8 @@ class TestSegmentedStreamingEquivalence:
         # resource as evidence only
         stats = segmented.index_stats
         assert stats.seals >= 1
-        assert rebuilt.index_stats is None  # cold rebuilds stay monolithic
+        assert monolithic.index_stats.seals == 0  # everything still buffered
+        assert rebuilt.index_stats.segments == 1  # a cold build: one segment
         assert segmented.indexed_resources == monolithic.indexed_resources
         # parameter overrides agree after the full stream too
         for alpha, window in ((0.0, None), (1.0, 3), (0.5, 0.5)):
@@ -268,8 +260,7 @@ class TestSegmentedStreamingEquivalence:
     def test_match_resources_parity(self, analyzer):
         config = FinderConfig(window=None)
         segmented = ExpertFinder.build(
-            _stream_graph(), _CANDIDATES, analyzer, config,
-            index_mode="segmented", seal_threshold=2,
+            _stream_graph(), _CANDIDATES, analyzer, config, seal_threshold=2,
         )
         monolithic = ExpertFinder.build(
             _stream_graph(), _CANDIDATES, analyzer, config
@@ -287,7 +278,7 @@ class TestSegmentedStreamingEquivalence:
         config = FinderConfig(window=None)
         segmented = ExpertFinder.build(
             _stream_graph(), _CANDIDATES, analyzer, config,
-            index_mode="segmented", seal_threshold=1, compaction="manual",
+            seal_threshold=1, compaction="manual",
         )
         for rid, text, _creators, supporters in _EVENTS:
             segmented.observe(rid, text, supporters)
@@ -313,8 +304,7 @@ class TestRandomizedPrunedStream:
         rng = random.Random(1307)
         config = FinderConfig(window=None)
         segmented = ExpertFinder.build(
-            _stream_graph(), _CANDIDATES, analyzer, config,
-            index_mode="segmented", seal_threshold=3,
+            _stream_graph(), _CANDIDATES, analyzer, config, seal_threshold=3,
         )
         events = []
         for step in range(18):
@@ -352,48 +342,63 @@ class TestRandomizedPrunedStream:
 
 class TestSegmentedFinderSurface:
     def test_observe_does_not_recompile_anything(self, analyzer):
-        # the acceptance criterion: after one observe the next query must
-        # not rebuild whole-collection compiled state — a segmented
-        # finder has none to rebuild (queries run over segments+buffer)
+        # after an observe the next query must not rebuild compiled
+        # state: the sealed segments survive untouched, the resource
+        # waits in the write buffer, and the fast path never builds the
+        # object path's merged retriever
         finder = ExpertFinder.build(
             _stream_graph(), _CANDIDATES, analyzer, FinderConfig(window=None),
-            index_mode="segmented",
         )
         assert finder.index_mode == "segmented"
-        assert finder._engine is None
+        segments = finder.segmented_index.iter_segments()
         finder.observe("s1", "more freestyle swimming drills", [("bob", 1)])
         assert finder.index_stats.buffered == 1
         assert finder.find_experts("freestyle swimming") != []
-        assert finder._engine is None  # still nothing compiled
-        with pytest.raises(RuntimeError, match="whole-collection"):
-            finder.query_engine()
-        with pytest.raises(RuntimeError, match="monolithic"):
-            finder.retriever
+        assert finder.segmented_index.iter_segments() == segments
+        assert finder._retriever is None
 
     def test_monolithic_engine_survives_non_indexed_observe(self, finder):
-        engine = finder.query_engine()
+        # the object path's whole-collection retriever is dropped by an
+        # indexed observe only — evidence-only resources change no
+        # statistics
+        finder.engine = "object"
+        finder.find_experts("guitar rock song")
+        retriever = finder._retriever
+        assert retriever is not None
         indexed = finder.observe(
             "it1",
             "questa e una bella giornata per andare in piscina con gli amici",
             [("alice", 1)],
         )
         assert not indexed
-        assert finder.query_engine() is engine  # no recompile needed
+        assert finder._retriever is retriever  # no rebuild needed
+        finder.observe("t2", "more guitar practice", [("alice", 1)], language="en")
+        assert finder._retriever is None
+        assert _both_engines(finder, "guitar practice") != []
 
     def test_index_stats_surface(self, analyzer, finder):
-        assert finder.index_stats is None  # monolithic
+        stats = finder.index_stats
+        assert stats.segments == 1  # the cold build's base segment
+        assert stats.buffered == 0
+        assert stats.documents == finder.indexed_resources
         segmented = ExpertFinder.build(
             _stream_graph(), _CANDIDATES, analyzer, FinderConfig(window=None),
-            index_mode="segmented",
+            seal_threshold=1,
         )
+        segmented.observe("s1", "more freestyle swimming drills", [("bob", 1)])
         stats = segmented.index_stats
-        assert stats.segments == 1  # the base segment
+        assert stats.seals == 1
         assert stats.buffered == 0
         assert stats.documents == segmented.indexed_resources
 
     def test_build_rejects_unknown_index_mode(self, analyzer):
-        with pytest.raises(ValueError, match="index_mode"):
+        # every finder is a segmented index: the layout option is gone
+        with pytest.raises(TypeError, match="index_mode"):
             ExpertFinder.build(
                 _stream_graph(), _CANDIDATES, analyzer, FinderConfig(),
-                index_mode="sharded",
+                index_mode="segmented",
+            )
+        with pytest.raises(TypeError, match="index_mode"):
+            ExpertFinder.from_stream(
+                _CANDIDATES, [], analyzer, FinderConfig(), index_mode="monolithic",
             )

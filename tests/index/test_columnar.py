@@ -1,12 +1,14 @@
-"""Tests for the columnar query engine.
+"""Tests for the columnar engines: the compiled segment path.
 
 The contract under test is *byte-identical equivalence*: for any
-collection and any (α, window, top_k), ``ColumnarQueryEngine`` must
-return exactly the ranking of the object path (same scores bit for bit,
+collection and any (α, window, top_k), the "columnar" engine
+(:class:`~repro.index.segments.SegmentedIndex` scoring its compiled
+segment columns) must return exactly the ranking of the object path
+(``VectorSpaceRetriever`` + ``ExpertRanker``: same scores bit for bit,
 same support counts, same tie-breaks) — in both its exhaustive and its
-block-max pruned evaluation modes. Equivalence is asserted with ``==``
-on the ``ExpertScore`` lists, which compares the float scores exactly,
-not approximately.
+block-max pruned ("columnar-pruned") evaluation modes. Equivalence is
+asserted with ``==`` on the ``ExpertScore`` lists, which compares the
+float scores exactly, not approximately.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ import pytest
 
 from repro.core.config import FinderConfig
 from repro.core.expert_finder import ExpertFinder
-from repro.index import columnar as columnar_module
 from repro.index.blockmax import PruningStats
-from repro.index.columnar import ColumnarQueryEngine
+from repro.index.segments import Segment, SegmentedIndex
 from repro.socialgraph.graph import SocialGraph
 from repro.socialgraph.metamodel import Platform, RelationKind, Resource, UserProfile
 
@@ -164,9 +165,12 @@ class TestEquivalenceRandomized:
 
 class TestEngineBehavior:
     def test_compile_introspection(self, tiny_finder):
-        engine = tiny_finder.query_engine()
-        assert engine.document_count == tiny_finder.indexed_resources
-        assert engine.candidate_count > 0
+        # a cold build compiles exactly one sealed segment and leaves
+        # the write buffer empty
+        (segment,) = tiny_finder.segmented_index.iter_segments()
+        assert segment.document_count == tiny_finder.indexed_resources
+        assert segment.resource_count >= segment.document_count
+        assert tiny_finder.index_stats.buffered == 0
 
     def test_scratch_reuse_is_clean(self, tiny_finder, tiny_dataset):
         # repeated + interleaved queries on one engine instance must not
@@ -191,6 +195,14 @@ class TestEngineBehavior:
                 tiny_finder.find_experts(need, window=1.5)
             with pytest.raises(ValueError):
                 tiny_finder.find_experts(need, window=True)
+            # top_k: None or a non-negative int, never a bool or a float
+            for top_k in (-1, True, False, 1.5, "3"):
+                with pytest.raises(ValueError, match="top_k"):
+                    tiny_finder.find_experts(need, top_k=top_k)
+                with pytest.raises(ValueError, match="top_k"):
+                    tiny_finder.find_experts_many([need], top_k=top_k)
+            assert tiny_finder.find_experts(need, top_k=0) == []
+        tiny_finder.engine = "columnar"
 
     def test_compile_rejects_out_of_range_distance(self, analyzer):
         g = SocialGraph(Platform.TWITTER)
@@ -204,33 +216,42 @@ class TestEngineBehavior:
         g.link_resource("a", "t1", RelationKind.CREATES)
         finder = ExpertFinder.build(g, ("a",), analyzer, FinderConfig())
         broken = {doc: [("a", 99)] for doc in finder.evidence_of}
+        term_index, entity_index, _ = finder.segmented_index.merged_slice()
         with pytest.raises(ValueError, match="distance"):
-            ColumnarQueryEngine.compile(finder.retriever, broken, finder.config)
+            SegmentedIndex.from_built(
+                term_index, entity_index, broken, finder.config
+            )
 
     def test_scratch_recovers_after_mid_query_failure(
         self, tiny_finder, tiny_dataset, monkeypatch
     ):
-        engine = tiny_finder.query_engine()
-        need = tiny_dataset.queries[0].text
-        query = tiny_finder._analyzer.analyze("__query__", need, language="en")
-        expected = engine.find_experts(query, alpha=0.6, window=100)
+        index = tiny_finder.segmented_index
+        analyze = tiny_finder._analyzer.analyze
+        query = next(
+            q
+            for q in (
+                analyze("__query__", n.text, language="en")
+                for n in tiny_dataset.queries
+            )
+            if q.term_counts and q.entity_counts
+        )
+        expected = index.find_experts(query, alpha=0.6, window=100)
 
-        real = columnar_module.window_size
-        calls = {"n": 0}
+        def boom(self, uri, ew, pruned=False):
+            raise RuntimeError("boom")
 
-        def flaky(window, total):
-            calls["n"] += 1
-            if calls["n"] == 2:  # first call validates, second is mid-query
-                raise RuntimeError("boom")
-            return real(window, total)
-
-        monkeypatch.setattr(columnar_module, "window_size", flaky)
-        with pytest.raises(RuntimeError):
-            engine.find_experts(query, alpha=0.6, window=100)
-        monkeypatch.setattr(columnar_module, "window_size", real)
-        # the failed query dirtied the accumulators mid-flight; the next
-        # query must still be exact
-        assert engine.find_experts(query, alpha=0.6, window=100) == expected
+        for pruned in (False, True):
+            # the entity leg fails after the term leg filled the
+            # accumulators (and, pruned, the block bounds)
+            monkeypatch.setattr(Segment, "_pruned_entity", boom)
+            with pytest.raises(RuntimeError):
+                index.find_experts(query, alpha=0.6, window=100, pruned=pruned)
+            monkeypatch.undo()
+            # the failed query dirtied the scratch mid-flight; the next
+            # query must still be exact
+            assert index.find_experts(
+                query, alpha=0.6, window=100, pruned=pruned
+            ) == expected
 
     def test_engine_selector_validation(self, tiny_finder):
         with pytest.raises(ValueError):
@@ -253,11 +274,11 @@ class TestBlockMaxPruning:
     def test_absolute_windows_take_the_pruned_path(
         self, tiny_finder, tiny_dataset
     ):
-        engine = tiny_finder.query_engine()
+        index = tiny_finder.segmented_index
         query = self._query(tiny_finder, tiny_dataset)
         stats = PruningStats()
         for window in (1, 10, 10**9):
-            engine.find_experts(
+            index.find_experts(
                 query, alpha=0.6, window=window, pruned=True, stats=stats
             )
         assert stats.pruned_queries == 3
@@ -270,11 +291,11 @@ class TestBlockMaxPruning:
         # their width depends on the total match count, which pruning
         # never learns — they must route to the exhaustive path, and
         # loudly (counted), not silently
-        engine = tiny_finder.query_engine()
+        index = tiny_finder.segmented_index
         query = self._query(tiny_finder, tiny_dataset)
         stats = PruningStats()
         for window in (0.25, 1.0, None):
-            engine.find_experts(
+            index.find_experts(
                 query, alpha=0.6, window=window, pruned=True, stats=stats
             )
         assert stats.pruned_queries == 0
@@ -284,15 +305,15 @@ class TestBlockMaxPruning:
     def test_alpha_extremes_disable_one_leg(self, tiny_finder, tiny_dataset):
         # α=1.0 zeroes the entity leg's bounds, α=0.0 the term leg's —
         # both must still prune exactly (and actually skip something)
-        engine = tiny_finder.query_engine()
+        index = tiny_finder.segmented_index
         for alpha in (0.0, 1.0):
             stats = PruningStats()
             for need in tiny_dataset.queries[:6]:
                 query = tiny_finder._analyzer.analyze(
                     "__query__", need.text, language="en"
                 )
-                exhaustive = engine.find_experts(query, alpha=alpha, window=5)
-                pruned = engine.find_experts(
+                exhaustive = index.find_experts(query, alpha=alpha, window=5)
+                pruned = index.find_experts(
                     query, alpha=alpha, window=5, pruned=True, stats=stats
                 )
                 assert pruned == exhaustive
@@ -303,12 +324,12 @@ class TestBlockMaxPruning:
     ):
         # the heap never fills, so no block may be skipped — and the
         # result must still equal the exhaustive ranking exactly
-        engine = tiny_finder.query_engine()
+        index = tiny_finder.segmented_index
         query = self._query(tiny_finder, tiny_dataset)
         stats = PruningStats()
-        wide = engine.document_count + 100
-        expected = engine.find_experts(query, alpha=0.6, window=wide)
-        got = engine.find_experts(
+        wide = index.document_count + 100
+        expected = index.find_experts(query, alpha=0.6, window=wide)
+        got = index.find_experts(
             query, alpha=0.6, window=wide, pruned=True, stats=stats
         )
         assert got == expected
@@ -319,26 +340,31 @@ class TestBlockMaxPruning:
     def test_block_span_never_changes_rankings(
         self, tiny_finder, tiny_dataset, span
     ):
-        engine = ColumnarQueryEngine.compile(
-            tiny_finder.retriever,
+        term_index, entity_index, _ = tiny_finder.segmented_index.merged_slice()
+        index = SegmentedIndex.from_built(
+            term_index,
+            entity_index,
             tiny_finder.evidence_of,
             tiny_finder.config,
             block_span=span,
         )
-        assert engine.block_span == span
-        default = tiny_finder.query_engine()
+        assert index.block_span == span
+        assert index.iter_segments()[0].block_span == span
+        default = tiny_finder.segmented_index
         for need in tiny_dataset.queries[:6]:
             query = tiny_finder._analyzer.analyze(
                 "__query__", need.text, language="en"
             )
-            assert engine.find_experts(
+            assert index.find_experts(
                 query, alpha=0.6, window=10, pruned=True
             ) == default.find_experts(query, alpha=0.6, window=10)
 
     def test_block_span_validation(self, tiny_finder):
+        term_index, entity_index, _ = tiny_finder.segmented_index.merged_slice()
         with pytest.raises(ValueError, match="block_span"):
-            ColumnarQueryEngine.compile(
-                tiny_finder.retriever,
+            SegmentedIndex.from_built(
+                term_index,
+                entity_index,
                 tiny_finder.evidence_of,
                 tiny_finder.config,
                 block_span=0,

@@ -2,20 +2,23 @@
 write buffer, tiered compaction).
 
 These are index-level tests over hand-built :class:`AnalyzedResource`
-objects — no analyzer or dataset needed. The end-to-end streaming
-equivalence against monolithic cold rebuilds lives in
-``tests/core/test_streaming.py``."""
+objects — no analyzer or dataset needed. Rankings are compared with the
+object oracle (``VectorSpaceRetriever`` + ``ExpertRanker`` over one
+plain index of the whole stream); the end-to-end streaming equivalence
+against cold rebuilds lives in ``tests/core/test_streaming.py``."""
 
 import math
 
 import pytest
 
 from repro.core.config import FinderConfig
+from repro.core.ranking import ExpertRanker
 from repro.index.analyzer import AnalyzedResource
 from repro.index.entity_index import EntityIndex
 from repro.index.inverted import InvertedIndex
 from repro.index.segments import Segment, SegmentedIndex
 from repro.index.statistics import CollectionStatistics
+from repro.index.vsm import VectorSpaceRetriever
 
 
 def _res(doc_id, terms, entities=None, language="en"):
@@ -68,10 +71,28 @@ def _reference(config):
     return SegmentedIndex.from_built(term_index, entity_index, evidence, config)
 
 
-def _rankings(index):
+def _rankings(index, window=None):
     return [
-        index.find_experts(query, alpha=alpha, window=None)
+        index.find_experts(query, alpha=alpha, window=window)
         for query, alpha in _QUERIES
+    ]
+
+
+def _oracle(config, window=None):
+    """The object path's rankings over one plain index of the stream."""
+    term_index = InvertedIndex()
+    entity_index = EntityIndex()
+    evidence = {}
+    for analyzed, supporters in _STREAM:
+        term_index.add_document(analyzed.doc_id, analyzed.term_counts)
+        entity_index.add_document(analyzed.doc_id, analyzed.entity_counts)
+        evidence[analyzed.doc_id] = supporters
+    retriever = VectorSpaceRetriever(
+        term_index, entity_index, idf_exponent=config.idf_exponent
+    )
+    ranker = ExpertRanker(evidence, config.with_(window=window))
+    return [
+        ranker.rank(retriever.retrieve(query, alpha)) for query, alpha in _QUERIES
     ]
 
 
@@ -125,6 +146,7 @@ class TestCompaction:
         )
         assert index.stats.segments == len(_STREAM)
         before = _rankings(index)
+        assert before == _oracle(config)
         merges = index.compact()
         assert merges >= 1
         stats = index.stats
@@ -145,6 +167,7 @@ class TestCompaction:
         index = _streamed(config, seal_threshold=2, compaction="manual")
         assert index.stats.segments > 1 or index.stats.buffered > 0
         before = _rankings(index)
+        assert before == _oracle(config)
         assert index.compact(full=True) == 1
         stats = index.stats
         assert (stats.segments, stats.buffered) == (1, 0)
@@ -178,7 +201,8 @@ class TestSegmentationInvariance:
 
     @pytest.mark.parametrize("seal_threshold", [1, 2, 3, len(_STREAM) + 1])
     def test_rankings_byte_identical_to_base_segment(self, config, seal_threshold):
-        reference = _rankings(_reference(config))
+        reference = _oracle(config)
+        assert _rankings(_reference(config)) == reference
         streamed = _streamed(
             config, seal_threshold=seal_threshold, compaction="manual"
         )
@@ -189,8 +213,14 @@ class TestSegmentationInvariance:
         assert _rankings(streamed) == reference
 
     def test_retrieval_matches_across_segmentations(self, config):
-        reference = _reference(config)
-        streamed = _streamed(config, seal_threshold=2, compaction="manual")
+        # the object path retrieves over merged_slice(): the merged
+        # collection must not depend on how it was segmented
+        def retriever(index):
+            term_index, entity_index, _evidence = index.merged_slice()
+            return VectorSpaceRetriever(term_index, entity_index)
+
+        reference = retriever(_reference(config))
+        streamed = retriever(_streamed(config, seal_threshold=2, compaction="manual"))
         for query, alpha in _QUERIES:
             full = reference.retrieve(query, alpha)
             assert streamed.retrieve(query, alpha) == full
@@ -200,12 +230,12 @@ class TestSegmentationInvariance:
     def test_window_cut_is_global(self, config):
         # window=2 must pick the globally best two resources even when
         # they live in different segments
-        reference = _reference(config)
         streamed = _streamed(config, seal_threshold=1, compaction="manual")
-        for query, alpha in _QUERIES:
-            assert streamed.find_experts(
-                query, alpha=alpha, window=2
-            ) == reference.find_experts(query, alpha=alpha, window=2)
+        for pruned in (False, True):
+            assert [
+                streamed.find_experts(query, alpha=alpha, window=2, pruned=pruned)
+                for query, alpha in _QUERIES
+            ] == _oracle(config, window=2)
 
 
 class TestUnionStatistics:
@@ -279,8 +309,8 @@ class TestValidation:
             index.find_experts(query, alpha=1.5, window=None)
         with pytest.raises(ValueError):
             index.find_experts(query, alpha=0.5, window=-1)
-        with pytest.raises(ValueError, match="non-negative"):
-            index.retrieve_top_k(query, 0.5, -1)
+        with pytest.raises(ValueError):
+            index.find_experts(query, alpha=0.5, window=1.5)
 
     def test_segment_rejects_diverging_doc_ids(self):
         term_index = InvertedIndex()
@@ -306,7 +336,7 @@ class TestValidation:
 
 class TestBackgroundCompaction:
     def test_background_mode_merges_and_preserves_rankings(self, config):
-        reference = _rankings(_reference(config))
+        reference = _oracle(config)
         with SegmentedIndex(
             config, seal_threshold=1, compaction="background", fanout=2
         ) as index:

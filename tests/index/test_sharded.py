@@ -1,10 +1,12 @@
 """Tests for candidate-sharded scatter-gather query execution.
 
 The load-bearing property is *shard-count invariance*: for any shard
-count K and any engine, a sharded finder must rank byte-identically to
-the unsharded build over the same stream — including after streaming
-observes between queries, and whether shards are evaluated serially in
-the coordinator or scattered to the worker pool.
+count K and both fast engines, a sharded finder must rank
+byte-identically to the object path (``VectorSpaceRetriever`` +
+``ExpertRanker``) of the unsharded build over the same stream —
+including after streaming observes between queries, and whether shards
+are evaluated serially in the coordinator or scattered to the worker
+pool.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.index.sharded import (
 from repro.synthetic.stream import stream_candidates, stream_queries, stream_resources
 
 _SHARD_COUNTS = (1, 2, 3, 5)
-_ENGINES = ("object", "columnar", "columnar-pruned")
+_ENGINES = ("columnar", "columnar-pruned")
 _WINDOWS = (10, 3, 1000, 0.5, None)
 
 _CANDIDATES = stream_candidates(8)
@@ -47,10 +49,17 @@ def _build(analyzer, shards=None):
     )
 
 
+def _oracle(analyzer):
+    """An unsharded finder ranking on the object path."""
+    finder = _build(analyzer)
+    finder.engine = "object"
+    return finder
+
+
 @pytest.fixture(scope="module")
 def reference(analyzer):
-    """The unsharded finder over the module stream (read-only)."""
-    return _build(analyzer)
+    """The object-path oracle over the module stream (read-only)."""
+    return _oracle(analyzer)
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +143,7 @@ class TestShardCountInvariance:
 
     @pytest.mark.parametrize("shards", (2, 3))
     def test_observe_between_queries(self, analyzer, queries, shards):
-        plain = _build(analyzer)
+        plain = _oracle(analyzer)
         sharded = _build(analyzer, shards=shards)
         sharded.engine = "columnar"
         extra = stream_resources(_CANDIDATES, 12, seed=_SEED + 1)
@@ -153,14 +162,14 @@ class TestShardCountInvariance:
             assert sharded.find_experts(query, window=window) == \
                 plain.find_experts(query, window=window)
 
-    def test_retrieval_identical(self, analyzer, reference, queries):
-        sharded = _build(analyzer, shards=3).sharded_index
-        retriever = reference.retriever
-        for text in queries:
-            query = analyzer.analyze("__query__", text, language="en")
-            expected = retriever.retrieve(query, 0.6)
-            assert sharded.retrieve(query, 0.6) == expected
-            assert sharded.retrieve_top_k(query, 0.6, 4) == expected[:4]
+    def test_object_engine_rejected(self, analyzer, queries):
+        # the oracle needs the whole collection in one place; a sharded
+        # finder splits it, so the object path is refused up front
+        sharded = _build(analyzer, shards=2)
+        with pytest.raises(ValueError, match="object engine"):
+            sharded.engine = "object"
+        with pytest.raises(RuntimeError, match="sharded"):
+            sharded.match_resources(queries[0])
 
 
 class TestScatterPool:
@@ -180,6 +189,23 @@ class TestScatterPool:
         finally:
             sharded.close_scatter_pool()
 
+    @pytest.mark.parametrize("shards", (1, 2, 5))
+    @pytest.mark.parametrize("engine", _ENGINES)
+    def test_pool_at_other_shard_counts(
+        self, analyzer, reference, queries, shards, engine
+    ):
+        # the serial cells cover {1, 2, 3, 5}; the pool cell above is 3
+        sharded = _build(analyzer, shards=shards)
+        sharded.engine = engine
+        sharded.start_scatter_pool()
+        try:
+            for window in _WINDOWS:
+                assert sharded.find_experts_many(queries, window=window) == [
+                    reference.find_experts(text, window=window) for text in queries
+                ]
+        finally:
+            sharded.close_scatter_pool()
+
     def test_find_experts_many_matches(self, analyzer, reference, queries):
         sharded = _build(analyzer, shards=2)
         sharded.engine = "columnar"
@@ -193,7 +219,7 @@ class TestScatterPool:
             sharded.close_scatter_pool()
 
     def test_observe_reaches_workers(self, analyzer, queries):
-        plain = _build(analyzer)
+        plain = _oracle(analyzer)
         sharded = _build(analyzer, shards=2)
         sharded.engine = "columnar"
         sharded.start_scatter_pool()

@@ -46,9 +46,9 @@ def _triples(experts: list[dict]) -> list[tuple[str, float, int]]:
 
 class TestEquivalence:
     """Gateway responses must be byte-identical (ids and scores) to the
-    in-process reference finder for every engine × layout cell."""
+    in-process object oracle for every engine × layout cell."""
 
-    # (engine, shards): monolithic cells plus sharded scatter-gather
+    # (engine, shards): unsharded cells plus sharded scatter-gather
     # cells (a sharded finder cannot serve the object engine — its
     # collection is split across shards)
     MATRIX = [
@@ -65,6 +65,7 @@ class TestEquivalence:
     def expected(self, stream_finder_factory, stream_parts):
         _, _, queries = stream_parts
         reference = stream_finder_factory()
+        reference.engine = "object"
         return {
             q: [
                 (e.candidate_id, e.score, e.supporting_resources)

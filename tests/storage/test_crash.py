@@ -40,13 +40,17 @@ def _cuts(size):
 
 @pytest.fixture(scope="module")
 def built_finder(tiny_dataset):
-    return ExpertFinder.build(
+    """The saved finder, ranking on the object oracle; loaded copies
+    serve the default columnar engine."""
+    finder = ExpertFinder.build(
         tiny_dataset.merged_graph,
         tiny_dataset.candidates_for(None),
         tiny_dataset.analyzer,
         FinderConfig(),
         corpus=tiny_dataset.corpus,
     )
+    finder.engine = "object"
+    return finder
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +195,17 @@ class TestCrashMidSave:
             tiny_dataset.analyzer,
             FinderConfig(),
             corpus=tiny_dataset.corpus,
-            index_mode="segmented",
+            seal_threshold=2,
         )
+        # grow past the cold build's one segment: a sealed tail segment
+        # plus a buffered resource, so the save writes every file kind
+        candidate = next(iter(finder.evidence_counts))
+        for i, text in enumerate(("freestyle swimming laps", "a swimming race",
+                                  "rock guitar chords tonight")):
+            finder.observe(f"crash:{i}", text, [(candidate, 1)], language="en")
+        stats = finder.index_stats
+        assert stats.segments >= 2 and stats.buffered == 1
+        finder.engine = "object"
         self._assert_survives_every_crash_point(
             finder,
             tiny_dataset.analyzer,

@@ -1,7 +1,13 @@
-"""Finder snapshot round-trip tests over the TINY dataset."""
+"""Finder snapshot round-trip tests over the TINY dataset.
+
+The built finders the snapshots are written from rank on the object
+path (``VectorSpaceRetriever`` + ``ExpertRanker``), so every round-trip
+comparison checks a loaded finder's fast engines against the oracle."""
 
 import gzip
 import json
+import pathlib
+import shutil
 
 import pytest
 
@@ -16,6 +22,10 @@ from repro.storage.snapshot import (
     load_finder,
     save_finder,
 )
+
+
+#: snapshots written before every finder became a segmented index
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def _generation_dir(snapshot_dir):
@@ -46,13 +56,15 @@ def _mutate_records(path, mutate):
 
 @pytest.fixture(scope="module")
 def built_finder(tiny_dataset):
-    return ExpertFinder.build(
+    finder = ExpertFinder.build(
         tiny_dataset.merged_graph,
         tiny_dataset.candidates_for(None),
         tiny_dataset.analyzer,
         FinderConfig(),
         corpus=tiny_dataset.corpus,
     )
+    finder.engine = "object"
+    return finder
 
 
 @pytest.fixture(scope="module")
@@ -191,12 +203,13 @@ class TestFormatGuards:
 
 class TestContentValidation:
     """Corrupt snapshot *content* (well-formed jsonl, bad data) must be
-    rejected at load time, on both index files symmetrically."""
+    rejected at load time, on both index files of the legacy flat
+    layout symmetrically."""
 
     @pytest.fixture
-    def snapshot(self, built_finder, tmp_path):
+    def snapshot(self, tmp_path):
         directory = tmp_path / "snap"
-        save_finder(built_finder, directory, snapshot_format="jsonl")
+        shutil.copytree(FIXTURES / "legacy-v2-monolithic", directory)
         return directory
 
     def test_rejects_unknown_doc_in_term_postings(self, snapshot, tiny_dataset):
@@ -249,13 +262,15 @@ class TestContentValidation:
         with pytest.raises(StorageFormatError, match="disagree"):
             load_finder(snapshot, tiny_dataset.analyzer)
 
-    def test_rejects_out_of_range_evidence_distance(
-        self, snapshot, built_finder, tiny_dataset
-    ):
-        # caught by the eager engine compile: the evidence record refers
-        # to a distance the configured weight table cannot weight (the
-        # corrupted doc must be indexed — only indexed evidence compiles)
-        indexed = built_finder.retriever.term_index.doc_ids()
+    def test_rejects_out_of_range_evidence_distance(self, snapshot, tiny_dataset):
+        # caught when the loaded slice becomes a segment: the evidence
+        # record refers to a distance the configured weight table cannot
+        # weight (checked on an indexed doc, the rows Eq. 3 folds)
+        with gzip.open(snapshot / "term_index.jsonl.gz", "rt") as fh:
+            indexed = set(
+                next(r for r in map(json.loads, fh.read().splitlines()[1:])
+                     if r["type"] == "docs")["ids"]
+            )
 
         def mutate(record):
             if (
@@ -272,11 +287,17 @@ class TestContentValidation:
 
 
 class TestLoadedEngine:
-    def test_engine_compiled_at_load(self, loaded_finder):
-        # serving warm-starts from snapshots: the columnar engine must be
-        # ready before the first query, not compiled lazily on it
-        assert loaded_finder._engine is not None
+    def test_engine_compiled_at_load(self, snapshot_dir, tiny_dataset):
+        # serving warm-starts from snapshots: the columnar engine scores
+        # the mapped segment columns as loaded — nothing is compiled (or
+        # hydrated) lazily on the first query
+        loaded_finder = ExpertFinder.load(snapshot_dir, tiny_dataset.analyzer)
         assert loaded_finder.engine == "columnar"
+        assert loaded_finder.find_experts(tiny_dataset.queries[0])
+        (segment,) = loaded_finder.segmented_index.iter_segments()
+        assert segment.document_count == loaded_finder.indexed_resources
+        assert segment._term_index is None
+        assert loaded_finder._retriever is None
 
     def test_restore_rejects_unknown_doc_ids_directly(self):
         with pytest.raises(ValueError, match="unknown document"):
@@ -323,10 +344,11 @@ def _build_segmented(analyzer):
     g.link_resource("alice", "t1", RelationKind.CREATES)
     finder = _ExpertFinder.build(
         g, ("alice", "bob"), analyzer, FinderConfig(window=None),
-        index_mode="segmented", seal_threshold=2,
+        seal_threshold=2,
     )
     for rid, text, supporter in _SEG_EVENTS:
         finder.observe(rid, text, [(supporter, 1)])
+    finder.engine = "object"
     return finder
 
 
@@ -561,9 +583,10 @@ class TestSegmentedFormatGuards:
 
 class TestSegmentedLoadedSurface:
     def test_no_monolithic_retriever_after_load(self, loaded_segmented):
-        with pytest.raises(RuntimeError, match="monolithic"):
-            loaded_segmented.retriever
-        assert loaded_segmented._engine is None  # nothing recompiled
+        # the object path's whole-collection retriever is built only on
+        # demand (match_resources / engine="object"), never by a load
+        assert loaded_segmented._retriever is None
+        assert loaded_segmented.engine == "columnar"
 
 
 class TestV3Lifecycle:
@@ -605,11 +628,13 @@ class TestV3Lifecycle:
         built_finder.save(directory, snapshot_format="jsonl")
         assert not (directory / "CURRENT").exists()
         assert not any(directory.glob("gen-*"))
-        assert (directory / "term_index.jsonl.gz").exists()
+        assert (directory / "segments.jsonl").exists()
+        assert (directory / "segment-0000.jsonl.gz").exists()
         # jsonl -> v3: the flat files must disappear
         built_finder.save(directory)
         assert (directory / "CURRENT").exists()
-        assert not (directory / "term_index.jsonl.gz").exists()
+        assert not (directory / "segments.jsonl").exists()
+        assert not any(directory.glob("*.jsonl.gz"))
         loaded = ExpertFinder.load(directory, tiny_dataset.analyzer)
         for need in tiny_dataset.queries:
             assert loaded.find_experts(need) == built_finder.find_experts(need)
@@ -696,8 +721,9 @@ class TestBlockMaxPersistence:
     def test_engine_and_segments_carry_block_sections(
         self, snapshot_dir, segmented_snapshot_dir
     ):
-        engine_bin = _generation_dir(snapshot_dir) / "engine.bin"
-        names = MappedSections.open(engine_bin).names()
+        gen = _generation_dir(snapshot_dir)
+        assert not (gen / "engine.bin").exists()  # legacy, never written
+        names = MappedSections.open(gen / "segment-0000.bin").names()
         assert "blk#span" in names
         for prefix in ("term", "ent"):
             for suffix in _BLOCK_SUFFIXES:
@@ -713,9 +739,9 @@ class TestBlockMaxPersistence:
     def test_loaded_engine_adopts_stored_blocks(
         self, built_finder, loaded_finder, tiny_dataset
     ):
-        engine = loaded_finder.query_engine()
+        (segment,) = loaded_finder.segmented_index.iter_segments()
         # adopted from the snapshot, not recomputed on first pruned use
-        assert engine._term_blocks
+        assert segment._term_blocks
         loaded_finder.engine = "columnar-pruned"
         try:
             for need in tiny_dataset.queries:
@@ -737,28 +763,29 @@ class TestBlockMaxPersistence:
             corpus=tiny_dataset.corpus,
             block_span=48,
         )
-        assert finder.query_engine().block_span == 48
+        assert finder.segmented_index.iter_segments()[0].block_span == 48
         directory = tmp_path / "span48"
         finder.save(directory)
         loaded = ExpertFinder.load(directory, tiny_dataset.analyzer)
-        assert loaded.query_engine().block_span == 48
+        assert loaded.segmented_index.iter_segments()[0].block_span == 48
+        assert loaded.segmented_index.block_span == 48
 
     def test_pre_block_monolithic_snapshot_serves_pruned(
         self, built_finder, tiny_dataset, tmp_path
     ):
         directory = tmp_path / "preblock"
         built_finder.save(directory)
-        _strip_block_sections(_generation_dir(directory) / "engine.bin")
+        _strip_block_sections(_generation_dir(directory) / "segment-0000.bin")
         loaded = ExpertFinder.load(directory, tiny_dataset.analyzer)
-        engine = loaded.query_engine()
-        assert not engine._term_blocks  # nothing adopted...
+        (segment,) = loaded.segmented_index.iter_segments()
+        assert not segment._term_blocks  # nothing adopted...
         loaded.engine = "columnar-pruned"
         for need in tiny_dataset.queries:
             assert loaded.find_experts(need, window=2) == (
                 built_finder.find_experts(need, window=2)
             )
         assert loaded.pruning_stats.pruned_queries == len(tiny_dataset.queries)
-        assert engine._term_blocks  # ...recomputed on first pruned use
+        assert segment._term_blocks  # ...recomputed on first pruned use
 
     def test_pre_block_segmented_snapshot_serves_pruned(
         self, segmented_finder, analyzer, tmp_path
@@ -797,8 +824,8 @@ class TestBlockMaxPersistence:
     ):
         directory = tmp_path / "badblocks"
         built_finder.save(directory)
-        engine_bin = _generation_dir(directory) / "engine.bin"
-        mapped = MappedSections.open(engine_bin)
+        segment_bin = _generation_dir(directory) / "segment-0000.bin"
+        mapped = MappedSections.open(segment_bin)
         sections = []
         for name in mapped.names():
             dtype, offset, length = mapped._toc[name]
@@ -807,7 +834,7 @@ class TestBlockMaxPersistence:
                 data = data[:-8]  # drop one block maximum
             sections.append((name, dtype, data))
         del mapped
-        write_sections(engine_bin, sections)
+        write_sections(segment_bin, sections)
         with pytest.raises(StorageFormatError, match="block sections"):
             load_finder(directory, tiny_dataset.analyzer)
 
@@ -849,6 +876,14 @@ def sharded_finder(analyzer):
 
 
 @pytest.fixture(scope="module")
+def sharded_oracle(analyzer):
+    """The unsharded object path over the same stream and observes."""
+    finder = _build_sharded(analyzer, shards=None)
+    finder.engine = "object"
+    return finder
+
+
+@pytest.fixture(scope="module")
 def sharded_snapshot_dir(sharded_finder, tmp_path_factory):
     directory = tmp_path_factory.mktemp("sharded") / "finder"
     sharded_finder.save(directory)
@@ -879,13 +914,13 @@ class TestShardedRoundTrip:
             loaded_sharded.indexed_resources == sharded_finder.indexed_resources
         )
 
-    @pytest.mark.parametrize("engine", ("object", "columnar", "columnar-pruned"))
-    def test_rankings_survive(self, loaded_sharded, sharded_finder, engine):
+    @pytest.mark.parametrize("engine", ("columnar", "columnar-pruned"))
+    def test_rankings_survive(self, loaded_sharded, sharded_oracle, engine):
         loaded_sharded.engine = engine
         for need in _SHARD_NEEDS:
             for window in (5, None, 0.5):
                 assert loaded_sharded.find_experts(need, window=window) == (
-                    sharded_finder.find_experts(need, window=window)
+                    sharded_oracle.find_experts(need, window=window)
                 )
 
     def test_scatter_pool_over_mapped_shards(self, loaded_sharded, sharded_finder):

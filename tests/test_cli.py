@@ -108,7 +108,8 @@ class TestCommands:
         )
         assert code == 0
         assert (snap / "meta.jsonl").exists()
-        assert (snap / "term_index.jsonl.gz").exists()
+        assert (snap / "segments.jsonl").exists()
+        assert (snap / "segment-0000.jsonl.gz").exists()
         assert not (snap / "CURRENT").exists()
         capsys.readouterr()
         code = main(
@@ -132,26 +133,28 @@ class TestCommands:
 class TestSegmentedCommands:
     def test_index_parser_accepts_segment_flags(self):
         args = build_parser().parse_args(
-            ["index", "--scale", "tiny", "--index-mode", "segmented",
+            ["index", "--scale", "tiny",
              "--seal-threshold", "8", "--compact", "--out", "x"]
         )
-        assert args.index_mode == "segmented"
         assert args.seal_threshold == 8
         assert args.compact
+        # every index is segmented: the layout flag is gone
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["index", "--scale", "tiny", "--index-mode", "segmented",
+                 "--out", "x"]
+            )
 
     def test_index_segmented_snapshot_and_serve_bench(self, tmp_path, capsys):
         snap = tmp_path / "seg"
-        code = main(
-            ["index", "--scale", "tiny", "--index-mode", "segmented",
-             "--out", str(snap)]
-        )
+        code = main(["index", "--scale", "tiny", "--out", str(snap)])
         assert code == 0
         out = capsys.readouterr().out
         assert "segments: 1 live" in out
         assert (_generation_dir(snap) / "segments.jsonl").exists()
 
         # the segmented snapshot answers queries identically to a cold
-        # monolithic build
+        # in-process build
         code = main(
             ["query", "best freestyle swimmer", "--scale", "tiny",
              "--snapshot", str(snap), "--top-k", "3"]
@@ -180,10 +183,7 @@ class TestSegmentedCommands:
         from repro.core.expert_finder import ExpertFinder
 
         snap = tmp_path / "seg"
-        assert main(
-            ["index", "--scale", "tiny", "--index-mode", "segmented",
-             "--out", str(snap)]
-        ) == 0
+        assert main(["index", "--scale", "tiny", "--out", str(snap)]) == 0
         capsys.readouterr()
 
         # grow the snapshot into several segments plus a buffered tail
@@ -226,8 +226,11 @@ class TestSegmentedCommands:
             assert capsys.readouterr().out == grown_out
 
     def test_compact_requires_segmented_finder(self, tmp_path, capsys):
-        snap = tmp_path / "mono"
-        assert main(["index", "--scale", "tiny", "--out", str(snap)]) == 0
+        # a sharded finder holds one segmented index per shard
+        snap = tmp_path / "sharded"
+        assert main(
+            ["index", "--scale", "tiny", "--shards", "2", "--out", str(snap)]
+        ) == 0
         capsys.readouterr()
         with pytest.raises(SystemExit, match="segmented"):
             main(
