@@ -13,9 +13,9 @@ Measures the claims candidate sharding makes:
   numbers are always recorded — the 1-shard baseline runs through a
   1-worker pool, so the comparison isolates parallelism, not pipe
   overhead);
-* **shared pages** — scatter workers open the mmap-able v3 snapshot
-  read-only, so a reader plus its worker pool must not hold K private
-  copies of the shard columns: on little-endian hosts the loaded shard
+* **shared pages** — scatter workers fork the loaded shards, whose
+  columns map the v3 snapshot read-only, so a reader plus its worker
+  pool must not hold K private copies of the shard columns: on little-endian hosts the loaded shard
   columns are asserted to be zero-copy ``memoryview``s (a byteswap copy
   would silently privatize every page), and the private-RSS totals of
   one and two independent reader+pool groups are reported from

@@ -1,16 +1,18 @@
-"""Snapshot format benchmark: v3 binary (mmap) vs v2 JSONL open cost.
+"""Snapshot benchmark: save and open cost of the v3 binary (mmap) format.
 
-Measures the claims snapshot format v3 makes:
+Measures what the snapshot format gives a serving process:
 
-* **O(1) open** — mapping the sealed columns must beat re-parsing the
-  JSONL postings by at least 10×, because open cost no longer scales
-  with the posting count;
-* **identical rankings** — both formats must reproduce the built
+* **save and open time** — one save, and the best of several opens
+  (mapping the sealed columns, not re-parsing postings);
+* **identical rankings** — the loaded finder must reproduce the built
   finder's rankings exactly (same candidates, scores, and support);
-* **shared pages** — two forked readers of one v3 snapshot should hold
-  roughly one private copy less than two v2 readers, since the heavy
-  columns live in the shared page cache (reported when
-  ``/proc/self/smaps_rollup`` exists; skipped silently elsewhere).
+* **shared pages** — the private resident memory of two forked readers
+  of one snapshot, which stays small because the heavy columns live in
+  the shared page cache (reported when ``/proc/self/smaps_rollup``
+  exists; skipped silently elsewhere).
+
+The warm-start claim itself — loading beats a cold build by at least
+5× — is gated by ``bench_serving.py``.
 
 The rendered report goes to ``benchmarks/results/snapshot.txt`` and the
 numbers to ``benchmarks/results/BENCH_snapshot.json`` in the shared
@@ -27,9 +29,6 @@ from repro.core.expert_finder import ExpertFinder
 
 #: open-time measurement repeats (best-of, to shed page-cache noise)
 _OPEN_REPEATS = 5
-
-#: v3 must open at least this many times faster than v2 JSONL
-_OPEN_SPEEDUP_FLOOR = 10.0
 
 
 def _best_open_time(directory, analyzer, repeats=_OPEN_REPEATS):
@@ -84,67 +83,45 @@ def bench_snapshot(ctx, save_result, save_json, tmp_path):
     )
     reference = {need.text: finder.find_experts(need) for need in queries}
 
-    v3_dir = tmp_path / "snap-v3"
-    v2_dir = tmp_path / "snap-v2"
+    directory = tmp_path / "snap"
     t0 = time.perf_counter()
-    finder.save(v3_dir)
-    v3_save_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    finder.save(v2_dir, snapshot_format="jsonl")
-    v2_save_s = time.perf_counter() - t0
+    finder.save(directory)
+    save_s = time.perf_counter() - t0
 
-    v3_open_s, from_v3 = _best_open_time(v3_dir, dataset.analyzer)
-    v2_open_s, from_v2 = _best_open_time(v2_dir, dataset.analyzer)
+    open_s, loaded = _best_open_time(directory, dataset.analyzer)
 
-    # both formats must reproduce the built rankings exactly
+    # the loaded finder must reproduce the built rankings exactly
     for need in queries:
-        assert from_v3.find_experts(need) == reference[need.text]
-        assert from_v2.find_experts(need) == reference[need.text]
+        assert loaded.find_experts(need) == reference[need.text]
 
-    speedup = v2_open_s / v3_open_s
-    assert speedup >= _OPEN_SPEEDUP_FLOOR, (
-        f"v3 open is only {speedup:.1f}x faster than v2 "
-        f"({v3_open_s * 1e3:.2f}ms vs {v2_open_s * 1e3:.2f}ms); "
-        f"the format requires >= {_OPEN_SPEEDUP_FLOOR:.0f}x"
+    snapshot_bytes = sum(
+        p.stat().st_size for p in directory.rglob("*") if p.is_file()
     )
 
-    v3_bytes = sum(p.stat().st_size for p in v3_dir.rglob("*") if p.is_file())
-    v2_bytes = sum(p.stat().st_size for p in v2_dir.rglob("*") if p.is_file())
-
-    # resident-memory delta across two forked readers per format
+    # resident-memory total across two forked readers
     probe = queries[0]
-    v3_private_kb = [
-        _private_kb_after_load(v3_dir, dataset.analyzer, probe)
+    private_kb = [
+        _private_kb_after_load(directory, dataset.analyzer, probe)
         for _ in range(2)
     ]
-    v2_private_kb = [
-        _private_kb_after_load(v2_dir, dataset.analyzer, probe)
-        for _ in range(2)
-    ]
-    have_memory = all(kb >= 0 for kb in (*v3_private_kb, *v2_private_kb))
+    have_memory = all(kb >= 0 for kb in private_kb)
 
     lines = [
-        "Snapshot format — v3 binary (mmap) vs v2 JSONL",
+        "Snapshot format — v3 binary (mmap)",
         f"dataset: scale={dataset.scale.value} seed={dataset.seed} "
         f"({finder.indexed_resources} indexed resources, "
         f"{len(queries)} queries)",
         "",
-        f"v2 JSONL save:            {v2_save_s * 1e3:9.2f}ms"
-        f"   ({v2_bytes / 1024:8.1f} KiB)",
-        f"v3 binary save:           {v3_save_s * 1e3:9.2f}ms"
-        f"   ({v3_bytes / 1024:8.1f} KiB)",
-        f"v2 JSONL open (best of {_OPEN_REPEATS}): {v2_open_s * 1e3:8.2f}ms",
-        f"v3 binary open (best of {_OPEN_REPEATS}):{v3_open_s * 1e3:9.2f}ms",
-        f"open speedup:             {speedup:9.1f}x  (floor "
-        f"{_OPEN_SPEEDUP_FLOOR:.0f}x)",
+        f"save:                   {save_s * 1e3:9.2f}ms"
+        f"   ({snapshot_bytes / 1024:8.1f} KiB)",
+        f"open (best of {_OPEN_REPEATS}):      {open_s * 1e3:9.2f}ms",
         "",
-        "rankings: v3 == v2 == built (all queries, exact scores)",
+        "rankings: loaded == built (all queries, exact scores)",
     ]
     if have_memory:
         lines += [
             "",
-            f"private RSS, 2 v2 readers: {sum(v2_private_kb):8d} kB",
-            f"private RSS, 2 v3 readers: {sum(v3_private_kb):8d} kB",
+            f"private RSS, 2 readers: {sum(private_kb):8d} kB",
         ]
     report = "\n".join(lines)
     save_result("snapshot", report)
@@ -152,18 +129,11 @@ def bench_snapshot(ctx, save_result, save_json, tmp_path):
         "snapshot",
         dataset,
         {
-            "v2_save_s": v2_save_s,
-            "v3_save_s": v3_save_s,
-            "v2_open_s": v2_open_s,
-            "v3_open_s": v3_open_s,
-            "open_speedup": speedup,
-            "v2_bytes": v2_bytes,
-            "v3_bytes": v3_bytes,
-            "v2_two_reader_private_kb": (
-                sum(v2_private_kb) if have_memory else None
-            ),
+            "v3_save_s": save_s,
+            "v3_open_s": open_s,
+            "v3_bytes": snapshot_bytes,
             "v3_two_reader_private_kb": (
-                sum(v3_private_kb) if have_memory else None
+                sum(private_kb) if have_memory else None
             ),
             "rankings_identical": True,
         },

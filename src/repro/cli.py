@@ -7,6 +7,7 @@
     repro query "best freestyle swimmer" --dataset data/small --top-k 5
     repro index --dataset data/small --out data/small.idx    # finder snapshot
     repro index --snapshot data/small.idx --compact --out data/small.opt
+    repro inspect data/small.idx                             # snapshot as JSON
     repro serve-bench --dataset data/small --snapshot data/small.idx
     repro serve --snapshot data/small.idx --port 8080        # HTTP gateway
     repro experiments --only tab3,fig7 --scale tiny          # reproduce paper
@@ -182,7 +183,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
             f"{after.segments} segment(s)"
         )
     built = time.time()
-    finder.save(args.out, snapshot_format=args.snapshot_format)
+    finder.save(args.out)
     saved = time.time()
     print(
         f"indexed {finder.indexed_resources} resources "
@@ -207,6 +208,20 @@ def _cmd_index(args: argparse.Namespace) -> int:
     stats = finder.build_stats
     if stats is not None:
         print(f"build stages: {stats.render()}")
+    return 0
+
+
+def _cmd_inspect(args: argparse.Namespace) -> int:
+    from repro.storage.jsonl import StorageFormatError
+    from repro.storage.snapshot import inspect_snapshot
+
+    try:
+        report = inspect_snapshot(args.snapshot)
+    except (OSError, StorageFormatError) as exc:
+        raise SystemExit(
+            f"error: cannot inspect snapshot {args.snapshot}: {exc}"
+        ) from exc
+    print(json.dumps(report, indent=2))
     return 0
 
 
@@ -512,14 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="merge all segments (and the write buffer) into one segment "
         "before saving",
     )
-    p_index.add_argument(
-        "--snapshot-format",
-        choices=("v3", "jsonl"),
-        default="v3",
-        help="snapshot format: mmap-able binary generations (v3, the "
-        "default) or the flat jsonl debug/interchange layout",
-    )
     p_index.set_defaults(func=_cmd_index)
+
+    p_inspect = sub.add_parser(
+        "inspect",
+        help="print a snapshot's current generation as JSON (read-only)",
+    )
+    p_inspect.add_argument("snapshot", help="snapshot directory (repro index)")
+    p_inspect.set_defaults(func=_cmd_inspect)
 
     p_serve = sub.add_parser(
         "serve-bench", help="serve the query set through the cached service"

@@ -427,18 +427,14 @@ class ExpertFinder:
 
     # -- persistence ---------------------------------------------------------------
 
-    def save(
-        self, directory: str | pathlib.Path, *, snapshot_format: str = "v3"
-    ) -> None:
+    def save(self, directory: str | pathlib.Path) -> None:
         """Persist the built indexes and evidence maps as a snapshot
         directory (see :mod:`repro.storage.snapshot`), so later processes
         warm-start with :meth:`load` instead of re-gathering and
-        re-analyzing the evidence. ``snapshot_format="jsonl"`` writes the
-        line-oriented v2 interchange format instead of the default
-        binary v3."""
+        re-analyzing the evidence."""
         from repro.storage.snapshot import save_finder
 
-        save_finder(self, directory, snapshot_format=snapshot_format)
+        save_finder(self, directory)
 
     @classmethod
     def load(

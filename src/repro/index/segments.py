@@ -865,8 +865,8 @@ class SegmentedIndex:
     """Sealed segments + write buffer behind one query interface.
 
     Construction: :meth:`from_built` wraps a cold build's indexes as the
-    base segment; :meth:`restore` rebuilds from snapshot state; the bare
-    constructor starts empty. ``compaction`` is one of ``"synchronous"``
+    base segment; :meth:`restore_compiled` rebuilds from mapped snapshot
+    segments; the bare constructor starts empty. ``compaction`` is one of ``"synchronous"``
     (merge inline after each seal), ``"background"`` (a daemon thread
     merges after seals; call :meth:`close` or use the index as a context
     manager to stop it), or ``"manual"`` (only explicit :meth:`compact`).
@@ -962,27 +962,6 @@ class SegmentedIndex:
                 )
             )
         return index
-
-    @classmethod
-    def restore(
-        cls,
-        config: FinderConfig,
-        segments: Iterable[tuple[int, InvertedIndex, EntityIndex, Mapping[str, _Rows]]],
-        buffer: tuple[InvertedIndex, EntityIndex, Mapping[str, _Rows]] | None,
-        **kwargs: Any,
-    ) -> "SegmentedIndex":
-        """Rebuild from snapshot state: sealed segments in manifest order
-        (each ``(segment_id, term_index, entity_index, evidence)``) plus
-        an optional unsealed buffer. Postings and evidence orders are
-        preserved, so restored rankings are byte-identical. *kwargs* are
-        the constructor's options."""
-        block_span = kwargs.get("block_span") or DEFAULT_BLOCK_SPAN
-        compiled = [
-            Segment(segment_id, term_index, entity_index, evidence,
-                    block_span=block_span)
-            for segment_id, term_index, entity_index, evidence in segments
-        ]
-        return cls.restore_compiled(config, compiled, buffer, **kwargs)
 
     @classmethod
     def restore_compiled(

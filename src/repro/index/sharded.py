@@ -28,16 +28,16 @@ Three layers:
   or through a :class:`ShardedQueryExecutor` process pool), exact merge
   + fold, and observe routing.
 
-The executor forks K persistent workers (one pipe each). In-memory
-shards are inherited copy-on-write; snapshot-backed shards are opened
-*inside* each worker from the mmap-able v3 section files, so all
-workers share the page cache and warm-up is one ``open``, not one
-rebuild (``benchmarks/bench_sharded.py`` checks private RSS does not
-scale with worker count). An absolute window lets every shard cut its
-own matches to the window before shipping them (a duplicated document
-ranks no worse inside a shard than globally, so the union of the
-per-shard windows holds the global one). Pruned evaluation composes:
-each worker runs its block-max walk against a shared
+The executor forks K persistent workers (one pipe each), and every
+worker inherits its shard from the coordinator copy-on-write — built or
+snapshot-loaded alike. A loaded shard's columns are views over the
+mmap-ed v3 section files, so all workers share the page cache and
+warm-up costs no read at all (``benchmarks/bench_sharded.py`` checks
+private RSS does not scale with worker count). An absolute window lets
+every shard cut its own matches to the window before shipping them (a
+duplicated document ranks no worse inside a shard than globally, so the
+union of the per-shard windows holds the global one). Pruned evaluation
+composes: each worker runs its block-max walk against a shared
 ``multiprocessing.Value`` floor, so a shard that fills its window early
 raises the skip threshold for every other shard mid-query.
 """
@@ -333,12 +333,6 @@ class ShardedIndex:
         self._normalize = config.normalize
         self.pruning_stats = PruningStats()
         self._executor: ShardedQueryExecutor | None = None
-        self._shard_openers: list | None = None
-        # observes admitted after a snapshot load but before (or between)
-        # executor runs — workers re-open the on-disk state, so the
-        # coordinator replays this log to bring them level (in-memory
-        # builds fork the live shards and need no replay)
-        self._pending_observes: list[tuple[AnalyzedResource, _Rows, bool]] = []
 
     # -- construction --------------------------------------------------------------
 
@@ -460,8 +454,6 @@ class ShardedIndex:
             if restricted:
                 shard.add(analyzed, restricted, index=index)
         self._evidence[doc_id] = list(rows)
-        if self._shard_openers is not None:
-            self._pending_observes.append((analyzed, rows, index))
         if self._executor is not None:
             self._executor.observe(analyzed, rows, index)
 
@@ -575,17 +567,12 @@ class ShardedIndex:
     def start_executor(
         self, *, timeout: float = DEFAULT_WORKER_TIMEOUT
     ) -> "ShardedQueryExecutor":
-        """Fork the persistent worker pool (idempotent). Snapshot-loaded
-        indexes fork *openers* — each worker maps its shard's section
-        file read-only inside the child, sharing the page cache; builds
-        fork the in-memory shards copy-on-write."""
+        """Fork the persistent worker pool (idempotent). Each worker
+        inherits its shard as the coordinator holds it now — including
+        every observe admitted so far — copy-on-write; a loaded shard's
+        mapped columns stay shared with the page cache."""
         if self._executor is None:
-            sources = self._shard_openers or self._shards
-            self._executor = ShardedQueryExecutor(sources, timeout=timeout)
-            # snapshot-opened workers start from the on-disk state; catch
-            # them up on everything admitted since the load
-            for analyzed, rows, index in self._pending_observes:
-                self._executor.observe(analyzed, rows, index)
+            self._executor = ShardedQueryExecutor(self._shards, timeout=timeout)
         return self._executor
 
     def stop_executor(self) -> None:
@@ -655,16 +642,15 @@ def _restrict_index(cls: type[Any], index: Any, doc_ids: set[str]) -> Any:
     return cls.restore(doc_ids, postings)
 
 
-def _worker_main(conn: Any, source: Any, shared_floor: Any) -> None:
-    """Scatter-pool worker loop: open (or adopt) one shard, then serve
-    query/observe/stop requests over the pipe until told to stop.
+def _worker_main(conn: Any, shard: Any, shared_floor: Any) -> None:
+    """Scatter-pool worker loop: serve query/observe/stop requests
+    against the inherited *shard* over the pipe until told to stop.
 
     Replies are ``("ok", entries, blocks_scanned, blocks_skipped)`` or
     ``("error", message, 0, 0)`` — never silence, so the coordinator can
     distinguish a failed request from a dead worker.
     """
     try:
-        shard = source() if callable(source) else source
         stats = PruningStats()
         while True:
             request = conn.recv()
@@ -707,21 +693,21 @@ def _worker_main(conn: Any, source: Any, shared_floor: Any) -> None:
 class ShardedQueryExecutor:
     """Persistent fork-based process pool, one worker per shard.
 
-    Requires the ``fork`` start method: in-memory shards must be
-    inherited copy-on-write (pickling a compiled shard would defeat the
-    point), and the shared pruning floor is pre-fork state. Workers are
+    Requires the ``fork`` start method: shards must be inherited
+    copy-on-write (pickling a compiled shard would defeat the point),
+    and the shared pruning floor is pre-fork state. Workers are
     daemons; a crashed worker surfaces as a ``RuntimeError`` on the next
     scatter, never a hang (`timeout` bounds a wedged-but-alive worker).
     """
 
     def __init__(
         self,
-        sources: Sequence,
+        shards: Sequence[ShardIndex],
         *,
         timeout: float = DEFAULT_WORKER_TIMEOUT,
     ):
-        if not sources:
-            raise ValueError("executor needs at least one shard source")
+        if not shards:
+            raise ValueError("executor needs at least one shard")
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
                 "sharded query execution needs the 'fork' start method, "
@@ -735,11 +721,11 @@ class ShardedQueryExecutor:
         #: mean in-flight depth of the last scatter_many (the service's
         #: batch_parallelism gauge reads this)
         self.last_batch_depth = 0.0
-        for k, source in enumerate(sources):
+        for k, shard in enumerate(shards):
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, source, self._floor),
+                args=(child_conn, shard, self._floor),
                 name=f"shard-worker-{k}",
                 daemon=True,
             )

@@ -135,12 +135,18 @@ class Router:
 # -- body validation ---------------------------------------------------------------
 
 
+def _reject_constant(name: str) -> Any:
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def parse_json_object(request: Request) -> dict[str, Any]:
-    """The request body as a JSON object, or a structured 400."""
+    """The request body as a JSON object, or a structured 400. The
+    non-standard ``NaN``/``Infinity``/``-Infinity`` tokens Python's
+    parser accepts by default are refused here, once for every route."""
     if not request.body:
         raise HttpError(400, "empty_body", "request body must be a JSON object")
     try:
-        payload = json.loads(request.body)
+        payload = json.loads(request.body, parse_constant=_reject_constant)
     except (ValueError, UnicodeDecodeError) as exc:
         raise HttpError(400, "invalid_json", f"request body is not JSON: {exc}")
     if not isinstance(payload, dict):

@@ -15,10 +15,9 @@ Format: one JSON object per line, first line is a header with a record
 ``kind`` and format version; subsequent lines are typed records
 (``profile``, ``resource``, ``container``, edges, analyses…).
 
-Finder snapshots additionally support a binary, mmap-able format
-(snapshot v3, the default — see :mod:`repro.storage.binary` and
-:mod:`repro.storage.snapshot`) for O(1) serving warm-starts; the jsonl
-layout stays available as the debug/interchange format.
+Finder snapshots use a binary, mmap-able format instead (snapshot v3 —
+see :mod:`repro.storage.binary` and :mod:`repro.storage.snapshot`) for
+O(1) serving warm-starts; ``repro inspect`` prints one as JSON.
 """
 
 from repro.storage.binary import MappedSections, pack_strings, write_sections

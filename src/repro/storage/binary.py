@@ -47,20 +47,17 @@ index.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import mmap
-import os
 import pathlib
 import struct
 import sys
-import tempfile
 import zlib
 from array import array
 from collections.abc import Iterable, Sequence
 from typing import cast
 
-from repro.storage.jsonl import StorageFormatError
+from repro.storage.jsonl import StorageFormatError, atomic_write
 from repro.storage.sections import offsets_name
 
 MAGIC = b"RPROBIN3"
@@ -77,17 +74,6 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 
 def _align8(n: int) -> int:
     return (n + 7) & ~7
-
-
-def _fsync_directory(directory: pathlib.Path) -> None:
-    """Flush a directory entry (rename durability); best-effort on
-    platforms whose directories cannot be opened."""
-    with contextlib.suppress(OSError):
-        fd = os.open(directory, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
 
 
 def encode_values(dtype: str, data: object) -> bytes:
@@ -191,21 +177,9 @@ def write_sections(
         MAGIC, CONTAINER_VERSION, toc_len, file_size, zlib.crc32(body)
     )
 
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(body)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp_name)
-        raise
-    _fsync_directory(path.parent)
+    with atomic_write(path) as fh:
+        fh.write(header)
+        fh.write(body)
 
 
 class MappedSections:
@@ -304,6 +278,22 @@ class MappedSections:
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._toc)
+
+    def describe(self) -> dict[str, object]:
+        """The container's header fields (with the stored crc32) and its
+        section table in file order, JSON-ready — what ``repro inspect``
+        prints."""
+        _magic, version, toc_len, size, checksum = _HEADER.unpack_from(self._view)
+        return {
+            "container_version": version,
+            "bytes": size,
+            "toc_bytes": toc_len,
+            "crc32": f"{checksum:08x}",
+            "sections": [
+                {"name": name, "dtype": dtype, "offset": offset, "length": length}
+                for name, (dtype, offset, length) in self._toc.items()
+            ],
+        }
 
     def _section(self, name: str, expected: tuple[str, ...]) -> tuple[str, int, int]:
         entry = self._toc.get(name)

@@ -5,7 +5,8 @@ version checking, and atomic writes.
 final name: it assembles the file in a same-directory temporary, flushes
 and fsyncs it, then ``os.replace``-s it into place — a process killed
 mid-write leaves only a stray ``.tmp`` file, never a truncated file
-with a valid header. :func:`read_records` converts every decode-layer
+with a valid header. That sequence is :func:`atomic_write`, which every
+storage writer shares. :func:`read_records` converts every decode-layer
 failure (malformed JSON, truncated gzip streams, bad UTF-8) into
 :class:`StorageFormatError` naming the offending path, so callers never
 see a bare ``JSONDecodeError``/``EOFError`` from a corrupt file.
@@ -20,7 +21,7 @@ import os
 import pathlib
 import tempfile
 from collections.abc import Iterable, Iterator
-from typing import Any, TextIO
+from typing import Any, BinaryIO, TextIO
 
 FORMAT_VERSION = 1
 
@@ -36,6 +37,37 @@ def _open_read(path: pathlib.Path) -> TextIO:
     return open(path, "r", encoding="utf-8")
 
 
+@contextlib.contextmanager
+def atomic_write(path: pathlib.Path) -> Iterator[BinaryIO]:
+    """Write *path* atomically: the body writes to a same-directory
+    temporary file, which on a clean exit is flushed, fsynced and
+    ``os.replace``-d over *path* before the directory entry is fsynced.
+    On any error the temporary is removed and *path* is left untouched,
+    so a crash mid-write never leaves a partial file under the final
+    name."""
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+        raise
+    # flush the directory entry after the rename; best-effort where
+    # directories cannot be opened
+    with contextlib.suppress(OSError):
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+
+
 def write_records(
     path: str | pathlib.Path, kind: str, records: Iterable[dict[str, Any]]
 ) -> int:
@@ -45,48 +77,26 @@ def write_records(
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     count = 0
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as raw:
-            if path.suffix == ".gz":
-                fh = gzip.open(raw, "wt", encoding="utf-8")
-            else:
-                fh = open(raw.fileno(), "w", encoding="utf-8", closefd=False)
-            with fh:
-                header = {
-                    "format": "repro-jsonl",
-                    "version": FORMAT_VERSION,
-                    "kind": kind,
-                }
-                fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-                for record in records:
-                    fh.write(
-                        json.dumps(record, separators=(",", ":"), sort_keys=True)
-                        + "\n"
-                    )
-                    count += 1
-            raw.flush()
-            os.fsync(raw.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp_name)
-        raise
-    _fsync_directory(path.parent)
+    with atomic_write(path) as raw:
+        fh: TextIO
+        if path.suffix == ".gz":
+            fh = gzip.open(raw, "wt", encoding="utf-8")
+        else:
+            fh = open(raw.fileno(), "w", encoding="utf-8", closefd=False)
+        with fh:
+            header = {
+                "format": "repro-jsonl",
+                "version": FORMAT_VERSION,
+                "kind": kind,
+            }
+            fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+            for record in records:
+                fh.write(
+                    json.dumps(record, separators=(",", ":"), sort_keys=True)
+                    + "\n"
+                )
+                count += 1
     return count
-
-
-def _fsync_directory(directory: pathlib.Path) -> None:
-    """Flush the directory entry after a rename; best-effort where
-    directories cannot be opened."""
-    with contextlib.suppress(OSError):
-        fd = os.open(directory, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
 
 
 def read_records(path: str | pathlib.Path, kind: str) -> Iterator[dict[str, Any]]:

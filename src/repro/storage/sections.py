@@ -23,9 +23,9 @@ from __future__ import annotations
 
 # -- container file names ----------------------------------------------------------
 
-#: the generation pointer file of a v3 snapshot directory
+#: the generation pointer file of a snapshot directory
 CURRENT_FILE = "CURRENT"
-#: config/counts records, shared by the v2 and v3 layouts
+#: config/counts records of a generation
 META_FILE = "meta.jsonl"
 #: legacy (read-only) monolithic collection slice, loaded as one segment
 INDEX_BIN = "index.bin"
@@ -35,30 +35,19 @@ BUFFER_BIN = "buffer.bin"
 STATS_BIN = "stats.bin"
 #: the sharded coordinator's full evidence rows
 EVIDENCE_BIN = "evidence.bin"
-#: segment manifest of a segmented snapshot (v2 and v3)
+#: segment manifest of a segmented snapshot
 MANIFEST_FILE = "segments.jsonl"
-#: shard manifest of a sharded (v3-only) snapshot
+#: shard manifest of a sharded snapshot
 SHARD_MANIFEST_FILE = "shards.jsonl"
-
-#: flat v2 (jsonl) data files
-TERM_FILE = "term_index.jsonl.gz"
-ENTITY_FILE = "entity_index.jsonl.gz"
-EVIDENCE_FILE = "evidence.jsonl.gz"
-BUFFER_FILE = "buffer.jsonl.gz"
-
-
-def segment_file(segment_id: int) -> str:
-    """The flat v2 file holding one sealed segment."""
-    return f"segment-{segment_id:04d}.jsonl.gz"
 
 
 def segment_bin(segment_id: int) -> str:
-    """The v3 section container holding one sealed segment."""
+    """The section container holding one sealed segment."""
     return f"segment-{segment_id:04d}.bin"
 
 
 def shard_bin(shard: int) -> str:
-    """The v3 section container holding one candidate shard's slice."""
+    """The section container holding one candidate shard's slice."""
     return f"shard-{shard:04d}.bin"
 
 
@@ -139,6 +128,5 @@ REGISTERED_FILES = frozenset(
     (
         CURRENT_FILE, META_FILE, INDEX_BIN, BUFFER_BIN,
         STATS_BIN, EVIDENCE_BIN, MANIFEST_FILE, SHARD_MANIFEST_FILE,
-        TERM_FILE, ENTITY_FILE, EVIDENCE_FILE, BUFFER_FILE,
     )
 )

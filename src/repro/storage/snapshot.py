@@ -8,48 +8,36 @@ indexes). A snapshot captures everything query evaluation needs — the
 indexes, the evidence relation, and the build configuration — and
 nothing generation-time.
 
-Every save writes the segmented layout: a segment manifest plus one
-container per sealed segment and, when non-empty, one for the write
-buffer (a sharded finder writes one container per shard instead). Two
-formats share one directory convention and one loader:
-
-**v3 (binary, the default)** — the serving format. The directory holds a
-``CURRENT`` pointer file plus numbered ``gen-NNNNNNN/`` generation
-subdirectories; ``CURRENT`` names the one complete generation. Inside a
-generation, ``meta.jsonl`` keeps the config/counts records and the
-columnar payload lives in mmap-able section containers
-(:mod:`repro.storage.binary`): ``segments.jsonl`` + ``segment-NNNN.bin``
-(and ``buffer.bin``), or ``shards.jsonl`` + ``shard-NNNN.bin`` +
-``stats.bin`` + ``evidence.bin``. Loading maps the buffers and builds
-each :class:`~repro.index.segments.Segment` directly over zero-copy
-``memoryview`` casts — no JSON parsing, no posting objects, and N
-processes opening one snapshot share a single page-cache copy. The
-posting-object indexes hydrate lazily, only if a merge, re-save, or
-object-path query actually needs them.
+There is one on-disk format, v3. The directory holds a ``CURRENT``
+pointer file plus numbered ``gen-NNNNNNN/`` generation subdirectories;
+``CURRENT`` names the one complete generation. Inside a generation,
+``meta.jsonl`` keeps the config/counts records and the columnar payload
+lives in mmap-able section containers (:mod:`repro.storage.binary`):
+``segments.jsonl`` + ``segment-NNNN.bin`` (and ``buffer.bin``) for a
+segmented finder, or ``shards.jsonl`` + ``shard-NNNN.bin`` +
+``stats.bin`` + ``evidence.bin`` for a sharded one. Loading maps the
+buffers and builds each :class:`~repro.index.segments.Segment` directly
+over zero-copy ``memoryview`` casts — no JSON parsing, no posting
+objects, and N processes opening one snapshot share a single page-cache
+copy. The posting-object indexes hydrate lazily, only if a merge,
+re-save, or object-path query actually needs them.
 
 A save writes the whole new generation (each file atomically:
 temp + fsync + rename), then atomically replaces ``CURRENT``, then
 prunes older generations — a crash at *any* instant leaves the previous
 ``CURRENT`` target intact and loadable.
 
-**jsonl (v2, the debug/interchange format)** — flat line-oriented files
-(``meta.jsonl``, ``segments.jsonl``, ``segment-NNNN.jsonl.gz``, …),
-human-inspectable and diff-able; write it with
-``save_finder(..., snapshot_format="jsonl")``. Each file is written
-atomically, but the *set* of files is not staged as one unit — v3 is the
-crash-safe format.
-
-**Legacy monolithic snapshots**, written before every finder became a
-segmented index, stay readable: a v3 generation whose meta says
+**Legacy monolithic generations**, written before every finder became a
+segmented index, stay readable: a generation whose meta says
 ``index_mode: "monolithic"`` loads its ``index.bin`` as segment 0 (its
-``engine.bin`` is not read), and a flat v2 ``term_index`` /
-``entity_index`` / ``evidence`` directory loads as one segment.
-Re-saving either writes the segmented layout.
+``engine.bin`` is not read); re-saving writes the segmented layout. The
+flat v2 JSONL layout is no longer readable: :func:`load_finder` refuses
+it and asks for a rebuild with ``repro index``.
 
-Evidence-row order is preserved by both formats, so a loaded finder
-repeats the builder's float operations exactly — rankings round-trip
+Evidence-row order is preserved, so a loaded finder repeats the
+builder's float operations exactly — rankings round-trip
 byte-identically on every path. Posting order is preserved too, with
-one deliberate exception: v3 writes sealed-segment and shard columns
+one deliberate exception: sealed-segment and shard columns are written
 sorted by doc index, alongside the block-max metadata that order makes
 possible (``blk#span`` + flattened per-column block sections), so pruned
 evaluation works straight off the mmap. Re-sorting a column never moves
@@ -58,17 +46,18 @@ without the block sections still load — their columns are re-sorted and
 their blocks recomputed lazily on first pruned use. The text analyzer
 is *not* persisted (it is code, not state); :func:`load_finder` takes it
 as an argument.
+
+:func:`inspect_snapshot` (``repro inspect``) renders the current
+generation — meta and manifest records, each container's header,
+checksum and section table — as JSON, without loading a finder.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
-import os
 import pathlib
 import re
 import shutil
-import tempfile
 from array import array
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from typing import Any
@@ -88,58 +77,48 @@ from repro.index.sharded import (
 )
 from repro.index.vsm import entity_weight
 from repro.storage import sections as layout
-from repro.storage.binary import (
-    MappedSections,
-    _fsync_directory,
-    pack_strings,
-    write_sections,
+from repro.storage.binary import MappedSections, pack_strings, write_sections
+from repro.storage.jsonl import (
+    StorageFormatError,
+    atomic_write,
+    read_records,
+    write_records,
 )
-from repro.storage.jsonl import StorageFormatError, read_records, write_records
 
 #: bump when the snapshot layout or record shapes change; loaders refuse
-#: mismatched snapshots instead of guessing
-#: (2: ``index_mode`` + the segmented manifest layout; 3: the binary
-#: generation layout — the v2 flat-jsonl layout stays loadable and
-#: writable via ``snapshot_format="jsonl"``; both versions still read
-#: their legacy "monolithic" layout)
+#: mismatched snapshots instead of guessing (3: the binary generation
+#: layout, which still reads its legacy "monolithic" index mode)
 SNAPSHOT_VERSION = 3
 
-#: the version written by (and required in) flat jsonl snapshots
-JSONL_SNAPSHOT_VERSION = 2
-
-#: accepted ``snapshot_format`` arguments
-SNAPSHOT_FORMATS = ("v3", "jsonl")
-
 META_KIND = "finder-snapshot-meta"
-TERM_INDEX_KIND = "finder-term-index"
-ENTITY_INDEX_KIND = "finder-entity-index"
-EVIDENCE_KIND = "finder-evidence"
 MANIFEST_KIND = "finder-segment-manifest"
-SEGMENT_KIND = "finder-segment"
 SHARD_MANIFEST_KIND = "finder-shard-manifest"
 
 # layout names come from the repro.storage.sections registry (enforced
 # by the section-registry lint rule); local aliases keep call sites short
 _META_FILE = layout.META_FILE
-_TERM_FILE = layout.TERM_FILE
-_ENTITY_FILE = layout.ENTITY_FILE
-_EVIDENCE_FILE = layout.EVIDENCE_FILE
 _MANIFEST_FILE = layout.MANIFEST_FILE
-_BUFFER_FILE = layout.BUFFER_FILE
-
+_SHARD_MANIFEST_FILE = layout.SHARD_MANIFEST_FILE
 _CURRENT_FILE = layout.CURRENT_FILE
-_CURRENT_MAGIC = "repro-snapshot-v3"
-_GEN_PATTERN = re.compile(r"gen-(\d{7})")
 _INDEX_BIN = layout.INDEX_BIN
 _BUFFER_BIN = layout.BUFFER_BIN
 _STATS_BIN = layout.STATS_BIN
 _EVIDENCE_BIN = layout.EVIDENCE_BIN
-_SHARD_MANIFEST_FILE = layout.SHARD_MANIFEST_FILE
+
+_CURRENT_MAGIC = "repro-snapshot-v3"
+_GEN_PATTERN = re.compile(r"gen-(\d{7})")
+
+#: the record kind of every jsonl file a generation may hold; every
+#: other file in a generation is a section container
+_RECORD_KINDS = {
+    _META_FILE: META_KIND,
+    _MANIFEST_FILE: MANIFEST_KIND,
+    _SHARD_MANIFEST_FILE: SHARD_MANIFEST_KIND,
+}
 
 #: index modes a meta record may name; "monolithic" is read-only legacy
 _INDEX_MODES = ("monolithic", "segmented", "sharded")
 
-_segment_file = layout.segment_file
 _segment_bin = layout.segment_bin
 _shard_bin = layout.shard_bin
 
@@ -154,47 +133,49 @@ _CONFIG_FIELDS = (
     "normalize",
 )
 
-#: flat-layout file names a save may prune when they no longer belong to
-#: the snapshot (stale segments after compaction, a drained buffer, or
-#: the other format's files after a format switch); only names matching
-#: these shapes are ever deleted
-_FLAT_V2_NAMES = (_META_FILE, _TERM_FILE, _ENTITY_FILE, _EVIDENCE_FILE,
-                  _MANIFEST_FILE, _BUFFER_FILE)
-_FLAT_V2_SEGMENT_PATTERN = re.compile(r"segment-\d{4}\.jsonl\.gz")
+
+# -- writer ----------------------------------------------------------------------
 
 
-def save_finder(
-    finder: ExpertFinder,
-    directory: str | pathlib.Path,
-    *,
-    snapshot_format: str = "v3",
-) -> None:
+def save_finder(finder: ExpertFinder, directory: str | pathlib.Path) -> None:
     """Write *finder*'s snapshot under *directory* (created if missing).
 
-    The default ``"v3"`` format writes a new binary generation and
-    atomically repoints ``CURRENT`` at it — re-saving over an existing
-    snapshot (either format) is crash-safe: until the final rename the
-    previous snapshot loads, after it the new one does, and stale files
-    from the previous save are pruned afterwards. ``"jsonl"`` writes the
-    flat v2 interchange layout (each file atomic, the file set not).
+    The save writes a new generation and atomically repoints ``CURRENT``
+    at it, so re-saving over an existing snapshot is crash-safe: until
+    the final rename the previous snapshot loads, after it the new one
+    does, and the superseded generations are pruned afterwards.
     """
-    if snapshot_format not in SNAPSHOT_FORMATS:
-        raise ValueError(
-            f"snapshot_format must be one of {SNAPSHOT_FORMATS}, "
-            f"got {snapshot_format!r}"
-        )
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if snapshot_format == "jsonl":
-        _save_jsonl(finder, directory)
-    else:
-        _save_v3(finder, directory)
+    gen_name = _next_generation(directory)
+    gen_dir = directory / gen_name
+    gen_dir.mkdir()
+    write_records(gen_dir / _META_FILE, META_KIND, _meta_records(finder))
+    segmented = finder.segmented_index
+    sharded = finder.sharded_index
+    if segmented is not None:
+        _save_segments(segmented, gen_dir)
+    elif sharded is not None:
+        _save_shards(sharded, finder.evidence_of, gen_dir)
+    # the generation is complete and durable; flip CURRENT, then prune
+    # the generations the flip obsoleted — a crash anywhere here leaves
+    # a loadable snapshot on both sides
+    with atomic_write(directory / _CURRENT_FILE) as fh:
+        fh.write(f"{_CURRENT_MAGIC}\n{gen_name}\n".encode("utf-8"))
+    for child in directory.iterdir():
+        if (
+            child.name != gen_name
+            and _GEN_PATTERN.fullmatch(child.name)
+            and child.is_dir()
+        ):
+            with contextlib.suppress(OSError):
+                shutil.rmtree(child)
 
 
-def _meta_records(finder: ExpertFinder, version: int) -> Iterator[dict[str, Any]]:
+def _meta_records(finder: ExpertFinder) -> Iterator[dict[str, Any]]:
     snapshot_record: dict[str, Any] = {
         "type": "snapshot",
-        "snapshot_version": version,
+        "snapshot_version": SNAPSHOT_VERSION,
         "index_mode": finder.index_mode,
     }
     if finder.index_mode == "sharded":
@@ -217,62 +198,10 @@ def _meta_records(finder: ExpertFinder, version: int) -> Iterator[dict[str, Any]
         }
 
 
-# -- jsonl (v2) writer -------------------------------------------------------------
-
-
-def _save_jsonl(finder: ExpertFinder, directory: pathlib.Path) -> None:
-    segmented = finder.segmented_index
-    if segmented is None:
-        raise ValueError(
-            "sharded finders snapshot only in the v3 binary format (the "
-            "scatter-pool workers mmap its per-shard section files); "
-            "drop snapshot_format='jsonl' or rebuild without shards"
-        )
-    keep = {_META_FILE} | _save_segmented(segmented, directory)
-    # data files first, meta last: a fresh snapshot torn mid-save lacks
-    # its meta file and is rejected cleanly at load
-    write_records(
-        directory / _META_FILE,
-        META_KIND,
-        _meta_records(finder, JSONL_SNAPSHOT_VERSION),
-    )
-    _prune_snapshot_files(directory, keep)
-
-
-def _slice_records(
-    term_index: InvertedIndex,
-    entity_index: EntityIndex,
-    evidence: Any,
-) -> Iterator[dict[str, Any]]:
-    """One segment's (or the buffer's) records: docs, postings,
-    evidence."""
-    yield {"type": "docs", "ids": sorted(term_index.doc_ids())}
-    for term, postings in term_index.items():
-        yield {
-            "type": "term",
-            "t": term,
-            "p": [[p.doc_id, p.term_frequency] for p in postings],
-        }
-    for uri, postings in entity_index.items():
-        yield {
-            "type": "entity",
-            "e": uri,
-            "p": [[p.doc_id, p.entity_frequency, p.d_score] for p in postings],
-        }
-    for doc_id, supporters in evidence.items():
-        yield {
-            "type": "evidence",
-            "doc": doc_id,
-            "s": [[cid, distance] for cid, distance in supporters],
-        }
-
-
 def _manifest_records(
     segmented: SegmentedIndex,
     segments: tuple[Segment, ...],
     buffer: _WriteBuffer,
-    segment_name: Callable[[int], str],
-    buffer_name: str,
 ) -> Iterator[dict[str, Any]]:
     yield {
         "type": "manifest",
@@ -284,69 +213,17 @@ def _manifest_records(
         yield {
             "type": "segment",
             "id": segment.segment_id,
-            "file": segment_name(segment.segment_id),
+            "file": _segment_bin(segment.segment_id),
             "docs": segment.document_count,
             "resources": segment.resource_count,
         }
     if buffer.resource_count:
         yield {
             "type": "buffer",
-            "file": buffer_name,
+            "file": _BUFFER_BIN,
             "docs": buffer.document_count,
             "resources": buffer.resource_count,
         }
-
-
-def _save_segmented(segmented: SegmentedIndex, directory: pathlib.Path) -> set[str]:
-    segments = segmented.iter_segments()
-    buffer = segmented.write_buffer
-    keep = {_MANIFEST_FILE}
-    for segment in segments:
-        name = _segment_file(segment.segment_id)
-        write_records(
-            directory / name,
-            SEGMENT_KIND,
-            _slice_records(segment.term_index, segment.entity_index, segment.evidence),
-        )
-        keep.add(name)
-    if buffer.resource_count:
-        write_records(
-            directory / _BUFFER_FILE,
-            SEGMENT_KIND,
-            _slice_records(buffer.term_index, buffer.entity_index, buffer.evidence),
-        )
-        keep.add(_BUFFER_FILE)
-    write_records(
-        directory / _MANIFEST_FILE,
-        MANIFEST_KIND,
-        _manifest_records(segmented, segments, buffer, _segment_file, _BUFFER_FILE),
-    )
-    return keep
-
-
-def _prune_snapshot_files(directory: pathlib.Path, keep: set[str]) -> None:
-    """Remove snapshot files a previous save left behind — only names the
-    format owns (recognized v2 shapes, binary generations, ``CURRENT``);
-    anything else in the directory is not ours to delete."""
-    for child in directory.iterdir():
-        name = child.name
-        if name in keep:
-            continue
-        if child.is_dir():
-            if _GEN_PATTERN.fullmatch(name):
-                with contextlib.suppress(OSError):
-                    shutil.rmtree(child)
-            continue
-        if (
-            name in _FLAT_V2_NAMES
-            or _FLAT_V2_SEGMENT_PATTERN.fullmatch(name)
-            or name == _CURRENT_FILE
-        ):
-            with contextlib.suppress(OSError):
-                child.unlink()
-
-
-# -- binary (v3) writer ------------------------------------------------------------
 
 
 def _block_sections(
@@ -540,95 +417,93 @@ def _next_generation(directory: pathlib.Path) -> str:
     return f"gen-{highest + 1:07d}"
 
 
-def _write_current(directory: pathlib.Path, gen_name: str) -> None:
-    data = f"{_CURRENT_MAGIC}\n{gen_name}\n".encode("utf-8")
-    fd, tmp_name = tempfile.mkstemp(
-        dir=directory, prefix=f".{_CURRENT_FILE}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_name, directory / _CURRENT_FILE)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp_name)
-        raise
-    _fsync_directory(directory)
-
-
-def _save_v3(finder: ExpertFinder, directory: pathlib.Path) -> None:
-    gen_name = _next_generation(directory)
-    gen_dir = directory / gen_name
-    gen_dir.mkdir()
-    write_records(
-        gen_dir / _META_FILE, META_KIND, _meta_records(finder, SNAPSHOT_VERSION)
-    )
-    segmented = finder.segmented_index
-    sharded = finder.sharded_index
-    if segmented is not None:
-        segments = segmented.iter_segments()
-        buffer = segmented.write_buffer
-        # sealed segments get doc-sorted columns + block-max sections so
-        # a loaded finder prunes straight off the mmap; the buffer stays
-        # in postings order (it is hydrated into mutable indexes anyway)
-        for segment in segments:
-            write_sections(
-                gen_dir / _segment_bin(segment.segment_id),
-                _slice_sections(
-                    segment.term_index, segment.entity_index, segment.evidence,
-                    block_span=segment.block_span,
-                ),
-            )
-        if buffer.resource_count:
-            write_sections(
-                gen_dir / _BUFFER_BIN,
-                _slice_sections(
-                    buffer.term_index, buffer.entity_index, buffer.evidence
-                ),
-            )
-        write_records(
-            gen_dir / _MANIFEST_FILE,
-            MANIFEST_KIND,
-            _manifest_records(segmented, segments, buffer, _segment_bin, _BUFFER_BIN),
-        )
-    elif sharded is not None:
-        write_sections(gen_dir / _STATS_BIN, _stats_sections(sharded.statistics))
-        # the coordinator's full evidence rows (each shard container only
-        # carries the rows restricted to its own candidates)
+def _save_segments(segmented: SegmentedIndex, gen_dir: pathlib.Path) -> None:
+    segments = segmented.iter_segments()
+    buffer = segmented.write_buffer
+    # sealed segments get doc-sorted columns + block-max sections so a
+    # loaded finder prunes straight off the mmap; the buffer stays in
+    # postings order (it is hydrated into mutable indexes anyway)
+    for segment in segments:
         write_sections(
-            gen_dir / _EVIDENCE_BIN, _evidence_sections(finder.evidence_of)
+            gen_dir / _segment_bin(segment.segment_id),
+            _slice_sections(
+                segment.term_index, segment.entity_index, segment.evidence,
+                block_span=segment.block_span,
+            ),
         )
-        # one section container per shard: its merged collection slice,
-        # doc-sorted with block-max metadata, so every scatter worker
-        # mmaps exactly one file
-        for k, shard in enumerate(sharded.iter_shards()):
-            term_index, entity_index, evidence = shard.merged_slice()
-            write_sections(
-                gen_dir / _shard_bin(k),
-                _slice_sections(
-                    term_index, entity_index, evidence,
-                    block_span=shard.block_span,
-                ),
-            )
-        write_records(
-            gen_dir / _SHARD_MANIFEST_FILE,
-            SHARD_MANIFEST_KIND,
-            _shard_manifest_records(sharded),
+    if buffer.resource_count:
+        write_sections(
+            gen_dir / _BUFFER_BIN,
+            _slice_sections(buffer.term_index, buffer.entity_index, buffer.evidence),
         )
-    # the generation is complete and durable; flip CURRENT, then prune
-    # what the flip obsoleted (older generations, flat v2 files) — a
-    # crash anywhere here leaves a loadable snapshot on both sides
-    _write_current(directory, gen_name)
-    _prune_snapshot_files(directory, {_CURRENT_FILE, gen_name})
+    write_records(
+        gen_dir / _MANIFEST_FILE,
+        MANIFEST_KIND,
+        _manifest_records(segmented, segments, buffer),
+    )
 
 
-# -- jsonl (v2) reader -------------------------------------------------------------
+def _save_shards(
+    sharded: ShardedIndex,
+    evidence_of: Mapping[str, Any],
+    gen_dir: pathlib.Path,
+) -> None:
+    write_sections(gen_dir / _STATS_BIN, _stats_sections(sharded.statistics))
+    # the coordinator's full evidence rows (each shard container only
+    # carries the rows restricted to its own candidates)
+    write_sections(gen_dir / _EVIDENCE_BIN, _evidence_sections(evidence_of))
+    # one section container per shard: its merged collection slice,
+    # doc-sorted with block-max metadata
+    for k, shard in enumerate(sharded.iter_shards()):
+        term_index, entity_index, evidence = shard.merged_slice()
+        write_sections(
+            gen_dir / _shard_bin(k),
+            _slice_sections(
+                term_index, entity_index, evidence, block_span=shard.block_span
+            ),
+        )
+    write_records(
+        gen_dir / _SHARD_MANIFEST_FILE,
+        SHARD_MANIFEST_KIND,
+        _shard_manifest_records(sharded),
+    )
+
+
+# -- reader ----------------------------------------------------------------------
+
+
+def _read_current(directory: pathlib.Path) -> pathlib.Path:
+    """The generation directory ``CURRENT`` names. A flat v2 directory
+    (a ``meta.jsonl`` but no ``CURRENT``) is refused with a pointer to
+    the rebuild; a missing directory raises ``FileNotFoundError``."""
+    path = directory / _CURRENT_FILE
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        if (directory / _META_FILE).is_file():
+            raise StorageFormatError(
+                f"{directory}: a flat v2 snapshot, which is no longer "
+                f"readable; rebuild it with `repro index`"
+            ) from None
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StorageFormatError(f"{path}: unreadable CURRENT file: {exc}") from exc
+    lines = text.splitlines()
+    if len(lines) != 2 or lines[0] != _CURRENT_MAGIC:
+        raise StorageFormatError(f"{path}: not a {_CURRENT_MAGIC} pointer file")
+    gen_name = lines[1]
+    if not _GEN_PATTERN.fullmatch(gen_name):
+        raise StorageFormatError(f"{path}: malformed generation name {gen_name!r}")
+    gen_dir = directory / gen_name
+    if not gen_dir.is_dir():
+        raise StorageFormatError(
+            f"{path}: CURRENT names missing generation {gen_name!r}"
+        )
+    return gen_dir
 
 
 def _load_meta(
-    path: pathlib.Path, expected_version: int
+    path: pathlib.Path,
 ) -> tuple[FinderConfig, int, dict[str, int], str, int | None]:
     version: int | None = None
     index_mode: str | None = None
@@ -640,20 +515,13 @@ def _load_meta(
         rtype = record.get("type")
         if rtype == "snapshot":
             version = record.get("snapshot_version")
-            if version != expected_version:
+            if version != SNAPSHOT_VERSION:
                 raise StorageFormatError(
                     f"{path}: unsupported snapshot version {version!r} "
-                    f"(expected {expected_version})"
+                    f"(expected {SNAPSHOT_VERSION})"
                 )
             index_mode = record.get("index_mode", "monolithic")
-            # "sharded" exists only in the v3 generation layout; a v2
-            # flat-jsonl meta claiming it is as unknown as any typo
-            modes = (
-                _INDEX_MODES
-                if expected_version == SNAPSHOT_VERSION
-                else _INDEX_MODES[:2]
-            )
-            if index_mode not in modes:
+            if index_mode not in _INDEX_MODES:
                 raise StorageFormatError(
                     f"{path}: unknown index mode {index_mode!r}"
                 )
@@ -685,186 +553,44 @@ def _load_meta(
     return config, indexed, evidence_counts, index_mode, shards
 
 
-def _load_term_index(path: pathlib.Path) -> InvertedIndex:
-    doc_ids: list[str] | None = None
-    postings: dict[str, list[Posting]] = {}
-    for record in read_records(path, TERM_INDEX_KIND):
-        rtype = record.get("type")
-        if rtype == "docs":
-            doc_ids = record["ids"]
-        elif rtype == "term":
-            postings[record["t"]] = [
-                Posting(doc_id, frequency) for doc_id, frequency in record["p"]
-            ]
-        else:
-            raise StorageFormatError(f"{path}: unknown record type {rtype!r}")
-    if doc_ids is None:
-        raise StorageFormatError(f"{path}: missing docs record")
-    return InvertedIndex.restore(doc_ids, postings)
-
-
-def _load_entity_index(path: pathlib.Path) -> EntityIndex:
-    doc_ids: list[str] | None = None
-    postings: dict[str, list[EntityPosting]] = {}
-    for record in read_records(path, ENTITY_INDEX_KIND):
-        rtype = record.get("type")
-        if rtype == "docs":
-            doc_ids = record["ids"]
-        elif rtype == "entity":
-            postings[record["e"]] = [
-                EntityPosting(doc_id, frequency, d_score)
-                for doc_id, frequency, d_score in record["p"]
-            ]
-        else:
-            raise StorageFormatError(f"{path}: unknown record type {rtype!r}")
-    if doc_ids is None:
-        raise StorageFormatError(f"{path}: missing docs record")
-    return EntityIndex.restore(doc_ids, postings)
-
-
-def _load_evidence(path: pathlib.Path) -> dict[str, list[tuple[str, int]]]:
-    evidence_of: dict[str, list[tuple[str, int]]] = {}
-    for record in read_records(path, EVIDENCE_KIND):
-        if record.get("type") != "evidence":
-            raise StorageFormatError(
-                f"{path}: unknown record type {record.get('type')!r}"
-            )
-        evidence_of[record["doc"]] = [
-            (cid, distance) for cid, distance in record["s"]
-        ]
-    return evidence_of
-
-
-def _load_slice(
-    path: pathlib.Path,
-) -> tuple[InvertedIndex, EntityIndex, dict[str, tuple[tuple[str, int], ...]]]:
-    """Parse one segment (or buffer) file into restored indexes plus its
-    evidence rows, in stored order."""
-    doc_ids: list[str] | None = None
-    term_postings: dict[str, list[Posting]] = {}
-    entity_postings: dict[str, list[EntityPosting]] = {}
-    evidence: dict[str, tuple[tuple[str, int], ...]] = {}
-    for record in read_records(path, SEGMENT_KIND):
-        rtype = record.get("type")
-        if rtype == "docs":
-            doc_ids = record["ids"]
-        elif rtype == "term":
-            term_postings[record["t"]] = [
-                Posting(doc_id, frequency) for doc_id, frequency in record["p"]
-            ]
-        elif rtype == "entity":
-            entity_postings[record["e"]] = [
-                EntityPosting(doc_id, frequency, d_score)
-                for doc_id, frequency, d_score in record["p"]
-            ]
-        elif rtype == "evidence":
-            evidence[record["doc"]] = tuple(
-                (cid, distance) for cid, distance in record["s"]
-            )
-        else:
-            raise StorageFormatError(f"{path}: unknown record type {rtype!r}")
-    if doc_ids is None:
-        raise StorageFormatError(f"{path}: missing docs record")
-    term_index = InvertedIndex.restore(doc_ids, term_postings)
-    entity_index = EntityIndex.restore(doc_ids, entity_postings)
-    return term_index, entity_index, evidence
-
-
 def _read_manifest(
-    manifest_path: pathlib.Path,
+    path: pathlib.Path, entry_type: str
 ) -> tuple[dict[str, Any], list[dict[str, Any]], dict[str, Any] | None]:
+    """Read a segment (``entry_type="segment"``) or shard (``"shard"``)
+    manifest: a ``manifest`` header declaring how many entries follow,
+    the entries, and — segment manifests only — an optional ``buffer``
+    entry. Every file the manifest names must exist beside it."""
+    kind = _RECORD_KINDS[path.name]
     header: dict[str, Any] | None = None
     entries: list[dict[str, Any]] = []
     buffer_entry: dict[str, Any] | None = None
-    for record in read_records(manifest_path, MANIFEST_KIND):
+    for record in read_records(path, kind):
         rtype = record.get("type")
         if rtype == "manifest":
             header = record
-        elif rtype == "segment":
+        elif rtype == entry_type:
             entries.append(record)
-        elif rtype == "buffer":
+        elif rtype == "buffer" and entry_type == "segment":
             buffer_entry = record
         else:
             raise StorageFormatError(
-                f"{manifest_path}: unknown manifest record type {rtype!r}"
+                f"{path}: unknown manifest record type {rtype!r}"
             )
     if header is None:
-        raise StorageFormatError(f"{manifest_path}: missing manifest header")
-    if header["segments"] != len(entries):
+        raise StorageFormatError(f"{path}: missing manifest header")
+    declared = header[f"{entry_type}s"]
+    if declared != len(entries):
         raise StorageFormatError(
-            f"{manifest_path}: manifest declares {header['segments']} "
-            f"segment(s) but lists {len(entries)}"
+            f"{path}: manifest declares {declared} {entry_type}(s) but "
+            f"lists {len(entries)}"
         )
+    named = entries if buffer_entry is None else [*entries, buffer_entry]
+    for entry in named:
+        if not (path.parent / entry["file"]).is_file():
+            raise StorageFormatError(
+                f"{path}: manifest names missing file {entry['file']!r}"
+            )
     return header, entries, buffer_entry
-
-
-def _load_segmented(directory: pathlib.Path, config: FinderConfig) -> SegmentedIndex:
-    """Restore a segmented index from its manifest + per-segment files,
-    without merging anything: per-segment postings orders, the segment
-    order, and the buffered tail all survive the round trip."""
-    manifest_path = directory / _MANIFEST_FILE
-    header, entries, buffer_entry = _read_manifest(manifest_path)
-
-    def load_entry(entry: dict[str, Any], path: pathlib.Path) -> Segment:
-        term_index, entity_index, evidence = _load_slice(path)
-        if term_index.document_count != entry["docs"]:
-            raise StorageFormatError(
-                f"{path}: segment holds {term_index.document_count} "
-                f"document(s), manifest says {entry['docs']}"
-            )
-        resources = len(frozenset(evidence) | term_index.doc_ids())
-        if resources != entry["resources"]:
-            raise StorageFormatError(
-                f"{path}: segment holds {resources} resource(s), "
-                f"manifest says {entry['resources']}"
-            )
-        return term_index, entity_index, evidence
-
-    segments = []
-    for entry in entries:
-        path = directory / entry["file"]
-        if not path.is_file():
-            raise StorageFormatError(
-                f"{manifest_path}: manifest names missing file {entry['file']!r}"
-            )
-        segments.append((entry["id"], *load_entry(entry, path)))
-    buffer = None
-    if buffer_entry is not None:
-        path = directory / buffer_entry["file"]
-        if not path.is_file():
-            raise StorageFormatError(
-                f"{manifest_path}: manifest names missing file "
-                f"{buffer_entry['file']!r}"
-            )
-        buffer = load_entry(buffer_entry, path)
-
-    return SegmentedIndex.restore(
-        config,
-        segments,
-        buffer,
-        seal_threshold=header["seal_threshold"],
-        fanout=header.get("fanout", 4),
-    )
-
-
-def _load_legacy_monolithic(
-    directory: pathlib.Path, config: FinderConfig
-) -> SegmentedIndex:
-    """A pre-segments flat v2 snapshot (``term_index``/``entity_index``/
-    ``evidence`` files), loaded as one sealed segment."""
-    term_index = _load_term_index(directory / _TERM_FILE)
-    entity_index = _load_entity_index(directory / _ENTITY_FILE)
-    # the builder indexes every resource into both indexes (possibly with
-    # empty postings), so diverging doc-id sets mean a corrupt snapshot —
-    # and would skew the shared collection-frequency denominators
-    if term_index.doc_ids() != entity_index.doc_ids():
-        raise StorageFormatError(
-            f"{directory}: term and entity indexes disagree on the indexed "
-            f"doc ids ({len(term_index.doc_ids())} vs "
-            f"{len(entity_index.doc_ids())})"
-        )
-    evidence_of = _load_evidence(directory / _EVIDENCE_FILE)
-    return SegmentedIndex.from_built(term_index, entity_index, evidence_of, config)
 
 
 def _collect_evidence(
@@ -877,31 +603,6 @@ def _collect_evidence(
         evidence_of.update(segment.evidence)
     evidence_of.update(segmented.write_buffer.evidence)
     return evidence_of
-
-
-# -- binary (v3) reader ------------------------------------------------------------
-
-
-def _read_current(directory: pathlib.Path) -> pathlib.Path:
-    path = directory / _CURRENT_FILE
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise
-    except (OSError, UnicodeDecodeError) as exc:
-        raise StorageFormatError(f"{path}: unreadable CURRENT file: {exc}") from exc
-    lines = text.splitlines()
-    if len(lines) != 2 or lines[0] != _CURRENT_MAGIC:
-        raise StorageFormatError(f"{path}: not a {_CURRENT_MAGIC} pointer file")
-    gen_name = lines[1]
-    if not _GEN_PATTERN.fullmatch(gen_name):
-        raise StorageFormatError(f"{path}: malformed generation name {gen_name!r}")
-    gen_dir = directory / gen_name
-    if not gen_dir.is_dir():
-        raise StorageFormatError(
-            f"{path}: CURRENT names missing generation {gen_name!r}"
-        )
-    return gen_dir
 
 
 def _csr(
@@ -1102,25 +803,14 @@ def _load_v3_segmented(
     indexed: int,
     evidence_counts: dict[str, int],
 ) -> ExpertFinder:
-    manifest_path = gen_dir / _MANIFEST_FILE
-    header, entries, buffer_entry = _read_manifest(manifest_path)
-    segments = []
-    for entry in entries:
-        path = gen_dir / entry["file"]
-        if not path.is_file():
-            raise StorageFormatError(
-                f"{manifest_path}: manifest names missing file {entry['file']!r}"
-            )
-        segments.append(_load_v3_segment(path, entry["id"], entry))
+    header, entries, buffer_entry = _read_manifest(gen_dir / _MANIFEST_FILE, "segment")
+    segments = [
+        _load_v3_segment(gen_dir / entry["file"], entry["id"], entry)
+        for entry in entries
+    ]
     buffer = None
     if buffer_entry is not None:
-        path = gen_dir / buffer_entry["file"]
-        if not path.is_file():
-            raise StorageFormatError(
-                f"{manifest_path}: manifest names missing file "
-                f"{buffer_entry['file']!r}"
-            )
-        buffer = _load_v3_buffer(path, buffer_entry)
+        buffer = _load_v3_buffer(gen_dir / buffer_entry["file"], buffer_entry)
     segmented = SegmentedIndex.restore_compiled(
         config,
         segments,
@@ -1213,36 +903,6 @@ def _load_stats(path: pathlib.Path, idf_exponent: float) -> GlobalStatistics:
         mapped.close()
 
 
-def _read_shard_manifest(
-    manifest_path: pathlib.Path,
-) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    header: dict[str, Any] | None = None
-    entries: list[dict[str, Any]] = []
-    for record in read_records(manifest_path, SHARD_MANIFEST_KIND):
-        rtype = record.get("type")
-        if rtype == "manifest":
-            header = record
-        elif rtype == "shard":
-            entries.append(record)
-        else:
-            raise StorageFormatError(
-                f"{manifest_path}: unknown manifest record type {rtype!r}"
-            )
-    if header is None:
-        raise StorageFormatError(f"{manifest_path}: missing manifest header")
-    if header["shards"] != len(entries):
-        raise StorageFormatError(
-            f"{manifest_path}: manifest declares {header['shards']} "
-            f"shard(s) but lists {len(entries)}"
-        )
-    if [entry["shard"] for entry in entries] != list(range(len(entries))):
-        raise StorageFormatError(
-            f"{manifest_path}: shard entries are not 0..{len(entries) - 1} "
-            f"in order"
-        )
-    return header, entries
-
-
 def _shard_from_bin(
     path: pathlib.Path,
     entry: dict[str, Any],
@@ -1269,41 +929,6 @@ def _shard_from_bin(
     return shard
 
 
-def open_shard(directory: str | pathlib.Path, shard: int) -> ShardIndex:
-    """Open one shard of a v3 sharded *generation* directory, read-only.
-
-    This is what each scatter-pool worker runs after the fork: it maps
-    only its own shard's section container (plus the small stats/meta
-    files), so N workers over one snapshot share a single page-cache
-    copy of the columns and never rebuild posting objects. The candidate
-    partition is recomputed from the meta candidate records — identical
-    to the coordinator's by :func:`partition_candidates` determinism.
-    """
-    gen_dir = pathlib.Path(directory)
-    config, _indexed, evidence_counts, index_mode, _shards = _load_meta(
-        gen_dir / _META_FILE, SNAPSHOT_VERSION
-    )
-    if index_mode != "sharded":
-        raise StorageFormatError(
-            f"{gen_dir}: not a sharded snapshot (index mode {index_mode!r})"
-        )
-    header, entries = _read_shard_manifest(gen_dir / _SHARD_MANIFEST_FILE)
-    if not 0 <= shard < len(entries):
-        raise ValueError(
-            f"shard must be in 0..{len(entries) - 1}, got {shard}"
-        )
-    statistics = _load_stats(gen_dir / _STATS_BIN, config.idf_exponent)
-    partition = partition_candidates(evidence_counts, header["shards"])
-    entry = entries[shard]
-    path = gen_dir / entry["file"]
-    if not path.is_file():
-        raise StorageFormatError(
-            f"{gen_dir / _SHARD_MANIFEST_FILE}: manifest names missing "
-            f"file {entry['file']!r}"
-        )
-    return _shard_from_bin(path, entry, config, statistics, partition[shard], header)
-
-
 def _load_v3_sharded(
     gen_dir: pathlib.Path,
     analyzer: ResourceAnalyzer,
@@ -1313,7 +938,12 @@ def _load_v3_sharded(
     shards: int | None,
 ) -> ExpertFinder:
     manifest_path = gen_dir / _SHARD_MANIFEST_FILE
-    header, entries = _read_shard_manifest(manifest_path)
+    header, entries, _buffer = _read_manifest(manifest_path, "shard")
+    if [entry["shard"] for entry in entries] != list(range(len(entries))):
+        raise StorageFormatError(
+            f"{manifest_path}: shard entries are not 0..{len(entries) - 1} "
+            f"in order"
+        )
     if shards is not None and header["shards"] != shards:
         raise StorageFormatError(
             f"{manifest_path}: manifest holds {header['shards']} shard(s), "
@@ -1336,23 +966,15 @@ def _load_v3_sharded(
     finally:
         evidence_mapped.close()
     partition = partition_candidates(evidence_counts, header["shards"])
-    shard_objs = []
-    for k, entry in enumerate(entries):
-        path = gen_dir / entry["file"]
-        if not path.is_file():
-            raise StorageFormatError(
-                f"{manifest_path}: manifest names missing file {entry['file']!r}"
-            )
-        shard_objs.append(
-            _shard_from_bin(path, entry, config, statistics, partition[k], header)
+    shard_objs = [
+        _shard_from_bin(
+            gen_dir / entry["file"], entry, config, statistics, partition[k], header
         )
-    sharded = ShardedIndex(config, shard_objs, statistics, evidence_of, partition)
-    # scatter-pool workers re-open from disk instead of inheriting the
-    # coordinator's hydrated shards — one mmap each, shared page cache
-    sharded._shard_openers = [
-        functools.partial(open_shard, str(gen_dir), k)
-        for k in range(len(entries))
+        for k, entry in enumerate(entries)
     ]
+    # a scatter pool forks these shards as they are: the workers inherit
+    # the mapped columns (shared page cache) and every later observe
+    sharded = ShardedIndex(config, shard_objs, statistics, evidence_of, partition)
     return ExpertFinder(
         analyzer,
         evidence_of,
@@ -1363,13 +985,21 @@ def _load_v3_sharded(
     )
 
 
-def _load_v3(
-    directory: pathlib.Path, analyzer: ResourceAnalyzer
+def load_finder(
+    directory: str | pathlib.Path, analyzer: ResourceAnalyzer
 ) -> ExpertFinder:
+    """Load a finder previously written by :func:`save_finder` from the
+    generation ``CURRENT`` names.
+
+    *analyzer* must be equivalent to the one the finder was built with —
+    it analyzes incoming queries (and streamed resources), and the paper
+    requires need and resource analysis to be symmetric (Sec. 2.3).
+    """
+    directory = pathlib.Path(directory)
     gen_dir = _read_current(directory)
     try:
         config, indexed, evidence_counts, index_mode, shards = _load_meta(
-            gen_dir / _META_FILE, SNAPSHOT_VERSION
+            gen_dir / _META_FILE
         )
         if index_mode == "sharded":
             return _load_v3_sharded(
@@ -1382,53 +1012,46 @@ def _load_v3(
         return _load_v3_legacy_monolithic(
             gen_dir, analyzer, config, indexed, evidence_counts
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, StorageFormatError):
             raise
         raise StorageFormatError(f"{directory}: malformed snapshot: {exc}") from exc
 
 
-def snapshot_generation(directory: str | pathlib.Path) -> str | None:
-    """The name of the v3 generation the snapshot's ``CURRENT`` pointer
-    selects (e.g. ``"gen-0000002"``), or ``None`` for the flat jsonl
-    layout (which has no generations).
+def snapshot_generation(directory: str | pathlib.Path) -> str:
+    """The name of the generation the snapshot's ``CURRENT`` pointer
+    selects (e.g. ``"gen-0000002"``).
 
     The serving gateway (:mod:`repro.serve`) reports this label per
     loaded generation, so operators can tell *which* snapshot state a
     hot-reloaded process is answering from."""
-    directory = pathlib.Path(directory)
-    if not (directory / _CURRENT_FILE).exists():
-        return None
-    return _read_current(directory).name
+    return _read_current(pathlib.Path(directory)).name
 
 
-def load_finder(
-    directory: str | pathlib.Path, analyzer: ResourceAnalyzer
-) -> ExpertFinder:
-    """Load a finder previously written by :func:`save_finder`.
+def inspect_snapshot(directory: str | pathlib.Path) -> dict[str, Any]:
+    """A read-only, JSON-ready view of the ``CURRENT`` generation: every
+    file in it, with the records of the meta and manifest files and the
+    header, stored checksum and section table of each section container.
 
-    The format is negotiated from the directory layout: a ``CURRENT``
-    pointer selects the binary v3 generation it names; otherwise the
-    flat jsonl (v2) layout is read. *analyzer* must be equivalent to the
-    one the finder was built with — it analyzes incoming queries (and
-    streamed resources), and the paper requires need and resource
-    analysis to be symmetric (Sec. 2.3).
+    Containers are opened through :meth:`MappedSections.open`, so a
+    truncated or bit-flipped file raises :class:`StorageFormatError`
+    naming it; nothing is loaded into a finder and nothing is written.
     """
     directory = pathlib.Path(directory)
-    if (directory / _CURRENT_FILE).exists():
-        return _load_v3(directory, analyzer)
-    try:
-        config, indexed, evidence_counts, index_mode, _shards = _load_meta(
-            directory / _META_FILE, JSONL_SNAPSHOT_VERSION
-        )
-        if index_mode == "segmented":
-            segmented = _load_segmented(directory, config)
-        else:
-            segmented = _load_legacy_monolithic(directory, config)
-        return _segmented_finder(
-            directory, analyzer, config, indexed, evidence_counts, segmented
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, StorageFormatError):
-            raise
-        raise StorageFormatError(f"{directory}: malformed snapshot: {exc}") from exc
+    gen_dir = _read_current(directory)
+    files: dict[str, Any] = {}
+    for path in sorted(gen_dir.iterdir()):
+        kind = _RECORD_KINDS.get(path.name)
+        if kind is not None:
+            files[path.name] = {"records": list(read_records(path, kind))}
+            continue
+        mapped = MappedSections.open(path)
+        try:
+            files[path.name] = mapped.describe()
+        finally:
+            mapped.close()
+    return {
+        "snapshot": str(directory),
+        "generation": gen_dir.name,
+        "files": files,
+    }

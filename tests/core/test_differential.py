@@ -2,13 +2,20 @@
 
 A Hypothesis state machine drives one collection through random
 sequences of streamed observes, queries (α, window as a count, a
-fraction or ``None``, ``top_k``), seals, full compactions and
-save→load round trips. After every step the fast paths — the
-``columnar`` and ``columnar-pruned`` engines, each unsharded and at
-``shards=2`` — must rank exactly (``==``) like an independent oracle: a
+fraction or ``None``, ``top_k``), seals, full compactions, save→load
+round trips, and scatter-pool runs over a re-saved snapshot directory.
+After every step the fast paths — the ``columnar`` and
+``columnar-pruned`` engines, each unsharded and at ``shards`` 1, 2 and
+3 — must rank exactly (``==``) like an independent oracle: a
 :class:`VectorSpaceRetriever` + :class:`ExpertRanker` over plain indexes
 fed the same analyzed resources. Shrinking turns any divergence into a
 minimal event sequence.
+
+Every entity posting of this synthetic stream has ``ef`` 1 or 2, for
+which the products ``(ef·ew)·we`` and ``ef·(ew·we)`` are the same
+float. Hand-written events that name one entity three times are
+therefore interleaved with the stream, so a change of association in an
+entity product shows up as a ranking difference.
 """
 
 from __future__ import annotations
@@ -38,10 +45,37 @@ from repro.synthetic.stream import stream_candidates, stream_queries, stream_res
 _ANALYZER = default_analyzer()
 _CONFIG = FinderConfig(window=5)
 _CANDIDATES = stream_candidates(4)
-_EVENTS = list(stream_resources(_CANDIDATES, 48, seed=11))
-_NEEDS = stream_queries(6, seed=11)
+#: each mentions "Michael Phelps" three times (``ef = 3``, ``we < 2``)
+_HAND_EVENTS = [
+    (
+        "hand:0",
+        "Michael Phelps, Michael Phelps, Michael Phelps: the freestyle "
+        "swimming legend",
+        [(_CANDIDATES[0], 0)],
+    ),
+    (
+        "hand:1",
+        "Usain Bolt and Michael Phelps at the Olympics: Michael Phelps "
+        "swims while Usain Bolt runs, Michael Phelps again",
+        [(_CANDIDATES[1], 1), (_CANDIDATES[2], 2)],
+    ),
+    (
+        "hand:2",
+        "watching Michael Phelps train freestyle swimming; Michael Phelps "
+        "dives, Michael Phelps wins gold",
+        [(_CANDIDATES[3], 1)],
+    ),
+]
+_STREAM = list(stream_resources(_CANDIDATES, 48, seed=11))
+# hand:0 opens every cold build; the others arrive by build or observe
+_EVENTS = [
+    _HAND_EVENTS[0], *_STREAM[:10], _HAND_EVENTS[1], *_STREAM[10:30],
+    _HAND_EVENTS[2], *_STREAM[30:],
+]
+_NEEDS = [*stream_queries(6, seed=11), "Michael Phelps freestyle swimming"]
 _FAST = ("columnar", "columnar-pruned")
 _INDEXABLE = frozenset({"en", "und"})
+_SHARD_COUNTS = (None, 1, 2, 3)
 
 _windows = st.one_of(
     st.integers(min_value=1, max_value=40),
@@ -90,6 +124,13 @@ class SinglePathMachine(RuleBasedStateMachine):
         self.oracle = _Oracle()
         for event in _EVENTS[:cold]:
             self.oracle.add(event)
+        assert any(
+            posting.entity_frequency >= 3
+            for _uri, postings in self.oracle.entity_index.items()
+            for posting in postings
+        )
+        #: the snapshot directory each finder was last loaded from
+        self.loaded_from: dict[int | None, str] = {}
         self.finders = {
             shards: ExpertFinder.from_stream(
                 _CANDIDATES,
@@ -100,10 +141,12 @@ class SinglePathMachine(RuleBasedStateMachine):
                 seal_threshold=seal_threshold,
                 compaction="manual",
             )
-            for shards in (None, 2)
+            for shards in _SHARD_COUNTS
         }
 
     def teardown(self) -> None:
+        for finder in getattr(self, "finders", {}).values():
+            finder.close_scatter_pool()
         tmp = getattr(self, "tmp", None)
         if tmp is not None:
             tmp.cleanup()
@@ -163,6 +206,29 @@ class SinglePathMachine(RuleBasedStateMachine):
             directory = f"{self.tmp.name}/snap-{self.saves}"
             finder.save(directory)
             self.finders[shards] = ExpertFinder.load(directory, _ANALYZER)
+            self.loaded_from[shards] = directory
+
+    @precondition(lambda self: self.loaded_from)
+    @rule(
+        alpha=st.sampled_from((0.0, 0.6, 1.0)),
+        window=_windows,
+    )
+    def scatter(self, alpha: float, window) -> None:
+        # re-saving into the directory a finder was loaded from prunes
+        # the generation it maps; the forked pool must not care
+        expected = [self.oracle.rank(need, alpha, window, None) for need in _NEEDS]
+        for shards, finder in self.finders.items():
+            if shards is None:
+                continue
+            finder.save(self.loaded_from[shards])
+            finder.start_scatter_pool()
+            try:
+                for engine in _FAST:
+                    finder.engine = engine
+                    got = finder.find_experts_many(_NEEDS, alpha=alpha, window=window)
+                    assert got == expected, (shards, engine, alpha, window)
+            finally:
+                finder.close_scatter_pool()
 
     @invariant()
     def agrees_with_oracle(self) -> None:
@@ -171,6 +237,6 @@ class SinglePathMachine(RuleBasedStateMachine):
 
 
 SinglePathMachine.TestCase.settings = settings(
-    max_examples=80, stateful_step_count=20, deadline=None
+    max_examples=50, stateful_step_count=20, deadline=None
 )
 TestSinglePath = SinglePathMachine.TestCase

@@ -327,9 +327,9 @@ class TestValidation:
             return term_index, entity_index, {doc_id: (("alice", 1),)}
 
         with pytest.raises(ValueError, match="more than one place"):
-            SegmentedIndex.restore(
+            SegmentedIndex.restore_compiled(
                 config,
-                [(0, *_slice("dup")), (1, *_slice("dup"))],
+                [Segment(0, *_slice("dup")), Segment(1, *_slice("dup"))],
                 None,
             )
 

@@ -398,6 +398,10 @@ class TestEndpointErrors:
             ({"need": "x", "window": 0}, "invalid_field"),
             ({"need": "x", "window": 1.5}, "invalid_field"),
             ({"need": "x", "window": True}, "invalid_field"),
+            # json.dumps writes these as the bare NaN/Infinity tokens
+            ({"need": "x", "alpha": float("nan")}, "invalid_json"),
+            ({"need": "x", "alpha": float("inf")}, "invalid_json"),
+            ({"need": "x", "window": float("-inf")}, "invalid_json"),
         ],
     )
     def test_query_validation(self, gateway, payload, code):
@@ -477,6 +481,15 @@ class TestEndpointErrors:
             "POST", "/v1/crowd/jury", {"need": "swimming", "budget": -1}
         )
         assert (status, body["error"]["code"]) == (400, "invalid_field")
+
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), float("-inf")])
+    def test_crowd_jury_rejects_non_finite_budget(self, gateway, budget):
+        # sent as the bare NaN/Infinity tokens; parsed, NaN would slip
+        # past the budget's range check and select an unbudgeted jury
+        status, _, body = gateway.request(
+            "POST", "/v1/crowd/jury", {"need": "swimming", "budget": budget}
+        )
+        assert (status, body["error"]["code"]) == (400, "invalid_json")
 
     def test_crowd_jury_selects_members(self, gateway):
         status, _, body = gateway.request(

@@ -59,12 +59,11 @@ def queries(tiny_dataset):
 
 
 class TestCorruptionAtRest:
-    @pytest.mark.parametrize("snapshot_format", ["v3", "jsonl"])
     def test_truncation_of_every_file_is_loud(
-        self, built_finder, tiny_dataset, queries, tmp_path, snapshot_format
+        self, built_finder, tiny_dataset, queries, tmp_path
     ):
         pristine = tmp_path / "pristine"
-        save_finder(built_finder, pristine, snapshot_format=snapshot_format)
+        save_finder(built_finder, pristine)
         reference = {
             need.text: built_finder.find_experts(need) for need in queries
         }

@@ -7,13 +7,13 @@ analyzer and ``FinderConfig()``:
 
 * ``fixtures/legacy-v3-monolithic`` — a v3 generation holding
   ``meta.jsonl`` (``index_mode: "monolithic"``), ``index.bin`` and the
-  compiled ``engine.bin``;
+  compiled ``engine.bin``. It must load as one sealed segment and rank
+  exactly like a fresh build of the same events — on the object oracle
+  and both fast engines — and a re-save after an observe must write the
+  segmented layout;
 * ``fixtures/legacy-v2-monolithic`` — the flat jsonl layout
-  (``term_index`` / ``entity_index`` / ``evidence`` files).
-
-Both must load as one sealed segment and rank exactly like a fresh
-build of the same events — on the object oracle and both fast engines —
-and a re-save after an observe must write the segmented layout.
+  (``term_index`` / ``entity_index`` / ``evidence`` files), which is no
+  longer readable: loading it must fail with a pointer to the rebuild.
 """
 
 import pathlib
@@ -23,11 +23,12 @@ import pytest
 
 from repro.core.config import FinderConfig
 from repro.core.expert_finder import ExpertFinder
+from repro.storage.jsonl import StorageFormatError
 from repro.synthetic.dataset import default_analyzer
 from repro.synthetic.stream import stream_candidates, stream_queries, stream_resources
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-LEGACY = ("legacy-v3-monolithic", "legacy-v2-monolithic")
+LEGACY = ("legacy-v3-monolithic",)
 ENGINES = ("object", "columnar", "columnar-pruned")
 WINDOWS = (100, 3, 0.5, None)
 
@@ -99,8 +100,6 @@ def test_observe_then_resave_writes_segmented_layout(name, analyzer, fresh, tmp_
     assert {"meta.jsonl", "segments.jsonl", "segment-0000.bin", "buffer.bin"} <= names
     assert not names & {"index.bin", "engine.bin"}
     assert '"index_mode":"segmented"' in (gen / "meta.jsonl").read_text()
-    # the flat legacy files of a v2 fixture are pruned by the v3 save
-    assert not any(directory.glob("*.jsonl.gz"))
 
     reloaded = ExpertFinder.load(directory, analyzer)
     oracle = ExpertFinder.from_stream(
@@ -115,3 +114,11 @@ def test_observe_then_resave_writes_segmented_layout(name, analyzer, fresh, tmp_
         reloaded.engine = engine
         for need in _NEEDS:
             assert reloaded.find_experts(need) == oracle.find_experts(need)
+
+
+def test_flat_v2_snapshot_is_refused_with_a_rebuild_hint(analyzer, tmp_path):
+    directory = _copy("legacy-v2-monolithic", tmp_path)
+    with pytest.raises(StorageFormatError, match="repro index") as err:
+        ExpertFinder.load(directory, analyzer)
+    assert str(directory) in str(err.value)
+    assert "v2" in str(err.value)

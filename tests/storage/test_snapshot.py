@@ -4,10 +4,7 @@ The built finders the snapshots are written from rank on the object
 path (``VectorSpaceRetriever`` + ``ExpertRanker``), so every round-trip
 comparison checks a loaded finder's fast engines against the oracle."""
 
-import gzip
 import json
-import pathlib
-import shutil
 
 import pytest
 
@@ -16,16 +13,8 @@ from repro.core.expert_finder import ExpertFinder
 from repro.index.entity_index import EntityIndex, EntityPosting
 from repro.index.inverted import InvertedIndex, Posting
 from repro.storage.jsonl import StorageFormatError
-from repro.storage.snapshot import (
-    JSONL_SNAPSHOT_VERSION,
-    SNAPSHOT_VERSION,
-    load_finder,
-    save_finder,
-)
-
-
-#: snapshots written before every finder became a segmented index
-FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+from repro.storage.binary import MappedSections, write_sections
+from repro.storage.snapshot import SNAPSHOT_VERSION, load_finder, save_finder
 
 
 def _generation_dir(snapshot_dir):
@@ -34,24 +23,20 @@ def _generation_dir(snapshot_dir):
     return snapshot_dir / lines[1]
 
 
-def _mutate_records(path, mutate):
-    """Structurally rewrite one record of a gzipped jsonl file: *mutate*
-    takes each parsed record and returns True once it has edited one."""
-    with gzip.open(path, "rt", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    done = False
-    records = []
-    for line in lines[1:]:
-        record = json.loads(line)
-        if not done:
-            done = bool(mutate(record))
-        records.append(record)
-    assert done, "mutator never found a record to edit"
-    out = [lines[0]] + [
-        json.dumps(r, separators=(",", ":"), sort_keys=True) for r in records
-    ]
-    with gzip.open(path, "wt", encoding="utf-8") as fh:
-        fh.write("\n".join(out) + "\n")
+def _rewrite_section(path, name, edit):
+    """Rewrite section *name* of the container at *path* through
+    write_sections, so the checksum stays valid: *edit* takes the
+    section's values as a list and returns the replacement list."""
+    mapped = MappedSections.open(path)
+    sections = []
+    for section in mapped.names():
+        dtype, offset, length = mapped._toc[section]
+        data = bytes(mapped._view[offset:offset + length])
+        if section == name:
+            data = edit(list(mapped.array(section)))
+        sections.append((section, dtype, data))
+    del mapped  # release the exported memoryviews before rewriting
+    write_sections(path, sections)
 
 
 @pytest.fixture(scope="module")
@@ -139,23 +124,6 @@ class TestFormatGuards:
         with pytest.raises((StorageFormatError, FileNotFoundError)):
             load_finder(tmp_path / "nope", tiny_dataset.analyzer)
 
-    def test_load_rejects_future_snapshot_version(
-        self, built_finder, tiny_dataset, tmp_path
-    ):
-        directory = tmp_path / "future"
-        save_finder(built_finder, directory, snapshot_format="jsonl")
-        meta = directory / "meta.jsonl"
-        text = meta.read_text(encoding="utf-8")
-        meta.write_text(
-            text.replace(
-                f'"snapshot_version":{JSONL_SNAPSHOT_VERSION}',
-                f'"snapshot_version":{JSONL_SNAPSHOT_VERSION + 99}',
-            ),
-            encoding="utf-8",
-        )
-        with pytest.raises(StorageFormatError):
-            load_finder(directory, tiny_dataset.analyzer)
-
     def test_v3_load_rejects_future_snapshot_version(
         self, built_finder, tiny_dataset, tmp_path
     ):
@@ -175,8 +143,9 @@ class TestFormatGuards:
 
     def test_load_rejects_corrupt_meta(self, built_finder, tiny_dataset, tmp_path):
         directory = tmp_path / "corrupt"
-        save_finder(built_finder, directory, snapshot_format="jsonl")
-        (directory / "meta.jsonl").write_text("not json\n", encoding="utf-8")
+        save_finder(built_finder, directory)
+        meta = _generation_dir(directory) / "meta.jsonl"
+        meta.write_text("not json\n", encoding="utf-8")
         with pytest.raises(StorageFormatError):
             load_finder(directory, tiny_dataset.analyzer)
 
@@ -202,88 +171,59 @@ class TestFormatGuards:
 
 
 class TestContentValidation:
-    """Corrupt snapshot *content* (well-formed jsonl, bad data) must be
-    rejected at load time, on both index files of the legacy flat
-    layout symmetrically."""
+    """Corrupt snapshot *content* (a valid container holding bad data)
+    must be rejected at load time. The write buffer hydrates into
+    posting objects at load, so its postings get the content checks of
+    a restored index; every segment's evidence rows are checked against
+    the configured distance weights. (Matches name the failed check,
+    not just the path: tmp_path spells out the test's name.)"""
 
     @pytest.fixture
-    def snapshot(self, tmp_path):
+    def snapshot(self, analyzer, tmp_path):
+        """A segmented snapshot whose buffer holds one resource with
+        both term and entity postings."""
+        finder = _build_segmented(analyzer)
+        finder.segmented_index.seal()
+        assert finder.observe(
+            "c1", "Michael Phelps wins the freestyle swimming race", [("bob", 1)]
+        )
         directory = tmp_path / "snap"
-        shutil.copytree(FIXTURES / "legacy-v2-monolithic", directory)
+        finder.save(directory)
+        buffer = MappedSections.open(_generation_dir(directory) / "buffer.bin")
+        assert len(buffer.array("term#doc")) and len(buffer.array("ent#doc"))
         return directory
 
-    def test_rejects_unknown_doc_in_term_postings(self, snapshot, tiny_dataset):
-        def mutate(record):
-            if record["type"] == "term" and record["p"]:
-                record["p"][0][0] = "ghost-doc"
-                return True
+    def _corrupt(self, snapshot, file_name, section, edit):
+        _rewrite_section(_generation_dir(snapshot) / file_name, section, edit)
 
-        _mutate_records(snapshot / "term_index.jsonl.gz", mutate)
-        with pytest.raises(StorageFormatError, match="ghost-doc"):
-            load_finder(snapshot, tiny_dataset.analyzer)
+    def test_rejects_unknown_doc_in_term_postings(self, snapshot, analyzer):
+        # a posting naming a doc index past the buffer's docs table
+        self._corrupt(snapshot, "buffer.bin", "term#doc", lambda doc: [7, *doc[1:]])
+        with pytest.raises(StorageFormatError, match="index out of range"):
+            load_finder(snapshot, analyzer)
 
-    def test_rejects_unknown_doc_in_entity_postings(self, snapshot, tiny_dataset):
-        def mutate(record):
-            if record["type"] == "entity" and record["p"]:
-                record["p"][0][0] = "ghost-doc"
-                return True
+    def test_rejects_unknown_doc_in_entity_postings(self, snapshot, analyzer):
+        self._corrupt(snapshot, "buffer.bin", "ent#doc", lambda doc: [7, *doc[1:]])
+        with pytest.raises(StorageFormatError, match="index out of range"):
+            load_finder(snapshot, analyzer)
 
-        _mutate_records(snapshot / "entity_index.jsonl.gz", mutate)
-        with pytest.raises(StorageFormatError, match="ghost-doc"):
-            load_finder(snapshot, tiny_dataset.analyzer)
+    def test_rejects_non_positive_term_frequency(self, snapshot, analyzer):
+        self._corrupt(snapshot, "buffer.bin", "term#tf", lambda tf: [0, *tf[1:]])
+        with pytest.raises(StorageFormatError, match="term_frequency must be"):
+            load_finder(snapshot, analyzer)
 
-    def test_rejects_non_positive_term_frequency(self, snapshot, tiny_dataset):
-        def mutate(record):
-            if record["type"] == "term" and record["p"]:
-                record["p"][0][1] = 0
-                return True
+    def test_rejects_negative_d_score(self, snapshot, analyzer):
+        self._corrupt(snapshot, "buffer.bin", "ent#ds", lambda ds: [-0.5, *ds[1:]])
+        with pytest.raises(StorageFormatError, match="d_score must be in"):
+            load_finder(snapshot, analyzer)
 
-        _mutate_records(snapshot / "term_index.jsonl.gz", mutate)
-        with pytest.raises(StorageFormatError):
-            load_finder(snapshot, tiny_dataset.analyzer)
-
-    def test_rejects_negative_d_score(self, snapshot, tiny_dataset):
-        def mutate(record):
-            if record["type"] == "entity" and record["p"]:
-                record["p"][0][2] = -0.5
-                return True
-
-        _mutate_records(snapshot / "entity_index.jsonl.gz", mutate)
-        with pytest.raises(StorageFormatError):
-            load_finder(snapshot, tiny_dataset.analyzer)
-
-    def test_rejects_diverging_doc_id_sets(self, snapshot, tiny_dataset):
-        def mutate(record):
-            if record["type"] == "docs":
-                record["ids"].append("extra-doc")
-                return True
-
-        _mutate_records(snapshot / "entity_index.jsonl.gz", mutate)
-        with pytest.raises(StorageFormatError, match="disagree"):
-            load_finder(snapshot, tiny_dataset.analyzer)
-
-    def test_rejects_out_of_range_evidence_distance(self, snapshot, tiny_dataset):
-        # caught when the loaded slice becomes a segment: the evidence
-        # record refers to a distance the configured weight table cannot
-        # weight (checked on an indexed doc, the rows Eq. 3 folds)
-        with gzip.open(snapshot / "term_index.jsonl.gz", "rt") as fh:
-            indexed = set(
-                next(r for r in map(json.loads, fh.read().splitlines()[1:])
-                     if r["type"] == "docs")["ids"]
-            )
-
-        def mutate(record):
-            if (
-                record["type"] == "evidence"
-                and record["doc"] in indexed
-                and record["s"]
-            ):
-                record["s"][0][1] = 99
-                return True
-
-        _mutate_records(snapshot / "evidence.jsonl.gz", mutate)
-        with pytest.raises(StorageFormatError, match="distance"):
-            load_finder(snapshot, tiny_dataset.analyzer)
+    def test_rejects_out_of_range_evidence_distance(self, snapshot, analyzer):
+        # caught when the mapped slice becomes a segment: the evidence
+        # rows name a distance the configured weight table cannot weight
+        segment = sorted(_generation_dir(snapshot).glob("segment-*.bin"))[0]
+        self._corrupt(snapshot, segment.name, "ev#dist", lambda d: [99, *d[1:]])
+        with pytest.raises(StorageFormatError, match="distance 99 outside"):
+            load_finder(snapshot, analyzer)
 
 
 class TestLoadedEngine:
@@ -406,18 +346,6 @@ class TestSegmentedRoundTrip:
         assert "index.bin" not in names
         assert "engine.bin" not in names
 
-    def test_jsonl_files_layout(self, segmented_finder, tmp_path):
-        directory = tmp_path / "seg-jsonl"
-        save_finder(segmented_finder, directory, snapshot_format="jsonl")
-        names = sorted(p.name for p in directory.iterdir())
-        assert "meta.jsonl" in names
-        assert "segments.jsonl" in names
-        assert "buffer.jsonl.gz" in names
-        assert any(n.startswith("segment-") and n.endswith(".jsonl.gz")
-                   for n in names)
-        # the monolithic layout's merged files must NOT be written
-        assert "term_index.jsonl.gz" not in names
-
     def test_load_preserves_segment_structure(
         self, segmented_finder, loaded_segmented
     ):
@@ -486,20 +414,22 @@ class TestSegmentedRoundTrip:
 class TestSegmentedFormatGuards:
     @pytest.fixture
     def snapshot(self, segmented_finder, tmp_path):
+        """The generation directory of a fresh segmented snapshot (the
+        loaders below still open the snapshot through CURRENT)."""
         directory = tmp_path / "seg"
-        save_finder(segmented_finder, directory, snapshot_format="jsonl")
-        return directory
+        save_finder(segmented_finder, directory)
+        return _generation_dir(directory)
 
     def test_rejects_unknown_index_mode(self, snapshot, analyzer):
         meta = snapshot / "meta.jsonl"
         meta.write_text(
             meta.read_text(encoding="utf-8").replace(
-                '"index_mode":"segmented"', '"index_mode":"sharded"'
+                '"index_mode":"segmented"', '"index_mode":"tiered"'
             ),
             encoding="utf-8",
         )
         with pytest.raises(StorageFormatError, match="index mode"):
-            load_finder(snapshot, analyzer)
+            load_finder(snapshot.parent, analyzer)
 
     def test_rejects_manifest_doc_count_mismatch(self, snapshot, analyzer):
         def edit(records):
@@ -509,7 +439,7 @@ class TestSegmentedFormatGuards:
 
         _edit_manifest(snapshot / "segments.jsonl", edit)
         with pytest.raises(StorageFormatError, match="manifest says"):
-            load_finder(snapshot, analyzer)
+            load_finder(snapshot.parent, analyzer)
 
     def test_rejects_manifest_resource_count_mismatch(self, snapshot, analyzer):
         def edit(records):
@@ -519,13 +449,13 @@ class TestSegmentedFormatGuards:
 
         _edit_manifest(snapshot / "segments.jsonl", edit)
         with pytest.raises(StorageFormatError, match="manifest says"):
-            load_finder(snapshot, analyzer)
+            load_finder(snapshot.parent, analyzer)
 
     def test_rejects_missing_segment_file(self, snapshot, analyzer):
-        victim = next(iter(sorted(snapshot.glob("segment-*.jsonl.gz"))))
+        victim = next(iter(sorted(snapshot.glob("segment-*.bin"))))
         victim.unlink()
         with pytest.raises(StorageFormatError, match="missing file"):
-            load_finder(snapshot, analyzer)
+            load_finder(snapshot.parent, analyzer)
 
     def test_rejects_segment_count_mismatch(self, snapshot, analyzer):
         def edit(records):
@@ -535,11 +465,12 @@ class TestSegmentedFormatGuards:
 
         _edit_manifest(snapshot / "segments.jsonl", edit)
         with pytest.raises(StorageFormatError, match="declares"):
-            load_finder(snapshot, analyzer)
+            load_finder(snapshot.parent, analyzer)
 
     def test_rejects_duplicate_doc_across_segments(self, snapshot, analyzer):
         # list the first segment twice (bumping the declared count): the
-        # same doc then appears in two places, which restore() rejects
+        # same doc then appears in two places, which restore_compiled()
+        # rejects
         def edit(records):
             header = next(r for r in records if r["type"] == "manifest")
             entry = next(r for r in records if r["type"] == "segment")
@@ -550,7 +481,7 @@ class TestSegmentedFormatGuards:
 
         _edit_manifest(snapshot / "segments.jsonl", edit)
         with pytest.raises(StorageFormatError, match="more than one place"):
-            load_finder(snapshot, analyzer)
+            load_finder(snapshot.parent, analyzer)
 
     def test_rejects_indexed_count_mismatch(self, snapshot, analyzer):
         meta = snapshot / "meta.jsonl"
@@ -566,19 +497,18 @@ class TestSegmentedFormatGuards:
         assert new_text != text
         meta.write_text(new_text, encoding="utf-8")
         with pytest.raises(StorageFormatError, match="metadata says"):
-            load_finder(snapshot, analyzer)
+            load_finder(snapshot.parent, analyzer)
 
     def test_rejects_corrupt_segment_postings(self, snapshot, analyzer):
-        victim = next(iter(sorted(snapshot.glob("segment-*.jsonl.gz"))))
-
-        def mutate(record):
-            if record["type"] == "term" and record["p"]:
-                record["p"][0][0] = "ghost-doc"
-                return True
-
-        _mutate_records(victim, mutate)
-        with pytest.raises(StorageFormatError, match="ghost-doc"):
-            load_finder(snapshot, analyzer)
+        victim = next(iter(sorted(snapshot.glob("segment-*.bin"))))
+        mapped = MappedSections.open(victim)
+        _dtype, offset, _length = mapped._toc["term#tf"]
+        mapped.close()
+        data = bytearray(victim.read_bytes())
+        data[offset] ^= 0x01  # one term frequency, past header and TOC
+        victim.write_bytes(bytes(data))
+        with pytest.raises(StorageFormatError, match="checksum mismatch"):
+            load_finder(snapshot.parent, analyzer)
 
 
 class TestSegmentedLoadedSurface:
@@ -590,8 +520,7 @@ class TestSegmentedLoadedSurface:
 
 
 class TestV3Lifecycle:
-    """Generation management and cross-format migration of the binary
-    snapshot layout."""
+    """Generation management of the snapshot directory."""
 
     def test_resave_replaces_generation_and_prunes_old(
         self, built_finder, tiny_dataset, tmp_path
@@ -607,38 +536,6 @@ class TestV3Lifecycle:
         for need in tiny_dataset.queries:
             assert loaded.find_experts(need) == built_finder.find_experts(need)
 
-    def test_jsonl_to_v3_migration(self, built_finder, tiny_dataset, tmp_path):
-        v2_dir = tmp_path / "v2"
-        save_finder(built_finder, v2_dir, snapshot_format="jsonl")
-        migrated = ExpertFinder.load(v2_dir, tiny_dataset.analyzer)
-        v3_dir = tmp_path / "v3"
-        migrated.save(v3_dir)
-        assert (v3_dir / "CURRENT").exists()
-        reloaded = ExpertFinder.load(v3_dir, tiny_dataset.analyzer)
-        for need in tiny_dataset.queries:
-            assert reloaded.find_experts(need) == built_finder.find_experts(need)
-
-    def test_format_switch_prunes_other_layout(
-        self, built_finder, tiny_dataset, tmp_path
-    ):
-        directory = tmp_path / "switch"
-        built_finder.save(directory)
-        assert (directory / "CURRENT").exists()
-        # v3 -> jsonl: the generation layout must disappear
-        built_finder.save(directory, snapshot_format="jsonl")
-        assert not (directory / "CURRENT").exists()
-        assert not any(directory.glob("gen-*"))
-        assert (directory / "segments.jsonl").exists()
-        assert (directory / "segment-0000.jsonl.gz").exists()
-        # jsonl -> v3: the flat files must disappear
-        built_finder.save(directory)
-        assert (directory / "CURRENT").exists()
-        assert not (directory / "segments.jsonl").exists()
-        assert not any(directory.glob("*.jsonl.gz"))
-        loaded = ExpertFinder.load(directory, tiny_dataset.analyzer)
-        for need in tiny_dataset.queries:
-            assert loaded.find_experts(need) == built_finder.find_experts(need)
-
     def test_prune_leaves_unrecognized_files_alone(
         self, built_finder, tiny_dataset, tmp_path
     ):
@@ -648,22 +545,6 @@ class TestV3Lifecycle:
         stranger.write_text("hands off\n", encoding="utf-8")
         built_finder.save(directory)
         assert stranger.read_text(encoding="utf-8") == "hands off\n"
-
-    def test_v3_rankings_match_jsonl_rankings(
-        self, built_finder, tiny_dataset, tmp_path
-    ):
-        v3 = tmp_path / "as-v3"
-        v2 = tmp_path / "as-jsonl"
-        built_finder.save(v3)
-        built_finder.save(v2, snapshot_format="jsonl")
-        from_v3 = ExpertFinder.load(v3, tiny_dataset.analyzer)
-        from_v2 = ExpertFinder.load(v2, tiny_dataset.analyzer)
-        for need in tiny_dataset.queries:
-            assert from_v3.find_experts(need) == from_v2.find_experts(need)
-
-    def test_save_rejects_unknown_format(self, built_finder, tmp_path):
-        with pytest.raises(ValueError, match="snapshot_format"):
-            built_finder.save(tmp_path / "bad", snapshot_format="v9")
 
     def test_segmented_v3_lazy_segments_hydrate_on_demand(
         self, analyzer, tmp_path
@@ -686,8 +567,6 @@ class TestV3Lifecycle:
         assert all(seg._term_index is not None for seg in segments)
 
 # -- block-max pruning metadata -----------------------------------------------
-
-from repro.storage.binary import MappedSections, write_sections  # noqa: E402
 
 #: section names that carry block-max metadata (per-prefix quadruple
 #: plus the shared span) — what _strip_block_sections removes to
@@ -824,17 +703,11 @@ class TestBlockMaxPersistence:
     ):
         directory = tmp_path / "badblocks"
         built_finder.save(directory)
-        segment_bin = _generation_dir(directory) / "segment-0000.bin"
-        mapped = MappedSections.open(segment_bin)
-        sections = []
-        for name in mapped.names():
-            dtype, offset, length = mapped._toc[name]
-            data = bytes(mapped._view[offset:offset + length])
-            if name == "term#bmax":
-                data = data[:-8]  # drop one block maximum
-            sections.append((name, dtype, data))
-        del mapped
-        write_sections(segment_bin, sections)
+        _rewrite_section(
+            _generation_dir(directory) / "segment-0000.bin",
+            "term#bmax",
+            lambda bmax: bmax[:-1],  # drop one block maximum
+        )
         with pytest.raises(StorageFormatError, match="block sections"):
             load_finder(directory, tiny_dataset.analyzer)
 
@@ -947,14 +820,13 @@ class TestShardedRoundTrip:
                           [(_SHARD_CANDS[2], 1)])
         loaded.start_scatter_pool()
         try:
-            # workers open the on-disk state, so the post-load observe
-            # must be replayed into them
+            # the workers fork the coordinator's shards, post-load
+            # observe included
             for need in _SHARD_NEEDS:
                 assert loaded.find_experts(need, window=6) == (
                     reference.find_experts(need, window=6)
                 )
-            # a restarted pool re-opens the disk state; the replay log
-            # must cover it again
+            # a restarted pool forks them again
             loaded.close_scatter_pool()
             loaded.start_scatter_pool()
             for need in _SHARD_NEEDS:
@@ -964,17 +836,32 @@ class TestShardedRoundTrip:
         finally:
             loaded.close_scatter_pool()
 
+    def test_pool_starts_after_a_resave_prunes_the_loaded_generation(
+        self, analyzer, tmp_path
+    ):
+        finder = _build_sharded(analyzer, shards=2)
+        directory = tmp_path / "live"
+        finder.save(directory)
+        loaded = ExpertFinder.load(directory, analyzer)
+        loaded.engine = "columnar"
+        serial = [loaded.find_experts(need, window=6) for need in _SHARD_NEEDS]
+        # a rebuild into the served directory (`repro index --out` the
+        # same dir) prunes the generation `loaded` has mapped
+        first_gen = _generation_dir(directory)
+        finder.save(directory)
+        assert not first_gen.exists()
+        loaded.start_scatter_pool()
+        try:
+            assert loaded.find_experts_many(_SHARD_NEEDS, window=6) == serial
+        finally:
+            loaded.close_scatter_pool()
+
     def test_resave_roundtrip(self, loaded_sharded, sharded_finder, tmp_path, analyzer):
         directory = tmp_path / "resave"
         loaded_sharded.save(directory)
         again = ExpertFinder.load(directory, analyzer)
         for need in _SHARD_NEEDS:
             assert again.find_experts(need) == sharded_finder.find_experts(need)
-
-    def test_jsonl_save_rejected(self, sharded_finder, tmp_path):
-        with pytest.raises(ValueError, match="v3"):
-            sharded_finder.save(tmp_path / "flat", snapshot_format="jsonl")
-
 
 class TestShardedFormatGuards:
     @pytest.fixture
@@ -1030,17 +917,3 @@ class TestShardedFormatGuards:
         )
         with pytest.raises(StorageFormatError, match="statistics cover"):
             load_finder(broken_dir, analyzer)
-
-    def test_open_shard_rejects_unsharded_generation(
-        self, snapshot_dir, analyzer
-    ):
-        from repro.storage.snapshot import open_shard
-
-        with pytest.raises(StorageFormatError, match="not a sharded"):
-            open_shard(_generation_dir(snapshot_dir), 0)
-
-    def test_open_shard_rejects_bad_index(self, broken_dir):
-        from repro.storage.snapshot import open_shard
-
-        with pytest.raises(ValueError, match="shard must be"):
-            open_shard(_generation_dir(broken_dir), 7)

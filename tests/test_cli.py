@@ -1,8 +1,21 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+from repro.core.config import FinderConfig
+from repro.core.expert_finder import ExpertFinder
+from repro.storage.binary import MappedSections
+from repro.synthetic.dataset import default_analyzer
+from repro.synthetic.stream import stream_candidates, stream_resources
 
 
 def _generation_dir(snapshot_dir):
@@ -99,24 +112,6 @@ class TestCommands:
         assert "build stages:" in out
         assert "workers=2" in out
         assert (snap / "CURRENT").exists()
-
-    def test_index_jsonl_format_writes_flat_layout(self, tmp_path, capsys):
-        snap = tmp_path / "snap"
-        code = main(
-            ["index", "--scale", "tiny", "--snapshot-format", "jsonl",
-             "--out", str(snap)]
-        )
-        assert code == 0
-        assert (snap / "meta.jsonl").exists()
-        assert (snap / "segments.jsonl").exists()
-        assert (snap / "segment-0000.jsonl.gz").exists()
-        assert not (snap / "CURRENT").exists()
-        capsys.readouterr()
-        code = main(
-            ["query", "best freestyle swimmer", "--scale", "tiny",
-             "--snapshot", str(snap), "--top-k", "3"]
-        )
-        assert code == 0
 
     def test_experiments_subset(self, capsys):
         code = main(["experiments", "--scale", "tiny", "--only", "fig5"])
@@ -237,3 +232,80 @@ class TestSegmentedCommands:
                 ["index", "--scale", "tiny", "--snapshot", str(snap),
                  "--compact", "--out", str(tmp_path / "x")]
             )
+
+
+def _run_cli(*argv):
+    """Run ``python -m repro.cli`` in a child process (real exit codes)."""
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+        check=False,
+    )
+
+
+@pytest.fixture(scope="module", params=[None, 2], ids=["segmented", "sharded"])
+def inspected_snapshot(request, tmp_path_factory):
+    """A segmented snapshot with a sealed segment and a buffered tail,
+    and a 2-shard one."""
+    candidates = stream_candidates(5)
+    finder = ExpertFinder.from_stream(
+        candidates,
+        stream_resources(candidates, 40, seed=7),
+        default_analyzer(),
+        FinderConfig(),
+        shards=request.param,
+    )
+    finder.observe(
+        "late:1", "open water swimming race report", [(candidates[0], 1)],
+        language="en",
+    )
+    directory = tmp_path_factory.mktemp("inspect") / "snap"
+    finder.save(directory)
+    return directory
+
+
+class TestInspect:
+    def test_reports_every_file_of_the_current_generation(
+        self, inspected_snapshot, capsys
+    ):
+        assert main(["inspect", str(inspected_snapshot)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        gen = _generation_dir(inspected_snapshot)
+        assert report["generation"] == gen.name
+        assert set(report["files"]) == {p.name for p in gen.iterdir()}
+        for name, entry in report["files"].items():
+            if name.endswith(".jsonl"):
+                assert entry["records"][0]["type"] in ("snapshot", "manifest")
+                continue
+            mapped = MappedSections.open(gen / name)
+            try:
+                names = list(mapped.names())
+            finally:
+                mapped.close()
+            assert [s["name"] for s in entry["sections"]] == names
+            assert entry["bytes"] == (gen / name).stat().st_size
+            assert len(entry["crc32"]) == 8
+
+    def test_bit_flipped_container_exits_one_naming_it(
+        self, inspected_snapshot, tmp_path
+    ):
+        directory = tmp_path / "flipped"
+        shutil.copytree(inspected_snapshot, directory)
+        victim = sorted(_generation_dir(directory).glob("*.bin"))[-1]
+        data = bytearray(victim.read_bytes())
+        data[-3] ^= 0x20  # payload byte, past header and TOC
+        victim.write_bytes(bytes(data))
+        proc = _run_cli("inspect", str(directory))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert victim.name in proc.stderr
+        assert "checksum mismatch" in proc.stderr
+
+    def test_missing_directory_exits_one(self, tmp_path):
+        proc = _run_cli("inspect", str(tmp_path / "nope"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
