@@ -1,7 +1,7 @@
 """Cold-build benchmark: the parallel pipeline vs the serial path.
 
-Measures the three-stage cold build (shared-frontier gathering, sharded
-text/entity analysis, mergeable index shards) end to end:
+Measures the three-stage cold build (shared-frontier gathering, parallel
+text/entity analysis, serial index fill) end to end:
 
 * **equivalence** — the parallel build must produce rankings identical
   to the serial build for every query (always asserted, any core count);

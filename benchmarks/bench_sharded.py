@@ -1,6 +1,8 @@
 """Sharded scatter-gather benchmark: uncached QPS across shard counts.
 
-Measures the claims candidate sharding makes:
+A ``shards=K`` finder seals its cold build as K shard segments split by
+resource, and its scatter pool forks one worker per shard segment.
+Measures the claims sharding makes:
 
 * **equivalence** — at every shard count the sharded finder returns
   rankings byte-identical to the unsharded columnar path, serially and
@@ -13,13 +15,13 @@ Measures the claims candidate sharding makes:
   numbers are always recorded — the 1-shard baseline runs through a
   1-worker pool, so the comparison isolates parallelism, not pipe
   overhead);
-* **shared pages** — scatter workers fork the loaded shards, whose
-  columns map the v3 snapshot read-only, so a reader plus its worker
-  pool must not hold K private copies of the shard columns: on little-endian hosts the loaded shard
-  columns are asserted to be zero-copy ``memoryview``s (a byteswap copy
-  would silently privatize every page), and the private-RSS totals of
-  one and two independent reader+pool groups are reported from
-  ``smaps_rollup`` where available.
+* **shared pages** — scatter workers fork the loaded shard segments,
+  whose columns map the v3 snapshot read-only, so a reader plus its
+  worker pool must not hold K private copies of the shard columns: on
+  little-endian hosts the loaded segment columns are asserted to be
+  zero-copy ``memoryview``s (a byteswap copy would silently privatize
+  every page), and the private-RSS totals of one and two independent
+  reader+pool groups are reported from ``smaps_rollup`` where available.
 
 The workload is the ``xl`` scale's streaming generator
 (:mod:`repro.synthetic.stream`) truncated per ``REPRO_SCALE``, so both
@@ -89,15 +91,14 @@ def _measure_qps(finder, queries):
 
 
 def _columns_zero_copy(finder):
-    """True when every loaded shard column is a zero-copy memoryview
+    """True when every loaded segment column is a zero-copy memoryview
     (only meaningful on little-endian hosts, where the mmap path must
     never fall back to a byteswapped array copy)."""
-    for shard in finder.sharded_index.iter_shards():
-        for segment in shard.iter_segments():
-            for cols in (segment._term_cols, segment._entity_cols):
-                for views in cols.values():
-                    if not all(isinstance(v, memoryview) for v in views):
-                        return False
+    for segment in finder.segmented_index.iter_segments():
+        for cols in (segment._term_cols, segment._entity_cols):
+            for views in cols.values():
+                if not all(isinstance(v, memoryview) for v in views):
+                    return False
     return True
 
 
@@ -185,8 +186,8 @@ def bench_sharded(ctx, save_result, save_json, tmp_path):
                 )
             qps[shards], parallelism[shards] = _measure_qps(finder, queries)
 
-            # composed with block-max pruning: per-shard walks against
-            # the shared global threshold, still byte-identical
+            # composed with block-max pruning: per-segment walks against
+            # the shared floor, still byte-identical
             finder.engine = "columnar-pruned"
             before = finder.pruning_stats
             scanned0, skipped0 = before.blocks_scanned, before.blocks_skipped
@@ -226,7 +227,7 @@ def bench_sharded(ctx, save_result, save_json, tmp_path):
     for i, q in enumerate(queries):
         assert loaded.find_experts(q, window=_WINDOW) == expected[_WINDOW][i]
     shard_bytes = sum(
-        p.stat().st_size for p in snap_dir.rglob("shard-*.bin")
+        p.stat().st_size for p in snap_dir.rglob("segment-*.bin")
     )
     one_group_kb = _group_private_kb(snap_dir, analyzer, queries[0])
     two_group_kb = [
@@ -259,7 +260,7 @@ def bench_sharded(ctx, save_result, save_json, tmp_path):
         "rankings: sharded == unsharded columnar (all shard counts, "
         "all windows, serial + pool + pruned)",
         f"mapped shard columns zero-copy: {zero_copy} "
-        f"({shard_bytes / 1024:.1f} KiB in shard bins)",
+        f"({shard_bytes / 1024:.1f} KiB in shard segment bins)",
     ]
     if have_memory:
         lines += [

@@ -23,7 +23,7 @@ import time
 
 from repro.core.config import FinderConfig
 from repro.core.expert_finder import ExpertFinder
-from repro.core.service import ExpertSearchService
+from repro.core.service import ExpertSearchService, percentile
 
 #: streamed resources (every 5th is Italian → evidence-only)
 _EVENTS = 40
@@ -33,12 +33,6 @@ _SEAL_THRESHOLD = 16
 
 #: timed uncached passes over the query set after the stream
 _ROUNDS = 5
-
-
-def _percentile(values: list[float], percentile: float) -> float:
-    ordered = sorted(values)
-    rank = max(1, -(-len(ordered) * percentile // 100))  # ceil
-    return ordered[int(rank) - 1]
 
 
 def bench_streaming(ctx, save_result, save_json):
@@ -117,10 +111,10 @@ def bench_streaming(ctx, save_result, save_json):
         f"segments after stream: {stats.segments} live, {stats.buffered} "
         f"buffered, {stats.seals} seals, {stats.compactions} compactions",
         "",
-        f"observe:        p50 {_percentile(observe_s, 50) * 1e6:8.1f}µs"
-        f"   p95 {_percentile(observe_s, 95) * 1e6:8.1f}µs",
-        f"observe+query:  p50 {_percentile(observe_query_s, 50) * 1e3:8.2f}ms"
-        f"   p95 {_percentile(observe_query_s, 95) * 1e3:8.2f}ms",
+        f"observe:        p50 {percentile(sorted(observe_s), 50) * 1e6:8.1f}µs"
+        f"   p95 {percentile(sorted(observe_s), 95) * 1e6:8.1f}µs",
+        f"observe+query:  p50 {percentile(sorted(observe_query_s), 50) * 1e3:8.2f}ms"
+        f"   p95 {percentile(sorted(observe_query_s), 95) * 1e3:8.2f}ms",
         f"uncached q/s after the stream: {qps:8.0f}",
     ]
     save_result("streaming", "\n".join(lines))
@@ -135,10 +129,10 @@ def bench_streaming(ctx, save_result, save_json):
             "segments": stats.segments,
             "seals": stats.seals,
             "compactions": stats.compactions,
-            "observe_p50_s": _percentile(observe_s, 50),
-            "observe_p95_s": _percentile(observe_s, 95),
-            "observe_query_p50_s": _percentile(observe_query_s, 50),
-            "observe_query_p95_s": _percentile(observe_query_s, 95),
+            "observe_p50_s": percentile(sorted(observe_s), 50),
+            "observe_p95_s": percentile(sorted(observe_s), 95),
+            "observe_query_p50_s": percentile(sorted(observe_query_s), 50),
+            "observe_query_p95_s": percentile(sorted(observe_query_s), 95),
             "uncached_qps": qps,
         },
     )

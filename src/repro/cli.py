@@ -45,6 +45,17 @@ _EXPERIMENTS = (
 )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the count flags: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", help="directory of a saved dataset (repro dataset)")
     parser.add_argument(
@@ -137,17 +148,11 @@ def _build_finder(
     config = FinderConfig(
         alpha=args.alpha, window=args.window, max_distance=args.distance
     )
-    build_kwargs = {}
-    if getattr(args, "workers", 1) != 1:
-        build_kwargs["workers"] = args.workers
-    if getattr(args, "chunk_size", None):
-        build_kwargs["chunk_size"] = args.chunk_size
-    if getattr(args, "shards", None):
-        build_kwargs["shards"] = args.shards
-    if getattr(args, "seal_threshold", None):
-        build_kwargs["seal_threshold"] = args.seal_threshold
-    if getattr(args, "block_span", None):
-        build_kwargs["block_span"] = args.block_span
+    build_kwargs = {
+        name: getattr(args, name)
+        for name in ("workers", "chunk_size", "shards", "seal_threshold", "block_span")
+        if getattr(args, name, None) is not None
+    }
     return ExpertFinder.build(
         dataset.graph_for(platform),
         dataset.candidates_for(platform),
@@ -169,11 +174,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
         source = "cold build"
     if args.compact:
         segmented = finder.segmented_index
-        if segmented is None:
-            raise SystemExit(
-                "error: --compact merges one segmented index; a sharded "
-                "finder keeps one per shard"
-            )
         before = segmented.stats
         segmented.compact(full=True)
         after = segmented.stats
@@ -190,21 +190,14 @@ def _cmd_index(args: argparse.Namespace) -> int:
         f"({source}, {built - t0:.1f}s; save {saved - built:.1f}s) → {args.out}"
     )
     seg_stats = finder.index_stats
-    if seg_stats is not None:
-        print(
-            f"segments: {seg_stats.segments} live "
-            f"(docs per segment: {list(seg_stats.segment_docs)}), "
-            f"{seg_stats.buffered} buffered, "
-            f"{seg_stats.seals} seals, {seg_stats.compactions} compactions"
-        )
-    sharded = finder.sharded_index
-    if sharded is not None:
-        shard_stats = sharded.stats
-        print(
-            f"shards: {shard_stats.shards} "
-            f"(docs per shard: {list(shard_stats.shard_docs)}), "
-            f"{shard_stats.documents} unique indexed documents"
-        )
+    print(
+        f"segments: {seg_stats.segments} live "
+        f"(docs per segment: {list(seg_stats.segment_docs)}), "
+        f"{seg_stats.buffered} buffered, "
+        f"{seg_stats.seals} seals, {seg_stats.compactions} compactions"
+    )
+    if seg_stats.shards:
+        print(f"shards: the first {seg_stats.shards} segments")
     stats = finder.build_stats
     if stats is not None:
         print(f"build stages: {stats.render()}")
@@ -240,7 +233,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         finder.engine = args.engine
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from exc
-    if finder.sharded_index is not None:
+    if finder.index_stats.shards:
         finder.start_scatter_pool()  # fork workers before timing starts
     ready = time.time()
     service = ExpertSearchService(finder, cache_size=args.cache_size)
@@ -272,29 +265,22 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    print(
-        f"finder ready in {ready - t0:.1f}s "
-        f"({source}, {args.engine} engine, {finder.index_mode} index)"
-    )
+    print(f"finder ready in {ready - t0:.1f}s ({source}, {args.engine} engine)")
     print(
         f"{stats.queries} queries in {elapsed:.2f}s — {qps:.0f} q/s, "
         f"hit rate {stats.hit_rate:.0%}, "
         f"p50 {stats.p50_latency * 1e3:.2f}ms, "
         f"p95 {stats.p95_latency * 1e3:.2f}ms"
     )
-    if finder.index_mode == "segmented":
-        print(
-            f"segments: {stats.segments} live, {stats.buffered_docs} buffered, "
-            f"{stats.compactions} compactions, "
-            f"cache survivals {stats.cache_survivals} vs "
-            f"clears {stats.invalidations}"
-        )
-    if finder.index_mode == "sharded":
-        sharded = finder.sharded_index
-        print(
-            f"shards: {sharded.shard_count}, "
-            f"batch parallelism {stats.batch_parallelism:.1f}"
-        )
+    print(
+        f"segments: {stats.segments} live, {stats.buffered_docs} buffered, "
+        f"{stats.compactions} compactions, "
+        f"cache survivals {stats.cache_survivals} vs "
+        f"clears {stats.invalidations}"
+    )
+    shards = finder.index_stats.shards
+    if shards:
+        print(f"shards: {shards}, batch parallelism {stats.batch_parallelism:.1f}")
     if args.engine == "columnar-pruned":
         print(
             f"pruning: {stats.pruned_queries} pruned + "
@@ -356,7 +342,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     except ValueError as exc:
-        # e.g. object engine on a sharded snapshot
         raise SystemExit(f"error: {exc}") from exc
     return 0
 
@@ -479,14 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--distance", type=int, default=2, choices=(0, 1, 2))
     p_index.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
-        help="worker processes for the analyze/index build stages "
+        help="worker processes for the analyze build stage "
         "(results are identical for any count)",
     )
     p_index.add_argument(
         "--chunk-size",
-        type=int,
+        type=_positive_int,
         default=None,
         help="nodes per worker dispatch (default 256)",
     )
@@ -503,29 +488,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_index.add_argument(
         "--shards",
-        type=int,
+        type=_positive_int,
         default=None,
-        help="partition candidates into K scatter-gather shards "
-        "(rankings identical to the single-index build; queries can "
+        help="seal the build as K shard segments split by resource "
+        "(rankings identical to the single-segment build; queries can "
         "then fan out across a worker pool)",
     )
     p_index.add_argument(
         "--seal-threshold",
-        type=int,
+        type=_positive_int,
         default=None,
         help="write-buffer size (resources) at which it seals",
     )
     p_index.add_argument(
         "--block-span",
-        type=int,
+        type=_positive_int,
         help="doc-index span per block-max pruning block (default 32); "
         "rankings are unaffected",
     )
     p_index.add_argument(
         "--compact",
         action="store_true",
-        help="merge all segments (and the write buffer) into one segment "
-        "before saving",
+        help="merge all segments but the shard segments (and the write "
+        "buffer) into one segment before saving",
     )
     p_index.set_defaults(func=_cmd_index)
 
@@ -559,15 +544,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--shards",
-        type=int,
+        type=_positive_int,
         default=None,
-        help="build a candidate-sharded finder and serve batches through "
-        "the scatter-gather worker pool (ignored with --snapshot, which "
+        help="build a sharded finder and serve batches through the "
+        "scatter-gather worker pool (ignored with --snapshot, which "
         "carries its own shard count)",
     )
     p_serve.add_argument(
         "--seal-threshold",
-        type=int,
+        type=_positive_int,
         default=None,
         help="write-buffer size (resources) at which it seals",
     )
@@ -599,14 +584,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("columnar", "columnar-pruned", "object"),
         default="columnar",
-        help="query engine for cache misses (object is invalid for "
-        "sharded snapshots)",
+        help="query engine for cache misses (columnar-pruned = block-max "
+        "dynamic pruning, object = reference path)",
     )
     p_gw.add_argument(
         "--shards",
-        type=int,
+        type=_positive_int,
         default=None,
-        help="when building in process: candidate shards for "
+        help="when building in process: shard segments for "
         "scatter-gather batches (ignored with --snapshot, which carries "
         "its own layout)",
     )

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from repro.index.segments import SegmentedIndex, SegmentStats
-    from repro.index.sharded import ShardedIndex, ShardedQueryExecutor
+    from repro.index.sharded import ShardedQueryExecutor
 
 from repro.core.build_stats import BuildStats
 from repro.core.config import FinderConfig
@@ -42,12 +42,6 @@ from repro.socialgraph.graph import SocialGraph
 #: languages admitted into the index: English resources (paper Sec. 3.1)
 #: plus texts too short for identification (profile fragments)
 _INDEXABLE_LANGUAGES = frozenset({"en", "und"})
-
-#: why a sharded finder rejects the object path
-_SHARDED_OBJECT = (
-    "a sharded finder cannot serve the object engine "
-    "(its collection is split across shards)"
-)
 
 #: sentinel for "use the configured window" in rank-time overrides
 #: (``None`` already means "no window", so it cannot double as unset)
@@ -88,19 +82,13 @@ class ExpertFinder:
         *,
         evidence_counts: Mapping[str, int],
         indexed_count: int,
+        segmented: "SegmentedIndex",
         engine: str = "columnar",
-        segmented: "SegmentedIndex | None" = None,
-        sharded: "ShardedIndex | None" = None,
     ):
         if engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-        index: "SegmentedIndex | ShardedIndex | None" = segmented or sharded
-        if index is None or (segmented is not None and sharded is not None):
-            raise ValueError("exactly one of segmented or sharded must be given")
         self._analyzer = analyzer
-        self._index = index
-        self._segmented = segmented
-        self._sharded = sharded
+        self._index = segmented
         #: the object path's retriever over the merged collection, built
         #: on first use and dropped by the next indexed observe
         self._retriever: VectorSpaceRetriever | None = None
@@ -111,8 +99,6 @@ class ExpertFinder:
         self._indexed_count = indexed_count
         self._build_stats: BuildStats | None = None
         self._engine_kind = engine
-        if sharded is not None and engine == "object":
-            raise ValueError(_SHARDED_OBJECT)
         #: cumulative block-max counters for this finder's pruned
         #: queries; survives snapshot reloads of the same object
         self._pruning_stats = PruningStats()
@@ -151,11 +137,11 @@ class ExpertFinder:
 
         The build runs as a three-stage pipeline — shared-frontier
         gathering, text/entity analysis, index fill — and *workers*
-        shards the analysis and indexing stages across a process pool
-        in chunks of *chunk_size* nodes (see :mod:`repro.index.parallel`;
-        *analyzer_factory* is only needed on platforms without ``fork``).
-        Results are identical for any worker count; per-stage timings
-        are exposed as :attr:`build_stats`.
+        shards the analysis stage across a process pool in chunks of
+        *chunk_size* nodes (see :mod:`repro.index.parallel`;
+        *analyzer_factory* is only needed on platforms without ``fork``);
+        the index fill is serial. Results are identical for any worker
+        count; per-stage timings are exposed as :attr:`build_stats`.
 
         The built indexes become the one sealed segment of a
         :class:`~repro.index.segments.SegmentedIndex`; streamed observes
@@ -167,11 +153,10 @@ class ExpertFinder:
         changes rankings, only how coarsely the "columnar-pruned" engine
         can skip.
 
-        *shards* partitions the candidates (and their evidence) into K
-        :class:`~repro.index.sharded.ShardIndex` groups behind a
-        scatter-gather coordinator — rankings stay byte-identical while
-        queries can fan out across a worker pool (see
-        :meth:`start_scatter_pool`).
+        *shards* seals the built indexes as K shard segments split by
+        resource instead of one segment — rankings stay byte-identical
+        while queries can fan out across a worker pool, one worker per
+        shard segment (see :meth:`start_scatter_pool`).
         """
         config = config or FinderConfig()
         _check_shards(shards)
@@ -219,16 +204,14 @@ class ExpertFinder:
             unique_nodes[analyzed.doc_id] = analyzed
         analyze_s = time.perf_counter() - t0
 
-        # stage 3 — index: fill (or shard and merge) the two indexes
+        # stage 3 — index: fill the two indexes
         t0 = time.perf_counter()
         documents = [
             analyzed
             for analyzed in unique_nodes.values()
             if analyzed is not None and analyzed.language in _INDEXABLE_LANGUAGES
         ]
-        term_index, entity_index = build_indexes(
-            documents, workers=workers, chunk_size=chunk_size
-        )
+        term_index, entity_index = build_indexes(documents)
         index_s = time.perf_counter() - t0
 
         finder = cls._assemble(
@@ -393,37 +376,31 @@ class ExpertFinder:
         compaction: str,
         block_span: int | None,
     ) -> "ExpertFinder":
-        """Wrap built indexes in a segmented (or K-sharded) index — the
-        shared tail of :meth:`build` and :meth:`from_stream`."""
+        """Wrap built indexes in a segmented index (with K shard segments
+        when *shards* is set) — the shared tail of :meth:`build` and
+        :meth:`from_stream`."""
         from repro.index.segments import DEFAULT_SEAL_THRESHOLD, SegmentedIndex
-        from repro.index.sharded import ShardedIndex
 
-        layout: dict[str, Any] = {
-            "seal_threshold": (
+        segmented = SegmentedIndex.from_built(
+            term_index,
+            entity_index,
+            evidence_of,
+            config,
+            shards=shards,
+            seal_threshold=(
                 DEFAULT_SEAL_THRESHOLD if seal_threshold is None else seal_threshold
             ),
-            "compaction": compaction,
-            "block_span": block_span,
-        }
-        counts: dict[str, Any] = {
-            "evidence_counts": evidence_counts,
-            "indexed_count": indexed_count,
-        }
-        if shards is not None:
-            sharded = ShardedIndex.from_built(
-                term_index,
-                entity_index,
-                evidence_of,
-                evidence_counts,
-                config,
-                shards=shards,
-                **layout,
-            )
-            return cls(analyzer, evidence_of, config, sharded=sharded, **counts)
-        segmented = SegmentedIndex.from_built(
-            term_index, entity_index, evidence_of, config, **layout
+            compaction=compaction,
+            block_span=block_span,
         )
-        return cls(analyzer, evidence_of, config, segmented=segmented, **counts)
+        return cls(
+            analyzer,
+            evidence_of,
+            config,
+            evidence_counts=evidence_counts,
+            indexed_count=indexed_count,
+            segmented=segmented,
+        )
 
     # -- persistence ---------------------------------------------------------------
 
@@ -455,26 +432,14 @@ class ExpertFinder:
         return self._config
 
     @property
-    def index_mode(self) -> str:
-        """The index layout: "segmented", or "sharded" for a finder built
-        with ``shards=K``."""
-        return "segmented" if self._segmented is not None else "sharded"
+    def segmented_index(self) -> "SegmentedIndex":
+        """The segmented index every query runs on."""
+        return self._index
 
     @property
-    def segmented_index(self) -> "SegmentedIndex | None":
-        """The segmented index (None for other layouts)."""
-        return self._segmented
-
-    @property
-    def sharded_index(self) -> "ShardedIndex | None":
-        """The sharded scatter-gather index (None for other layouts)."""
-        return self._sharded
-
-    @property
-    def index_stats(self) -> "SegmentStats | None":
-        """Segment/buffer gauges of the segmented index; None for
-        sharded finders."""
-        return None if self._segmented is None else self._segmented.stats
+    def index_stats(self) -> "SegmentStats":
+        """Segment/buffer gauges of the segmented index."""
+        return self._index.stats
 
     @property
     def evidence_of(self) -> Mapping[str, Sequence[tuple[str, int]]]:
@@ -509,8 +474,7 @@ class ExpertFinder:
         segment columns, the default), "columnar-pruned" (the same path
         with block-max dynamic pruning — exact for absolute-count
         windows, automatic exhaustive fallback otherwise), or "object"
-        (the reference retriever/ranker path, unavailable on sharded
-        finders). Rankings are byte-identical on every engine; the
+        (the reference retriever/ranker path). Rankings are byte-identical on every engine; the
         object path additionally powers :meth:`match_resources` and
         :meth:`rank_matches`, which expose per-resource breakdowns."""
         return self._engine_kind
@@ -526,19 +490,14 @@ class ExpertFinder:
     def engine(self, kind: str) -> None:
         if kind not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {kind!r}")
-        if kind == "object" and self._sharded is not None:
-            raise ValueError(_SHARDED_OBJECT)
         self._engine_kind = kind
 
     def _object_retriever(self) -> VectorSpaceRetriever:
         """The object path's :class:`VectorSpaceRetriever` over the merged
         segments + buffer — the reference the fast engines are tested
         against. Built on first use; an indexed observe drops it."""
-        segmented = self._segmented
-        if segmented is None:
-            raise RuntimeError(_SHARDED_OBJECT)
         if self._retriever is None:
-            term_index, entity_index, _evidence = segmented.merged_slice()
+            term_index, entity_index, _evidence = self._index.merged_slice()
             self._retriever = VectorSpaceRetriever(
                 term_index,
                 entity_index,
@@ -565,8 +524,8 @@ class ExpertFinder:
         the index (False for non-English content, which is observed as
         evidence but not indexed, mirroring the build-time language cut).
 
-        The resource lands in the write buffer (of every owning shard,
-        on a sharded finder) and no compiled segment state is lost;
+        The resource lands in the write buffer and no compiled segment
+        state is lost;
         subsequent queries see updated irf/eirf values immediately. A
         non-indexing observe changes no statistics and cannot match any
         query.
@@ -585,8 +544,6 @@ class ExpertFinder:
 
         analyzed = self._analyzer.analyze(node_id, text, language=language)
         indexed = analyzed.language in _INDEXABLE_LANGUAGES
-        # a sharded index routes restricted rows to the owning shards'
-        # write buffers and broadcasts to pool workers in lockstep
         self._index.add(analyzed, supporters, index=indexed)
         if indexed:
             self._retriever = None  # the collection statistics moved
@@ -605,7 +562,7 @@ class ExpertFinder:
         limit: int | None = None,
     ) -> list[ResourceMatch]:
         """The relevant-resource set RR for a need, best first (Eq. 1),
-        computed on the object path (not available on sharded finders).
+        computed on the object path.
 
         *alpha* overrides the configured value for parameter sweeps —
         the indexes do not depend on it, so no rebuild is needed.
@@ -669,8 +626,8 @@ class ExpertFinder:
         the default to use the configured window).
 
         The "columnar" engines score document-at-a-time across the live
-        segments plus the write buffer (or scatter across shards); the
-        "object" engine is the reference retriever/ranker path. All
+        segments plus the write buffer (the shard segments through the
+        scatter pool, when one runs); the "object" engine is the reference retriever/ranker path. All
         paths produce the same list, bit for bit.
 
         On the object path, when the effective window is an absolute
@@ -709,18 +666,16 @@ class ExpertFinder:
         window: int | float | None | EllipsisType = _UNSET,
     ) -> list[list[ExpertScore]]:
         """Batch counterpart of :meth:`find_experts` — identical results
-        to a serial loop. On a sharded finder with an active scatter
-        pool the batch is pipelined through the pool, overlapping this
-        process's analyze/merge with the workers' shard scoring;
-        everywhere else it loops."""
+        to a serial loop. With an active scatter pool the batch is
+        pipelined through the pool, overlapping this process's own
+        scoring and merge with the workers' shard scoring."""
         _check_top_k(top_k)
-        sharded = self._sharded
-        if sharded is None or sharded.executor is None:
+        if self._engine_kind == "object":
             return [
                 self.find_experts(need, top_k=top_k, alpha=alpha, window=window)
                 for need in needs
             ]
-        return sharded.find_experts_many(
+        return self._index.find_experts_many(
             [self._analyze_need(need) for need in needs],
             alpha=self._config.alpha if alpha is None else alpha,
             window=self._config.window if window is _UNSET else window,
@@ -732,14 +687,12 @@ class ExpertFinder:
     # -- the scatter pool ---------------------------------------------------------
 
     def start_scatter_pool(self) -> "ShardedQueryExecutor":
-        """Fork the persistent per-shard worker pool (sharded finders
-        only; idempotent). Queries then scatter to the workers instead
-        of evaluating shards serially in this process."""
-        if self._sharded is None:
-            raise RuntimeError("only a sharded finder has a scatter pool")
-        return self._sharded.start_executor()
+        """Fork the persistent worker pool, one worker per shard segment
+        (sharded finders only; idempotent). Queries then scatter the
+        shard segments to the workers instead of scoring them serially
+        in this process."""
+        return self._index.start_scatter_pool()
 
     def close_scatter_pool(self) -> None:
         """Stop the scatter pool if one is running (idempotent)."""
-        if self._sharded is not None:
-            self._sharded.stop_executor()
+        self._index.close_scatter_pool()

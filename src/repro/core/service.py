@@ -27,9 +27,9 @@ an observe can never interleave with a query's cache fill and leave a
 stale ranking behind. The lock deliberately also covers the finder
 compute — the compiled engines reuse per-instance scratch buffers
 (flat accumulators, touched lists), so finder evaluation is
-single-threaded by design; cross-core scaling comes from sharded
-scatter-gather worker processes, not from racing threads through one
-engine.
+single-threaded by design; cross-core scaling comes from the scatter
+pool's worker processes (one per shard segment), not from racing
+threads through one engine.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ class ServiceStats:
 
     The segment/buffer fields are streaming gauges: observes that could
     not change any cached result keep the cache (``cache_survivals``)
-    instead of clearing it (``invalidations``), and a segmented finder
-    additionally reports its live segment count, buffered resources, and
-    compaction merges (all 0 for sharded finders).
+    instead of clearing it (``invalidations``), and the finder's index
+    reports its live segment count, buffered resources, and compaction
+    merges.
 
     The pruning fields mirror the finder's cumulative block-max counters
     (see :class:`~repro.index.blockmax.PruningStats`) — all 0 unless the
@@ -147,10 +147,6 @@ def percentile(sorted_values: Sequence[float], percentile: float) -> float:
         return 0.0
     rank = max(1, -(-len(sorted_values) * percentile // 100))  # ceil
     return sorted_values[int(rank) - 1]
-
-
-#: compatibility alias (the helper predates its public export)
-_percentile = percentile
 
 
 class ExpertSearchService:
@@ -267,18 +263,16 @@ class ExpertSearchService:
         """Answer several needs under one parameter setting, in order.
 
         Duplicate needs within the batch hit the cache like repeated
-        single queries would. On a sharded finder with an active scatter
-        pool (and a non-object engine) the cache misses are dispatched
+        single queries would. With an active scatter pool (and a
+        non-object engine) the cache misses are dispatched
         through the pool in one pipelined pass
         (:meth:`ExpertFinder.find_experts_many`) instead of serially —
         results are identical, and the achieved overlap shows up as
         :attr:`ServiceStats.batch_parallelism`."""
         finder = self._finder
-        sharded = finder.sharded_index
         if (
             len(needs) < 2
-            or sharded is None
-            or sharded.executor is None
+            or finder.segmented_index.scatter_pool is None
             or finder.engine == "object"
         ):
             return [
@@ -301,8 +295,6 @@ class ExpertSearchService:
         window: int | float | None | EllipsisType,
     ) -> list[list[ExpertScore]]:
         finder = self._finder
-        sharded = finder.sharded_index
-        assert sharded is not None and sharded.executor is not None
         keys = [
             self._cache_key(
                 need.text if isinstance(need, ExpertiseNeed) else need,
@@ -335,8 +327,9 @@ class ExpertSearchService:
             computed = finder.find_experts_many(
                 miss_needs, top_k=top_k, alpha=alpha, window=window
             )
-            if len(miss_needs) > 1:
-                self._batch_depth_sum += sharded.executor.last_batch_depth
+            pool = finder.segmented_index.scatter_pool
+            if len(miss_needs) > 1 and pool is not None:
+                self._batch_depth_sum += pool.last_batch_depth
                 self._batch_dispatches += 1
             if self._cache_size:
                 for key, j in miss_of.items():
@@ -420,9 +413,9 @@ class ExpertSearchService:
             p50_latency=percentile(ordered, 50),
             p95_latency=percentile(ordered, 95),
             cache_survivals=self._cache_survivals,
-            segments=0 if index_stats is None else index_stats.segments,
-            buffered_docs=0 if index_stats is None else index_stats.buffered,
-            compactions=0 if index_stats is None else index_stats.compactions,
+            segments=index_stats.segments,
+            buffered_docs=index_stats.buffered,
+            compactions=index_stats.compactions,
             pruned_queries=pruning.pruned_queries,
             fallback_queries=pruning.fallback_queries,
             blocks_scanned=pruning.blocks_scanned,

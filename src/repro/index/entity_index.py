@@ -78,8 +78,8 @@ class EntityIndex:
         """Append *other*'s postings into this index.
 
         Same contract as :meth:`repro.index.inverted.InvertedIndex.merge`:
-        shard-order merging reproduces the serial postings order, a
-        document present in both shards is an error, and the bumped
+        stream-order merging reproduces the serial postings order, a
+        document present in both slices is an error, and the bumped
         :attr:`version` makes any
         :class:`~repro.index.statistics.CollectionStatistics` over this
         index refresh itself on its next read.

@@ -74,13 +74,13 @@ class InvertedIndex:
     def merge(self, other: "InvertedIndex") -> None:
         """Append *other*'s postings into this index.
 
-        Built for the sharded cold build: each worker indexes a
-        contiguous slice of the document stream, and merging the shards
-        in slice order reproduces the serial postings order exactly —
-        *other*'s postings go after this index's for every shared term,
-        and previously unseen terms keep *other*'s first-seen order.
-        A document indexed by both shards is an error (the collection
-        is append-only; nothing may be indexed twice).
+        Segment compaction merges adjacent slices of the document
+        stream, and merging them in stream order reproduces the serial
+        postings order exactly — *other*'s postings go after this
+        index's for every shared term, and previously unseen terms keep
+        *other*'s first-seen order. A document indexed by both slices is
+        an error (the collection is append-only; nothing may be indexed
+        twice).
 
         The merge bumps :attr:`version`, so any
         :class:`~repro.index.statistics.CollectionStatistics` over this

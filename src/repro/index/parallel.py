@@ -1,15 +1,15 @@
-"""Parallel building blocks for the cold-build pipeline.
+"""Building blocks for the cold-build pipeline.
 
-Two embarrassingly parallel stages dominate a cold build: analyzing raw
-node text into :class:`AnalyzedResource` objects (Porter stemming +
-entity annotation, pure CPU) and filling the two inverted indexes.
-This module shards both across a ``ProcessPoolExecutor``:
+Analyzing raw node text into :class:`AnalyzedResource` objects (Porter
+stemming + entity annotation, pure CPU) dominates a cold build and is
+embarrassingly parallel:
 
 * :func:`analyze_tasks` — run ``(doc_id, text, language)`` tasks through
-  a :class:`ResourceAnalyzer`, chunked across workers, results returned
-  in task order;
-* :func:`build_indexes` — build per-chunk index shards and merge them
-  (see :meth:`InvertedIndex.merge`) into one term + one entity index.
+  a :class:`ResourceAnalyzer`, chunked across a ``ProcessPoolExecutor``,
+  results returned in task order;
+* :func:`build_indexes` — fill one term + one entity index serially
+  (shipping per-chunk postings back from a pool costs more than filling
+  them in place).
 
 Determinism: the analyzer is a pure function of its input, chunks are
 contiguous slices, and results are reassembled in submission order, so
@@ -123,46 +123,14 @@ def analyze_tasks(
         _WORKER_ANALYZER = None
 
 
-def _index_chunk(
-    chunk: Sequence[tuple[str, dict[str, int], dict[str, tuple[int, float]]]],
-) -> tuple[InvertedIndex, EntityIndex]:
-    terms = InvertedIndex()
-    entities = EntityIndex()
-    for doc_id, term_counts, entity_counts in chunk:
-        terms.add_document(doc_id, term_counts)
-        entities.add_document(doc_id, entity_counts)
-    return terms, entities
-
-
 def build_indexes(
     documents: Sequence[AnalyzedResource],
-    *,
-    workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> tuple[InvertedIndex, EntityIndex]:
-    """Index *documents* into a (term index, entity index) pair.
-
-    ``workers=1`` fills both indexes serially; more workers build one
-    shard pair per contiguous chunk in a process pool and merge the
-    shards in chunk order, which reproduces the serial postings order
-    exactly (see :meth:`InvertedIndex.merge`).
-    """
-    _check_pool_args(workers, chunk_size)
-    payload = [(d.doc_id, d.term_counts, d.entity_counts) for d in documents]
-    if workers == 1 or len(payload) <= chunk_size:
-        return _index_chunk(payload)
-
+    """Index *documents*, in order, into a (term index, entity index)
+    pair."""
     term_index = InvertedIndex()
     entity_index = EntityIndex()
-    context = (
-        multiprocessing.get_context("fork")
-        if "fork" in multiprocessing.get_all_start_methods()
-        else multiprocessing.get_context()
-    )
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        for term_shard, entity_shard in pool.map(
-            _index_chunk, _chunked(payload, chunk_size)
-        ):
-            term_index.merge(term_shard)
-            entity_index.merge(entity_shard)
+    for document in documents:
+        term_index.add_document(document.doc_id, document.term_counts)
+        entity_index.add_document(document.doc_id, document.entity_counts)
     return term_index, entity_index

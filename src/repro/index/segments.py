@@ -3,8 +3,9 @@
 Every finder layout is a :class:`SegmentedIndex` (cf. production
 expert-mining systems, which absorb half a billion streamed signals this
 way — Spasojevic et al.): a cold build is one sealed segment plus an
-empty write buffer, and a candidate-sharded finder is K of them (see
-:mod:`repro.index.sharded`). The pieces:
+empty write buffer, and a ``shards=K`` build seals its base as K *shard
+segments* split by resource (see :mod:`repro.index.sharded`). The
+pieces:
 
 * **write buffer** — streamed resources (Eq. 1 term/entity postings plus
   Eq. 3 evidence rows) land in a small mutable :class:`_WriteBuffer`,
@@ -16,8 +17,9 @@ empty write buffer, and a candidate-sharded finder is K of them (see
   touched again;
 * **tiered compaction** — segments of the same size tier are merged
   (reusing :meth:`InvertedIndex.merge` / :meth:`EntityIndex.merge`, which
-  preserve postings order) either synchronously after a seal, from a
-  background thread, or only on explicit :meth:`SegmentedIndex.compact`.
+  preserve postings order) either synchronously after a seal or only on
+  explicit :meth:`SegmentedIndex.compact`. Shard segments are pinned:
+  compaction only ever merges the segments sealed after them.
 
 A query forms its per-item weights ``tw = irf^p`` / ``ew = eirf^p`` once
 from **shared collection statistics** (the union document count and the
@@ -30,7 +32,9 @@ absolute window each segment sorts and cuts its own matches to the
 window (or, pruned, keeps a window-sized heap over block-max ordered
 blocks); string ids and evidence rows are looked up for the survivors
 only. One global ``(-score, doc_id)`` sort and window cut follows, then
-the Eq. 3 fold (:func:`fold_experts`).
+the Eq. 3 fold (:func:`fold_experts`). With a scatter pool attached, the
+shard segments are scored by forked workers while this process scores
+the buffer and the later segments; the merge is the same.
 
 The per-segment cut is exact: each document lives in exactly one source
 and, within a segment, doc-index order is doc-id order, so the global
@@ -41,10 +45,10 @@ the object path's float operations in the same order, so rankings are
 (``tests/core/test_streaming.py`` and ``tests/index/test_columnar.py``
 pin this).
 
-Thread model: one thread queries and writes; only compaction may run on
-a background thread. The live-segment list is swapped immutably under a
-lock, so a query holds a consistent snapshot while the compactor
-replaces merged runs; sealed segments are never mutated.
+Thread model: one thread queries and writes. The live-segment list is
+swapped immutably under a lock, so a query holds a consistent snapshot
+while a compaction replaces merged runs; sealed segments are never
+mutated.
 """
 
 from __future__ import annotations
@@ -73,6 +77,12 @@ from repro.index.blockmax import (
 )
 from repro.index.entity_index import EntityIndex
 from repro.index.inverted import InvertedIndex
+from repro.index.sharded import (
+    DEFAULT_BATCH_INFLIGHT,
+    Request,
+    ShardedQueryExecutor,
+    split_by_resource,
+)
 from repro.index.vsm import entity_weight
 
 #: default buffer size (in resources) at which the buffer seals
@@ -81,7 +91,7 @@ DEFAULT_SEAL_THRESHOLD = 256
 #: default tier fanout: a run of this many same-tier segments is merged
 DEFAULT_FANOUT = 4
 
-_COMPACTION_MODES = ("synchronous", "background", "manual")
+_COMPACTION_MODES = ("synchronous", "manual")
 
 #: blocks between shared-floor lock round-trips in a pruned walk (see
 #: :meth:`Segment.score_pruned`)
@@ -202,6 +212,8 @@ class SegmentStats:
     seals: int
     #: compaction merges performed
     compactions: int
+    #: leading segments that are shard segments (0 unsharded)
+    shards: int
 
 
 class Segment:
@@ -479,11 +491,12 @@ class Segment:
         entities: Sequence[tuple[str, float]],
         alpha: float,
         cut: int | None,
-    ) -> list[_Entry]:
-        """Every positive Eq. 1 match of this segment as ``(-score,
-        doc_id, rows)``, cut to the best *cut* when given (unsorted
-        otherwise). Accumulation order per document is the query's item
-        order, terms before entities — the object path's order."""
+    ) -> list[tuple[float, int]]:
+        """Every positive Eq. 1 match of this segment as ``(-score, doc
+        index)`` (see :meth:`resolve`), cut to the best *cut* when given
+        (unsorted otherwise). Accumulation order per document is the
+        query's item order, terms before entities — the object path's
+        order."""
         term_acc = self._term_acc
         entity_acc = self._entity_acc
         flags = self._doc_flags
@@ -524,7 +537,7 @@ class Segment:
         if cut is not None and cut < len(hits):
             hits.sort()
             del hits[cut:]
-        return self._resolve(hits)
+        return hits
 
     def plan_pruned(
         self,
@@ -592,7 +605,7 @@ class Segment:
         bar: float,
         stats: PruningStats,
         shared_floor: Any = None,
-    ) -> tuple[list[_Entry], float]:
+    ) -> tuple[list[tuple[float, int]], float]:
         """Block-max evaluation of this segment's top-*window* matches
         along the agenda *plan* from :meth:`plan_pruned`.
 
@@ -609,8 +622,9 @@ class Segment:
         ``multiprocessing.Value('d')`` — another shard worker's): some
         ``window`` distinct documents score at least *bar*, so anything
         strictly below it can never enter the global window. It is only
-        ever used with a strict ``<``. Returns the surviving matches and
-        this segment's floor (0.0 unless its window filled).
+        ever used with a strict ``<``. Returns the surviving ``(-score,
+        doc index)`` matches and this segment's floor (0.0 unless its
+        window filled).
         """
         _best, tblocks, tmaps, emaps, slack = plan
         term_acc = self._term_acc
@@ -742,9 +756,9 @@ class Segment:
         # lone segment is one linear pass)
         hits = [(-sc, -nd) for sc, nd in heap]
         hits.sort()
-        return self._resolve(hits), floor if full else 0.0
+        return hits, floor if full else 0.0
 
-    def _resolve(self, hits: list[tuple[float, int]]) -> list[_Entry]:
+    def resolve(self, hits: list[tuple[float, int]]) -> list[_Entry]:
         """``(-score, doc index)`` survivors → ``(-score, doc_id, rows)``."""
         doc_ids = self._doc_ids
         evidence = self.evidence
@@ -865,11 +879,10 @@ class SegmentedIndex:
     """Sealed segments + write buffer behind one query interface.
 
     Construction: :meth:`from_built` wraps a cold build's indexes as the
-    base segment; :meth:`restore_compiled` rebuilds from mapped snapshot
-    segments; the bare constructor starts empty. ``compaction`` is one of ``"synchronous"``
-    (merge inline after each seal), ``"background"`` (a daemon thread
-    merges after seals; call :meth:`close` or use the index as a context
-    manager to stop it), or ``"manual"`` (only explicit :meth:`compact`).
+    base segment (or K shard segments); :meth:`restore_compiled` rebuilds
+    from mapped snapshot segments; the bare constructor starts empty.
+    ``compaction`` is ``"synchronous"`` (merge inline after each seal) or
+    ``"manual"`` (only explicit :meth:`compact`).
     """
 
     def __init__(
@@ -915,14 +928,10 @@ class SegmentedIndex:
         self._next_segment_id = 0
         self._lock = threading.Lock()  # guards _segments/_buffer swaps + ids
         self._compact_lock = threading.Lock()  # serializes compaction passes
-        self._closed = False
-        self._wake = threading.Event()
-        self._thread: threading.Thread | None = None
-        if compaction == "background":
-            self._thread = threading.Thread(
-                target=self._compact_loop, name="segment-compactor", daemon=True
-            )
-            self._thread.start()
+        #: the leading segments that are shard segments (pinned: never
+        #: merged, scored by the scatter pool's workers when one runs)
+        self._shards = 0
+        self._pool: ShardedQueryExecutor | None = None
 
     # -- construction --------------------------------------------------------------
 
@@ -934,12 +943,15 @@ class SegmentedIndex:
         evidence_of: Mapping[str, Sequence[tuple[str, int]]],
         config: FinderConfig,
         *,
+        shards: int | None = None,
         seal_threshold: int = DEFAULT_SEAL_THRESHOLD,
         compaction: str = "synchronous",
         fanout: int = DEFAULT_FANOUT,
         block_span: int | None = None,
     ) -> "SegmentedIndex":
-        """Wrap a cold build's indexes + evidence as the base segment."""
+        """Wrap a cold build's indexes + evidence as the base segment or,
+        with *shards*, as up to that many shard segments split by
+        resource (:func:`~repro.index.sharded.split_by_resource`)."""
         index = cls(
             config,
             seal_threshold=seal_threshold,
@@ -947,17 +959,24 @@ class SegmentedIndex:
             fanout=fanout,
             block_span=block_span,
         )
-        if evidence_of or term_index.document_count:
-            evidence = {
-                doc_id: tuple((cid, distance) for cid, distance in rows)
-                for doc_id, rows in evidence_of.items()
-            }
+        evidence = {
+            doc_id: tuple((cid, distance) for cid, distance in rows)
+            for doc_id, rows in evidence_of.items()
+        }
+        if shards is not None:
+            parts = split_by_resource(term_index, entity_index, evidence, shards)
+            index._shards = len(parts)
+        elif evidence or term_index.document_count:
+            parts = [(term_index, entity_index, evidence)]
+        else:
+            parts = []
+        for part_terms, part_entities, part_evidence in parts:
             index._register(
                 Segment(
                     index._next_id(),
-                    term_index,
-                    entity_index,
-                    evidence,
+                    part_terms,
+                    part_entities,
+                    part_evidence,
                     block_span=index._block_span,
                 )
             )
@@ -969,18 +988,26 @@ class SegmentedIndex:
         config: FinderConfig,
         segments: Iterable[Segment],
         buffer: tuple[InvertedIndex, EntityIndex, Mapping[str, _Rows]] | None,
+        *,
+        shards: int = 0,
         **kwargs: Any,
     ) -> "SegmentedIndex":
         """Rebuild from already-compiled :class:`Segment` objects (the
         snapshot-v3 mmap path, via :meth:`Segment.from_columns`) plus an
-        optional unsealed buffer; duplicated resources and out-of-range
-        evidence distances are rejected."""
+        optional unsealed buffer, the first *shards* of them pinned as
+        shard segments; duplicated resources and out-of-range evidence
+        distances are rejected."""
         index = cls(config, **kwargs)
         for segment in segments:
             index._register(segment)
             index._next_segment_id = max(
                 index._next_segment_id, segment.segment_id + 1
             )
+        if not 0 <= shards <= len(index._segments):
+            raise ValueError(
+                f"{shards} shard segment(s) but {len(index._segments)} segment(s)"
+            )
+        index._shards = shards
         if buffer is not None:
             term_index, entity_index, evidence = buffer
             restored = _WriteBuffer.restore(term_index, entity_index, evidence)
@@ -1064,11 +1091,8 @@ class SegmentedIndex:
         """Seal the buffer into a segment now (no-op when empty), then
         trigger compaction per the configured mode."""
         segment = self._seal()
-        if segment is not None:
-            if self._compaction == "synchronous":
-                self.compact()
-            elif self._compaction == "background":
-                self._wake.set()
+        if segment is not None and self._compaction == "synchronous":
+            self.compact()
         return segment
 
     def _seal(self) -> Segment | None:
@@ -1120,30 +1144,29 @@ class SegmentedIndex:
 
     def compact(self, *, full: bool = False) -> int:
         """Run compaction to quiescence; returns the merges performed.
+        Shard segments are pinned: only the segments after them merge.
 
-        ``full=True`` first seals the buffer, then merges *all* live
+        ``full=True`` first seals the buffer, then merges all of those
         segments into one — the "optimize" path behind
         ``repro index --compact``.
         """
+        pinned = self._shards
         with self._compact_lock:
             if full:
                 self._seal()
-                if len(self._segments) <= 1:
+                if len(self._segments) - pinned <= 1:
                     return 0
-                self._merge_range(0, len(self._segments))
+                self._merge_range(pinned, len(self._segments))
                 return 1
             merges = 0
             while True:
-                plan = self._plan(self._segments)
+                plan = self._plan(self._segments[pinned:])
                 if plan is None:
                     return merges
-                self._merge_range(*plan)
+                self._merge_range(plan[0] + pinned, plan[1] + pinned)
                 merges += 1
 
     def _merge_range(self, start: int, stop: int) -> None:
-        # seals only append at the tail, so [start, stop) stays valid for
-        # the duration of the merge even when writes race the background
-        # compactor; the swap below re-reads the live list under the lock
         run = self._segments[start:stop]
         term_index = InvertedIndex()
         entity_index = EntityIndex()
@@ -1163,45 +1186,6 @@ class SegmentedIndex:
             live = self._segments
             self._segments = [*live[:start], merged, *live[stop:]]
         self._compactions += 1
-
-    def _compact_loop(self) -> None:
-        while True:
-            self._wake.wait()
-            self._wake.clear()
-            if self._closed:
-                return
-            self.compact()
-
-    def await_compactions(self) -> None:
-        """Block until no compaction work remains (a background pass in
-        flight finishes first; then any residual plan runs inline)."""
-        self.compact()
-
-    def close(self, timeout: float = 10.0) -> None:
-        """Stop the background compactor, if any. Idempotent.
-
-        Raises :class:`RuntimeError` if the compactor thread is still
-        alive after *timeout* seconds — a wedged merge must surface, not
-        be silently abandoned mid-flight. The thread handle is kept so a
-        later :meth:`close` can retry the join.
-        """
-        self._closed = True
-        thread = self._thread
-        if thread is not None:
-            self._wake.set()
-            thread.join(timeout=timeout)
-            if thread.is_alive():
-                raise RuntimeError(
-                    f"segment compactor did not stop within {timeout} s; "
-                    "a compaction pass is still running"
-                )
-            self._thread = None
-
-    def __enter__(self) -> "SegmentedIndex":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # -- shared collection statistics ----------------------------------------------
 
@@ -1295,36 +1279,91 @@ class SegmentedIndex:
         windows evaluate each segment in the block-max mode (identical
         output, fewer postings touched); other window shapes fall back
         to the exhaustive path and are counted in *stats*."""
+        return self.find_experts_many(
+            [query], alpha=alpha, window=window, top_k=top_k, pruned=pruned,
+            stats=stats,
+        )[0]
+
+    def find_experts_many(
+        self,
+        queries: Sequence[AnalyzedResource],
+        *,
+        alpha: float,
+        window: int | float | None,
+        top_k: int | None = None,
+        pruned: bool = False,
+        stats: PruningStats | None = None,
+    ) -> list[list[ExpertScore]]:
+        """Batch counterpart of :meth:`find_experts`, identical to a
+        serial loop. With a scatter pool attached, the pool's workers
+        score the shard segments while this process scores the buffer
+        and the later segments; up to ``DEFAULT_BATCH_INFLIGHT`` queries
+        are in flight per worker, and a lone pruned query shares the
+        pool's floor. A failed pooled query closes the pool (replies
+        still in flight would answer the next one) and re-raises."""
         if stats is None:
             stats = self.pruning_stats
-        cut, pruned = plan_query(alpha, window, pruned, stats)
-        entries = self._collect(query, alpha, cut, pruned, stats)
+        cut, pruned = plan_query(alpha, window, pruned, stats, len(queries))
+        requests = [
+            (*self._query_weights(query, alpha), alpha, cut, pruned)
+            for query in queries
+        ]
+        pool = self._pool
+        if pool is None or not requests:
+            return [
+                self._rank(self._collect(request, self._segments, stats), window, top_k)
+                for request in requests
+            ]
+        shard_segments = self._segments[: self._shards]
+        later = self._segments[self._shards :]
+        share = pruned and len(requests) == 1
+        results = []
+        sent = depth = 0
+        try:
+            for i, request in enumerate(requests):
+                while sent < len(requests) and sent - i < DEFAULT_BATCH_INFLIGHT:
+                    pool.send(requests[sent], share)
+                    sent += 1
+                depth += sent - i
+                entries = self._collect(
+                    request, later, stats, pool.floor if share else None
+                )
+                for segment, hits in zip(shard_segments, pool.receive(stats)):
+                    entries += segment.resolve(hits)
+                results.append(self._rank(entries, window, top_k))
+        except BaseException:
+            self.close_scatter_pool()
+            raise
+        pool.last_batch_depth = depth / len(requests)
+        return results
+
+    def _rank(
+        self, entries: list[_Entry], window: int | float | None, top_k: int | None
+    ) -> list[ExpertScore]:
+        """The global window cut over every source's entries, then Eq. 3."""
         entries.sort()
         del entries[window_size(window, len(entries)):]
         return fold_experts(entries, self._weight_of, self._normalize, top_k)
 
     def _collect(
         self,
-        query: AnalyzedResource,
-        alpha: float,
-        cut: int | None,
-        pruned: bool,
+        request: Request,
+        segments: Sequence[Segment],
         stats: PruningStats,
         shared_floor: Any = None,
     ) -> list[_Entry]:
-        """Every source's share of the window as ``(-score, doc_id,
-        rows)``, unsorted: each source's best *cut* matches (all of
-        them when *cut* is None). A pruned walk carries the best proven
-        floor from source to source (and across shard workers through
-        *shared_floor*)."""
-        terms, entities = self._query_weights(query, alpha)
+        """The buffer's and *segments*' share of the window as
+        ``(-score, doc_id, rows)``, unsorted: each source's best *cut*
+        matches (all of them when *cut* is None). A pruned walk carries
+        the best proven floor from source to source (and across the
+        scatter pool's workers through *shared_floor*)."""
+        terms, entities, alpha, cut, pruned = request
         entries = self._buffer.score(terms, entities, alpha)
         bar = 0.0
         if cut is not None and len(entries) >= cut:
             entries.sort()
             del entries[cut:]
             bar = -entries[-1][0]
-        segments = self._segments
         try:
             if pruned and cut is not None:
                 # walk the segments best-bound first, so the floor they
@@ -1340,16 +1379,42 @@ class SegmentedIndex:
                     )
                     if floor > bar:
                         bar = floor
-                    entries += hits
+                    entries += segment.resolve(hits)
             else:
                 for segment in segments:
-                    entries += segment.score(terms, entities, alpha, cut)
+                    entries += segment.resolve(
+                        segment.score(terms, entities, alpha, cut)
+                    )
         except BaseException:
             # scratch accumulators may be mid-query; rebuild them clean
             for segment in segments:
                 segment._init_scratch()
             raise
         return entries
+
+    # -- the scatter pool ----------------------------------------------------------
+
+    def start_scatter_pool(self) -> ShardedQueryExecutor:
+        """Fork one worker per shard segment (idempotent). Each worker
+        holds its segment copy-on-write; a loaded segment's mapped
+        columns stay shared with the page cache. Raises
+        ``RuntimeError`` when the index has no shard segments."""
+        if not self._shards:
+            raise RuntimeError("only a sharded finder has a scatter pool")
+        if self._pool is None:
+            self._pool = ShardedQueryExecutor(self._segments[: self._shards])
+        return self._pool
+
+    def close_scatter_pool(self) -> None:
+        """Stop the scatter pool if one is running (idempotent)."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.close()
+
+    @property
+    def scatter_pool(self) -> ShardedQueryExecutor | None:
+        """The attached scatter pool, or None."""
+        return self._pool
 
     # -- introspection -------------------------------------------------------------
 
@@ -1382,8 +1447,8 @@ class SegmentedIndex:
         self,
     ) -> tuple[InvertedIndex, EntityIndex, Mapping[str, _Rows]]:
         """The whole collection as one ``(term_index, entity_index,
-        evidence)`` triple — what the object path and the sharded
-        snapshot writer read (hydrates column-restored segments). A lone
+        evidence)`` triple — what the object path reads (hydrates
+        column-restored segments). A lone
         segment with an empty buffer is returned as is, so callers must
         treat the result as read-only."""
         segments = self._segments
@@ -1414,4 +1479,5 @@ class SegmentedIndex:
             resources=len(self._resource_ids),
             seals=self._seals,
             compactions=self._compactions,
+            shards=self._shards,
         )

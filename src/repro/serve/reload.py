@@ -9,9 +9,9 @@ at dispatch, so in-flight requests drain on the finder they started on
 — a torn index is unrepresentable: either a request sees generation N
 (whole) or N+1 (whole), never a mix.
 
-The retired generation's scatter pool (sharded finders fork per-shard
-worker processes) is closed as soon as its last in-flight request
-finishes — from the event-loop thread, so no locking is needed.
+The retired generation's scatter pool (sharded finders fork one worker
+process per shard segment) is closed as soon as its last in-flight
+request finishes — from the event-loop thread, so no locking is needed.
 
 The *source* callable owns "fully loaded": it must return a service
 whose engine is selected and (for sharded finders) whose worker pool is
@@ -40,11 +40,10 @@ def build_service(
 
     Forking a sharded finder's scatter pool here (not lazily on the
     first request) is what lets :class:`HotReloader` promise readiness
-    means ready: the swap only happens after this returns. A sharded
-    finder rejects the object engine (:attr:`ExpertFinder.engine`
-    raises ``ValueError``)."""
+    means ready: the swap only happens after this returns. An unknown
+    engine raises ``ValueError`` (:attr:`ExpertFinder.engine`)."""
     finder.engine = engine
-    if finder.sharded_index is not None:
+    if finder.index_stats.shards:
         finder.start_scatter_pool()
     return ExpertSearchService(finder, cache_size=cache_size)
 

@@ -13,7 +13,7 @@ Naming conventions:
 
 * string tables are a bare name (``docs``, ``terms``) paired with an
   offsets section derived by :func:`offsets_name`;
-* CSR column groups share a prefix (``term``, ``ent``, ``ev``, ``stat``)
+* CSR column groups share a prefix (``term``, ``ent``, ``ev``)
   and name each parallel column ``prefix#column`` via :func:`csr`;
 * block-max metadata uses the four :data:`BLOCK_COLUMNS` columns under
   the owning group's prefix, plus the global :data:`BLOCK_SPAN` scalar.
@@ -31,24 +31,13 @@ META_FILE = "meta.jsonl"
 INDEX_BIN = "index.bin"
 #: the segmented index's unsealed write buffer
 BUFFER_BIN = "buffer.bin"
-#: union collection statistics of a sharded snapshot
-STATS_BIN = "stats.bin"
-#: the sharded coordinator's full evidence rows
-EVIDENCE_BIN = "evidence.bin"
-#: segment manifest of a segmented snapshot
+#: segment manifest of a generation
 MANIFEST_FILE = "segments.jsonl"
-#: shard manifest of a sharded snapshot
-SHARD_MANIFEST_FILE = "shards.jsonl"
 
 
 def segment_bin(segment_id: int) -> str:
     """The section container holding one sealed segment."""
     return f"segment-{segment_id:04d}.bin"
-
-
-def shard_bin(shard: int) -> str:
-    """The section container holding one candidate shard's slice."""
-    return f"shard-{shard:04d}.bin"
 
 
 # -- string tables -----------------------------------------------------------------
@@ -94,11 +83,6 @@ EV_OFF = csr("ev", "off")
 EV_CAND = csr("ev", "cand")
 EV_DIST = csr("ev", "dist")
 
-#: union statistics (``stats.bin``): scalar N + per-table df columns
-STAT_N = csr("stat", "n")
-TERM_DF = csr("term", "df")
-ENT_DF = csr("ent", "df")
-
 # -- block-max metadata ------------------------------------------------------------
 
 #: scalar: the doc-index span every block of the container is cut on
@@ -125,8 +109,5 @@ def block_name(prefix: str, column: str) -> str:
 #: ``prefix#column`` shape; plain string-table names like ``docs`` are
 #: too common as record keys to exact-match)
 REGISTERED_FILES = frozenset(
-    (
-        CURRENT_FILE, META_FILE, INDEX_BIN, BUFFER_BIN,
-        STATS_BIN, EVIDENCE_BIN, MANIFEST_FILE, SHARD_MANIFEST_FILE,
-    )
+    (CURRENT_FILE, META_FILE, INDEX_BIN, BUFFER_BIN, MANIFEST_FILE)
 )

@@ -13,9 +13,9 @@ pointer file plus numbered ``gen-NNNNNNN/`` generation subdirectories;
 ``CURRENT`` names the one complete generation. Inside a generation,
 ``meta.jsonl`` keeps the config/counts records and the columnar payload
 lives in mmap-able section containers (:mod:`repro.storage.binary`):
-``segments.jsonl`` + ``segment-NNNN.bin`` (and ``buffer.bin``) for a
-segmented finder, or ``shards.jsonl`` + ``shard-NNNN.bin`` +
-``stats.bin`` + ``evidence.bin`` for a sharded one. Loading maps the
+``segments.jsonl`` + ``segment-NNNN.bin`` (and ``buffer.bin``). A
+sharded finder's manifest header says how many leading segments are
+shard segments (``"shards": K``); nothing else differs. Loading maps the
 buffers and builds each :class:`~repro.index.segments.Segment` directly
 over zero-copy ``memoryview`` casts — no JSON parsing, no posting
 objects, and N processes opening one snapshot share a single page-cache
@@ -31,13 +31,15 @@ prunes older generations — a crash at *any* instant leaves the previous
 segmented index, stay readable: a generation whose meta says
 ``index_mode: "monolithic"`` loads its ``index.bin`` as segment 0 (its
 ``engine.bin`` is not read); re-saving writes the segmented layout. The
-flat v2 JSONL layout is no longer readable: :func:`load_finder` refuses
-it and asks for a rebuild with ``repro index``.
+flat v2 JSONL layout and candidate-sharded generations (meta
+``index_mode: "sharded"``, written before shards became segments) are no
+longer readable: :func:`load_finder` refuses them and asks for a rebuild
+with ``repro index``.
 
 Evidence-row order is preserved, so a loaded finder repeats the
 builder's float operations exactly — rankings round-trip
 byte-identically on every path. Posting order is preserved too, with
-one deliberate exception: sealed-segment and shard columns are written
+one deliberate exception: sealed-segment columns are written
 sorted by doc index, alongside the block-max metadata that order makes
 possible (``blk#span`` + flattened per-column block sections), so pruned
 evaluation works straight off the mmap. Re-sorting a column never moves
@@ -69,12 +71,6 @@ from repro.index.blockmax import compute_blocks
 from repro.index.entity_index import EntityIndex, EntityPosting
 from repro.index.inverted import InvertedIndex, Posting
 from repro.index.segments import Segment, SegmentedIndex, _WriteBuffer
-from repro.index.sharded import (
-    GlobalStatistics,
-    ShardedIndex,
-    ShardIndex,
-    partition_candidates,
-)
 from repro.index.vsm import entity_weight
 from repro.storage import sections as layout
 from repro.storage.binary import MappedSections, pack_strings, write_sections
@@ -92,18 +88,14 @@ SNAPSHOT_VERSION = 3
 
 META_KIND = "finder-snapshot-meta"
 MANIFEST_KIND = "finder-segment-manifest"
-SHARD_MANIFEST_KIND = "finder-shard-manifest"
 
 # layout names come from the repro.storage.sections registry (enforced
 # by the section-registry lint rule); local aliases keep call sites short
 _META_FILE = layout.META_FILE
 _MANIFEST_FILE = layout.MANIFEST_FILE
-_SHARD_MANIFEST_FILE = layout.SHARD_MANIFEST_FILE
 _CURRENT_FILE = layout.CURRENT_FILE
 _INDEX_BIN = layout.INDEX_BIN
 _BUFFER_BIN = layout.BUFFER_BIN
-_STATS_BIN = layout.STATS_BIN
-_EVIDENCE_BIN = layout.EVIDENCE_BIN
 
 _CURRENT_MAGIC = "repro-snapshot-v3"
 _GEN_PATTERN = re.compile(r"gen-(\d{7})")
@@ -113,14 +105,12 @@ _GEN_PATTERN = re.compile(r"gen-(\d{7})")
 _RECORD_KINDS = {
     _META_FILE: META_KIND,
     _MANIFEST_FILE: MANIFEST_KIND,
-    _SHARD_MANIFEST_FILE: SHARD_MANIFEST_KIND,
 }
 
 #: index modes a meta record may name; "monolithic" is read-only legacy
-_INDEX_MODES = ("monolithic", "segmented", "sharded")
+_INDEX_MODES = ("monolithic", "segmented")
 
 _segment_bin = layout.segment_bin
-_shard_bin = layout.shard_bin
 
 
 _CONFIG_FIELDS = (
@@ -151,12 +141,7 @@ def save_finder(finder: ExpertFinder, directory: str | pathlib.Path) -> None:
     gen_dir = directory / gen_name
     gen_dir.mkdir()
     write_records(gen_dir / _META_FILE, META_KIND, _meta_records(finder))
-    segmented = finder.segmented_index
-    sharded = finder.sharded_index
-    if segmented is not None:
-        _save_segments(segmented, gen_dir)
-    elif sharded is not None:
-        _save_shards(sharded, finder.evidence_of, gen_dir)
+    _save_segments(finder.segmented_index, gen_dir)
     # the generation is complete and durable; flip CURRENT, then prune
     # the generations the flip obsoleted — a crash anywhere here leaves
     # a loadable snapshot on both sides
@@ -173,16 +158,11 @@ def save_finder(finder: ExpertFinder, directory: str | pathlib.Path) -> None:
 
 
 def _meta_records(finder: ExpertFinder) -> Iterator[dict[str, Any]]:
-    snapshot_record: dict[str, Any] = {
+    yield {
         "type": "snapshot",
         "snapshot_version": SNAPSHOT_VERSION,
-        "index_mode": finder.index_mode,
+        "index_mode": "segmented",
     }
-    if finder.index_mode == "sharded":
-        # the candidate partition is recomputed from the sorted candidate
-        # records at load time; only the shard count needs persisting
-        snapshot_record["shards"] = finder.sharded_index.shard_count
-    yield snapshot_record
     config = finder.config
     record: dict[str, Any] = {"type": "config"}
     for name in _CONFIG_FIELDS:
@@ -203,12 +183,16 @@ def _manifest_records(
     segments: tuple[Segment, ...],
     buffer: _WriteBuffer,
 ) -> Iterator[dict[str, Any]]:
-    yield {
+    header: dict[str, Any] = {
         "type": "manifest",
         "seal_threshold": segmented.seal_threshold,
         "fanout": segmented.fanout,
         "segments": len(segments),
     }
+    shards = segmented.stats.shards
+    if shards:
+        header["shards"] = shards
+    yield header
     for segment in segments:
         yield {
             "type": "segment",
@@ -260,7 +244,7 @@ def _slice_sections(
     *,
     block_span: int | None = None,
 ) -> list[tuple[str, str, Any]]:
-    """One collection slice (one segment, one shard, or the buffer) as
+    """One collection slice (one segment or the buffer) as
     binary sections: string tables + element-offset CSR
     columns, preserving postings and evidence-row order exactly — unless
     *block_span* is given (sealed segments), in which case each posting
@@ -343,10 +327,8 @@ def _slice_sections(
 
 def _evidence_sections(evidence: Mapping[str, Any]) -> list[tuple[str, str, Any]]:
     """The resource → supporters relation as binary sections (string
-    tables + an element-offset CSR), preserving row order exactly. Part
-    of every slice container, and a standalone ``evidence.bin`` for
-    sharded snapshots (whose coordinator folds from the full rows while
-    each shard container carries only its restricted rows)."""
+    tables + an element-offset CSR), preserving row order exactly — part
+    of every slice container."""
     resources = list(evidence)
     cands = sorted({cid for rows in evidence.values() for cid, _ in rows})
     cand_of = {cid: i for i, cid in enumerate(cands)}
@@ -363,49 +345,6 @@ def _evidence_sections(evidence: Mapping[str, Any]) -> list[tuple[str, str, Any]
     sections += [(layout.EV_OFF, "q", voff), (layout.EV_CAND, "q", vcand),
                  (layout.EV_DIST, "q", vdist)]
     return sections
-
-
-def _stats_sections(statistics: GlobalStatistics) -> list[tuple[str, str, Any]]:
-    """The union collection statistics every shard scores with: N plus
-    the term/entity document-frequency tables, in table order."""
-    terms: list[str] = []
-    term_df = array("l")
-    for term, df in statistics.term_df_items():
-        terms.append(term)
-        term_df.append(df)
-    entities: list[str] = []
-    entity_df = array("l")
-    for uri, df in statistics.entity_df_items():
-        entities.append(uri)
-        entity_df.append(df)
-    sections: list[tuple[str, str, Any]] = [
-        (layout.STAT_N, "q", array("l", [statistics.doc_count]))
-    ]
-    sections += pack_strings(layout.TERMS, terms)
-    sections += [(layout.TERM_DF, "q", term_df)]
-    sections += pack_strings(layout.ENTITIES, entities)
-    sections += [(layout.ENT_DF, "q", entity_df)]
-    return sections
-
-
-def _shard_manifest_records(sharded: ShardedIndex) -> Iterator[dict[str, Any]]:
-    shards = sharded.iter_shards()
-    first = shards[0]
-    yield {
-        "type": "manifest",
-        "shards": len(shards),
-        "seal_threshold": first.seal_threshold,
-        "fanout": first.fanout,
-        "block_span": first.block_span,
-    }
-    for k, shard in enumerate(shards):
-        yield {
-            "type": "shard",
-            "shard": k,
-            "file": _shard_bin(k),
-            "docs": shard.document_count,
-            "resources": shard.resource_count,
-        }
 
 
 def _next_generation(directory: pathlib.Path) -> str:
@@ -440,32 +379,6 @@ def _save_segments(segmented: SegmentedIndex, gen_dir: pathlib.Path) -> None:
         gen_dir / _MANIFEST_FILE,
         MANIFEST_KIND,
         _manifest_records(segmented, segments, buffer),
-    )
-
-
-def _save_shards(
-    sharded: ShardedIndex,
-    evidence_of: Mapping[str, Any],
-    gen_dir: pathlib.Path,
-) -> None:
-    write_sections(gen_dir / _STATS_BIN, _stats_sections(sharded.statistics))
-    # the coordinator's full evidence rows (each shard container only
-    # carries the rows restricted to its own candidates)
-    write_sections(gen_dir / _EVIDENCE_BIN, _evidence_sections(evidence_of))
-    # one section container per shard: its merged collection slice,
-    # doc-sorted with block-max metadata
-    for k, shard in enumerate(sharded.iter_shards()):
-        term_index, entity_index, evidence = shard.merged_slice()
-        write_sections(
-            gen_dir / _shard_bin(k),
-            _slice_sections(
-                term_index, entity_index, evidence, block_span=shard.block_span
-            ),
-        )
-    write_records(
-        gen_dir / _SHARD_MANIFEST_FILE,
-        SHARD_MANIFEST_KIND,
-        _shard_manifest_records(sharded),
     )
 
 
@@ -504,10 +417,9 @@ def _read_current(directory: pathlib.Path) -> pathlib.Path:
 
 def _load_meta(
     path: pathlib.Path,
-) -> tuple[FinderConfig, int, dict[str, int], str, int | None]:
+) -> tuple[FinderConfig, int, dict[str, int], str]:
     version: int | None = None
     index_mode: str | None = None
-    shards: int | None = None
     config: FinderConfig | None = None
     indexed: int | None = None
     evidence_counts: dict[str, int] = {}
@@ -521,17 +433,15 @@ def _load_meta(
                     f"(expected {SNAPSHOT_VERSION})"
                 )
             index_mode = record.get("index_mode", "monolithic")
+            if index_mode == "sharded":
+                raise StorageFormatError(
+                    f"{path.parent}: a candidate-sharded generation, which "
+                    f"is no longer readable; rebuild it with "
+                    f"`repro index --shards {record.get('shards', 'K')}`"
+                )
             if index_mode not in _INDEX_MODES:
                 raise StorageFormatError(
                     f"{path}: unknown index mode {index_mode!r}"
-                )
-            shards = record.get("shards")
-            if index_mode == "sharded" and (
-                type(shards) is not int or shards < 1
-            ):
-                raise StorageFormatError(
-                    f"{path}: sharded snapshot with invalid shard "
-                    f"count {shards!r}"
                 )
         elif rtype == "config":
             try:
@@ -550,27 +460,26 @@ def _load_meta(
             raise StorageFormatError(f"{path}: unknown meta record type {rtype!r}")
     if version is None or index_mode is None or config is None or indexed is None:
         raise StorageFormatError(f"{path}: incomplete snapshot metadata")
-    return config, indexed, evidence_counts, index_mode, shards
+    return config, indexed, evidence_counts, index_mode
 
 
 def _read_manifest(
-    path: pathlib.Path, entry_type: str
+    path: pathlib.Path,
 ) -> tuple[dict[str, Any], list[dict[str, Any]], dict[str, Any] | None]:
-    """Read a segment (``entry_type="segment"``) or shard (``"shard"``)
-    manifest: a ``manifest`` header declaring how many entries follow,
-    the entries, and — segment manifests only — an optional ``buffer``
-    entry. Every file the manifest names must exist beside it."""
-    kind = _RECORD_KINDS[path.name]
+    """Read a segment manifest: a ``manifest`` header declaring how many
+    segment entries follow (and, sharded, how many leading ones are
+    shard segments), the entries, and an optional ``buffer`` entry.
+    Every file the manifest names must exist beside it."""
     header: dict[str, Any] | None = None
     entries: list[dict[str, Any]] = []
     buffer_entry: dict[str, Any] | None = None
-    for record in read_records(path, kind):
+    for record in read_records(path, MANIFEST_KIND):
         rtype = record.get("type")
         if rtype == "manifest":
             header = record
-        elif rtype == entry_type:
+        elif rtype == "segment":
             entries.append(record)
-        elif rtype == "buffer" and entry_type == "segment":
+        elif rtype == "buffer":
             buffer_entry = record
         else:
             raise StorageFormatError(
@@ -578,11 +487,17 @@ def _read_manifest(
             )
     if header is None:
         raise StorageFormatError(f"{path}: missing manifest header")
-    declared = header[f"{entry_type}s"]
+    declared = header["segments"]
     if declared != len(entries):
         raise StorageFormatError(
-            f"{path}: manifest declares {declared} {entry_type}(s) but "
+            f"{path}: manifest declares {declared} segment(s) but "
             f"lists {len(entries)}"
+        )
+    shards = header.get("shards", 0)
+    if type(shards) is not int or not 0 <= shards <= len(entries):
+        raise StorageFormatError(
+            f"{path}: manifest declares shard count {shards!r} for "
+            f"{len(entries)} segment(s)"
         )
     named = entries if buffer_entry is None else [*entries, buffer_entry]
     for entry in named:
@@ -803,7 +718,7 @@ def _load_v3_segmented(
     indexed: int,
     evidence_counts: dict[str, int],
 ) -> ExpertFinder:
-    header, entries, buffer_entry = _read_manifest(gen_dir / _MANIFEST_FILE, "segment")
+    header, entries, buffer_entry = _read_manifest(gen_dir / _MANIFEST_FILE)
     segments = [
         _load_v3_segment(gen_dir / entry["file"], entry["id"], entry)
         for entry in entries
@@ -815,6 +730,7 @@ def _load_v3_segmented(
         config,
         segments,
         buffer,
+        shards=header.get("shards", 0),
         seal_threshold=header["seal_threshold"],
         fanout=header.get("fanout", 4),
         # keep the stored span for segments sealed after this load
@@ -867,124 +783,6 @@ def _segmented_finder(
     )
 
 
-def _decode_stats(
-    mapped: MappedSections, path: pathlib.Path, idf_exponent: float
-) -> GlobalStatistics:
-    doc_count = int(mapped.array(layout.STAT_N)[0])
-    terms = mapped.strings(layout.TERMS)
-    term_df = mapped.array(layout.TERM_DF)
-    if len(term_df) != len(terms):
-        raise StorageFormatError(
-            f"{path}: {len(terms)} term(s) but {len(term_df)} df value(s)"
-        )
-    entities = mapped.strings(layout.ENTITIES)
-    entity_df = mapped.array(layout.ENT_DF)
-    if len(entity_df) != len(entities):
-        raise StorageFormatError(
-            f"{path}: {len(entities)} entities but "
-            f"{len(entity_df)} df value(s)"
-        )
-    return GlobalStatistics(
-        idf_exponent,
-        doc_count,
-        dict(zip(terms, (int(df) for df in term_df))),
-        dict(zip(entities, (int(df) for df in entity_df))),
-    )
-
-
-def _load_stats(path: pathlib.Path, idf_exponent: float) -> GlobalStatistics:
-    """Rebuild the union collection statistics from ``stats.bin`` (the
-    decode runs in a helper so its section views are released before the
-    mapping closes)."""
-    mapped = MappedSections.open(path)
-    try:
-        return _decode_stats(mapped, path, idf_exponent)
-    finally:
-        mapped.close()
-
-
-def _shard_from_bin(
-    path: pathlib.Path,
-    entry: dict[str, Any],
-    config: FinderConfig,
-    statistics: GlobalStatistics,
-    group: tuple[str, ...],
-    header: dict[str, Any],
-) -> ShardIndex:
-    """One shard container → a compiled :class:`ShardIndex` scoring with
-    *statistics*, owning the *group* candidates."""
-    segments = []
-    if entry["docs"] or entry["resources"]:
-        segments.append(_load_v3_segment(path, 0, entry))
-    shard = ShardIndex.restore_compiled(
-        config,
-        segments,
-        None,
-        seal_threshold=header["seal_threshold"],
-        fanout=header.get("fanout", 4),
-        block_span=header.get("block_span"),
-    )
-    shard._global = statistics
-    shard.candidates = frozenset(group)
-    return shard
-
-
-def _load_v3_sharded(
-    gen_dir: pathlib.Path,
-    analyzer: ResourceAnalyzer,
-    config: FinderConfig,
-    indexed: int,
-    evidence_counts: dict[str, int],
-    shards: int | None,
-) -> ExpertFinder:
-    manifest_path = gen_dir / _SHARD_MANIFEST_FILE
-    header, entries, _buffer = _read_manifest(manifest_path, "shard")
-    if [entry["shard"] for entry in entries] != list(range(len(entries))):
-        raise StorageFormatError(
-            f"{manifest_path}: shard entries are not 0..{len(entries) - 1} "
-            f"in order"
-        )
-    if shards is not None and header["shards"] != shards:
-        raise StorageFormatError(
-            f"{manifest_path}: manifest holds {header['shards']} shard(s), "
-            f"metadata says {shards}"
-        )
-    statistics = _load_stats(gen_dir / _STATS_BIN, config.idf_exponent)
-    if statistics.doc_count != indexed:
-        raise StorageFormatError(
-            f"{gen_dir / _STATS_BIN}: statistics cover {statistics.doc_count} "
-            f"indexed document(s), metadata says {indexed}"
-        )
-    # the coordinator folds Eq. 3 from the full rows, so they hydrate
-    # eagerly
-    evidence_mapped = MappedSections.open(gen_dir / _EVIDENCE_BIN)
-    try:
-        evidence_of = {
-            doc_id: list(rows)
-            for doc_id, rows in _decode_evidence(evidence_mapped).items()
-        }
-    finally:
-        evidence_mapped.close()
-    partition = partition_candidates(evidence_counts, header["shards"])
-    shard_objs = [
-        _shard_from_bin(
-            gen_dir / entry["file"], entry, config, statistics, partition[k], header
-        )
-        for k, entry in enumerate(entries)
-    ]
-    # a scatter pool forks these shards as they are: the workers inherit
-    # the mapped columns (shared page cache) and every later observe
-    sharded = ShardedIndex(config, shard_objs, statistics, evidence_of, partition)
-    return ExpertFinder(
-        analyzer,
-        evidence_of,
-        config,
-        evidence_counts=evidence_counts,
-        indexed_count=indexed,
-        sharded=sharded,
-    )
-
-
 def load_finder(
     directory: str | pathlib.Path, analyzer: ResourceAnalyzer
 ) -> ExpertFinder:
@@ -998,13 +796,9 @@ def load_finder(
     directory = pathlib.Path(directory)
     gen_dir = _read_current(directory)
     try:
-        config, indexed, evidence_counts, index_mode, shards = _load_meta(
+        config, indexed, evidence_counts, index_mode = _load_meta(
             gen_dir / _META_FILE
         )
-        if index_mode == "sharded":
-            return _load_v3_sharded(
-                gen_dir, analyzer, config, indexed, evidence_counts, shards
-            )
         if index_mode == "segmented":
             return _load_v3_segmented(
                 gen_dir, analyzer, config, indexed, evidence_counts

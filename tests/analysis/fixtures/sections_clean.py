@@ -6,7 +6,7 @@ from repro.storage import sections as layout
 
 def save(mapped, name: str) -> tuple:
     offsets = mapped.array(layout.TERM_OFF)
-    stats = layout.STATS_BIN
-    shard = layout.shard_bin(0)
+    buffer = layout.BUFFER_BIN
+    segment = layout.segment_bin(0)
     derived = layout.offsets_name(name)
-    return offsets, stats, shard, derived
+    return offsets, buffer, segment, derived

@@ -4,7 +4,7 @@
 
 def save(mapped, name: str) -> tuple:
     offsets = mapped.array("term#off")  # section-name literal
-    stats = "stats.bin"  # registered layout file name
-    shard = "shard-0000.bin"  # container file shape
+    buffer = "buffer.bin"  # registered layout file name
+    segment = "segment-0000.bin"  # container file shape
     derived = f"{name}#off"  # f-string smuggling the suffix
-    return offsets, stats, shard, derived
+    return offsets, buffer, segment, derived

@@ -1,5 +1,6 @@
 """Meta-tests: the repo is clean under its own lint rules, and seeded
-violations into a scratch copy of ``repro.index.sharded`` are caught."""
+violations into a scratch copy of ``repro.index.sharded`` (the resource
+split and the scatter pool) are caught."""
 
 import pathlib
 import shutil
@@ -58,11 +59,12 @@ class TestSeededViolations:
         target = self._scratch_copy(tmp_path)
         source = target.read_text(encoding="utf-8")
 
-        # rule 1 (determinism): drop the sorted() around the frozenset walk
-        determinism_seed = "for doc_id in sorted(indexed_ids):"
+        # rule 1 (determinism): materialize the frozenset the split's
+        # contiguous runs are cut from without sorting it
+        determinism_seed = "indexed = sorted(term_index.doc_ids())"
         assert determinism_seed in source
         source = source.replace(
-            determinism_seed, "for doc_id in indexed_ids:"
+            determinism_seed, "indexed = list(term_index.doc_ids())"
         )
 
         # rule 2 (fork-safety): hand the worker loop to the pool as a lambda
@@ -74,8 +76,8 @@ class TestSeededViolations:
 
         # rule 3 (mmap-discipline): poke a mapped section in place
         source += (
-            "\n\ndef _tamper(mapped):\n"
-            "    view = mapped.array(STAT_N)\n"
+            "\n\ndef _tamper(mapped, name):\n"
+            "    view = mapped.array(name)\n"
             "    view[0] = 0\n"
         )
 

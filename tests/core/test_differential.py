@@ -153,10 +153,7 @@ class SinglePathMachine(RuleBasedStateMachine):
 
     def _indexes(self):
         for finder in self.finders.values():
-            if finder.sharded_index is None:
-                yield finder.segmented_index
-            else:
-                yield from finder.sharded_index.iter_shards()
+            yield finder.segmented_index
 
     def _check(self, need: str, alpha: float, window, top_k) -> None:
         expected = self.oracle.rank(need, alpha, window, top_k)

@@ -209,7 +209,7 @@ class TestParallelBuild:
             tiny_dataset.merged_graph, candidates, tiny_dataset.analyzer,
             FinderConfig(), corpus=tiny_dataset.corpus, workers=3, chunk_size=64,
         )
-        # with a full corpus nothing is analyzed; sharded indexing remains
+        # with a full corpus nothing is analyzed; the index fill is serial
         assert parallel.build_stats.analyzed == 0
         for need in tiny_dataset.queries[:5]:
             assert parallel.find_experts(need) == serial.find_experts(need)

@@ -349,8 +349,8 @@ class TestSegmentedFinderSurface:
         finder = ExpertFinder.build(
             _stream_graph(), _CANDIDATES, analyzer, FinderConfig(window=None),
         )
-        assert finder.index_mode == "segmented"
         segments = finder.segmented_index.iter_segments()
+        assert len(segments) == 1
         finder.observe("s1", "more freestyle swimming drills", [("bob", 1)])
         assert finder.index_stats.buffered == 1
         assert finder.find_experts("freestyle swimming") != []

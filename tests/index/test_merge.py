@@ -1,5 +1,5 @@
-"""Unit tests for index shard merging (the parallel cold build's
-combiner) and its interaction with collection statistics."""
+"""Unit tests for index merging (what segment compaction and the object
+path's merged slice use) and its interaction with collection statistics."""
 
 import pytest
 

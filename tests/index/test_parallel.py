@@ -1,7 +1,8 @@
-"""Tests for the parallel analysis/indexing building blocks.
+"""Tests for the cold-build building blocks: parallel analysis and the
+serial index fill.
 
 The contract under test is determinism: any worker count must produce
-results identical to the serial path, in the same order.
+analysis results identical to the serial path, in the same order.
 """
 
 import pytest
@@ -72,17 +73,8 @@ def _documents():
 
 
 class TestBuildIndexes:
-    def test_parallel_matches_serial(self):
-        docs = _documents()
-        serial_terms, serial_entities = build_indexes(docs, workers=1)
-        par_terms, par_entities = build_indexes(docs, workers=3, chunk_size=7)
-        assert list(par_terms.items()) == list(serial_terms.items())
-        assert list(par_entities.items()) == list(serial_entities.items())
-        assert par_terms.doc_ids() == serial_terms.doc_ids()
-        assert par_entities.doc_ids() == serial_entities.doc_ids()
-
     def test_empty_documents(self):
-        terms, entities = build_indexes([], workers=4)
+        terms, entities = build_indexes([])
         assert terms.document_count == 0
         assert entities.document_count == 0
 
@@ -90,10 +82,11 @@ class TestBuildIndexes:
         docs = _documents()
         docs.append(docs[0])
         with pytest.raises(ValueError):
-            build_indexes(docs, workers=1)
+            build_indexes(docs)
+        # compaction merges indexes, and a merge rejects a shared doc too
+        first, first_entities = build_indexes(docs[:5])
+        second, second_entities = build_indexes(docs[4:10])
+        with pytest.raises(ValueError, match="indexed by both"):
+            first.merge(second)
         with pytest.raises(ValueError):
-            build_indexes(docs, workers=2, chunk_size=5)
-
-    def test_invalid_pool_args(self):
-        with pytest.raises(ValueError):
-            build_indexes([], workers=0)
+            first_entities.merge(second_entities)

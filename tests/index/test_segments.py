@@ -301,6 +301,8 @@ class TestValidation:
             SegmentedIndex(config, fanout=1)
         with pytest.raises(ValueError, match="compaction"):
             SegmentedIndex(config, compaction="bogus")
+        with pytest.raises(ValueError, match="compaction"):
+            SegmentedIndex(config, compaction="background")  # no thread mode
 
     def test_alpha_and_window_validated(self, config):
         index = _streamed(config, compaction="manual")
@@ -332,50 +334,3 @@ class TestValidation:
                 [Segment(0, *_slice("dup")), Segment(1, *_slice("dup"))],
                 None,
             )
-
-
-class TestBackgroundCompaction:
-    def test_background_mode_merges_and_preserves_rankings(self, config):
-        reference = _oracle(config)
-        with SegmentedIndex(
-            config, seal_threshold=1, compaction="background", fanout=2
-        ) as index:
-            for analyzed, supporters in _STREAM:
-                index.add(analyzed, supporters)
-            index.await_compactions()
-            assert index.stats.compactions >= 1
-            assert index._plan(index.iter_segments()) is None
-            assert _rankings(index) == reference
-        # close() stopped the compactor thread and is idempotent
-        assert index._thread is None
-        index.close()
-
-    def test_close_raises_when_compactor_is_wedged(self, config):
-        import threading
-
-        index = SegmentedIndex(config, seal_threshold=1, compaction="background")
-        try:
-            entered = threading.Event()
-            release = threading.Event()
-
-            def wedged_compact():
-                entered.set()
-                release.wait()
-
-            # shadow the bound method: the worker loop calls self.compact()
-            index.compact = wedged_compact
-            index._wake.set()
-            assert entered.wait(timeout=5.0)
-
-            # the compactor is stuck mid-"merge": close must surface it,
-            # not silently abandon the thread
-            with pytest.raises(RuntimeError, match="did not stop"):
-                index.close(timeout=0.1)
-            assert index._thread is not None  # handle kept for a retry
-
-            release.set()
-            index.close(timeout=5.0)  # the retry succeeds once unwedged
-            assert index._thread is None
-            index.close()  # and stays idempotent
-        finally:
-            release.set()

@@ -1,12 +1,13 @@
-"""Tests for candidate-sharded scatter-gather query execution.
+"""Tests for resource-sharded scatter-gather query execution.
 
-The load-bearing property is *shard-count invariance*: for any shard
-count K and both fast engines, a sharded finder must rank
-byte-identically to the object path (``VectorSpaceRetriever`` +
-``ExpertRanker``) of the unsharded build over the same stream —
-including after streaming observes between queries, and whether shards
-are evaluated serially in the coordinator or scattered to the worker
-pool.
+A ``shards=K`` finder seals its cold build as K shard segments of one
+:class:`~repro.index.segments.SegmentedIndex`, split by resource. The
+load-bearing property is *shard-count invariance*: for any shard count
+K and every engine, a sharded finder must rank byte-identically to the
+object path (``VectorSpaceRetriever`` + ``ExpertRanker``) of the
+unsharded build over the same stream — including after streaming
+observes, seals and compactions between queries, and whether the shard
+segments are scored serially in the coordinator or by the worker pool.
 """
 
 from __future__ import annotations
@@ -19,15 +20,12 @@ import pytest
 
 from repro.core.config import FinderConfig
 from repro.core.expert_finder import ExpertFinder
-from repro.index.sharded import (
-    GlobalStatistics,
-    ShardedQueryExecutor,
-    partition_candidates,
-)
+from repro.index.parallel import build_indexes
+from repro.index.sharded import ShardedQueryExecutor, split_by_resource
 from repro.synthetic.stream import stream_candidates, stream_queries, stream_resources
 
 _SHARD_COUNTS = (1, 2, 3, 5)
-_ENGINES = ("columnar", "columnar-pruned")
+_ENGINES = ("columnar", "columnar-pruned", "object")
 _WINDOWS = (10, 3, 1000, 0.5, None)
 
 _CANDIDATES = stream_candidates(8)
@@ -39,13 +37,14 @@ def _events():
     return stream_resources(_CANDIDATES, _RESOURCES, seed=_SEED)
 
 
-def _build(analyzer, shards=None):
+def _build(analyzer, shards=None, events=None, **layout):
     return ExpertFinder.from_stream(
         _CANDIDATES,
-        _events(),
+        _events() if events is None else events,
         analyzer,
         FinderConfig(window=None),
         shards=shards,
+        **layout,
     )
 
 
@@ -54,6 +53,20 @@ def _oracle(analyzer):
     finder = _build(analyzer)
     finder.engine = "object"
     return finder
+
+
+def _observe(finders, events, prefix):
+    for i, (_node_id, text, supporters, *rest) in enumerate(events):
+        language = rest[0] if rest else None
+        indexed = {
+            finder.observe(f"{prefix}{i}", text, supporters, language=language)
+            for finder in finders
+        }
+        assert len(indexed) == 1
+
+
+def _shard_segments(finder):
+    return finder.segmented_index.iter_segments()[: finder.index_stats.shards]
 
 
 @pytest.fixture(scope="module")
@@ -68,62 +81,90 @@ def queries():
 
 
 class TestPartition:
-    def test_disjoint_cover(self):
-        groups = partition_candidates(_CANDIDATES, 3)
-        assert len(groups) == 3
-        merged = [cid for group in groups for cid in group]
-        assert sorted(merged) == sorted(_CANDIDATES)
+    """The resource split: every resource in exactly one shard segment,
+    indexed documents in contiguous sorted-id runs of near-equal size."""
 
-    def test_deterministic_and_order_independent(self):
-        assert partition_candidates(_CANDIDATES, 3) == partition_candidates(
-            list(reversed(_CANDIDATES)), 3
+    def test_disjoint_cover(self, analyzer):
+        finder = _build(analyzer, shards=3)
+        shards = _shard_segments(finder)
+        assert len(shards) == 3
+        seen: set[str] = set()
+        for segment in shards:
+            assert not seen & segment.resource_ids
+            seen |= segment.resource_ids
+            for doc_id, rows in segment.evidence.items():
+                assert list(rows) == list(finder.evidence_of[doc_id])
+        assert seen == set(finder.evidence_of)
+
+    def test_deterministic_and_order_independent(self, analyzer):
+        events = list(_events())
+        forward = _build(analyzer, shards=3, events=events)
+        backward = _build(analyzer, shards=3, events=list(reversed(events)))
+        assert [s.resource_ids for s in _shard_segments(forward)] == [
+            s.resource_ids for s in _shard_segments(backward)
+        ]
+
+    def test_more_shards_than_candidates(self, analyzer):
+        # the split is by resource, so the candidate count bounds nothing
+        finder = ExpertFinder.from_stream(
+            _CANDIDATES[:2],
+            stream_resources(_CANDIDATES[:2], 30, seed=_SEED),
+            analyzer,
+            FinderConfig(window=None),
+            shards=5,
         )
+        assert finder.index_stats.shards == 5
+        assert all(finder.index_stats.segment_docs)
 
-    def test_more_shards_than_candidates(self):
-        groups = partition_candidates(["a", "b"], 5)
-        assert len(groups) == 5
-        assert sum(len(g) for g in groups) == 2
-
-    def test_invalid_shard_count(self):
+    def test_invalid_shard_count(self, analyzer):
+        term_index, entity_index = build_indexes([])
         with pytest.raises(ValueError, match="shards"):
-            partition_candidates(_CANDIDATES, 0)
+            split_by_resource(term_index, entity_index, {}, 0)
 
-    def test_empty_candidates(self):
-        with pytest.raises(ValueError, match="empty candidate"):
-            partition_candidates([], 2)
+    def test_empty_candidates(self, analyzer):
+        # candidates without any evidence: no run, no shard segment
+        finder = _build(analyzer, shards=3, events=[])
+        assert finder.index_stats.shards == 0
+        assert finder.index_stats.segments == 0
+        with pytest.raises(RuntimeError, match="sharded"):
+            finder.start_scatter_pool()
 
-    def test_balanced(self):
-        groups = partition_candidates(stream_candidates(10), 3)
-        sizes = sorted(len(g) for g in groups)
-        assert max(sizes) - min(sizes) <= 1
+    def test_balanced(self, analyzer):
+        # no duplicated work: every indexed document sits in exactly one
+        # shard segment, and the shard sizes differ by at most one
+        for shards in (2, 3, 4):
+            finder = _build(analyzer, shards=shards)
+            sizes = finder.index_stats.segment_docs[:shards]
+            assert finder.index_stats.shards == shards
+            assert sum(sizes) == finder.indexed_resources
+            assert max(sizes) - min(sizes) <= 1
+            assert len(_shard_segments(finder)) == finder.index_stats.segments
+
+    def test_fewer_documents_than_shards(self, analyzer):
+        events = list(_events())[:3]
+        term_index, entity_index = build_indexes(
+            [analyzer.analyze(node_id, text) for node_id, text, *_ in events]
+        )
+        evidence = {node_id: rows for node_id, _text, rows, *_ in events}
+        slices = split_by_resource(term_index, entity_index, evidence, 5)
+        assert [s[0].document_count for s in slices] == [1, 1, 1]
 
 
 class TestGlobalStatistics:
-    def test_irf_zero_for_unknown(self):
-        stats = GlobalStatistics(1.0)
-        assert stats.irf("nope") == 0.0
-        assert stats.eirf("nope") == 0.0
+    """Every query of a sharded finder uses the index's one set of
+    collection statistics: the df sums over all segments and the
+    buffer, the same integers as the unsharded collection's."""
 
-    def test_pickle_roundtrip(self, reference):
-        import pickle
-
-        stats = reference.sharded_index if reference.sharded_index else None
-        from repro.index.analyzer import AnalyzedResource
-
-        source = GlobalStatistics(1.0)
-        source.add_document(
-            AnalyzedResource(
-                doc_id="d1",
-                language="en",
-                term_counts={"swim": 2},
-                entity_counts={"ent:pool": (1, 0.5)},
-            )
-        )
-        clone = pickle.loads(pickle.dumps(source))
-        assert clone.doc_count == source.doc_count
-        assert clone.irf("swim") == source.irf("swim")
-        assert clone.eirf("ent:pool") == source.eirf("ent:pool")
-        assert stats is None  # reference finder is unsharded
+    def test_irf_zero_for_unknown(self, analyzer, reference):
+        sharded = _build(analyzer, shards=3).segmented_index
+        plain = reference.segmented_index
+        term_index, entity_index, _ = plain.merged_slice()
+        for term in term_index.terms():
+            assert sharded.irf(term) == plain.irf(term)
+        for uri, _postings in entity_index.items():
+            assert sharded.eirf(uri) == plain.eirf(uri)
+        assert sharded.irf("nope") == 0.0
+        assert sharded.eirf("nope") == 0.0
 
 
 class TestShardCountInvariance:
@@ -134,7 +175,7 @@ class TestShardCountInvariance:
     @pytest.mark.parametrize("engine", _ENGINES)
     def test_rankings_identical(self, analyzer, reference, queries, shards, engine):
         sharded = _build(analyzer, shards=shards)
-        assert sharded.index_mode == "sharded"
+        assert sharded.index_stats.shards == shards
         sharded.engine = engine
         for window in _WINDOWS:
             for text in queries:
@@ -148,32 +189,88 @@ class TestShardCountInvariance:
         sharded.engine = "columnar"
         extra = stream_resources(_CANDIDATES, 12, seed=_SEED + 1)
         for i, event in enumerate(extra):
-            node_id, text, supporters, *rest = event
-            language = rest[0] if rest else None
-            indexed_plain = plain.observe(
-                f"obs{i}", text, supporters, language=language
-            )
-            indexed_sharded = sharded.observe(
-                f"obs{i}", text, supporters, language=language
-            )
-            assert indexed_plain == indexed_sharded
+            _observe((plain, sharded), [event], f"obs{i}-")
             query = queries[i % len(queries)]
             window = _WINDOWS[i % len(_WINDOWS)]
             assert sharded.find_experts(query, window=window) == \
                 plain.find_experts(query, window=window)
 
-    def test_object_engine_rejected(self, analyzer, queries):
-        # the oracle needs the whole collection in one place; a sharded
-        # finder splits it, so the object path is refused up front
+    def test_object_engine_allowed(self, analyzer, reference, queries):
+        # the object path reads the merged slice, which covers every
+        # shard segment
         sharded = _build(analyzer, shards=2)
-        with pytest.raises(ValueError, match="object engine"):
-            sharded.engine = "object"
-        with pytest.raises(RuntimeError, match="sharded"):
-            sharded.match_resources(queries[0])
+        sharded.engine = "object"
+        for text in queries:
+            assert sharded.match_resources(text) == reference.match_resources(text)
+            assert sharded.find_experts(text, window=4) == \
+                reference.find_experts(text, window=4)
+
+
+class TestPinning:
+    """Shard segments never change: seals and merges only ever produce
+    later segments, and compaction plans over those alone."""
+
+    @pytest.fixture
+    def written(self, analyzer):
+        sharded = _build(analyzer, shards=3, seal_threshold=1)
+        plain = _oracle(analyzer)
+        before = [(s.segment_id, s.document_count) for s in _shard_segments(sharded)]
+        _observe((sharded, plain), stream_resources(_CANDIDATES, 10, seed=7), "w")
+        return sharded, plain, before
+
+    def test_tiered_merges_leave_shard_segments(self, written):
+        sharded, _plain, before = written
+        stats = sharded.index_stats
+        assert stats.compactions >= 1  # ten seals of one resource merged
+        assert stats.shards == 3
+        after = [(s.segment_id, s.document_count) for s in _shard_segments(sharded)]
+        assert after == before
+
+    def test_full_compaction_merges_only_the_rest(self, written):
+        sharded, _plain, before = written
+        assert sharded.index_stats.segments > 4
+        assert sharded.segmented_index.compact(full=True) == 1
+        stats = sharded.index_stats
+        assert stats.segments == 4 and stats.buffered == 0
+        after = [(s.segment_id, s.document_count) for s in _shard_segments(sharded)]
+        assert after == before
+        assert sharded.segmented_index.compact(full=True) == 0
+
+    @pytest.mark.parametrize("shards", (1, 2, 3, 4))
+    def test_rankings_after_writes_compaction_and_reload(
+        self, analyzer, queries, tmp_path, shards
+    ):
+        sharded = _build(analyzer, shards=shards, seal_threshold=2)
+        plain = _oracle(analyzer)
+
+        def check(finder):
+            for engine in _ENGINES:
+                finder.engine = engine
+                for window in (6, 0.5, None):
+                    expected = [plain.find_experts(q, window=window) for q in queries]
+                    assert [finder.find_experts(q, window=window) for q in queries] \
+                        == expected
+                    if engine != "object":
+                        finder.start_scatter_pool()
+                        try:
+                            assert finder.find_experts_many(queries, window=window) \
+                                == expected
+                        finally:
+                            finder.close_scatter_pool()
+
+        _observe((sharded, plain), stream_resources(_CANDIDATES, 9, seed=8), "r")
+        assert sharded.index_stats.compactions >= 1  # a tiered merge ran
+        check(sharded)
+        sharded.segmented_index.compact(full=True)
+        check(sharded)
+        sharded.save(tmp_path / "snap")
+        loaded = ExpertFinder.load(tmp_path / "snap", analyzer)
+        assert loaded.index_stats.shards == shards
+        check(loaded)
 
 
 class TestScatterPool:
-    """The executor path must match the serial coordinator exactly."""
+    """The pool path must match the serial coordinator exactly."""
 
     @pytest.mark.parametrize("engine", ("columnar", "columnar-pruned"))
     def test_executor_matches_serial(self, analyzer, reference, queries, engine):
@@ -190,7 +287,7 @@ class TestScatterPool:
             sharded.close_scatter_pool()
 
     @pytest.mark.parametrize("shards", (1, 2, 5))
-    @pytest.mark.parametrize("engine", _ENGINES)
+    @pytest.mark.parametrize("engine", ("columnar", "columnar-pruned"))
     def test_pool_at_other_shard_counts(
         self, analyzer, reference, queries, shards, engine
     ):
@@ -209,33 +306,37 @@ class TestScatterPool:
     def test_find_experts_many_matches(self, analyzer, reference, queries):
         sharded = _build(analyzer, shards=2)
         sharded.engine = "columnar"
-        sharded.start_scatter_pool()
+        pool = sharded.start_scatter_pool()
         try:
             batched = sharded.find_experts_many(queries, window=6)
             serial = [reference.find_experts(q, window=6) for q in queries]
             assert batched == serial
-            assert sharded.sharded_index.executor.last_batch_depth > 1.0
+            assert pool.last_batch_depth > 1.0
         finally:
             sharded.close_scatter_pool()
 
     def test_observe_reaches_workers(self, analyzer, queries):
-        plain = _oracle(analyzer)
-        sharded = _build(analyzer, shards=2)
-        sharded.engine = "columnar"
-        sharded.start_scatter_pool()
-        try:
-            for i, event in enumerate(
-                stream_resources(_CANDIDATES, 6, seed=_SEED + 2)
-            ):
-                node_id, text, supporters, *rest = event
-                language = rest[0] if rest else None
-                plain.observe(f"live{i}", text, supporters, language=language)
-                sharded.observe(f"live{i}", text, supporters, language=language)
-            for text in queries:
-                assert sharded.find_experts(text, window=8) == \
-                    plain.find_experts(text, window=8)
-        finally:
-            sharded.close_scatter_pool()
+        # observes made after the pool starts — seals included — land in
+        # the coordinator's buffer and later segments; the workers never
+        # see them and the answers still equal the serial oracle's
+        for engine in ("columnar", "columnar-pruned"):
+            plain = _oracle(analyzer)
+            sharded = _build(analyzer, shards=2, seal_threshold=2)
+            sharded.engine = engine
+            sharded.start_scatter_pool()
+            try:
+                events = stream_resources(_CANDIDATES, 7, seed=_SEED + 2)
+                for i, event in enumerate(events):
+                    _observe((plain, sharded), [event], f"live{i}-")
+                    for window in (8, None):
+                        assert sharded.find_experts_many(queries, window=window) == [
+                            plain.find_experts(text, window=window)
+                            for text in queries
+                        ]
+                assert sharded.index_stats.seals >= 3
+                assert sharded.index_stats.buffered == 1
+            finally:
+                sharded.close_scatter_pool()
 
     def test_pool_restart_after_close(self, analyzer, reference, queries):
         sharded = _build(analyzer, shards=2)
@@ -253,7 +354,7 @@ class TestScatterPool:
         finally:
             sharded.close_scatter_pool()
 
-    def test_worker_crash_raises_not_hangs(self, analyzer, queries):
+    def test_worker_crash_raises_not_hangs(self, analyzer, reference, queries):
         sharded = _build(analyzer, shards=2)
         sharded.engine = "columnar"
         executor = sharded.start_scatter_pool()
@@ -263,6 +364,10 @@ class TestScatterPool:
             with pytest.raises(RuntimeError, match="worker"):
                 sharded.find_experts(queries[0], window=5)
             assert time.monotonic() < deadline, "crash detection hung"
+            # the failed query dropped the pool; the finder answers serially
+            assert sharded.segmented_index.scatter_pool is None
+            assert sharded.find_experts(queries[0], window=5) == \
+                reference.find_experts(queries[0], window=5)
         finally:
             sharded.close_scatter_pool()
 
@@ -274,25 +379,27 @@ class TestValidation:
 
     def test_single_shard_allowed(self, analyzer, reference, queries):
         sharded = _build(analyzer, shards=1)
-        assert sharded.sharded_index.shard_count == 1
+        assert sharded.index_stats.shards == 1
         for text in queries:
             assert sharded.find_experts(text) == reference.find_experts(text)
 
     def test_stats_shape(self, analyzer):
-        sharded = _build(analyzer, shards=3).sharded_index
-        stats = sharded.stats
-        assert stats.shards == 3
-        assert len(stats.shard_docs) == 3
-        # duplicated resources make the per-shard sum >= the unique count
-        assert sum(stats.shard_docs) >= stats.documents
-        assert stats.documents == sharded.document_count
+        stats = _build(analyzer, shards=3).index_stats
+        assert stats.shards == stats.segments == 3
+        assert len(stats.segment_docs) == 3
+        # no duplicated documents: the shard sizes add up to N
+        assert sum(stats.segment_docs) == stats.documents
+
+    def test_unsharded_finder_has_no_pool(self, analyzer):
+        with pytest.raises(RuntimeError, match="sharded"):
+            _build(analyzer).start_scatter_pool()
 
     def test_executor_requires_fork(self, analyzer, monkeypatch):
         import multiprocessing
 
-        sharded = _build(analyzer, shards=2).sharded_index
+        shards = _shard_segments(_build(analyzer, shards=2))
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
         with pytest.raises(RuntimeError, match="fork"):
-            ShardedQueryExecutor(sharded.iter_shards())
+            ShardedQueryExecutor(shards)

@@ -48,9 +48,7 @@ class TestEquivalence:
     """Gateway responses must be byte-identical (ids and scores) to the
     in-process object oracle for every engine × layout cell."""
 
-    # (engine, shards): unsharded cells plus sharded scatter-gather
-    # cells (a sharded finder cannot serve the object engine — its
-    # collection is split across shards)
+    # (engine, shards): unsharded cells plus sharded scatter-gather cells
     MATRIX = [
         ("object", None),
         ("columnar", None),
@@ -59,6 +57,7 @@ class TestEquivalence:
         ("columnar-pruned", 1),
         ("columnar", 2),
         ("columnar-pruned", 2),
+        ("object", 2),
     ]
 
     @pytest.fixture(scope="class")

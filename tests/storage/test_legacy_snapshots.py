@@ -14,6 +14,12 @@ analyzer and ``FinderConfig()``:
 * ``fixtures/legacy-v2-monolithic`` — the flat jsonl layout
   (``term_index`` / ``entity_index`` / ``evidence`` files), which is no
   longer readable: loading it must fail with a pointer to the rebuild.
+
+``fixtures/legacy-v3-sharded`` was saved from the same stream with
+``shards=2`` by the last release with candidate sharding (commit
+4ae4aed): ``shards.jsonl``, ``stats.bin``, ``evidence.bin`` and one
+``shard-NNNN.bin`` per candidate shard. It is no longer readable either;
+loading it must fail with a pointer to ``repro index --shards``.
 """
 
 import pathlib
@@ -63,7 +69,6 @@ def _copy(name, tmp_path):
 @pytest.mark.parametrize("name", LEGACY)
 def test_loads_as_one_segment(name, analyzer, fresh, tmp_path):
     loaded = ExpertFinder.load(_copy(name, tmp_path), analyzer)
-    assert loaded.index_mode == "segmented"
     stats = loaded.index_stats
     assert (stats.segments, stats.buffered) == (1, 0)
     assert loaded.indexed_resources == fresh.indexed_resources
@@ -122,3 +127,10 @@ def test_flat_v2_snapshot_is_refused_with_a_rebuild_hint(analyzer, tmp_path):
         ExpertFinder.load(directory, analyzer)
     assert str(directory) in str(err.value)
     assert "v2" in str(err.value)
+
+
+def test_candidate_sharded_snapshot_is_refused_with_a_rebuild_hint(analyzer, tmp_path):
+    directory = _copy("legacy-v3-sharded", tmp_path)
+    with pytest.raises(StorageFormatError, match="repro index --shards 2") as err:
+        ExpertFinder.load(directory, analyzer)
+    assert str(directory) in str(err.value)

@@ -352,7 +352,7 @@ class TestSegmentedRoundTrip:
         # the snapshot restores segments as they were — no silent merge
         before = segmented_finder.index_stats
         after = loaded_segmented.index_stats
-        assert loaded_segmented.index_mode == "segmented"
+        assert after.shards == before.shards == 0
         assert after.segments == before.segments
         assert after.segment_docs == before.segment_docs
         assert after.buffered == before.buffered
@@ -768,26 +768,37 @@ def loaded_sharded(sharded_snapshot_dir, analyzer):
     return ExpertFinder.load(sharded_snapshot_dir, analyzer)
 
 
+def _shards_header(snapshot_dir):
+    manifest = _generation_dir(snapshot_dir) / "segments.jsonl"
+    records = [json.loads(line) for line in manifest.read_text().splitlines()[1:]]
+    return records[0]
+
+
 class TestShardedRoundTrip:
     def test_layout(self, sharded_snapshot_dir, sharded_finder):
+        # a sharded snapshot is a segmented one whose manifest header
+        # says how many leading segments are shard segments
         gen = _generation_dir(sharded_snapshot_dir)
-        for name in ("stats.bin", "evidence.bin", "shards.jsonl",
-                     "shard-0000.bin", "shard-0001.bin", "shard-0002.bin"):
-            assert (gen / name).is_file(), name
-        assert not (gen / "shard-0003.bin").exists()
+        names = {p.name for p in gen.iterdir()}
+        segments = sharded_finder.segmented_index.iter_segments()
+        assert names == {"meta.jsonl", "segments.jsonl", "buffer.bin"} | {
+            f"segment-{segment.segment_id:04d}.bin" for segment in segments
+        }
+        assert _shards_header(sharded_snapshot_dir)["shards"] == 3
+        assert '"index_mode":"segmented"' in (gen / "meta.jsonl").read_text()
 
     def test_mode_and_shape_survive(self, loaded_sharded, sharded_finder):
-        assert loaded_sharded.index_mode == "sharded"
-        loaded_stats = loaded_sharded.sharded_index.stats
-        built_stats = sharded_finder.sharded_index.stats
+        loaded_stats = loaded_sharded.index_stats
+        built_stats = sharded_finder.index_stats
         assert loaded_stats.shards == built_stats.shards == 3
-        assert loaded_stats.shard_docs == built_stats.shard_docs
+        assert loaded_stats.segment_docs == built_stats.segment_docs
         assert loaded_stats.documents == built_stats.documents
+        assert loaded_stats.buffered == built_stats.buffered
         assert (
             loaded_sharded.indexed_resources == sharded_finder.indexed_resources
         )
 
-    @pytest.mark.parametrize("engine", ("columnar", "columnar-pruned"))
+    @pytest.mark.parametrize("engine", ("columnar", "columnar-pruned", "object"))
     def test_rankings_survive(self, loaded_sharded, sharded_oracle, engine):
         loaded_sharded.engine = engine
         for need in _SHARD_NEEDS:
@@ -820,13 +831,13 @@ class TestShardedRoundTrip:
                           [(_SHARD_CANDS[2], 1)])
         loaded.start_scatter_pool()
         try:
-            # the workers fork the coordinator's shards, post-load
-            # observe included
+            # the post-load observe sits in the coordinator's buffer,
+            # which the coordinator scores beside the workers
             for need in _SHARD_NEEDS:
                 assert loaded.find_experts(need, window=6) == (
                     reference.find_experts(need, window=6)
                 )
-            # a restarted pool forks them again
+            # a restarted pool forks the shard segments again
             loaded.close_scatter_pool()
             loaded.start_scatter_pool()
             for need in _SHARD_NEEDS:
@@ -859,9 +870,28 @@ class TestShardedRoundTrip:
     def test_resave_roundtrip(self, loaded_sharded, sharded_finder, tmp_path, analyzer):
         directory = tmp_path / "resave"
         loaded_sharded.save(directory)
+        assert _shards_header(directory)["shards"] == 3
         again = ExpertFinder.load(directory, analyzer)
+        assert again.index_stats == sharded_finder.index_stats
         for need in _SHARD_NEEDS:
             assert again.find_experts(need) == sharded_finder.find_experts(need)
+
+    def test_compacted_resave_keeps_shard_segments(self, tmp_path, analyzer):
+        finder = _build_sharded(analyzer)
+        finder.segmented_index.seal()
+        finder.observe("post3", "freestyle relay heats", [(_SHARD_CANDS[3], 2)])
+        assert finder.segmented_index.compact(full=True) == 1
+        directory = tmp_path / "compacted"
+        finder.save(directory)
+        loaded = ExpertFinder.load(directory, analyzer)
+        stats = loaded.index_stats
+        assert (stats.shards, stats.segments, stats.buffered) == (3, 4, 0)
+        for need in _SHARD_NEEDS:
+            assert loaded.find_experts(need) == finder.find_experts(need)
+
+    def test_unsharded_header_has_no_shard_count(self, segmented_snapshot_dir):
+        assert "shards" not in _shards_header(segmented_snapshot_dir)
+
 
 class TestShardedFormatGuards:
     @pytest.fixture
@@ -871,41 +901,36 @@ class TestShardedFormatGuards:
         return directory
 
     def test_manifest_shard_count_mismatch(self, broken_dir, analyzer):
+        # more shard segments than the manifest lists segments
         _edit_manifest(
-            _generation_dir(broken_dir) / "shards.jsonl",
+            _generation_dir(broken_dir) / "segments.jsonl",
             lambda records: [
-                {**r, "shards": 5} if r["type"] == "manifest" else r
-                for r in records
-            ],
-        )
-        with pytest.raises(StorageFormatError, match="declares"):
-            load_finder(broken_dir, analyzer)
-
-    def test_manifest_out_of_order(self, broken_dir, analyzer):
-        _edit_manifest(
-            _generation_dir(broken_dir) / "shards.jsonl",
-            lambda records: [records[0]] + list(reversed(records[1:])),
-        )
-        with pytest.raises(StorageFormatError, match="order"):
-            load_finder(broken_dir, analyzer)
-
-    def test_missing_shard_file(self, broken_dir, analyzer):
-        (_generation_dir(broken_dir) / "shard-0001.bin").unlink()
-        with pytest.raises(StorageFormatError, match="missing"):
-            load_finder(broken_dir, analyzer)
-
-    def test_meta_invalid_shard_count(self, broken_dir, analyzer):
-        _edit_manifest(
-            _generation_dir(broken_dir) / "meta.jsonl",
-            lambda records: [
-                {**r, "shards": 0} if r["type"] == "snapshot" else r
+                {**r, "shards": r["segments"] + 1} if r["type"] == "manifest" else r
                 for r in records
             ],
         )
         with pytest.raises(StorageFormatError, match="shard count"):
             load_finder(broken_dir, analyzer)
 
+    def test_missing_shard_file(self, broken_dir, analyzer):
+        (_generation_dir(broken_dir) / "segment-0001.bin").unlink()
+        with pytest.raises(StorageFormatError, match="missing"):
+            load_finder(broken_dir, analyzer)
+
+    def test_meta_invalid_shard_count(self, broken_dir, analyzer):
+        for bad in (-1, "2", True):
+            _edit_manifest(
+                _generation_dir(broken_dir) / "segments.jsonl",
+                lambda records: [
+                    {**r, "shards": bad} if r["type"] == "manifest" else r
+                    for r in records
+                ],
+            )
+            with pytest.raises(StorageFormatError, match="shard count"):
+                load_finder(broken_dir, analyzer)
+
     def test_stats_document_count_cross_checked(self, broken_dir, analyzer):
+        # the shard segments' document count is checked against the meta
         _edit_manifest(
             _generation_dir(broken_dir) / "meta.jsonl",
             lambda records: [
@@ -915,5 +940,5 @@ class TestShardedFormatGuards:
                 for r in records
             ],
         )
-        with pytest.raises(StorageFormatError, match="statistics cover"):
+        with pytest.raises(StorageFormatError, match="indexed document"):
             load_finder(broken_dir, analyzer)

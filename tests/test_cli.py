@@ -220,18 +220,67 @@ class TestSegmentedCommands:
             ) == code
             assert capsys.readouterr().out == grown_out
 
-    def test_compact_requires_segmented_finder(self, tmp_path, capsys):
-        # a sharded finder holds one segmented index per shard
+    def test_compact_keeps_shard_segments(self, tmp_path, capsys, tiny_dataset):
+        from repro.core.expert_finder import ExpertFinder
+
         snap = tmp_path / "sharded"
         assert main(
             ["index", "--scale", "tiny", "--shards", "2", "--out", str(snap)]
         ) == 0
-        capsys.readouterr()
-        with pytest.raises(SystemExit, match="segmented"):
-            main(
-                ["index", "--scale", "tiny", "--snapshot", str(snap),
-                 "--compact", "--out", str(tmp_path / "x")]
+        assert "shards: the first 2 segments" in capsys.readouterr().out
+
+        # grow the sharded snapshot by a sealed segment and a buffered tail
+        finder = ExpertFinder.load(snap, tiny_dataset.analyzer)
+        candidate = next(iter(finder.evidence_counts))
+        finder.observe("cli:s1", "a zorpify gadget review", [(candidate, 1)])
+        finder.segmented_index.seal()
+        finder.observe("cli:s2", "a zorpify gadget deep dive", [(candidate, 1)])
+        grown = tmp_path / "grown"
+        finder.save(grown)
+
+        optimized = tmp_path / "optimized"
+        assert main(
+            ["index", "--scale", "tiny", "--snapshot", str(grown),
+             "--compact", "--out", str(optimized)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "compacted 3 segment(s) + 1 buffered resource(s) → 3 segment(s)" in out
+        assert "shards: the first 2 segments" in out
+        for need in ("zorpify gadget", "best freestyle swimmer"):
+            code = main(
+                ["query", need, "--scale", "tiny", "--snapshot", str(grown)]
             )
+            grown_out = capsys.readouterr().out
+            assert main(
+                ["query", need, "--scale", "tiny", "--snapshot", str(optimized)]
+            ) == code
+            assert capsys.readouterr().out == grown_out
+
+
+_COUNT_FLAGS = [
+    ("index", "--shards"),
+    ("index", "--seal-threshold"),
+    ("index", "--block-span"),
+    ("index", "--workers"),
+    ("index", "--chunk-size"),
+    ("serve-bench", "--shards"),
+    ("serve-bench", "--seal-threshold"),
+    ("serve", "--shards"),
+]
+
+
+@pytest.mark.parametrize("value", ("0", "-2"))
+@pytest.mark.parametrize("command,flag", _COUNT_FLAGS)
+def test_count_flags_reject_non_positive_values(command, flag, value, capsys):
+    argv = [command, "--scale", "tiny", flag, value]
+    if command == "index":
+        argv += ["--out", "never-written"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err
+    assert "must be a positive integer" in err
 
 
 def _run_cli(*argv):
