@@ -2,9 +2,9 @@
 
 Unlike the per-figure benches (one expensive round each), these run the
 classic pytest-benchmark loop to measure steady-state throughput of the
-text pipeline, the entity annotator, resource retrieval, and expert
-ranking — the costs that dominate a production deployment of the
-system.
+text pipeline, the entity annotator, and a full query on the served
+path (Eq. 1 scoring, the window and the Eq. 3 fold) — the costs that
+dominate a production deployment of the system.
 """
 
 import pytest
@@ -47,23 +47,6 @@ def bench_entity_annotation(benchmark, annotator):
 
     results = benchmark(annotate_batch)
     assert any(results)  # at least one post carries entities
-
-
-def bench_query_matching(benchmark, ctx):
-    finder = ctx.runner.finder(None, FinderConfig())
-    need = ctx.dataset.queries[0]
-
-    matches = benchmark(lambda: finder.match_resources(need))
-    assert matches
-
-
-def bench_expert_ranking(benchmark, ctx):
-    finder = ctx.runner.finder(None, FinderConfig())
-    need = ctx.dataset.queries[0]
-    matches = finder.match_resources(need)
-
-    ranked = benchmark(lambda: finder.rank_matches(matches))
-    assert ranked
 
 
 def bench_full_query(benchmark, ctx):

@@ -5,11 +5,10 @@ index (an indexed observe lands in the write buffer; no compiled state
 is thrown away):
 
 * **equivalence** — after every streamed observe, the streamed finder's
-  columnar engine returns byte-identical rankings to an object-path
-  oracle fed the same stream — a ``VectorSpaceRetriever`` +
-  ``ExpertRanker`` rebuilt cold from the merged collection after every
-  indexed observe — over the full query set (asserted unconditionally,
-  at every scale);
+  columnar engine returns byte-identical rankings to an oracle fed the
+  same stream — a ``VectorSpaceRetriever`` + ``ExpertRanker`` rebuilt
+  cold from a second finder's merged collection after every observe —
+  over the full query set (asserted unconditionally, at every scale);
 * **latency** — observe, and observe followed by one uncached query,
   per streamed resource, plus the uncached QPS after the stream.
 
@@ -23,7 +22,9 @@ import time
 
 from repro.core.config import FinderConfig
 from repro.core.expert_finder import ExpertFinder
+from repro.core.ranking import ExpertRanker
 from repro.core.service import ExpertSearchService, percentile
+from repro.index.vsm import VectorSpaceRetriever
 
 #: streamed resources (every 5th is Italian → evidence-only)
 _EVENTS = 40
@@ -54,8 +55,13 @@ def bench_streaming(ctx, save_result, save_json):
         )
 
     streamed = build(seal_threshold=_SEAL_THRESHOLD)
-    oracle = build(seal_threshold=_SEAL_THRESHOLD)
-    oracle.engine = "object"
+    # the oracle's collection: fed the same stream, never queried
+    collection = build(seal_threshold=_SEAL_THRESHOLD)
+    analyzed = [
+        dataset.analyzer.analyze("__query__", need.text, language="en")
+        for need in queries
+    ]
+    ranker = ExpertRanker(collection.evidence_of, config)
 
     events = []
     for i in range(_EVENTS):
@@ -89,11 +95,18 @@ def bench_streaming(ctx, save_result, save_json):
         # equivalence, unconditionally and at every intermediate state:
         # the streamed segments must rank like the oracle rebuilt cold
         # from the merged collection, bit for bit
-        oracle.observe(rid, text, supporters, language=language)
-        for check in queries:
-            assert streamed.find_experts(check) == oracle.find_experts(
-                check
-            ), f"streamed ranking diverged after {rid} on {check!r}"
+        collection.observe(rid, text, supporters, language=language)
+        term_index, entity_index, _evidence = (
+            collection.segmented_index.merged_slice()
+        )
+        retriever = VectorSpaceRetriever(
+            term_index, entity_index, idf_exponent=config.idf_exponent
+        )
+        for check, query in zip(queries, analyzed):
+            expected = ranker.rank(retriever.retrieve(query, config.alpha))
+            assert streamed.find_experts(check) == expected, (
+                f"streamed ranking diverged after {rid} on {check!r}"
+            )
 
     service = ExpertSearchService(streamed, cache_size=0)  # every query a miss
     service.find_experts_batch(queries, top_k=10)  # warm-up pass

@@ -39,10 +39,6 @@ def main() -> None:
             f" {expert.supporting_resources:>11} {marker:>13}"
         )
 
-    print("\nmatching resources behind the ranking (top 3):")
-    for match in finder.match_resources(question)[:3]:
-        print(f"  {match.doc_id}  score={match.score:.2f}")
-
 
 if __name__ == "__main__":
     main()

@@ -537,10 +537,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cache-size", type=int, default=1024)
     p_serve.add_argument(
         "--engine",
-        choices=("columnar", "columnar-pruned", "object"),
+        choices=("columnar", "columnar-pruned"),
         default="columnar",
         help="query engine for cache misses (columnar-pruned = block-max "
-        "dynamic pruning, object = reference path)",
+        "dynamic pruning)",
     )
     p_serve.add_argument(
         "--shards",
@@ -582,10 +582,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gw.add_argument("--distance", type=int, default=2, choices=(0, 1, 2))
     p_gw.add_argument(
         "--engine",
-        choices=("columnar", "columnar-pruned", "object"),
+        choices=("columnar", "columnar-pruned"),
         default="columnar",
         help="query engine for cache misses (columnar-pruned = block-max "
-        "dynamic pruning, object = reference path)",
+        "dynamic pruning)",
     )
     p_gw.add_argument(
         "--shards",

@@ -28,14 +28,12 @@ if TYPE_CHECKING:
 from repro.core.build_stats import BuildStats
 from repro.core.config import FinderConfig
 from repro.core.need import ExpertiseNeed
-from repro.core.ranking import ExpertRanker, ExpertScore
+from repro.core.ranking import ExpertScore
 from repro.index.blockmax import PruningStats
 from repro.index.analyzer import AnalyzedResource, ResourceAnalyzer
 from repro.index.entity_index import EntityIndex
 from repro.index.inverted import InvertedIndex
 from repro.index.parallel import DEFAULT_CHUNK_SIZE, AnalysisTask, analyze_tasks, build_indexes
-from repro.index.statistics import CollectionStatistics
-from repro.index.vsm import ResourceMatch, VectorSpaceRetriever
 from repro.socialgraph.distance import ResourceGatherer, node_text, node_urls
 from repro.socialgraph.graph import SocialGraph
 
@@ -51,9 +49,8 @@ _UNSET: EllipsisType = ...
 #: columns (:class:`~repro.index.segments.SegmentedIndex`),
 #: "columnar-pruned" adds block-max dynamic pruning on the same path
 #: (exact for absolute windows, automatic exhaustive fallback
-#: otherwise), "object" is the reference retriever/ranker path; all
-#: rank byte-identically
-_ENGINES = ("columnar", "columnar-pruned", "object")
+#: otherwise); both rank byte-identically
+_ENGINES = ("columnar", "columnar-pruned")
 
 
 def _check_shards(shards: int | None) -> None:
@@ -89,11 +86,7 @@ class ExpertFinder:
             raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
         self._analyzer = analyzer
         self._index = segmented
-        #: the object path's retriever over the merged collection, built
-        #: on first use and dropped by the next indexed observe
-        self._retriever: VectorSpaceRetriever | None = None
         self._evidence_of = evidence_of
-        self._ranker = ExpertRanker(evidence_of, config)
         self._config = config
         self._evidence_counts = dict(evidence_counts)
         self._indexed_count = indexed_count
@@ -471,12 +464,10 @@ class ExpertFinder:
     @property
     def engine(self) -> str:
         """Which path :meth:`find_experts` takes: "columnar" (the compiled
-        segment columns, the default), "columnar-pruned" (the same path
+        segment columns, the default) or "columnar-pruned" (the same path
         with block-max dynamic pruning — exact for absolute-count
-        windows, automatic exhaustive fallback otherwise), or "object"
-        (the reference retriever/ranker path). Rankings are byte-identical on every engine; the
-        object path additionally powers :meth:`match_resources` and
-        :meth:`rank_matches`, which expose per-resource breakdowns."""
+        windows, automatic exhaustive fallback otherwise). Rankings are
+        byte-identical on both."""
         return self._engine_kind
 
     @property
@@ -491,20 +482,6 @@ class ExpertFinder:
         if kind not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {kind!r}")
         self._engine_kind = kind
-
-    def _object_retriever(self) -> VectorSpaceRetriever:
-        """The object path's :class:`VectorSpaceRetriever` over the merged
-        segments + buffer — the reference the fast engines are tested
-        against. Built on first use; an indexed observe drops it."""
-        if self._retriever is None:
-            term_index, entity_index, _evidence = self._index.merged_slice()
-            self._retriever = VectorSpaceRetriever(
-                term_index,
-                entity_index,
-                CollectionStatistics(term_index, entity_index),
-                idf_exponent=self._config.idf_exponent,
-            )
-        return self._retriever
 
     # -- streaming updates --------------------------------------------------------
 
@@ -545,8 +522,6 @@ class ExpertFinder:
         analyzed = self._analyzer.analyze(node_id, text, language=language)
         indexed = analyzed.language in _INDEXABLE_LANGUAGES
         self._index.add(analyzed, supporters, index=indexed)
-        if indexed:
-            self._retriever = None  # the collection statistics moved
         self._evidence_of[node_id] = list(supporters)
         for candidate_id, _ in supporters:
             self._evidence_counts[candidate_id] += 1
@@ -554,62 +529,9 @@ class ExpertFinder:
             self._indexed_count += 1
         return indexed
 
-    def match_resources(
-        self,
-        need: ExpertiseNeed | str,
-        *,
-        alpha: float | None = None,
-        limit: int | None = None,
-    ) -> list[ResourceMatch]:
-        """The relevant-resource set RR for a need, best first (Eq. 1),
-        computed on the object path.
-
-        *alpha* overrides the configured value for parameter sweeps —
-        the indexes do not depend on it, so no rebuild is needed.
-        *limit* keeps only the best *limit* matches, selected with the
-        retriever's bounded-heap fast path; the prefix is identical to
-        the unlimited result's.
-        """
-        retriever = self._object_retriever()
-        query = self._analyze_need(need)
-        effective_alpha = self._config.alpha if alpha is None else alpha
-        if limit is None:
-            return retriever.retrieve(query, effective_alpha)
-        return retriever.retrieve_top_k(query, effective_alpha, limit)
-
     def _analyze_need(self, need: ExpertiseNeed | str) -> AnalyzedResource:
         text = need.text if isinstance(need, ExpertiseNeed) else need
         return self._analyzer.analyze("__query__", text, language="en")
-
-    def rank_matches(
-        self,
-        matches: Sequence[ResourceMatch],
-        *,
-        window: int | float | None | EllipsisType = _UNSET,
-        config: FinderConfig | None = None,
-    ) -> list[ExpertScore]:
-        """Apply the window and Eq. 3 to an already retrieved match list
-        (lets sweeps reuse one retrieval across several window values).
-
-        *config* overrides every rank-time parameter (window, weight
-        interval, normalization); it must agree with the build-time
-        parameters, because the evidence was gathered under them.
-        """
-        if config is not None:
-            if (
-                config.max_distance != self._config.max_distance
-                or config.include_friends != self._config.include_friends
-            ):
-                raise ValueError(
-                    "rank-time config must match the finder's build-time "
-                    "max_distance and include_friends"
-                )
-            ranker = ExpertRanker(self._evidence_of, config)
-        elif window is _UNSET:
-            ranker = self._ranker
-        else:
-            ranker = ExpertRanker(self._evidence_of, self._config.with_(window=window))
-        return ranker.rank(matches)
 
     def find_experts(
         self,
@@ -625,33 +547,15 @@ class ExpertFinder:
         parameter sweeps (``window=None`` means "no window"; leave it at
         the default to use the configured window).
 
-        The "columnar" engines score document-at-a-time across the live
-        segments plus the write buffer (the shard segments through the
-        scatter pool, when one runs); the "object" engine is the reference retriever/ranker path. All
-        paths produce the same list, bit for bit.
-
-        On the object path, when the effective window is an absolute
-        resource count, only the top-window matches can contribute to
-        Eq. 3, so retrieval takes the bounded-heap fast path; fractional
-        and disabled windows depend on the total match count and
-        retrieve fully.
+        Both engines score document-at-a-time across the live segments
+        plus the write buffer (the shard segments through the scatter
+        pool, when one runs) and produce the same list, bit for bit.
         """
         _check_top_k(top_k)
-        effective_window = self._config.window if window is _UNSET else window
-        if self._engine_kind == "object":
-            limit = (
-                effective_window
-                if isinstance(effective_window, int)
-                and not isinstance(effective_window, bool)
-                else None
-            )
-            matches = self.match_resources(need, alpha=alpha, limit=limit)
-            ranked = self.rank_matches(matches, window=window)
-            return ranked if top_k is None else ranked[:top_k]
         return self._index.find_experts(
             self._analyze_need(need),
             alpha=self._config.alpha if alpha is None else alpha,
-            window=effective_window,
+            window=self._config.window if window is _UNSET else window,
             top_k=top_k,
             pruned=self._engine_kind == "columnar-pruned",
             stats=self._pruning_stats,
@@ -670,11 +574,6 @@ class ExpertFinder:
         pipelined through the pool, overlapping this process's own
         scoring and merge with the workers' shard scoring."""
         _check_top_k(top_k)
-        if self._engine_kind == "object":
-            return [
-                self.find_experts(need, top_k=top_k, alpha=alpha, window=window)
-                for need in needs
-            ]
         return self._index.find_experts_many(
             [self._analyze_need(need) for need in needs],
             alpha=self._config.alpha if alpha is None else alpha,

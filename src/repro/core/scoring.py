@@ -6,15 +6,17 @@
 * :func:`distance_weight_table` — ``wr`` precomputed for every
   admissible distance, so per-pair aggregation loops pay one dict
   lookup instead of a recomputation;
-* :func:`apply_window` — the window-size cut on the retrieved resources;
-* :func:`aggregate_expert_scores` — Eq. 3 itself:
-  ``score(q, ex) = Σ score(q, rᵢ) · wr(rᵢ, ex)``.
+* :func:`apply_window` — the window-size cut on the retrieved resources.
+
+Eq. 3 itself, ``score(q, ex) = Σ score(q, rᵢ) · wr(rᵢ, ex)``, is folded
+by :func:`repro.index.segments.fold_experts` on the served path and by
+:meth:`repro.core.ranking.ExpertRanker.rank` in the reference path.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 from repro.index.vsm import ResourceMatch
 
@@ -99,32 +101,3 @@ def apply_window(
     """Keep the top-*window* matches (input must already be sorted by
     decreasing score, as :meth:`VectorSpaceRetriever.retrieve` returns)."""
     return matches[: window_size(window, len(matches))]
-
-
-def aggregate_expert_scores(
-    matches: Sequence[ResourceMatch],
-    evidence_of: Mapping[str, Sequence[tuple[str, int]]],
-    *,
-    max_distance: int,
-    weight_interval: tuple[float, float] = (0.5, 1.0),
-) -> dict[str, float]:
-    """Eq. 3: fold resource relevance into per-candidate expertise scores.
-
-    *evidence_of* maps a resource (doc) id to the candidates it is
-    evidence for, with the graph distance of the relation; one resource
-    may support several candidates (e.g. a post in a group that two
-    candidates belong to), each weighted by its own distance.
-
-    No normalization over the number of resources is applied — the paper
-    assumes "a direct correlation between the number of resources related
-    to a query, and the potential expertise of the user" (Sec. 2.4.1).
-    """
-    weight_of = distance_weight_table(max_distance, weight_interval)
-    scores: dict[str, float] = {}
-    for match in matches:
-        for candidate_id, distance in evidence_of.get(match.doc_id, ()):
-            weight = weight_of.get(distance)
-            if weight is None:
-                raise ValueError(f"distance {distance} outside 0..{max_distance}")
-            scores[candidate_id] = scores.get(candidate_id, 0.0) + match.score * weight
-    return scores

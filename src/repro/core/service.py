@@ -263,18 +263,13 @@ class ExpertSearchService:
         """Answer several needs under one parameter setting, in order.
 
         Duplicate needs within the batch hit the cache like repeated
-        single queries would. With an active scatter pool (and a
-        non-object engine) the cache misses are dispatched
-        through the pool in one pipelined pass
+        single queries would. With an active scatter pool the cache
+        misses are dispatched through the pool in one pipelined pass
         (:meth:`ExpertFinder.find_experts_many`) instead of serially —
         results are identical, and the achieved overlap shows up as
         :attr:`ServiceStats.batch_parallelism`."""
         finder = self._finder
-        if (
-            len(needs) < 2
-            or finder.segmented_index.scatter_pool is None
-            or finder.engine == "object"
-        ):
+        if len(needs) < 2 or finder.segmented_index.scatter_pool is None:
             return [
                 self.find_experts(need, top_k=top_k, alpha=alpha, window=window)
                 for need in needs

@@ -1,19 +1,21 @@
 """Experiment runner: execute the query set under a configuration.
 
-The runner owns the expensive pieces — finder construction per
-``(platform, max_distance, include_friends, idf_exponent)`` — and reuses
-the dataset's shared corpus, so parameter sweeps over α and the window
-only pay the cheap retrieval/ranking cost.
+Every ranking goes through :meth:`ExpertFinder.find_experts`, the
+Eq. 1 → window → Eq. 3 path the gateway serves. The runner owns the
+expensive piece — one finder per platform and build-time config — and
+reuses the dataset's shared corpus, so parameter sweeps over α and the
+window only pay the per-query scoring cost.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
-from repro.core.config import FinderConfig
+from repro.core.config import PAPER_CONFIG, FinderConfig
 from repro.core.expert_finder import ExpertFinder
 from repro.core.need import ExpertiseNeed
+from repro.core.ranking import ExpertScore
 from repro.evaluation.metrics import (
     average_precision,
     dcg,
@@ -48,7 +50,6 @@ class QueryOutcome:
     ranking: tuple[str, ...]
     relevant: frozenset[str]
     gains: dict[str, float] = field(repr=False)
-    matched_resources: int = 0
 
     @property
     def ap(self) -> float:
@@ -145,6 +146,31 @@ class EvaluationResult:
         return scores
 
 
+def _evaluate(
+    dataset: EvaluationDataset,
+    rank: Callable[[ExpertiseNeed], Sequence[ExpertScore]],
+    queries: Sequence[ExpertiseNeed] | None,
+) -> EvaluationResult:
+    """Rank every query with *rank* and score it against *dataset*'s
+    ground truth."""
+    ground_truth = dataset.ground_truth
+    outcomes: list[QueryOutcome] = []
+    for need in queries if queries is not None else dataset.queries:
+        relevant = ground_truth.experts(need.domain)
+        outcomes.append(
+            QueryOutcome(
+                need=need,
+                ranking=tuple(e.candidate_id for e in rank(need)),
+                relevant=relevant,
+                gains={
+                    pid: float(ground_truth.likert(pid, need.domain))
+                    for pid in relevant
+                },
+            )
+        )
+    return EvaluationResult(outcomes)
+
+
 def evaluate_finder(
     dataset: EvaluationDataset,
     finder,
@@ -153,36 +179,7 @@ def evaluate_finder(
     """Score any object exposing ``find_experts(need)`` — the paper's
     system, the Balog baselines, the profile matcher — over *dataset*'s
     queries with its ground truth."""
-    ground_truth = dataset.ground_truth
-    outcomes: list[QueryOutcome] = []
-    full_pipeline = hasattr(finder, "match_resources") and hasattr(
-        finder, "rank_matches"
-    )
-    for need in queries if queries is not None else dataset.queries:
-        if full_pipeline:
-            # split retrieval from ranking so the true RR size is known
-            matches = finder.match_resources(need)
-            experts = finder.rank_matches(matches)
-            matched = len(matches)
-        else:
-            # baselines expose only the ranked list; report its size
-            experts = finder.find_experts(need)
-            matched = len(experts)
-        ranking = tuple(e.candidate_id for e in experts)
-        relevant = ground_truth.experts(need.domain)
-        gains = {
-            pid: float(ground_truth.likert(pid, need.domain)) for pid in relevant
-        }
-        outcomes.append(
-            QueryOutcome(
-                need=need,
-                ranking=ranking,
-                relevant=relevant,
-                gains=gains,
-                matched_resources=matched,
-            )
-        )
-    return EvaluationResult(outcomes)
+    return _evaluate(dataset, finder.find_experts, queries)
 
 
 class ExperimentRunner:
@@ -190,31 +187,28 @@ class ExperimentRunner:
 
     def __init__(self, dataset: EvaluationDataset):
         self._dataset = dataset
-        self._finders: dict[tuple, ExpertFinder] = {}
+        self._finders: dict[tuple[Platform | None, FinderConfig], ExpertFinder] = {}
 
     @property
     def dataset(self) -> EvaluationDataset:
         return self._dataset
 
     def finder(self, platform: Platform | None, config: FinderConfig) -> ExpertFinder:
-        """A finder for (platform, config); indexes are cached across α
-        and window values, which don't affect them."""
-        key = (
-            platform,
-            config.max_distance,
-            config.include_friends,
-            config.idf_exponent,
-        )
-        cached = self._finders.get(key)
+        """The finder for (platform, config). α and the window only
+        reach :meth:`run`'s ``find_experts`` calls, so configs that
+        differ in them alone share one finder, built with the paper's α
+        and window; every other field gets its own build."""
+        key = config.with_(alpha=PAPER_CONFIG.alpha, window=PAPER_CONFIG.window)
+        cached = self._finders.get((platform, key))
         if cached is None:
             cached = ExpertFinder.build(
                 self._dataset.graph_for(platform),
                 self._dataset.candidates_for(platform),
                 self._dataset.analyzer,
-                config,
+                key,
                 corpus=self._dataset.corpus,
             )
-            self._finders[key] = cached
+            self._finders[(platform, key)] = cached
         return cached
 
     def run(
@@ -226,25 +220,10 @@ class ExperimentRunner:
     ) -> EvaluationResult:
         """Execute *queries* (default: all 30) and collect outcomes."""
         finder = self.finder(platform, config)
-        ground_truth = self._dataset.ground_truth
-        outcomes: list[QueryOutcome] = []
-        for need in queries if queries is not None else self._dataset.queries:
-            matches = finder.match_resources(need, alpha=config.alpha)
-            experts = finder.rank_matches(matches, config=config)
-            ranking = tuple(e.candidate_id for e in experts)
-            relevant = ground_truth.experts(need.domain)
-            gains = {
-                pid: float(ground_truth.likert(pid, need.domain))
-                for pid in self._dataset.person_ids
-                if pid in relevant
-            }
-            outcomes.append(
-                QueryOutcome(
-                    need=need,
-                    ranking=ranking,
-                    relevant=relevant,
-                    gains=gains,
-                    matched_resources=len(matches),
-                )
-            )
-        return EvaluationResult(outcomes)
+        return _evaluate(
+            self._dataset,
+            lambda need: finder.find_experts(
+                need, alpha=config.alpha, window=config.window
+            ),
+            queries,
+        )

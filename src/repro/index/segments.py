@@ -321,11 +321,11 @@ class Segment:
         values may be ``array``s or zero-copy ``memoryview`` casts.
         *hydrate* is a zero-argument callable returning the
         ``(InvertedIndex, EntityIndex)`` pair — invoked at most once, only
-        if a merge, snapshot re-save or the object path actually needs
-        posting objects. *term_blocks*/*entity_blocks* adopt per-column
-        ``(bids, boff, bmax)`` block metadata written by a v3+blocks
-        snapshot (whose columns are doc-sorted); when absent, pruning
-        sorts the column and recomputes it on first use — the
+        if a merge, snapshot re-save or :meth:`SegmentedIndex.merged_slice`
+        actually needs posting objects. *term_blocks*/*entity_blocks*
+        adopt per-column ``(bids, boff, bmax)`` block metadata written by
+        a v3+blocks snapshot (whose columns are doc-sorted); when absent,
+        pruning sorts the column and recomputes it on first use — the
         recompute-on-absent compatibility rule.
         """
         segment = cls.__new__(cls)
@@ -1447,8 +1447,9 @@ class SegmentedIndex:
         self,
     ) -> tuple[InvertedIndex, EntityIndex, Mapping[str, _Rows]]:
         """The whole collection as one ``(term_index, entity_index,
-        evidence)`` triple — what the object path reads (hydrates
-        column-restored segments). A lone
+        evidence)`` triple — what the reference path
+        (:class:`~repro.index.vsm.VectorSpaceRetriever`) reads in the
+        tests (hydrates column-restored segments). A lone
         segment with an empty buffer is returned as is, so callers must
         treat the result as read-only."""
         segments = self._segments

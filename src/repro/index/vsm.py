@@ -16,13 +16,16 @@ postings lists, so cost scales with the number of matching resources,
 not with the collection size. The per-posting products ``tf · irf²``
 and ``ef · eirf² · we`` do not depend on the query, so they are
 memoized per term/entity and invalidated together with the collection
-statistics; :meth:`VectorSpaceRetriever.retrieve_top_k` additionally
-replaces the full sort with a bounded heap for the serving hot path.
+statistics.
+
+This retriever and :class:`~repro.core.ranking.ExpertRanker` are the
+reference path: no query is served through them, but the tests and the
+query and streaming benchmarks check every served ranking against them
+bit for bit. :func:`entity_weight` is shared with the served path.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -52,12 +55,6 @@ def entity_weight(d_score: float) -> float:
     if d_score < 0.0:
         raise ValueError(f"dScore must be non-negative, got {d_score}")
     return 1.0 + d_score if d_score > 0.0 else 0.0
-
-
-#: sort key shared by the full sort and the bounded heap, so
-#: ``retrieve_top_k(q, α, k) == retrieve(q, α)[:k]`` holds exactly
-def _match_order(match: ResourceMatch) -> tuple[float, str]:
-    return (-match.score, match.doc_id)
 
 
 class VectorSpaceRetriever:
@@ -186,9 +183,9 @@ class VectorSpaceRetriever:
                 for doc_id, weighted in self._weighted_entity_postings(uri):
                     entity_scores[doc_id] = entity_scores.get(doc_id, 0.0) + weighted
 
-        # repro: lint-ok[determinism] every consumer re-sorts with the
-        # total (-score, doc_id) key (_match_order), so emission order
-        # here cannot reach a ranking
+        # repro: lint-ok[determinism] retrieve() re-sorts with the total
+        # (-score, doc_id) key, so emission order here cannot reach a
+        # ranking
         for doc_id in term_scores.keys() | entity_scores.keys():
             t_score = term_scores.get(doc_id, 0.0)
             e_score = entity_scores.get(doc_id, 0.0)
@@ -207,21 +204,5 @@ class VectorSpaceRetriever:
         Ties are broken by doc id so rankings are fully deterministic.
         """
         matches = list(self._matches(query, alpha))
-        matches.sort(key=_match_order)
+        matches.sort(key=lambda match: (-match.score, match.doc_id))
         return matches
-
-    def retrieve_top_k(
-        self, query: AnalyzedResource, alpha: float, k: int
-    ) -> list[ResourceMatch]:
-        """The best *k* resources for *query* — exactly
-        ``retrieve(query, alpha)[:k]``, including the doc-id tie break,
-        but selected with a bounded heap instead of a full sort, so the
-        sort cost is O(n log k) over the n matching resources."""
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
-        if k == 0:
-            # still validates alpha, like the full retrieval would
-            if not 0.0 <= alpha <= 1.0:
-                raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-            return []
-        return heapq.nsmallest(k, self._matches(query, alpha), key=_match_order)

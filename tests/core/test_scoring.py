@@ -2,12 +2,9 @@
 
 import pytest
 
-from repro.core.scoring import (
-    aggregate_expert_scores,
-    apply_window,
-    distance_weight,
-    window_size,
-)
+from repro.core.config import FinderConfig
+from repro.core.ranking import ExpertRanker
+from repro.core.scoring import apply_window, distance_weight, window_size
 from repro.index.vsm import ResourceMatch
 
 
@@ -100,28 +97,33 @@ class TestApplyWindow:
 
 
 class TestAggregate:
+    """Eq. 3 as the reference ranker folds it (max distance 2)."""
+
+    @staticmethod
+    def _scores(matches, evidence, **config):
+        ranker = ExpertRanker(evidence, FinderConfig(window=None, **config))
+        return {e.candidate_id: e.score for e in ranker.rank(matches)}
+
     def test_eq3_single_candidate(self):
         matches = [_match("r1", 2.0), _match("r2", 1.0)]
         evidence = {"r1": [("alice", 1)], "r2": [("alice", 2)]}
-        scores = aggregate_expert_scores(matches, evidence, max_distance=2)
+        scores = self._scores(matches, evidence)
         assert scores["alice"] == pytest.approx(2.0 * 0.75 + 1.0 * 0.5)
 
     def test_shared_resource_credits_all(self):
         matches = [_match("r1", 4.0)]
         evidence = {"r1": [("alice", 1), ("bob", 2)]}
-        scores = aggregate_expert_scores(matches, evidence, max_distance=2)
+        scores = self._scores(matches, evidence)
         assert scores["alice"] == pytest.approx(3.0)
         assert scores["bob"] == pytest.approx(2.0)
 
     def test_unmatched_resource_ignored(self):
         matches = [_match("ghost", 1.0)]
-        scores = aggregate_expert_scores(matches, {}, max_distance=2)
+        scores = self._scores(matches, {})
         assert scores == {}
 
     def test_custom_interval(self):
         matches = [_match("r1", 1.0)]
         evidence = {"r1": [("alice", 2)]}
-        scores = aggregate_expert_scores(
-            matches, evidence, max_distance=2, weight_interval=(1.0, 1.0)
-        )
+        scores = self._scores(matches, evidence, weight_interval=(1.0, 1.0))
         assert scores["alice"] == pytest.approx(1.0)

@@ -14,6 +14,7 @@ from repro.socialgraph.metamodel import (
     SocialRelation,
     UserProfile,
 )
+from tests.oracle import oracle_experts
 
 
 @pytest.fixture
@@ -103,10 +104,9 @@ class TestObserve:
 
 
 def _both_engines(finder, need, **kwargs):
-    """The ranking from all three engines, asserting exact agreement."""
+    """The oracle's ranking, asserting both engines match it exactly."""
     previous = finder.engine
-    finder.engine = "object"
-    reference = finder.find_experts(need, **kwargs)
+    reference = oracle_experts(finder, need, **kwargs)
     finder.engine = "columnar"
     columnar = finder.find_experts(need, **kwargs)
     finder.engine = "columnar-pruned"
@@ -119,7 +119,7 @@ def _both_engines(finder, need, **kwargs):
 
 class TestStreamingEngineEquivalence:
     """Interleaved observe() + queries: the columnar engines must track
-    the object path exactly (the window/α sweeps live in
+    the oracle exactly (the window/α sweeps live in
     tests/index/test_columnar.py)."""
 
     def test_interleaved_observe_and_query(self, finder):
@@ -257,23 +257,6 @@ class TestSegmentedStreamingEquivalence:
                     need, alpha=alpha, window=window
                 ) == monolithic.find_experts(need, alpha=alpha, window=window)
 
-    def test_match_resources_parity(self, analyzer):
-        config = FinderConfig(window=None)
-        segmented = ExpertFinder.build(
-            _stream_graph(), _CANDIDATES, analyzer, config, seal_threshold=2,
-        )
-        monolithic = ExpertFinder.build(
-            _stream_graph(), _CANDIDATES, analyzer, config
-        )
-        for rid, text, _creators, supporters in _EVENTS:
-            segmented.observe(rid, text, supporters)
-            monolithic.observe(rid, text, supporters)
-        for need in _NEEDS:
-            full = monolithic.match_resources(need)
-            assert segmented.match_resources(need) == full
-            for k in (1, 3, len(full) + 5):
-                assert segmented.match_resources(need, limit=k) == full[:k]
-
     def test_compaction_preserves_stream_rankings(self, analyzer):
         config = FinderConfig(window=None)
         segmented = ExpertFinder.build(
@@ -331,8 +314,7 @@ class TestRandomizedPrunedStream:
             expected = rebuilt.find_experts(need, window=window)
             segmented.engine = "columnar-pruned"
             assert segmented.find_experts(need, window=window) == expected
-            segmented.engine = "object"
-            assert segmented.find_experts(need, window=window) == expected
+            assert oracle_experts(segmented, need, window=window) == expected
         stats = segmented.pruning_stats
         assert stats.pruned_queries > 0  # absolute windows took the pruned path
         assert stats.fallback_queries > 0  # None/fractional fell back
@@ -343,9 +325,8 @@ class TestRandomizedPrunedStream:
 class TestSegmentedFinderSurface:
     def test_observe_does_not_recompile_anything(self, analyzer):
         # after an observe the next query must not rebuild compiled
-        # state: the sealed segments survive untouched, the resource
-        # waits in the write buffer, and the fast path never builds the
-        # object path's merged retriever
+        # state: the sealed segments survive untouched and the resource
+        # waits in the write buffer
         finder = ExpertFinder.build(
             _stream_graph(), _CANDIDATES, analyzer, FinderConfig(window=None),
         )
@@ -355,26 +336,6 @@ class TestSegmentedFinderSurface:
         assert finder.index_stats.buffered == 1
         assert finder.find_experts("freestyle swimming") != []
         assert finder.segmented_index.iter_segments() == segments
-        assert finder._retriever is None
-
-    def test_monolithic_engine_survives_non_indexed_observe(self, finder):
-        # the object path's whole-collection retriever is dropped by an
-        # indexed observe only — evidence-only resources change no
-        # statistics
-        finder.engine = "object"
-        finder.find_experts("guitar rock song")
-        retriever = finder._retriever
-        assert retriever is not None
-        indexed = finder.observe(
-            "it1",
-            "questa e una bella giornata per andare in piscina con gli amici",
-            [("alice", 1)],
-        )
-        assert not indexed
-        assert finder._retriever is retriever  # no rebuild needed
-        finder.observe("t2", "more guitar practice", [("alice", 1)], language="en")
-        assert finder._retriever is None
-        assert _both_engines(finder, "guitar practice") != []
 
     def test_index_stats_surface(self, analyzer, finder):
         stats = finder.index_stats

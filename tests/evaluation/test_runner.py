@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core.config import FinderConfig
-from repro.evaluation.runner import EvaluationResult, QueryOutcome, evaluate_finder
+from repro.core.config import PAPER_CONFIG, FinderConfig
+from repro.evaluation.runner import EvaluationResult, ExperimentRunner, evaluate_finder
+from repro.experiments import fig6_window
+from repro.experiments.context import ExperimentContext
 from repro.socialgraph.metamodel import Platform
 
 
@@ -30,15 +32,25 @@ class TestRun:
         for value in summary.as_row():
             assert 0.0 <= value <= 1.0
 
-    def test_matched_resources_recorded(self, result):
-        assert any(o.matched_resources > 0 for o in result.outcomes)
-
     def test_finder_cache_reused(self, tiny_context):
-        f1 = tiny_context.runner.finder(Platform.TWITTER, FinderConfig())
-        f2 = tiny_context.runner.finder(Platform.TWITTER, FinderConfig(alpha=0.2))
+        runner = tiny_context.runner
+        f1 = runner.finder(Platform.TWITTER, FinderConfig())
+        f2 = runner.finder(Platform.TWITTER, FinderConfig(alpha=0.2))
         assert f1 is f2  # alpha does not affect the index
-        f3 = tiny_context.runner.finder(Platform.TWITTER, FinderConfig(max_distance=1))
+        f3 = runner.finder(Platform.TWITTER, FinderConfig(max_distance=1))
         assert f3 is not f1
+        # the other rank-time fields are not passed per query, so each
+        # gets its own finder built with it
+        for config in (
+            FinderConfig(normalize=True),
+            FinderConfig(weight_interval=(1.0, 1.0)),
+        ):
+            own = runner.finder(Platform.TWITTER, config)
+            assert own is not f1
+            assert own.config == config
+        paper = runner.finder(Platform.TWITTER, FinderConfig(alpha=0.2))
+        assert paper is f1
+        assert paper.config == PAPER_CONFIG
 
     def test_subset_of_queries(self, tiny_context):
         queries = tiny_context.dataset.queries[:3]
@@ -47,21 +59,9 @@ class TestRun:
 
 
 class TestEvaluateFinder:
-    def test_matched_resources_is_real_match_count(self, tiny_context):
-        """evaluate_finder used to hardcode matched_resources=0; it must
-        report the finder's actual RR size, agreeing with runner.run."""
-        dataset = tiny_context.dataset
-        finder = tiny_context.runner.finder(None, FinderConfig())
-        queries = dataset.queries[:5]
-        result = evaluate_finder(dataset, finder, queries)
-        expected = tiny_context.runner.run(None, FinderConfig(), queries=queries)
-        assert [o.matched_resources for o in result.outcomes] == [
-            o.matched_resources for o in expected.outcomes
-        ]
-        assert any(o.matched_resources > 0 for o in result.outcomes)
-
     def test_ranking_only_finder_reports_retrieved_size(self, tiny_context):
-        """Baselines exposing only find_experts report the ranking size."""
+        """A wrapper exposing only find_experts, as the baselines do,
+        evaluates like run()."""
 
         class RankingOnly:
             def __init__(self, inner):
@@ -74,9 +74,18 @@ class TestEvaluateFinder:
         finder = tiny_context.runner.finder(None, FinderConfig())
         queries = dataset.queries[:3]
         result = evaluate_finder(dataset, RankingOnly(finder), queries)
-        assert [o.matched_resources for o in result.outcomes] == [
-            len(o.ranking) for o in result.outcomes
-        ]
+        assert result == tiny_context.runner.run(None, FinderConfig(), queries=queries)
+
+    def test_paper_finder_ignores_earlier_sweeps(self, tiny_dataset):
+        """The Fig. 6 sweep (α = 0.5, fractional windows) runs first on
+        a fresh runner; the paper-config finder it leaves cached must
+        still rank with the paper's α and window."""
+        runner = ExperimentRunner(tiny_dataset)
+        fig6_window.run(ExperimentContext(dataset=tiny_dataset, runner=runner))
+        result = evaluate_finder(tiny_dataset, runner.finder(None, FinderConfig()))
+        expected = ExperimentRunner(tiny_dataset).run(None, FinderConfig())
+        assert result.summary() == expected.summary()
+        assert result == expected
 
 
 class TestEvaluationResult:

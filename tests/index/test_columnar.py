@@ -3,10 +3,11 @@
 The contract under test is *byte-identical equivalence*: for any
 collection and any (α, window, top_k), the "columnar" engine
 (:class:`~repro.index.segments.SegmentedIndex` scoring its compiled
-segment columns) must return exactly the ranking of the object path
-(``VectorSpaceRetriever`` + ``ExpertRanker``: same scores bit for bit,
-same support counts, same tie-breaks) — in both its exhaustive and its
-block-max pruned ("columnar-pruned") evaluation modes. Equivalence is
+segment columns) must return exactly the ranking of the oracle
+(``VectorSpaceRetriever`` + ``ExpertRanker`` in ``tests/oracle.py``:
+same scores bit for bit, same support counts, same tie-breaks) — in
+both its exhaustive and its block-max pruned ("columnar-pruned")
+evaluation modes. Equivalence is
 asserted with ``==`` on the ``ExpertScore`` lists, which compares the
 float scores exactly, not approximately.
 """
@@ -23,6 +24,7 @@ from repro.index.blockmax import PruningStats
 from repro.index.segments import Segment, SegmentedIndex
 from repro.socialgraph.graph import SocialGraph
 from repro.socialgraph.metamodel import Platform, RelationKind, Resource, UserProfile
+from tests.oracle import oracle_experts
 
 ALPHAS = (0.0, 0.6, 1.0)
 WINDOWS = (None, 1, 10, 0.5, 1.0)
@@ -35,12 +37,12 @@ _VOCAB = (
 
 
 def both_engines(finder, need, **kwargs):
-    """Rank *need* on all three engines, assert exact equality, return
-    it. "columnar-pruned" rides along on every equivalence assertion in
-    this module — absolute windows exercise the block-max path, every
-    other window shape its exhaustive fallback."""
-    finder.engine = "object"
-    reference = finder.find_experts(need, **kwargs)
+    """Rank *need* on both engines, assert exact equality with the
+    oracle, return it. "columnar-pruned" rides along on every
+    equivalence assertion in this module — absolute windows exercise
+    the block-max path, every other window shape its exhaustive
+    fallback."""
+    reference = oracle_experts(finder, need, **kwargs)
     finder.engine = "columnar"
     result = finder.find_experts(need, **kwargs)
     assert result == reference
@@ -183,7 +185,7 @@ class TestEngineBehavior:
 
     def test_validation_parity(self, tiny_finder, tiny_dataset):
         need = tiny_dataset.queries[0].text
-        for engine in ("object", "columnar", "columnar-pruned"):
+        for engine in ("columnar", "columnar-pruned"):
             tiny_finder.engine = engine
             with pytest.raises(ValueError):
                 tiny_finder.find_experts(need, alpha=1.5)
@@ -264,7 +266,7 @@ class TestEngineBehavior:
 
 class TestBlockMaxPruning:
     """Routing and edge cases of the block-max evaluation mode; the
-    ``pruned == object`` equality itself is asserted by every
+    ``pruned == oracle`` equality itself is asserted by every
     ``both_engines`` call in this module."""
 
     def _query(self, tiny_finder, tiny_dataset, index=0):

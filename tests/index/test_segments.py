@@ -222,10 +222,7 @@ class TestSegmentationInvariance:
         reference = retriever(_reference(config))
         streamed = retriever(_streamed(config, seal_threshold=2, compaction="manual"))
         for query, alpha in _QUERIES:
-            full = reference.retrieve(query, alpha)
-            assert streamed.retrieve(query, alpha) == full
-            for k in (1, 3, len(full) + 5):
-                assert streamed.retrieve_top_k(query, alpha, k) == full[:k]
+            assert streamed.retrieve(query, alpha) == reference.retrieve(query, alpha)
 
     def test_window_cut_is_global(self, config):
         # window=2 must pick the globally best two resources even when

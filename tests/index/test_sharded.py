@@ -4,10 +4,11 @@ A ``shards=K`` finder seals its cold build as K shard segments of one
 :class:`~repro.index.segments.SegmentedIndex`, split by resource. The
 load-bearing property is *shard-count invariance*: for any shard count
 K and every engine, a sharded finder must rank byte-identically to the
-object path (``VectorSpaceRetriever`` + ``ExpertRanker``) of the
-unsharded build over the same stream — including after streaming
-observes, seals and compactions between queries, and whether the shard
-segments are scored serially in the coordinator or by the worker pool.
+oracle (``tests/oracle.py``) over the unsharded build of the same
+stream, and so must the oracle over the sharded finder's own merged
+segments — including after streaming observes, seals and compactions
+between queries, and whether the shard segments are scored serially in
+the coordinator or by the worker pool.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from repro.core.expert_finder import ExpertFinder
 from repro.index.parallel import build_indexes
 from repro.index.sharded import ShardedQueryExecutor, split_by_resource
 from repro.synthetic.stream import stream_candidates, stream_queries, stream_resources
+from tests.oracle import ORACLE, oracle_experts, ranked_on
 
 _SHARD_COUNTS = (1, 2, 3, 5)
-_ENGINES = ("columnar", "columnar-pruned", "object")
+_ENGINES = ("columnar", "columnar-pruned", ORACLE)
 _WINDOWS = (10, 3, 1000, 0.5, None)
 
 _CANDIDATES = stream_candidates(8)
@@ -48,11 +50,9 @@ def _build(analyzer, shards=None, events=None, **layout):
     )
 
 
-def _oracle(analyzer):
-    """An unsharded finder ranking on the object path."""
-    finder = _build(analyzer)
-    finder.engine = "object"
-    return finder
+def _unsharded(analyzer):
+    """The unsharded finder the oracle ranks over."""
+    return _build(analyzer)
 
 
 def _observe(finders, events, prefix):
@@ -71,8 +71,8 @@ def _shard_segments(finder):
 
 @pytest.fixture(scope="module")
 def reference(analyzer):
-    """The object-path oracle over the module stream (read-only)."""
-    return _oracle(analyzer)
+    """The unsharded finder over the module stream (read-only)."""
+    return _unsharded(analyzer)
 
 
 @pytest.fixture(scope="module")
@@ -176,15 +176,14 @@ class TestShardCountInvariance:
     def test_rankings_identical(self, analyzer, reference, queries, shards, engine):
         sharded = _build(analyzer, shards=shards)
         assert sharded.index_stats.shards == shards
-        sharded.engine = engine
         for window in _WINDOWS:
             for text in queries:
-                assert sharded.find_experts(text, window=window) == \
-                    reference.find_experts(text, window=window)
+                assert ranked_on(sharded, engine, text, window=window) == \
+                    oracle_experts(reference, text, window=window)
 
     @pytest.mark.parametrize("shards", (2, 3))
     def test_observe_between_queries(self, analyzer, queries, shards):
-        plain = _oracle(analyzer)
+        plain = _unsharded(analyzer)
         sharded = _build(analyzer, shards=shards)
         sharded.engine = "columnar"
         extra = stream_resources(_CANDIDATES, 12, seed=_SEED + 1)
@@ -193,17 +192,7 @@ class TestShardCountInvariance:
             query = queries[i % len(queries)]
             window = _WINDOWS[i % len(_WINDOWS)]
             assert sharded.find_experts(query, window=window) == \
-                plain.find_experts(query, window=window)
-
-    def test_object_engine_allowed(self, analyzer, reference, queries):
-        # the object path reads the merged slice, which covers every
-        # shard segment
-        sharded = _build(analyzer, shards=2)
-        sharded.engine = "object"
-        for text in queries:
-            assert sharded.match_resources(text) == reference.match_resources(text)
-            assert sharded.find_experts(text, window=4) == \
-                reference.find_experts(text, window=4)
+                oracle_experts(plain, query, window=window)
 
 
 class TestPinning:
@@ -213,7 +202,7 @@ class TestPinning:
     @pytest.fixture
     def written(self, analyzer):
         sharded = _build(analyzer, shards=3, seal_threshold=1)
-        plain = _oracle(analyzer)
+        plain = _unsharded(analyzer)
         before = [(s.segment_id, s.document_count) for s in _shard_segments(sharded)]
         _observe((sharded, plain), stream_resources(_CANDIDATES, 10, seed=7), "w")
         return sharded, plain, before
@@ -241,16 +230,16 @@ class TestPinning:
         self, analyzer, queries, tmp_path, shards
     ):
         sharded = _build(analyzer, shards=shards, seal_threshold=2)
-        plain = _oracle(analyzer)
+        plain = _unsharded(analyzer)
 
         def check(finder):
             for engine in _ENGINES:
-                finder.engine = engine
                 for window in (6, 0.5, None):
-                    expected = [plain.find_experts(q, window=window) for q in queries]
-                    assert [finder.find_experts(q, window=window) for q in queries] \
-                        == expected
-                    if engine != "object":
+                    expected = [oracle_experts(plain, q, window=window) for q in queries]
+                    assert [
+                        ranked_on(finder, engine, q, window=window) for q in queries
+                    ] == expected
+                    if engine != ORACLE:
                         finder.start_scatter_pool()
                         try:
                             assert finder.find_experts_many(queries, window=window) \
@@ -282,7 +271,7 @@ class TestScatterPool:
             for window in _WINDOWS:
                 for text in queries:
                     assert sharded.find_experts(text, window=window) == \
-                        reference.find_experts(text, window=window)
+                        oracle_experts(reference, text, window=window)
         finally:
             sharded.close_scatter_pool()
 
@@ -298,7 +287,7 @@ class TestScatterPool:
         try:
             for window in _WINDOWS:
                 assert sharded.find_experts_many(queries, window=window) == [
-                    reference.find_experts(text, window=window) for text in queries
+                    oracle_experts(reference, text, window=window) for text in queries
                 ]
         finally:
             sharded.close_scatter_pool()
@@ -309,7 +298,7 @@ class TestScatterPool:
         pool = sharded.start_scatter_pool()
         try:
             batched = sharded.find_experts_many(queries, window=6)
-            serial = [reference.find_experts(q, window=6) for q in queries]
+            serial = [oracle_experts(reference, q, window=6) for q in queries]
             assert batched == serial
             assert pool.last_batch_depth > 1.0
         finally:
@@ -320,7 +309,7 @@ class TestScatterPool:
         # the coordinator's buffer and later segments; the workers never
         # see them and the answers still equal the serial oracle's
         for engine in ("columnar", "columnar-pruned"):
-            plain = _oracle(analyzer)
+            plain = _unsharded(analyzer)
             sharded = _build(analyzer, shards=2, seal_threshold=2)
             sharded.engine = engine
             sharded.start_scatter_pool()
@@ -330,7 +319,7 @@ class TestScatterPool:
                     _observe((plain, sharded), [event], f"live{i}-")
                     for window in (8, None):
                         assert sharded.find_experts_many(queries, window=window) == [
-                            plain.find_experts(text, window=window)
+                            oracle_experts(plain, text, window=window)
                             for text in queries
                         ]
                 assert sharded.index_stats.seals >= 3
@@ -350,7 +339,7 @@ class TestScatterPool:
             assert second is not first
             text = queries[0]
             assert sharded.find_experts(text, window=5) == \
-                reference.find_experts(text, window=5)
+                oracle_experts(reference, text, window=5)
         finally:
             sharded.close_scatter_pool()
 
@@ -367,7 +356,7 @@ class TestScatterPool:
             # the failed query dropped the pool; the finder answers serially
             assert sharded.segmented_index.scatter_pool is None
             assert sharded.find_experts(queries[0], window=5) == \
-                reference.find_experts(queries[0], window=5)
+                oracle_experts(reference, queries[0], window=5)
         finally:
             sharded.close_scatter_pool()
 
@@ -381,7 +370,7 @@ class TestValidation:
         sharded = _build(analyzer, shards=1)
         assert sharded.index_stats.shards == 1
         for text in queries:
-            assert sharded.find_experts(text) == reference.find_experts(text)
+            assert sharded.find_experts(text) == oracle_experts(reference, text)
 
     def test_stats_shape(self, analyzer):
         stats = _build(analyzer, shards=3).index_stats

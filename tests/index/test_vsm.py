@@ -122,40 +122,11 @@ class TestRetrieve:
 
 
 class TestRetrieveTopK:
-    QUERY = {
-        "q": _query(
-            terms={"swim": 1, "pool": 1, "lunch": 1},
-            entities={"wiki/Phelps": (1, 1.0), "wiki/Jackson": (1, 1.0)},
-        )
-    }
-
-    @pytest.mark.parametrize("alpha", [0.0, 0.4, 0.6, 1.0])
-    def test_agrees_with_full_retrieve_prefix(self, retriever, alpha):
-        full = retriever.retrieve(self.QUERY["q"], alpha)
-        for k in range(len(full) + 2):
-            assert retriever.retrieve_top_k(self.QUERY["q"], alpha, k) == full[:k]
-
-    def test_tie_break_matches_full_sort(self):
-        terms = InvertedIndex()
-        entities = EntityIndex()
-        for doc in ("d", "b", "c", "a"):
-            terms.add_document(doc, {"x": 1})
-            entities.add_document(doc, {})
-        r = VectorSpaceRetriever(terms, entities)
-        q = _query(terms={"x": 1})
-        assert [m.doc_id for m in r.retrieve_top_k(q, 1.0, 2)] == ["a", "b"]
-
-    def test_negative_k_rejected(self, retriever):
-        with pytest.raises(ValueError):
-            retriever.retrieve_top_k(self.QUERY["q"], 1.0, -1)
-
-    def test_alpha_validated_even_for_zero_k(self, retriever):
-        with pytest.raises(ValueError):
-            retriever.retrieve_top_k(self.QUERY["q"], 1.5, 0)
+    """The best-k prefix of a retrieval, as the window reads it."""
 
     def test_weight_cache_invalidated_by_add_document(self, retriever):
         q = _query(terms={"swim": 1}, entities={"wiki/Phelps": (1, 1.0)})
-        before = retriever.retrieve_top_k(q, 0.5, 5)
+        before = retriever.retrieve(q, 0.5)[:5]
         assert before  # weights are now memoized
         retriever.add_document(
             AnalyzedResource(
@@ -165,7 +136,7 @@ class TestRetrieveTopK:
                 entity_counts={"wiki/Phelps": (1, 0.8)},
             )
         )
-        after = retriever.retrieve_top_k(q, 0.5, 5)
+        after = retriever.retrieve(q, 0.5)[:5]
         fresh = VectorSpaceRetriever(
             retriever.term_index, retriever.entity_index
         ).retrieve(q, 0.5)[:5]

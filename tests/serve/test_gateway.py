@@ -19,6 +19,7 @@ from repro.core.config import FinderConfig
 from repro.core.expert_finder import ExpertFinder
 from repro.serve import GatewayConfig, GatewayHarness
 from repro.serve.reload import build_service
+from tests.oracle import oracle_experts
 from tests.serve.conftest import HAND_TEXTS, build_hand_graph
 
 
@@ -46,29 +47,26 @@ def _triples(experts: list[dict]) -> list[tuple[str, float, int]]:
 
 class TestEquivalence:
     """Gateway responses must be byte-identical (ids and scores) to the
-    in-process object oracle for every engine × layout cell."""
+    in-process oracle for every engine × layout cell."""
 
     # (engine, shards): unsharded cells plus sharded scatter-gather cells
     MATRIX = [
-        ("object", None),
         ("columnar", None),
         ("columnar-pruned", None),
         ("columnar", 1),
         ("columnar-pruned", 1),
         ("columnar", 2),
         ("columnar-pruned", 2),
-        ("object", 2),
     ]
 
     @pytest.fixture(scope="class")
     def expected(self, stream_finder_factory, stream_parts):
         _, _, queries = stream_parts
         reference = stream_finder_factory()
-        reference.engine = "object"
         return {
             q: [
                 (e.candidate_id, e.score, e.supporting_resources)
-                for e in reference.find_experts(q, top_k=5)
+                for e in oracle_experts(reference, q, top_k=5)
             ]
             for q in queries
         }

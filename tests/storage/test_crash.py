@@ -21,6 +21,7 @@ from repro.core.config import FinderConfig
 from repro.core.expert_finder import ExpertFinder
 from repro.storage.jsonl import StorageFormatError
 from repro.storage.snapshot import load_finder, save_finder
+from tests.oracle import oracle_experts
 
 
 def _generation_dir(snapshot_dir):
@@ -40,17 +41,15 @@ def _cuts(size):
 
 @pytest.fixture(scope="module")
 def built_finder(tiny_dataset):
-    """The saved finder, ranking on the object oracle; loaded copies
+    """The saved finder; the oracle ranks over it, and loaded copies
     serve the default columnar engine."""
-    finder = ExpertFinder.build(
+    return ExpertFinder.build(
         tiny_dataset.merged_graph,
         tiny_dataset.candidates_for(None),
         tiny_dataset.analyzer,
         FinderConfig(),
         corpus=tiny_dataset.corpus,
     )
-    finder.engine = "object"
-    return finder
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +64,7 @@ class TestCorruptionAtRest:
         pristine = tmp_path / "pristine"
         save_finder(built_finder, pristine)
         reference = {
-            need.text: built_finder.find_experts(need) for need in queries
+            need.text: oracle_experts(built_finder, need) for need in queries
         }
         for victim in _snapshot_files(pristine):
             data = victim.read_bytes()
@@ -141,7 +140,7 @@ class TestCrashMidSave:
     ):
         finder.save(directory)
         first_gen = _generation_dir(directory)
-        reference = {need.text: finder.find_experts(need) for need in queries}
+        reference = {need.text: oracle_experts(finder, need) for need in queries}
 
         real_replace = os.replace
         k = 0
@@ -204,7 +203,6 @@ class TestCrashMidSave:
             finder.observe(f"crash:{i}", text, [(candidate, 1)], language="en")
         stats = finder.index_stats
         assert stats.segments >= 2 and stats.buffered == 1
-        finder.engine = "object"
         self._assert_survives_every_crash_point(
             finder,
             tiny_dataset.analyzer,
@@ -221,7 +219,7 @@ class TestCrashMidSave:
         trip over them."""
         directory = tmp_path / "debris"
         built_finder.save(directory)
-        reference = {need.text: built_finder.find_experts(need) for need in queries}
+        reference = {need.text: oracle_experts(built_finder, need) for need in queries}
 
         orphan_gen = directory / "gen-0000099"
         orphan_gen.mkdir()

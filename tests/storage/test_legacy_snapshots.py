@@ -8,9 +8,9 @@ analyzer and ``FinderConfig()``:
 * ``fixtures/legacy-v3-monolithic`` — a v3 generation holding
   ``meta.jsonl`` (``index_mode: "monolithic"``), ``index.bin`` and the
   compiled ``engine.bin``. It must load as one sealed segment and rank
-  exactly like a fresh build of the same events — on the object oracle
-  and both fast engines — and a re-save after an observe must write the
-  segmented layout;
+  exactly like a fresh build of the same events — on the oracle
+  (``tests/oracle.py``) and both fast engines — and a re-save after an
+  observe must write the segmented layout;
 * ``fixtures/legacy-v2-monolithic`` — the flat jsonl layout
   (``term_index`` / ``entity_index`` / ``evidence`` files), which is no
   longer readable: loading it must fail with a pointer to the rebuild.
@@ -32,10 +32,11 @@ from repro.core.expert_finder import ExpertFinder
 from repro.storage.jsonl import StorageFormatError
 from repro.synthetic.dataset import default_analyzer
 from repro.synthetic.stream import stream_candidates, stream_queries, stream_resources
+from tests.oracle import ORACLE, oracle_experts, ranked_on
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 LEGACY = ("legacy-v3-monolithic",)
-ENGINES = ("object", "columnar", "columnar-pruned")
+ENGINES = (ORACLE, "columnar", "columnar-pruned")
 WINDOWS = (100, 3, 0.5, None)
 
 _CANDIDATES = stream_candidates(5)
@@ -49,15 +50,14 @@ def analyzer():
 
 @pytest.fixture(scope="module")
 def fresh(analyzer):
-    """The same events built by the current code, ranking on the oracle."""
-    finder = ExpertFinder.from_stream(
+    """The same events built by the current code; the oracle ranks
+    over it."""
+    return ExpertFinder.from_stream(
         _CANDIDATES,
         stream_resources(_CANDIDATES, 40, seed=7),
         analyzer,
         FinderConfig(),
     )
-    finder.engine = "object"
-    return finder
 
 
 def _copy(name, tmp_path):
@@ -82,12 +82,11 @@ def test_loads_as_one_segment(name, analyzer, fresh, tmp_path):
 @pytest.mark.parametrize("name", LEGACY)
 def test_ranks_like_a_fresh_build(name, engine, analyzer, fresh, tmp_path):
     loaded = ExpertFinder.load(_copy(name, tmp_path), analyzer)
-    loaded.engine = engine
     ranked = 0
     for need in _NEEDS:
         for window in WINDOWS:
-            expected = fresh.find_experts(need, window=window)
-            assert loaded.find_experts(need, window=window) == expected
+            expected = oracle_experts(fresh, need, window=window)
+            assert ranked_on(loaded, engine, need, window=window) == expected
             ranked += bool(expected)
     assert ranked  # the needs actually match the fixture collection
 
@@ -114,11 +113,10 @@ def test_observe_then_resave_writes_segmented_layout(name, analyzer, fresh, tmp_
         FinderConfig(),
     )
     oracle.observe(*event, language="en")
-    oracle.engine = "object"
     for engine in ("columnar", "columnar-pruned"):
         reloaded.engine = engine
         for need in _NEEDS:
-            assert reloaded.find_experts(need) == oracle.find_experts(need)
+            assert reloaded.find_experts(need) == oracle_experts(oracle, need)
 
 
 def test_flat_v2_snapshot_is_refused_with_a_rebuild_hint(analyzer, tmp_path):

@@ -1,8 +1,8 @@
 """Finder snapshot round-trip tests over the TINY dataset.
 
-The built finders the snapshots are written from rank on the object
-path (``VectorSpaceRetriever`` + ``ExpertRanker``), so every round-trip
-comparison checks a loaded finder's fast engines against the oracle."""
+Every round-trip comparison checks a loaded finder's fast engines
+against the oracle (``tests/oracle.py``) over the finder the snapshot
+was written from."""
 
 import json
 
@@ -15,6 +15,7 @@ from repro.index.inverted import InvertedIndex, Posting
 from repro.storage.jsonl import StorageFormatError
 from repro.storage.binary import MappedSections, write_sections
 from repro.storage.snapshot import SNAPSHOT_VERSION, load_finder, save_finder
+from tests.oracle import ORACLE, oracle_experts, ranked_on
 
 
 def _generation_dir(snapshot_dir):
@@ -41,15 +42,13 @@ def _rewrite_section(path, name, edit):
 
 @pytest.fixture(scope="module")
 def built_finder(tiny_dataset):
-    finder = ExpertFinder.build(
+    return ExpertFinder.build(
         tiny_dataset.merged_graph,
         tiny_dataset.candidates_for(None),
         tiny_dataset.analyzer,
         FinderConfig(),
         corpus=tiny_dataset.corpus,
     )
-    finder.engine = "object"
-    return finder
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +70,7 @@ class TestRoundTrip:
         """Every query must rank identically — candidates, exact scores,
         and support counts (ExpertScore equality compares all three)."""
         for need in tiny_dataset.queries:
-            assert loaded_finder.find_experts(need) == built_finder.find_experts(need)
+            assert loaded_finder.find_experts(need) == oracle_experts(built_finder, need)
 
     def test_identical_rankings_under_overrides(
         self, built_finder, loaded_finder, tiny_dataset
@@ -80,7 +79,7 @@ class TestRoundTrip:
         for alpha, window in ((0.0, None), (1.0, 10), (0.5, 0.25)):
             assert loaded_finder.find_experts(
                 need, alpha=alpha, window=window
-            ) == built_finder.find_experts(need, alpha=alpha, window=window)
+            ) == oracle_experts(built_finder, need, alpha=alpha, window=window)
 
     def test_config_preserved(self, built_finder, loaded_finder):
         assert loaded_finder.config == built_finder.config
@@ -101,10 +100,11 @@ class TestRoundTrip:
         }
 
     def test_top_k_fast_path_agrees_after_load(self, loaded_finder, tiny_dataset):
+        # top_k cuts the Eq. 3 fold before it builds the ranked objects
         need = tiny_dataset.queries[0]
-        full = loaded_finder.match_resources(need)
+        full = loaded_finder.find_experts(need)
         for k in (1, 5, len(full), len(full) + 10):
-            assert loaded_finder.match_resources(need, limit=k) == full[:k]
+            assert loaded_finder.find_experts(need, top_k=k) == full[:k]
 
     def test_streaming_continues_after_load(self, snapshot_dir, tiny_dataset):
         finder = ExpertFinder.load(snapshot_dir, tiny_dataset.analyzer)
@@ -237,7 +237,6 @@ class TestLoadedEngine:
         (segment,) = loaded_finder.segmented_index.iter_segments()
         assert segment.document_count == loaded_finder.indexed_resources
         assert segment._term_index is None
-        assert loaded_finder._retriever is None
 
     def test_restore_rejects_unknown_doc_ids_directly(self):
         with pytest.raises(ValueError, match="unknown document"):
@@ -288,7 +287,6 @@ def _build_segmented(analyzer):
     )
     for rid, text, supporter in _SEG_EVENTS:
         finder.observe(rid, text, [(supporter, 1)])
-    finder.engine = "object"
     return finder
 
 
@@ -362,12 +360,12 @@ class TestSegmentedRoundTrip:
     def test_identical_rankings(self, segmented_finder, loaded_segmented):
         for need in _SEG_NEEDS:
             assert loaded_segmented.find_experts(need) == (
-                segmented_finder.find_experts(need)
+                oracle_experts(segmented_finder, need)
             )
             for alpha, window in ((0.0, None), (1.0, 2), (0.5, 0.5)):
                 assert loaded_segmented.find_experts(
                     need, alpha=alpha, window=window
-                ) == segmented_finder.find_experts(need, alpha=alpha, window=window)
+                ) == oracle_experts(segmented_finder, need, alpha=alpha, window=window)
 
     def test_counts_and_evidence_preserved(self, segmented_finder, loaded_segmented):
         assert loaded_segmented.indexed_resources == (
@@ -399,7 +397,7 @@ class TestSegmentedRoundTrip:
         self, analyzer, tmp_path
     ):
         finder = _build_segmented(analyzer)
-        reference = {need: finder.find_experts(need) for need in _SEG_NEEDS}
+        reference = {need: oracle_experts(finder, need) for need in _SEG_NEEDS}
         assert finder.segmented_index.compact(full=True) == 1
         directory = tmp_path / "compacted"
         finder.save(directory)
@@ -512,11 +510,17 @@ class TestSegmentedFormatGuards:
 
 
 class TestSegmentedLoadedSurface:
-    def test_no_monolithic_retriever_after_load(self, loaded_segmented):
-        # the object path's whole-collection retriever is built only on
-        # demand (match_resources / engine="object"), never by a load
-        assert loaded_segmented._retriever is None
-        assert loaded_segmented.engine == "columnar"
+    def test_no_monolithic_retriever_after_load(
+        self, segmented_snapshot_dir, analyzer
+    ):
+        # a load builds no whole-collection posting objects: the sealed
+        # segments stay mapped columns until a merge, a re-save or
+        # merged_slice() hydrates them
+        loaded = ExpertFinder.load(segmented_snapshot_dir, analyzer)
+        assert loaded.engine == "columnar"
+        segments = loaded.segmented_index.iter_segments()
+        assert len(segments) > 1
+        assert all(segment._term_index is None for segment in segments)
 
 
 class TestV3Lifecycle:
@@ -534,7 +538,7 @@ class TestV3Lifecycle:
         assert not first_gen.exists()  # stale generation pruned
         loaded = ExpertFinder.load(directory, tiny_dataset.analyzer)
         for need in tiny_dataset.queries:
-            assert loaded.find_experts(need) == built_finder.find_experts(need)
+            assert loaded.find_experts(need) == oracle_experts(built_finder, need)
 
     def test_prune_leaves_unrecognized_files_alone(
         self, built_finder, tiny_dataset, tmp_path
@@ -550,7 +554,7 @@ class TestV3Lifecycle:
         self, analyzer, tmp_path
     ):
         finder = _build_segmented(analyzer)
-        reference = {need: finder.find_experts(need) for need in _SEG_NEEDS}
+        reference = {need: oracle_experts(finder, need) for need in _SEG_NEEDS}
         directory = tmp_path / "lazy"
         finder.save(directory)
         loaded = ExpertFinder.load(directory, analyzer)
@@ -625,7 +629,7 @@ class TestBlockMaxPersistence:
         try:
             for need in tiny_dataset.queries:
                 assert loaded_finder.find_experts(need, window=2) == (
-                    built_finder.find_experts(need, window=2)
+                    oracle_experts(built_finder, need, window=2)
                 )
         finally:
             loaded_finder.engine = "columnar"
@@ -661,7 +665,7 @@ class TestBlockMaxPersistence:
         loaded.engine = "columnar-pruned"
         for need in tiny_dataset.queries:
             assert loaded.find_experts(need, window=2) == (
-                built_finder.find_experts(need, window=2)
+                oracle_experts(built_finder, need, window=2)
             )
         assert loaded.pruning_stats.pruned_queries == len(tiny_dataset.queries)
         assert segment._term_blocks  # ...recomputed on first pruned use
@@ -678,7 +682,7 @@ class TestBlockMaxPersistence:
         loaded.engine = "columnar-pruned"
         for need in _SEG_NEEDS:
             assert loaded.find_experts(need, window=2) == (
-                segmented_finder.find_experts(need, window=2)
+                oracle_experts(segmented_finder, need, window=2)
             )
         assert loaded.pruning_stats.pruned_queries == len(_SEG_NEEDS)
 
@@ -693,7 +697,7 @@ class TestBlockMaxPersistence:
         assert all(seg._term_index is None for seg in segments)
         for need in _SEG_NEEDS:
             assert loaded.find_experts(need, window=2) == (
-                segmented_finder.find_experts(need, window=2)
+                oracle_experts(segmented_finder, need, window=2)
             )
         # pruned scoring reads the mapped columns and block maxima only
         assert all(seg._term_index is None for seg in segments)
@@ -749,11 +753,9 @@ def sharded_finder(analyzer):
 
 
 @pytest.fixture(scope="module")
-def sharded_oracle(analyzer):
-    """The unsharded object path over the same stream and observes."""
-    finder = _build_sharded(analyzer, shards=None)
-    finder.engine = "object"
-    return finder
+def unsharded(analyzer):
+    """The unsharded build of the same stream and observes."""
+    return _build_sharded(analyzer, shards=None)
 
 
 @pytest.fixture(scope="module")
@@ -798,13 +800,12 @@ class TestShardedRoundTrip:
             loaded_sharded.indexed_resources == sharded_finder.indexed_resources
         )
 
-    @pytest.mark.parametrize("engine", ("columnar", "columnar-pruned", "object"))
-    def test_rankings_survive(self, loaded_sharded, sharded_oracle, engine):
-        loaded_sharded.engine = engine
+    @pytest.mark.parametrize("engine", ("columnar", "columnar-pruned", ORACLE))
+    def test_rankings_survive(self, loaded_sharded, unsharded, engine):
         for need in _SHARD_NEEDS:
             for window in (5, None, 0.5):
-                assert loaded_sharded.find_experts(need, window=window) == (
-                    sharded_oracle.find_experts(need, window=window)
+                assert ranked_on(loaded_sharded, engine, need, window=window) == (
+                    oracle_experts(unsharded, need, window=window)
                 )
 
     def test_scatter_pool_over_mapped_shards(self, loaded_sharded, sharded_finder):

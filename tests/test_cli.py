@@ -40,6 +40,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["dataset"])
 
+    @pytest.mark.parametrize("command", ("serve", "serve-bench"))
+    def test_object_engine_is_not_a_choice(self, command, capsys):
+        # the reference path serves no query; it lives in the tests
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scale", "tiny", "--engine", "object"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'object'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_query_finds_experts(self, capsys):
