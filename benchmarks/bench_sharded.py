@@ -5,10 +5,9 @@ resource, and its scatter pool forks one worker per shard segment.
 Measures the claims sharding makes:
 
 * **equivalence** — at every shard count the sharded finder returns
-  rankings byte-identical to the unsharded columnar path, serially and
-  through the scatter pool, for absolute/fractional/disabled windows,
-  and composed with block-max pruning (asserted unconditionally, at
-  every scale);
+  rankings byte-identical to the unsharded finder, serially and through
+  the scatter pool, for absolute/fractional/disabled windows (asserted
+  unconditionally, at every scale);
 * **scaling** — uncached batch QPS through the persistent worker pool
   must reach ≥1.7× at 4 shards vs 1 shard (asserted on hosts with ≥4
   cores, where the workers actually get their own cores; the measured
@@ -19,9 +18,10 @@ Measures the claims sharding makes:
   whose columns map the v3 snapshot read-only, so a reader plus its
   worker pool must not hold K private copies of the shard columns: on
   little-endian hosts the loaded segment columns are asserted to be
-  zero-copy ``memoryview``s (a byteswap copy would silently privatize
-  every page), and the private-RSS totals of one and two independent
-  reader+pool groups are reported from ``smaps_rollup`` where available.
+  zero-copy, read-only ``np.frombuffer`` views (a byteswap copy would
+  silently privatize every page), and the private-RSS totals of one and
+  two independent reader+pool groups are reported from ``smaps_rollup``
+  where available.
 
 The workload is the ``xl`` scale's streaming generator
 (:mod:`repro.synthetic.stream`) truncated per ``REPRO_SCALE``, so both
@@ -48,7 +48,7 @@ from repro.synthetic.stream import (
 #: shard counts under test (1 is the pooled baseline)
 _SHARD_COUNTS = (1, 2, 4)
 #: the Eq. 1 window for the QPS runs (well under the match count, so
-#: block-max pruning has something to skip — see bench_query)
+#: every segment cuts its matches before the merge)
 _WINDOW = 10
 #: window shapes every shard count must reproduce exactly
 _EQUIV_WINDOWS = (_WINDOW, 5, 0.5, None)
@@ -91,13 +91,13 @@ def _measure_qps(finder, queries):
 
 
 def _columns_zero_copy(finder):
-    """True when every loaded segment column is a zero-copy memoryview
-    (only meaningful on little-endian hosts, where the mmap path must
-    never fall back to a byteswapped array copy)."""
+    """True when every loaded segment column is a read-only numpy view
+    that owns no data (only meaningful on little-endian hosts, where the
+    mmap path must never fall back to a byteswapped array copy)."""
     for segment in finder.segmented_index.iter_segments():
         for cols in (segment._term_cols, segment._entity_cols):
             for views in cols.values():
-                if not all(isinstance(v, memoryview) for v in views):
+                if any(v.flags.owndata or v.flags.writeable for v in views):
                     return False
     return True
 
@@ -123,7 +123,6 @@ def _group_private_kb(directory, analyzer, query):
         try:
             os.close(read_fd)
             finder = ExpertFinder.load(directory, analyzer)
-            finder.engine = "columnar"
             executor = finder.start_scatter_pool()
             finder.find_experts(query, window=_WINDOW)
             total = _private_kb_of("self")
@@ -151,7 +150,6 @@ def bench_sharded(ctx, save_result, save_json, tmp_path):
     queries = stream_queries(n_queries, seed=seed)
 
     reference = _build(candidates, analyzer, n_resources, seed)
-    reference.engine = "columnar"
     expected = {
         window: [reference.find_experts(q, window=window) for q in queries]
         for window in _EQUIV_WINDOWS
@@ -159,46 +157,27 @@ def bench_sharded(ctx, save_result, save_json, tmp_path):
 
     qps: dict[int, float] = {}
     parallelism: dict[int, float] = {}
-    pruned_qps: dict[int, float] = {}
-    skip_rate: dict[int, float] = {}
     for shards in _SHARD_COUNTS:
         finder = _build(candidates, analyzer, n_resources, seed, shards=shards)
 
         # equivalence first, and unconditionally: serial coordinator,
-        # then the scatter pool, then pruning through the pool — all
-        # byte-identical to the unsharded columnar rankings
-        for engine in ("columnar", "columnar-pruned"):
-            finder.engine = engine
-            for window, want in expected.items():
-                got = [finder.find_experts(q, window=window) for q in queries]
-                assert got == want, (
-                    f"shards={shards} engine={engine} window={window!r} "
-                    f"diverged from the unsharded columnar ranking"
-                )
-        finder.engine = "columnar"
+        # then the scatter pool — both byte-identical to the unsharded
+        # rankings
+        for window, want in expected.items():
+            got = [finder.find_experts(q, window=window) for q in queries]
+            assert got == want, (
+                f"shards={shards} window={window!r} "
+                f"diverged from the unsharded ranking"
+            )
         finder.start_scatter_pool()
         try:
             for window, want in expected.items():
                 got = [finder.find_experts(q, window=window) for q in queries]
                 assert got == want, (
                     f"shards={shards} scatter pool window={window!r} "
-                    f"diverged from the unsharded columnar ranking"
+                    f"diverged from the unsharded ranking"
                 )
             qps[shards], parallelism[shards] = _measure_qps(finder, queries)
-
-            # composed with block-max pruning: per-segment walks against
-            # the shared floor, still byte-identical
-            finder.engine = "columnar-pruned"
-            before = finder.pruning_stats
-            scanned0, skipped0 = before.blocks_scanned, before.blocks_skipped
-            got = [finder.find_experts(q, window=_WINDOW) for q in queries]
-            assert got == expected[_WINDOW]
-            pruned_qps[shards], _ = _measure_qps(finder, queries)
-            after = finder.pruning_stats
-            scanned = after.blocks_scanned - scanned0
-            skipped = after.blocks_skipped - skipped0
-            total = scanned + skipped
-            skip_rate[shards] = skipped / total if total else 0.0
         finally:
             finder.close_scatter_pool()
 
@@ -219,11 +198,10 @@ def bench_sharded(ctx, save_result, save_json, tmp_path):
     zero_copy = _columns_zero_copy(loaded)
     if sys.byteorder == "little":
         assert zero_copy, (
-            "loaded shard columns are not zero-copy memoryviews on a "
+            "loaded shard columns are not zero-copy views on a "
             "little-endian host — something is privately copying the "
             "mmap-ed snapshot pages"
         )
-    loaded.engine = "columnar"
     for i, q in enumerate(queries):
         assert loaded.find_experts(q, window=_WINDOW) == expected[_WINDOW][i]
     shard_bytes = sum(
@@ -245,9 +223,7 @@ def bench_sharded(ctx, save_result, save_json, tmp_path):
     for shards in _SHARD_COUNTS:
         lines.append(
             f"shards={shards}:  {qps[shards]:8.0f} q/s uncached "
-            f"(pruned {pruned_qps[shards]:8.0f} q/s, "
-            f"{skip_rate[shards]:4.0%} blocks skipped, "
-            f"pipeline depth {parallelism[shards]:.1f})"
+            f"(pipeline depth {parallelism[shards]:.1f})"
         )
     gate = (
         "asserted" if (os.cpu_count() or 1) >= _GATE_CORES
@@ -257,8 +233,8 @@ def bench_sharded(ctx, save_result, save_json, tmp_path):
         "",
         f"speedup 4 vs 1 shards:  {speedup:.2f}x  "
         f"(floor {_SPEEDUP_FLOOR}x, {gate})",
-        "rankings: sharded == unsharded columnar (all shard counts, "
-        "all windows, serial + pool + pruned)",
+        "rankings: sharded == unsharded (all shard counts, "
+        "all windows, serial + pool)",
         f"mapped shard columns zero-copy: {zero_copy} "
         f"({shard_bytes / 1024:.1f} KiB in shard segment bins)",
     ]
@@ -278,8 +254,6 @@ def bench_sharded(ctx, save_result, save_json, tmp_path):
             "queries": n_queries,
             "window": _WINDOW,
             **{f"qps_shards_{k}": qps[k] for k in _SHARD_COUNTS},
-            **{f"pruned_qps_shards_{k}": pruned_qps[k] for k in _SHARD_COUNTS},
-            **{f"block_skip_rate_shards_{k}": skip_rate[k] for k in _SHARD_COUNTS},
             **{f"batch_parallelism_shards_{k}": parallelism[k] for k in _SHARD_COUNTS},
             "speedup_4_vs_1": speedup,
             "speedup_floor": _SPEEDUP_FLOOR,

@@ -4,9 +4,9 @@ Measures what streaming costs now that every finder is a segmented
 index (an indexed observe lands in the write buffer; no compiled state
 is thrown away):
 
-* **equivalence** — after every streamed observe, the streamed finder's
-  columnar engine returns byte-identical rankings to an oracle fed the
-  same stream — a ``VectorSpaceRetriever`` + ``ExpertRanker`` rebuilt
+* **equivalence** — after every streamed observe, the streamed finder
+  returns byte-identical rankings to an oracle fed the same stream — a
+  ``VectorSpaceRetriever`` + ``ExpertRanker`` rebuilt
   cold from a second finder's merged collection after every observe —
   over the full query set (asserted unconditionally, at every scale);
 * **latency** — observe, and observe followed by one uncached query,

@@ -8,7 +8,7 @@ instead of when a benchmark trips:
 ``determinism``           no unordered iteration / entropy in scoring paths
 ``fork-safety``           only module-level callables cross the fork seam
 ``mmap-discipline``       mapped sections are read-only; columns immutable
-``float-equality``        float scores compare through ub_slack, not ``==``
+``float-equality``        float scores compare by ordering, never ``==``
 ``section-registry``      layout names come from ``repro.storage.sections``
 ========================  ======================================================
 

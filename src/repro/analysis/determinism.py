@@ -1,8 +1,8 @@
 """``determinism`` — no unordered iteration or entropy in scoring paths.
 
-Rankings are byte-identical across the columnar, pruned, segmented,
-and sharded execution paths only because every fold that feeds them
-visits documents in a reproducible order (see ``_match_order`` in
+Rankings are byte-identical across the segment kernel, the write
+buffer, snapshot round trips and sharded execution only because every
+fold that feeds them visits documents in a reproducible order (see ``_match_order`` in
 :mod:`repro.index.vsm` and the ``(-score, doc_id)`` merge keys). A
 ``for`` over a ``set`` — or over ``dict.keys() | dict.keys()``, which
 is a set again — silently breaks that the moment two scores tie, and

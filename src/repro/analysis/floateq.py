@@ -1,12 +1,12 @@
 """``float-equality`` — no exact ``==``/``!=`` between float scores.
 
-Block-max pruning compares a block's upper bound against the current
-top-window floor; the two sides reach the same mathematical value
-through different operation orders (raw block maxima scaled per query
-vs the evaluated posting fold), so exact comparison is wrong at the
-ULP level — :func:`repro.index.blockmax.ub_slack` exists precisely to
-absorb that. The same applies to any merge/pruning code equating two
-computed scores.
+Two float scores that reach the same mathematical value through
+different operation orders (say, a bound summed from per-item maxima
+and the evaluated posting fold) can differ at the ULP level, so an
+exact ``==`` between computed scores is wrong unless both sides came
+out of the same operations. The query path avoids it: it orders scores
+only through the total ``(-score, doc_id)`` key, and its per-segment
+cut compares each score with the cut-th best of the same array.
 
 Inside ``repro.index``/``repro.core`` the rule flags ``==``/``!=``
 where either side is a nonzero float literal, or where both sides are
@@ -72,8 +72,8 @@ def _is_floaty(node: ast.expr) -> bool:
 class FloatEqualityChecker(Checker):
     rule = "float-equality"
     description = (
-        "exact ==/!= between computed float scores; route through "
-        "ub_slack/math.isclose (comparison to the 0.0 sentinel is exempt)"
+        "exact ==/!= between computed float scores; compare with an "
+        "ordering or math.isclose (comparison to the 0.0 sentinel is exempt)"
     )
     scope = ("repro.index", "repro.core")
 
@@ -95,15 +95,15 @@ class FloatEqualityChecker(Checker):
                         ctx,
                         node,
                         "exact comparison against a nonzero float literal; "
-                        "float scores must be compared through "
-                        "ub_slack/math.isclose",
+                        "float scores must be compared with an ordering "
+                        "or math.isclose",
                     )
                 elif _is_floaty(left) and _is_floaty(right):
                     yield self.finding(
                         ctx,
                         node,
                         "exact ==/!= between two computed float "
-                        "expressions; operation order differs across "
-                        "engines at the ULP level — use "
-                        "ub_slack/math.isclose",
+                        "expressions; a different operation order differs "
+                        "at the ULP level — use an ordering or "
+                        "math.isclose",
                     )

@@ -2,24 +2,25 @@
 
 v3 snapshots are served zero-copy: :mod:`repro.storage.binary` maps a
 section container and hands out ``memoryview`` casts over the shared
-pages. Writing through such a view corrupts the snapshot for every
-process mapping it — the crash-safety story (generational ``CURRENT``
-swaps) assumes sealed files never change. Similarly, a ``Segment``'s
-compiled columns are the immutable query-time truth; mutating them
-outside the sanctioned compile/hydrate paths desynchronizes block
-metadata and scratch sizing.
+pages, and the loader wraps them as ``np.frombuffer`` views. Writing
+through such a view corrupts the snapshot for every process mapping it
+— the crash-safety story (generational ``CURRENT`` swaps) assumes
+sealed files never change. Similarly, a ``Segment``'s compiled columns
+are the immutable query-time truth; mutating them outside the
+sanctioned construction/hydrate paths changes every later score.
 
 Two sub-rules:
 
-* **view mutation** (every module): no item assignment, ``del``, or
-  mutating method call (``byteswap``/``append``/``frombytes``/…) on a
-  value derived from ``memoryview(...)``, a mapped-section accessor
-  (``.array(...)``/``.blob(...)``), or a ``.cast(...)``/slice of one;
-* **column mutation** (``repro.index`` only): compiled column
-  attributes (``_term_cols``, ``_entity_blocks``, ``_sup_weight``, …)
-  may only be written inside the sanctioned construction and lazy
-  block-build paths (``__init__``, ``compile``, ``from_columns``,
-  ``_init_blocks``, ``_pruned_term``, …).
+* **view mutation** (every module): no item assignment, augmented
+  assignment, ``del``, or in-place method call (``byteswap``/``append``/
+  ``fill``/``sort``/…) on a value derived from ``memoryview(...)``, a
+  mapped-section accessor (``.array(...)``/``.blob(...)``), a
+  ``.cast(...)`` or ``np.frombuffer(...)`` of one, or a slice of any of
+  those;
+* **column mutation** (``repro.index`` only): the compiled column
+  attributes (``_term_cols``, ``_entity_cols``) may only be written
+  inside the sanctioned construction and hydrate paths (``__init__``,
+  ``from_columns``, …).
 """
 
 from __future__ import annotations
@@ -32,8 +33,13 @@ from .base import Checker, FileContext
 from .findings import Finding
 
 _VIEW_SOURCES = {"array", "blob"}
+#: module names ``np.frombuffer`` is reached through
+_NUMPY = {"np", "numpy"}
 _MUTATING_METHODS = {
     "byteswap",
+    "fill",
+    "put",
+    "partition",
     "append",
     "extend",
     "insert",
@@ -49,20 +55,12 @@ _MUTATING_METHODS = {
     "update",
     "setdefault",
 }
-_COLUMN_ATTR = re.compile(
-    r"^_(term|entity|sup)_(cols|blocks|pruned|offsets|cand|weight|pairs)$"
-)
+_COLUMN_ATTR = re.compile(r"^_(term|entity)_cols$")
 _SANCTIONED_COLUMN_WRITERS = {
     "__init__",
-    "compile",
     "from_columns",
     "restore_compiled",
-    "_init_blocks",
-    "_init_scratch",
     "_run_hydrate",
-    "_build_pruned",
-    "_pruned_term",
-    "_pruned_entity",
 }
 _DICT_MUTATORS = {"update", "clear", "pop", "popitem", "setdefault"}
 
@@ -102,6 +100,15 @@ class _Scope(ast.NodeVisitor):
                 if func.attr in _VIEW_SOURCES:
                     return True
                 if func.attr == "cast" and self.is_view(func.value):
+                    return True
+                if (
+                    func.attr == "frombuffer"
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in _NUMPY
+                    and bool(node.args)
+                    and self.is_view(node.args[0])
+                ):
+                    # a numpy array over the mapped pages, not a copy
                     return True
             return False
         if isinstance(node, ast.Subscript):
@@ -188,6 +195,13 @@ class _Scope(ast.NodeVisitor):
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self.generic_visit(node)
         self._check_store(node.target)
+        if isinstance(node.target, ast.Name) and self.is_view(node.target):
+            # in place on a numpy view: ``view += x`` writes every element
+            self._flag(
+                node.target,
+                "augmented assignment through a view of a mapped snapshot "
+                "section writes it in place; copy it (.copy()) first",
+            )
 
     def visit_Delete(self, node: ast.Delete) -> None:
         self.generic_visit(node)
@@ -201,9 +215,9 @@ class _Scope(ast.NodeVisitor):
         if self.is_view(base):
             self._flag(
                 target,
-                "item write through a memoryview derived from a mapped "
-                "snapshot section; mapped pages are shared and sealed — "
-                "copy into a fresh array() before mutating",
+                "item write through a view of a mapped snapshot section "
+                "(memoryview or np.frombuffer); mapped pages are shared and "
+                "sealed — copy into a fresh array() or .copy() first",
             )
         elif self._is_column_attr(base) and not self._sanctioned():
             self._flag(
@@ -221,8 +235,8 @@ class _Scope(ast.NodeVisitor):
         if func.attr in _MUTATING_METHODS and self.is_view(func.value):
             self._flag(
                 node,
-                f".{func.attr}() mutates a memoryview derived from a "
-                "mapped snapshot section; copy into a fresh array() first",
+                f".{func.attr}() mutates a view of a mapped snapshot "
+                "section in place; copy into a fresh array() or .copy() first",
             )
         elif (
             func.attr in _DICT_MUTATORS
@@ -248,8 +262,8 @@ class _Scope(ast.NodeVisitor):
 class MmapDisciplineChecker(Checker):
     rule = "mmap-discipline"
     description = (
-        "no writes through mapped-section memoryviews; compiled columns "
-        "only mutate inside sanctioned compile/hydrate paths"
+        "no writes through mapped-section views; compiled columns only "
+        "mutate inside sanctioned construction/hydrate paths"
     )
     scope = None
 

@@ -150,7 +150,7 @@ def _build_finder(
     )
     build_kwargs = {
         name: getattr(args, name)
-        for name in ("workers", "chunk_size", "shards", "seal_threshold", "block_span")
+        for name in ("workers", "chunk_size", "shards", "seal_threshold")
         if getattr(args, name, None) is not None
     }
     return ExpertFinder.build(
@@ -229,10 +229,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     else:
         finder = _build_finder(dataset, args)
         source = "cold build"
-    try:
-        finder.engine = args.engine
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
     if finder.index_stats.shards:
         finder.start_scatter_pool()  # fork workers before timing starts
     ready = time.time()
@@ -265,7 +261,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    print(f"finder ready in {ready - t0:.1f}s ({source}, {args.engine} engine)")
+    print(f"finder ready in {ready - t0:.1f}s ({source})")
     print(
         f"{stats.queries} queries in {elapsed:.2f}s — {qps:.0f} q/s, "
         f"hit rate {stats.hit_rate:.0%}, "
@@ -281,14 +277,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     shards = finder.index_stats.shards
     if shards:
         print(f"shards: {shards}, batch parallelism {stats.batch_parallelism:.1f}")
-    if args.engine == "columnar-pruned":
-        print(
-            f"pruning: {stats.pruned_queries} pruned + "
-            f"{stats.fallback_queries} fallback queries, "
-            f"{stats.blocks_scanned} blocks scanned / "
-            f"{stats.blocks_skipped} skipped "
-            f"({stats.block_skip_rate:.0%} skip rate)"
-        )
     return 0
 
 
@@ -300,7 +288,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.reload import build_service
     from repro.storage.snapshot import snapshot_generation
 
-    engine = args.engine
     cache_size = args.cache_size
     label = None
     if args.snapshot:
@@ -317,7 +304,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         def source() -> ExpertSearchService:
             finder = ExpertFinder.load(snapshot_path, analyzer)
-            return build_service(finder, engine=engine, cache_size=cache_size)
+            return build_service(finder, cache_size=cache_size)
 
         def label() -> str | None:  # noqa: F811 (one branch wins)
             return snapshot_generation(snapshot_path)
@@ -328,7 +315,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         def source() -> ExpertSearchService:
             finder = _build_finder(dataset, args)
-            return build_service(finder, engine=engine, cache_size=cache_size)
+            return build_service(finder, cache_size=cache_size)
 
         reloadable = False
     config = GatewayConfig(
@@ -501,12 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write-buffer size (resources) at which it seals",
     )
     p_index.add_argument(
-        "--block-span",
-        type=_positive_int,
-        help="doc-index span per block-max pruning block (default 32); "
-        "rankings are unaffected",
-    )
-    p_index.add_argument(
         "--compact",
         action="store_true",
         help="merge all segments but the shard segments (and the write "
@@ -535,13 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--top-k", type=int, default=10)
     p_serve.add_argument("--rounds", type=int, default=3, help="passes over the query set")
     p_serve.add_argument("--cache-size", type=int, default=1024)
-    p_serve.add_argument(
-        "--engine",
-        choices=("columnar", "columnar-pruned"),
-        default="columnar",
-        help="query engine for cache misses (columnar-pruned = block-max "
-        "dynamic pruning)",
-    )
     p_serve.add_argument(
         "--shards",
         type=_positive_int,
@@ -580,13 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gw.add_argument("--alpha", type=float, default=0.6)
     p_gw.add_argument("--window", type=int, default=100)
     p_gw.add_argument("--distance", type=int, default=2, choices=(0, 1, 2))
-    p_gw.add_argument(
-        "--engine",
-        choices=("columnar", "columnar-pruned"),
-        default="columnar",
-        help="query engine for cache misses (columnar-pruned = block-max "
-        "dynamic pruning)",
-    )
     p_gw.add_argument(
         "--shards",
         type=_positive_int,

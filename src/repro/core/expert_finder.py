@@ -29,7 +29,6 @@ from repro.core.build_stats import BuildStats
 from repro.core.config import FinderConfig
 from repro.core.need import ExpertiseNeed
 from repro.core.ranking import ExpertScore
-from repro.index.blockmax import PruningStats
 from repro.index.analyzer import AnalyzedResource, ResourceAnalyzer
 from repro.index.entity_index import EntityIndex
 from repro.index.inverted import InvertedIndex
@@ -44,13 +43,6 @@ _INDEXABLE_LANGUAGES = frozenset({"en", "und"})
 #: sentinel for "use the configured window" in rank-time overrides
 #: (``None`` already means "no window", so it cannot double as unset)
 _UNSET: EllipsisType = ...
-
-#: query-engine selectors: "columnar" scores the compiled segment
-#: columns (:class:`~repro.index.segments.SegmentedIndex`),
-#: "columnar-pruned" adds block-max dynamic pruning on the same path
-#: (exact for absolute windows, automatic exhaustive fallback
-#: otherwise); both rank byte-identically
-_ENGINES = ("columnar", "columnar-pruned")
 
 
 def _check_shards(shards: int | None) -> None:
@@ -80,10 +72,7 @@ class ExpertFinder:
         evidence_counts: Mapping[str, int],
         indexed_count: int,
         segmented: "SegmentedIndex",
-        engine: str = "columnar",
     ):
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
         self._analyzer = analyzer
         self._index = segmented
         self._evidence_of = evidence_of
@@ -91,10 +80,6 @@ class ExpertFinder:
         self._evidence_counts = dict(evidence_counts)
         self._indexed_count = indexed_count
         self._build_stats: BuildStats | None = None
-        self._engine_kind = engine
-        #: cumulative block-max counters for this finder's pruned
-        #: queries; survives snapshot reloads of the same object
-        self._pruning_stats = PruningStats()
 
     # -- construction ------------------------------------------------------------
 
@@ -114,7 +99,6 @@ class ExpertFinder:
         shards: int | None = None,
         seal_threshold: int | None = None,
         compaction: str = "synchronous",
-        block_span: int | None = None,
     ) -> "ExpertFinder":
         """Build a finder over *graph*.
 
@@ -140,11 +124,6 @@ class ExpertFinder:
         :class:`~repro.index.segments.SegmentedIndex`; streamed observes
         then touch only its write buffer, which seals every
         *seal_threshold* resources and compacts per *compaction*.
-
-        *block_span* sets the doc-index span per block-max pruning block
-        (None = the default in :mod:`repro.index.blockmax`); it never
-        changes rankings, only how coarsely the "columnar-pruned" engine
-        can skip.
 
         *shards* seals the built indexes as K shard segments split by
         resource instead of one segment — rankings stay byte-identical
@@ -218,7 +197,6 @@ class ExpertFinder:
             shards=shards,
             seal_threshold=seal_threshold,
             compaction=compaction,
-            block_span=block_span,
         )
         finder._build_stats = BuildStats(
             workers=workers,
@@ -245,7 +223,6 @@ class ExpertFinder:
         shards: int | None = None,
         seal_threshold: int | None = None,
         compaction: str = "synchronous",
-        block_span: int | None = None,
     ) -> "ExpertFinder":
         """Build a finder from an *event stream*, never materializing a
         graph: *events* yields ``(node_id, text, supporters)`` or
@@ -259,8 +236,8 @@ class ExpertFinder:
         entry point for the ``xl`` scale's generator
         (:mod:`repro.synthetic.stream`). The result is identical to
         building from an equivalent materialized graph, and the layout
-        options — *shards*, *seal_threshold*, *compaction*, *block_span*
-        — apply unchanged.
+        options — *shards*, *seal_threshold*, *compaction* — apply
+        unchanged.
         """
         config = config or FinderConfig()
         _check_shards(shards)
@@ -340,7 +317,6 @@ class ExpertFinder:
             shards=shards,
             seal_threshold=seal_threshold,
             compaction=compaction,
-            block_span=block_span,
         )
         finder._build_stats = BuildStats(
             workers=workers,
@@ -367,7 +343,6 @@ class ExpertFinder:
         shards: int | None,
         seal_threshold: int | None,
         compaction: str,
-        block_span: int | None,
     ) -> "ExpertFinder":
         """Wrap built indexes in a segmented index (with K shard segments
         when *shards* is set) — the shared tail of :meth:`build` and
@@ -384,7 +359,6 @@ class ExpertFinder:
                 DEFAULT_SEAL_THRESHOLD if seal_threshold is None else seal_threshold
             ),
             compaction=compaction,
-            block_span=block_span,
         )
         return cls(
             analyzer,
@@ -459,30 +433,6 @@ class ExpertFinder:
         """Evidence items gathered for one candidate (pre language cut)."""
         return self._evidence_counts.get(candidate_id, 0)
 
-    # -- query engine -------------------------------------------------------------
-
-    @property
-    def engine(self) -> str:
-        """Which path :meth:`find_experts` takes: "columnar" (the compiled
-        segment columns, the default) or "columnar-pruned" (the same path
-        with block-max dynamic pruning — exact for absolute-count
-        windows, automatic exhaustive fallback otherwise). Rankings are
-        byte-identical on both."""
-        return self._engine_kind
-
-    @property
-    def pruning_stats(self) -> PruningStats:
-        """Cumulative block-max counters (pruned/fallback queries,
-        blocks scanned/skipped) across this finder's "columnar-pruned"
-        queries — all zero until that engine is selected."""
-        return self._pruning_stats
-
-    @engine.setter
-    def engine(self, kind: str) -> None:
-        if kind not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {kind!r}")
-        self._engine_kind = kind
-
     # -- streaming updates --------------------------------------------------------
 
     def observe(
@@ -547,9 +497,10 @@ class ExpertFinder:
         parameter sweeps (``window=None`` means "no window"; leave it at
         the default to use the configured window).
 
-        Both engines score document-at-a-time across the live segments
-        plus the write buffer (the shard segments through the scatter
-        pool, when one runs) and produce the same list, bit for bit.
+        Every live segment scores the need with one numpy kernel and the
+        write buffer with a dict walk (the shard segments through the
+        scatter pool, when one runs); the list equals the object path's,
+        bit for bit.
         """
         _check_top_k(top_k)
         return self._index.find_experts(
@@ -557,8 +508,6 @@ class ExpertFinder:
             alpha=self._config.alpha if alpha is None else alpha,
             window=self._config.window if window is _UNSET else window,
             top_k=top_k,
-            pruned=self._engine_kind == "columnar-pruned",
-            stats=self._pruning_stats,
         )
 
     def find_experts_many(
@@ -579,8 +528,6 @@ class ExpertFinder:
             alpha=self._config.alpha if alpha is None else alpha,
             window=self._config.window if window is _UNSET else window,
             top_k=top_k,
-            pruned=self._engine_kind == "columnar-pruned",
-            stats=self._pruning_stats,
         )
 
     # -- the scatter pool ---------------------------------------------------------

@@ -14,7 +14,7 @@ class ExpertScore:
     """One ranked expert with the expertise score of Eq. 3.
 
     Hand-written immutable value class rather than a frozen dataclass:
-    the query engines build one instance per ranked candidate on every
+    the query path builds one instance per ranked candidate on every
     uncached query, and the generated frozen ``__init__`` measured ~40%
     slower than this one. Field semantics, equality, hashing, repr, and
     the positive-score invariant are unchanged.

@@ -25,11 +25,11 @@ unit a sharded/async tier would replicate, not that tier itself. It
 re-entrant lock serializes every query, observe, and invalidation, so
 an observe can never interleave with a query's cache fill and leave a
 stale ranking behind. The lock deliberately also covers the finder
-compute — the compiled engines reuse per-instance scratch buffers
-(flat accumulators, touched lists), so finder evaluation is
-single-threaded by design; cross-core scaling comes from the scatter
-pool's worker processes (one per shard segment), not from racing
-threads through one engine.
+compute — a query reads the write buffer and the statistics caches an
+observe mutates, and a scatter pool's pipes carry one request stream —
+so finder evaluation is single-threaded by design; cross-core scaling
+comes from the scatter pool's worker processes (one per shard segment),
+not from racing threads through one finder.
 """
 
 from __future__ import annotations
@@ -64,12 +64,6 @@ class ServiceStats:
     instead of clearing it (``invalidations``), and the finder's index
     reports its live segment count, buffered resources, and compaction
     merges.
-
-    The pruning fields mirror the finder's cumulative block-max counters
-    (see :class:`~repro.index.blockmax.PruningStats`) — all 0 unless the
-    finder serves with the "columnar-pruned" engine. ``fallback_queries``
-    counts pruned-mode requests that routed to the exhaustive path
-    because their window was fractional or ``None``.
     """
 
     queries: int
@@ -84,10 +78,6 @@ class ServiceStats:
     segments: int = 0
     buffered_docs: int = 0
     compactions: int = 0
-    pruned_queries: int = 0
-    fallback_queries: int = 0
-    blocks_scanned: int = 0
-    blocks_skipped: int = 0
     #: mean in-flight pipeline depth of scatter-pool batch dispatches
     #: (0.0 until a batch actually routes through the pool; > 1 means
     #: batched queries overlapped inside the workers)
@@ -98,19 +88,12 @@ class ServiceStats:
         """Cache hits per query — 0.0 before the first request."""
         return self.cache_hits / self.queries if self.queries else 0.0
 
-    @property
-    def block_skip_rate(self) -> float:
-        """Fraction of candidate blocks the pruned queries never
-        scanned — 0.0 before the first pruned query."""
-        total = self.blocks_scanned + self.blocks_skipped
-        return self.blocks_skipped / total if total else 0.0
-
     def to_dict(self) -> dict[str, float | int]:
         """The stats as one flat JSON-ready mapping — the single
         serialization the ``/v1/metrics`` gateway endpoint and
         ``repro serve-bench --json`` both emit (so they cannot drift).
-        Includes the derived :attr:`hit_rate`/:attr:`block_skip_rate`
-        alongside the raw counters."""
+        Includes the derived :attr:`hit_rate` alongside the raw
+        counters."""
         return {
             "queries": self.queries,
             "cache_hits": self.cache_hits,
@@ -125,11 +108,6 @@ class ServiceStats:
             "segments": self.segments,
             "buffered_docs": self.buffered_docs,
             "compactions": self.compactions,
-            "pruned_queries": self.pruned_queries,
-            "fallback_queries": self.fallback_queries,
-            "blocks_scanned": self.blocks_scanned,
-            "blocks_skipped": self.blocks_skipped,
-            "block_skip_rate": self.block_skip_rate,
             "batch_parallelism": self.batch_parallelism,
         }
 
@@ -169,8 +147,8 @@ class ExpertSearchService:
         self._finder = finder
         # One lock for queries, observes, and invalidations: cache
         # mutation must never interleave with an observe's invalidation,
-        # and the compiled engines' scratch buffers admit one evaluating
-        # thread at a time (see the module docstring). Re-entrant
+        # and the finder admits one evaluating thread at a time (see the
+        # module docstring). Re-entrant
         # because observe() invalidates while already holding it.
         self._lock = threading.RLock()
         self._cache: OrderedDict[tuple, tuple[ExpertScore, ...]] = OrderedDict()
@@ -397,7 +375,6 @@ class ExpertSearchService:
     def _stats_locked(self) -> ServiceStats:
         ordered = sorted(self._latencies)
         index_stats = self._finder.index_stats
-        pruning = self._finder.pruning_stats
         return ServiceStats(
             queries=self._queries,
             cache_hits=self._hits,
@@ -411,10 +388,6 @@ class ExpertSearchService:
             segments=index_stats.segments,
             buffered_docs=index_stats.buffered,
             compactions=index_stats.compactions,
-            pruned_queries=pruning.pruned_queries,
-            fallback_queries=pruning.fallback_queries,
-            blocks_scanned=pruning.blocks_scanned,
-            blocks_skipped=pruning.blocks_skipped,
             batch_parallelism=(
                 self._batch_depth_sum / self._batch_dispatches
                 if self._batch_dispatches

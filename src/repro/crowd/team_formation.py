@@ -20,8 +20,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class SkillCoverageError(ValueError):
@@ -74,6 +76,9 @@ class TeamFormation:
             return 0.0
         lengths = self._distance_cache.get(a)
         if lengths is None:
+            # networkx loads on first use, off the gateway's start-up path
+            import networkx as nx
+
             if a in self._graph:
                 lengths = dict(nx.single_source_shortest_path_length(self._graph, a))
             else:
@@ -93,6 +98,8 @@ class TeamFormation:
         members = list(members)
         if len(members) <= 1:
             return 0.0
+        import networkx as nx
+
         complete = nx.Graph()
         for i, a in enumerate(members):
             for b in members[i + 1 :]:

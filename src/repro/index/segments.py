@@ -12,9 +12,10 @@ pieces:
   scored with plain dict walks; an ``observe`` touches nothing else;
 * **sealed segments** — when the buffer reaches ``seal_threshold``
   resources it seals into an immutable :class:`Segment` whose postings
-  are compiled once into flat doc-sorted columns (interned doc indexes
-  in sorted-id order, raw ``tf`` / ``ef`` / ``we`` columns) and never
-  touched again;
+  are compiled once into numpy columns (interned doc indexes in
+  sorted-id order, raw ``tf`` / ``ef`` / ``we`` columns) and never
+  touched again; a loaded segment's columns are read-only views over
+  the mapped snapshot;
 * **tiered compaction** — segments of the same size tier are merged
   (reusing :meth:`InvertedIndex.merge` / :meth:`EntityIndex.merge`, which
   preserve postings order) either synchronously after a seal or only on
@@ -24,25 +25,27 @@ pieces:
 A query forms its per-item weights ``tw = irf^p`` / ``ew = eirf^p`` once
 from **shared collection statistics** (the union document count and the
 summed per-source document frequencies), then each segment scores its
-own documents: the per-column products ``tf·tw`` and ``(ef·ew)·we`` are
-memoised per weight in the lazily built column records, accumulated
-document-at-a-time into flat scratch lists, combined as
-``α·T + (1−α)·E`` and emitted as ``(-score, doc index)``. With an
-absolute window each segment sorts and cuts its own matches to the
-window (or, pruned, keeps a window-sized heap over block-max ordered
-blocks); string ids and evidence rows are looked up for the survivors
+own documents with one numpy kernel (:meth:`Segment.score`): per query
+item, ``T[docs] += tf·tw`` and ``E[docs] += (ef·ew)·we``, then
+``α·T + (1−α)·E``, keeping positive scores as ``(-score, doc index)``.
+With an absolute window each segment cuts its own matches to the
+window; string ids and evidence rows are looked up for the survivors
 only. One global ``(-score, doc_id)`` sort and window cut follows, then
 the Eq. 3 fold (:func:`fold_experts`). With a scatter pool attached, the
 shard segments are scored by forked workers while this process scores
 the buffer and the later segments; the merge is the same.
 
-The per-segment cut is exact: each document lives in exactly one source
-and, within a segment, doc-index order is doc-id order, so the global
-top-W is contained in the union of the per-source top-W. Scores repeat
-the object path's float operations in the same order, so rankings are
+The kernel is exact: doc indexes are unique within a column, so each
+fancy-indexed add gives every posting one IEEE addition into its
+document's accumulator, in the query's item order with terms before
+entities — the object path's order — and the products and the α blend
+are the same float operations, elementwise. The per-segment cut is
+exact too: each document lives in exactly one source and, within a
+segment, doc-index order is doc-id order, so the global top-W is
+contained in the union of the per-source top-W. Rankings are therefore
 **byte-identical** to :class:`~repro.index.vsm.VectorSpaceRetriever` +
 :class:`~repro.core.ranking.ExpertRanker` over the same collection
-(``tests/core/test_streaming.py`` and ``tests/index/test_columnar.py``
+(``tests/core/test_differential.py`` and ``tests/index/test_columnar.py``
 pin this).
 
 Thread model: one thread queries and writes. The live-segment list is
@@ -53,13 +56,14 @@ mutated.
 
 from __future__ import annotations
 
-import heapq
 import math
 import threading
-from array import array
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import Any
 from dataclasses import dataclass
+
+import numpy as np
+import numpy.typing as npt
 
 # Direct submodule imports only — ``repro.index`` is imported by
 # ``repro.core``, so pulling core *package* attributes here would cycle.
@@ -67,14 +71,6 @@ from repro.core.config import FinderConfig
 from repro.core.ranking import ExpertScore
 from repro.core.scoring import distance_weight_table, window_size
 from repro.index.analyzer import AnalyzedResource
-from repro.index.blockmax import (
-    DEFAULT_BLOCK_SPAN,
-    PruningStats,
-    compute_blocks,
-    is_doc_sorted,
-    sort_column,
-    ub_slack,
-)
 from repro.index.entity_index import EntityIndex
 from repro.index.inverted import InvertedIndex
 from repro.index.sharded import (
@@ -93,41 +89,30 @@ DEFAULT_FANOUT = 4
 
 _COMPACTION_MODES = ("synchronous", "manual")
 
-#: blocks between shared-floor lock round-trips in a pruned walk (see
-#: :meth:`Segment.score_pruned`)
-_FLOOR_STRIDE = 32
-
 #: evidence rows: ``((candidate_id, distance), ...)`` in stream order
 _Rows = tuple[tuple[str, int], ...]
 
 #: one scored match: ``(-score, doc_id, evidence rows)``
 _Entry = tuple[float, str, _Rows]
 
+#: a compiled term column: ``(doc indexes, raw tf)``
+TermColumn = tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]
 
-def plan_query(
-    alpha: float,
-    window: int | float | None,
-    pruned: bool,
-    stats: PruningStats,
-    count: int = 1,
-) -> tuple[int | None, bool]:
-    """Validate a query's parameters and route it: returns ``(cut,
-    pruned)``, where *cut* is the absolute window each source may cut
-    its own matches to (None for fractional and ``None`` windows, whose
-    width depends on the total match count) and *pruned* says whether
-    the block-max walk runs. Pruned requests that cannot prune are
-    counted as fallbacks in *stats*."""
+#: a compiled entity column: ``(doc indexes, raw ef, we = 1 + dScore)``
+EntityColumn = tuple[
+    npt.NDArray[np.int64], npt.NDArray[np.int64], npt.NDArray[np.float64]
+]
+
+
+def window_cut(alpha: float, window: int | float | None) -> int | None:
+    """Validate a query's parameters and return the absolute window each
+    source may cut its own matches to: None for fractional and ``None``
+    windows, whose width depends on the total match count."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     window_size(window, 0)  # validate the window shape up front
     # bools are rejected above, so a remaining int is a positive count
-    cut = window if isinstance(window, int) else None
-    if pruned:
-        if cut is None:
-            stats.fallback_queries += count
-            return None, False
-        stats.pruned_queries += count
-    return cut, pruned
+    return window if isinstance(window, int) else None
 
 
 def fold_experts(
@@ -164,36 +149,6 @@ def fold_experts(
     return [ExpertScore(cid, -neg_score, count) for neg_score, cid, count in ranked]
 
 
-def _pair_weight(pair: tuple[int, float]) -> float:
-    return pair[1]
-
-
-def _agenda(docs: Sequence[int], weighted: Sequence[float], blocks: tuple) -> tuple:
-    """The pruned-mode record of one weighted column: ``(block id,
-    weighted block max)`` pairs, a block id → span map, and an empty
-    per-α cache of leg-scaled bounds.
-
-    Spans are kept weight-descending: multi-item accumulation is
-    order-insensitive (flags dedup in any order), and a single-item
-    block can stop at the first posting below the heap floor
-    (multiplication rounding is monotone, so every later posting scores
-    no higher). The block maximum is the span's first weight — the
-    exact weighted value, so entity bounds need no ``ef·we`` rescaling.
-    """
-    bids, boff, _raw_max = blocks
-    # the weights pass through a fresh array so every span's (doc, w)
-    # pairs and their float objects are allocated together — the walk
-    # reads them block by block
-    pairs = list(zip(docs, array("d", weighted)))
-    bounds = []
-    spans = {}
-    for i, b in enumerate(bids):
-        span = sorted(pairs[boff[i] : boff[i + 1]], key=_pair_weight, reverse=True)
-        spans[b] = span
-        bounds.append((b, span[0][1]))
-    return bounds, spans, {}
-
-
 @dataclass(frozen=True)
 class SegmentStats:
     """Gauges of one :class:`SegmentedIndex` (a point-in-time snapshot)."""
@@ -220,12 +175,11 @@ class Segment:
     """One immutable, columnar-compiled slice of the collection.
 
     Holds the slice's term/entity indexes (for union statistics, merges,
-    and snapshots) plus compiled flat columns for query evaluation:
-    interned doc indexes, sorted by doc, with *raw* frequencies — the
-    collection statistics keep moving as the buffer grows, so
-    ``tf·irf^p`` / ``ef·eirf^p·we`` are formed per query weight (the
-    identical float operations, deferred) and memoised in the column
-    records until the weight changes.
+    and snapshots) plus compiled numpy columns for query evaluation:
+    interned doc indexes with *raw* frequencies — the collection
+    statistics keep moving as the buffer grows, so ``tf·irf^p`` /
+    ``ef·eirf^p·we`` are formed per query, with the object path's float
+    operations.
     """
 
     __slots__ = (
@@ -238,16 +192,6 @@ class Segment:
         "_term_cols",
         "_entity_cols",
         "_resource_ids",
-        "_term_acc",
-        "_entity_acc",
-        "_doc_flags",
-        "_block_ub",
-        "_block_flags",
-        "_block_span",
-        "_term_blocks",
-        "_entity_blocks",
-        "_term_pruned",
-        "_entity_pruned",
     )
 
     def __init__(
@@ -256,8 +200,6 @@ class Segment:
         term_index: InvertedIndex,
         entity_index: EntityIndex,
         evidence: Mapping[str, _Rows],
-        *,
-        block_span: int | None = None,
     ):
         if term_index.doc_ids() != entity_index.doc_ids():
             raise ValueError(
@@ -271,62 +213,52 @@ class Segment:
         self.evidence = dict(evidence)
         self._resource_ids = frozenset(self.evidence) | term_index.doc_ids()
 
-        # compile: dense doc indexes in sorted-id order + doc-sorted
-        # raw-frequency columns (the d_score is folded to we = 1 + dScore
-        # once; the posting product at query time is ef · ew · we, the
-        # object path's expression)
+        # compile: dense doc indexes in sorted-id order + raw-frequency
+        # columns in postings order (the d_score is folded to
+        # we = 1 + dScore once; the posting product at query time is
+        # ef · ew · we, the object path's expression)
         doc_ids = sorted(term_index.doc_ids())
         doc_of = {doc_id: i for i, doc_id in enumerate(doc_ids)}
         self._doc_ids: list[str] = doc_ids
-        self._term_cols: dict[str, tuple] = {}
-        for term, postings in term_index.items():
-            rows = sorted((doc_of[p.doc_id], p.term_frequency) for p in postings)
-            self._term_cols[term] = (
-                array("l", [d for d, _ in rows]),
-                array("l", [f for _, f in rows]),
+        self._term_cols: dict[str, TermColumn] = {
+            term: (
+                np.array([doc_of[p.doc_id] for p in postings], dtype=np.int64),
+                np.array([p.term_frequency for p in postings], dtype=np.int64),
             )
-        self._entity_cols: dict[str, tuple] = {}
-        for uri, postings in entity_index.items():
-            erows = sorted(
-                (doc_of[p.doc_id], p.entity_frequency, entity_weight(p.d_score))
-                for p in postings
+            for term, postings in term_index.items()
+        }
+        self._entity_cols: dict[str, EntityColumn] = {
+            uri: (
+                np.array([doc_of[p.doc_id] for p in postings], dtype=np.int64),
+                np.array([p.entity_frequency for p in postings], dtype=np.int64),
+                np.array(
+                    [entity_weight(p.d_score) for p in postings], dtype=np.float64
+                ),
             )
-            self._entity_cols[uri] = (
-                array("l", [d for d, _, _ in erows]),
-                array("l", [f for _, f, _ in erows]),
-                array("d", [w for _, _, w in erows]),
-            )
-        self._init_blocks(block_span)
-        self._init_scratch()
+            for uri, postings in entity_index.items()
+        }
 
     @classmethod
     def from_columns(
         cls,
         segment_id: int,
         doc_ids: Sequence[str],
-        term_cols: Mapping[str, tuple],
-        entity_cols: Mapping[str, tuple],
+        term_cols: Mapping[str, TermColumn],
+        entity_cols: Mapping[str, EntityColumn],
         evidence: Mapping[str, _Rows],
         hydrate: "Callable[[], tuple[InvertedIndex, EntityIndex]] | None",
-        *,
-        block_span: int | None = None,
-        term_blocks: Mapping[str, tuple] | None = None,
-        entity_blocks: Mapping[str, tuple] | None = None,
     ) -> "Segment":
         """Adopt already-compiled columns (a v3 snapshot's mapped buffers)
         without building the posting-object indexes.
 
         *doc_ids* must be the segment's indexed doc ids in sorted order
         (the interning order the columns were compiled under); column
-        values may be ``array``s or zero-copy ``memoryview`` casts.
-        *hydrate* is a zero-argument callable returning the
-        ``(InvertedIndex, EntityIndex)`` pair — invoked at most once, only
-        if a merge, snapshot re-save or :meth:`SegmentedIndex.merged_slice`
-        actually needs posting objects. *term_blocks*/*entity_blocks*
-        adopt per-column ``(bids, boff, bmax)`` block metadata written by
-        a v3+blocks snapshot (whose columns are doc-sorted); when absent,
-        pruning sorts the column and recomputes it on first use — the
-        recompute-on-absent compatibility rule.
+        values are numpy arrays, typically read-only ``np.frombuffer``
+        views over the mapping. *hydrate* is a zero-argument callable
+        returning the ``(InvertedIndex, EntityIndex)`` pair — invoked at
+        most once, only if a merge, snapshot re-save or
+        :meth:`SegmentedIndex.merged_slice` actually needs posting
+        objects.
         """
         segment = cls.__new__(cls)
         segment.segment_id = segment_id
@@ -340,46 +272,13 @@ class Segment:
         )
         segment._term_cols = dict(term_cols)
         segment._entity_cols = dict(entity_cols)
-        segment._init_blocks(block_span)
-        if term_blocks:
-            segment._term_blocks.update(term_blocks)
-        if entity_blocks:
-            segment._entity_blocks.update(entity_blocks)
-        segment._init_scratch()
         return segment
-
-    def _init_blocks(self, block_span: int | None) -> None:
-        if block_span is not None and block_span <= 0:
-            raise ValueError(f"block_span must be positive, got {block_span}")
-        self._block_span = block_span or DEFAULT_BLOCK_SPAN
-        #: per-column ``(bids, boff, bmax)`` over the doc-sorted columns;
-        #: the maxima are raw (``tf``, ``ef·we``) — the snapshot format's
-        #: shape — and pruning bounds come from the weighted spans
-        self._term_blocks: dict[str, tuple] = {}
-        self._entity_blocks: dict[str, tuple] = {}
-        #: lazily built per-column records keyed by the exact query
-        #: weight: ``[weight, docs, weighted values, agenda or None]``
-        self._term_pruned: dict[str, list] = {}
-        self._entity_pruned: dict[str, list] = {}
-
-    def _init_scratch(self) -> None:
-        # scratch accumulators are plain lists: element access on a list
-        # returns the stored float object directly, where array('d')
-        # would box a fresh one per read (reset per query via the
-        # touched lists)
-        n_docs = len(self._doc_ids)
-        n_blocks = (n_docs + self._block_span - 1) // self._block_span or 1
-        self._term_acc = [0.0] * n_docs
-        self._entity_acc = [0.0] * n_docs
-        self._doc_flags = bytearray(n_docs)
-        self._block_ub = [0.0] * n_blocks
-        self._block_flags = bytearray(n_blocks)
 
     @property
     def term_index(self) -> InvertedIndex:
         """The posting-object term index, hydrating it on first use for
-        column-restored segments (merges, jsonl re-saves and the object
-        path need it; query evaluation and statistics never do)."""
+        column-restored segments (merges, re-saves and the oracle need
+        it; query evaluation and statistics never do)."""
         if self._term_index is None:
             self._run_hydrate()
         return self._term_index
@@ -411,10 +310,6 @@ class Segment:
         return len(cols[0]) if cols is not None else 0
 
     @property
-    def block_span(self) -> int:
-        return self._block_span
-
-    @property
     def document_count(self) -> int:
         return len(self._doc_ids)
 
@@ -426,63 +321,6 @@ class Segment:
     def resource_ids(self) -> frozenset[str]:
         return self._resource_ids
 
-    # -- per-column records (the weighted memo + block-max agenda) -----------------
-
-    def _pruned_term(self, term: str, tw: float, pruned: bool = False) -> list | None:
-        """The term column's record for weight *tw*: ``tf·tw`` for every
-        posting, rebuilt only when the weight changes (a sealed segment's
-        frequencies never do). With *pruned*, the record also carries
-        the block-max agenda; columns restored without block metadata
-        are doc-sorted and blocked here first."""
-        rec = self._term_pruned.get(term)
-        if rec is None or rec[0] != tw:
-            cols = self._term_cols.get(term)
-            if cols is None:
-                return None
-            docs, tf = cols
-            rec = [tw, docs, [f * tw for f in tf], None]
-            self._term_pruned[term] = rec
-        if pruned and rec[3] is None:
-            blk = self._term_blocks.get(term)
-            if blk is None:
-                docs, tf = self._term_cols[term]
-                if not is_doc_sorted(docs):
-                    docs, tf = sort_column(docs, tf)
-                    self._term_cols[term] = (docs, tf)
-                    rec[1] = docs
-                    rec[2] = [f * tw for f in tf]
-                blk = compute_blocks(docs, tf, self._block_span)
-                self._term_blocks[term] = blk
-            rec[3] = _agenda(rec[1], rec[2], blk)
-        return rec
-
-    def _pruned_entity(self, uri: str, ew: float, pruned: bool = False) -> list | None:
-        """The entity column's record for weight *ew*: ``(ef·ew)·we``
-        per posting — the object path's association — memoised like
-        :meth:`_pruned_term`."""
-        rec = self._entity_pruned.get(uri)
-        if rec is None or rec[0] != ew:
-            cols = self._entity_cols.get(uri)
-            if cols is None:
-                return None
-            docs, ef, we = cols
-            rec = [ew, docs, [f * ew * w for f, w in zip(ef, we)], None]
-            self._entity_pruned[uri] = rec
-        if pruned and rec[3] is None:
-            blk = self._entity_blocks.get(uri)
-            if blk is None:
-                docs, ef, we = self._entity_cols[uri]
-                if not is_doc_sorted(docs):
-                    docs, ef, we = sort_column(docs, ef, we)
-                    self._entity_cols[uri] = (docs, ef, we)
-                    rec[1] = docs
-                    rec[2] = [f * ew * w for f, w in zip(ef, we)]
-                raw = array("d", [f * w for f, w in zip(ef, we)])
-                blk = compute_blocks(docs, raw, self._block_span)
-                self._entity_blocks[uri] = blk
-            rec[3] = _agenda(rec[1], rec[2], blk)
-        return rec
-
     # -- query evaluation ----------------------------------------------------------
 
     def score(
@@ -493,270 +331,45 @@ class Segment:
         cut: int | None,
     ) -> list[tuple[float, int]]:
         """Every positive Eq. 1 match of this segment as ``(-score, doc
-        index)`` (see :meth:`resolve`), cut to the best *cut* when given
-        (unsorted otherwise). Accumulation order per document is the
-        query's item order, terms before entities — the object path's
-        order."""
-        term_acc = self._term_acc
-        entity_acc = self._entity_acc
-        flags = self._doc_flags
-        touched: list[int] = []
-        touch = touched.append
-        for term, tw in terms:
-            rec = self._pruned_term(term, tw)
-            if rec is None:
-                continue
-            for doc, weighted in zip(rec[1], rec[2]):
-                term_acc[doc] += weighted
-                if not flags[doc]:
-                    flags[doc] = 1
-                    touch(doc)
-        for uri, ew in entities:
-            rec = self._pruned_entity(uri, ew)
-            if rec is None:
-                continue
-            for doc, weighted in zip(rec[1], rec[2]):
-                entity_acc[doc] += weighted
-                if not flags[doc]:
-                    flags[doc] = 1
-                    touch(doc)
+        index)`` (see :meth:`resolve`), cut to the best *cut* in
+        ``(-score, doc index)`` order when given (in doc-index order
+        otherwise).
 
-        # combine the two legs, keep positive scores, reset the scratch
-        one_minus_alpha = 1.0 - alpha
-        hits: list[tuple[float, int]] = []
-        hit = hits.append
-        for doc in touched:
-            score = alpha * term_acc[doc] + one_minus_alpha * entity_acc[doc]
-            if score > 0.0:
-                hit((-score, doc))
-            term_acc[doc] = 0.0
-            entity_acc[doc] = 0.0
-            flags[doc] = 0
-        # doc-index order is doc-id order within a segment, so this cut
-        # keeps exactly the segment's share of the global window
+        Per query item, in the query's order, the item's column scatters
+        ``tf·tw`` into the term accumulator and ``(ef·ew)·we`` into the
+        entity accumulator; a column holds each document once, so every
+        posting is one IEEE add into its document's slot, exactly as the
+        object path's dict walk adds it."""
+        n_docs = len(self._doc_ids)
+        term_acc = np.zeros(n_docs)
+        entity_acc = np.zeros(n_docs)
+        for term, tw in terms:
+            cols = self._term_cols.get(term)
+            if cols is not None:
+                docs, tf = cols
+                term_acc[docs] += tf * tw
+        for uri, ew in entities:
+            ecols = self._entity_cols.get(uri)
+            if ecols is not None:
+                docs, ef, we = ecols
+                entity_acc[docs] += (ef * ew) * we
+        scores = alpha * term_acc + (1.0 - alpha) * entity_acc
+        hits = np.flatnonzero(scores > 0.0)
+        scores = scores[hits]
         if cut is not None and cut < len(hits):
-            hits.sort()
-            del hits[cut:]
-        return hits
-
-    def plan_pruned(
-        self,
-        terms: Sequence[tuple[str, float]],
-        entities: Sequence[tuple[str, float]],
-        alpha: float,
-    ) -> tuple:
-        """The block-max agenda of one query over this segment: per query
-        item, the leg-scaled block maxima are summed into the per-block
-        bound (the scratch ``_block_ub``) and the item's block → span
-        map is collected (consulted only for processed blocks). Returns
-        ``(best inflated bound, blocks best-first, term span maps,
-        entity span maps, slack)`` for :meth:`score_pruned`."""
-        one_minus_alpha = 1.0 - alpha
-        ub = self._block_ub
-        bflags = self._block_flags
-        tblocks: list[int] = []
-        tblock = tblocks.append
-        tmaps: list[dict] = []
-        emaps: list[dict] = []
-        for term, tw in terms:
-            rec = self._pruned_term(term, tw, True)
-            if rec is None:
-                continue
-            bounds, smap, scaled = rec[3]
-            tmaps.append(smap)
-            sub = scaled.get(alpha)
-            if sub is None:
-                sub = scaled[alpha] = [(b, alpha * mx) for b, mx in bounds]
-            for b, smx in sub:
-                if bflags[b]:
-                    ub[b] += smx
-                else:
-                    bflags[b] = 1
-                    ub[b] = smx
-                    tblock(b)
-        for uri, ew in entities:
-            rec = self._pruned_entity(uri, ew, True)
-            if rec is None:
-                continue
-            bounds, smap, scaled = rec[3]
-            emaps.append(smap)
-            sub = scaled.get(one_minus_alpha)
-            if sub is None:
-                sub = scaled[one_minus_alpha] = [
-                    (b, one_minus_alpha * mx) for b, mx in bounds
-                ]
-            for b, smx in sub:
-                if bflags[b]:
-                    ub[b] += smx
-                else:
-                    bflags[b] = 1
-                    ub[b] = smx
-                    tblock(b)
-        slack = ub_slack(len(tmaps) + len(emaps))
-        tblocks.sort(key=ub.__getitem__, reverse=True)
-        best = ub[tblocks[0]] * slack if tblocks else 0.0
-        return best, tblocks, tmaps, emaps, slack
-
-    def score_pruned(
-        self,
-        plan: tuple,
-        alpha: float,
-        window: int,
-        bar: float,
-        stats: PruningStats,
-        shared_floor: Any = None,
-    ) -> tuple[list[tuple[float, int]], float]:
-        """Block-max evaluation of this segment's top-*window* matches
-        along the agenda *plan* from :meth:`plan_pruned`.
-
-        Blocks are processed best-bound first while a min-heap of
-        ``(score, -doc)`` pairs holds the segment's current window: the
-        heap minimum is exactly the worst element under the window
-        order ``(-score, doc)``, so the heap *is* the window set. Once
-        the heap is full, a block whose inflated bound sits below the
-        floor *score* — and every later block, bounds are descending —
-        cannot contribute and is skipped outright.
-
-        *bar* is a floor proven elsewhere (another segment's full
-        window, the buffer's, or — via *shared_floor*, a
-        ``multiprocessing.Value('d')`` — another shard worker's): some
-        ``window`` distinct documents score at least *bar*, so anything
-        strictly below it can never enter the global window. It is only
-        ever used with a strict ``<``. Returns the surviving ``(-score,
-        doc index)`` matches and this segment's floor (0.0 unless its
-        window filled).
-        """
-        _best, tblocks, tmaps, emaps, slack = plan
-        term_acc = self._term_acc
-        entity_acc = self._entity_acc
-        flags = self._doc_flags
-        one_minus_alpha = 1.0 - alpha
-        ub = self._block_ub
-        bflags = self._block_flags
-        W = window
-        heappush = heapq.heappush
-        heapreplace = heapq.heapreplace
-        heap: list[tuple[float, int]] = []
-        nheap = 0
-        floor = 0.0
-        h0 = (0.0, 0)
-        # lim: the skip threshold — the larger of the proven outside
-        # floor and this segment's own floor once its window is full
-        lim = bar
-        if shared_floor is not None:
-            lim = _sync_floor(shared_floor, 0.0, lim)
-        btouched: list[int] = []
-        btouch = btouched.append
-        scanned = len(tblocks)
-        for bi, b in enumerate(tblocks):
-            if shared_floor is not None and bi and not bi % _FLOOR_STRIDE:
-                lim = _sync_floor(shared_floor, floor if nheap == W else 0.0, lim)
-            if ub[b] * slack < lim:
-                scanned = bi
-                break
-            ts = []
-            for m in tmaps:
-                sp = m.get(b)
-                if sp is not None:
-                    ts.append(sp)
-            es = []
-            for m in emaps:
-                sp = m.get(b)
-                if sp is not None:
-                    es.append(sp)
-            if len(ts) + len(es) == 1:
-                # single-item block: the combined score collapses to
-                # α·w + (1−α)·0.0 == α·w (or its mirror), bit for bit —
-                # and the span is weight-descending, so the first
-                # posting below the threshold (or at 0.0 before the heap
-                # fills) ends it
-                leg, span = (alpha, ts[0]) if ts else (one_minus_alpha, es[0])
-                for d, w in span:
-                    sc = leg * w
-                    if sc < lim:
-                        break
-                    if nheap == W:
-                        pair = (sc, -d)
-                        if pair > h0:
-                            heapreplace(heap, pair)
-                            h0 = heap[0]
-                            floor = h0[0]
-                            if floor > lim:
-                                lim = floor
-                    elif sc > 0.0:
-                        heappush(heap, (sc, -d))
-                        nheap += 1
-                        if nheap == W:
-                            h0 = heap[0]
-                            floor = h0[0]
-                            if floor > lim:
-                                lim = floor
-                    else:
-                        break
-                continue
-            # multi-item block: accumulate into the per-doc scratch, then
-            # finalize each touched doc. Blocks are doc-range complete —
-            # every posting of a block's documents sits in this block —
-            # so scores are final here. One-leg blocks skip the other
-            # leg's accumulator: its slots are all zero, and
-            # α·T + (1−α)·0.0 == α·T (and its mirror), bit for bit.
-            for sp in ts:
-                for d, w in sp:
-                    term_acc[d] += w
-                    if not flags[d]:
-                        flags[d] = 1
-                        btouch(d)
-            for sp in es:
-                for d, w in sp:
-                    entity_acc[d] += w
-                    if not flags[d]:
-                        flags[d] = 1
-                        btouch(d)
-            for d in btouched:
-                if not es:
-                    sc = alpha * term_acc[d]
-                    term_acc[d] = 0.0
-                elif not ts:
-                    sc = one_minus_alpha * entity_acc[d]
-                    entity_acc[d] = 0.0
-                else:
-                    sc = alpha * term_acc[d] + one_minus_alpha * entity_acc[d]
-                    term_acc[d] = 0.0
-                    entity_acc[d] = 0.0
-                flags[d] = 0
-                if sc < lim:
-                    continue
-                if nheap < W:
-                    if sc > 0.0:
-                        heappush(heap, (sc, -d))
-                        nheap += 1
-                        if nheap == W:
-                            h0 = heap[0]
-                            floor = h0[0]
-                            if floor > lim:
-                                lim = floor
-                else:
-                    pair = (sc, -d)
-                    if pair > h0:
-                        heapreplace(heap, pair)
-                        h0 = heap[0]
-                        floor = h0[0]
-                        if floor > lim:
-                            lim = floor
-            del btouched[:]
-        for b in tblocks:
-            bflags[b] = 0
-        stats.blocks_scanned += scanned
-        stats.blocks_skipped += len(tblocks) - scanned
-        full = nheap == W
-        if shared_floor is not None and full:
-            _sync_floor(shared_floor, floor, lim)
-        # the heap holds min(window, matches) docs: re-key them to the
-        # (-score, doc) window order (sorted, so the global merge of a
-        # lone segment is one linear pass)
-        hits = [(-sc, -nd) for sc, nd in heap]
-        hits.sort()
-        return hits, floor if full else 0.0
+            # keep every match scoring at least the cut-th best score,
+            # then order them (-score, doc index): ties at the boundary
+            # keep the lowest doc indexes, as a full sort would. Doc-index
+            # order is doc-id order within a segment, so this keeps
+            # exactly the segment's share of the global window
+            k = len(hits) - cut
+            kept = scores >= np.partition(scores, k)[k]
+            hits = hits[kept]
+            scores = scores[kept]
+            order = np.lexsort((hits, -scores))[:cut]
+            hits = hits[order]
+            scores = scores[order]
+        return list(zip((-scores).tolist(), hits.tolist()))
 
     def resolve(self, hits: list[tuple[float, int]]) -> list[_Entry]:
         """``(-score, doc index)`` survivors → ``(-score, doc_id, rows)``."""
@@ -768,22 +381,6 @@ class Segment:
             doc_id = doc_ids[doc]
             entry((neg_score, doc_id, evidence.get(doc_id, ())))
         return entries
-
-
-def _plan_bound(item: tuple[tuple, Segment]) -> float:
-    best: float = item[0][0]
-    return best
-
-
-def _sync_floor(shared_floor: Any, floor: float, lim: float) -> float:
-    """Publish *floor* (0.0 = nothing proven yet) to the cross-worker
-    value and return the larger of *lim* and the best published floor.
-    The shared value only ever rises within a query."""
-    with shared_floor.get_lock():
-        if floor > shared_floor.value:
-            shared_floor.value = floor
-        shared: float = shared_floor.value
-    return shared if shared > lim else lim
 
 
 class _WriteBuffer:
@@ -892,7 +489,6 @@ class SegmentedIndex:
         seal_threshold: int = DEFAULT_SEAL_THRESHOLD,
         compaction: str = "synchronous",
         fanout: int = DEFAULT_FANOUT,
-        block_span: int | None = None,
     ):
         if seal_threshold < 1:
             raise ValueError(f"seal_threshold must be >= 1, got {seal_threshold}")
@@ -902,10 +498,6 @@ class SegmentedIndex:
             raise ValueError(
                 f"compaction must be one of {_COMPACTION_MODES}, got {compaction!r}"
             )
-        if block_span is not None and block_span <= 0:
-            raise ValueError(f"block_span must be positive, got {block_span}")
-        self._block_span = block_span or DEFAULT_BLOCK_SPAN
-        self.pruning_stats = PruningStats()
         self._config = config
         self._idf_exponent = config.idf_exponent
         self._normalize = config.normalize
@@ -947,7 +539,6 @@ class SegmentedIndex:
         seal_threshold: int = DEFAULT_SEAL_THRESHOLD,
         compaction: str = "synchronous",
         fanout: int = DEFAULT_FANOUT,
-        block_span: int | None = None,
     ) -> "SegmentedIndex":
         """Wrap a cold build's indexes + evidence as the base segment or,
         with *shards*, as up to that many shard segments split by
@@ -957,7 +548,6 @@ class SegmentedIndex:
             seal_threshold=seal_threshold,
             compaction=compaction,
             fanout=fanout,
-            block_span=block_span,
         )
         evidence = {
             doc_id: tuple((cid, distance) for cid, distance in rows)
@@ -972,13 +562,7 @@ class SegmentedIndex:
             parts = []
         for part_terms, part_entities, part_evidence in parts:
             index._register(
-                Segment(
-                    index._next_id(),
-                    part_terms,
-                    part_entities,
-                    part_evidence,
-                    block_span=index._block_span,
-                )
+                Segment(index._next_id(), part_terms, part_entities, part_evidence)
             )
         return index
 
@@ -1101,11 +685,7 @@ class SegmentedIndex:
         if buffer.resource_count == 0:
             return None
         segment = Segment(
-            self._next_id(),
-            buffer.term_index,
-            buffer.entity_index,
-            buffer.evidence,
-            block_span=self._block_span,
+            self._next_id(), buffer.term_index, buffer.entity_index, buffer.evidence
         )
         with self._lock:
             self._segments = [*self._segments, segment]
@@ -1175,24 +755,13 @@ class SegmentedIndex:
             term_index.merge(segment.term_index)
             entity_index.merge(segment.entity_index)
             evidence.update(segment.evidence)
-        merged = Segment(
-            self._next_id(),
-            term_index,
-            entity_index,
-            evidence,
-            block_span=self._block_span,
-        )
+        merged = Segment(self._next_id(), term_index, entity_index, evidence)
         with self._lock:
             live = self._segments
             self._segments = [*live[:start], merged, *live[stop:]]
         self._compactions += 1
 
     # -- shared collection statistics ----------------------------------------------
-
-    @property
-    def block_span(self) -> int:
-        """Doc-index span per pruning block for segments sealed here."""
-        return self._block_span
 
     @property
     def document_count(self) -> int:
@@ -1270,18 +839,12 @@ class SegmentedIndex:
         alpha: float,
         window: int | float | None,
         top_k: int | None = None,
-        pruned: bool = False,
-        stats: PruningStats | None = None,
     ) -> list[ExpertScore]:
         """Rank the candidate experts for an analyzed *query* across all
         live segments plus the buffer — byte-identical to the object
-        path over the same collection. With ``pruned=True``, absolute
-        windows evaluate each segment in the block-max mode (identical
-        output, fewer postings touched); other window shapes fall back
-        to the exhaustive path and are counted in *stats*."""
+        path over the same collection."""
         return self.find_experts_many(
-            [query], alpha=alpha, window=window, top_k=top_k, pruned=pruned,
-            stats=stats,
+            [query], alpha=alpha, window=window, top_k=top_k
         )[0]
 
     def find_experts_many(
@@ -1291,44 +854,36 @@ class SegmentedIndex:
         alpha: float,
         window: int | float | None,
         top_k: int | None = None,
-        pruned: bool = False,
-        stats: PruningStats | None = None,
     ) -> list[list[ExpertScore]]:
         """Batch counterpart of :meth:`find_experts`, identical to a
         serial loop. With a scatter pool attached, the pool's workers
         score the shard segments while this process scores the buffer
         and the later segments; up to ``DEFAULT_BATCH_INFLIGHT`` queries
-        are in flight per worker, and a lone pruned query shares the
-        pool's floor. A failed pooled query closes the pool (replies
-        still in flight would answer the next one) and re-raises."""
-        if stats is None:
-            stats = self.pruning_stats
-        cut, pruned = plan_query(alpha, window, pruned, stats, len(queries))
-        requests = [
-            (*self._query_weights(query, alpha), alpha, cut, pruned)
-            for query in queries
+        are in flight per worker. A failed pooled query closes the pool
+        (replies still in flight would answer the next one) and
+        re-raises."""
+        cut = window_cut(alpha, window)
+        requests: list[Request] = [
+            (*self._query_weights(query, alpha), alpha, cut) for query in queries
         ]
         pool = self._pool
         if pool is None or not requests:
             return [
-                self._rank(self._collect(request, self._segments, stats), window, top_k)
+                self._rank(self._collect(request, self._segments), window, top_k)
                 for request in requests
             ]
         shard_segments = self._segments[: self._shards]
         later = self._segments[self._shards :]
-        share = pruned and len(requests) == 1
         results = []
         sent = depth = 0
         try:
             for i, request in enumerate(requests):
                 while sent < len(requests) and sent - i < DEFAULT_BATCH_INFLIGHT:
-                    pool.send(requests[sent], share)
+                    pool.send(requests[sent])
                     sent += 1
                 depth += sent - i
-                entries = self._collect(
-                    request, later, stats, pool.floor if share else None
-                )
-                for segment, hits in zip(shard_segments, pool.receive(stats)):
+                entries = self._collect(request, later)
+                for segment, hits in zip(shard_segments, pool.receive()):
                     entries += segment.resolve(hits)
                 results.append(self._rank(entries, window, top_k))
         except BaseException:
@@ -1345,51 +900,17 @@ class SegmentedIndex:
         del entries[window_size(window, len(entries)):]
         return fold_experts(entries, self._weight_of, self._normalize, top_k)
 
-    def _collect(
-        self,
-        request: Request,
-        segments: Sequence[Segment],
-        stats: PruningStats,
-        shared_floor: Any = None,
-    ) -> list[_Entry]:
+    def _collect(self, request: Request, segments: Sequence[Segment]) -> list[_Entry]:
         """The buffer's and *segments*' share of the window as
         ``(-score, doc_id, rows)``, unsorted: each source's best *cut*
-        matches (all of them when *cut* is None). A pruned walk carries
-        the best proven floor from source to source (and across the
-        scatter pool's workers through *shared_floor*)."""
-        terms, entities, alpha, cut, pruned = request
+        matches (all of them when *cut* is None)."""
+        terms, entities, alpha, cut = request
         entries = self._buffer.score(terms, entities, alpha)
-        bar = 0.0
-        if cut is not None and len(entries) >= cut:
+        if cut is not None and len(entries) > cut:
             entries.sort()
             del entries[cut:]
-            bar = -entries[-1][0]
-        try:
-            if pruned and cut is not None:
-                # walk the segments best-bound first, so the floor they
-                # prove rules out as much of the rest as possible
-                plans = [
-                    (segment.plan_pruned(terms, entities, alpha), segment)
-                    for segment in segments
-                ]
-                plans.sort(key=_plan_bound, reverse=True)
-                for plan, segment in plans:
-                    hits, floor = segment.score_pruned(
-                        plan, alpha, cut, bar, stats, shared_floor
-                    )
-                    if floor > bar:
-                        bar = floor
-                    entries += segment.resolve(hits)
-            else:
-                for segment in segments:
-                    entries += segment.resolve(
-                        segment.score(terms, entities, alpha, cut)
-                    )
-        except BaseException:
-            # scratch accumulators may be mid-query; rebuild them clean
-            for segment in segments:
-                segment._init_scratch()
-            raise
+        for segment in segments:
+            entries += segment.resolve(segment.score(terms, entities, alpha, cut))
         return entries
 
     # -- the scatter pool ----------------------------------------------------------

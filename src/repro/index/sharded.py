@@ -16,11 +16,11 @@ a :class:`ShardedQueryExecutor` fork one persistent worker per shard
 segment, holding it copy-on-write (a loaded segment's columns are views
 over the mapped snapshot, so every worker shares the page cache). A
 request carries the coordinator's ``(term, weight)`` / ``(uri, weight)``
-lists, α, the cut and the pruned flag; the worker answers with its
-segment's ``(-score, doc index)`` hits. Pruned requests run the
-block-max walk against a shared ``multiprocessing.Value`` floor, so a
-worker that fills its window early raises the skip threshold for every
-other worker and for the coordinator mid-query.
+lists, α and the cut; the worker answers with its segment's
+``(-score, doc index)`` hits from :meth:`Segment.score`. That kernel
+uses numpy ufuncs, fancy indexing, ``partition`` and ``lexsort`` only —
+never BLAS — so a forked worker touches nothing of the parent's BLAS
+thread pool.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from collections.abc import Mapping, Sequence
 from typing import Any
 
 # Direct submodule imports only; repro.index.segments imports this module.
-from repro.index.blockmax import PruningStats
 from repro.index.entity_index import EntityIndex
 from repro.index.inverted import InvertedIndex
 
@@ -43,9 +42,9 @@ DEFAULT_BATCH_INFLIGHT = 4
 #: seconds a scatter waits on one worker before declaring it wedged
 DEFAULT_WORKER_TIMEOUT = 120.0
 
-#: one scatter request: term weights, entity weights, α, cut, pruned
+#: one scatter request: term weights, entity weights, α, cut
 Request = tuple[
-    Sequence[tuple[str, float]], Sequence[tuple[str, float]], float, int | None, bool
+    Sequence[tuple[str, float]], Sequence[tuple[str, float]], float, int | None
 ]
 
 
@@ -100,31 +99,15 @@ def _restrict_index(cls: type[Any], index: Any, doc_ids: set[str]) -> Any:
     return cls.restore(doc_ids, postings)
 
 
-def _score_segment(
-    segment: Any, request: Request, stats: PruningStats, shared_floor: Any
-) -> list[tuple[float, int]]:
-    """One shard segment's share of the window for *request*."""
-    terms, entities, alpha, cut, pruned = request
-    try:
-        if pruned:
-            plan = segment.plan_pruned(terms, entities, alpha)
-            return segment.score_pruned(plan, alpha, cut, 0.0, stats, shared_floor)[0]
-        return segment.score(terms, entities, alpha, cut)
-    except BaseException:
-        segment._init_scratch()  # the accumulators may be mid-query
-        raise
-
-
-def _worker_main(conn: Any, segment: Any, shared_floor: Any) -> None:
+def _worker_main(conn: Any, segment: Any) -> None:
     """Scatter-pool worker loop: serve query/stop requests against the
     inherited shard *segment* over the pipe until told to stop.
 
-    Replies are ``("ok", hits, blocks_scanned, blocks_skipped)`` or
-    ``("error", message, 0, 0)`` — never silence, so the coordinator can
-    distinguish a failed request from a dead worker.
+    Replies are ``("ok", hits)`` or ``("error", message)`` — never
+    silence, so the coordinator can distinguish a failed request from a
+    dead worker.
     """
     try:
-        stats = PruningStats()
         while True:
             request = conn.recv()
             op = request[0]
@@ -133,14 +116,9 @@ def _worker_main(conn: Any, segment: Any, shared_floor: Any) -> None:
             try:
                 if op != "query":
                     raise ValueError(f"unknown request {op!r}")
-                stats.reset()
-                share = request[-1]
-                hits = _score_segment(
-                    segment, request[1:-1], stats, shared_floor if share else None
-                )
-                conn.send(("ok", hits, stats.blocks_scanned, stats.blocks_skipped))
+                conn.send(("ok", segment.score(*request[1:])))
             except Exception as exc:  # keep serving after a bad request
-                conn.send(("error", f"{type(exc).__name__}: {exc}", 0, 0))
+                conn.send(("error", f"{type(exc).__name__}: {exc}"))
     except (EOFError, OSError, KeyboardInterrupt):
         return  # coordinator went away; nothing to report to
 
@@ -149,11 +127,10 @@ class ShardedQueryExecutor:
     """Persistent fork-based process pool, one worker per shard segment.
 
     Requires the ``fork`` start method: segments must be inherited
-    copy-on-write (pickling a compiled segment would defeat the point),
-    and the shared pruning floor is pre-fork state. Workers are daemons;
-    a crashed worker surfaces as a ``RuntimeError`` on the next
-    :meth:`receive`, never a hang (*timeout* bounds a wedged-but-alive
-    worker). Requests and replies are FIFO per worker, so a caller may
+    copy-on-write (pickling a compiled segment would defeat the point).
+    Workers are daemons; a crashed worker surfaces as a ``RuntimeError``
+    on the next :meth:`receive`, never a hang (*timeout* bounds a
+    wedged-but-alive worker). Requests and replies are FIFO per worker, so a caller may
     keep several requests in flight and collect the replies in order.
     """
 
@@ -172,8 +149,6 @@ class ShardedQueryExecutor:
             )
         ctx = multiprocessing.get_context("fork")
         self._timeout = timeout
-        #: the shared pruning floor of single pooled queries
-        self.floor = ctx.Value("d", 0.0)
         self._conns = []
         self._procs = []
         #: mean in-flight depth of the last pooled batch (the service's
@@ -183,7 +158,7 @@ class ShardedQueryExecutor:
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, segment, self.floor),
+                args=(child_conn, segment),
                 name=f"shard-worker-{k}",
                 daemon=True,
             )
@@ -200,14 +175,9 @@ class ShardedQueryExecutor:
     def pids(self) -> tuple[int, ...]:
         return tuple(proc.pid for proc in self._procs)
 
-    def send(self, request: Request, share: bool) -> None:
-        """Queue *request* on every worker. With *share* the workers
-        prune against the shared floor, which is reset here — so only a
-        caller with one request in flight may share it."""
-        if share:
-            with self.floor.get_lock():
-                self.floor.value = 0.0
-        message = ("query", *request, share)
+    def send(self, request: Request) -> None:
+        """Queue *request* on every worker."""
+        message = ("query", *request)
         for k, conn in enumerate(self._conns):
             try:
                 conn.send(message)
@@ -216,16 +186,10 @@ class ShardedQueryExecutor:
                     f"shard worker {k} (pid {self._procs[k].pid}) is gone: {exc}"
                 ) from exc
 
-    def receive(self, stats: PruningStats) -> list[list[tuple[float, int]]]:
+    def receive(self) -> list[list[tuple[float, int]]]:
         """The oldest outstanding request's hits, one list per worker in
-        shard order; block counters are added to *stats*."""
-        replies = []
-        for k in range(len(self._conns)):
-            reply = self._recv(k)
-            replies.append(reply[1])
-            stats.blocks_scanned += reply[2]
-            stats.blocks_skipped += reply[3]
-        return replies
+        shard order."""
+        return [self._recv(k)[1] for k in range(len(self._conns))]
 
     def _recv(self, k: int) -> tuple[Any, ...]:
         conn = self._conns[k]

@@ -87,9 +87,7 @@ class VectorSpaceRetriever:
 
     @property
     def idf_exponent(self) -> float:
-        """The exponent applied to irf/eirf in Eq. 1 (read-only use:
-        engine compilation, which must repeat this retriever's float
-        operations exactly)."""
+        """The exponent applied to irf/eirf in Eq. 1."""
         return self._idf_exponent
 
     @property

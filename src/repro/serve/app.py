@@ -14,8 +14,7 @@ import asyncio
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.service import ExpertSearchService
 from repro.serve.limiter import TokenBucketLimiter
@@ -23,6 +22,9 @@ from repro.serve.metrics import GatewayMetrics
 from repro.serve.reload import Generation, HotReloader
 from repro.serve.router import HttpError, Request, Response
 from repro.serve.routes import batch_cost, build_router
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -155,10 +157,14 @@ class ServeApp:
         candidates are linked when they support the same resource
         (Table-1 gathering places both within graph distance of it).
         Built once per generation; safe to race — both builders produce
-        the identical graph and the last assignment wins."""
+        the identical graph and the last assignment wins. networkx is
+        imported here, on the team route only, so gateway start-up does
+        not pay for it."""
         cached = self._team_graphs.get(generation.number)
         if cached is not None:
             return cached
+        import networkx as nx
+
         graph = nx.Graph()
         for supporters in generation.service.finder.evidence_of.values():
             cids = sorted({cid for cid, _ in supporters})

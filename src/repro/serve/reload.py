@@ -14,9 +14,9 @@ process per shard segment) is closed as soon as its last in-flight
 request finishes — from the event-loop thread, so no locking is needed.
 
 The *source* callable owns "fully loaded": it must return a service
-whose engine is selected and (for sharded finders) whose worker pool is
-already forked — :func:`build_service` does exactly
-that and is what the CLI, tests, and benchmarks pass.
+whose worker pool (for sharded finders) is already forked —
+:func:`build_service` does exactly that and is what the CLI, tests, and
+benchmarks pass.
 """
 
 from __future__ import annotations
@@ -32,17 +32,14 @@ from repro.core.service import ExpertSearchService
 def build_service(
     finder: ExpertFinder,
     *,
-    engine: str = "columnar",
     cache_size: int = 1024,
 ) -> ExpertSearchService:
-    """Select *engine*, fork everything queries will need, and wrap
-    *finder* into a service — the standard gateway source body.
+    """Fork everything queries will need and wrap *finder* into a
+    service — the standard gateway source body.
 
     Forking a sharded finder's scatter pool here (not lazily on the
     first request) is what lets :class:`HotReloader` promise readiness
-    means ready: the swap only happens after this returns. An unknown
-    engine raises ``ValueError`` (:attr:`ExpertFinder.engine`)."""
-    finder.engine = engine
+    means ready: the swap only happens after this returns."""
     if finder.index_stats.shards:
         finder.start_scatter_pool()
     return ExpertSearchService(finder, cache_size=cache_size)

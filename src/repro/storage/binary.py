@@ -186,8 +186,9 @@ class MappedSections:
     """A section container mmap-ed read-only.
 
     :meth:`array` and :meth:`blob` return zero-copy ``memoryview``s over
-    the mapping (int64 / float64 casts for numeric sections), so slices
-    handed to query engines share the OS page cache across processes.
+    the mapping (int64 / float64 casts for numeric sections), so the
+    segment columns built over them share the OS page cache across
+    processes.
     The object must outlive every view taken from it; it holds the map
     open for its own lifetime (dropping all references releases it).
     """

@@ -14,9 +14,10 @@ Naming conventions:
 * string tables are a bare name (``docs``, ``terms``) paired with an
   offsets section derived by :func:`offsets_name`;
 * CSR column groups share a prefix (``term``, ``ent``, ``ev``)
-  and name each parallel column ``prefix#column`` via :func:`csr`;
-* block-max metadata uses the four :data:`BLOCK_COLUMNS` columns under
-  the owning group's prefix, plus the global :data:`BLOCK_SPAN` scalar.
+  and name each parallel column ``prefix#column`` via :func:`csr`.
+
+Segment containers written by earlier releases also hold block-max
+sections (``blk#span``, ``term#bid`` …); no reader looks them up.
 """
 
 from __future__ import annotations
@@ -82,27 +83,6 @@ ENT_DS = csr("ent", "ds")
 EV_OFF = csr("ev", "off")
 EV_CAND = csr("ev", "cand")
 EV_DIST = csr("ev", "dist")
-
-# -- block-max metadata ------------------------------------------------------------
-
-#: scalar: the doc-index span every block of the container is cut on
-BLOCK_SPAN = csr("blk", "span")
-
-#: per-group flattened block columns (see ``snapshot._block_sections``):
-#: distinct block ids, per-block maxima, per-column delimiters, and the
-#: concatenated per-column posting offsets
-BLOCK_COLUMNS = ("bid", "bmax", "blkoff", "boff")
-
-
-def block_name(prefix: str, column: str) -> str:
-    """The flattened block-metadata section *column* for group *prefix*;
-    *column* must be one of :data:`BLOCK_COLUMNS`."""
-    if column not in BLOCK_COLUMNS:
-        raise ValueError(
-            f"block column must be one of {BLOCK_COLUMNS}, got {column!r}"
-        )
-    return csr(prefix, column)
-
 
 #: the registered layout *file* names, for the ``section-registry``
 #: checker's exact-literal matching (section names are caught by their

@@ -17,10 +17,10 @@ lives in mmap-able section containers (:mod:`repro.storage.binary`):
 sharded finder's manifest header says how many leading segments are
 shard segments (``"shards": K``); nothing else differs. Loading maps the
 buffers and builds each :class:`~repro.index.segments.Segment` directly
-over zero-copy ``memoryview`` casts — no JSON parsing, no posting
-objects, and N processes opening one snapshot share a single page-cache
-copy. The posting-object indexes hydrate lazily, only if a merge,
-re-save, or object-path query actually needs them.
+over zero-copy, read-only ``np.frombuffer`` views — no JSON parsing, no
+posting objects, and N processes opening one snapshot share a single
+page-cache copy. The posting-object indexes hydrate lazily, only if a
+merge, a re-save or the test oracle actually needs them.
 
 A save writes the whole new generation (each file atomically:
 temp + fsync + rename), then atomically replaces ``CURRENT``, then
@@ -36,18 +36,14 @@ flat v2 JSONL layout and candidate-sharded generations (meta
 longer readable: :func:`load_finder` refuses them and asks for a rebuild
 with ``repro index``.
 
-Evidence-row order is preserved, so a loaded finder repeats the
-builder's float operations exactly — rankings round-trip
-byte-identically on every path. Posting order is preserved too, with
-one deliberate exception: sealed-segment columns are written
-sorted by doc index, alongside the block-max metadata that order makes
-possible (``blk#span`` + flattened per-column block sections), so pruned
-evaluation works straight off the mmap. Re-sorting a column never moves
-a ranking (see :mod:`repro.index.blockmax`), and containers written
-without the block sections still load — their columns are re-sorted and
-their blocks recomputed lazily on first pruned use. The text analyzer
-is *not* persisted (it is code, not state); :func:`load_finder` takes it
-as an argument.
+Evidence-row and posting order are preserved, so a loaded finder
+repeats the builder's float operations exactly — rankings round-trip
+byte-identically. Segment containers written by earlier releases also
+carry block-max sections (``blk#span`` and ``term#bid`` …) and
+doc-sorted columns; the loader never reads those sections, and posting
+order within a column never moves a score (a column holds each document
+once). The text analyzer is *not* persisted (it is code, not state);
+:func:`load_finder` takes it as an argument.
 
 :func:`inspect_snapshot` (``repro inspect``) renders the current
 generation — meta and manifest records, each container's header,
@@ -64,10 +60,11 @@ from array import array
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from typing import Any
 
+import numpy as np
+
 from repro.core.config import FinderConfig
 from repro.core.expert_finder import ExpertFinder
 from repro.index.analyzer import ResourceAnalyzer
-from repro.index.blockmax import compute_blocks
 from repro.index.entity_index import EntityIndex, EntityPosting
 from repro.index.inverted import InvertedIndex, Posting
 from repro.index.segments import Segment, SegmentedIndex, _WriteBuffer
@@ -210,84 +207,39 @@ def _manifest_records(
         }
 
 
-def _block_sections(
-    prefix: str, blocks: list[tuple], bmax_dtype: str
-) -> list[tuple[str, str, Any]]:
-    """Flatten per-column ``(bids, boff, bmax)`` block metadata (one
-    entry per column, in key order) into four ragged sections.
-
-    ``{prefix}#blkoff`` delimits each column's run in the concatenated
-    ``{prefix}#bid``/``{prefix}#bmax`` arrays; the per-column posting
-    offsets (each ``len(bids) + 1`` long) are concatenated into
-    ``{prefix}#boff``, so column ``c``'s offsets live at
-    ``boff[blkoff[c] + c : blkoff[c + 1] + c + 1]``.
-    """
-    blkoff = array("l", [0])
-    bid = array("l")
-    bmax = array("l" if bmax_dtype == "q" else "d")
-    boff = array("l")
-    for bids, offs, maxima in blocks:
-        bid.extend(bids)
-        bmax.extend(maxima)
-        boff.extend(offs)
-        blkoff.append(len(bid))
-    return [(layout.block_name(prefix, "bid"), "q", bid),
-            (layout.block_name(prefix, "bmax"), bmax_dtype, bmax),
-            (layout.block_name(prefix, "blkoff"), "q", blkoff),
-            (layout.block_name(prefix, "boff"), "q", boff)]
-
-
 def _slice_sections(
     term_index: InvertedIndex,
     entity_index: EntityIndex,
     evidence: Mapping[str, Any],
-    *,
-    block_span: int | None = None,
 ) -> list[tuple[str, str, Any]]:
     """One collection slice (one segment or the buffer) as
     binary sections: string tables + element-offset CSR
-    columns, preserving postings and evidence-row order exactly — unless
-    *block_span* is given (sealed segments), in which case each posting
-    column is stored sorted by doc index with block-max sections
-    alongside, ready for pruned evaluation straight off the mmap.
-    Re-sorting is invisible in the rankings (each document appears at
-    most once per column — see :mod:`repro.index.blockmax`).
+    columns, preserving postings and evidence-row order exactly.
 
     Entities carry both the raw ``d_score`` (``ent#ds``, for hydrating
     posting objects) and the folded ``we = 1 + d_score`` (``ent#we``, the
     ready-to-map query column) — ``d_score`` is not exactly recoverable
-    from ``we`` in floating point, so both are stored. Entity block
-    maxima bound the raw ``ef·we`` product, the same values a
-    :class:`~repro.index.segments.Segment` computes for itself.
+    from ``we`` in floating point, so both are stored.
     """
     docs = sorted(term_index.doc_ids())
     doc_of = {doc_id: i for i, doc_id in enumerate(docs)}
     sections: list[tuple[str, str, Any]] = [*pack_strings("docs", docs)]
 
     terms: list[str] = []
-    term_blocks: list[tuple] = []
     toff = array("l", [0])
     tdoc = array("l")
     ttf = array("l")
     for term, postings in term_index.items():
         terms.append(term)
-        rows = [(doc_of[p.doc_id], p.term_frequency) for p in postings]
-        if block_span is not None:
-            rows.sort()
-            term_blocks.append(
-                compute_blocks([d for d, _ in rows], [f for _, f in rows],
-                               block_span)
-            )
-        for d, tf in rows:
-            tdoc.append(d)
-            ttf.append(tf)
+        for p in postings:
+            tdoc.append(doc_of[p.doc_id])
+            ttf.append(p.term_frequency)
         toff.append(len(tdoc))
     sections += pack_strings(layout.TERMS, terms)
     sections += [(layout.TERM_OFF, "q", toff), (layout.TERM_DOC, "q", tdoc),
                  (layout.TERM_TF, "q", ttf)]
 
     entities: list[str] = []
-    entity_blocks: list[tuple] = []
     eoff = array("l", [0])
     edoc = array("l")
     eef = array("l")
@@ -295,32 +247,16 @@ def _slice_sections(
     eds = array("d")
     for uri, postings in entity_index.items():
         entities.append(uri)
-        rows = [
-            (doc_of[p.doc_id], p.entity_frequency,
-             entity_weight(p.d_score), p.d_score)
-            for p in postings
-        ]
-        if block_span is not None:
-            rows.sort(key=lambda r: r[0])
-            entity_blocks.append(
-                compute_blocks([d for d, _, _, _ in rows],
-                               [f * w for _, f, w, _ in rows], block_span)
-            )
-        for d, ef, we, ds in rows:
-            edoc.append(d)
-            eef.append(ef)
-            ewe.append(we)
-            eds.append(ds)
+        for p in postings:
+            edoc.append(doc_of[p.doc_id])
+            eef.append(p.entity_frequency)
+            ewe.append(entity_weight(p.d_score))
+            eds.append(p.d_score)
         eoff.append(len(edoc))
     sections += pack_strings(layout.ENTITIES, entities)
     sections += [(layout.ENT_OFF, "q", eoff), (layout.ENT_DOC, "q", edoc),
                  (layout.ENT_EF, "q", eef), (layout.ENT_WE, "d", ewe),
                  (layout.ENT_DS, "d", eds)]
-    if block_span is not None:
-        sections += [(layout.BLOCK_SPAN, "q", array("l", [block_span]))]
-        sections += _block_sections("term", term_blocks, "q")
-        sections += _block_sections("ent", entity_blocks, "d")
-
     sections += _evidence_sections(evidence)
     return sections
 
@@ -359,16 +295,10 @@ def _next_generation(directory: pathlib.Path) -> str:
 def _save_segments(segmented: SegmentedIndex, gen_dir: pathlib.Path) -> None:
     segments = segmented.iter_segments()
     buffer = segmented.write_buffer
-    # sealed segments get doc-sorted columns + block-max sections so a
-    # loaded finder prunes straight off the mmap; the buffer stays in
-    # postings order (it is hydrated into mutable indexes anyway)
     for segment in segments:
         write_sections(
             gen_dir / _segment_bin(segment.segment_id),
-            _slice_sections(
-                segment.term_index, segment.entity_index, segment.evidence,
-                block_span=segment.block_span,
-            ),
+            _slice_sections(segment.term_index, segment.entity_index, segment.evidence),
         )
     if buffer.resource_count:
         write_sections(
@@ -550,48 +480,16 @@ def _csr(
 
 
 def _col_dict(
-    keys: Sequence[str], off: Any, views: Sequence[Any]
+    keys: Sequence[str], off: Any, views: Sequence[Any], dtypes: Sequence[type]
 ) -> dict[str, tuple]:
-    out: dict[str, tuple] = {}
-    for i, key in enumerate(keys):
-        start, stop = off[i], off[i + 1]
-        out[key] = tuple(view[start:stop] for view in views)
-    return out
-
-
-def _read_blocks(
-    mapped: MappedSections, prefix: str, keys: list[str]
-) -> dict[str, tuple]:
-    """Rebuild the per-column ``(bids, boff, bmax)`` block metadata from
-    the flattened sections written by :func:`_block_sections` — zero-copy
-    views over the mapping. Absence of the sections is handled by the
-    callers (pre-block snapshots recompute lazily); malformed lengths are
-    a format error.
-    """
-    path = mapped.path
-    blkoff_name = layout.block_name(prefix, "blkoff")
-    bid = mapped.array(layout.block_name(prefix, "bid"))
-    bmax = mapped.array(layout.block_name(prefix, "bmax"))
-    blkoff = mapped.array(blkoff_name)
-    boff = mapped.array(layout.block_name(prefix, "boff"))
-    n = len(keys)
-    if len(blkoff) != n + 1 or blkoff[0] != 0 or blkoff[n] != len(bid):
-        raise StorageFormatError(
-            f"{path}: section {blkoff_name} does not span its blocks"
-        )
-    if len(bmax) != len(bid) or len(boff) != len(bid) + n:
-        raise StorageFormatError(
-            f"{path}: block sections for {prefix!r} disagree on block count"
-        )
-    out: dict[str, tuple] = {}
-    for i, key in enumerate(keys):
-        start, stop = blkoff[i], blkoff[i + 1]
-        out[key] = (
-            bid[start:stop],
-            boff[start + i : stop + i + 1],
-            bmax[start:stop],
-        )
-    return out
+    """Per-key query columns: each CSR column as a zero-copy numpy view
+    over the mapping (read-only, as the mapping is), sliced per key."""
+    arrays = [np.frombuffer(view, dtype=dtype) for view, dtype in zip(views, dtypes)]
+    bounds = off.tolist()
+    return {
+        key: tuple(column[bounds[i] : bounds[i + 1]] for column in arrays)
+        for i, key in enumerate(keys)
+    }
 
 
 def _decode_evidence(
@@ -669,22 +567,14 @@ def _load_v3_segment(
             f"{path}: segment holds {resources} resource(s), "
             f"{source} says {entry['resources']}"
         )
-    block_kwargs: dict[str, Any] = {}
-    if layout.BLOCK_SPAN in mapped.names():
-        block_kwargs = {
-            "block_span": int(mapped.array(layout.BLOCK_SPAN)[0]),
-            "term_blocks": _read_blocks(mapped, "term", terms),
-            "entity_blocks": _read_blocks(mapped, "ent", entities),
-        }
     return Segment.from_columns(
         segment_id,
         docs,
-        _col_dict(terms, toff, term_views),
+        _col_dict(terms, toff, term_views, (np.int64, np.int64)),
         # the query columns are (doc, ef, we); ds is hydration-only
-        _col_dict(entities, eoff, entity_views[:3]),
+        _col_dict(entities, eoff, entity_views[:3], (np.int64, np.int64, np.float64)),
         evidence,
         _slice_hydrator(mapped, docs),
-        **block_kwargs,
     )
 
 
@@ -733,8 +623,6 @@ def _load_v3_segmented(
         shards=header.get("shards", 0),
         seal_threshold=header["seal_threshold"],
         fanout=header.get("fanout", 4),
-        # keep the stored span for segments sealed after this load
-        block_span=segments[0].block_span if segments else None,
     )
     return _segmented_finder(
         gen_dir, analyzer, config, indexed, evidence_counts, segmented

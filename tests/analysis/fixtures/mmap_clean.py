@@ -3,6 +3,8 @@
 
 from array import array
 
+import numpy as np
+
 
 def read(sections) -> int:
     view = sections.array("col")
@@ -14,9 +16,23 @@ def read(sections) -> int:
     return copy[0]
 
 
+def read_numpy(sections) -> int:
+    column = np.frombuffer(sections.array("col"), dtype=np.int64)
+    copy = column.copy()  # copy first ...
+    copy[0] += 1  # ... then mutate the copy freely
+    scratch = np.zeros(4)  # a fresh array is not a view
+    scratch[1] = 2.0
+    scratch[2] += 1.0
+    scratch.fill(0.0)
+    return int(copy[0] + column[1:].sum())
+
+
 class Segment:
     def __init__(self) -> None:
         self._term_cols: dict = {}  # construction is sanctioned
 
-    def _pruned_term(self, term: str) -> None:
-        self._term_cols[term] = (1, 2)  # lazy block build is sanctioned
+    @classmethod
+    def from_columns(cls, term: str) -> "Segment":
+        segment = cls()
+        segment._term_cols[term] = (1, 2)  # adopting loaded columns is sanctioned
+        return segment

@@ -2,6 +2,8 @@
 """Lint fixture: writes through mapped views and unsanctioned column
 mutation."""
 
+import numpy as np
+
 
 def tamper(sections) -> None:
     view = sections.array("col")
@@ -11,6 +13,15 @@ def tamper(sections) -> None:
     raw[1] = 0  # item write through a memoryview
     sliced = view[2:4]
     sliced[0] = 9  # a slice shares the same pages
+
+
+def tamper_numpy(sections) -> None:
+    column = np.frombuffer(sections.array("col"), dtype=np.int64)
+    column[0] = 1  # item write through a numpy view of the mapping
+    column[1] += 2  # augmented assignment through it
+    head = column[:4]
+    head.fill(0)  # in-place method through a slice of it
+    head += 1  # in-place arithmetic on the slice
 
 
 class Segment:

@@ -97,3 +97,25 @@ def test_sections_rule_names_the_registry():
         for f in result.findings
         if f.rule == "section-registry"
     )
+
+
+def test_mmap_rule_taints_numpy_views_of_mapped_sections():
+    # np.frombuffer over a mapped section (and any slice of it) is a view:
+    # item, augmented and in-place writes through it are findings, while
+    # the clean fixture's .copy() and fresh np.zeros arrays are not
+    path = FIXTURES / "mmap_violation.py"
+    source = path.read_text(encoding="utf-8")
+    result = lint_source(path, source, ALL_CHECKERS)
+    lines = source.splitlines()
+    start = lines.index("def tamper_numpy(sections) -> None:") + 1
+    flagged = {
+        lines[f.line - 1].strip().split("  #")[0]
+        for f in result.findings
+        if f.rule == "mmap-discipline" and f.line > start
+    }
+    assert {
+        "column[0] = 1",
+        "column[1] += 2",
+        "head.fill(0)",
+        "head += 1",
+    } <= flagged

@@ -276,7 +276,6 @@ class TestShardedBatch:
 
     def test_batch_routes_through_pool(self, sharded_pair):
         sharded, plain, queries = sharded_pair
-        sharded.engine = "columnar"
         sharded.start_scatter_pool()
         try:
             pooled = ExpertSearchService(sharded, cache_size=16)
@@ -300,7 +299,6 @@ class TestShardedBatch:
 
     def test_uncached_batch_counts_duplicates_as_misses(self, sharded_pair):
         sharded, _plain, queries = sharded_pair
-        sharded.engine = "columnar"
         sharded.start_scatter_pool()
         try:
             service = ExpertSearchService(sharded, cache_size=0)
@@ -316,7 +314,6 @@ class TestShardedBatch:
 
     def test_batch_without_pool_stays_serial(self, sharded_pair):
         sharded, _plain, queries = sharded_pair
-        sharded.engine = "columnar"
         service = ExpertSearchService(sharded)
         service.find_experts_batch(queries)
         assert service.stats.batch_parallelism == 0.0
@@ -352,7 +349,6 @@ class TestStatsEdgeCases:
         stats = service.stats
         assert stats.queries == 0
         assert stats.hit_rate == 0.0
-        assert stats.block_skip_rate == 0.0
         assert stats.p50_latency == 0.0
         assert stats.p95_latency == 0.0
         assert stats.batch_parallelism == 0.0
@@ -374,7 +370,6 @@ class TestStatsEdgeCases:
         assert as_dict["hit_rate"] == stats.hit_rate == 0.5
         assert as_dict["p50_latency_s"] == stats.p50_latency
         assert as_dict["p95_latency_s"] == stats.p95_latency
-        assert as_dict["block_skip_rate"] == stats.block_skip_rate
 
     def test_to_dict_is_json_ready(self, service):
         import json
@@ -387,10 +382,9 @@ class TestStatsEdgeCases:
 class TestThreadSafety:
     """The service is shared by gateway executor threads: concurrent
     queries and observes must never corrupt the cache, the counters, or
-    the engines' shared scratch buffers."""
+    the finder's write buffer and statistics caches."""
 
     def test_concurrent_queries_and_observes(self, finder):
-        finder.engine = "columnar"
         service = ExpertSearchService(finder, cache_size=8)
         needs = [
             "freestyle swimming",
@@ -443,7 +437,6 @@ class TestThreadSafety:
         assert len(service._latencies) == stats.queries
 
     def test_concurrent_batches_share_the_cache(self, finder):
-        finder.engine = "columnar"
         service = ExpertSearchService(finder, cache_size=32)
         needs = ["freestyle swimming", "rock guitar"]
         errors: list[Exception] = []

@@ -103,35 +103,29 @@ class TestObserve:
             finder.observe("t9", "text", [], language="en")
 
 
-def _both_engines(finder, need, **kwargs):
-    """The oracle's ranking, asserting both engines match it exactly."""
-    previous = finder.engine
+def _served_exactly(finder, need, **kwargs):
+    """The oracle's ranking, asserting the served path matches it
+    exactly."""
     reference = oracle_experts(finder, need, **kwargs)
-    finder.engine = "columnar"
-    columnar = finder.find_experts(need, **kwargs)
-    finder.engine = "columnar-pruned"
-    pruned = finder.find_experts(need, **kwargs)
-    finder.engine = previous
-    assert columnar == reference
-    assert pruned == reference
+    assert finder.find_experts(need, **kwargs) == reference
     return reference
 
 
 class TestStreamingEngineEquivalence:
-    """Interleaved observe() + queries: the columnar engines must track
-    the oracle exactly (the window/α sweeps live in
+    """Interleaved observe() + queries: the served path must track the
+    oracle exactly (the window/α sweeps live in
     tests/index/test_columnar.py)."""
 
     def test_interleaved_observe_and_query(self, finder):
         need = "freestyle swimming"
-        assert _both_engines(finder, need) == []
+        assert _served_exactly(finder, need) == []
         finder.observe(
             "t2",
             "just finished freestyle swimming training at the pool",
             [("bob", 1)],
             language="en",
         )
-        ranked = _both_engines(finder, need)
+        ranked = _served_exactly(finder, need)
         assert [e.candidate_id for e in ranked] == ["bob"]
         finder.observe(
             "t3",
@@ -139,16 +133,16 @@ class TestStreamingEngineEquivalence:
             [("alice", 2), ("bob", 2)],
             language="en",
         )
-        ranked = _both_engines(finder, need)
+        ranked = _served_exactly(finder, need)
         assert {e.candidate_id for e in ranked} == {"alice", "bob"}
         # overridden parameters agree too, after the same stream
-        _both_engines(finder, need, alpha=1.0, window=1)
-        _both_engines(finder, need, alpha=0.0, window=None)
-        _both_engines(finder, need, top_k=1)
+        _served_exactly(finder, need, alpha=1.0, window=1)
+        _served_exactly(finder, need, alpha=0.0, window=None)
+        _served_exactly(finder, need, top_k=1)
 
     def test_non_english_observe_keeps_engines_aligned(self, finder):
         # the resource is counted as evidence but not indexed; the
-        # compiled engine must not resurrect it as a matchable doc
+        # served path must not resurrect it as a matchable doc
         indexed = finder.observe(
             "it1",
             "questa e una bella giornata per andare in piscina con gli amici",
@@ -156,8 +150,8 @@ class TestStreamingEngineEquivalence:
         )
         assert not indexed
         assert finder.segmented_index.document_count == finder.indexed_resources
-        _both_engines(finder, "guitar rock song")
-        _both_engines(finder, "piscina")
+        _served_exactly(finder, "guitar rock song")
+        _served_exactly(finder, "piscina")
 
 
 # -- segmented streaming ------------------------------------------------------
@@ -221,7 +215,7 @@ class TestSegmentedStreamingEquivalence:
     """A finder fed an interleaved observe()/find_experts() stream that
     seals often ranks byte-identically to (a) a finder fed the same
     stream that never seals and (b) a COLD REBUILD over a graph
-    containing the same resources — on every engine, at every
+    containing the same resources — served and on the oracle, at every
     intermediate state."""
 
     def test_interleaved_stream_matches_cold_rebuild(self, analyzer):
@@ -240,9 +234,9 @@ class TestSegmentedStreamingEquivalence:
                 _stream_graph(_EVENTS[:step]), _CANDIDATES, analyzer, config
             )
             for need in _NEEDS:
-                expected = _both_engines(rebuilt, need)
-                assert _both_engines(monolithic, need) == expected
-                assert _both_engines(segmented, need) == expected
+                expected = _served_exactly(rebuilt, need)
+                assert _served_exactly(monolithic, need) == expected
+                assert _served_exactly(segmented, need) == expected
         # the stream crossed the seal threshold and indexed the Italian
         # resource as evidence only
         stats = segmented.index_stats
@@ -265,17 +259,17 @@ class TestSegmentedStreamingEquivalence:
         )
         for rid, text, _creators, supporters in _EVENTS:
             segmented.observe(rid, text, supporters)
-        before = [_both_engines(segmented, need) for need in _NEEDS]
+        before = [_served_exactly(segmented, need) for need in _NEEDS]
         assert segmented.segmented_index.compact(full=True) == 1
         assert segmented.index_stats.segments == 1
-        assert [_both_engines(segmented, need) for need in _NEEDS] == before
+        assert [_served_exactly(segmented, need) for need in _NEEDS] == before
 
 
 class TestRandomizedPrunedStream:
-    """Satellite of the block-max pruned mode: a seeded random
-    interleaved observe/query stream over a segmented finder, asserting
-    the pruned ranking equals a monolithic cold rebuild at every step
-    (with absolute windows small enough that pruning actually skips)."""
+    """A seeded random interleaved observe/query stream over a segmented
+    finder, asserting the served ranking equals a monolithic cold
+    rebuild at every step — with absolute windows small enough that each
+    segment's kernel prunes its matches to the window cut."""
 
     _WORDS = (
         "swimming", "freestyle", "guitar", "rock", "song", "pool",
@@ -290,6 +284,7 @@ class TestRandomizedPrunedStream:
             _stream_graph(), _CANDIDATES, analyzer, config, seal_threshold=3,
         )
         events = []
+        shapes = set()
         for step in range(18):
             rid = f"r{step}"
             text = " ".join(rng.choices(self._WORDS, k=rng.randint(4, 9)))
@@ -311,14 +306,11 @@ class TestRandomizedPrunedStream:
             rebuilt = ExpertFinder.build(graph, _CANDIDATES, analyzer, config)
             need = " ".join(rng.choices(self._WORDS, k=2))
             window = rng.choice((1, 2, 5, None, 0.5))
+            shapes.add(type(window))
             expected = rebuilt.find_experts(need, window=window)
-            segmented.engine = "columnar-pruned"
             assert segmented.find_experts(need, window=window) == expected
             assert oracle_experts(segmented, need, window=window) == expected
-        stats = segmented.pruning_stats
-        assert stats.pruned_queries > 0  # absolute windows took the pruned path
-        assert stats.fallback_queries > 0  # None/fractional fell back
-        assert stats.blocks_skipped > 0  # and skipping actually happened
+        assert shapes == {int, float, type(None)}  # cut and uncut windows ran
         assert segmented.index_stats.seals >= 1
 
 

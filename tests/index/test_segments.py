@@ -228,11 +228,10 @@ class TestSegmentationInvariance:
         # window=2 must pick the globally best two resources even when
         # they live in different segments
         streamed = _streamed(config, seal_threshold=1, compaction="manual")
-        for pruned in (False, True):
-            assert [
-                streamed.find_experts(query, alpha=alpha, window=2, pruned=pruned)
-                for query, alpha in _QUERIES
-            ] == _oracle(config, window=2)
+        assert [
+            streamed.find_experts(query, alpha=alpha, window=2)
+            for query, alpha in _QUERIES
+        ] == _oracle(config, window=2)
 
 
 class TestUnionStatistics:

@@ -3,7 +3,7 @@
 A ``shards=K`` finder seals its cold build as K shard segments of one
 :class:`~repro.index.segments.SegmentedIndex`, split by resource. The
 load-bearing property is *shard-count invariance*: for any shard count
-K and every engine, a sharded finder must rank byte-identically to the
+K, a sharded finder must rank byte-identically to the
 oracle (``tests/oracle.py``) over the unsharded build of the same
 stream, and so must the oracle over the sharded finder's own merged
 segments — including after streaming observes, seals and compactions
@@ -27,7 +27,10 @@ from repro.synthetic.stream import stream_candidates, stream_queries, stream_res
 from tests.oracle import ORACLE, oracle_experts, ranked_on
 
 _SHARD_COUNTS = (1, 2, 3, 5)
-_ENGINES = ("columnar", "columnar-pruned", ORACLE)
+#: the served path's label (the only path, so pool tests take it
+#: alone), and the oracle's over the same finder
+_SERVED = "columnar"
+_ENGINES = (_SERVED, ORACLE)
 _WINDOWS = (10, 3, 1000, 0.5, None)
 
 _CANDIDATES = stream_candidates(8)
@@ -169,7 +172,8 @@ class TestGlobalStatistics:
 
 class TestShardCountInvariance:
     """Rankings must be byte-identical to the unsharded build for every
-    shard count × engine × window shape, with observes interleaved."""
+    shard count × window shape, served and on the oracle, with observes
+    interleaved."""
 
     @pytest.mark.parametrize("shards", _SHARD_COUNTS)
     @pytest.mark.parametrize("engine", _ENGINES)
@@ -185,7 +189,6 @@ class TestShardCountInvariance:
     def test_observe_between_queries(self, analyzer, queries, shards):
         plain = _unsharded(analyzer)
         sharded = _build(analyzer, shards=shards)
-        sharded.engine = "columnar"
         extra = stream_resources(_CANDIDATES, 12, seed=_SEED + 1)
         for i, event in enumerate(extra):
             _observe((plain, sharded), [event], f"obs{i}-")
@@ -261,10 +264,9 @@ class TestPinning:
 class TestScatterPool:
     """The pool path must match the serial coordinator exactly."""
 
-    @pytest.mark.parametrize("engine", ("columnar", "columnar-pruned"))
+    @pytest.mark.parametrize("engine", (_SERVED,))
     def test_executor_matches_serial(self, analyzer, reference, queries, engine):
         sharded = _build(analyzer, shards=3)
-        sharded.engine = engine
         executor = sharded.start_scatter_pool()
         try:
             assert executor.worker_count == 3
@@ -276,13 +278,12 @@ class TestScatterPool:
             sharded.close_scatter_pool()
 
     @pytest.mark.parametrize("shards", (1, 2, 5))
-    @pytest.mark.parametrize("engine", ("columnar", "columnar-pruned"))
+    @pytest.mark.parametrize("engine", (_SERVED,))
     def test_pool_at_other_shard_counts(
         self, analyzer, reference, queries, shards, engine
     ):
         # the serial cells cover {1, 2, 3, 5}; the pool cell above is 3
         sharded = _build(analyzer, shards=shards)
-        sharded.engine = engine
         sharded.start_scatter_pool()
         try:
             for window in _WINDOWS:
@@ -294,7 +295,6 @@ class TestScatterPool:
 
     def test_find_experts_many_matches(self, analyzer, reference, queries):
         sharded = _build(analyzer, shards=2)
-        sharded.engine = "columnar"
         pool = sharded.start_scatter_pool()
         try:
             batched = sharded.find_experts_many(queries, window=6)
@@ -308,28 +308,25 @@ class TestScatterPool:
         # observes made after the pool starts — seals included — land in
         # the coordinator's buffer and later segments; the workers never
         # see them and the answers still equal the serial oracle's
-        for engine in ("columnar", "columnar-pruned"):
-            plain = _unsharded(analyzer)
-            sharded = _build(analyzer, shards=2, seal_threshold=2)
-            sharded.engine = engine
-            sharded.start_scatter_pool()
-            try:
-                events = stream_resources(_CANDIDATES, 7, seed=_SEED + 2)
-                for i, event in enumerate(events):
-                    _observe((plain, sharded), [event], f"live{i}-")
-                    for window in (8, None):
-                        assert sharded.find_experts_many(queries, window=window) == [
-                            oracle_experts(plain, text, window=window)
-                            for text in queries
-                        ]
-                assert sharded.index_stats.seals >= 3
-                assert sharded.index_stats.buffered == 1
-            finally:
-                sharded.close_scatter_pool()
+        plain = _unsharded(analyzer)
+        sharded = _build(analyzer, shards=2, seal_threshold=2)
+        sharded.start_scatter_pool()
+        try:
+            events = stream_resources(_CANDIDATES, 7, seed=_SEED + 2)
+            for i, event in enumerate(events):
+                _observe((plain, sharded), [event], f"live{i}-")
+                for window in (8, None):
+                    assert sharded.find_experts_many(queries, window=window) == [
+                        oracle_experts(plain, text, window=window)
+                        for text in queries
+                    ]
+            assert sharded.index_stats.seals >= 3
+            assert sharded.index_stats.buffered == 1
+        finally:
+            sharded.close_scatter_pool()
 
     def test_pool_restart_after_close(self, analyzer, reference, queries):
         sharded = _build(analyzer, shards=2)
-        sharded.engine = "columnar"
         first = sharded.start_scatter_pool()
         assert sharded.start_scatter_pool() is first  # idempotent
         sharded.close_scatter_pool()
@@ -345,7 +342,6 @@ class TestScatterPool:
 
     def test_worker_crash_raises_not_hangs(self, analyzer, reference, queries):
         sharded = _build(analyzer, shards=2)
-        sharded.engine = "columnar"
         executor = sharded.start_scatter_pool()
         try:
             os.kill(executor.pids[0], signal.SIGKILL)

@@ -2,7 +2,7 @@
 
 :class:`~repro.index.vsm.VectorSpaceRetriever` (Eq. 1) and
 :class:`~repro.core.ranking.ExpertRanker` (window + Eq. 3) score with
-plain dicts, without segments, columns or pruning, and no query is
+plain dicts, without segments or numpy columns, and no query is
 served through them. :func:`oracle_experts` runs the pair over a
 finder's whole live collection (``segmented_index.merged_slice()`` and
 ``evidence_of``), so tests compare ``finder.find_experts`` against it
@@ -15,8 +15,8 @@ from repro.core.need import ExpertiseNeed
 from repro.core.ranking import ExpertRanker
 from repro.index.vsm import VectorSpaceRetriever
 
-#: the engine label the engine-parametrised tests give the oracle,
-#: next to the finder's own "columnar" and "columnar-pruned"
+#: the label the engine-parametrised tests give the oracle, next to
+#: "columnar" for the finder's own served path
 ORACLE = "object"
 
 
@@ -39,9 +39,8 @@ def oracle_experts(finder, need, *, top_k=None, alpha=None, window=...):
 
 
 def ranked_on(finder, engine, need, **overrides):
-    """*need* ranked by *finder* on *engine*, or by the oracle over
-    *finder*'s collection when *engine* is :data:`ORACLE`."""
+    """*need* ranked by *finder*, or by the oracle over *finder*'s
+    collection when *engine* is :data:`ORACLE`."""
     if engine == ORACLE:
         return oracle_experts(finder, need, **overrides)
-    finder.engine = engine
     return finder.find_experts(need, **overrides)

@@ -6,7 +6,7 @@ Two finder shapes back the suite:
   behaviour tests — rebuilds in milliseconds, so reload tests can
   construct fresh generations freely;
 * deterministic synthetic streams (six candidates, sixty resources) for
-  the engine × layout equivalence matrix, where byte-identical scores
+  the layout equivalence matrix, where byte-identical scores
   against an in-process twin finder are the whole point.
 """
 
@@ -71,7 +71,7 @@ def hand_source(analyzer):
             analyzer,
             FinderConfig(window=None),
         )
-        return build_service(finder, engine="columnar")
+        return build_service(finder)
 
     return source
 

@@ -1,8 +1,8 @@
 """End-to-end gateway tests over real sockets.
 
 Covers the acceptance bar for the serving layer: responses byte-
-identical to in-process ``find_experts`` across every engine × layout
-cell, readiness gating, hot reload under concurrent load with zero
+identical to in-process ``find_experts`` across every layout cell,
+readiness gating, hot reload under concurrent load with zero
 failed or torn responses, per-client throttling with ``Retry-After``,
 and the strict wire-level bounds of the hand-rolled HTTP parser.
 """
@@ -47,16 +47,14 @@ def _triples(experts: list[dict]) -> list[tuple[str, float, int]]:
 
 class TestEquivalence:
     """Gateway responses must be byte-identical (ids and scores) to the
-    in-process oracle for every engine × layout cell."""
+    in-process oracle for every layout cell."""
 
-    # (engine, shards): unsharded cells plus sharded scatter-gather cells
+    # (served path, shards): the unsharded cell plus sharded
+    # scatter-gather cells
     MATRIX = [
         ("columnar", None),
-        ("columnar-pruned", None),
         ("columnar", 1),
-        ("columnar-pruned", 1),
         ("columnar", 2),
-        ("columnar-pruned", 2),
     ]
 
     @pytest.fixture(scope="class")
@@ -78,9 +76,7 @@ class TestEquivalence:
         _, _, queries = stream_parts
 
         def source():
-            return build_service(
-                stream_finder_factory(shards=shards), engine=engine
-            )
+            return build_service(stream_finder_factory(shards=shards))
 
         harness = GatewayHarness(
             source, config=GatewayConfig(rate_limit=None), reloadable=False

@@ -42,7 +42,7 @@ def _cuts(size):
 @pytest.fixture(scope="module")
 def built_finder(tiny_dataset):
     """The saved finder; the oracle ranks over it, and loaded copies
-    serve the default columnar engine."""
+    serve on the one query path."""
     return ExpertFinder.build(
         tiny_dataset.merged_graph,
         tiny_dataset.candidates_for(None),

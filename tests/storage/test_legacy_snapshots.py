@@ -9,8 +9,8 @@ analyzer and ``FinderConfig()``:
   ``meta.jsonl`` (``index_mode: "monolithic"``), ``index.bin`` and the
   compiled ``engine.bin``. It must load as one sealed segment and rank
   exactly like a fresh build of the same events — on the oracle
-  (``tests/oracle.py``) and both fast engines — and a re-save after an
-  observe must write the segmented layout;
+  (``tests/oracle.py``) and served — and a re-save after an observe must
+  write the segmented layout;
 * ``fixtures/legacy-v2-monolithic`` — the flat jsonl layout
   (``term_index`` / ``entity_index`` / ``evidence`` files), which is no
   longer readable: loading it must fail with a pointer to the rebuild.
@@ -20,6 +20,17 @@ analyzer and ``FinderConfig()``:
 4ae4aed): ``shards.jsonl``, ``stats.bin``, ``evidence.bin`` and one
 ``shard-NNNN.bin`` per candidate shard. It is no longer readable either;
 loading it must fail with a pointer to ``repro index --shards``.
+
+``fixtures/v3-segmented-blocks`` was saved by the last release whose
+sealed segments carried block-max sections (commit 05e5625): a
+``from_stream`` cold build of ``stream_resources(stream_candidates(5),
+46, seed=7)``'s first 40 events with ``seal_threshold=4``, then the
+other six events observed in order (four seal a second segment, two stay
+in the write buffer), saved with ``FinderConfig()``. Each
+``segment-NNNN.bin`` holds ``blk#span`` and the ``term#``/``ent#``
+``bid``/``bmax``/``blkoff``/``boff`` sections beside doc-sorted
+columns. It must load, rank exactly like the oracle over the same
+events, and re-save without any block section.
 """
 
 import pathlib
@@ -29,6 +40,7 @@ import pytest
 
 from repro.core.config import FinderConfig
 from repro.core.expert_finder import ExpertFinder
+from repro.storage.binary import MappedSections
 from repro.storage.jsonl import StorageFormatError
 from repro.synthetic.dataset import default_analyzer
 from repro.synthetic.stream import stream_candidates, stream_queries, stream_resources
@@ -36,7 +48,7 @@ from tests.oracle import ORACLE, oracle_experts, ranked_on
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 LEGACY = ("legacy-v3-monolithic",)
-ENGINES = (ORACLE, "columnar", "columnar-pruned")
+ENGINES = (ORACLE, "columnar")
 WINDOWS = (100, 3, 0.5, None)
 
 _CANDIDATES = stream_candidates(5)
@@ -113,10 +125,8 @@ def test_observe_then_resave_writes_segmented_layout(name, analyzer, fresh, tmp_
         FinderConfig(),
     )
     oracle.observe(*event, language="en")
-    for engine in ("columnar", "columnar-pruned"):
-        reloaded.engine = engine
-        for need in _NEEDS:
-            assert reloaded.find_experts(need) == oracle_experts(oracle, need)
+    for need in _NEEDS:
+        assert reloaded.find_experts(need) == oracle_experts(oracle, need)
 
 
 def test_flat_v2_snapshot_is_refused_with_a_rebuild_hint(analyzer, tmp_path):
@@ -132,3 +142,75 @@ def test_candidate_sharded_snapshot_is_refused_with_a_rebuild_hint(analyzer, tmp
     with pytest.raises(StorageFormatError, match="repro index --shards 2") as err:
         ExpertFinder.load(directory, analyzer)
     assert str(directory) in str(err.value)
+
+
+# -- a generation with block-max sections --------------------------------------
+
+_BLOCKS = "v3-segmented-blocks"
+#: the five window shapes of the query benchmark
+_BLOCK_WINDOWS = (10, 5, 1000, 0.25, None)
+_BLOCK_EVENTS = list(stream_resources(_CANDIDATES, 46, seed=7))
+
+
+def _block_sections(container):
+    """The block-max section names in one segment container."""
+    mapped = MappedSections.open(container)
+    try:
+        return [
+            name
+            for name in mapped.names()
+            if name == "blk#span"
+            or name.rpartition("#")[2] in ("bid", "bmax", "blkoff", "boff")
+        ]
+    finally:
+        mapped.close()
+
+
+@pytest.fixture(scope="module")
+def grown(analyzer):
+    """The fixture's events built by the current code: the cold build,
+    then the same observes (the oracle ranks over it)."""
+    finder = ExpertFinder.from_stream(
+        _CANDIDATES, _BLOCK_EVENTS[:40], analyzer, FinderConfig(), seal_threshold=4
+    )
+    for node_id, text, supporters, *rest in _BLOCK_EVENTS[40:]:
+        finder.observe(node_id, text, supporters, language=rest[0] if rest else None)
+    return finder
+
+
+def test_block_sections_are_ignored_on_load(analyzer, grown, tmp_path):
+    directory = _copy(_BLOCKS, tmp_path)
+    gen = directory / "gen-0000001"
+    assert all(_block_sections(path) for path in gen.glob("segment-*.bin"))
+    loaded = ExpertFinder.load(directory, analyzer)
+    stats = loaded.index_stats
+    assert (stats.segments, stats.buffered) == (2, 2)
+    assert stats.segment_docs == grown.index_stats.segment_docs
+    ranked = 0
+    for need in _NEEDS:
+        for window in _BLOCK_WINDOWS:
+            expected = oracle_experts(grown, need, window=window)
+            assert loaded.find_experts(need, window=window) == expected
+            assert oracle_experts(loaded, need, window=window) == expected
+            ranked += bool(expected)
+    assert ranked
+
+
+def test_resave_of_a_block_generation_writes_no_block_section(
+    analyzer, grown, tmp_path
+):
+    directory = _copy(_BLOCKS, tmp_path)
+    ExpertFinder.load(directory, analyzer).save(directory)
+    gen = directory / (directory / "CURRENT").read_text().splitlines()[1]
+    assert gen.name != "gen-0000001"
+    containers = sorted(gen.glob("*.bin"))
+    assert [p.name for p in containers] == [
+        "buffer.bin", "segment-0000.bin", "segment-0001.bin"
+    ]
+    assert [_block_sections(path) for path in containers] == [[], [], []]
+    reloaded = ExpertFinder.load(directory, analyzer)
+    for need in _NEEDS:
+        for window in _BLOCK_WINDOWS:
+            assert reloaded.find_experts(need, window=window) == (
+                oracle_experts(grown, need, window=window)
+            )

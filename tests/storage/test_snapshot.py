@@ -1,6 +1,6 @@
 """Finder snapshot round-trip tests over the TINY dataset.
 
-Every round-trip comparison checks a loaded finder's fast engines
+Every round-trip comparison checks a loaded finder's served rankings
 against the oracle (``tests/oracle.py``) over the finder the snapshot
 was written from."""
 
@@ -228,15 +228,31 @@ class TestContentValidation:
 
 class TestLoadedEngine:
     def test_engine_compiled_at_load(self, snapshot_dir, tiny_dataset):
-        # serving warm-starts from snapshots: the columnar engine scores
-        # the mapped segment columns as loaded — nothing is compiled (or
+        # serving warm-starts from snapshots: the kernel scores the
+        # mapped segment columns as loaded — nothing is compiled (or
         # hydrated) lazily on the first query
         loaded_finder = ExpertFinder.load(snapshot_dir, tiny_dataset.analyzer)
-        assert loaded_finder.engine == "columnar"
         assert loaded_finder.find_experts(tiny_dataset.queries[0])
         (segment,) = loaded_finder.segmented_index.iter_segments()
         assert segment.document_count == loaded_finder.indexed_resources
         assert segment._term_index is None
+
+    def test_loaded_columns_are_read_only_views(self, snapshot_dir, tiny_dataset):
+        # the columns are np.frombuffer views over the read-only mapping:
+        # numpy refuses any write through them at runtime
+        loaded_finder = ExpertFinder.load(snapshot_dir, tiny_dataset.analyzer)
+        (segment,) = loaded_finder.segmented_index.iter_segments()
+        columns = [
+            column
+            for cols in (segment._term_cols, segment._entity_cols)
+            for group in cols.values()
+            for column in group
+        ]
+        assert columns
+        assert not any(column.flags.writeable for column in columns)
+        assert all(column.base is not None for column in columns)  # no copies
+        with pytest.raises(ValueError, match="read-only"):
+            columns[0][0] = 0
 
     def test_restore_rejects_unknown_doc_ids_directly(self):
         with pytest.raises(ValueError, match="unknown document"):
@@ -517,7 +533,6 @@ class TestSegmentedLoadedSurface:
         # segments stay mapped columns until a merge, a re-save or
         # merged_slice() hydrates them
         loaded = ExpertFinder.load(segmented_snapshot_dir, analyzer)
-        assert loaded.engine == "columnar"
         segments = loaded.segmented_index.iter_segments()
         assert len(segments) > 1
         assert all(segment._term_index is None for segment in segments)
@@ -569,152 +584,6 @@ class TestV3Lifecycle:
         for seg in segments:
             assert seg.term_index.document_count == seg.document_count
         assert all(seg._term_index is not None for seg in segments)
-
-# -- block-max pruning metadata -----------------------------------------------
-
-#: section names that carry block-max metadata (per-prefix quadruple
-#: plus the shared span) — what _strip_block_sections removes to
-#: simulate a snapshot written before pruning existed
-_BLOCK_SUFFIXES = ("bid", "bmax", "blkoff", "boff")
-
-
-def _is_block_section(name):
-    return name == "blk#span" or name.rpartition("#")[2] in _BLOCK_SUFFIXES
-
-
-def _strip_block_sections(path):
-    """Rewrite the section container at *path* without block metadata,
-    byte-preserving every other section."""
-    mapped = MappedSections.open(path)
-    kept = []
-    for name in mapped.names():
-        if _is_block_section(name):
-            continue
-        dtype, offset, length = mapped._toc[name]
-        kept.append((name, dtype, bytes(mapped._view[offset:offset + length])))
-    del mapped  # release the exported memoryviews before rewriting
-    write_sections(path, kept)
-
-
-class TestBlockMaxPersistence:
-    """v3 snapshots persist the pruning block metadata; older v3 files
-    without it must still load and serve pruned queries (the loader
-    recomputes blocks on first use)."""
-
-    def test_engine_and_segments_carry_block_sections(
-        self, snapshot_dir, segmented_snapshot_dir
-    ):
-        gen = _generation_dir(snapshot_dir)
-        assert not (gen / "engine.bin").exists()  # legacy, never written
-        names = MappedSections.open(gen / "segment-0000.bin").names()
-        assert "blk#span" in names
-        for prefix in ("term", "ent"):
-            for suffix in _BLOCK_SUFFIXES:
-                assert f"{prefix}#{suffix}" in names
-        seg_gen = _generation_dir(segmented_snapshot_dir)
-        for seg_file in sorted(seg_gen.glob("segment-*.bin")):
-            assert "blk#span" in MappedSections.open(seg_file).names()
-        # the write buffer preserves postings order and is hydrated on
-        # load, so it must NOT carry block sections
-        buffer_names = MappedSections.open(seg_gen / "buffer.bin").names()
-        assert not any(_is_block_section(n) for n in buffer_names)
-
-    def test_loaded_engine_adopts_stored_blocks(
-        self, built_finder, loaded_finder, tiny_dataset
-    ):
-        (segment,) = loaded_finder.segmented_index.iter_segments()
-        # adopted from the snapshot, not recomputed on first pruned use
-        assert segment._term_blocks
-        loaded_finder.engine = "columnar-pruned"
-        try:
-            for need in tiny_dataset.queries:
-                assert loaded_finder.find_experts(need, window=2) == (
-                    oracle_experts(built_finder, need, window=2)
-                )
-        finally:
-            loaded_finder.engine = "columnar"
-        assert loaded_finder.pruning_stats.pruned_queries >= len(
-            tiny_dataset.queries
-        )
-
-    def test_block_span_round_trips(self, tiny_dataset, tmp_path):
-        finder = ExpertFinder.build(
-            tiny_dataset.merged_graph,
-            tiny_dataset.candidates_for(None),
-            tiny_dataset.analyzer,
-            FinderConfig(),
-            corpus=tiny_dataset.corpus,
-            block_span=48,
-        )
-        assert finder.segmented_index.iter_segments()[0].block_span == 48
-        directory = tmp_path / "span48"
-        finder.save(directory)
-        loaded = ExpertFinder.load(directory, tiny_dataset.analyzer)
-        assert loaded.segmented_index.iter_segments()[0].block_span == 48
-        assert loaded.segmented_index.block_span == 48
-
-    def test_pre_block_monolithic_snapshot_serves_pruned(
-        self, built_finder, tiny_dataset, tmp_path
-    ):
-        directory = tmp_path / "preblock"
-        built_finder.save(directory)
-        _strip_block_sections(_generation_dir(directory) / "segment-0000.bin")
-        loaded = ExpertFinder.load(directory, tiny_dataset.analyzer)
-        (segment,) = loaded.segmented_index.iter_segments()
-        assert not segment._term_blocks  # nothing adopted...
-        loaded.engine = "columnar-pruned"
-        for need in tiny_dataset.queries:
-            assert loaded.find_experts(need, window=2) == (
-                oracle_experts(built_finder, need, window=2)
-            )
-        assert loaded.pruning_stats.pruned_queries == len(tiny_dataset.queries)
-        assert segment._term_blocks  # ...recomputed on first pruned use
-
-    def test_pre_block_segmented_snapshot_serves_pruned(
-        self, segmented_finder, analyzer, tmp_path
-    ):
-        directory = tmp_path / "preblock-seg"
-        segmented_finder.save(directory)
-        gen = _generation_dir(directory)
-        for seg_file in sorted(gen.glob("segment-*.bin")):
-            _strip_block_sections(seg_file)
-        loaded = ExpertFinder.load(directory, analyzer)
-        loaded.engine = "columnar-pruned"
-        for need in _SEG_NEEDS:
-            assert loaded.find_experts(need, window=2) == (
-                oracle_experts(segmented_finder, need, window=2)
-            )
-        assert loaded.pruning_stats.pruned_queries == len(_SEG_NEEDS)
-
-    def test_pruned_queries_leave_segments_unhydrated(
-        self, segmented_finder, analyzer, tmp_path
-    ):
-        directory = tmp_path / "lazy-pruned"
-        segmented_finder.save(directory)
-        loaded = ExpertFinder.load(directory, analyzer)
-        loaded.engine = "columnar-pruned"
-        segments = loaded.segmented_index._segments
-        assert all(seg._term_index is None for seg in segments)
-        for need in _SEG_NEEDS:
-            assert loaded.find_experts(need, window=2) == (
-                oracle_experts(segmented_finder, need, window=2)
-            )
-        # pruned scoring reads the mapped columns and block maxima only
-        assert all(seg._term_index is None for seg in segments)
-
-    def test_rejects_malformed_block_sections(
-        self, built_finder, tiny_dataset, tmp_path
-    ):
-        directory = tmp_path / "badblocks"
-        built_finder.save(directory)
-        _rewrite_section(
-            _generation_dir(directory) / "segment-0000.bin",
-            "term#bmax",
-            lambda bmax: bmax[:-1],  # drop one block maximum
-        )
-        with pytest.raises(StorageFormatError, match="block sections"):
-            load_finder(directory, tiny_dataset.analyzer)
-
 
 # -- sharded snapshots ---------------------------------------------------------
 
@@ -800,7 +669,7 @@ class TestShardedRoundTrip:
             loaded_sharded.indexed_resources == sharded_finder.indexed_resources
         )
 
-    @pytest.mark.parametrize("engine", ("columnar", "columnar-pruned", ORACLE))
+    @pytest.mark.parametrize("engine", ("columnar", ORACLE))
     def test_rankings_survive(self, loaded_sharded, unsharded, engine):
         for need in _SHARD_NEEDS:
             for window in (5, None, 0.5):
@@ -809,7 +678,6 @@ class TestShardedRoundTrip:
                 )
 
     def test_scatter_pool_over_mapped_shards(self, loaded_sharded, sharded_finder):
-        loaded_sharded.engine = "columnar"
         executor = loaded_sharded.start_scatter_pool()
         try:
             assert executor.worker_count == 3
@@ -825,7 +693,6 @@ class TestShardedRoundTrip:
     ):
         loaded = ExpertFinder.load(sharded_snapshot_dir, analyzer)
         reference = ExpertFinder.load(sharded_snapshot_dir, analyzer)
-        loaded.engine = "columnar"
         loaded.observe("late1", "one more gold medal race recap",
                        [(_SHARD_CANDS[2], 1)])
         reference.observe("late1", "one more gold medal race recap",
@@ -855,7 +722,6 @@ class TestShardedRoundTrip:
         directory = tmp_path / "live"
         finder.save(directory)
         loaded = ExpertFinder.load(directory, analyzer)
-        loaded.engine = "columnar"
         serial = [loaded.find_experts(need, window=6) for need in _SHARD_NEEDS]
         # a rebuild into the served directory (`repro index --out` the
         # same dir) prunes the generation `loaded` has mapped

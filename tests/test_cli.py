@@ -42,11 +42,28 @@ class TestParser:
 
     @pytest.mark.parametrize("command", ("serve", "serve-bench"))
     def test_object_engine_is_not_a_choice(self, command, capsys):
-        # the reference path serves no query; it lives in the tests
+        # the reference path serves no query; it lives in the tests, and
+        # the served path is the only one, so there is no engine option
         with pytest.raises(SystemExit) as exc:
             main([command, "--scale", "tiny", "--engine", "object"])
         assert exc.value.code == 2
-        assert "invalid choice: 'object'" in capsys.readouterr().err
+        assert "unrecognized arguments: --engine object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("serve", "--engine", "columnar"),
+            ("serve-bench", "--engine", "columnar"),
+            ("index", "--out", "never-written", "--block-span", "32"),
+        ),
+    )
+    def test_removed_query_path_options_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--scale", "tiny"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in (
+            capsys.readouterr().err
+        )
 
 
 class TestCommands:
@@ -268,7 +285,6 @@ class TestSegmentedCommands:
 _COUNT_FLAGS = [
     ("index", "--shards"),
     ("index", "--seal-threshold"),
-    ("index", "--block-span"),
     ("index", "--workers"),
     ("index", "--chunk-size"),
     ("serve-bench", "--shards"),
@@ -366,3 +382,22 @@ class TestInspect:
         proc = _run_cli("inspect", str(tmp_path / "nope"))
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
+
+
+def test_gateway_start_does_not_import_networkx():
+    # networkx serves only the team route; the gateway's start-up
+    # imports (and the numpy the segment kernel loads) must not pay for it
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    probe = (
+        "import sys, repro.cli, repro.serve.app; "
+        "print('networkx' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
