@@ -8,9 +8,13 @@ fold that feeds them visits documents in a reproducible order (see ``_match_orde
 is a set again — silently breaks that the moment two scores tie, and
 only at a scale where the hash order happens to differ. Likewise,
 ``random``/``time.time``/``os.urandom`` in a scoring module makes
-reruns incomparable.
+reruns incomparable. Text analysis (``repro.textproc``, and entity
+spotting in ``repro.entity``) is in scope too: the order of its terms
+and entities becomes postings order and snapshot bytes, and so does the
+language it picks on a score tie.
 
-The rule flags, inside ``repro.index``/``repro.core``:
+The rule flags, inside ``repro.index``/``repro.core``/``repro.textproc``/
+``repro.entity``:
 
 * ``for``/comprehension iteration, ``list()``/``tuple()``/
   ``enumerate()``/``.join()`` materialization over an unordered
@@ -197,7 +201,7 @@ class DeterminismChecker(Checker):
         "no unordered set/dict-view iteration or entropy sources in "
         "ranking and merge paths"
     )
-    scope = ("repro.index", "repro.core")
+    scope = ("repro.index", "repro.core", "repro.textproc", "repro.entity")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         findings: list[Finding] = []

@@ -14,8 +14,9 @@ algorithm needs:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,9 @@ class KnowledgeBase:
         self._anchors: dict[tuple[str, ...], list[_AnchorEntry]] = {}
         self._outlinks: dict[str, set[str]] = {}
         self._inlinks: dict[str, set[str]] = {}
-        self._max_anchor_len = 1
+        # first token → token length of the longest anchor it starts
+        self._longest_from: dict[str, int] = {}
+        self._longest_view = MappingProxyType(self._longest_from)
 
     # -- construction -----------------------------------------------------------
 
@@ -74,7 +77,8 @@ class KnowledgeBase:
                 break
         else:
             entries.append(_AnchorEntry(entity_uri, count))
-        self._max_anchor_len = max(self._max_anchor_len, len(key))
+        if len(key) > self._longest_from.get(key[0], 0):
+            self._longest_from[key[0]] = len(key)
 
     def add_link(self, source_uri: str, target_uri: str) -> None:
         """Register a (directed) page link between two entities."""
@@ -106,8 +110,16 @@ class KnowledgeBase:
 
     @property
     def max_anchor_length(self) -> int:
-        """Longest anchor, in tokens — bounds the spotter's n-gram scan."""
-        return self._max_anchor_len
+        """Longest anchor, in tokens (1 while there is none)."""
+        return max(self._longest_from.values(), default=1)
+
+    @property
+    def longest_anchor_from(self) -> Mapping[str, int]:
+        """First token → length, in tokens, of the longest anchor that
+        starts with it; a live read-only view that bounds the spotter's
+        n-gram scan at each position. Tokens that start no anchor are
+        absent."""
+        return self._longest_view
 
     def anchor_candidates(self, surface_tokens: tuple[str, ...]) -> list[tuple[str, float]]:
         """(entity_uri, commonness) for every entity the anchor may denote,

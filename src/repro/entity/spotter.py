@@ -9,6 +9,7 @@ in favour of the longer one, matching TAGME's parsing of short texts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 
 from repro.entity.knowledge_base import KnowledgeBase
 
@@ -33,9 +34,8 @@ class Spot:
 class Spotter:
     """Greedy longest-match anchor spotter."""
 
-    def __init__(self, kb: KnowledgeBase, *, max_anchor_length: int | None = None):
+    def __init__(self, kb: KnowledgeBase):
         self._kb = kb
-        self._max_len = max_anchor_length or kb.max_anchor_length
 
     def spot(self, tokens: list[str] | tuple[str, ...]) -> list[Spot]:
         """Return the non-overlapping spots in *tokens*, left to right.
@@ -43,12 +43,17 @@ class Spotter:
         Tokens are expected lowercase and unstemmed (anchors are surface
         forms, not stems).
         """
+        # read at spot time, so anchors added after construction count
+        longest_from = self._kb.longest_anchor_from
         spots: list[Spot] = []
-        i = 0
         n = len(tokens)
-        while i < n:
-            matched = False
-            for length in range(min(self._max_len, n - i), 0, -1):
+        consumed = 0  # tokens before this offset belong to earlier spots
+        # only positions whose token starts some anchor can start a spot
+        for i in compress(count(), map(longest_from.__contains__, tokens)):
+            if i < consumed:
+                continue
+            # no anchor starting with tokens[i] is longer than this
+            for length in range(min(longest_from[tokens[i]], n - i), 0, -1):
                 surface = tuple(tokens[i : i + length])
                 candidates = self._kb.anchor_candidates(surface)
                 if candidates:
@@ -60,9 +65,6 @@ class Spotter:
                             candidates=tuple(candidates),
                         )
                     )
-                    i += length
-                    matched = True
+                    consumed = i + length
                     break
-            if not matched:
-                i += 1
         return spots

@@ -10,12 +10,21 @@ Profiles are trained from compact built-in seed texts, which is accurate
 enough to separate the five supported European languages on the short,
 noisy resources this system processes. Scores are exposed so callers can
 apply a confidence threshold.
+
+Every resource is identified, so the classifier is table-driven: all
+profiles share one rank table, a document profile is scored against
+every language in one walk of it, and each word's n-grams come from a
+bounded per-identifier memo. The results are exactly those of one
+distance loop per language (``tests/text_oracle.py`` keeps that loop).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
 
 from repro.textproc.stopwords import stopwords_for
 
@@ -71,21 +80,32 @@ _SEED_TEXTS: dict[str, str] = {
 
 _PROFILE_SIZE = 300
 _MAX_NGRAM = 3
+#: distinct words whose n-grams one identifier memoizes: words repeat
+#: heavily across a social corpus, and the bound caps the memo's memory
+_WORD_MEMO_SIZE = 4096
 
 
-def _char_ngrams(text: str) -> Counter[str]:
-    """Count padded character 1..3-grams of the word tokens in *text*."""
-    counts: Counter[str] = Counter()
-    for word in text.lower().split():
-        if not word.isalpha():
-            word = "".join(ch for ch in word if ch.isalpha())
-            if not word:
-                continue
-        padded = f" {word} "
-        for n in range(1, _MAX_NGRAM + 1):
-            for i in range(len(padded) - n + 1):
-                counts[padded[i : i + n]] += 1
-    return counts
+def _word_grams(word: str) -> tuple[str, ...]:
+    """The padded character 1..3-grams of one lowercase *word*: every
+    1-gram, then every 2-gram, then every 3-gram, left to right. That is
+    the order in which a text's n-gram counts are first inserted, which
+    breaks frequency ties in its profile. Non-letters are dropped, so a
+    word without letters has no n-grams."""
+    if not word.isalpha():
+        word = "".join(ch for ch in word if ch.isalpha())
+        if not word:
+            return ()
+    padded = f" {word} "
+    return tuple(
+        padded[i : i + n]
+        for n in range(1, _MAX_NGRAM + 1)
+        for i in range(len(padded) - n + 1)
+    )
+
+
+def _ranked_grams(grams: Iterable[str], size: int) -> list[str]:
+    """The *size* most frequent of *grams*, ties in first-seen order."""
+    return [g for g, _ in Counter(grams).most_common(size)]
 
 
 @dataclass(frozen=True)
@@ -97,19 +117,9 @@ class LanguageProfile:
 
     @classmethod
     def from_text(cls, language: str, text: str, size: int = _PROFILE_SIZE) -> "LanguageProfile":
-        counts = _char_ngrams(text)
-        top = [g for g, _ in counts.most_common(size)]
+        grams = chain.from_iterable(map(_word_grams, text.lower().split()))
+        top = _ranked_grams(grams, size)
         return cls(language=language, ranks={g: i for i, g in enumerate(top)})
-
-    def distance(self, document_profile: list[str]) -> int:
-        """Out-of-place distance between this profile and a document's
-        ranked n-gram list; unseen n-grams cost the maximum penalty."""
-        max_penalty = len(self.ranks)
-        total = 0
-        for doc_rank, gram in enumerate(document_profile):
-            lang_rank = self.ranks.get(gram)
-            total += max_penalty if lang_rank is None else abs(lang_rank - doc_rank)
-        return total
 
 
 class LanguageIdentifier:
@@ -131,6 +141,19 @@ class LanguageIdentifier:
             LanguageProfile.from_text(lang, text, profile_size)
             for lang, text in sorted(seed.items())
         ]
+        # every profile folded into one table, gram → (profile index,
+        # rank) for each profile that ranks it, so a document profile is
+        # scored against all languages with one lookup per gram
+        table: dict[str, list[tuple[int, int]]] = {}
+        for k, profile in enumerate(self._profiles):
+            for gram, rank in profile.ranks.items():
+                table.setdefault(gram, []).append((k, rank))
+        self._ranks = {gram: tuple(row) for gram, row in table.items()}
+        # a gram a profile lacks costs that profile's size (custom
+        # profiles can be smaller than profile_size)
+        self._penalties = tuple(len(p.ranks) for p in self._profiles)
+        self._stopwords = tuple(stopwords_for(p.language) for p in self._profiles)
+        self._grams = lru_cache(maxsize=_WORD_MEMO_SIZE)(_word_grams)
 
     @property
     def languages(self) -> tuple[str, ...]:
@@ -145,27 +168,34 @@ class LanguageIdentifier:
         such as professional profiles, where Latinate vocabulary mimics
         Romance-language character statistics.
         """
-        counts = _char_ngrams(text)
-        if not counts:
+        words = text.lower().split()
+        word_grams = list(map(self._grams, words))
+        doc_profile = _ranked_grams(chain.from_iterable(word_grams), _PROFILE_SIZE)
+        if not doc_profile:
             return {p.language: 0.0 for p in self._profiles}
-        doc_profile = [g for g, _ in counts.most_common(_PROFILE_SIZE)]
-        worst = max(1, len(doc_profile) * _PROFILE_SIZE)
-        tokens = [t for t in text.lower().split() if any(c.isalpha() for c in t)]
+        # out-of-place distances, summed as exact ints: a gram costs a
+        # profile |its rank − the document rank|, or the profile's penalty
+        # where it lacks the gram (every gram starts out lacking)
+        penalties = self._penalties
+        distances = [len(doc_profile) * penalty for penalty in penalties]
+        for doc_rank, row in enumerate(map(self._ranks.get, doc_profile)):
+            if row is not None:
+                for k, rank in row:
+                    distances[k] += abs(rank - doc_rank) - penalties[k]
+        worst = len(doc_profile) * _PROFILE_SIZE
+        # the tokens are the words with a letter, i.e. with n-grams
+        tokens = [word for word, grams in zip(words, word_grams) if grams]
         out: dict[str, float] = {}
-        for p in self._profiles:
-            ngram_score = 1.0 - p.distance(doc_profile) / worst
-            stop = stopwords_for(p.language)
-            coverage = (
-                sum(1 for t in tokens if t in stop) / len(tokens) if tokens else 0.0
-            )
+        for p, distance, stop in zip(self._profiles, distances, self._stopwords):
+            ngram_score = 1.0 - distance / worst
+            coverage = sum(map(stop.__contains__, tokens)) / len(tokens)
             out[p.language] = 0.5 * ngram_score + 0.5 * min(1.0, 3.0 * coverage)
         return out
 
     def identify(self, text: str, *, min_chars: int = 25) -> str:
         """Return the most likely ISO-639-1 code, or :data:`UNKNOWN` when
         *text* has fewer than *min_chars* alphabetic characters."""
-        alpha = sum(1 for ch in text if ch.isalpha())
-        if alpha < min_chars:
+        if sum(map(str.isalpha, text)) < min_chars:
             return self.UNKNOWN
         scores = self.scores(text)
         return max(scores.items(), key=lambda kv: kv[1])[0]

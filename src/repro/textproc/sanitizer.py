@@ -52,6 +52,10 @@ def strip_social_artifacts(text: str) -> str:
 
 def strip_control_chars(text: str) -> str:
     """Drop non-printable/control characters, normalizing to NFC."""
+    # ASCII is NFC-invariant, and no printable ASCII character is in
+    # category C, so such text comes back unchanged
+    if text.isascii() and text.isprintable():
+        return text
     text = unicodedata.normalize("NFC", text)
     return "".join(ch for ch in text if unicodedata.category(ch)[0] != "C" or ch in "\t\n ")
 

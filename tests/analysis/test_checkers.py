@@ -69,6 +69,18 @@ def test_determinism_catches_every_seeded_class():
     assert "entropy" in messages
 
 
+def test_determinism_covers_text_analysis():
+    # analysis output order reaches postings order and snapshot bytes, so
+    # the rule covers repro.textproc (and repro.entity) like repro.index
+    path = FIXTURES / "determinism_violation.py"
+    header, body = path.read_text(encoding="utf-8").split("\n", 1)
+    assert header == "# repro: lint-module[repro.index.fixture_determinism]"
+    for module in ("repro.textproc.fixture_determinism", "repro.entity.fixture_determinism"):
+        source = f"# repro: lint-module[{module}]\n{body}"
+        result = lint_source(path, source, ALL_CHECKERS)
+        assert [f for f in result.findings if f.rule == "determinism"], module
+
+
 def test_forksafety_describes_each_violation_kind():
     result = _lint_fixture("forksafety_violation.py")
     messages = " ".join(f.message for f in result.findings)

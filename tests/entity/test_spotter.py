@@ -1,9 +1,12 @@
 """Unit tests for the anchor spotter."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.entity.knowledge_base import Entity, KnowledgeBase
 from repro.entity.spotter import Spot, Spotter
+from tests.text_oracle import reference_spot
 
 
 @pytest.fixture
@@ -59,6 +62,47 @@ class TestSpotter:
         # "new york" consumes "york", so "york" alone is not re-spotted
         spots = spotter.spot(["new", "york"])
         assert len(spots) == 1
+
+    def test_anchor_added_after_construction_is_spotted(self):
+        kb = KnowledgeBase()
+        kb.add_entity(Entity("wiki/York", "York", "City", "location"))
+        kb.add_entity(Entity("wiki/NY", "New York City", "City", "location"))
+        kb.add_anchor("york", "wiki/York")
+        spotter = Spotter(kb)
+        kb.add_anchor("new york city", "wiki/NY")
+        spots = spotter.spot(["new", "york", "city"])
+        assert [s.surface for s in spots] == [("new", "york", "city")]
+        assert spots == Spotter(kb).spot(["new", "york", "city"])
+
+
+# a small vocabulary, so anchors share first tokens and overlap
+_vocab = st.sampled_from(["new", "york", "city", "fc", "milan", "the"])
+_anchor = st.lists(_vocab, min_size=1, max_size=4)
+_entity = st.sampled_from(["wiki/A", "wiki/B", "wiki/C"])
+
+
+class TestAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        before=st.lists(st.tuples(_anchor, _entity, st.integers(1, 5)), max_size=8),
+        after=st.lists(st.tuples(_anchor, _entity, st.integers(1, 5)), max_size=8),
+        texts=st.lists(st.lists(_vocab, max_size=16), min_size=1, max_size=4),
+    )
+    def test_spots_match_the_exhaustive_greedy_scan(self, before, after, texts):
+        # anchors added after the spotter was built must count too
+        kb = KnowledgeBase()
+        for uri in ("wiki/A", "wiki/B", "wiki/C"):
+            kb.add_entity(Entity(uri, uri, "Thing", "misc"))
+        for tokens, uri, count in before:
+            kb.add_anchor(" ".join(tokens), uri, count)
+        spotter = Spotter(kb)
+        for tokens in texts:
+            assert spotter.spot(tokens) == reference_spot(kb, tokens)
+        for tokens, uri, count in after:
+            kb.add_anchor(" ".join(tokens), uri, count)
+        for tokens in texts:
+            assert spotter.spot(tokens) == reference_spot(kb, tokens)
+            assert spotter.spot(tuple(tokens)) == reference_spot(kb, tokens)
 
 
 class TestSpotValidation:

@@ -1,8 +1,11 @@
 """Unit tests for the character-n-gram language identifier."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.textproc.langid import LanguageIdentifier, LanguageProfile
+from repro.textproc.langid import _WORD_MEMO_SIZE, LanguageIdentifier, LanguageProfile
+from tests.text_oracle import ReferenceIdentifier, char_ngrams, profile_distance
 
 
 @pytest.fixture(scope="module")
@@ -75,18 +78,101 @@ class TestLanguageProfile:
 
     def test_distance_zero_for_identical(self):
         profile = LanguageProfile.from_text("xx", "the cat sat on the mat")
-        from repro.textproc.langid import _char_ngrams
-
-        doc = [g for g, _ in _char_ngrams("the cat sat on the mat").most_common(300)]
-        assert profile.distance(doc) == 0
+        doc = [g for g, _ in char_ngrams("the cat sat on the mat").most_common(300)]
+        assert profile_distance(profile.ranks, doc) == 0
 
     def test_distance_positive_for_different(self):
         profile = LanguageProfile.from_text("xx", "the cat sat on the mat")
-        from repro.textproc.langid import _char_ngrams
-
-        doc = [g for g, _ in _char_ngrams("zzz qqq www").most_common(300)]
-        assert profile.distance(doc) > 0
+        doc = [g for g, _ in char_ngrams("zzz qqq www").most_common(300)]
+        assert profile_distance(profile.ranks, doc) > 0
 
     def test_custom_profiles(self):
         lid = LanguageIdentifier({"aa": "aaaa aaaa aaaa", "bb": "bbbb bbbb bbbb"})
         assert lid.identify("aaaa aaaa aaaa aaaa aaaa aaaa aaaa") == "aa"
+
+
+# words the seed profiles and stop-word lists know, so texts land near
+# the languages' decision boundaries and repeat words (memo hits)
+_KNOWN_WORDS = (
+    "the", "of", "and", "la", "il", "che", "el", "que", "le", "les",
+    "der", "und", "die", "swimming", "piscina", "Tiger", "ÉCOLE", "don't",
+)
+# case folding that changes length, compatibility characters, combining
+# marks, apostrophes, whitespace and control characters
+_AWKWARD = (
+    "İ", "ß", "½", "x²", "e\u0301", "\u0301", "'", "\u2019", "\t", "\n",
+    "\x00", "\x7f", "\u200b", "ǅ", "Σ", "ﬁ", "١٢", " ",
+)
+_text = st.one_of(
+    st.text(max_size=120),
+    st.lists(
+        st.one_of(
+            st.sampled_from(_KNOWN_WORDS),
+            st.sampled_from(_AWKWARD),
+            st.text(min_size=1, max_size=6),
+        ),
+        max_size=40,
+    ).map(" ".join),
+    st.lists(st.sampled_from(_KNOWN_WORDS + _AWKWARD), max_size=60).map("".join),
+)
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return ReferenceIdentifier()
+
+
+class TestAgainstReference:
+    """The table-driven kernel returns exactly what the per-language
+    loops in ``tests/text_oracle.py`` return."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_text)
+    def test_scores_and_identify_match(self, lid, reference, text):
+        assert lid.scores(text) == reference.scores(text)
+        assert lid.identify(text) == reference.identify(text)
+        assert lid.identify(text, min_chars=0) == reference.identify(text, min_chars=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.dictionaries(
+            st.sampled_from(["aa", "bb", "en", "it", "zz"]), _text, min_size=1, max_size=4
+        ),
+        size=st.integers(min_value=1, max_value=300),
+        texts=st.lists(_text, min_size=1, max_size=4),
+    )
+    def test_custom_profiles_of_unequal_size(self, seed, size, texts):
+        # profiles trained on texts of different lengths rank different
+        # numbers of grams, so each carries its own unseen-gram penalty
+        lid = LanguageIdentifier(seed, profile_size=size)
+        reference = ReferenceIdentifier(seed, profile_size=size)
+        assert [p.ranks for p in lid._profiles] == [r for _, r in reference._profiles]
+        for text in texts:
+            assert lid.scores(text) == reference.scores(text)
+            assert lid.identify(text, min_chars=0) == reference.identify(text, min_chars=0)
+
+    def test_penalty_is_each_profiles_own_size(self):
+        seed = {"aa": "ab", "bb": "the cat sat on the mat and the dog sat on the log"}
+        lid = LanguageIdentifier(seed)
+        assert len(lid._profiles[0].ranks) < len(lid._profiles[1].ranks)
+        text = "the quick brown fox jumps over the lazy dog"
+        assert lid.scores(text) == ReferenceIdentifier(seed).scores(text)
+
+    def test_score_tie_picks_the_first_language(self):
+        seed = {"bb": "alpha beta gamma", "aa": "alpha beta gamma"}
+        text = "alpha beta gamma delta epsilon zeta eta theta"
+        scores = LanguageIdentifier(seed).scores(text)
+        assert scores["aa"] == scores["bb"]
+        assert LanguageIdentifier(seed).identify(text) == "aa"
+        assert ReferenceIdentifier(seed).identify(text) == "aa"
+
+    def test_memo_eviction_keeps_scores_exact(self, reference):
+        lid = LanguageIdentifier()
+        first = "the swimmer trained at the pool with friends"
+        assert lid.scores(first) == reference.scores(first)
+        words = [f"w{i:05d}x" for i in range(_WORD_MEMO_SIZE + 500)]
+        flood = " ".join(words)
+        assert lid.scores(flood) == reference.scores(flood)
+        info = lid._grams.cache_info()
+        assert info.currsize == _WORD_MEMO_SIZE
+        assert lid.scores(first) == reference.scores(first)

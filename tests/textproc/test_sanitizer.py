@@ -1,6 +1,8 @@
 """Unit tests for repro.textproc.sanitizer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.textproc.sanitizer import (
     extract_urls,
@@ -10,6 +12,7 @@ from repro.textproc.sanitizer import (
     strip_social_artifacts,
     strip_urls,
 )
+from tests.text_oracle import reference_strip_control_chars
 
 
 class TestStripUrls:
@@ -67,6 +70,20 @@ class TestStripControlChars:
 
     def test_keeps_newline_tab_space(self):
         assert strip_control_chars("a\tb\nc d") == "a\tb\nc d"
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        text=st.one_of(
+            st.text(),
+            st.text(st.characters(max_codepoint=0x7F)),
+            st.lists(
+                st.sampled_from(["a", " ", "\t", "\n", "\x7f", "\x00", "e\u0301", "é", "\u200b"])
+            ).map("".join),
+        )
+    )
+    def test_matches_the_reference(self, text):
+        # printable ASCII takes the fast path; everything else normalizes
+        assert strip_control_chars(text) == reference_strip_control_chars(text)
 
 
 class TestSanitize:
