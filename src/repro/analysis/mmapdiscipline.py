@@ -18,9 +18,10 @@ Two sub-rules:
   ``.cast(...)`` or ``np.frombuffer(...)`` of one, or a slice of any of
   those;
 * **column mutation** (``repro.index`` only): the compiled column
-  attributes (``_term_cols``, ``_entity_cols``) may only be written
-  inside the sanctioned construction and hydrate paths (``__init__``,
-  ``from_columns``, …).
+  attributes (``_term_cols``, ``_entity_cols``, ``_evidence_cols``) may
+  only be written inside the sanctioned construction and hydrate paths
+  (``__init__``, ``from_columns``, …). The evidence columns hold mapped
+  views too, and the Eq. 3 fold gathers every ranking's rows from them.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ _MUTATING_METHODS = {
     "update",
     "setdefault",
 }
-_COLUMN_ATTR = re.compile(r"^_(term|entity)_cols$")
+_COLUMN_ATTR = re.compile(r"^_(term|entity|evidence)_cols$")
 _SANCTIONED_COLUMN_WRITERS = {
     "__init__",
     "from_columns",

@@ -9,7 +9,9 @@
 * :func:`apply_window` — the window-size cut on the retrieved resources.
 
 Eq. 3 itself, ``score(q, ex) = Σ score(q, rᵢ) · wr(rᵢ, ex)``, is folded
-by :func:`repro.index.segments.fold_experts` on the served path and by
+by ``SegmentedIndex._rank`` (:mod:`repro.index.segments`) on the served
+path — one ``np.bincount`` over the windowed documents' evidence rows in
+rank order, weighted by this module's ``wr`` table — and by
 :meth:`repro.core.ranking.ExpertRanker.rank` in the reference path.
 """
 

@@ -218,10 +218,12 @@ class ExpertSearchService:
                 self._hits += 1
                 result = list(cached)
             else:
-                self._misses += 1
                 result = self._finder.find_experts(
                     need, top_k=top_k, alpha=alpha, window=window
                 )
+                # counted once answered: a failed call is neither a query
+                # nor a miss
+                self._misses += 1
                 if self._cache_size:
                     self._cache[key] = tuple(result)
                     if len(self._cache) > self._cache_size:
@@ -280,22 +282,23 @@ class ExpertSearchService:
         results: list[list[ExpertScore] | None] = [None] * len(needs)
         miss_of: dict[tuple, int] = {}
         miss_needs: list[ExpertiseNeed | str] = []
+        hits = misses = 0
         for i, (need, key) in enumerate(zip(needs, keys)):
             cached = self._cache.get(key)
             if cached is not None:
                 self._cache.move_to_end(key)
-                self._hits += 1
+                hits += 1
                 results[i] = list(cached)
             elif key not in miss_of:
                 miss_of[key] = len(miss_needs)
                 miss_needs.append(need)
-                self._misses += 1
+                misses += 1
             elif self._cache_size:
                 # in the serial loop the first occurrence would have
                 # populated the cache before this one was looked up
-                self._hits += 1
+                hits += 1
             else:
-                self._misses += 1
+                misses += 1
         if miss_needs:
             computed = finder.find_experts_many(
                 miss_needs, top_k=top_k, alpha=alpha, window=window
@@ -312,6 +315,9 @@ class ExpertSearchService:
             for i, key in enumerate(keys):
                 if results[i] is None:
                     results[i] = list(computed[miss_of[key]])
+        # counted once answered, as in find_experts
+        self._hits += hits
+        self._misses += misses
         self._queries += len(needs)
         per_query = (self._clock() - started) / len(needs)
         for _ in needs:

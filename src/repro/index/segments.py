@@ -27,13 +27,16 @@ from **shared collection statistics** (the union document count and the
 summed per-source document frequencies), then each segment scores its
 own documents with one numpy kernel (:meth:`Segment.score`): per query
 item, ``T[docs] += tf·tw`` and ``E[docs] += (ef·ew)·we``, then
-``α·T + (1−α)·E``, keeping positive scores as ``(-score, doc index)``.
-With an absolute window each segment cuts its own matches to the
-window; string ids and evidence rows are looked up for the survivors
-only. One global ``(-score, doc_id)`` sort and window cut follows, then
-the Eq. 3 fold (:func:`fold_experts`). With a scatter pool attached, the
-shard segments are scored by forked workers while this process scores
-the buffer and the later segments; the merge is the same.
+``α·T + (1−α)·E``, keeping positive scores as ``(scores, doc indexes)``
+arrays in ``(-score, doc index)`` order. With an absolute window each
+segment cuts its own matches to the window. The window cut and the
+Eq. 3 fold are columnar too (:meth:`SegmentedIndex._rank`): the windowed
+documents' evidence rows are gathered from each segment's evidence
+columns in global ``(-score, doc_id)`` order, and ``np.bincount`` sums
+``score · wr`` per candidate over one shared candidate index kept in
+sorted-id order. With a scatter pool attached, the shard segments are
+scored by forked workers while this process scores the buffer and the
+later segments; the merge is the same.
 
 The kernel is exact: doc indexes are unique within a column, so each
 fancy-indexed add gives every posting one IEEE addition into its
@@ -42,7 +45,10 @@ entities — the object path's order — and the products and the α blend
 are the same float operations, elementwise. The per-segment cut is
 exact too: each document lives in exactly one source and, within a
 segment, doc-index order is doc-id order, so the global top-W is
-contained in the union of the per-source top-W. Rankings are therefore
+contained in the union of the per-source top-W. The fold is exact
+because ``np.bincount`` adds its weights in input order into slots that
+start at 0.0, which is the object path's per-candidate dict walk over
+the same rows in the same order. Rankings are therefore
 **byte-identical** to :class:`~repro.index.vsm.VectorSpaceRetriever` +
 :class:`~repro.core.ranking.ExpertRanker` over the same collection
 (``tests/core/test_differential.py`` and ``tests/index/test_columnar.py``
@@ -59,6 +65,7 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from itertools import accumulate
 from typing import Any
 from dataclasses import dataclass
 
@@ -75,6 +82,7 @@ from repro.index.entity_index import EntityIndex
 from repro.index.inverted import InvertedIndex
 from repro.index.sharded import (
     DEFAULT_BATCH_INFLIGHT,
+    Hits,
     Request,
     ShardedQueryExecutor,
     split_by_resource,
@@ -92,16 +100,24 @@ _COMPACTION_MODES = ("synchronous", "manual")
 #: evidence rows: ``((candidate_id, distance), ...)`` in stream order
 _Rows = tuple[tuple[str, int], ...]
 
-#: one scored match: ``(-score, doc_id, evidence rows)``
-_Entry = tuple[float, str, _Rows]
+_Ints = npt.NDArray[np.int64]
+_Floats = npt.NDArray[np.float64]
 
 #: a compiled term column: ``(doc indexes, raw tf)``
-TermColumn = tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]
+TermColumn = tuple[_Ints, _Ints]
 
 #: a compiled entity column: ``(doc indexes, raw ef, we = 1 + dScore)``
-EntityColumn = tuple[
-    npt.NDArray[np.int64], npt.NDArray[np.int64], npt.NDArray[np.float64]
-]
+EntityColumn = tuple[_Ints, _Ints, _Floats]
+
+#: a segment's evidence columns: each row's local candidate index and
+#: distance, in the saved ``ev#cand`` / ``ev#dist`` (resource) order, then
+#: each doc index's first row and row count
+EvidenceColumns = tuple[_Ints, _Ints, _Ints, _Ints]
+
+#: one source's survivors in its own ``(-score, doc)`` order: ``(scores,
+#: docs, source)``, where *docs* are a segment's doc indexes, or the write
+#: buffer's doc ids when *source* is None
+_Part = tuple[_Floats, Any, "Segment | None"]
 
 
 def window_cut(alpha: float, window: int | float | None) -> int | None:
@@ -115,38 +131,59 @@ def window_cut(alpha: float, window: int | float | None) -> int | None:
     return window if isinstance(window, int) else None
 
 
-def fold_experts(
-    entries: Iterable[tuple[float, str, Iterable[tuple[str, int]]]],
-    weight_of: Mapping[int, float],
-    normalize: bool,
-    top_k: int | None,
-) -> list[ExpertScore]:
-    """Eq. 3 over windowed matches in rank order, mirroring
-    :meth:`~repro.core.ranking.ExpertRanker.rank` float for float: each
-    candidate accumulates ``score · wr`` in match order, positive totals
-    are ranked on ``(-score, candidate_id)``, and only the *top_k*
-    survivors become :class:`ExpertScore` objects."""
-    scores: dict[str, float] = {}
-    support: dict[str, int] = {}
-    for neg_score, _doc_id, rows in entries:
-        match_score = -neg_score
-        for candidate_id, distance in rows:
-            scores[candidate_id] = (
-                scores.get(candidate_id, 0.0) + match_score * weight_of[distance]
-            )
-            support[candidate_id] = support.get(candidate_id, 0) + 1
-    ranked: list[tuple[float, str, int]] = []
-    rank = ranked.append
-    for candidate_id, score in scores.items():
-        count = support[candidate_id]
-        if normalize:
-            score = score / count
-        if score > 0.0:
-            rank((-score, candidate_id, count))
-    ranked.sort()
-    if top_k is not None:
-        del ranked[top_k:]
-    return [ExpertScore(cid, -neg_score, count) for neg_score, cid, count in ranked]
+def _expand(first: _Ints, count: _Ints) -> _Ints:
+    """``first[i], first[i] + 1, …`` (``count[i]`` of them) for every
+    ``i``, concatenated in order."""
+    ends = np.cumsum(count)
+    return np.repeat(first - ends + count, count) + np.arange(
+        ends[-1] if len(ends) else 0
+    )
+
+
+def evidence_csr(
+    evidence: Mapping[str, Iterable[tuple[str, int]]],
+) -> tuple[list[str], list[int], list[int], list[int]]:
+    """The resource → supporters relation as ``(candidates, off, cand,
+    dist)``: the sorted candidate table, then a CSR over *evidence*'s
+    resources in its key (stream) order whose rows keep their order and
+    hold candidate-table indexes — the layout a snapshot saves and a
+    segment's evidence columns hold."""
+    candidates = sorted({cid for rows in evidence.values() for cid, _ in rows})
+    cand_of = {cid: i for i, cid in enumerate(candidates)}
+    off = [0]
+    cand: list[int] = []
+    dist: list[int] = []
+    for rows in evidence.values():
+        for cid, distance in rows:
+            cand.append(cand_of[cid])
+            dist.append(distance)
+        off.append(len(cand))
+    return candidates, off, cand, dist
+
+
+def evidence_columns(
+    evidence: Mapping[str, _Rows],
+    doc_ids: Sequence[str],
+    off: _Ints,
+    cand: _Ints,
+    dist: _Ints,
+) -> EvidenceColumns:
+    """The evidence CSR (``off`` over *evidence*'s resources, in its key
+    order) plus each of the sorted *doc_ids*' row span. A document
+    without evidence rows gets an empty span."""
+    if len(off) != len(evidence) + 1:
+        raise ValueError(
+            f"{len(off) - 1} evidence offset range(s) for {len(evidence)} resource(s)"
+        )
+    position = {doc_id: i for i, doc_id in enumerate(evidence)}
+    at = np.fromiter(
+        (position.get(doc_id, -1) for doc_id in doc_ids), np.int64, len(doc_ids)
+    )
+    known = at >= 0
+    at[~known] = 0
+    first = off[at]
+    count = np.where(known, off[at + 1] - first, 0)
+    return cand, dist, first, count
 
 
 @dataclass(frozen=True)
@@ -179,7 +216,7 @@ class Segment:
     interned doc indexes with *raw* frequencies — the collection
     statistics keep moving as the buffer grows, so ``tf·irf^p`` /
     ``ef·eirf^p·we`` are formed per query, with the object path's float
-    operations.
+    operations — and the evidence columns the Eq. 3 fold gathers from.
     """
 
     __slots__ = (
@@ -191,6 +228,8 @@ class Segment:
         "_doc_ids",
         "_term_cols",
         "_entity_cols",
+        "_evidence_cols",
+        "_candidates",
         "_resource_ids",
     )
 
@@ -237,6 +276,13 @@ class Segment:
             )
             for uri, postings in entity_index.items()
         }
+        candidates, *csr = evidence_csr(self.evidence)
+        self._candidates = candidates
+        self._evidence_cols = evidence_columns(
+            self.evidence,
+            doc_ids,
+            *(np.array(column, dtype=np.int64) for column in csr),
+        )
 
     @classmethod
     def from_columns(
@@ -246,6 +292,7 @@ class Segment:
         term_cols: Mapping[str, TermColumn],
         entity_cols: Mapping[str, EntityColumn],
         evidence: Mapping[str, _Rows],
+        evidence_csr: tuple[Sequence[str], _Ints, _Ints, _Ints],
         hydrate: "Callable[[], tuple[InvertedIndex, EntityIndex]] | None",
     ) -> "Segment":
         """Adopt already-compiled columns (a v3 snapshot's mapped buffers)
@@ -254,11 +301,14 @@ class Segment:
         *doc_ids* must be the segment's indexed doc ids in sorted order
         (the interning order the columns were compiled under); column
         values are numpy arrays, typically read-only ``np.frombuffer``
-        views over the mapping. *hydrate* is a zero-argument callable
-        returning the ``(InvertedIndex, EntityIndex)`` pair — invoked at
-        most once, only if a merge, snapshot re-save or
-        :meth:`SegmentedIndex.merged_slice` actually needs posting
-        objects.
+        views over the mapping. *evidence_csr* is ``(candidates, off,
+        cand, dist)``: the sorted candidate table and the evidence CSR
+        over *evidence*'s resources in its key order, as saved; only each
+        document's row span is derived from it. *hydrate* is a
+        zero-argument callable returning the ``(InvertedIndex,
+        EntityIndex)`` pair — invoked at most once, only if a merge,
+        snapshot re-save or :meth:`SegmentedIndex.merged_slice` actually
+        needs posting objects.
         """
         segment = cls.__new__(cls)
         segment.segment_id = segment_id
@@ -272,6 +322,11 @@ class Segment:
         )
         segment._term_cols = dict(term_cols)
         segment._entity_cols = dict(entity_cols)
+        candidates, off, cand, dist = evidence_csr
+        segment._candidates = list(candidates)
+        segment._evidence_cols = evidence_columns(
+            segment.evidence, segment._doc_ids, off, cand, dist
+        )
         return segment
 
     @property
@@ -321,6 +376,22 @@ class Segment:
     def resource_ids(self) -> frozenset[str]:
         return self._resource_ids
 
+    @property
+    def candidates(self) -> list[str]:
+        """The candidates this segment's evidence rows support, sorted:
+        the table the ``cand`` column indexes."""
+        return self._candidates
+
+    @property
+    def distances(self) -> _Ints:
+        """Every evidence row's distance, in resource order."""
+        return self._evidence_cols[1]
+
+    @property
+    def doc_ids(self) -> list[str]:
+        """The indexed doc ids in doc-index (sorted-id) order."""
+        return self._doc_ids
+
     # -- query evaluation ----------------------------------------------------------
 
     def score(
@@ -329,17 +400,17 @@ class Segment:
         entities: Sequence[tuple[str, float]],
         alpha: float,
         cut: int | None,
-    ) -> list[tuple[float, int]]:
-        """Every positive Eq. 1 match of this segment as ``(-score, doc
-        index)`` (see :meth:`resolve`), cut to the best *cut* in
-        ``(-score, doc index)`` order when given (in doc-index order
-        otherwise).
+    ) -> Hits:
+        """Every positive Eq. 1 match of this segment as ``(scores, doc
+        indexes)`` arrays in ``(-score, doc index)`` order, cut to the
+        best *cut* when given.
 
         Per query item, in the query's order, the item's column scatters
         ``tf·tw`` into the term accumulator and ``(ef·ew)·we`` into the
         entity accumulator; a column holds each document once, so every
         posting is one IEEE add into its document's slot, exactly as the
-        object path's dict walk adds it."""
+        object path's dict walk adds it. The blend runs in place and is
+        ``α*T + (1−α)*E``'s operations, elementwise."""
         n_docs = len(self._doc_ids)
         term_acc = np.zeros(n_docs)
         entity_acc = np.zeros(n_docs)
@@ -353,34 +424,32 @@ class Segment:
             if ecols is not None:
                 docs, ef, we = ecols
                 entity_acc[docs] += (ef * ew) * we
-        scores = alpha * term_acc + (1.0 - alpha) * entity_acc
-        hits = np.flatnonzero(scores > 0.0)
-        scores = scores[hits]
+        term_acc *= alpha
+        entity_acc *= 1.0 - alpha
+        term_acc += entity_acc
+        hits = np.flatnonzero(term_acc > 0.0)
+        scores = term_acc[hits]
         if cut is not None and cut < len(hits):
-            # keep every match scoring at least the cut-th best score,
-            # then order them (-score, doc index): ties at the boundary
-            # keep the lowest doc indexes, as a full sort would. Doc-index
-            # order is doc-id order within a segment, so this keeps
-            # exactly the segment's share of the global window
+            # keep every match scoring at least the cut-th best score
+            # before ordering: ties at the boundary then keep the lowest
+            # doc indexes, as a full sort would. Doc-index order is
+            # doc-id order within a segment, so this keeps exactly the
+            # segment's share of the global window
             k = len(hits) - cut
             kept = scores >= np.partition(scores, k)[k]
             hits = hits[kept]
             scores = scores[kept]
-            order = np.lexsort((hits, -scores))[:cut]
-            hits = hits[order]
-            scores = scores[order]
-        return list(zip((-scores).tolist(), hits.tolist()))
+        order = np.lexsort((hits, -scores))[:cut]
+        return scores[order], hits[order]
 
-    def resolve(self, hits: list[tuple[float, int]]) -> list[_Entry]:
-        """``(-score, doc index)`` survivors → ``(-score, doc_id, rows)``."""
-        doc_ids = self._doc_ids
-        evidence = self.evidence
-        entries: list[_Entry] = []
-        entry = entries.append
-        for neg_score, doc in hits:
-            doc_id = doc_ids[doc]
-            entry((neg_score, doc_id, evidence.get(doc_id, ())))
-        return entries
+    def rows(self, docs: _Ints) -> tuple[_Ints, _Ints, _Ints]:
+        """The evidence rows of *docs* (doc indexes), document after
+        document in the given order: ``(local candidate indexes,
+        distances, rows per document)``."""
+        cand, dist, first, count = self._evidence_cols
+        count = count[docs]
+        at = _expand(first[docs], count)
+        return cand[at], dist[at], count
 
 
 class _WriteBuffer:
@@ -434,10 +503,10 @@ class _WriteBuffer:
         terms: Sequence[tuple[str, float]],
         entities: Sequence[tuple[str, float]],
         alpha: float,
-    ) -> list[_Entry]:
-        """Dict-walk counterpart of :meth:`Segment.score` (uncut) — the
-        buffer is small and changes on every observe, so it is never
-        compiled."""
+    ) -> list[tuple[float, str]]:
+        """Dict-walk counterpart of :meth:`Segment.score`, as unsorted
+        ``(-score, doc_id)`` pairs — the buffer is small and changes on
+        every observe, so it is never compiled."""
         term_scores: dict[str, float] = {}
         entity_scores: dict[str, float] = {}
         term_index = self.term_index
@@ -456,20 +525,40 @@ class _WriteBuffer:
                     + posting.entity_frequency * ew * entity_weight(posting.d_score)
                 )
         one_minus_alpha = 1.0 - alpha
-        evidence = self.evidence
-        entries: list[_Entry] = []
-        entry = entries.append
+        hits: list[tuple[float, str]] = []
+        hit = hits.append
         # repro: lint-ok[determinism] emission order is scratch only —
-        # SegmentedIndex merges all sources' entries and sorts with the
-        # total (-score, doc_id) key before any cut
+        # SegmentedIndex sorts the buffer's hits with the total
+        # (-score, doc_id) key before any cut
         for doc_id in term_scores.keys() | entity_scores.keys():
             score = (
                 alpha * term_scores.get(doc_id, 0.0)
                 + one_minus_alpha * entity_scores.get(doc_id, 0.0)
             )
             if score > 0.0:
-                entry((-score, doc_id, evidence.get(doc_id, ())))
-        return entries
+                hit((-score, doc_id))
+        return hits
+
+    def rows(
+        self, doc_ids: Sequence[str], cand_of: Mapping[str, int]
+    ) -> tuple[_Ints, _Ints, _Ints]:
+        """:meth:`Segment.rows` for buffered documents, with candidates
+        numbered by *cand_of*."""
+        evidence = self.evidence
+        cand: list[int] = []
+        dist: list[int] = []
+        count: list[int] = []
+        for doc_id in doc_ids:
+            rows = evidence.get(doc_id, ())
+            count.append(len(rows))
+            for cid, distance in rows:
+                cand.append(cand_of[cid])
+                dist.append(distance)
+        return (
+            np.array(cand, dtype=np.int64),
+            np.array(dist, dtype=np.int64),
+            np.array(count, dtype=np.int64),
+        )
 
 
 class SegmentedIndex:
@@ -501,9 +590,15 @@ class SegmentedIndex:
         self._config = config
         self._idf_exponent = config.idf_exponent
         self._normalize = config.normalize
-        self._weight_of = distance_weight_table(
-            config.max_distance, config.weight_interval
-        )
+        weight_of = distance_weight_table(config.max_distance, config.weight_interval)
+        #: ``wr`` by distance, the fold's row weights
+        self._wr = np.array([weight_of[d] for d in range(len(weight_of))])
+        #: every candidate some evidence row supports, in sorted-id order,
+        #: so that candidate-index order is candidate-id order
+        self._cand_ids: list[str] = []
+        self._cand_of: dict[str, int] = {}
+        #: segment id → its local candidate indexes' shared indexes
+        self._cand_maps: dict[int, _Ints] = {}
         self._seal_threshold = seal_threshold
         self._fanout = fanout
         self._compaction = compaction
@@ -596,16 +691,20 @@ class SegmentedIndex:
             term_index, entity_index, evidence = buffer
             restored = _WriteBuffer.restore(term_index, entity_index, evidence)
             index._absorb_ids(restored.resource_ids, "the write buffer")
-            index._validate_rows(restored.evidence.values())
+            buffered = [row for rows in restored.evidence.values() for row in rows]
+            index._validate_distances([distance for _cid, distance in buffered])
+            index._admit(cid for cid, _distance in buffered)
             index._buffer = restored
             index._doc_count += restored.document_count
         return index
 
     def _register(self, segment: Segment) -> None:
         self._absorb_ids(segment.resource_ids, f"segment {segment.segment_id}")
-        self._validate_rows(segment.evidence.values())
+        self._validate_distances(segment.distances)
         self._segments = [*self._segments, segment]
         self._doc_count += segment.document_count
+        if not self._admit(segment.candidates):
+            self._cand_maps[segment.segment_id] = self._cand_map(segment)
 
     def _absorb_ids(self, resource_ids: frozenset[str], where: str) -> None:
         overlap = self._resource_ids & resource_ids
@@ -617,14 +716,32 @@ class SegmentedIndex:
             )
         self._resource_ids |= resource_ids
 
-    def _validate_rows(self, rows_of: Iterable[_Rows]) -> None:
-        weight_of = self._weight_of
-        distances = {distance for rows in rows_of for _cid, distance in rows}
-        bad = distances - weight_of.keys()
+    def _validate_distances(self, distances: Sequence[int] | _Ints) -> None:
+        top = self._config.max_distance
+        if isinstance(distances, np.ndarray):
+            bad = distances[(distances < 0) | (distances > top)].tolist()
+        else:
+            bad = [distance for distance in distances if not 0 <= distance <= top]
         if bad:
-            raise ValueError(
-                f"distance {min(bad)} outside 0..{self._config.max_distance}"
-            )
+            raise ValueError(f"distance {min(bad)} outside 0..{top}")
+
+    def _admit(self, candidate_ids: Iterable[str]) -> bool:
+        """Add the unseen *candidate_ids* to the shared candidate table,
+        keeping it in sorted-id order; True when that renumbered every
+        live segment's map."""
+        fresh = set(candidate_ids).difference(self._cand_of)
+        if not fresh:
+            return False
+        self._cand_ids = sorted(fresh.union(self._cand_ids))
+        self._cand_of = {cid: i for i, cid in enumerate(self._cand_ids)}
+        self._cand_maps = {
+            segment.segment_id: self._cand_map(segment) for segment in self._segments
+        }
+        return True
+
+    def _cand_map(self, segment: Segment) -> _Ints:
+        cand_of = self._cand_of
+        return np.array([cand_of[cid] for cid in segment.candidates], dtype=np.int64)
 
     def _next_id(self) -> int:
         with self._lock:
@@ -656,8 +773,9 @@ class SegmentedIndex:
         rows = tuple((cid, distance) for cid, distance in supporters)
         if not rows:
             raise ValueError("a resource must support at least one candidate")
-        self._validate_rows((rows,))
+        self._validate_distances([distance for _cid, distance in rows])
         self._buffer.add(analyzed, rows, index)
+        self._admit(cid for cid, _distance in rows)
         self._resource_ids.add(doc_id)
         if index:
             self._doc_count += 1
@@ -687,6 +805,7 @@ class SegmentedIndex:
         segment = Segment(
             self._next_id(), buffer.term_index, buffer.entity_index, buffer.evidence
         )
+        self._cand_maps[segment.segment_id] = self._cand_map(segment)
         with self._lock:
             self._segments = [*self._segments, segment]
             self._buffer = _WriteBuffer()
@@ -756,9 +875,12 @@ class SegmentedIndex:
             entity_index.merge(segment.entity_index)
             evidence.update(segment.evidence)
         merged = Segment(self._next_id(), term_index, entity_index, evidence)
+        self._cand_maps[merged.segment_id] = self._cand_map(merged)
         with self._lock:
             live = self._segments
             self._segments = [*live[:start], merged, *live[stop:]]
+        for segment in run:
+            del self._cand_maps[segment.segment_id]
         self._compactions += 1
 
     # -- shared collection statistics ----------------------------------------------
@@ -882,36 +1004,146 @@ class SegmentedIndex:
                     pool.send(requests[sent])
                     sent += 1
                 depth += sent - i
-                entries = self._collect(request, later)
-                for segment, hits in zip(shard_segments, pool.receive()):
-                    entries += segment.resolve(hits)
-                results.append(self._rank(entries, window, top_k))
+                parts = self._collect(request, later)
+                for segment, (scores, docs) in zip(shard_segments, pool.receive()):
+                    if len(scores):
+                        parts.append((scores, docs, segment))
+                results.append(self._rank(parts, window, top_k))
         except BaseException:
             self.close_scatter_pool()
             raise
         pool.last_batch_depth = depth / len(requests)
         return results
 
-    def _rank(
-        self, entries: list[_Entry], window: int | float | None, top_k: int | None
-    ) -> list[ExpertScore]:
-        """The global window cut over every source's entries, then Eq. 3."""
-        entries.sort()
-        del entries[window_size(window, len(entries)):]
-        return fold_experts(entries, self._weight_of, self._normalize, top_k)
-
-    def _collect(self, request: Request, segments: Sequence[Segment]) -> list[_Entry]:
-        """The buffer's and *segments*' share of the window as
-        ``(-score, doc_id, rows)``, unsorted: each source's best *cut*
-        matches (all of them when *cut* is None)."""
+    def _collect(self, request: Request, segments: Sequence[Segment]) -> list[_Part]:
+        """The buffer's and *segments*' share of the window: each source's
+        best *cut* matches (all of them when *cut* is None) in its own
+        ``(-score, doc)`` order; sources without a match are left out."""
         terms, entities, alpha, cut = request
-        entries = self._buffer.score(terms, entities, alpha)
-        if cut is not None and len(entries) > cut:
-            entries.sort()
-            del entries[cut:]
+        parts: list[_Part] = []
+        hits = self._buffer.score(terms, entities, alpha)
+        if hits:
+            hits.sort()
+            if cut is not None:
+                del hits[cut:]
+            parts.append(
+                (np.array([-neg for neg, _ in hits]), [doc for _, doc in hits], None)
+            )
         for segment in segments:
-            entries += segment.resolve(segment.score(terms, entities, alpha, cut))
-        return entries
+            scores, docs = segment.score(terms, entities, alpha, cut)
+            if len(scores):
+                parts.append((scores, docs, segment))
+        return parts
+
+    def _rank(
+        self, parts: list[_Part], window: int | float | None, top_k: int | None
+    ) -> list[ExpertScore]:
+        """The global window cut over every source's survivors, then Eq. 3
+        as one fold over the windowed documents' evidence rows.
+
+        The rows are gathered in global ``(-score, doc_id)`` order, so
+        ``np.bincount`` — which adds its weights in input order into slots
+        starting at 0.0 — sums each candidate's ``score · wr`` exactly as
+        :meth:`~repro.core.ranking.ExpertRanker.rank` does. Candidate
+        indexes follow candidate ids, so ``lexsort`` ranks ties on the
+        candidate id."""
+        width = window_size(window, sum(len(scores) for scores, _, _ in parts))
+        if not width:
+            return []
+        wr = self._wr
+        if len(parts) == 1:
+            # a lone source's own order is the global order
+            ((scores, docs, source),) = parts
+            cand, dist, count = self._rows(source, docs[:width])
+            weights = np.repeat(scores[:width], count) * wr[dist]
+        else:
+            ranks = self._window_ranks(parts, width)
+            cands = []
+            row_weights = []
+            row_ranks = []
+            for (scores, docs, source), rank in zip(parts, ranks):
+                # a source's survivors keep their relative order globally,
+                # so its windowed ones are a prefix of them
+                kept = int(np.searchsorted(rank, width))
+                cand, dist, count = self._rows(source, docs[:kept])
+                cands.append(cand)
+                row_weights.append(np.repeat(scores[:kept], count) * wr[dist])
+                row_ranks.append(np.repeat(rank[:kept], count))
+            order = np.argsort(np.concatenate(row_ranks), kind="stable")
+            cand = np.concatenate(cands)[order]
+            weights = np.concatenate(row_weights)[order]
+        support = np.bincount(cand)
+        totals = np.bincount(cand, weights=weights)
+        seen = np.flatnonzero(support)
+        support = support[seen]
+        totals = totals[seen]
+        if self._normalize:
+            totals = totals / support
+        positive = totals > 0.0
+        seen = seen[positive]
+        totals = totals[positive]
+        support = support[positive]
+        ranked = np.lexsort((seen, -totals))[:top_k]
+        cand_ids = self._cand_ids
+        return [
+            ExpertScore(cand_ids[c], total, n)
+            for c, total, n in zip(
+                seen[ranked].tolist(), totals[ranked].tolist(), support[ranked].tolist()
+            )
+        ]
+
+    def _rows(self, source: Segment | None, docs: Any) -> tuple[_Ints, _Ints, _Ints]:
+        """*docs*' evidence rows from *source* (None: the buffer), with
+        shared candidate indexes."""
+        if source is None:
+            return self._buffer.rows(docs, self._cand_of)
+        cand, dist, count = source.rows(docs)
+        return self._cand_maps[source.segment_id][cand], dist, count
+
+    @staticmethod
+    def _window_ranks(parts: list[_Part], width: int) -> list[_Ints]:
+        """Each part's survivors' ranks under the total ``(-score,
+        doc_id)`` key, *width* for those outside the window.
+
+        Every part is in that order already, so a stable sort on the
+        score alone is exact except inside a run of equal scores that
+        mixes sources; the mixed runs that start inside the window are
+        re-sorted on doc id (doc ids are unique across sources)."""
+        sizes = [len(scores) for scores, _, _ in parts]
+        bounds = [0, *accumulate(sizes)]
+        neg = -np.concatenate([scores for scores, _, _ in parts])
+        order = np.argsort(neg, kind="stable")
+        ordered = neg[order]
+        run_start = np.empty(len(order), dtype=bool)
+        run_start[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
+        starts = np.flatnonzero(run_start)
+        part_of = np.repeat(np.arange(len(parts)), sizes)[order]
+        mixed = np.minimum.reduceat(part_of, starts) < np.maximum.reduceat(
+            part_of, starts
+        )
+        mixed &= starts < width
+        if mixed.any():
+            stops = np.append(starts[1:], len(order))
+            slots = _expand(starts[mixed], stops[mixed] - starts[mixed])
+            members = order[slots]
+            # a buffer survivor's "doc" is its position in the id list
+            doc_of = np.concatenate(
+                [docs if source is not None else np.arange(len(docs))
+                 for _, docs, source in parts]
+            )
+            names = [
+                docs if source is None else source.doc_ids for _, docs, source in parts
+            ]
+            doc_ids = [
+                names[k][doc]
+                for k, doc in zip(part_of[slots].tolist(), doc_of[members].tolist())
+            ]
+            keyed = sorted(zip(ordered[slots].tolist(), doc_ids, members.tolist()))
+            order[slots] = [member for _neg, _doc_id, member in keyed]
+        rank = np.full(len(order), width)
+        rank[order[:width]] = np.arange(width)
+        return [rank[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
     # -- the scatter pool ----------------------------------------------------------
 

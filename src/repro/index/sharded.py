@@ -17,7 +17,7 @@ segment, holding it copy-on-write (a loaded segment's columns are views
 over the mapped snapshot, so every worker shares the page cache). A
 request carries the coordinator's ``(term, weight)`` / ``(uri, weight)``
 lists, α and the cut; the worker answers with its segment's
-``(-score, doc index)`` hits from :meth:`Segment.score`. That kernel
+``(scores, doc indexes)`` arrays from :meth:`Segment.score`. That kernel
 uses numpy ufuncs, fancy indexing, ``partition`` and ``lexsort`` only —
 never BLAS — so a forked worker touches nothing of the parent's BLAS
 thread pool.
@@ -30,6 +30,9 @@ import time
 from bisect import bisect_right
 from collections.abc import Mapping, Sequence
 from typing import Any
+
+import numpy as np
+import numpy.typing as npt
 
 # Direct submodule imports only; repro.index.segments imports this module.
 from repro.index.entity_index import EntityIndex
@@ -46,6 +49,9 @@ DEFAULT_WORKER_TIMEOUT = 120.0
 Request = tuple[
     Sequence[tuple[str, float]], Sequence[tuple[str, float]], float, int | None
 ]
+
+#: one segment's answer: ``(scores, doc indexes)`` in ``(-score, doc)`` order
+Hits = tuple[npt.NDArray[np.float64], npt.NDArray[np.int64]]
 
 
 def split_by_resource(
@@ -186,9 +192,9 @@ class ShardedQueryExecutor:
                     f"shard worker {k} (pid {self._procs[k].pid}) is gone: {exc}"
                 ) from exc
 
-    def receive(self) -> list[list[tuple[float, int]]]:
-        """The oldest outstanding request's hits, one list per worker in
-        shard order."""
+    def receive(self) -> list[Hits]:
+        """The oldest outstanding request's hits, one pair of arrays per
+        worker in shard order."""
         return [self._recv(k)[1] for k in range(len(self._conns))]
 
     def _recv(self, k: int) -> tuple[Any, ...]:

@@ -67,7 +67,7 @@ from repro.core.expert_finder import ExpertFinder
 from repro.index.analyzer import ResourceAnalyzer
 from repro.index.entity_index import EntityIndex, EntityPosting
 from repro.index.inverted import InvertedIndex, Posting
-from repro.index.segments import Segment, SegmentedIndex, _WriteBuffer
+from repro.index.segments import Segment, SegmentedIndex, _WriteBuffer, evidence_csr
 from repro.index.vsm import entity_weight
 from repro.storage import sections as layout
 from repro.storage.binary import MappedSections, pack_strings, write_sections
@@ -263,20 +263,10 @@ def _slice_sections(
 
 def _evidence_sections(evidence: Mapping[str, Any]) -> list[tuple[str, str, Any]]:
     """The resource → supporters relation as binary sections (string
-    tables + an element-offset CSR), preserving row order exactly — part
-    of every slice container."""
-    resources = list(evidence)
-    cands = sorted({cid for rows in evidence.values() for cid, _ in rows})
-    cand_of = {cid: i for i, cid in enumerate(cands)}
-    voff = array("l", [0])
-    vcand = array("l")
-    vdist = array("l")
-    for doc_id in resources:
-        for cid, distance in evidence[doc_id]:
-            vcand.append(cand_of[cid])
-            vdist.append(distance)
-        voff.append(len(vcand))
-    sections = [*pack_strings(layout.RESOURCES, resources)]
+    tables + an element-offset CSR, :func:`evidence_csr`), preserving row
+    order exactly — part of every slice container."""
+    cands, voff, vcand, vdist = evidence_csr(evidence)
+    sections = [*pack_strings(layout.RESOURCES, evidence)]
     sections += pack_strings(layout.CANDS, cands)
     sections += [(layout.EV_OFF, "q", voff), (layout.EV_CAND, "q", vcand),
                  (layout.EV_DIST, "q", vdist)]
@@ -494,17 +484,21 @@ def _col_dict(
 
 def _decode_evidence(
     mapped: MappedSections,
-) -> dict[str, tuple[tuple[str, int], ...]]:
+) -> tuple[dict[str, tuple[tuple[str, int], ...]], tuple[list[str], Any, Any, Any]]:
+    """The resource → supporters relation, plus the evidence CSR it came
+    from as ``(candidates, off, cand, dist)``: the sorted candidate
+    table and the mapped columns."""
     resources = mapped.strings("resources")
     cands = mapped.strings("cands")
     off, (vcand, vdist) = _csr(mapped, "ev", len(resources), ("cand", "dist"))
     # one pass over the whole CSR, then per-resource slices of it
     rows = list(zip([cands[c] for c in vcand.tolist()], vdist.tolist()))
     bounds = off.tolist()
-    return {
+    evidence = {
         doc_id: tuple(rows[bounds[i] : bounds[i + 1]])
         for i, doc_id in enumerate(resources)
     }
+    return evidence, (cands, off, vcand, vdist)
 
 
 def _slice_hydrator(
@@ -560,7 +554,7 @@ def _load_v3_segment(
     toff, term_views = _csr(mapped, "term", len(terms), ("doc", "tf"))
     entities = mapped.strings("entities")
     eoff, entity_views = _csr(mapped, "ent", len(entities), ("doc", "ef", "we", "ds"))
-    evidence = _decode_evidence(mapped)
+    evidence, (cands, *evidence_views) = _decode_evidence(mapped)
     resources = len(frozenset(evidence) | frozenset(docs))
     if "resources" in entry and resources != entry["resources"]:
         raise StorageFormatError(
@@ -574,14 +568,18 @@ def _load_v3_segment(
         # the query columns are (doc, ef, we); ds is hydration-only
         _col_dict(entities, eoff, entity_views[:3], (np.int64, np.int64, np.float64)),
         evidence,
+        (cands, *(np.frombuffer(view, dtype=np.int64) for view in evidence_views)),
         _slice_hydrator(mapped, docs),
     )
 
 
-def _load_v3_buffer(path: pathlib.Path, entry: dict[str, Any]) -> _WriteBuffer:
-    """The unsealed buffer rehydrates eagerly — it is small by
-    construction (below the seal threshold) and mutable on the very next
-    observe, so mapping it lazily buys nothing."""
+def _load_v3_buffer(
+    path: pathlib.Path, entry: dict[str, Any]
+) -> tuple[InvertedIndex, EntityIndex, dict[str, tuple[tuple[str, int], ...]]]:
+    """The unsealed buffer's ``(term_index, entity_index, evidence)``,
+    as :meth:`SegmentedIndex.restore_compiled` takes it. It rehydrates
+    eagerly — it is small by construction (below the seal threshold) and
+    mutable on the very next observe, so mapping it lazily buys nothing."""
     mapped = MappedSections.open(path)
     docs = mapped.strings("docs")
     if len(docs) != entry["docs"]:
@@ -590,7 +588,7 @@ def _load_v3_buffer(path: pathlib.Path, entry: dict[str, Any]) -> _WriteBuffer:
             f"manifest says {entry['docs']}"
         )
     term_index, entity_index = _slice_hydrator(mapped, docs)()
-    evidence = _decode_evidence(mapped)
+    evidence = _decode_evidence(mapped)[0]
     resources = len(frozenset(evidence) | frozenset(docs))
     if resources != entry["resources"]:
         raise StorageFormatError(

@@ -33,3 +33,6 @@ class Segment:
 
     def replace(self) -> None:
         self._entity_cols = {}  # column rebind outside sanctioned paths
+
+    def regroup(self) -> None:
+        self._evidence_cols = ()  # evidence column rebind outside sanctioned paths

@@ -96,6 +96,23 @@ def test_mmap_rule_separates_view_and_column_subrules():
     assert any("column attribute" in m for m in messages)
 
 
+def test_mmap_rule_guards_evidence_columns():
+    # the fold's evidence columns are compiled columns too: rebinding
+    # them outside construction is a finding, compiling or adopting them
+    # in __init__ / from_columns and reading them are not
+    path = FIXTURES / "mmap_violation.py"
+    source = path.read_text(encoding="utf-8")
+    result = lint_source(path, source, ALL_CHECKERS)
+    lines = source.splitlines()
+    flagged = {
+        lines[f.line - 1].strip().split("  #")[0]
+        for f in result.findings
+        if f.rule == "mmap-discipline"
+    }
+    assert "self._evidence_cols = ()" in flagged
+    assert _lint_fixture("mmap_clean.py").findings == []
+
+
 def test_floateq_exempts_zero_sentinel():
     # the clean fixture contains `score == 0.0` and `tf == 0`
     result = _lint_fixture("floateq_clean.py")

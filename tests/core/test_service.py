@@ -318,6 +318,54 @@ class TestShardedBatch:
         service.find_experts_batch(queries)
         assert service.stats.batch_parallelism == 0.0
 
+    def test_failed_pooled_batch_counts_nothing(self, sharded_pair):
+        sharded, _plain, queries = sharded_pair
+        sharded.start_scatter_pool()
+        try:
+            service = ExpertSearchService(sharded)
+            service.find_experts_batch(queries[:1])
+            with pytest.raises(ValueError):
+                service.find_experts_batch(
+                    [queries[0], queries[1], queries[2]], alpha=2.0
+                )
+            stats = service.stats
+            assert (stats.queries, stats.cache_hits, stats.cache_misses) == (1, 0, 1)
+        finally:
+            sharded.close_scatter_pool()
+
+
+class TestFailedQueries:
+    """A call that raises answers nothing, so it counts as neither a
+    query nor a cache miss: ``queries == cache_hits + cache_misses``
+    holds after any mix of failed and answered calls."""
+
+    @pytest.fixture
+    def stream_service(self, analyzer):
+        from repro.synthetic.stream import stream_candidates, stream_resources
+
+        cands = stream_candidates(6)
+        finder = ExpertFinder.from_stream(
+            cands, stream_resources(cands, 40, seed=5), analyzer
+        )
+        return ExpertSearchService(finder)
+
+    def test_failed_calls_are_not_misses(self, stream_service):
+        with pytest.raises(ValueError, match="alpha"):
+            stream_service.find_experts("freestyle swimming", alpha=2.0)
+        with pytest.raises(ValueError, match="top_k"):
+            stream_service.find_experts("freestyle swimming", top_k=-1)
+        stream_service.find_experts("freestyle swimming")
+        stats = stream_service.stats
+        assert (stats.queries, stats.cache_hits, stats.cache_misses) == (1, 0, 1)
+        assert stats.to_dict()["cache_misses"] == 1
+
+    def test_failed_batch_is_not_counted(self, stream_service):
+        with pytest.raises(ValueError, match="alpha"):
+            stream_service.find_experts_batch(["swimming", "guitar"], alpha=2.0)
+        stream_service.find_experts_batch(["swimming", "swimming"])
+        stats = stream_service.stats
+        assert (stats.queries, stats.cache_hits, stats.cache_misses) == (2, 1, 1)
+
 
 class TestPercentile:
     def test_empty_sample_is_zero(self):

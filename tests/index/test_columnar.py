@@ -1,4 +1,5 @@
-"""Tests for the compiled segment path: the numpy Eq. 1 kernel.
+"""Tests for the compiled segment path: the numpy Eq. 1 kernel and the
+columnar Eq. 3 fold.
 
 The contract under test is *byte-identical equivalence*: for any
 collection and any (α, window, top_k), the served path
@@ -32,6 +33,13 @@ _VOCAB = (
     "pasta recipe kitchen sauce pizza tennis serve match espresso milan "
     "python compiler index query engine medal water band tour olympic"
 ).split()
+
+
+def _pairs(hits):
+    """A segment's ``(scores, doc indexes)`` arrays as ``(-score, doc
+    index)`` pairs, in the order the kernel returned them."""
+    scores, docs = hits
+    return list(zip((-scores).tolist(), docs.tolist()))
 
 
 def ranked_exactly(finder, need, **kwargs):
@@ -252,12 +260,12 @@ class TestKernelCut:
         query = tie_finder._analyzer.analyze("__query__", self._NEED, language="en")
         alpha = tie_finder.config.alpha
         terms, entities = index._query_weights(query, alpha)
-        full = sorted(segment.score(terms, entities, alpha, None))
-        tie_score = full[2][0]  # negated, as the kernel emits it
+        full = sorted(_pairs(segment.score(terms, entities, alpha, None)))
+        tie_score = full[2][0]  # negated by _pairs
         tied = [doc for neg, doc in full if neg == tie_score]
         assert len(tied) == 12 and full[1][0] < tie_score < full[-1][0]
         cut = window_cut(alpha, window)
-        hits = segment.score(terms, entities, alpha, cut)
+        hits = _pairs(segment.score(terms, entities, alpha, cut))
         if cut is None:
             assert sorted(hits) == full
         else:
@@ -265,3 +273,161 @@ class TestKernelCut:
             kept = [doc for neg, doc in hits if neg == tie_score]
             assert kept == tied[: len(kept)]  # the lowest tied doc indexes
         ranked_exactly(tie_finder, self._NEED, window=window)
+
+
+class TestColumnarFold:
+    """The window merge and the Eq. 3 fold over the segments' evidence
+    columns: score ties across sources break on doc id, each
+    candidate's rows are summed in rank order, and candidate ties rank
+    on candidate id, whichever source the rows came from."""
+
+    _TIED = "freestyle swimming race"
+
+    @staticmethod
+    def _stream(analyzer, events, candidates, **kwargs):
+        return ExpertFinder.from_stream(
+            candidates,
+            [(*event, "en") for event in events],
+            analyzer,
+            FinderConfig(window=None),
+            **kwargs,
+        )
+
+    def _assert_ties_merge_on_doc_id(self, finder):
+        """Every window over the tied documents, asserted against the
+        oracle; the None window first proves they all tie."""
+        full = ranked_exactly(finder, self._TIED)
+        assert len({e.score for e in full}) == 1 and len(full) >= 6
+        for window in (1, 2, 3, 4, 5, 0.5, None):
+            for top_k in (0, 1, None):
+                ranked_exactly(finder, self._TIED, window=window, top_k=top_k)
+
+    def test_boundary_ties_split_between_buffer_and_segment(self, analyzer):
+        # tied documents whose ids interleave across the sealed base
+        # (a, c, e) and the write buffer (b, d, f)
+        cands = [f"c{i}" for i in range(6)]
+        finder = self._stream(
+            analyzer,
+            [(f"tie-{x}", self._TIED, [(c, 1)]) for x, c in zip("ace", cands)],
+            cands,
+        )
+        for x, c in zip("bdf", cands[3:]):
+            finder.observe(f"tie-{x}", self._TIED, [(c, 1)], language="en")
+        stats = finder.index_stats
+        assert (stats.segments, stats.buffered) == (1, 3)
+        self._assert_ties_merge_on_doc_id(finder)
+
+    def test_boundary_ties_split_between_two_segments(self, analyzer):
+        # the observed half seals into a second segment (threshold 3)
+        cands = [f"c{i}" for i in range(6)]
+        finder = self._stream(
+            analyzer,
+            [(f"tie-{x}", self._TIED, [(c, 1)]) for x, c in zip("bdf", cands)],
+            cands,
+            seal_threshold=3,
+            compaction="manual",
+        )
+        for x, c in zip("ace", cands[3:]):
+            finder.observe(f"tie-{x}", self._TIED, [(c, 1)], language="en")
+        stats = finder.index_stats
+        assert (stats.segments, stats.buffered) == (2, 0)
+        self._assert_ties_merge_on_doc_id(finder)
+
+    def test_scatter_pool_merges_ties_with_the_buffer(self, analyzer):
+        # two shard segments score in forked workers; the buffer's tied
+        # documents sort between and after theirs
+        cands = [f"c{i}" for i in range(8)]
+        finder = self._stream(
+            analyzer,
+            [(f"tie-{x}", self._TIED, [(c, 1)]) for x, c in zip("aceg", cands)],
+            cands,
+            shards=2,
+        )
+        for x, c in zip("bdfh", cands[4:]):
+            finder.observe(f"tie-{x}", self._TIED, [(c, 1)], language="en")
+        finder.start_scatter_pool()
+        try:
+            assert finder.segmented_index.scatter_pool is not None
+            assert finder.index_stats.shards == 2
+            self._assert_ties_merge_on_doc_id(finder)
+            needs = [self._TIED, "swimming", "race"]
+            assert finder.find_experts_many(needs, window=3) == [
+                oracle_experts(finder, need, window=3) for need in needs
+            ]
+        finally:
+            finder.close_scatter_pool()
+
+    @pytest.mark.parametrize("normalize", (False, True))
+    def test_equal_totals_rank_on_candidate_id(self, analyzer, normalize):
+        # "zoe" has evidence from the cold build, "abe" gets its first
+        # row through observe; both are supported by the same matching
+        # resources at the same distances, so their totals are equal and
+        # "abe" must rank first although the table met "zoe" first
+        finder = ExpertFinder.from_stream(
+            ("zoe", "abe", "kim"),
+            [("t0", "rock guitar chords", [("zoe", 1)], "en")],
+            analyzer,
+            FinderConfig(window=None, normalize=normalize),
+        )
+        finder.observe("t1", "freestyle swimming race", [("zoe", 1), ("abe", 1)],
+                       language="en")
+        finder.observe("t2", "freestyle swimming medal", [("abe", 2), ("zoe", 2)],
+                       language="en")
+        finder.observe("t3", "swimming pool", [("kim", 0)], language="en")
+        for window in (1, 2, 0.5, None):
+            ranked = ranked_exactly(finder, "freestyle swimming", window=window)
+            assert [e.candidate_id for e in ranked][:2] == ["abe", "zoe"]
+            assert ranked[0].score == ranked[1].score
+        finder.segmented_index.seal()
+        ranked_exactly(finder, "freestyle swimming")
+
+    @pytest.mark.parametrize("normalize", (False, True))
+    def test_rows_fold_in_rank_order(self, analyzer, normalize):
+        # one candidate supported by many documents of distinct scores,
+        # streamed in an order unlike their rank and id orders, at mixed
+        # distances: its float total depends on the summation order
+        rng = random.Random(5)
+        words = ["swimming"] * 6 + ["race"] * 3 + ["pool", "medal", "water"]
+        events = []
+        for i in rng.sample(range(16), 16):
+            text = " ".join(rng.choices(words, k=rng.randint(1, 9)))
+            events.append((f"d{i:02d}", text, [("solo", rng.randint(0, 2)),
+                                                (f"c{i % 3}", 1)]))
+        finder = ExpertFinder.from_stream(
+            ("solo", "c0", "c1", "c2"),
+            [(*event, "en") for event in events],
+            analyzer,
+            FinderConfig(window=None, normalize=normalize),
+            seal_threshold=5,
+            compaction="manual",
+        )
+        for i in range(16, 24):
+            text = " ".join(rng.choices(words, k=rng.randint(1, 9)))
+            finder.observe(f"d{i:02d}", text, [("solo", rng.randint(0, 2))],
+                           language="en")
+        for window in (3, 7, 12, 0.75, None):
+            ranked_exactly(finder, "swimming race pool", window=window)
+
+    def test_evidence_only_segment_and_observed_candidate(self, analyzer):
+        # a sealed segment of evidence-only (language-cut) resources adds
+        # rows and a candidate that sorts before every other one, but no
+        # document; the fold must still number candidates by id
+        cands = ("bob", "cat", "aaron")
+        finder = ExpertFinder.from_stream(
+            cands,
+            [(f"en{i}", "freestyle swimming race", [("bob", 1), ("cat", 2)], "en")
+             for i in range(3)],
+            analyzer,
+            FinderConfig(window=None),
+            seal_threshold=2,
+            compaction="manual",
+        )
+        italian = "questa e una bella giornata per andare in piscina con gli amici"
+        for i in range(2):
+            assert not finder.observe(f"it{i}", italian, [("aaron", 0)])
+        segments = finder.segmented_index.iter_segments()
+        assert [s.document_count for s in segments] == [3, 0]
+        assert segments[1].candidates == ["aaron"]
+        finder.observe("en9", "swimming race", [("aaron", 1)], language="en")
+        for window in (1, 2, 0.5, None):
+            ranked_exactly(finder, "freestyle swimming race", window=window)

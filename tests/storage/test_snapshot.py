@@ -6,6 +6,7 @@ was written from."""
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.config import FinderConfig
@@ -253,6 +254,30 @@ class TestLoadedEngine:
         assert all(column.base is not None for column in columns)  # no copies
         with pytest.raises(ValueError, match="read-only"):
             columns[0][0] = 0
+
+    def test_loaded_evidence_columns_are_read_only_views(
+        self, snapshot_dir, tiny_dataset
+    ):
+        # the fold's evidence rows are the mapped ev#cand / ev#dist
+        # sections; only each document's row span is derived at load,
+        # and it agrees with the decoded evidence relation
+        loaded_finder = ExpertFinder.load(snapshot_dir, tiny_dataset.analyzer)
+        (segment,) = loaded_finder.segmented_index.iter_segments()
+        cand, dist, first, count = segment._evidence_cols
+        for column in (cand, dist):
+            assert not column.flags.writeable and column.base is not None
+        with pytest.raises(ValueError, match="read-only"):
+            dist[0] = 0
+        assert len(first) == len(count) == segment.document_count
+        docs = np.arange(segment.document_count)
+        local, distances, per_doc = segment.rows(docs)
+        assert per_doc.tolist() == count.tolist()
+        rows = list(zip([segment.candidates[c] for c in local.tolist()],
+                        distances.tolist()))
+        expected = [
+            row for doc_id in segment.doc_ids for row in segment.evidence[doc_id]
+        ]
+        assert rows == expected
 
     def test_restore_rejects_unknown_doc_ids_directly(self):
         with pytest.raises(ValueError, match="unknown document"):
