@@ -1,7 +1,7 @@
 """``determinism`` — no unordered iteration or entropy in scoring paths.
 
 Rankings are byte-identical across the segment kernel, the write
-buffer, snapshot round trips and sharded execution only because every
+buffer, seals, compactions and snapshot round trips only because every
 fold that feeds them visits documents in a reproducible order (see ``_match_order`` in
 :mod:`repro.index.vsm` and the ``(-score, doc_id)`` merge keys). A
 ``for`` over a ``set`` — or over ``dict.keys() | dict.keys()``, which

@@ -1,13 +1,13 @@
 """``fork-safety`` — only module-level callables cross the fork seam.
 
-The cold build (:mod:`repro.index.parallel`) and the sharded executor
-(:mod:`repro.index.sharded`) submit work to fork-based process pools.
+The cold build (:mod:`repro.index.parallel`) submits work to a
+fork-based process pool.
 A lambda, closure, or bound method handed to ``submit``/``map``/
 ``Process(target=...)`` either fails to pickle outright or — worse
 under the ``fork`` start method — captures live state (locks, mmap
 handles, half-built indexes) that silently diverges in the child.
 Every callable crossing the seam must therefore be a module-level
-function, mirroring ``_analyze_chunk``/``_worker_main``.
+function, mirroring ``_analyze_chunk``.
 
 The rule runs everywhere (pools appear in benchmarks and tests too)
 and flags the callable argument of:

@@ -1,7 +1,7 @@
 """``section-registry`` — layout names come from one module.
 
 The v3 snapshot layout is a contract between independent writer and
-reader paths (segmented, sharded, legacy monolithic; plus migration
+reader paths (segmented, legacy monolithic; plus migration
 and pruning). A section or file name spelled ad hoc in one of them —
 ``"term#of"`` for ``"term#off"`` — produces a snapshot the reader
 rejects, or silently pairs a column with the wrong offsets. All names

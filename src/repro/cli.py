@@ -150,7 +150,7 @@ def _build_finder(
     )
     build_kwargs = {
         name: getattr(args, name)
-        for name in ("workers", "chunk_size", "shards", "seal_threshold")
+        for name in ("workers", "chunk_size", "seal_threshold")
         if getattr(args, name, None) is not None
     }
     return ExpertFinder.build(
@@ -196,8 +196,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
         f"{seg_stats.buffered} buffered, "
         f"{seg_stats.seals} seals, {seg_stats.compactions} compactions"
     )
-    if seg_stats.shards:
-        print(f"shards: the first {seg_stats.shards} segments")
     stats = finder.build_stats
     if stats is not None:
         print(f"build stages: {stats.render()}")
@@ -229,8 +227,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     else:
         finder = _build_finder(dataset, args)
         source = "cold build"
-    if finder.index_stats.shards:
-        finder.start_scatter_pool()  # fork workers before timing starts
     ready = time.time()
     service = ExpertSearchService(finder, cache_size=args.cache_size)
     queries = list(dataset.queries)
@@ -240,8 +236,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             service.find_experts_batch(queries, top_k=args.top_k)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from exc
-    finally:
-        finder.close_scatter_pool()
     elapsed = time.time() - started
     stats = service.stats
     qps = stats.queries / elapsed if elapsed > 0 else float("inf")
@@ -274,9 +268,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         f"cache survivals {stats.cache_survivals} vs "
         f"clears {stats.invalidations}"
     )
-    shards = finder.index_stats.shards
-    if shards:
-        print(f"shards: {shards}, batch parallelism {stats.batch_parallelism:.1f}")
     return 0
 
 
@@ -474,14 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(e.g. to --compact it into a fresh snapshot)",
     )
     p_index.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=None,
-        help="seal the build as K shard segments split by resource "
-        "(rankings identical to the single-segment build; queries can "
-        "then fan out across a worker pool)",
-    )
-    p_index.add_argument(
         "--seal-threshold",
         type=_positive_int,
         default=None,
@@ -490,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument(
         "--compact",
         action="store_true",
-        help="merge all segments but the shard segments (and the write "
-        "buffer) into one segment before saving",
+        help="merge every segment (and the write buffer) into one "
+        "segment before saving",
     )
     p_index.set_defaults(func=_cmd_index)
 
@@ -516,14 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--top-k", type=int, default=10)
     p_serve.add_argument("--rounds", type=int, default=3, help="passes over the query set")
     p_serve.add_argument("--cache-size", type=int, default=1024)
-    p_serve.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=None,
-        help="build a sharded finder and serve batches through the "
-        "scatter-gather worker pool (ignored with --snapshot, which "
-        "carries its own shard count)",
-    )
     p_serve.add_argument(
         "--seal-threshold",
         type=_positive_int,
@@ -554,14 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gw.add_argument("--alpha", type=float, default=0.6)
     p_gw.add_argument("--window", type=int, default=100)
     p_gw.add_argument("--distance", type=int, default=2, choices=(0, 1, 2))
-    p_gw.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=None,
-        help="when building in process: shard segments for "
-        "scatter-gather batches (ignored with --snapshot, which carries "
-        "its own layout)",
-    )
     p_gw.add_argument("--cache-size", type=int, default=1024)
     p_gw.add_argument(
         "--rate-limit",

@@ -28,7 +28,7 @@ class BuildStats:
     gather_s: float
     #: wall seconds of the text/entity analysis stage
     analyze_s: float
-    #: wall seconds of the index-fill (or shard+merge) stage
+    #: wall seconds of the index-fill stage
     index_s: float
 
     @property

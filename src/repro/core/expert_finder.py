@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from repro.index.segments import SegmentedIndex, SegmentStats
-    from repro.index.sharded import ShardedQueryExecutor
 
 from repro.core.build_stats import BuildStats
 from repro.core.config import FinderConfig
@@ -43,13 +42,6 @@ _INDEXABLE_LANGUAGES = frozenset({"en", "und"})
 #: sentinel for "use the configured window" in rank-time overrides
 #: (``None`` already means "no window", so it cannot double as unset)
 _UNSET: EllipsisType = ...
-
-
-def _check_shards(shards: int | None) -> None:
-    if shards is not None and (
-        isinstance(shards, bool) or not isinstance(shards, int) or shards < 1
-    ):
-        raise ValueError(f"shards must be a positive int, got {shards!r}")
 
 
 def _check_top_k(top_k: int | None) -> None:
@@ -96,7 +88,6 @@ class ExpertFinder:
         workers: int = 1,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         analyzer_factory: Callable[[], ResourceAnalyzer] | None = None,
-        shards: int | None = None,
         seal_threshold: int | None = None,
         compaction: str = "synchronous",
     ) -> "ExpertFinder":
@@ -114,7 +105,7 @@ class ExpertFinder:
 
         The build runs as a three-stage pipeline — shared-frontier
         gathering, text/entity analysis, index fill — and *workers*
-        shards the analysis stage across a process pool in chunks of
+        splits the analysis stage across a process pool in chunks of
         *chunk_size* nodes (see :mod:`repro.index.parallel`;
         *analyzer_factory* is only needed on platforms without ``fork``);
         the index fill is serial. Results are identical for any worker
@@ -124,14 +115,8 @@ class ExpertFinder:
         :class:`~repro.index.segments.SegmentedIndex`; streamed observes
         then touch only its write buffer, which seals every
         *seal_threshold* resources and compacts per *compaction*.
-
-        *shards* seals the built indexes as K shard segments split by
-        resource instead of one segment — rankings stay byte-identical
-        while queries can fan out across a worker pool, one worker per
-        shard segment (see :meth:`start_scatter_pool`).
         """
         config = config or FinderConfig()
-        _check_shards(shards)
         if not candidates:
             raise ValueError("candidates must be non-empty")
         if isinstance(candidates, Mapping):
@@ -194,7 +179,6 @@ class ExpertFinder:
             evidence_counts,
             len(documents),
             config,
-            shards=shards,
             seal_threshold=seal_threshold,
             compaction=compaction,
         )
@@ -220,7 +204,6 @@ class ExpertFinder:
         workers: int = 1,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         analyzer_factory: Callable[[], ResourceAnalyzer] | None = None,
-        shards: int | None = None,
         seal_threshold: int | None = None,
         compaction: str = "synchronous",
     ) -> "ExpertFinder":
@@ -236,11 +219,9 @@ class ExpertFinder:
         entry point for the ``xl`` scale's generator
         (:mod:`repro.synthetic.stream`). The result is identical to
         building from an equivalent materialized graph, and the layout
-        options — *shards*, *seal_threshold*, *compaction* — apply
-        unchanged.
+        options — *seal_threshold*, *compaction* — apply unchanged.
         """
         config = config or FinderConfig()
-        _check_shards(shards)
         if not candidates:
             raise ValueError("candidates must be non-empty")
         evidence_counts: dict[str, int] = {cid: 0 for cid in candidates}
@@ -314,7 +295,6 @@ class ExpertFinder:
             evidence_counts,
             indexed_count,
             config,
-            shards=shards,
             seal_threshold=seal_threshold,
             compaction=compaction,
         )
@@ -340,13 +320,11 @@ class ExpertFinder:
         indexed_count: int,
         config: FinderConfig,
         *,
-        shards: int | None,
         seal_threshold: int | None,
         compaction: str,
     ) -> "ExpertFinder":
-        """Wrap built indexes in a segmented index (with K shard segments
-        when *shards* is set) — the shared tail of :meth:`build` and
-        :meth:`from_stream`."""
+        """Wrap built indexes in a segmented index — the shared tail of
+        :meth:`build` and :meth:`from_stream`."""
         from repro.index.segments import DEFAULT_SEAL_THRESHOLD, SegmentedIndex
 
         segmented = SegmentedIndex.from_built(
@@ -354,7 +332,6 @@ class ExpertFinder:
             entity_index,
             evidence_of,
             config,
-            shards=shards,
             seal_threshold=(
                 DEFAULT_SEAL_THRESHOLD if seal_threshold is None else seal_threshold
             ),
@@ -498,8 +475,7 @@ class ExpertFinder:
         the default to use the configured window).
 
         Every live segment scores the need with one numpy kernel and the
-        write buffer with a dict walk (the shard segments through the
-        scatter pool, when one runs); the list equals the object path's,
+        write buffer with a dict walk; the list equals the object path's,
         bit for bit.
         """
         _check_top_k(top_k)
@@ -509,36 +485,3 @@ class ExpertFinder:
             window=self._config.window if window is _UNSET else window,
             top_k=top_k,
         )
-
-    def find_experts_many(
-        self,
-        needs: Sequence[ExpertiseNeed | str],
-        *,
-        top_k: int | None = None,
-        alpha: float | None = None,
-        window: int | float | None | EllipsisType = _UNSET,
-    ) -> list[list[ExpertScore]]:
-        """Batch counterpart of :meth:`find_experts` — identical results
-        to a serial loop. With an active scatter pool the batch is
-        pipelined through the pool, overlapping this process's own
-        scoring and merge with the workers' shard scoring."""
-        _check_top_k(top_k)
-        return self._index.find_experts_many(
-            [self._analyze_need(need) for need in needs],
-            alpha=self._config.alpha if alpha is None else alpha,
-            window=self._config.window if window is _UNSET else window,
-            top_k=top_k,
-        )
-
-    # -- the scatter pool ---------------------------------------------------------
-
-    def start_scatter_pool(self) -> "ShardedQueryExecutor":
-        """Fork the persistent worker pool, one worker per shard segment
-        (sharded finders only; idempotent). Queries then scatter the
-        shard segments to the workers instead of scoring them serially
-        in this process."""
-        return self._index.start_scatter_pool()
-
-    def close_scatter_pool(self) -> None:
-        """Stop the scatter pool if one is running (idempotent)."""
-        self._index.close_scatter_pool()

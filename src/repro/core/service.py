@@ -19,17 +19,14 @@ finder with
   serving benchmarks and operational visibility.
 
 The service is deliberately synchronous and process-local — it is the
-unit a sharded/async tier would replicate, not that tier itself. It
+unit a distributed tier would replicate, not that tier itself. It
 *is* safe to call from several threads (the HTTP gateway in
 :mod:`repro.serve` drives one service from an executor pool): a single
 re-entrant lock serializes every query, observe, and invalidation, so
 an observe can never interleave with a query's cache fill and leave a
 stale ranking behind. The lock deliberately also covers the finder
 compute — a query reads the write buffer and the statistics caches an
-observe mutates, and a scatter pool's pipes carry one request stream —
-so finder evaluation is single-threaded by design; cross-core scaling
-comes from the scatter pool's worker processes (one per shard segment),
-not from racing threads through one finder.
+observe mutates — so finder evaluation is single-threaded by design.
 """
 
 from __future__ import annotations
@@ -78,10 +75,6 @@ class ServiceStats:
     segments: int = 0
     buffered_docs: int = 0
     compactions: int = 0
-    #: mean in-flight pipeline depth of scatter-pool batch dispatches
-    #: (0.0 until a batch actually routes through the pool; > 1 means
-    #: batched queries overlapped inside the workers)
-    batch_parallelism: float = 0.0
 
     @property
     def hit_rate(self) -> float:
@@ -108,7 +101,6 @@ class ServiceStats:
             "segments": self.segments,
             "buffered_docs": self.buffered_docs,
             "compactions": self.compactions,
-            "batch_parallelism": self.batch_parallelism,
         }
 
 
@@ -162,8 +154,6 @@ class ExpertSearchService:
         self._observed = 0
         self._invalidations = 0
         self._cache_survivals = 0
-        self._batch_depth_sum = 0.0
-        self._batch_dispatches = 0
 
     @property
     def finder(self) -> ExpertFinder:
@@ -240,89 +230,14 @@ class ExpertSearchService:
         alpha: float | None = None,
         window: int | float | None | EllipsisType = _UNSET,
     ) -> list[list[ExpertScore]]:
-        """Answer several needs under one parameter setting, in order.
-
-        Duplicate needs within the batch hit the cache like repeated
-        single queries would. With an active scatter pool the cache
-        misses are dispatched through the pool in one pipelined pass
-        (:meth:`ExpertFinder.find_experts_many`) instead of serially —
-        results are identical, and the achieved overlap shows up as
-        :attr:`ServiceStats.batch_parallelism`."""
-        finder = self._finder
-        if len(needs) < 2 or finder.segmented_index.scatter_pool is None:
-            return [
-                self.find_experts(need, top_k=top_k, alpha=alpha, window=window)
-                for need in needs
-            ]
-        started = self._clock()
-        with self._lock:
-            return self._find_experts_batch_locked(
-                needs, started, top_k=top_k, alpha=alpha, window=window
-            )
-
-    def _find_experts_batch_locked(
-        self,
-        needs: Sequence[ExpertiseNeed | str],
-        started: float,
-        *,
-        top_k: int | None,
-        alpha: float | None,
-        window: int | float | None | EllipsisType,
-    ) -> list[list[ExpertScore]]:
-        finder = self._finder
-        keys = [
-            self._cache_key(
-                need.text if isinstance(need, ExpertiseNeed) else need,
-                alpha,
-                window,
-                top_k,
-            )
+        """Answer several needs under one parameter setting, in order —
+        the same as one :meth:`find_experts` call per need, so duplicate
+        needs within the batch hit the cache like repeated single queries
+        would."""
+        return [
+            self.find_experts(need, top_k=top_k, alpha=alpha, window=window)
             for need in needs
         ]
-        results: list[list[ExpertScore] | None] = [None] * len(needs)
-        miss_of: dict[tuple, int] = {}
-        miss_needs: list[ExpertiseNeed | str] = []
-        hits = misses = 0
-        for i, (need, key) in enumerate(zip(needs, keys)):
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                hits += 1
-                results[i] = list(cached)
-            elif key not in miss_of:
-                miss_of[key] = len(miss_needs)
-                miss_needs.append(need)
-                misses += 1
-            elif self._cache_size:
-                # in the serial loop the first occurrence would have
-                # populated the cache before this one was looked up
-                hits += 1
-            else:
-                misses += 1
-        if miss_needs:
-            computed = finder.find_experts_many(
-                miss_needs, top_k=top_k, alpha=alpha, window=window
-            )
-            pool = finder.segmented_index.scatter_pool
-            if len(miss_needs) > 1 and pool is not None:
-                self._batch_depth_sum += pool.last_batch_depth
-                self._batch_dispatches += 1
-            if self._cache_size:
-                for key, j in miss_of.items():
-                    self._cache[key] = tuple(computed[j])
-                while len(self._cache) > self._cache_size:
-                    self._cache.popitem(last=False)
-            for i, key in enumerate(keys):
-                if results[i] is None:
-                    results[i] = list(computed[miss_of[key]])
-        # counted once answered, as in find_experts
-        self._hits += hits
-        self._misses += misses
-        self._queries += len(needs)
-        per_query = (self._clock() - started) / len(needs)
-        for _ in needs:
-            self._record_latency(per_query)
-        return results
 
     # -- streaming updates --------------------------------------------------------
 
@@ -394,11 +309,6 @@ class ExpertSearchService:
             segments=index_stats.segments,
             buffered_docs=index_stats.buffered,
             compactions=index_stats.compactions,
-            batch_parallelism=(
-                self._batch_depth_sum / self._batch_dispatches
-                if self._batch_dispatches
-                else 0.0
-            ),
         )
 
     def _record_latency(self, elapsed: float) -> None:

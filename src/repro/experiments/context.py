@@ -35,7 +35,7 @@ def scale_from_env(default: DatasetScale = DatasetScale.SMALL) -> DatasetScale:
 
 def workers_from_env(default: int = 1) -> int:
     """The cold-build worker count selected by ``REPRO_WORKERS``, or
-    *default*. Sharding only affects build speed, never results."""
+    *default*. The worker count only affects build speed, never results."""
     value = os.environ.get("REPRO_WORKERS", "").strip()
     if not value:
         return default
@@ -66,7 +66,7 @@ class ExperimentContext:
         workers: int | None = None,
     ) -> "ExperimentContext":
         """Build the context; *workers* (default: ``REPRO_WORKERS``, else
-        serial) shards the dataset's corpus-analysis stage, so every
+        serial) splits the dataset's corpus-analysis stage, so every
         experiment sweeping this context benefits from the parallel
         cold build without any result change."""
         dataset = build_dataset(

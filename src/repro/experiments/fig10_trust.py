@@ -21,7 +21,7 @@ from repro.experiments.context import ExperimentContext
 
 @dataclass(frozen=True)
 class UserTrust:
-    """One point of the Fig.-10 scatter."""
+    """One point of the Fig.-10 plot."""
 
     person_id: str
     f1: float

@@ -289,7 +289,7 @@ class CorpusAnalyzer:
 
 
 class ParallelCorpusAnalyzer(CorpusAnalyzer):
-    """A :class:`CorpusAnalyzer` that shards the analysis across worker
+    """A :class:`CorpusAnalyzer` that splits the analysis across worker
     processes.
 
     URL enrichment stays in the parent (it is a lookup, not CPU work);

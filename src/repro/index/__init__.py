@@ -15,9 +15,8 @@ from repro.index.parallel import analyze_tasks, build_indexes
 from repro.index.statistics import CollectionStatistics
 from repro.index.vsm import ResourceMatch, VectorSpaceRetriever
 
-# NOTE: repro.index.segments (and repro.index.sharded beside it) are
-# deliberately NOT imported here — segments depends on core.* submodules,
-# which import this package mid-init (see "Layering rules" in
+# NOTE: repro.index.segments is deliberately NOT imported here — it
+# depends on core.* submodules, which import this package mid-init (see "Layering rules" in
 # docs/architecture.md).
 # Import them directly:
 # ``from repro.index.segments import SegmentedIndex``.

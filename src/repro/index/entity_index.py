@@ -89,7 +89,7 @@ class EntityIndex:
             example = sorted(overlap)[0]
             raise ValueError(
                 f"cannot merge: {len(overlap)} document(s) indexed by both "
-                f"shards (e.g. {example!r})"
+                f"slices (e.g. {example!r})"
             )
         self._doc_ids |= other._doc_ids
         self._version += 1

@@ -1,11 +1,9 @@
 """The segmented index: the one query path for Eq. 1 → window → Eq. 3.
 
-Every finder layout is a :class:`SegmentedIndex` (cf. production
+Every finder is a :class:`SegmentedIndex` (cf. production
 expert-mining systems, which absorb half a billion streamed signals this
 way — Spasojevic et al.): a cold build is one sealed segment plus an
-empty write buffer, and a ``shards=K`` build seals its base as K *shard
-segments* split by resource (see :mod:`repro.index.sharded`). The
-pieces:
+empty write buffer. The pieces:
 
 * **write buffer** — streamed resources (Eq. 1 term/entity postings plus
   Eq. 3 evidence rows) land in a small mutable :class:`_WriteBuffer`,
@@ -19,8 +17,7 @@ pieces:
 * **tiered compaction** — segments of the same size tier are merged
   (reusing :meth:`InvertedIndex.merge` / :meth:`EntityIndex.merge`, which
   preserve postings order) either synchronously after a seal or only on
-  explicit :meth:`SegmentedIndex.compact`. Shard segments are pinned:
-  compaction only ever merges the segments sealed after them.
+  explicit :meth:`SegmentedIndex.compact`.
 
 A query forms its per-item weights ``tw = irf^p`` / ``ew = eirf^p`` once
 from **shared collection statistics** (the union document count and the
@@ -34,9 +31,7 @@ Eq. 3 fold are columnar too (:meth:`SegmentedIndex._rank`): the windowed
 documents' evidence rows are gathered from each segment's evidence
 columns in global ``(-score, doc_id)`` order, and ``np.bincount`` sums
 ``score · wr`` per candidate over one shared candidate index kept in
-sorted-id order. With a scatter pool attached, the shard segments are
-scored by forked workers while this process scores the buffer and the
-later segments; the merge is the same.
+sorted-id order.
 
 The kernel is exact: doc indexes are unique within a column, so each
 fancy-indexed add gives every posting one IEEE addition into its
@@ -80,13 +75,6 @@ from repro.core.scoring import distance_weight_table, window_size
 from repro.index.analyzer import AnalyzedResource
 from repro.index.entity_index import EntityIndex
 from repro.index.inverted import InvertedIndex
-from repro.index.sharded import (
-    DEFAULT_BATCH_INFLIGHT,
-    Hits,
-    Request,
-    ShardedQueryExecutor,
-    split_by_resource,
-)
 from repro.index.vsm import entity_weight
 
 #: default buffer size (in resources) at which the buffer seals
@@ -108,6 +96,9 @@ TermColumn = tuple[_Ints, _Ints]
 
 #: a compiled entity column: ``(doc indexes, raw ef, we = 1 + dScore)``
 EntityColumn = tuple[_Ints, _Ints, _Floats]
+
+#: one segment's matches: ``(scores, doc indexes)`` in ``(-score, doc)`` order
+Hits = tuple[_Floats, _Ints]
 
 #: a segment's evidence columns: each row's local candidate index and
 #: distance, in the saved ``ev#cand`` / ``ev#dist`` (resource) order, then
@@ -204,8 +195,6 @@ class SegmentStats:
     seals: int
     #: compaction merges performed
     compactions: int
-    #: leading segments that are shard segments (0 unsharded)
-    shards: int
 
 
 class Segment:
@@ -405,7 +394,7 @@ class Segment:
         indexes)`` arrays in ``(-score, doc index)`` order, cut to the
         best *cut* when given.
 
-        Per query item, in the query's order, the item's column scatters
+        Per query item, in the query's order, the item's column adds
         ``tf·tw`` into the term accumulator and ``(ef·ew)·we`` into the
         entity accumulator; a column holds each document once, so every
         posting is one IEEE add into its document's slot, exactly as the
@@ -565,7 +554,7 @@ class SegmentedIndex:
     """Sealed segments + write buffer behind one query interface.
 
     Construction: :meth:`from_built` wraps a cold build's indexes as the
-    base segment (or K shard segments); :meth:`restore_compiled` rebuilds
+    base segment; :meth:`restore_compiled` rebuilds
     from mapped snapshot segments; the bare constructor starts empty.
     ``compaction`` is ``"synchronous"`` (merge inline after each seal) or
     ``"manual"`` (only explicit :meth:`compact`).
@@ -615,10 +604,6 @@ class SegmentedIndex:
         self._next_segment_id = 0
         self._lock = threading.Lock()  # guards _segments/_buffer swaps + ids
         self._compact_lock = threading.Lock()  # serializes compaction passes
-        #: the leading segments that are shard segments (pinned: never
-        #: merged, scored by the scatter pool's workers when one runs)
-        self._shards = 0
-        self._pool: ShardedQueryExecutor | None = None
 
     # -- construction --------------------------------------------------------------
 
@@ -630,14 +615,12 @@ class SegmentedIndex:
         evidence_of: Mapping[str, Sequence[tuple[str, int]]],
         config: FinderConfig,
         *,
-        shards: int | None = None,
         seal_threshold: int = DEFAULT_SEAL_THRESHOLD,
         compaction: str = "synchronous",
         fanout: int = DEFAULT_FANOUT,
     ) -> "SegmentedIndex":
-        """Wrap a cold build's indexes + evidence as the base segment or,
-        with *shards*, as up to that many shard segments split by
-        resource (:func:`~repro.index.sharded.split_by_resource`)."""
+        """Wrap a cold build's indexes + evidence as the base segment
+        (none for an empty build)."""
         index = cls(
             config,
             seal_threshold=seal_threshold,
@@ -648,16 +631,9 @@ class SegmentedIndex:
             doc_id: tuple((cid, distance) for cid, distance in rows)
             for doc_id, rows in evidence_of.items()
         }
-        if shards is not None:
-            parts = split_by_resource(term_index, entity_index, evidence, shards)
-            index._shards = len(parts)
-        elif evidence or term_index.document_count:
-            parts = [(term_index, entity_index, evidence)]
-        else:
-            parts = []
-        for part_terms, part_entities, part_evidence in parts:
+        if evidence or term_index.document_count:
             index._register(
-                Segment(index._next_id(), part_terms, part_entities, part_evidence)
+                Segment(index._next_id(), term_index, entity_index, evidence)
             )
         return index
 
@@ -667,26 +643,18 @@ class SegmentedIndex:
         config: FinderConfig,
         segments: Iterable[Segment],
         buffer: tuple[InvertedIndex, EntityIndex, Mapping[str, _Rows]] | None,
-        *,
-        shards: int = 0,
         **kwargs: Any,
     ) -> "SegmentedIndex":
         """Rebuild from already-compiled :class:`Segment` objects (the
         snapshot-v3 mmap path, via :meth:`Segment.from_columns`) plus an
-        optional unsealed buffer, the first *shards* of them pinned as
-        shard segments; duplicated resources and out-of-range evidence
-        distances are rejected."""
+        optional unsealed buffer; duplicated resources and out-of-range
+        evidence distances are rejected."""
         index = cls(config, **kwargs)
         for segment in segments:
             index._register(segment)
             index._next_segment_id = max(
                 index._next_segment_id, segment.segment_id + 1
             )
-        if not 0 <= shards <= len(index._segments):
-            raise ValueError(
-                f"{shards} shard segment(s) but {len(index._segments)} segment(s)"
-            )
-        index._shards = shards
         if buffer is not None:
             term_index, entity_index, evidence = buffer
             restored = _WriteBuffer.restore(term_index, entity_index, evidence)
@@ -843,26 +811,23 @@ class SegmentedIndex:
 
     def compact(self, *, full: bool = False) -> int:
         """Run compaction to quiescence; returns the merges performed.
-        Shard segments are pinned: only the segments after them merge.
 
-        ``full=True`` first seals the buffer, then merges all of those
-        segments into one — the "optimize" path behind
-        ``repro index --compact``.
+        ``full=True`` first seals the buffer, then merges every segment
+        into one — the "optimize" path behind ``repro index --compact``.
         """
-        pinned = self._shards
         with self._compact_lock:
             if full:
                 self._seal()
-                if len(self._segments) - pinned <= 1:
+                if len(self._segments) <= 1:
                     return 0
-                self._merge_range(pinned, len(self._segments))
+                self._merge_range(0, len(self._segments))
                 return 1
             merges = 0
             while True:
-                plan = self._plan(self._segments[pinned:])
+                plan = self._plan(self._segments)
                 if plan is None:
                     return merges
-                self._merge_range(plan[0] + pinned, plan[1] + pinned)
+                self._merge_range(*plan)
                 merges += 1
 
     def _merge_range(self, start: int, stop: int) -> None:
@@ -965,61 +930,21 @@ class SegmentedIndex:
         """Rank the candidate experts for an analyzed *query* across all
         live segments plus the buffer — byte-identical to the object
         path over the same collection."""
-        return self.find_experts_many(
-            [query], alpha=alpha, window=window, top_k=top_k
-        )[0]
-
-    def find_experts_many(
-        self,
-        queries: Sequence[AnalyzedResource],
-        *,
-        alpha: float,
-        window: int | float | None,
-        top_k: int | None = None,
-    ) -> list[list[ExpertScore]]:
-        """Batch counterpart of :meth:`find_experts`, identical to a
-        serial loop. With a scatter pool attached, the pool's workers
-        score the shard segments while this process scores the buffer
-        and the later segments; up to ``DEFAULT_BATCH_INFLIGHT`` queries
-        are in flight per worker. A failed pooled query closes the pool
-        (replies still in flight would answer the next one) and
-        re-raises."""
         cut = window_cut(alpha, window)
-        requests: list[Request] = [
-            (*self._query_weights(query, alpha), alpha, cut) for query in queries
-        ]
-        pool = self._pool
-        if pool is None or not requests:
-            return [
-                self._rank(self._collect(request, self._segments), window, top_k)
-                for request in requests
-            ]
-        shard_segments = self._segments[: self._shards]
-        later = self._segments[self._shards :]
-        results = []
-        sent = depth = 0
-        try:
-            for i, request in enumerate(requests):
-                while sent < len(requests) and sent - i < DEFAULT_BATCH_INFLIGHT:
-                    pool.send(requests[sent])
-                    sent += 1
-                depth += sent - i
-                parts = self._collect(request, later)
-                for segment, (scores, docs) in zip(shard_segments, pool.receive()):
-                    if len(scores):
-                        parts.append((scores, docs, segment))
-                results.append(self._rank(parts, window, top_k))
-        except BaseException:
-            self.close_scatter_pool()
-            raise
-        pool.last_batch_depth = depth / len(requests)
-        return results
+        terms, entities = self._query_weights(query, alpha)
+        return self._rank(self._collect(terms, entities, alpha, cut), window, top_k)
 
-    def _collect(self, request: Request, segments: Sequence[Segment]) -> list[_Part]:
-        """The buffer's and *segments*' share of the window: each source's
-        best *cut* matches (all of them when *cut* is None) in its own
-        ``(-score, doc)`` order; sources without a match are left out."""
-        terms, entities, alpha, cut = request
+    def _collect(
+        self,
+        terms: Sequence[tuple[str, float]],
+        entities: Sequence[tuple[str, float]],
+        alpha: float,
+        cut: int | None,
+    ) -> list[_Part]:
+        """The buffer's and every live segment's share of the window: each
+        source's best *cut* matches (all of them when *cut* is None) in
+        its own ``(-score, doc)`` order; sources without a match are left
+        out."""
         parts: list[_Part] = []
         hits = self._buffer.score(terms, entities, alpha)
         if hits:
@@ -1029,7 +954,7 @@ class SegmentedIndex:
             parts.append(
                 (np.array([-neg for neg, _ in hits]), [doc for _, doc in hits], None)
             )
-        for segment in segments:
+        for segment in self._segments:
             scores, docs = segment.score(terms, entities, alpha, cut)
             if len(scores):
                 parts.append((scores, docs, segment))
@@ -1145,30 +1070,6 @@ class SegmentedIndex:
         rank[order[:width]] = np.arange(width)
         return [rank[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
-    # -- the scatter pool ----------------------------------------------------------
-
-    def start_scatter_pool(self) -> ShardedQueryExecutor:
-        """Fork one worker per shard segment (idempotent). Each worker
-        holds its segment copy-on-write; a loaded segment's mapped
-        columns stay shared with the page cache. Raises
-        ``RuntimeError`` when the index has no shard segments."""
-        if not self._shards:
-            raise RuntimeError("only a sharded finder has a scatter pool")
-        if self._pool is None:
-            self._pool = ShardedQueryExecutor(self._segments[: self._shards])
-        return self._pool
-
-    def close_scatter_pool(self) -> None:
-        """Stop the scatter pool if one is running (idempotent)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
-
-    @property
-    def scatter_pool(self) -> ShardedQueryExecutor | None:
-        """The attached scatter pool, or None."""
-        return self._pool
-
     # -- introspection -------------------------------------------------------------
 
     @property
@@ -1233,5 +1134,4 @@ class SegmentedIndex:
             resources=len(self._resource_ids),
             seals=self._seals,
             compactions=self._compactions,
-            shards=self._shards,
         )

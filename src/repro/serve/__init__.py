@@ -23,8 +23,8 @@ Module map (request path top to bottom):
 * :mod:`~repro.serve.metrics` — gateway counters and per-route
   latency percentiles;
 * :mod:`~repro.serve.reload` — snapshot generations: load + compile a
-  new service off the event loop, atomically swap it in, drain the old
-  one;
+  new service off the event loop and atomically swap it in; requests
+  already running finish on the old one;
 * :mod:`~repro.serve.harness` — run a gateway in a background thread
   (used by the tests, ``bench_serve_http``, and the example client).
 """

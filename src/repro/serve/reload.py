@@ -5,17 +5,14 @@ one fully loaded :class:`ExpertSearchService`; a
 reload builds the next generation in an executor thread (the event loop
 keeps serving generation N while the snapshot loads), then swaps one
 attribute on the event-loop thread. Requests capture their generation
-at dispatch, so in-flight requests drain on the finder they started on
-— a torn index is unrepresentable: either a request sees generation N
-(whole) or N+1 (whole), never a mix.
-
-The retired generation's scatter pool (sharded finders fork one worker
-process per shard segment) is closed as soon as its last in-flight
-request finishes — from the event-loop thread, so no locking is needed.
+at dispatch and hold its service by reference, so in-flight requests
+finish on the finder they started on — a torn index is
+unrepresentable: either a request sees generation N (whole) or N+1
+(whole), never a mix. A replaced generation needs no teardown: it is
+freed once the last request holding it finishes.
 
 The *source* callable owns "fully loaded": it must return a service
-whose worker pool (for sharded finders) is already forked —
-:func:`build_service` does exactly that and is what the CLI, tests, and
+ready to answer — :func:`build_service` is what the CLI, tests, and
 benchmarks pass.
 """
 
@@ -34,21 +31,15 @@ def build_service(
     *,
     cache_size: int = 1024,
 ) -> ExpertSearchService:
-    """Fork everything queries will need and wrap *finder* into a
-    service — the standard gateway source body.
-
-    Forking a sharded finder's scatter pool here (not lazily on the
-    first request) is what lets :class:`HotReloader` promise readiness
-    means ready: the swap only happens after this returns."""
-    if finder.index_stats.shards:
-        finder.start_scatter_pool()
+    """Wrap *finder* into a service — the standard gateway source
+    body."""
     return ExpertSearchService(finder, cache_size=cache_size)
 
 
 class Generation:
-    """One serving generation with event-loop-side in-flight tracking."""
+    """One serving generation: a loaded service and where it came from."""
 
-    __slots__ = ("service", "number", "label", "loaded_at", "_inflight", "_retired")
+    __slots__ = ("service", "number", "label", "loaded_at")
 
     def __init__(
         self, service: ExpertSearchService, number: int, label: str | None
@@ -59,35 +50,6 @@ class Generation:
         #: (None for built-in-process finders)
         self.label = label
         self.loaded_at = time.time()
-        self._inflight = 0
-        self._retired = False
-
-    @property
-    def inflight(self) -> int:
-        return self._inflight
-
-    @property
-    def retired(self) -> bool:
-        return self._retired
-
-    def acquire(self) -> None:
-        self._inflight += 1
-
-    def release(self) -> None:
-        self._inflight -= 1
-        if self._retired and self._inflight == 0:
-            self._close()
-
-    def retire(self) -> None:
-        """Stop routing new requests here; close once drained."""
-        if self._retired:
-            return
-        self._retired = True
-        if self._inflight == 0:
-            self._close()
-
-    def _close(self) -> None:
-        self.service.finder.close_scatter_pool()
 
 
 class HotReloader:
@@ -129,9 +91,9 @@ class HotReloader:
         """Load + compile the next generation off-loop, then swap.
 
         Serialized: overlapping reload requests queue and each load a
-        fresh generation (the last one wins, each drains its
-        predecessor). On failure the previous generation keeps serving
-        and the error re-raises to the caller."""
+        fresh generation (the last one wins). On failure the previous
+        generation keeps serving and the error re-raises to the
+        caller."""
         async with self._guard:
             loop = asyncio.get_running_loop()
             try:
@@ -142,15 +104,11 @@ class HotReloader:
                 raise
             self._numbers += 1
             generation = Generation(service, self._numbers, label)
-            old, self._current = self._current, generation
+            self._current = generation
             self.reloads += 1
             self.last_error = None
-            if old is not None:
-                old.retire()
             return generation
 
     def shutdown(self) -> None:
-        """Retire the current generation (event-loop thread only)."""
-        if self._current is not None:
-            self._current.retire()
-            self._current = None
+        """Drop the current generation (event-loop thread only)."""
+        self._current = None

@@ -4,9 +4,8 @@ Every workload the repo can serve, reachable over a socket:
 
 ========================  ======================================================
 ``POST /v1/query``        one expertise need → ranked experts (Eq. 3)
-``POST /v1/query/batch``  many needs in one request, routed through
-                          ``find_experts_batch`` so sharded finders pipeline
-                          the misses through the scatter pool
+``POST /v1/query/batch``  many needs in one request, answered in order
+                          through ``find_experts_batch``
 ``POST /v1/observe``      append one streamed resource (segmented finders
                           take the buffer-only write path)
 ``POST /v1/crowd/route``  question routing over the ranking (Fig.-1 scenario)
@@ -21,7 +20,7 @@ Every workload the repo can serve, reachable over a socket:
 
 Handlers run finder/crowd compute in the event loop's executor so the
 loop keeps accepting connections; each request captures its generation
-first, which is what lets a concurrent reload drain instead of tear.
+first, which is what lets a concurrent reload swap without tearing it.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from repro.crowd.routing import (
     default_contact_models,
 )
 from repro.crowd.team_formation import TeamFormation
-from repro.serve.reload import Generation
 from repro.serve.router import (
     HttpError,
     Request,
@@ -108,15 +106,11 @@ def _ranking_params(
     }
 
 
-async def _compute(generation: Generation, fn: Callable[[], T]) -> T:
-    """Run blocking finder/crowd work in the executor while holding the
-    generation in-flight (so a reload drains, never tears)."""
-    loop = asyncio.get_running_loop()
-    generation.acquire()
-    try:
-        return await loop.run_in_executor(None, fn)
-    finally:
-        generation.release()
+async def _compute(fn: Callable[[], T]) -> T:
+    """Run blocking finder/crowd work in the executor. *fn* holds the
+    service of the generation its request captured, so a reload
+    meanwhile never tears the request."""
+    return await asyncio.get_running_loop().run_in_executor(None, fn)
 
 
 def _crowd_error(exc: Exception) -> HttpError:
@@ -148,7 +142,6 @@ def build_router(app: "ServeApp") -> Router:
         need = require_str(payload, "need")
         params = _ranking_params(payload)
         experts = await _compute(
-            generation,
             functools.partial(generation.service.find_experts, need, **params),
         )
         return Response(
@@ -173,7 +166,6 @@ def build_router(app: "ServeApp") -> Router:
             )
         params = _ranking_params(payload)
         results = await _compute(
-            generation,
             functools.partial(
                 generation.service.find_experts_batch, needs, **params
             ),
@@ -225,7 +217,6 @@ def build_router(app: "ServeApp") -> Router:
             supporters.append((item[0], item[1]))
         try:
             indexed = await _compute(
-                generation,
                 functools.partial(
                     generation.service.observe,
                     node_id,
@@ -292,7 +283,7 @@ def build_router(app: "ServeApp") -> Router:
                 "generation": generation.number,
             }
 
-        return Response(200, await _compute(generation, plan_route))
+        return Response(200, await _compute(plan_route))
 
     async def crowd_jury(request: Request) -> Response:
         generation = app.reloader.require_current()
@@ -351,7 +342,7 @@ def build_router(app: "ServeApp") -> Router:
                 "generation": generation.number,
             }
 
-        return Response(200, await _compute(generation, select_jury))
+        return Response(200, await _compute(select_jury))
 
     async def crowd_team(request: Request) -> Response:
         generation = app.reloader.require_current()
@@ -399,7 +390,7 @@ def build_router(app: "ServeApp") -> Router:
                 "generation": generation.number,
             }
 
-        return Response(200, await _compute(generation, form_team))
+        return Response(200, await _compute(form_team))
 
     # -- operations --------------------------------------------------------------
 

@@ -10,7 +10,7 @@ HTTP/1.1 defaults with an idle timeout. Responses always carry
 
 Graceful shutdown: stop accepting, let in-flight requests finish (up to
 ``shutdown_grace`` seconds), then cancel lingering keep-alive readers
-and retire the serving generation (closing its scatter pool).
+and drop the serving generation.
 """
 
 from __future__ import annotations

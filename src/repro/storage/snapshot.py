@@ -13,10 +13,8 @@ pointer file plus numbered ``gen-NNNNNNN/`` generation subdirectories;
 ``CURRENT`` names the one complete generation. Inside a generation,
 ``meta.jsonl`` keeps the config/counts records and the columnar payload
 lives in mmap-able section containers (:mod:`repro.storage.binary`):
-``segments.jsonl`` + ``segment-NNNN.bin`` (and ``buffer.bin``). A
-sharded finder's manifest header says how many leading segments are
-shard segments (``"shards": K``); nothing else differs. Loading maps the
-buffers and builds each :class:`~repro.index.segments.Segment` directly
+``segments.jsonl`` + ``segment-NNNN.bin`` (and ``buffer.bin``). Loading
+maps the buffers and builds each :class:`~repro.index.segments.Segment` directly
 over zero-copy, read-only ``np.frombuffer`` views — no JSON parsing, no
 posting objects, and N processes opening one snapshot share a single
 page-cache copy. The posting-object indexes hydrate lazily, only if a
@@ -186,9 +184,6 @@ def _manifest_records(
         "fanout": segmented.fanout,
         "segments": len(segments),
     }
-    shards = segmented.stats.shards
-    if shards:
-        header["shards"] = shards
     yield header
     for segment in segments:
         yield {
@@ -356,8 +351,7 @@ def _load_meta(
             if index_mode == "sharded":
                 raise StorageFormatError(
                     f"{path.parent}: a candidate-sharded generation, which "
-                    f"is no longer readable; rebuild it with "
-                    f"`repro index --shards {record.get('shards', 'K')}`"
+                    f"is no longer readable; rebuild it with `repro index`"
                 )
             if index_mode not in _INDEX_MODES:
                 raise StorageFormatError(
@@ -387,9 +381,11 @@ def _read_manifest(
     path: pathlib.Path,
 ) -> tuple[dict[str, Any], list[dict[str, Any]], dict[str, Any] | None]:
     """Read a segment manifest: a ``manifest`` header declaring how many
-    segment entries follow (and, sharded, how many leading ones are
-    shard segments), the entries, and an optional ``buffer`` entry.
-    Every file the manifest names must exist beside it."""
+    segment entries follow, the entries, and an optional ``buffer``
+    entry. Every file the manifest names must exist beside it. Headers
+    written by earlier releases may also carry ``"shards": K`` (how many
+    leading segments their scatter pool scored); it is ignored, so such
+    a generation loads as an ordinary multi-segment index."""
     header: dict[str, Any] | None = None
     entries: list[dict[str, Any]] = []
     buffer_entry: dict[str, Any] | None = None
@@ -412,12 +408,6 @@ def _read_manifest(
         raise StorageFormatError(
             f"{path}: manifest declares {declared} segment(s) but "
             f"lists {len(entries)}"
-        )
-    shards = header.get("shards", 0)
-    if type(shards) is not int or not 0 <= shards <= len(entries):
-        raise StorageFormatError(
-            f"{path}: manifest declares shard count {shards!r} for "
-            f"{len(entries)} segment(s)"
         )
     named = entries if buffer_entry is None else [*entries, buffer_entry]
     for entry in named:
@@ -618,7 +608,6 @@ def _load_v3_segmented(
         config,
         segments,
         buffer,
-        shards=header.get("shards", 0),
         seal_threshold=header["seal_threshold"],
         fanout=header.get("fanout", 4),
     )

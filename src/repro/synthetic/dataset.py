@@ -125,7 +125,7 @@ def build_dataset(
 
     Fully deterministic: the same (scale, seed) yields bit-identical
     graphs, corpus, and ground truth — for any *workers* count, which
-    only shards the corpus-analysis stage (the dominant cost) across a
+    only splits the corpus-analysis stage (the dominant cost) across a
     process pool.
     """
     scale._reject_xl("materialized dataset")

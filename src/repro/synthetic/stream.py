@@ -12,9 +12,9 @@ indexes — never the corpus.
 Events are ``(node_id, text, supporters)`` or
 ``(node_id, text, supporters, language)`` tuples, the exact shape
 ``observe`` takes, and the whole stream is a pure function of
-``(candidates, resources, seed)``: two passes (say, a sharded and an
-unsharded build in a bench) see byte-identical resources without either
-one materializing anything.
+``(candidates, resources, seed)``: two passes (say, a finder under
+test and the oracle it is checked against) see byte-identical resources
+without either one materializing anything.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ def stream_resources(
     """Yield *resources* events supporting *candidates*, deterministically.
 
     Each resource supports 1–3 candidates at distances ``1..max_distance``
-    (every resource has at least one supporter — the invariant candidate
-    sharding requires). Texts come from the same
+    (every resource has at least one supporter, as
+    :meth:`ExpertFinder.observe` requires). Texts come from the same
     :class:`~repro.synthetic.text_gen.TextGenerator` the materialized
     datasets use: mostly topical or chit-chat English, with a small
     non-English share yielded as 4-tuples carrying their language.

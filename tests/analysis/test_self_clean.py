@@ -1,6 +1,6 @@
 """Meta-tests: the repo is clean under its own lint rules, and seeded
-violations into a scratch copy of ``repro.index.sharded`` (the resource
-split and the scatter pool) are caught."""
+violations into a scratch copy of ``repro.index.parallel`` (the cold
+build's fork pool) are caught."""
 
 import pathlib
 import shutil
@@ -8,7 +8,7 @@ import shutil
 from repro.analysis import lint_paths
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-SHARDED = REPO_ROOT / "src" / "repro" / "index" / "sharded.py"
+PARALLEL = REPO_ROOT / "src" / "repro" / "index" / "parallel.py"
 
 
 def test_src_is_clean():
@@ -38,15 +38,15 @@ def test_src_suppressions_stay_reviewed():
 
 
 class TestSeededViolations:
-    """Copy ``repro.index.sharded`` into a scratch tree (so it still
+    """Copy ``repro.index.parallel`` into a scratch tree (so it still
     resolves as a ``repro.index`` module) and seed one violation of each
     of rules 1-3; ``repro lint`` must catch every one of them."""
 
     def _scratch_copy(self, tmp_path) -> pathlib.Path:
         scratch = tmp_path / "repro" / "index"
         scratch.mkdir(parents=True)
-        target = scratch / "sharded.py"
-        shutil.copy(SHARDED, target)
+        target = scratch / "parallel.py"
+        shutil.copy(PARALLEL, target)
         return target
 
     def test_unmodified_copy_is_clean(self, tmp_path):
@@ -59,19 +59,18 @@ class TestSeededViolations:
         target = self._scratch_copy(tmp_path)
         source = target.read_text(encoding="utf-8")
 
-        # rule 1 (determinism): materialize the frozenset the split's
-        # contiguous runs are cut from without sorting it
-        determinism_seed = "indexed = sorted(term_index.doc_ids())"
-        assert determinism_seed in source
-        source = source.replace(
-            determinism_seed, "indexed = list(term_index.doc_ids())"
-        )
-
-        # rule 2 (fork-safety): hand the worker loop to the pool as a lambda
-        fork_seed = "target=_worker_main,"
+        # rule 2 (fork-safety): hand the chunk worker to the pool as a lambda
+        fork_seed = "pool.map(_analyze_chunk, "
         assert fork_seed in source
         source = source.replace(
-            fork_seed, "target=lambda: _worker_main(child_conn, source, None),"
+            fork_seed, "pool.map(lambda chunk: _analyze_chunk(chunk), "
+        )
+
+        # rule 1 (determinism): materialize an index's doc-id frozenset
+        # without sorting it
+        source += (
+            "\n\ndef _doc_order(term_index):\n"
+            "    return list(term_index.doc_ids())\n"
         )
 
         # rule 3 (mmap-discipline): poke a mapped section in place

@@ -2,14 +2,13 @@
 
 A Hypothesis state machine drives one collection through random
 sequences of streamed observes, queries (α, window as a count, a
-fraction or ``None``, ``top_k``), seals, full compactions, save→load
-round trips, and scatter-pool runs over a re-saved snapshot directory.
-After every step the served path — the segments' numpy kernel plus the
-write buffer's dict walk, unsharded and at ``shards`` 1, 2 and 3 — must
-rank exactly (``==``) like an independent oracle: a
-:class:`VectorSpaceRetriever` + :class:`ExpertRanker` over plain indexes
-fed the same analyzed resources. Shrinking turns any divergence into a
-minimal event sequence.
+fraction or ``None``, ``top_k``), seals, full compactions and save→load
+round trips. After every step the served path — the segments' numpy
+kernel plus the write buffer's dict walk — must rank exactly (``==``)
+like an independent oracle: a :class:`VectorSpaceRetriever` +
+:class:`ExpertRanker` over plain indexes fed the same analyzed
+resources. Shrinking turns any divergence into a minimal event
+sequence.
 
 Every entity posting of this synthetic stream has ``ef`` 1 or 2, for
 which the products ``(ef·ew)·we`` and ``ef·(ew·we)`` are the same
@@ -74,7 +73,6 @@ _EVENTS = [
 ]
 _NEEDS = [*stream_queries(6, seed=11), "Michael Phelps freestyle swimming"]
 _INDEXABLE = frozenset({"en", "und"})
-_SHARD_COUNTS = (None, 1, 2, 3)
 
 _windows = st.one_of(
     st.integers(min_value=1, max_value=40),
@@ -97,12 +95,15 @@ class _Oracle:
             idf_exponent=_CONFIG.idf_exponent,
         )
 
-    def add(self, event: tuple) -> None:
+    def add(self, event: tuple) -> bool:
+        """Admit *event*; True when it entered the indexes."""
         node_id, text, supporters, *rest = event
         analyzed = _ANALYZER.analyze(node_id, text, language=rest[0] if rest else None)
         self.evidence[node_id] = list(supporters)
-        if analyzed.language in _INDEXABLE:
+        indexed = analyzed.language in _INDEXABLE
+        if indexed:
             self.retriever.add_document(analyzed)
+        return indexed
 
     def rank(self, need: str, alpha: float, window, top_k):
         query = _ANALYZER.analyze("__query__", need, language="en")
@@ -128,37 +129,24 @@ class SinglePathMachine(RuleBasedStateMachine):
             for _uri, postings in self.oracle.entity_index.items()
             for posting in postings
         )
-        #: the snapshot directory each finder was last loaded from
-        self.loaded_from: dict[int | None, str] = {}
-        self.finders = {
-            shards: ExpertFinder.from_stream(
-                _CANDIDATES,
-                _EVENTS[:cold],
-                _ANALYZER,
-                _CONFIG,
-                shards=shards,
-                seal_threshold=seal_threshold,
-                compaction="manual",
-            )
-            for shards in _SHARD_COUNTS
-        }
+        self.finder = ExpertFinder.from_stream(
+            _CANDIDATES,
+            _EVENTS[:cold],
+            _ANALYZER,
+            _CONFIG,
+            seal_threshold=seal_threshold,
+            compaction="manual",
+        )
 
     def teardown(self) -> None:
-        for finder in getattr(self, "finders", {}).values():
-            finder.close_scatter_pool()
         tmp = getattr(self, "tmp", None)
         if tmp is not None:
             tmp.cleanup()
 
-    def _indexes(self):
-        for finder in self.finders.values():
-            yield finder.segmented_index
-
     def _check(self, need: str, alpha: float, window, top_k) -> None:
         expected = self.oracle.rank(need, alpha, window, top_k)
-        for shards, finder in self.finders.items():
-            got = finder.find_experts(need, alpha=alpha, window=window, top_k=top_k)
-            assert got == expected, (shards, need, alpha, window, top_k)
+        got = self.finder.find_experts(need, alpha=alpha, window=window, top_k=top_k)
+        assert got == expected, (need, alpha, window, top_k)
 
     @precondition(lambda self: self.next_event < len(_EVENTS))
     @rule()
@@ -167,12 +155,8 @@ class SinglePathMachine(RuleBasedStateMachine):
         self.next_event += 1
         node_id, text, supporters, *rest = event
         language = rest[0] if rest else None
-        indexed = {
-            finder.observe(node_id, text, supporters, language=language)
-            for finder in self.finders.values()
-        }
-        assert len(indexed) == 1
-        self.oracle.add(event)
+        indexed = self.finder.observe(node_id, text, supporters, language=language)
+        assert indexed == self.oracle.add(event)
 
     @rule(
         need=st.sampled_from(_NEEDS),
@@ -185,50 +169,26 @@ class SinglePathMachine(RuleBasedStateMachine):
 
     @rule()
     def seal(self) -> None:
-        for index in self._indexes():
-            index.seal()
+        self.finder.segmented_index.seal()
 
     @rule()
     def compact(self) -> None:
-        for index in self._indexes():
-            index.compact(full=True)
+        self.finder.segmented_index.compact(full=True)
 
     @rule()
     def save_load(self) -> None:
-        for shards, finder in list(self.finders.items()):
-            self.saves += 1
-            directory = f"{self.tmp.name}/snap-{self.saves}"
-            finder.save(directory)
-            self.finders[shards] = ExpertFinder.load(directory, _ANALYZER)
-            self.loaded_from[shards] = directory
-
-    @precondition(lambda self: self.loaded_from)
-    @rule(
-        alpha=st.sampled_from((0.0, 0.6, 1.0)),
-        window=_windows,
-    )
-    def scatter(self, alpha: float, window) -> None:
-        # re-saving into the directory a finder was loaded from prunes
-        # the generation it maps; the forked pool must not care
-        expected = [self.oracle.rank(need, alpha, window, None) for need in _NEEDS]
-        for shards, finder in self.finders.items():
-            if shards is None:
-                continue
-            finder.save(self.loaded_from[shards])
-            finder.start_scatter_pool()
-            try:
-                got = finder.find_experts_many(_NEEDS, alpha=alpha, window=window)
-                assert got == expected, (shards, alpha, window)
-            finally:
-                finder.close_scatter_pool()
+        self.saves += 1
+        directory = f"{self.tmp.name}/snap-{self.saves}"
+        self.finder.save(directory)
+        self.finder = ExpertFinder.load(directory, _ANALYZER)
 
     @invariant()
     def agrees_with_oracle(self) -> None:
-        if hasattr(self, "finders"):
+        if hasattr(self, "finder"):
             self._check(_NEEDS[self.next_event % len(_NEEDS)], 0.6, 5, None)
 
 
 SinglePathMachine.TestCase.settings = settings(
-    max_examples=50, stateful_step_count=20, deadline=None
+    max_examples=80, stateful_step_count=20, deadline=None
 )
 TestSinglePath = SinglePathMachine.TestCase

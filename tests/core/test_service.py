@@ -248,92 +248,6 @@ class TestBatchAndStats:
         assert service.stats.hit_rate == 0.0
 
 
-class TestShardedBatch:
-    """Batches over a sharded finder with a live scatter pool must
-    match the serial service exactly — results and counters — while
-    reporting the achieved pipeline depth."""
-
-    @pytest.fixture
-    def sharded_pair(self, analyzer):
-        from repro.synthetic.stream import (
-            stream_candidates,
-            stream_queries,
-            stream_resources,
-        )
-
-        cands = stream_candidates(6)
-
-        def build(shards=None):
-            return ExpertFinder.from_stream(
-                cands,
-                stream_resources(cands, 60, seed=31),
-                analyzer,
-                FinderConfig(window=None),
-                shards=shards,
-            )
-
-        return build(3), build(), stream_queries(6, seed=31)
-
-    def test_batch_routes_through_pool(self, sharded_pair):
-        sharded, plain, queries = sharded_pair
-        sharded.start_scatter_pool()
-        try:
-            pooled = ExpertSearchService(sharded, cache_size=16)
-            serial = ExpertSearchService(plain, cache_size=16)
-            batch = list(queries) + [queries[0]]  # one in-batch duplicate
-            assert pooled.find_experts_batch(batch, top_k=5) == (
-                serial.find_experts_batch(batch, top_k=5)
-            )
-            p_stats, s_stats = pooled.stats, serial.stats
-            assert p_stats.queries == s_stats.queries == len(batch)
-            assert p_stats.cache_hits == s_stats.cache_hits == 1
-            assert p_stats.cache_misses == s_stats.cache_misses == len(queries)
-            assert p_stats.batch_parallelism > 1.0
-            assert s_stats.batch_parallelism == 0.0
-            # second pass: all hits, the gauge keeps its value
-            pooled.find_experts_batch(batch, top_k=5)
-            assert pooled.stats.cache_hits == 1 + len(batch)
-            assert pooled.stats.batch_parallelism == p_stats.batch_parallelism
-        finally:
-            sharded.close_scatter_pool()
-
-    def test_uncached_batch_counts_duplicates_as_misses(self, sharded_pair):
-        sharded, _plain, queries = sharded_pair
-        sharded.start_scatter_pool()
-        try:
-            service = ExpertSearchService(sharded, cache_size=0)
-            batch = [queries[0], queries[1], queries[0]]
-            service.find_experts_batch(batch)
-            stats = service.stats
-            # with no cache the serial loop recomputes the duplicate
-            assert stats.cache_hits == 0
-            assert stats.cache_misses == 3
-            assert service.cached_results == 0
-        finally:
-            sharded.close_scatter_pool()
-
-    def test_batch_without_pool_stays_serial(self, sharded_pair):
-        sharded, _plain, queries = sharded_pair
-        service = ExpertSearchService(sharded)
-        service.find_experts_batch(queries)
-        assert service.stats.batch_parallelism == 0.0
-
-    def test_failed_pooled_batch_counts_nothing(self, sharded_pair):
-        sharded, _plain, queries = sharded_pair
-        sharded.start_scatter_pool()
-        try:
-            service = ExpertSearchService(sharded)
-            service.find_experts_batch(queries[:1])
-            with pytest.raises(ValueError):
-                service.find_experts_batch(
-                    [queries[0], queries[1], queries[2]], alpha=2.0
-                )
-            stats = service.stats
-            assert (stats.queries, stats.cache_hits, stats.cache_misses) == (1, 0, 1)
-        finally:
-            sharded.close_scatter_pool()
-
-
 class TestFailedQueries:
     """A call that raises answers nothing, so it counts as neither a
     query nor a cache miss: ``queries == cache_hits + cache_misses``
@@ -399,7 +313,6 @@ class TestStatsEdgeCases:
         assert stats.hit_rate == 0.0
         assert stats.p50_latency == 0.0
         assert stats.p95_latency == 0.0
-        assert stats.batch_parallelism == 0.0
 
     def test_latency_percentile_empty_and_bounds(self, service):
         assert service.latency_percentile(95) == 0.0

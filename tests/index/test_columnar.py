@@ -197,8 +197,6 @@ class TestEngineBehavior:
         for top_k in (-1, True, False, 1.5, "3"):
             with pytest.raises(ValueError, match="top_k"):
                 tiny_finder.find_experts(need, top_k=top_k)
-            with pytest.raises(ValueError, match="top_k"):
-                tiny_finder.find_experts_many([need], top_k=top_k)
         assert tiny_finder.find_experts(need, top_k=0) == []
 
     def test_compile_rejects_out_of_range_distance(self, analyzer):
@@ -333,29 +331,33 @@ class TestColumnarFold:
         assert (stats.segments, stats.buffered) == (2, 0)
         self._assert_ties_merge_on_doc_id(finder)
 
-    def test_scatter_pool_merges_ties_with_the_buffer(self, analyzer):
-        # two shard segments score in forked workers; the buffer's tied
-        # documents sort between and after theirs
+    def test_boundary_ties_split_across_segments_and_the_buffer(self, analyzer):
+        # tied documents whose ids interleave across three sources: the
+        # sealed base (a, d, g), a segment the observes seal at threshold
+        # 3 (b, e, h) and the write buffer (c, f)
         cands = [f"c{i}" for i in range(8)]
         finder = self._stream(
             analyzer,
-            [(f"tie-{x}", self._TIED, [(c, 1)]) for x, c in zip("aceg", cands)],
+            [(f"tie-{x}", self._TIED, [(c, 1)]) for x, c in zip("adg", cands)],
             cands,
-            shards=2,
+            seal_threshold=3,
+            compaction="manual",
         )
-        for x, c in zip("bdfh", cands[4:]):
+        for x, c in zip("behcf", cands[3:]):
             finder.observe(f"tie-{x}", self._TIED, [(c, 1)], language="en")
-        finder.start_scatter_pool()
-        try:
-            assert finder.segmented_index.scatter_pool is not None
-            assert finder.index_stats.shards == 2
-            self._assert_ties_merge_on_doc_id(finder)
-            needs = [self._TIED, "swimming", "race"]
-            assert finder.find_experts_many(needs, window=3) == [
-                oracle_experts(finder, need, window=3) for need in needs
-            ]
-        finally:
-            finder.close_scatter_pool()
+        segments = finder.segmented_index.iter_segments()
+        assert [segment.doc_ids for segment in segments] == [
+            ["tie-a", "tie-d", "tie-g"],
+            ["tie-b", "tie-e", "tie-h"],
+        ]
+        assert sorted(finder.segmented_index.write_buffer.evidence) == [
+            "tie-c", "tie-f"
+        ]
+        self._assert_ties_merge_on_doc_id(finder)
+        for need in (self._TIED, "swimming", "race"):
+            assert finder.find_experts(need, window=3) == (
+                oracle_experts(finder, need, window=3)
+            )
 
     @pytest.mark.parametrize("normalize", (False, True))
     def test_equal_totals_rank_on_candidate_id(self, analyzer, normalize):

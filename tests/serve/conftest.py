@@ -106,13 +106,12 @@ def stream_finder_factory(analyzer, stream_parts):
     """Build identical finders on demand (deterministic streams)."""
     candidates, resources, _ = stream_parts
 
-    def build(*, shards: int | None = None) -> ExpertFinder:
+    def build() -> ExpertFinder:
         return ExpertFinder.from_stream(
             candidates,
             iter(resources),
             analyzer,
             FinderConfig(window=None),
-            shards=shards,
         )
 
     return build

@@ -19,7 +19,7 @@ analyzer and ``FinderConfig()``:
 ``shards=2`` by the last release with candidate sharding (commit
 4ae4aed): ``shards.jsonl``, ``stats.bin``, ``evidence.bin`` and one
 ``shard-NNNN.bin`` per candidate shard. It is no longer readable either;
-loading it must fail with a pointer to ``repro index --shards``.
+loading it must fail with a pointer to ``repro index``.
 
 ``fixtures/v3-segmented-blocks`` was saved by the last release whose
 sealed segments carried block-max sections (commit 05e5625): a
@@ -31,8 +31,18 @@ in the write buffer), saved with ``FinderConfig()``. Each
 ``bid``/``bmax``/``blkoff``/``boff`` sections beside doc-sorted
 columns. It must load, rank exactly like the oracle over the same
 events, and re-save without any block section.
+
+``fixtures/v3-resource-sharded`` was saved by the last release with
+resource shards (commit 08ba235), from the same stream: a ``from_stream``
+cold build of the first 40 events with ``shards=2``, then the other six
+events observed in order (they stay in the write buffer), saved with
+``FinderConfig()``. Its two segments are the two shard segments, and its
+manifest header carries ``"shards": 2``. It must load as an ordinary
+two-segment index, rank exactly like the oracle, and re-save without the
+``shards`` key.
 """
 
+import json
 import pathlib
 import shutil
 
@@ -139,7 +149,7 @@ def test_flat_v2_snapshot_is_refused_with_a_rebuild_hint(analyzer, tmp_path):
 
 def test_candidate_sharded_snapshot_is_refused_with_a_rebuild_hint(analyzer, tmp_path):
     directory = _copy("legacy-v3-sharded", tmp_path)
-    with pytest.raises(StorageFormatError, match="repro index --shards 2") as err:
+    with pytest.raises(StorageFormatError, match="rebuild it with `repro index`$") as err:
         ExpertFinder.load(directory, analyzer)
     assert str(directory) in str(err.value)
 
@@ -168,8 +178,10 @@ def _block_sections(container):
 
 @pytest.fixture(scope="module")
 def grown(analyzer):
-    """The fixture's events built by the current code: the cold build,
-    then the same observes (the oracle ranks over it)."""
+    """The events of the block and the resource-sharded fixtures, built
+    by the current code: the cold build, then the same observes (the
+    oracle ranks over it; how a collection is segmented never moves a
+    ranking)."""
     finder = ExpertFinder.from_stream(
         _CANDIDATES, _BLOCK_EVENTS[:40], analyzer, FinderConfig(), seal_threshold=4
     )
@@ -211,6 +223,52 @@ def test_resave_of_a_block_generation_writes_no_block_section(
     reloaded = ExpertFinder.load(directory, analyzer)
     for need in _NEEDS:
         for window in _BLOCK_WINDOWS:
+            assert reloaded.find_experts(need, window=window) == (
+                oracle_experts(grown, need, window=window)
+            )
+
+
+# -- a generation whose manifest names shard segments --------------------------
+
+_SHARDED = "v3-resource-sharded"
+
+
+def _manifest_header(gen):
+    lines = (gen / "segments.jsonl").read_text().splitlines()
+    return json.loads(lines[1])
+
+
+def test_resource_sharded_generation_loads_as_segments(analyzer, grown, tmp_path):
+    directory = _copy(_SHARDED, tmp_path)
+    assert _manifest_header(directory / "gen-0000001")["shards"] == 2
+    loaded = ExpertFinder.load(directory, analyzer)
+    stats = loaded.index_stats
+    assert (stats.segments, stats.buffered) == (2, 6)
+    assert stats.documents == grown.index_stats.documents
+    assert dict(loaded.evidence_counts) == dict(grown.evidence_counts)
+    ranked = 0
+    for need in _NEEDS:
+        for window in WINDOWS:
+            expected = oracle_experts(grown, need, window=window)
+            assert loaded.find_experts(need, window=window) == expected
+            assert oracle_experts(loaded, need, window=window) == expected
+            ranked += bool(expected)
+    assert ranked
+
+
+def test_resave_of_a_resource_sharded_generation_drops_the_shards_key(
+    analyzer, grown, tmp_path
+):
+    directory = _copy(_SHARDED, tmp_path)
+    ExpertFinder.load(directory, analyzer).save(directory)
+    gen = directory / (directory / "CURRENT").read_text().splitlines()[1]
+    assert gen.name != "gen-0000001"
+    header = _manifest_header(gen)
+    assert header["type"] == "manifest" and "shards" not in header
+    reloaded = ExpertFinder.load(directory, analyzer)
+    assert reloaded.index_stats.segments == 2
+    for need in _NEEDS:
+        for window in WINDOWS:
             assert reloaded.find_experts(need, window=window) == (
                 oracle_experts(grown, need, window=window)
             )

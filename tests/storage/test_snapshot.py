@@ -16,7 +16,7 @@ from repro.index.inverted import InvertedIndex, Posting
 from repro.storage.jsonl import StorageFormatError
 from repro.storage.binary import MappedSections, write_sections
 from repro.storage.snapshot import SNAPSHOT_VERSION, load_finder, save_finder
-from tests.oracle import ORACLE, oracle_experts, ranked_on
+from tests.oracle import oracle_experts
 
 
 def _generation_dir(snapshot_dir):
@@ -391,7 +391,6 @@ class TestSegmentedRoundTrip:
         # the snapshot restores segments as they were — no silent merge
         before = segmented_finder.index_stats
         after = loaded_segmented.index_stats
-        assert after.shards == before.shards == 0
         assert after.segments == before.segments
         assert after.segment_docs == before.segment_docs
         assert after.buffered == before.buffered
@@ -609,228 +608,3 @@ class TestV3Lifecycle:
         for seg in segments:
             assert seg.term_index.document_count == seg.document_count
         assert all(seg._term_index is not None for seg in segments)
-
-# -- sharded snapshots ---------------------------------------------------------
-
-from repro.synthetic.stream import (  # noqa: E402
-    stream_candidates,
-    stream_queries,
-    stream_resources,
-)
-
-_SHARD_CANDS = stream_candidates(7)
-_SHARD_NEEDS = stream_queries(4, seed=23)
-
-
-def _build_sharded(analyzer, shards=3):
-    finder = _ExpertFinder.from_stream(
-        _SHARD_CANDS,
-        stream_resources(_SHARD_CANDS, 70, seed=23),
-        analyzer,
-        FinderConfig(window=None),
-        shards=shards,
-    )
-    # leave post-build streaming state behind too: one indexed observe
-    # and one language-cut (evidence-only) observe
-    finder.observe("post1", "a late freestyle swimming report", [(_SHARD_CANDS[0], 1)])
-    finder.observe(
-        "post2",
-        "questa e una bella giornata per nuotare in piscina",
-        [(_SHARD_CANDS[1], 1)],
-    )
-    return finder
-
-
-@pytest.fixture(scope="module")
-def sharded_finder(analyzer):
-    return _build_sharded(analyzer)
-
-
-@pytest.fixture(scope="module")
-def unsharded(analyzer):
-    """The unsharded build of the same stream and observes."""
-    return _build_sharded(analyzer, shards=None)
-
-
-@pytest.fixture(scope="module")
-def sharded_snapshot_dir(sharded_finder, tmp_path_factory):
-    directory = tmp_path_factory.mktemp("sharded") / "finder"
-    sharded_finder.save(directory)
-    return directory
-
-
-@pytest.fixture(scope="module")
-def loaded_sharded(sharded_snapshot_dir, analyzer):
-    return ExpertFinder.load(sharded_snapshot_dir, analyzer)
-
-
-def _shards_header(snapshot_dir):
-    manifest = _generation_dir(snapshot_dir) / "segments.jsonl"
-    records = [json.loads(line) for line in manifest.read_text().splitlines()[1:]]
-    return records[0]
-
-
-class TestShardedRoundTrip:
-    def test_layout(self, sharded_snapshot_dir, sharded_finder):
-        # a sharded snapshot is a segmented one whose manifest header
-        # says how many leading segments are shard segments
-        gen = _generation_dir(sharded_snapshot_dir)
-        names = {p.name for p in gen.iterdir()}
-        segments = sharded_finder.segmented_index.iter_segments()
-        assert names == {"meta.jsonl", "segments.jsonl", "buffer.bin"} | {
-            f"segment-{segment.segment_id:04d}.bin" for segment in segments
-        }
-        assert _shards_header(sharded_snapshot_dir)["shards"] == 3
-        assert '"index_mode":"segmented"' in (gen / "meta.jsonl").read_text()
-
-    def test_mode_and_shape_survive(self, loaded_sharded, sharded_finder):
-        loaded_stats = loaded_sharded.index_stats
-        built_stats = sharded_finder.index_stats
-        assert loaded_stats.shards == built_stats.shards == 3
-        assert loaded_stats.segment_docs == built_stats.segment_docs
-        assert loaded_stats.documents == built_stats.documents
-        assert loaded_stats.buffered == built_stats.buffered
-        assert (
-            loaded_sharded.indexed_resources == sharded_finder.indexed_resources
-        )
-
-    @pytest.mark.parametrize("engine", ("columnar", ORACLE))
-    def test_rankings_survive(self, loaded_sharded, unsharded, engine):
-        for need in _SHARD_NEEDS:
-            for window in (5, None, 0.5):
-                assert ranked_on(loaded_sharded, engine, need, window=window) == (
-                    oracle_experts(unsharded, need, window=window)
-                )
-
-    def test_scatter_pool_over_mapped_shards(self, loaded_sharded, sharded_finder):
-        executor = loaded_sharded.start_scatter_pool()
-        try:
-            assert executor.worker_count == 3
-            for need in _SHARD_NEEDS:
-                assert loaded_sharded.find_experts(need, window=6) == (
-                    sharded_finder.find_experts(need, window=6)
-                )
-        finally:
-            loaded_sharded.close_scatter_pool()
-
-    def test_observe_after_load_reaches_restarted_pool(
-        self, sharded_snapshot_dir, analyzer
-    ):
-        loaded = ExpertFinder.load(sharded_snapshot_dir, analyzer)
-        reference = ExpertFinder.load(sharded_snapshot_dir, analyzer)
-        loaded.observe("late1", "one more gold medal race recap",
-                       [(_SHARD_CANDS[2], 1)])
-        reference.observe("late1", "one more gold medal race recap",
-                          [(_SHARD_CANDS[2], 1)])
-        loaded.start_scatter_pool()
-        try:
-            # the post-load observe sits in the coordinator's buffer,
-            # which the coordinator scores beside the workers
-            for need in _SHARD_NEEDS:
-                assert loaded.find_experts(need, window=6) == (
-                    reference.find_experts(need, window=6)
-                )
-            # a restarted pool forks the shard segments again
-            loaded.close_scatter_pool()
-            loaded.start_scatter_pool()
-            for need in _SHARD_NEEDS:
-                assert loaded.find_experts(need, window=6) == (
-                    reference.find_experts(need, window=6)
-                )
-        finally:
-            loaded.close_scatter_pool()
-
-    def test_pool_starts_after_a_resave_prunes_the_loaded_generation(
-        self, analyzer, tmp_path
-    ):
-        finder = _build_sharded(analyzer, shards=2)
-        directory = tmp_path / "live"
-        finder.save(directory)
-        loaded = ExpertFinder.load(directory, analyzer)
-        serial = [loaded.find_experts(need, window=6) for need in _SHARD_NEEDS]
-        # a rebuild into the served directory (`repro index --out` the
-        # same dir) prunes the generation `loaded` has mapped
-        first_gen = _generation_dir(directory)
-        finder.save(directory)
-        assert not first_gen.exists()
-        loaded.start_scatter_pool()
-        try:
-            assert loaded.find_experts_many(_SHARD_NEEDS, window=6) == serial
-        finally:
-            loaded.close_scatter_pool()
-
-    def test_resave_roundtrip(self, loaded_sharded, sharded_finder, tmp_path, analyzer):
-        directory = tmp_path / "resave"
-        loaded_sharded.save(directory)
-        assert _shards_header(directory)["shards"] == 3
-        again = ExpertFinder.load(directory, analyzer)
-        assert again.index_stats == sharded_finder.index_stats
-        for need in _SHARD_NEEDS:
-            assert again.find_experts(need) == sharded_finder.find_experts(need)
-
-    def test_compacted_resave_keeps_shard_segments(self, tmp_path, analyzer):
-        finder = _build_sharded(analyzer)
-        finder.segmented_index.seal()
-        finder.observe("post3", "freestyle relay heats", [(_SHARD_CANDS[3], 2)])
-        assert finder.segmented_index.compact(full=True) == 1
-        directory = tmp_path / "compacted"
-        finder.save(directory)
-        loaded = ExpertFinder.load(directory, analyzer)
-        stats = loaded.index_stats
-        assert (stats.shards, stats.segments, stats.buffered) == (3, 4, 0)
-        for need in _SHARD_NEEDS:
-            assert loaded.find_experts(need) == finder.find_experts(need)
-
-    def test_unsharded_header_has_no_shard_count(self, segmented_snapshot_dir):
-        assert "shards" not in _shards_header(segmented_snapshot_dir)
-
-
-class TestShardedFormatGuards:
-    @pytest.fixture
-    def broken_dir(self, sharded_finder, tmp_path):
-        directory = tmp_path / "broken"
-        sharded_finder.save(directory)
-        return directory
-
-    def test_manifest_shard_count_mismatch(self, broken_dir, analyzer):
-        # more shard segments than the manifest lists segments
-        _edit_manifest(
-            _generation_dir(broken_dir) / "segments.jsonl",
-            lambda records: [
-                {**r, "shards": r["segments"] + 1} if r["type"] == "manifest" else r
-                for r in records
-            ],
-        )
-        with pytest.raises(StorageFormatError, match="shard count"):
-            load_finder(broken_dir, analyzer)
-
-    def test_missing_shard_file(self, broken_dir, analyzer):
-        (_generation_dir(broken_dir) / "segment-0001.bin").unlink()
-        with pytest.raises(StorageFormatError, match="missing"):
-            load_finder(broken_dir, analyzer)
-
-    def test_meta_invalid_shard_count(self, broken_dir, analyzer):
-        for bad in (-1, "2", True):
-            _edit_manifest(
-                _generation_dir(broken_dir) / "segments.jsonl",
-                lambda records: [
-                    {**r, "shards": bad} if r["type"] == "manifest" else r
-                    for r in records
-                ],
-            )
-            with pytest.raises(StorageFormatError, match="shard count"):
-                load_finder(broken_dir, analyzer)
-
-    def test_stats_document_count_cross_checked(self, broken_dir, analyzer):
-        # the shard segments' document count is checked against the meta
-        _edit_manifest(
-            _generation_dir(broken_dir) / "meta.jsonl",
-            lambda records: [
-                {**r, "indexed": r["indexed"] + 1}
-                if r["type"] == "counts"
-                else r
-                for r in records
-            ],
-        )
-        with pytest.raises(StorageFormatError, match="indexed document"):
-            load_finder(broken_dir, analyzer)

@@ -55,6 +55,9 @@ class TestParser:
             ("serve", "--engine", "columnar"),
             ("serve-bench", "--engine", "columnar"),
             ("index", "--out", "never-written", "--block-span", "32"),
+            ("index", "--out", "never-written", "--shards", "2"),
+            ("serve-bench", "--shards", "2"),
+            ("serve", "--shards", "2"),
         ),
     )
     def test_removed_query_path_options_exit_2(self, argv, capsys):
@@ -245,51 +248,12 @@ class TestSegmentedCommands:
             ) == code
             assert capsys.readouterr().out == grown_out
 
-    def test_compact_keeps_shard_segments(self, tmp_path, capsys, tiny_dataset):
-        from repro.core.expert_finder import ExpertFinder
-
-        snap = tmp_path / "sharded"
-        assert main(
-            ["index", "--scale", "tiny", "--shards", "2", "--out", str(snap)]
-        ) == 0
-        assert "shards: the first 2 segments" in capsys.readouterr().out
-
-        # grow the sharded snapshot by a sealed segment and a buffered tail
-        finder = ExpertFinder.load(snap, tiny_dataset.analyzer)
-        candidate = next(iter(finder.evidence_counts))
-        finder.observe("cli:s1", "a zorpify gadget review", [(candidate, 1)])
-        finder.segmented_index.seal()
-        finder.observe("cli:s2", "a zorpify gadget deep dive", [(candidate, 1)])
-        grown = tmp_path / "grown"
-        finder.save(grown)
-
-        optimized = tmp_path / "optimized"
-        assert main(
-            ["index", "--scale", "tiny", "--snapshot", str(grown),
-             "--compact", "--out", str(optimized)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "compacted 3 segment(s) + 1 buffered resource(s) → 3 segment(s)" in out
-        assert "shards: the first 2 segments" in out
-        for need in ("zorpify gadget", "best freestyle swimmer"):
-            code = main(
-                ["query", need, "--scale", "tiny", "--snapshot", str(grown)]
-            )
-            grown_out = capsys.readouterr().out
-            assert main(
-                ["query", need, "--scale", "tiny", "--snapshot", str(optimized)]
-            ) == code
-            assert capsys.readouterr().out == grown_out
-
 
 _COUNT_FLAGS = [
-    ("index", "--shards"),
     ("index", "--seal-threshold"),
     ("index", "--workers"),
     ("index", "--chunk-size"),
-    ("serve-bench", "--shards"),
     ("serve-bench", "--seal-threshold"),
-    ("serve", "--shards"),
 ]
 
 
@@ -320,17 +284,15 @@ def _run_cli(*argv):
     )
 
 
-@pytest.fixture(scope="module", params=[None, 2], ids=["segmented", "sharded"])
-def inspected_snapshot(request, tmp_path_factory):
-    """A segmented snapshot with a sealed segment and a buffered tail,
-    and a 2-shard one."""
+@pytest.fixture(scope="module", params=["segmented"])
+def inspected_snapshot(tmp_path_factory):
+    """A segmented snapshot with a sealed segment and a buffered tail."""
     candidates = stream_candidates(5)
     finder = ExpertFinder.from_stream(
         candidates,
         stream_resources(candidates, 40, seed=7),
         default_analyzer(),
         FinderConfig(),
-        shards=request.param,
     )
     finder.observe(
         "late:1", "open water swimming race report", [(candidates[0], 1)],
