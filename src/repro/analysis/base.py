@@ -31,7 +31,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .findings import Finding
 
@@ -151,22 +151,3 @@ class Checker:
             rule=self.rule,
             message=message,
         )
-
-
-def walk_functions(
-    tree: ast.Module,
-) -> Iterable[tuple[ast.AST, tuple[str, ...]]]:
-    """Yield ``(node, enclosing function-name stack)`` for every node,
-    innermost function last; module-level nodes carry an empty stack."""
-
-    def visit(node: ast.AST, stack: tuple[str, ...]) -> Iterator[tuple[ast.AST, tuple[str, ...]]]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield child, stack
-                yield from visit(child, (*stack, child.name))
-            else:
-                yield child, stack
-                yield from visit(child, stack)
-
-    yield tree, ()
-    yield from visit(tree, ())

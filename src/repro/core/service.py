@@ -21,7 +21,8 @@ finder with
 The service is deliberately synchronous and process-local — it is the
 unit a distributed tier would replicate, not that tier itself. It
 *is* safe to call from several threads (the HTTP gateway in
-:mod:`repro.serve` drives one service from an executor pool): a single
+:mod:`repro.serve` ranks single queries on its event-loop thread and
+runs its other work on executor threads): a single
 re-entrant lock serializes every query, observe, and invalidation, so
 an observe can never interleave with a query's cache fill and leave a
 stale ranking behind. The lock deliberately also covers the finder

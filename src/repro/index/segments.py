@@ -1081,10 +1081,6 @@ class SegmentedIndex:
         return self._seal_threshold
 
     @property
-    def compaction_mode(self) -> str:
-        return self._compaction
-
-    @property
     def fanout(self) -> int:
         return self._fanout
 

@@ -40,7 +40,9 @@ class GatewayConfig:
     max_body_bytes: int = 1 << 20
     #: cumulative request-header bytes beyond this answer 431
     max_header_bytes: int = 16384
-    #: idle keep-alive connections are closed after this many seconds
+    #: a connection is closed when its next request has not fully
+    #: arrived this many seconds after the connect or the last answer
+    #: (an idle keep-alive, or a read stalled mid-request)
     idle_timeout: float = 30.0
     #: upper bound on needs per batch request
     max_batch_needs: int = 256

@@ -19,7 +19,6 @@ benchmarks pass.
 from __future__ import annotations
 
 import asyncio
-import time
 from collections.abc import Callable
 
 from repro.core.expert_finder import ExpertFinder
@@ -39,7 +38,7 @@ def build_service(
 class Generation:
     """One serving generation: a loaded service and where it came from."""
 
-    __slots__ = ("service", "number", "label", "loaded_at")
+    __slots__ = ("service", "number", "label")
 
     def __init__(
         self, service: ExpertSearchService, number: int, label: str | None
@@ -49,7 +48,6 @@ class Generation:
         #: the snapshot generation directory this service came from
         #: (None for built-in-process finders)
         self.label = label
-        self.loaded_at = time.time()
 
 
 class HotReloader:

@@ -191,15 +191,26 @@ def opt_str(payload: Mapping[str, Any], name: str) -> str | None:
     return value
 
 
-def opt_positive_int(payload: Mapping[str, Any], name: str) -> int | None:
+def _opt_int(
+    payload: Mapping[str, Any], name: str, minimum: int, kind: str
+) -> int | None:
     value = payload.get(name)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise HttpError(
-            400, "invalid_field", f"{name} must be a positive integer"
+            400, "invalid_field", f"{name} must be a {kind} integer"
         )
     return value
+
+
+def opt_positive_int(payload: Mapping[str, Any], name: str) -> int | None:
+    return _opt_int(payload, name, 1, "positive")
+
+
+def opt_nonnegative_int(payload: Mapping[str, Any], name: str) -> int | None:
+    """An optional integer >= 0 (seeds, whose default is 0)."""
+    return _opt_int(payload, name, 0, "non-negative")
 
 
 def opt_unit_float(payload: Mapping[str, Any], name: str) -> float | None:

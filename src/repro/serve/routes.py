@@ -18,9 +18,19 @@ Every workload the repo can serve, reachable over a socket:
 ``POST /admin/reload``    load the snapshot's next generation and swap
 ========================  ======================================================
 
-Handlers run finder/crowd compute in the event loop's executor so the
-loop keeps accepting connections; each request captures its generation
-first, which is what lets a concurrent reload swap without tearing it.
+``/v1/query`` ranks inline, on the event-loop thread: one need's p50 is
+about 1.4 ms even at 100,000 resources, and the service's one
+lock serializes every query anyway, so a hop to an executor thread
+would only add two thread switches to each answer. Inline, a query may
+wait on that lock for one executor-side batch need or observe, as
+``/v1/metrics`` does when it reads the service's stats. Batch (up to
+``max_batch_needs`` rankings), observe (a seal with compaction can take
+tens of milliseconds) and the crowd endpoints (a planner on top of one
+or more rankings) run in the executor (:func:`_compute`): their cost
+grows with the request, and inline they would hold up ``/healthz``,
+``/readyz`` and every other connection. Each request captures its
+generation first, which is what lets a concurrent reload swap without
+tearing it.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ from repro.serve.router import (
     Request,
     Response,
     Router,
+    opt_nonnegative_int,
     opt_number,
     opt_positive_int,
     opt_str,
@@ -107,9 +118,11 @@ def _ranking_params(
 
 
 async def _compute(fn: Callable[[], T]) -> T:
-    """Run blocking finder/crowd work in the executor. *fn* holds the
-    service of the generation its request captured, so a reload
-    meanwhile never tears the request."""
+    """Run finder/crowd work whose cost grows with the request (batch,
+    observe, crowd) in the executor, so the loop keeps answering probes
+    and other connections meanwhile. *fn* holds the service of the
+    generation its request captured, so a reload meanwhile never tears
+    the request."""
     return await asyncio.get_running_loop().run_in_executor(None, fn)
 
 
@@ -141,9 +154,7 @@ def build_router(app: "ServeApp") -> Router:
         reject_unknown_fields(payload, ("need", "top_k", "alpha", "window"))
         need = require_str(payload, "need")
         params = _ranking_params(payload)
-        experts = await _compute(
-            functools.partial(generation.service.find_experts, need, **params),
-        )
+        experts = generation.service.find_experts(need, **params)
         return Response(
             200,
             {
@@ -256,7 +267,7 @@ def build_router(app: "ServeApp") -> Router:
         top_k = opt_positive_int(payload, "top_k") or 5
         wave_size = opt_positive_int(payload, "wave_size") or 2
         target = opt_unit_float(payload, "target_probability")
-        seed = opt_positive_int(payload, "seed") or 0
+        seed = opt_nonnegative_int(payload, "seed") or 0
 
         def plan_route() -> dict[str, Any]:
             ranked = generation.service.find_experts(need, top_k=top_k)

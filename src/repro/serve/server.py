@@ -5,8 +5,9 @@ framework. The parser is deliberately strict and bounded: request line
 + headers under ``max_header_bytes`` (431 beyond), bodies under
 ``max_body_bytes`` (413 beyond), ``Content-Length`` only (chunked
 requests get 501 — no gateway client needs them), keep-alive per
-HTTP/1.1 defaults with an idle timeout. Responses always carry
-``Content-Length`` and a JSON body.
+HTTP/1.1 defaults with an idle timeout that bounds each request's read
+(an ``asyncio.timeout`` scope, so a read spawns no extra task).
+Responses always carry ``Content-Length`` and a JSON body.
 
 Graceful shutdown: stop accepting, let in-flight requests finish (up to
 ``shutdown_grace`` seconds), then cancel lingering keep-alive readers
@@ -93,12 +94,10 @@ class GatewayServer:
         try:
             while not self._closing:
                 try:
-                    request = await asyncio.wait_for(
-                        self._read_request(reader, peer),
-                        timeout=self.app.config.idle_timeout,
-                    )
+                    async with asyncio.timeout(self.app.config.idle_timeout):
+                        request = await self._read_request(reader, peer)
                 except (
-                    asyncio.TimeoutError,
+                    TimeoutError,
                     asyncio.IncompleteReadError,
                     ConnectionError,
                 ):

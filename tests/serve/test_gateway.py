@@ -3,11 +3,15 @@
 Covers the acceptance bar for the serving layer: responses byte-
 identical to in-process ``find_experts``, readiness gating, hot reload under concurrent load with zero
 failed or torn responses, per-client throttling with ``Retry-After``,
-and the strict wire-level bounds of the hand-rolled HTTP parser.
+probes that answer while long work computes, the keep-alive idle
+timeout, and the strict wire-level bounds of the hand-rolled HTTP
+parser.
 """
 
 from __future__ import annotations
 
+import asyncio
+import http.client
 import socket
 import threading
 import time
@@ -298,6 +302,171 @@ class TestHotReload:
             assert body["error"]["code"] == "not_reloadable"
 
 
+def _park(
+    monkeypatch, target: object, method: str
+) -> tuple[threading.Event, threading.Event]:
+    """Wrap *target*'s *method* so that each call parks until released.
+
+    Returns ``(entered, release)``: *entered* is set once a call is
+    parked, and setting *release* lets it go on to the real method."""
+    entered = threading.Event()
+    release = threading.Event()
+    original = getattr(target, method)
+
+    def parked(*args, **kwargs):
+        entered.set()
+        if not release.wait(30.0):
+            raise RuntimeError("the test never released the parked call")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(target, method, parked)
+    return entered, release
+
+
+class TestLoopLiveness:
+    """Work that grows with the request runs in the executor, so the
+    event loop keeps answering probes while it computes; a single query
+    ranks inline on the loop thread."""
+
+    PARKED = [
+        ("/v1/query/batch", "find_experts_batch", None),
+        (
+            "/v1/observe",
+            "observe",
+            {
+                "node_id": "s:parked:1",
+                "text": "freestyle swimming relay final",
+                "supporters": [["alice", 1]],
+            },
+        ),
+        ("/v1/crowd/route", "find_experts", {"need": "freestyle swimming"}),
+        ("/v1/crowd/jury", "find_experts", {"need": "freestyle swimming"}),
+        ("/v1/crowd/team", "find_experts", {"skills": ["swimming"]}),
+    ]
+
+    @pytest.mark.parametrize(
+        "path,method,payload", PARKED, ids=[case[0] for case in PARKED]
+    )
+    def test_probes_answer_while_work_is_parked(
+        self, gateway, monkeypatch, path, method, payload
+    ):
+        if payload is None:  # the largest batch a request may carry
+            payload = {
+                "needs": ["freestyle swimming"]
+                * gateway.app.config.max_batch_needs
+            }
+        service = gateway.app.reloader.require_current().service
+        entered, release = _park(monkeypatch, service, method)
+        outcome: dict[str, int] = {}
+
+        def send() -> None:
+            outcome["status"] = gateway.request("POST", path, payload)[0]
+
+        sender = threading.Thread(target=send)
+        sender.start()
+        try:
+            assert entered.wait(10.0), f"{path} never reached the service"
+            for probe in ("/healthz", "/readyz"):
+                conn = http.client.HTTPConnection(
+                    gateway.host, gateway.port, timeout=2.0
+                )
+                started = time.monotonic()
+                try:
+                    status, _, _ = gateway.request("GET", probe, conn=conn)
+                finally:
+                    conn.close()
+                assert status == 200
+                assert time.monotonic() - started < 2.0
+        finally:
+            release.set()
+            sender.join(30.0)
+        assert not sender.is_alive()
+        assert outcome["status"] == 200
+
+    def test_single_query_ranks_on_the_loop_thread(self, gateway, monkeypatch):
+        service = gateway.app.reloader.require_current().service
+        original = service.find_experts
+        loops: list[asyncio.AbstractEventLoop | None] = []
+
+        def recording(*args, **kwargs):
+            try:
+                loops.append(asyncio.get_running_loop())
+            except RuntimeError:  # an executor thread runs no loop
+                loops.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(service, "find_experts", recording)
+        status, _, body = gateway.request(
+            "POST", "/v1/query", {"need": "freestyle swimming"}
+        )
+        assert status == 200
+        assert body["experts"]
+        assert len(loops) == 1
+        assert loops[0] is not None, "find_experts ran off the event loop"
+
+
+def _read_until_closed(sock: socket.socket, limit: float) -> bytes:
+    """Everything the server sends until it closes *sock*; raises
+    ``TimeoutError`` if it is still open after *limit* seconds."""
+    deadline = time.monotonic() + limit
+    chunks = []
+    while True:
+        sock.settimeout(max(deadline - time.monotonic(), 0.001))
+        chunk = sock.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+class TestIdleTimeout:
+    """``GatewayConfig.idle_timeout`` bounds each request read, not the
+    life of a keep-alive connection."""
+
+    @pytest.fixture
+    def quick(self, hand_source):
+        harness = GatewayHarness(
+            hand_source,
+            config=GatewayConfig(rate_limit=None, idle_timeout=0.2),
+        )
+        with harness:
+            yield harness
+
+    def test_idle_keep_alive_connection_is_closed(self, quick):
+        with socket.create_connection((quick.host, quick.port)) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nhost: gateway\r\n\r\n")
+            raw = _read_until_closed(sock, 2.0)
+        assert raw.startswith(b"HTTP/1.1 200")
+        assert b"connection: keep-alive" in raw
+
+    def test_stalled_headers_are_closed(self, quick):
+        with socket.create_connection((quick.host, quick.port)) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nhost: gateway\r\n")
+            assert _read_until_closed(sock, 2.0) == b""
+
+    def test_steady_requests_keep_the_connection(self, quick):
+        conn = quick.connection()
+        try:
+            statuses = []
+            sock = None
+            for i in range(12):  # 0.6 s in all, three idle timeouts
+                if i % 2:
+                    status, _, _ = quick.request(
+                        "POST", "/v1/query", {"need": "swimming"}, conn=conn
+                    )
+                else:
+                    status, _, _ = quick.request("GET", "/healthz", conn=conn)
+                statuses.append(status)
+                if sock is None:
+                    sock = conn.sock
+                # http.client reconnects silently: the same socket shows
+                # that the server never closed this connection
+                assert conn.sock is sock
+                time.sleep(0.05)
+        finally:
+            conn.close()
+        assert statuses == [200] * 12
+
+
 class TestWireProtocol:
     def test_malformed_request_line(self, gateway):
         raw = _raw(gateway, b"GARBAGE\r\n\r\n")
@@ -456,6 +625,28 @@ class TestEndpointErrors:
         )
         assert status == 400
         assert "telepathy" in body["error"]["message"]
+
+    def test_crowd_route_seed_zero_is_the_default(self, gateway):
+        status, _, omitted = gateway.request(
+            "POST", "/v1/crowd/route", {"need": "freestyle swimming"}
+        )
+        assert status == 200
+        status, _, zero = gateway.request(
+            "POST",
+            "/v1/crowd/route",
+            {"need": "freestyle swimming", "seed": 0},
+        )
+        assert (status, zero) == (200, omitted)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    def test_crowd_route_rejects_bad_seed(self, gateway, seed):
+        status, _, body = gateway.request(
+            "POST",
+            "/v1/crowd/route",
+            {"need": "freestyle swimming", "seed": seed},
+        )
+        assert (status, body["error"]["code"]) == (400, "invalid_field")
+        assert "non-negative" in body["error"]["message"]
 
     def test_crowd_route_no_experts_404(self, gateway):
         status, _, body = gateway.request(

@@ -13,6 +13,7 @@ from repro.serve.router import (
     Request,
     Response,
     Router,
+    opt_nonnegative_int,
     opt_number,
     opt_positive_int,
     opt_str,
@@ -143,6 +144,17 @@ class TestValidators:
     def test_opt_positive_int_accepts(self):
         assert opt_positive_int({}, "top_k") is None
         assert opt_positive_int({"top_k": 4}, "top_k") == 4
+
+    @pytest.mark.parametrize("value", [-1, 0.0, 1.5, True, False, "0"])
+    def test_opt_nonnegative_int_rejects(self, value):
+        with pytest.raises(HttpError) as exc:
+            opt_nonnegative_int({"seed": value}, "seed")
+        assert exc.value.message == "seed must be a non-negative integer"
+
+    def test_opt_nonnegative_int_accepts_zero(self):
+        assert opt_nonnegative_int({}, "seed") is None
+        assert opt_nonnegative_int({"seed": 0}, "seed") == 0
+        assert opt_nonnegative_int({"seed": 9}, "seed") == 9
 
     @pytest.mark.parametrize("value", [-0.1, 1.1, True, "0.5"])
     def test_opt_unit_float_rejects(self, value):
