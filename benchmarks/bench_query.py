@@ -33,6 +33,7 @@ from repro.core.config import FinderConfig
 from repro.core.ranking import ExpertRanker
 from repro.core.service import ExpertSearchService
 from repro.index.vsm import VectorSpaceRetriever
+from tests.oracle import merged_slice
 
 #: timed service-level passes over the query set (every pass uncached)
 _ROUNDS = 15
@@ -62,12 +63,12 @@ def bench_query(ctx, save_result, save_json):
     # None windows they do not
     windows = (_WINDOW, 5, 1000, 0.25, None)
     config = finder.config
-    term_index, entity_index, _evidence = finder.segmented_index.merged_slice()
+    term_index, entity_index, evidence = merged_slice(finder.segmented_index)
     retriever = VectorSpaceRetriever(
         term_index, entity_index, idf_exponent=config.idf_exponent
     )
     oracle = [
-        ExpertRanker(finder.evidence_of, config.with_(window=window)).rank(
+        ExpertRanker(evidence, config.with_(window=window)).rank(
             retriever.retrieve(query, config.alpha)
         )
         for query in analyzed
@@ -110,7 +111,7 @@ def bench_query(ctx, save_result, save_json):
 
     engine = {}
     for window in _ENGINE_WINDOWS:
-        ranker = ExpertRanker(finder.evidence_of, config.with_(window=window))
+        ranker = ExpertRanker(evidence, config.with_(window=window))
         best_kernel = best_oracle = float("inf")
         for _ in range(_ENGINE_ROUNDS):
             best_kernel = min(best_kernel, kernel_pass(window))

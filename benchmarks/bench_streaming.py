@@ -25,6 +25,7 @@ from repro.core.expert_finder import ExpertFinder
 from repro.core.ranking import ExpertRanker
 from repro.core.service import ExpertSearchService, percentile
 from repro.index.vsm import VectorSpaceRetriever
+from tests.oracle import merged_slice
 
 #: streamed resources (every 5th is Italian → evidence-only)
 _EVENTS = 40
@@ -61,7 +62,6 @@ def bench_streaming(ctx, save_result, save_json):
         dataset.analyzer.analyze("__query__", need.text, language="en")
         for need in queries
     ]
-    ranker = ExpertRanker(collection.evidence_of, config)
 
     events = []
     for i in range(_EVENTS):
@@ -96,12 +96,11 @@ def bench_streaming(ctx, save_result, save_json):
         # the streamed segments must rank like the oracle rebuilt cold
         # from the merged collection, bit for bit
         collection.observe(rid, text, supporters, language=language)
-        term_index, entity_index, _evidence = (
-            collection.segmented_index.merged_slice()
-        )
+        term_index, entity_index, evidence = merged_slice(collection.segmented_index)
         retriever = VectorSpaceRetriever(
             term_index, entity_index, idf_exponent=config.idf_exponent
         )
+        ranker = ExpertRanker(evidence, config)
         for check, query in zip(queries, analyzed):
             expected = ranker.rank(retriever.retrieve(query, config.alpha))
             assert streamed.find_experts(check) == expected, (

@@ -7,7 +7,7 @@ through such a view corrupts the snapshot for every process mapping it
 — the crash-safety story (generational ``CURRENT`` swaps) assumes
 sealed files never change. Similarly, a ``Segment``'s compiled columns
 are the immutable query-time truth; mutating them outside the
-sanctioned construction/hydrate paths changes every later score.
+sanctioned construction paths changes every later score.
 
 Two sub-rules:
 
@@ -19,7 +19,7 @@ Two sub-rules:
   those;
 * **column mutation** (``repro.index`` only): the compiled column
   attributes (``_term_cols``, ``_entity_cols``, ``_evidence_cols``) may
-  only be written inside the sanctioned construction and hydrate paths
+  only be written inside the sanctioned construction paths
   (``__init__``, ``from_columns``, …). The evidence columns hold mapped
   views too, and the Eq. 3 fold gathers every ranking's rows from them.
 """
@@ -61,7 +61,6 @@ _SANCTIONED_COLUMN_WRITERS = {
     "__init__",
     "from_columns",
     "restore_compiled",
-    "_run_hydrate",
 }
 _DICT_MUTATORS = {"update", "clear", "pop", "popitem", "setdefault"}
 
@@ -170,7 +169,7 @@ class _Scope(ast.NodeVisitor):
                 self._flag(
                     target,
                     f"compiled column attribute .{_attr_name(target)} is "
-                    "assigned outside the sanctioned compile/hydrate paths",
+                    "assigned outside the sanctioned construction paths",
                 )
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
@@ -190,7 +189,7 @@ class _Scope(ast.NodeVisitor):
             self._flag(
                 node.target,
                 f"compiled column attribute .{node.target.attr} is "
-                "assigned outside the sanctioned compile/hydrate paths",
+                "assigned outside the sanctioned construction paths",
             )
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
@@ -225,7 +224,7 @@ class _Scope(ast.NodeVisitor):
                 target,
                 f"item write into compiled column attribute "
                 f".{_attr_name(base) or '<alias>'} outside the sanctioned "
-                "compile/hydrate paths",
+                "construction paths",
             )
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -248,7 +247,7 @@ class _Scope(ast.NodeVisitor):
                 node,
                 f".{func.attr}() mutates compiled column attribute "
                 f".{_attr_name(func.value) or '<alias>'} outside the "
-                "sanctioned compile/hydrate paths",
+                "sanctioned construction paths",
             )
 
     def visit_With(self, node: ast.With) -> None:
@@ -264,7 +263,7 @@ class MmapDisciplineChecker(Checker):
     rule = "mmap-discipline"
     description = (
         "no writes through mapped-section views; compiled columns only "
-        "mutate inside sanctioned construction/hydrate paths"
+        "mutate inside sanctioned construction paths"
     )
     scope = None
 

@@ -1,10 +1,10 @@
 """``section-registry`` — layout names come from one module.
 
 The v3 snapshot layout is a contract between independent writer and
-reader paths (segmented, legacy monolithic; plus migration
-and pruning). A section or file name spelled ad hoc in one of them —
-``"term#of"`` for ``"term#off"`` — produces a snapshot the reader
-rejects, or silently pairs a column with the wrong offsets. All names
+reader paths (segment and buffer containers, manifests, pruning). A
+section or file name spelled ad hoc in one of them — ``"term#of"`` for
+``"term#off"`` — produces a snapshot the reader rejects, or silently
+pairs a column with the wrong offsets. All names
 therefore live in :mod:`repro.storage.sections`, and this rule flags,
 inside the storage/index/core packages:
 

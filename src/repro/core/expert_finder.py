@@ -58,7 +58,6 @@ class ExpertFinder:
     def __init__(
         self,
         analyzer: ResourceAnalyzer,
-        evidence_of: Mapping[str, Sequence[tuple[str, int]]],
         config: FinderConfig,
         *,
         evidence_counts: Mapping[str, int],
@@ -67,7 +66,6 @@ class ExpertFinder:
     ):
         self._analyzer = analyzer
         self._index = segmented
-        self._evidence_of = evidence_of
         self._config = config
         self._evidence_counts = dict(evidence_counts)
         self._indexed_count = indexed_count
@@ -323,8 +321,10 @@ class ExpertFinder:
         seal_threshold: int | None,
         compaction: str,
     ) -> "ExpertFinder":
-        """Wrap built indexes in a segmented index — the shared tail of
-        :meth:`build` and :meth:`from_stream`."""
+        """Compile built indexes into a segmented index — the shared tail
+        of :meth:`build` and :meth:`from_stream`. The finder keeps only
+        the compiled columns, not *term_index*, *entity_index* or
+        *evidence_of*."""
         from repro.index.segments import DEFAULT_SEAL_THRESHOLD, SegmentedIndex
 
         segmented = SegmentedIndex.from_built(
@@ -339,7 +339,6 @@ class ExpertFinder:
         )
         return cls(
             analyzer,
-            evidence_of,
             config,
             evidence_counts=evidence_counts,
             indexed_count=indexed_count,
@@ -387,8 +386,10 @@ class ExpertFinder:
 
     @property
     def evidence_of(self) -> Mapping[str, Sequence[tuple[str, int]]]:
-        """Read-only view of the resource → supporters relation."""
-        return MappingProxyType(self._evidence_of)
+        """Read-only view of the resource → supporters relation, decoded
+        from the index's evidence columns on each call and never kept
+        (tests and tooling; queries read the columns)."""
+        return MappingProxyType(dict(self._index.evidence()))
 
     @property
     def evidence_counts(self) -> Mapping[str, int]:
@@ -443,13 +444,12 @@ class ExpertFinder:
                 )
             if candidate_id not in self._evidence_counts:
                 raise KeyError(f"unknown candidate {candidate_id!r}")
-        if node_id in self._evidence_of:
+        if node_id in self._index:
             raise ValueError(f"resource {node_id!r} already observed")
 
         analyzed = self._analyzer.analyze(node_id, text, language=language)
         indexed = analyzed.language in _INDEXABLE_LANGUAGES
         self._index.add(analyzed, supporters, index=indexed)
-        self._evidence_of[node_id] = list(supporters)
         for candidate_id, _ in supporters:
             self._evidence_counts[candidate_id] += 1
         if indexed:

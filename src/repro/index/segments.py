@@ -9,15 +9,21 @@ empty write buffer. The pieces:
   Eq. 3 evidence rows) land in a small mutable :class:`_WriteBuffer`,
   scored with plain dict walks; an ``observe`` touches nothing else;
 * **sealed segments** — when the buffer reaches ``seal_threshold``
-  resources it seals into an immutable :class:`Segment` whose postings
-  are compiled once into numpy columns (interned doc indexes in
-  sorted-id order, raw ``tf`` / ``ef`` / ``we`` columns) and never
-  touched again; a loaded segment's columns are read-only views over
-  the mapped snapshot;
-* **tiered compaction** — segments of the same size tier are merged
-  (reusing :meth:`InvertedIndex.merge` / :meth:`EntityIndex.merge`, which
-  preserve postings order) either synchronously after a seal or only on
-  explicit :meth:`SegmentedIndex.compact`.
+  resources it seals into an immutable :class:`Segment` that holds
+  columns only, never touched again: the sorted doc-id table, each
+  term's ``(doc, tf)`` and each entity's ``(doc, ef, we, ds)`` postings
+  as one CSR per group (doc indexes in sorted-id order), the evidence
+  CSR over its resources table, and its candidate table. A loaded
+  segment's columns are read-only views over the mapped snapshot, and
+  a load builds no posting objects and no evidence tuples;
+* **tiered compaction** — adjacent segments of the same size tier are
+  merged either synchronously after a seal or only on explicit
+  :meth:`SegmentedIndex.compact`. A merge concatenates columns
+  (:meth:`Segment.merge`): the merged doc table is a sorted merge of the
+  runs' disjoint tables, each key's postings are the sources' postings
+  in segment order — the order a stream-order
+  :meth:`~repro.index.inverted.InvertedIndex.merge` keeps — and the
+  evidence CSR is the sources' CSRs one after the other.
 
 A query forms its per-item weights ``tw = irf^p`` / ``ew = eirf^p`` once
 from **shared collection statistics** (the union document count and the
@@ -59,9 +65,9 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import accumulate
-from typing import Any
+from typing import Any, NamedTuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +79,8 @@ from repro.core.config import FinderConfig
 from repro.core.ranking import ExpertScore
 from repro.core.scoring import distance_weight_table, window_size
 from repro.index.analyzer import AnalyzedResource
-from repro.index.entity_index import EntityIndex
-from repro.index.inverted import InvertedIndex
+from repro.index.entity_index import EntityIndex, EntityPosting
+from repro.index.inverted import InvertedIndex, Posting
 from repro.index.vsm import entity_weight
 
 #: default buffer size (in resources) at which the buffer seals
@@ -91,19 +97,8 @@ _Rows = tuple[tuple[str, int], ...]
 _Ints = npt.NDArray[np.int64]
 _Floats = npt.NDArray[np.float64]
 
-#: a compiled term column: ``(doc indexes, raw tf)``
-TermColumn = tuple[_Ints, _Ints]
-
-#: a compiled entity column: ``(doc indexes, raw ef, we = 1 + dScore)``
-EntityColumn = tuple[_Ints, _Ints, _Floats]
-
 #: one segment's matches: ``(scores, doc indexes)`` in ``(-score, doc)`` order
 Hits = tuple[_Floats, _Ints]
-
-#: a segment's evidence columns: each row's local candidate index and
-#: distance, in the saved ``ev#cand`` / ``ev#dist`` (resource) order, then
-#: each doc index's first row and row count
-EvidenceColumns = tuple[_Ints, _Ints, _Ints, _Ints]
 
 #: one source's survivors in its own ``(-score, doc)`` order: ``(scores,
 #: docs, source)``, where *docs* are a segment's doc indexes, or the write
@@ -131,14 +126,101 @@ def _expand(first: _Ints, count: _Ints) -> _Ints:
     )
 
 
-def evidence_csr(
-    evidence: Mapping[str, Iterable[tuple[str, int]]],
-) -> tuple[list[str], list[int], list[int], list[int]]:
-    """The resource → supporters relation as ``(candidates, off, cand,
-    dist)``: the sorted candidate table, then a CSR over *evidence*'s
-    resources in its key (stream) order whose rows keep their order and
-    hold candidate-table indexes — the layout a snapshot saves and a
-    segment's evidence columns hold."""
+def _offsets(lengths: Any) -> _Ints:
+    """CSR offsets: 0, then the running sum of *lengths*."""
+    off = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=off[1:])
+    return off
+
+
+@dataclass(frozen=True, slots=True)
+class PostingColumns:
+    """One CSR posting group of a segment: its terms or its entities.
+
+    ``columns`` are flat and parallel (doc index first), key after key
+    in key order and each key's postings in postings order; key ``i``
+    spans ``off[i]:off[i + 1]``. ``views`` maps each key, in key order,
+    to views of its span of the first ``queried`` columns, which the
+    Eq. 1 kernel reads (an entity's ``ds`` is kept for saves, not
+    queried)."""
+
+    off: _Ints
+    columns: tuple[Any, ...]
+    views: dict[str, tuple[Any, ...]]
+    queried: int
+
+    @classmethod
+    def of(
+        cls, keys: Sequence[str], off: _Ints, columns: Sequence[Any], queried: int
+    ) -> "PostingColumns":
+        bounds = off.tolist()
+        queried_columns = columns[:queried]
+        views = {
+            key: tuple(column[bounds[i] : bounds[i + 1]] for column in queried_columns)
+            for i, key in enumerate(keys)
+        }
+        return cls(off, tuple(columns), views, queried)
+
+    @classmethod
+    def concat(
+        cls, parts: Sequence[tuple["PostingColumns", _Ints]]
+    ) -> "PostingColumns":
+        """The groups of *parts* — each a group and its doc-index remap —
+        as one group: keys in first-seen order, and each key's postings
+        the parts' postings in part order, each part's in its own order.
+        A stable sort on the merged key index keeps exactly that order."""
+        key_of: dict[str, int] = {}
+        owners: list[_Ints] = []
+        for group, _remap in parts:
+            ids = np.fromiter(
+                (key_of.setdefault(key, len(key_of)) for key in group.views),
+                np.int64,
+                len(group.views),
+            )
+            owners.append(np.repeat(ids, np.diff(group.off)))
+        owner = np.concatenate(owners)
+        order = np.argsort(owner, kind="stable")
+        docs = np.concatenate([remap[group.columns[0]] for group, remap in parts])
+        columns = [docs[order]] + [
+            np.concatenate([group.columns[i] for group, _remap in parts])[order]
+            for i in range(1, len(parts[0][0].columns))
+        ]
+        off = _offsets(np.bincount(owner, minlength=len(key_of)))
+        return cls.of(list(key_of), off, columns, parts[0][0].queried)
+
+    def df(self, key: str) -> int:
+        """Postings of *key* in this group (0 when absent)."""
+        view = self.views.get(key)
+        return len(view[0]) if view is not None else 0
+
+    def rows(self) -> Iterator[tuple[str, list[tuple[Any, ...]]]]:
+        """Each key with its postings as ``(doc index, *values)`` tuples
+        of Python scalars, in key order then postings order."""
+        rows = list(zip(*(column.tolist() for column in self.columns)))
+        bounds = self.off.tolist()
+        for i, key in enumerate(self.views):
+            yield key, rows[bounds[i] : bounds[i + 1]]
+
+
+class EvidenceCsr(NamedTuple):
+    """The resource → supporters relation of Eq. 3 as a CSR.
+
+    ``resources`` is the resources table in stream order and
+    ``candidates`` the sorted candidate table; resource ``i``'s rows are
+    ``off[i]:off[i + 1]`` of the ``cand`` (candidate-table index) and
+    ``dist`` columns, in the order they were admitted — the layout a
+    snapshot saves."""
+
+    resources: Sequence[str]
+    candidates: Sequence[str]
+    off: _Ints
+    cand: _Ints
+    dist: _Ints
+
+
+def evidence_csr(evidence: Mapping[str, Iterable[tuple[str, int]]]) -> EvidenceCsr:
+    """*evidence* (resource → ``(candidate id, distance)`` rows, in
+    stream order) as an :class:`EvidenceCsr`."""
     candidates = sorted({cid for rows in evidence.values() for cid, _ in rows})
     cand_of = {cid: i for i, cid in enumerate(candidates)}
     off = [0]
@@ -149,32 +231,74 @@ def evidence_csr(
             cand.append(cand_of[cid])
             dist.append(distance)
         off.append(len(cand))
-    return candidates, off, cand, dist
+    return EvidenceCsr(
+        list(evidence),
+        candidates,
+        np.array(off, dtype=np.int64),
+        np.array(cand, dtype=np.int64),
+        np.array(dist, dtype=np.int64),
+    )
 
 
-def evidence_columns(
-    evidence: Mapping[str, _Rows],
-    doc_ids: Sequence[str],
-    off: _Ints,
-    cand: _Ints,
-    dist: _Ints,
-) -> EvidenceColumns:
-    """The evidence CSR (``off`` over *evidence*'s resources, in its key
-    order) plus each of the sorted *doc_ids*' row span. A document
-    without evidence rows gets an empty span."""
-    if len(off) != len(evidence) + 1:
+def concat_evidence(parts: Sequence[EvidenceCsr]) -> EvidenceCsr:
+    """The relations of *parts* one after the other, over their merged
+    sorted candidate table (resources must be disjoint across parts)."""
+    if len(parts) == 1:
+        return parts[0]
+    candidates = sorted(set().union(*(part.candidates for part in parts)))
+    cand_of = {cid: i for i, cid in enumerate(candidates)}
+    starts = [0, *accumulate(len(part.cand) for part in parts)]
+    return EvidenceCsr(
+        [resource for part in parts for resource in part.resources],
+        candidates,
+        np.concatenate(
+            [np.zeros(1, dtype=np.int64)]
+            + [part.off[1:] + start for part, start in zip(parts, starts)]
+        ),
+        np.concatenate(
+            [
+                np.array([cand_of[cid] for cid in part.candidates], dtype=np.int64)[
+                    part.cand
+                ]
+                for part in parts
+            ]
+        ),
+        np.concatenate([part.dist for part in parts]),
+    )
+
+
+def evidence_rows(csr: EvidenceCsr) -> Iterator[tuple[str, _Rows]]:
+    """Each resource of *csr* with its ``(candidate id, distance)`` rows,
+    in stream order."""
+    candidates = csr.candidates
+    rows = list(zip([candidates[c] for c in csr.cand.tolist()], csr.dist.tolist()))
+    bounds = csr.off.tolist()
+    for i, resource in enumerate(csr.resources):
+        yield resource, tuple(rows[bounds[i] : bounds[i + 1]])
+
+
+def _doc_rows(
+    doc_ids: Sequence[str], csr: EvidenceCsr
+) -> tuple[list[str], _Ints, _Ints]:
+    """The sorted *doc_ids* spelled with the resources table's own
+    string objects, so that each id is held once, then each document's
+    first evidence row and row count. Every indexed document must be in
+    the resources table."""
+    resources = csr.resources
+    if len(csr.off) != len(resources) + 1:
         raise ValueError(
-            f"{len(off) - 1} evidence offset range(s) for {len(evidence)} resource(s)"
+            f"{len(csr.off) - 1} evidence offset range(s) for "
+            f"{len(resources)} resource(s)"
         )
-    position = {doc_id: i for i, doc_id in enumerate(evidence)}
+    position = dict(zip(resources, range(len(resources))))
     at = np.fromiter(
         (position.get(doc_id, -1) for doc_id in doc_ids), np.int64, len(doc_ids)
     )
-    known = at >= 0
-    at[~known] = 0
-    first = off[at]
-    count = np.where(known, off[at + 1] - first, 0)
-    return cand, dist, first, count
+    if len(at) and at.min() < 0:
+        missing = doc_ids[int(np.argmin(at))]
+        raise ValueError(f"indexed document {missing!r} has no evidence rows")
+    first = csr.off[at]
+    return [resources[i] for i in at.tolist()], first, csr.off[at + 1] - first
 
 
 @dataclass(frozen=True)
@@ -198,28 +322,22 @@ class SegmentStats:
 
 
 class Segment:
-    """One immutable, columnar-compiled slice of the collection.
+    """One immutable, columnar slice of the collection.
 
-    Holds the slice's term/entity indexes (for union statistics, merges,
-    and snapshots) plus compiled numpy columns for query evaluation:
-    interned doc indexes with *raw* frequencies — the collection
+    Holds columns only: the sorted doc-id table, the term and entity
+    :class:`PostingColumns` with *raw* frequencies — the collection
     statistics keep moving as the buffer grows, so ``tf·irf^p`` /
     ``ef·eirf^p·we`` are formed per query, with the object path's float
-    operations — and the evidence columns the Eq. 3 fold gathers from.
+    operations — and the :class:`EvidenceCsr` the Eq. 3 fold gathers
+    from, plus each document's span of it.
     """
 
     __slots__ = (
         "segment_id",
-        "evidence",
-        "_term_index",
-        "_entity_index",
-        "_hydrate",
         "_doc_ids",
         "_term_cols",
         "_entity_cols",
         "_evidence_cols",
-        "_candidates",
-        "_resource_ids",
     )
 
     def __init__(
@@ -227,131 +345,120 @@ class Segment:
         segment_id: int,
         term_index: InvertedIndex,
         entity_index: EntityIndex,
-        evidence: Mapping[str, _Rows],
+        evidence: Mapping[str, Iterable[tuple[str, int]]],
     ):
+        """Compile posting-object indexes and evidence rows (a cold build
+        or a sealed buffer) into columns; the objects are not kept."""
         if term_index.doc_ids() != entity_index.doc_ids():
             raise ValueError(
                 "term and entity indexes disagree on the segment's doc ids "
                 f"({term_index.document_count} vs {entity_index.document_count})"
             )
-        self.segment_id = segment_id
-        self._term_index: InvertedIndex | None = term_index
-        self._entity_index: EntityIndex | None = entity_index
-        self._hydrate = None
-        self.evidence = dict(evidence)
-        self._resource_ids = frozenset(self.evidence) | term_index.doc_ids()
-
-        # compile: dense doc indexes in sorted-id order + raw-frequency
-        # columns in postings order (the d_score is folded to
-        # we = 1 + dScore once; the posting product at query time is
-        # ef · ew · we, the object path's expression)
         doc_ids = sorted(term_index.doc_ids())
         doc_of = {doc_id: i for i, doc_id in enumerate(doc_ids)}
+        terms: list[str] = []
+        tdoc: list[int] = []
+        ttf: list[int] = []
+        tlen: list[int] = []
+        for term, postings in term_index.items():
+            terms.append(term)
+            tdoc += [doc_of[p.doc_id] for p in postings]
+            ttf += [p.term_frequency for p in postings]
+            tlen.append(len(postings))
+        entities: list[str] = []
+        edoc: list[int] = []
+        eef: list[int] = []
+        eds: list[float] = []
+        elen: list[int] = []
+        for uri, entity_postings in entity_index.items():
+            entities.append(uri)
+            edoc += [doc_of[p.doc_id] for p in entity_postings]
+            eef += [p.entity_frequency for p in entity_postings]
+            eds += [p.d_score for p in entity_postings]
+            elen.append(len(entity_postings))
+        # the d_score is folded to we = 1 + dScore once; the posting
+        # product at query time is ef · ew · we, the object path's
+        # expression
+        csr = evidence_csr(evidence)
+        doc_ids, first, count = _doc_rows(doc_ids, csr)
+        self.segment_id = segment_id
         self._doc_ids: list[str] = doc_ids
-        self._term_cols: dict[str, TermColumn] = {
-            term: (
-                np.array([doc_of[p.doc_id] for p in postings], dtype=np.int64),
-                np.array([p.term_frequency for p in postings], dtype=np.int64),
-            )
-            for term, postings in term_index.items()
-        }
-        self._entity_cols: dict[str, EntityColumn] = {
-            uri: (
-                np.array([doc_of[p.doc_id] for p in postings], dtype=np.int64),
-                np.array([p.entity_frequency for p in postings], dtype=np.int64),
-                np.array(
-                    [entity_weight(p.d_score) for p in postings], dtype=np.float64
-                ),
-            )
-            for uri, postings in entity_index.items()
-        }
-        candidates, *csr = evidence_csr(self.evidence)
-        self._candidates = candidates
-        self._evidence_cols = evidence_columns(
-            self.evidence,
-            doc_ids,
-            *(np.array(column, dtype=np.int64) for column in csr),
+        self._term_cols = PostingColumns.of(
+            terms,
+            _offsets(tlen),
+            [np.array(tdoc, dtype=np.int64), np.array(ttf, dtype=np.int64)],
+            2,
         )
+        self._entity_cols = PostingColumns.of(
+            entities,
+            _offsets(elen),
+            [
+                np.array(edoc, dtype=np.int64),
+                np.array(eef, dtype=np.int64),
+                np.array([entity_weight(d) for d in eds], dtype=np.float64),
+                np.array(eds, dtype=np.float64),
+            ],
+            3,
+        )
+        self._evidence_cols = (csr, first, count)
 
     @classmethod
     def from_columns(
         cls,
         segment_id: int,
-        doc_ids: Sequence[str],
-        term_cols: Mapping[str, TermColumn],
-        entity_cols: Mapping[str, EntityColumn],
-        evidence: Mapping[str, _Rows],
-        evidence_csr: tuple[Sequence[str], _Ints, _Ints, _Ints],
-        hydrate: "Callable[[], tuple[InvertedIndex, EntityIndex]] | None",
+        doc_ids: list[str],
+        terms: PostingColumns,
+        entities: PostingColumns,
+        evidence: EvidenceCsr,
     ) -> "Segment":
-        """Adopt already-compiled columns (a v3 snapshot's mapped buffers)
-        without building the posting-object indexes.
+        """Adopt already-built columns: a snapshot's mapped sections or
+        a merge's concatenation.
 
         *doc_ids* must be the segment's indexed doc ids in sorted order
-        (the interning order the columns were compiled under); column
-        values are numpy arrays, typically read-only ``np.frombuffer``
-        views over the mapping. *evidence_csr* is ``(candidates, off,
-        cand, dist)``: the sorted candidate table and the evidence CSR
-        over *evidence*'s resources in its key order, as saved; only each
-        document's row span is derived from it. *hydrate* is a
-        zero-argument callable returning the ``(InvertedIndex,
-        EntityIndex)`` pair — invoked at most once, only if a merge,
-        snapshot re-save or :meth:`SegmentedIndex.merged_slice` actually
-        needs posting objects.
+        (the doc-index order the columns use); column values are numpy
+        arrays, typically read-only ``np.frombuffer`` views over the
+        mapping. Only each document's span of *evidence* is derived.
         """
+        doc_ids, first, count = _doc_rows(doc_ids, evidence)
         segment = cls.__new__(cls)
         segment.segment_id = segment_id
-        segment._term_index = None
-        segment._entity_index = None
-        segment._hydrate = hydrate
-        segment.evidence = dict(evidence)
-        segment._doc_ids = list(doc_ids)
-        segment._resource_ids = frozenset(segment.evidence) | frozenset(
-            segment._doc_ids
-        )
-        segment._term_cols = dict(term_cols)
-        segment._entity_cols = dict(entity_cols)
-        candidates, off, cand, dist = evidence_csr
-        segment._candidates = list(candidates)
-        segment._evidence_cols = evidence_columns(
-            segment.evidence, segment._doc_ids, off, cand, dist
-        )
+        segment._doc_ids = doc_ids
+        segment._term_cols = terms
+        segment._entity_cols = entities
+        segment._evidence_cols = (evidence, first, count)
         return segment
 
-    @property
-    def term_index(self) -> InvertedIndex:
-        """The posting-object term index, hydrating it on first use for
-        column-restored segments (merges, re-saves and the oracle need
-        it; query evaluation and statistics never do)."""
-        if self._term_index is None:
-            self._run_hydrate()
-        return self._term_index
-
-    @property
-    def entity_index(self) -> EntityIndex:
-        if self._entity_index is None:
-            self._run_hydrate()
-        return self._entity_index
-
-    def _run_hydrate(self) -> None:
-        hydrate = self._hydrate
-        if hydrate is None:
-            raise RuntimeError(
-                f"segment {self.segment_id} has no hydrator for its indexes"
-            )
-        self._hydrate = None
-        self._term_index, self._entity_index = hydrate()
+    @classmethod
+    def merge(cls, segment_id: int, run: Sequence["Segment"]) -> "Segment":
+        """Adjacent segments *run* (oldest first) as one, by concatenating
+        their columns: the doc tables are disjoint, so the merged table is
+        their sorted merge and each source's doc indexes are renumbered by
+        one remap array; postings and evidence rows keep segment order."""
+        joined = [doc_id for segment in run for doc_id in segment.doc_ids]
+        order = sorted(range(len(joined)), key=joined.__getitem__)
+        position = np.empty(len(joined), dtype=np.int64)
+        position[order] = np.arange(len(joined))
+        bounds = [0, *accumulate(segment.document_count for segment in run)]
+        remaps = [position[start:stop] for start, stop in zip(bounds, bounds[1:])]
+        return cls.from_columns(
+            segment_id,
+            [joined[i] for i in order],
+            PostingColumns.concat(
+                [(segment._term_cols, remap) for segment, remap in zip(run, remaps)]
+            ),
+            PostingColumns.concat(
+                [(segment._entity_cols, remap) for segment, remap in zip(run, remaps)]
+            ),
+            concat_evidence([segment.evidence_csr for segment in run]),
+        )
 
     def term_df(self, term: str) -> int:
-        """Documents of this segment containing *term* — served from the
-        compiled column lengths, never hydrating."""
-        cols = self._term_cols.get(term)
-        return len(cols[0]) if cols is not None else 0
+        """Documents of this segment containing *term*."""
+        return self._term_cols.df(term)
 
     def entity_df(self, entity_uri: str) -> int:
         """Documents of this segment annotated with *entity_uri*."""
-        cols = self._entity_cols.get(entity_uri)
-        return len(cols[0]) if cols is not None else 0
+        return self._entity_cols.df(entity_uri)
 
     @property
     def document_count(self) -> int:
@@ -359,27 +466,42 @@ class Segment:
 
     @property
     def resource_count(self) -> int:
-        return len(self._resource_ids)
+        return len(self._evidence_cols[0].resources)
 
     @property
-    def resource_ids(self) -> frozenset[str]:
-        return self._resource_ids
+    def resources(self) -> Sequence[str]:
+        """Every resource of this segment (indexed or evidence-only), in
+        stream order: the table the evidence CSR runs over."""
+        return self._evidence_cols[0].resources
 
     @property
-    def candidates(self) -> list[str]:
+    def candidates(self) -> Sequence[str]:
         """The candidates this segment's evidence rows support, sorted:
         the table the ``cand`` column indexes."""
-        return self._candidates
+        return self._evidence_cols[0].candidates
 
     @property
     def distances(self) -> _Ints:
         """Every evidence row's distance, in resource order."""
-        return self._evidence_cols[1]
+        return self._evidence_cols[0].dist
 
     @property
     def doc_ids(self) -> list[str]:
         """The indexed doc ids in doc-index (sorted-id) order."""
         return self._doc_ids
+
+    @property
+    def term_columns(self) -> PostingColumns:
+        return self._term_cols
+
+    @property
+    def entity_columns(self) -> PostingColumns:
+        """The entity postings: ``(doc, ef, we, ds)`` columns."""
+        return self._entity_cols
+
+    @property
+    def evidence_csr(self) -> EvidenceCsr:
+        return self._evidence_cols[0]
 
     # -- query evaluation ----------------------------------------------------------
 
@@ -403,13 +525,15 @@ class Segment:
         n_docs = len(self._doc_ids)
         term_acc = np.zeros(n_docs)
         entity_acc = np.zeros(n_docs)
+        term_cols = self._term_cols.views
         for term, tw in terms:
-            cols = self._term_cols.get(term)
+            cols = term_cols.get(term)
             if cols is not None:
                 docs, tf = cols
                 term_acc[docs] += tf * tw
+        entity_cols = self._entity_cols.views
         for uri, ew in entities:
-            ecols = self._entity_cols.get(uri)
+            ecols = entity_cols.get(uri)
             if ecols is not None:
                 docs, ef, we = ecols
                 entity_acc[docs] += (ef * ew) * we
@@ -435,10 +559,10 @@ class Segment:
         """The evidence rows of *docs* (doc indexes), document after
         document in the given order: ``(local candidate indexes,
         distances, rows per document)``."""
-        cand, dist, first, count = self._evidence_cols
+        csr, first, count = self._evidence_cols
         count = count[docs]
         at = _expand(first[docs], count)
-        return cand[at], dist[at], count
+        return csr.cand[at], csr.dist[at], count
 
 
 class _WriteBuffer:
@@ -452,22 +576,34 @@ class _WriteBuffer:
         self.evidence: dict[str, _Rows] = {}
 
     @classmethod
-    def restore(
-        cls,
-        term_index: InvertedIndex,
-        entity_index: EntityIndex,
-        evidence: Mapping[str, _Rows],
-    ) -> "_WriteBuffer":
-        if term_index.doc_ids() != entity_index.doc_ids():
-            raise ValueError(
-                "term and entity indexes disagree on the buffer's doc ids "
-                f"({term_index.document_count} vs {entity_index.document_count})"
-            )
+    def thaw(cls, segment: Segment) -> "_WriteBuffer":
+        """A buffer holding *segment*'s collection (a snapshot's buffer
+        container, mapped as columns) as posting objects and evidence
+        rows again. It is small by construction (below the seal
+        threshold) and mutable on the very next observe."""
+        docs = segment.doc_ids
         buffer = cls()
-        buffer.term_index = term_index
-        buffer.entity_index = entity_index
-        buffer.evidence = dict(evidence)
+        buffer.term_index = InvertedIndex.restore(
+            docs,
+            {
+                term: [Posting(docs[doc], tf) for doc, tf in rows]
+                for term, rows in segment.term_columns.rows()
+            },
+        )
+        buffer.entity_index = EntityIndex.restore(
+            docs,
+            {
+                uri: [EntityPosting(docs[doc], ef, ds) for doc, ef, _we, ds in rows]
+                for uri, rows in segment.entity_columns.rows()
+            },
+        )
+        buffer.evidence = dict(evidence_rows(segment.evidence_csr))
         return buffer
+
+    def compile(self, segment_id: int) -> Segment:
+        """The buffer's collection as a columnar segment: a seal, or the
+        columns a snapshot writes for the buffer."""
+        return Segment(segment_id, self.term_index, self.entity_index, self.evidence)
 
     @property
     def document_count(self) -> int:
@@ -476,10 +612,6 @@ class _WriteBuffer:
     @property
     def resource_count(self) -> int:
         return len(self.evidence)
-
-    @property
-    def resource_ids(self) -> frozenset[str]:
-        return frozenset(self.evidence) | self.term_index.doc_ids()
 
     def add(self, analyzed: AnalyzedResource, rows: _Rows, index: bool) -> None:
         self.evidence[analyzed.doc_id] = rows
@@ -593,6 +725,8 @@ class SegmentedIndex:
         self._compaction = compaction
         self._segments: list[Segment] = []  # replaced immutably under _lock
         self._buffer = _WriteBuffer()
+        #: every admitted resource: the one membership set the duplicate
+        #: checks use
         self._resource_ids: set[str] = set()
         self._doc_count = 0
         self._irf_cache: dict[str, float] = {}
@@ -619,21 +753,18 @@ class SegmentedIndex:
         compaction: str = "synchronous",
         fanout: int = DEFAULT_FANOUT,
     ) -> "SegmentedIndex":
-        """Wrap a cold build's indexes + evidence as the base segment
-        (none for an empty build)."""
+        """Compile a cold build's indexes + evidence into the base
+        segment (none for an empty build); the index keeps no reference
+        to the objects."""
         index = cls(
             config,
             seal_threshold=seal_threshold,
             compaction=compaction,
             fanout=fanout,
         )
-        evidence = {
-            doc_id: tuple((cid, distance) for cid, distance in rows)
-            for doc_id, rows in evidence_of.items()
-        }
-        if evidence or term_index.document_count:
+        if evidence_of or term_index.document_count:
             index._register(
-                Segment(index._next_id(), term_index, entity_index, evidence)
+                Segment(index._next_id(), term_index, entity_index, evidence_of)
             )
         return index
 
@@ -642,12 +773,13 @@ class SegmentedIndex:
         cls,
         config: FinderConfig,
         segments: Iterable[Segment],
-        buffer: tuple[InvertedIndex, EntityIndex, Mapping[str, _Rows]] | None,
+        buffer: Segment | None,
         **kwargs: Any,
     ) -> "SegmentedIndex":
-        """Rebuild from already-compiled :class:`Segment` objects (the
-        snapshot-v3 mmap path, via :meth:`Segment.from_columns`) plus an
-        optional unsealed buffer; duplicated resources and out-of-range
+        """Rebuild from column :class:`Segment` objects (the snapshot-v3
+        mmap path, via :meth:`Segment.from_columns`) plus an optional
+        unsealed buffer, mapped the same way and thawed into a
+        :class:`_WriteBuffer`; duplicated resources and out-of-range
         evidence distances are rejected."""
         index = cls(config, **kwargs)
         for segment in segments:
@@ -656,33 +788,30 @@ class SegmentedIndex:
                 index._next_segment_id, segment.segment_id + 1
             )
         if buffer is not None:
-            term_index, entity_index, evidence = buffer
-            restored = _WriteBuffer.restore(term_index, entity_index, evidence)
-            index._absorb_ids(restored.resource_ids, "the write buffer")
-            buffered = [row for rows in restored.evidence.values() for row in rows]
-            index._validate_distances([distance for _cid, distance in buffered])
-            index._admit(cid for cid, _distance in buffered)
-            index._buffer = restored
-            index._doc_count += restored.document_count
+            index._absorb_ids(buffer.resources, "the write buffer")
+            index._validate_distances(buffer.distances)
+            index._admit(buffer.candidates)
+            index._buffer = _WriteBuffer.thaw(buffer)
+            index._doc_count += buffer.document_count
         return index
 
     def _register(self, segment: Segment) -> None:
-        self._absorb_ids(segment.resource_ids, f"segment {segment.segment_id}")
+        self._absorb_ids(segment.resources, f"segment {segment.segment_id}")
         self._validate_distances(segment.distances)
         self._segments = [*self._segments, segment]
         self._doc_count += segment.document_count
         if not self._admit(segment.candidates):
             self._cand_maps[segment.segment_id] = self._cand_map(segment)
 
-    def _absorb_ids(self, resource_ids: frozenset[str], where: str) -> None:
-        overlap = self._resource_ids & resource_ids
-        if overlap:
-            example = sorted(overlap)[0]
-            raise ValueError(
-                f"resource {example!r} appears in more than one place "
-                f"(while adding {where})"
-            )
-        self._resource_ids |= resource_ids
+    def _absorb_ids(self, resource_ids: Iterable[str], where: str) -> None:
+        admitted = self._resource_ids
+        for resource_id in resource_ids:
+            if resource_id in admitted:
+                raise ValueError(
+                    f"resource {resource_id!r} appears in more than one place "
+                    f"(while adding {where})"
+                )
+            admitted.add(resource_id)
 
     def _validate_distances(self, distances: Sequence[int] | _Ints) -> None:
         top = self._config.max_distance
@@ -770,9 +899,7 @@ class SegmentedIndex:
         buffer = self._buffer
         if buffer.resource_count == 0:
             return None
-        segment = Segment(
-            self._next_id(), buffer.term_index, buffer.entity_index, buffer.evidence
-        )
+        segment = buffer.compile(self._next_id())
         self._cand_maps[segment.segment_id] = self._cand_map(segment)
         with self._lock:
             self._segments = [*self._segments, segment]
@@ -832,14 +959,7 @@ class SegmentedIndex:
 
     def _merge_range(self, start: int, stop: int) -> None:
         run = self._segments[start:stop]
-        term_index = InvertedIndex()
-        entity_index = EntityIndex()
-        evidence: dict[str, _Rows] = {}
-        for segment in run:
-            term_index.merge(segment.term_index)
-            entity_index.merge(segment.entity_index)
-            evidence.update(segment.evidence)
-        merged = Segment(self._next_id(), term_index, entity_index, evidence)
+        merged = Segment.merge(self._next_id(), run)
         self._cand_maps[merged.segment_id] = self._cand_map(merged)
         with self._lock:
             live = self._segments
@@ -860,6 +980,10 @@ class SegmentedIndex:
     def resource_count(self) -> int:
         """All admitted resources, including evidence-only ones."""
         return len(self._resource_ids)
+
+    def __contains__(self, resource_id: object) -> bool:
+        """Whether *resource_id* was admitted (indexed or evidence-only)."""
+        return resource_id in self._resource_ids
 
     def irf(self, term: str) -> float:
         """Inverse resource frequency of *term* over the union — the same
@@ -1093,31 +1217,21 @@ class SegmentedIndex:
         """The live sealed segments, oldest first (a stable snapshot)."""
         return tuple(self._segments)
 
-    def merged_slice(
-        self,
-    ) -> tuple[InvertedIndex, EntityIndex, Mapping[str, _Rows]]:
-        """The whole collection as one ``(term_index, entity_index,
-        evidence)`` triple — what the reference path
-        (:class:`~repro.index.vsm.VectorSpaceRetriever`) reads in the
-        tests (hydrates column-restored segments). A lone
-        segment with an empty buffer is returned as is, so callers must
-        treat the result as read-only."""
-        segments = self._segments
-        buffer = self._buffer
-        if len(segments) == 1 and not buffer.resource_count:
-            (segment,) = segments
-            return segment.term_index, segment.entity_index, segment.evidence
-        term_index = InvertedIndex()
-        entity_index = EntityIndex()
-        evidence: dict[str, _Rows] = {}
-        for segment in segments:
-            term_index.merge(segment.term_index)
-            entity_index.merge(segment.entity_index)
-            evidence.update(segment.evidence)
-        term_index.merge(buffer.term_index)
-        entity_index.merge(buffer.entity_index)
-        evidence.update(buffer.evidence)
-        return term_index, entity_index, evidence
+    def evidence_csr(self) -> EvidenceCsr:
+        """The whole live resource → supporters relation as one CSR:
+        every segment's, oldest first, then the buffer's."""
+        parts = [segment.evidence_csr for segment in self._segments]
+        if self._buffer.resource_count:
+            parts.append(evidence_csr(self._buffer.evidence))
+        if not parts:
+            return evidence_csr({})
+        return concat_evidence(parts)
+
+    def evidence(self) -> Iterator[tuple[str, _Rows]]:
+        """Each admitted resource with its ``(candidate id, distance)``
+        rows, decoded from :meth:`evidence_csr` (tests and tooling; no
+        query reads it)."""
+        return evidence_rows(self.evidence_csr())
 
     @property
     def stats(self) -> SegmentStats:

@@ -168,8 +168,14 @@ class ServeApp:
         import networkx as nx
 
         graph = nx.Graph()
-        for supporters in generation.service.finder.evidence_of.values():
-            cids = sorted({cid for cid, _ in supporters})
+        evidence = generation.service.finder.segmented_index.evidence_csr()
+        candidates = evidence.candidates
+        bounds = evidence.off.tolist()
+        cand = evidence.cand.tolist()
+        for start, stop in zip(bounds, bounds[1:]):
+            # the candidate table is sorted, so sorted indexes name the
+            # supporters in id order
+            cids = [candidates[c] for c in sorted(set(cand[start:stop]))]
             graph.add_nodes_from(cids)
             for i, a in enumerate(cids):
                 for b in cids[i + 1 :]:

@@ -71,6 +71,11 @@ class GatewayHarness:
         ).result(timeout)
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout)
+        if not self._thread.is_alive():
+            # the loop has stopped; release its executor threads and its
+            # self-pipe sockets
+            self._loop.run_until_complete(self._loop.shutdown_default_executor())
+            self._loop.close()
 
     def __enter__(self) -> "GatewayHarness":
         self.start()

@@ -238,6 +238,10 @@ def build_router(app: "ServeApp") -> Router:
             )
         except ValueError as exc:
             raise HttpError(400, "invalid_input", str(exc))
+        except KeyError as exc:
+            # an unknown supporter; str() of a KeyError would quote the
+            # message a second time
+            raise HttpError(400, "invalid_input", str(exc.args[0]))
         return Response(
             200, {"indexed": indexed, "generation": generation.number}
         )

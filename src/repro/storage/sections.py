@@ -28,8 +28,6 @@ from __future__ import annotations
 CURRENT_FILE = "CURRENT"
 #: config/counts records of a generation
 META_FILE = "meta.jsonl"
-#: legacy (read-only) monolithic collection slice, loaded as one segment
-INDEX_BIN = "index.bin"
 #: the segmented index's unsealed write buffer
 BUFFER_BIN = "buffer.bin"
 #: segment manifest of a generation
@@ -89,5 +87,5 @@ EV_DIST = csr("ev", "dist")
 #: ``prefix#column`` shape; plain string-table names like ``docs`` are
 #: too common as record keys to exact-match)
 REGISTERED_FILES = frozenset(
-    (CURRENT_FILE, META_FILE, INDEX_BIN, BUFFER_BIN, MANIFEST_FILE)
+    (CURRENT_FILE, META_FILE, BUFFER_BIN, MANIFEST_FILE)
 )

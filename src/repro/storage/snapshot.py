@@ -14,34 +14,35 @@ pointer file plus numbered ``gen-NNNNNNN/`` generation subdirectories;
 ``meta.jsonl`` keeps the config/counts records and the columnar payload
 lives in mmap-able section containers (:mod:`repro.storage.binary`):
 ``segments.jsonl`` + ``segment-NNNN.bin`` (and ``buffer.bin``). Loading
-maps the buffers and builds each :class:`~repro.index.segments.Segment` directly
-over zero-copy, read-only ``np.frombuffer`` views — no JSON parsing, no
-posting objects, and N processes opening one snapshot share a single
-page-cache copy. The posting-object indexes hydrate lazily, only if a
-merge, a re-save or the test oracle actually needs them.
+maps the buffers and builds each :class:`~repro.index.segments.Segment`
+directly over zero-copy, read-only ``np.frombuffer`` views — no JSON
+parsing, no posting objects, no evidence tuples, and N processes
+opening one snapshot share a single page-cache copy. Only the small
+write buffer is thawed back into posting objects. A save writes every
+segment's sections straight from its columns.
 
 A save writes the whole new generation (each file atomically:
 temp + fsync + rename), then atomically replaces ``CURRENT``, then
 prunes older generations — a crash at *any* instant leaves the previous
 ``CURRENT`` target intact and loadable.
 
-**Legacy monolithic generations**, written before every finder became a
-segmented index, stay readable: a generation whose meta says
-``index_mode: "monolithic"`` loads its ``index.bin`` as segment 0 (its
-``engine.bin`` is not read); re-saving writes the segmented layout. The
-flat v2 JSONL layout and candidate-sharded generations (meta
-``index_mode: "sharded"``, written before shards became segments) are no
-longer readable: :func:`load_finder` refuses them and asks for a rebuild
-with ``repro index``.
+**Legacy layouts are refused.** One check reads the layout a meta
+record declares: anything but a v3 segmented generation — the flat v2
+JSONL layout, monolithic v3 generations (written before every finder
+became a segmented index) and candidate-sharded ones (written before
+shards became segments) — raises
+:class:`~repro.storage.jsonl.StorageFormatError` naming the layout and
+asking for a rebuild with ``repro index``.
 
 Evidence-row and posting order are preserved, so a loaded finder
 repeats the builder's float operations exactly — rankings round-trip
 byte-identically. Segment containers written by earlier releases also
 carry block-max sections (``blk#span`` and ``term#bid`` …) and
-doc-sorted columns; the loader never reads those sections, and posting
-order within a column never moves a score (a column holds each document
-once). The text analyzer is *not* persisted (it is code, not state);
-:func:`load_finder` takes it as an argument.
+doc-sorted columns, and their manifests may carry a ``shards`` key; the
+loader reads neither, and posting order within a column never moves a
+score (a column holds each document once). The text analyzer is *not*
+persisted (it is code, not state); :func:`load_finder` takes it as an
+argument.
 
 :func:`inspect_snapshot` (``repro inspect``) renders the current
 generation — meta and manifest records, each container's header,
@@ -54,8 +55,7 @@ import contextlib
 import pathlib
 import re
 import shutil
-from array import array
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping
 from typing import Any
 
 import numpy as np
@@ -63,10 +63,13 @@ import numpy as np
 from repro.core.config import FinderConfig
 from repro.core.expert_finder import ExpertFinder
 from repro.index.analyzer import ResourceAnalyzer
-from repro.index.entity_index import EntityIndex, EntityPosting
-from repro.index.inverted import InvertedIndex, Posting
-from repro.index.segments import Segment, SegmentedIndex, _WriteBuffer, evidence_csr
-from repro.index.vsm import entity_weight
+from repro.index.segments import (
+    EvidenceCsr,
+    PostingColumns,
+    Segment,
+    SegmentedIndex,
+    _WriteBuffer,
+)
 from repro.storage import sections as layout
 from repro.storage.binary import MappedSections, pack_strings, write_sections
 from repro.storage.jsonl import (
@@ -78,7 +81,7 @@ from repro.storage.jsonl import (
 
 #: bump when the snapshot layout or record shapes change; loaders refuse
 #: mismatched snapshots instead of guessing (3: the binary generation
-#: layout, which still reads its legacy "monolithic" index mode)
+#: layout)
 SNAPSHOT_VERSION = 3
 
 META_KIND = "finder-snapshot-meta"
@@ -89,7 +92,6 @@ MANIFEST_KIND = "finder-segment-manifest"
 _META_FILE = layout.META_FILE
 _MANIFEST_FILE = layout.MANIFEST_FILE
 _CURRENT_FILE = layout.CURRENT_FILE
-_INDEX_BIN = layout.INDEX_BIN
 _BUFFER_BIN = layout.BUFFER_BIN
 
 _CURRENT_MAGIC = "repro-snapshot-v3"
@@ -102,8 +104,14 @@ _RECORD_KINDS = {
     _MANIFEST_FILE: MANIFEST_KIND,
 }
 
-#: index modes a meta record may name; "monolithic" is read-only legacy
-_INDEX_MODES = ("monolithic", "segmented")
+#: the layouts earlier releases wrote, by the ``(snapshot_version,
+#: index_mode)`` of their meta record; none is readable any more
+_LEGACY_LAYOUTS = {
+    (2, "monolithic"): "a flat v2 snapshot",
+    (2, "segmented"): "a flat v2 snapshot",
+    (3, "monolithic"): "a monolithic v3 generation",
+    (3, "sharded"): "a candidate-sharded v3 generation",
+}
 
 _segment_bin = layout.segment_bin
 
@@ -202,70 +210,57 @@ def _manifest_records(
         }
 
 
-def _slice_sections(
-    term_index: InvertedIndex,
-    entity_index: EntityIndex,
-    evidence: Mapping[str, Any],
-) -> list[tuple[str, str, Any]]:
-    """One collection slice (one segment or the buffer) as
-    binary sections: string tables + element-offset CSR
-    columns, preserving postings and evidence-row order exactly.
+def _slice_sections(segment: Segment) -> list[tuple[str, str, Any]]:
+    """One collection slice (one segment or the buffer) as binary
+    sections, written straight from its columns: string tables +
+    element-offset CSR columns, in postings and evidence-row order.
 
-    Entities carry both the raw ``d_score`` (``ent#ds``, for hydrating
-    posting objects) and the folded ``we = 1 + d_score`` (``ent#we``, the
-    ready-to-map query column) — ``d_score`` is not exactly recoverable
-    from ``we`` in floating point, so both are stored.
+    Entities carry both the raw ``d_score`` (``ent#ds``) and the folded
+    ``we = 1 + d_score`` (``ent#we``, the ready-to-map query column) —
+    ``d_score`` is not exactly recoverable from ``we`` in floating
+    point, so both are stored.
     """
-    docs = sorted(term_index.doc_ids())
-    doc_of = {doc_id: i for i, doc_id in enumerate(docs)}
-    sections: list[tuple[str, str, Any]] = [*pack_strings("docs", docs)]
-
-    terms: list[str] = []
-    toff = array("l", [0])
-    tdoc = array("l")
-    ttf = array("l")
-    for term, postings in term_index.items():
-        terms.append(term)
-        for p in postings:
-            tdoc.append(doc_of[p.doc_id])
-            ttf.append(p.term_frequency)
-        toff.append(len(tdoc))
-    sections += pack_strings(layout.TERMS, terms)
-    sections += [(layout.TERM_OFF, "q", toff), (layout.TERM_DOC, "q", tdoc),
-                 (layout.TERM_TF, "q", ttf)]
-
-    entities: list[str] = []
-    eoff = array("l", [0])
-    edoc = array("l")
-    eef = array("l")
-    ewe = array("d")
-    eds = array("d")
-    for uri, postings in entity_index.items():
-        entities.append(uri)
-        for p in postings:
-            edoc.append(doc_of[p.doc_id])
-            eef.append(p.entity_frequency)
-            ewe.append(entity_weight(p.d_score))
-            eds.append(p.d_score)
-        eoff.append(len(edoc))
-    sections += pack_strings(layout.ENTITIES, entities)
-    sections += [(layout.ENT_OFF, "q", eoff), (layout.ENT_DOC, "q", edoc),
-                 (layout.ENT_EF, "q", eef), (layout.ENT_WE, "d", ewe),
-                 (layout.ENT_DS, "d", eds)]
-    sections += _evidence_sections(evidence)
-    return sections
+    terms = segment.term_columns
+    tdoc, ttf = terms.columns
+    entities = segment.entity_columns
+    edoc, eef, ewe, eds = entities.columns
+    evidence = segment.evidence_csr
+    return [
+        *pack_strings(layout.DOCS, segment.doc_ids),
+        *pack_strings(layout.TERMS, terms.views),
+        *_numeric(
+            "q",
+            (layout.TERM_OFF, terms.off),
+            (layout.TERM_DOC, tdoc),
+            (layout.TERM_TF, ttf),
+        ),
+        *pack_strings(layout.ENTITIES, entities.views),
+        *_numeric(
+            "q",
+            (layout.ENT_OFF, entities.off),
+            (layout.ENT_DOC, edoc),
+            (layout.ENT_EF, eef),
+        ),
+        *_numeric("d", (layout.ENT_WE, ewe), (layout.ENT_DS, eds)),
+        *pack_strings(layout.RESOURCES, evidence.resources),
+        *pack_strings(layout.CANDS, evidence.candidates),
+        *_numeric(
+            "q",
+            (layout.EV_OFF, evidence.off),
+            (layout.EV_CAND, evidence.cand),
+            (layout.EV_DIST, evidence.dist),
+        ),
+    ]
 
 
-def _evidence_sections(evidence: Mapping[str, Any]) -> list[tuple[str, str, Any]]:
-    """The resource → supporters relation as binary sections (string
-    tables + an element-offset CSR, :func:`evidence_csr`), preserving row
-    order exactly — part of every slice container."""
-    cands, voff, vcand, vdist = evidence_csr(evidence)
-    sections = [*pack_strings(layout.RESOURCES, evidence)]
-    sections += pack_strings(layout.CANDS, cands)
-    sections += [(layout.EV_OFF, "q", voff), (layout.EV_CAND, "q", vcand),
-                 (layout.EV_DIST, "q", vdist)]
-    return sections
+def _numeric(dtype: str, *named: tuple[str, Any]) -> list[tuple[str, str, bytes]]:
+    """Numeric columns as *dtype* sections: the little-endian bytes of
+    int64 (``q``) or float64 (``d``) values."""
+    stored = "<i8" if dtype == "q" else "<f8"
+    return [
+        (name, dtype, np.asarray(column, dtype=stored).tobytes())
+        for name, column in named
+    ]
 
 
 def _next_generation(directory: pathlib.Path) -> str:
@@ -282,14 +277,11 @@ def _save_segments(segmented: SegmentedIndex, gen_dir: pathlib.Path) -> None:
     buffer = segmented.write_buffer
     for segment in segments:
         write_sections(
-            gen_dir / _segment_bin(segment.segment_id),
-            _slice_sections(segment.term_index, segment.entity_index, segment.evidence),
+            gen_dir / _segment_bin(segment.segment_id), _slice_sections(segment)
         )
     if buffer.resource_count:
-        write_sections(
-            gen_dir / _BUFFER_BIN,
-            _slice_sections(buffer.term_index, buffer.entity_index, buffer.evidence),
-        )
+        # the buffer keeps no segment id; its container is named for it
+        write_sections(gen_dir / _BUFFER_BIN, _slice_sections(buffer.compile(-1)))
     write_records(
         gen_dir / _MANIFEST_FILE,
         MANIFEST_KIND,
@@ -300,19 +292,42 @@ def _save_segments(segmented: SegmentedIndex, gen_dir: pathlib.Path) -> None:
 # -- reader ----------------------------------------------------------------------
 
 
+def _read_meta(where: pathlib.Path, meta: pathlib.Path) -> list[dict[str, Any]]:
+    """*meta*'s records, once its ``snapshot`` record declares the one
+    readable layout, a v3 segmented generation. Every other layout is
+    refused here: a legacy one by name, with the rebuild to run."""
+    records = list(read_records(meta, META_KIND))
+    record = next((r for r in records if r.get("type") == "snapshot"), None)
+    if record is None:
+        raise StorageFormatError(f"{meta}: incomplete snapshot metadata")
+    version = record.get("snapshot_version")
+    index_mode = record.get("index_mode", "monolithic")
+    if (version, index_mode) == (SNAPSHOT_VERSION, "segmented"):
+        return records
+    legacy = _LEGACY_LAYOUTS.get((version, index_mode))
+    if legacy is not None:
+        raise StorageFormatError(
+            f"{where}: {legacy}, which is no longer readable; "
+            f"rebuild it with `repro index`"
+        )
+    raise StorageFormatError(
+        f"{meta}: unsupported snapshot version {version!r} "
+        f"with index mode {index_mode!r} (expected {SNAPSHOT_VERSION}, "
+        f"'segmented')"
+    )
+
+
 def _read_current(directory: pathlib.Path) -> pathlib.Path:
-    """The generation directory ``CURRENT`` names. A flat v2 directory
-    (a ``meta.jsonl`` but no ``CURRENT``) is refused with a pointer to
-    the rebuild; a missing directory raises ``FileNotFoundError``."""
+    """The generation directory ``CURRENT`` names. A directory with a
+    ``meta.jsonl`` but no ``CURRENT`` is the flat v2 layout, which
+    :func:`_read_meta` refuses; a missing directory raises
+    ``FileNotFoundError``."""
     path = directory / _CURRENT_FILE
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         if (directory / _META_FILE).is_file():
-            raise StorageFormatError(
-                f"{directory}: a flat v2 snapshot, which is no longer "
-                f"readable; rebuild it with `repro index`"
-            ) from None
+            _read_meta(directory, directory / _META_FILE)
         raise
     except (OSError, UnicodeDecodeError) as exc:
         raise StorageFormatError(f"{path}: unreadable CURRENT file: {exc}") from exc
@@ -330,33 +345,14 @@ def _read_current(directory: pathlib.Path) -> pathlib.Path:
     return gen_dir
 
 
-def _load_meta(
-    path: pathlib.Path,
-) -> tuple[FinderConfig, int, dict[str, int], str]:
-    version: int | None = None
-    index_mode: str | None = None
+def _load_meta(path: pathlib.Path) -> tuple[FinderConfig, int, dict[str, int]]:
     config: FinderConfig | None = None
     indexed: int | None = None
     evidence_counts: dict[str, int] = {}
-    for record in read_records(path, META_KIND):
+    for record in _read_meta(path.parent, path):
         rtype = record.get("type")
         if rtype == "snapshot":
-            version = record.get("snapshot_version")
-            if version != SNAPSHOT_VERSION:
-                raise StorageFormatError(
-                    f"{path}: unsupported snapshot version {version!r} "
-                    f"(expected {SNAPSHOT_VERSION})"
-                )
-            index_mode = record.get("index_mode", "monolithic")
-            if index_mode == "sharded":
-                raise StorageFormatError(
-                    f"{path.parent}: a candidate-sharded generation, which "
-                    f"is no longer readable; rebuild it with `repro index`"
-                )
-            if index_mode not in _INDEX_MODES:
-                raise StorageFormatError(
-                    f"{path}: unknown index mode {index_mode!r}"
-                )
+            continue  # the layout, checked by _read_meta
         elif rtype == "config":
             try:
                 kwargs = {name: record[name] for name in _CONFIG_FIELDS}
@@ -372,9 +368,9 @@ def _load_meta(
             evidence_counts[record["id"]] = record["evidence"]
         else:
             raise StorageFormatError(f"{path}: unknown meta record type {rtype!r}")
-    if version is None or index_mode is None or config is None or indexed is None:
+    if config is None or indexed is None:
         raise StorageFormatError(f"{path}: incomplete snapshot metadata")
-    return config, indexed, evidence_counts, index_mode
+    return config, indexed, evidence_counts
 
 
 def _read_manifest(
@@ -418,18 +414,6 @@ def _read_manifest(
     return header, entries, buffer_entry
 
 
-def _collect_evidence(
-    segmented: SegmentedIndex,
-) -> dict[str, Sequence[tuple[str, int]]]:
-    """The finder's resource → supporters relation: every source's rows
-    (shared, immutable tuples) in segment order, then the buffer's."""
-    evidence_of: dict[str, Sequence[tuple[str, int]]] = {}
-    for segment in segmented.iter_segments():
-        evidence_of.update(segment.evidence)
-    evidence_of.update(segmented.write_buffer.evidence)
-    return evidence_of
-
-
 def _csr(
     mapped: MappedSections, prefix: str, n_keys: int, columns: tuple[str, ...]
 ) -> tuple[Any, list[Any]]:
@@ -459,151 +443,72 @@ def _csr(
     return off, views
 
 
-def _col_dict(
-    keys: Sequence[str], off: Any, views: Sequence[Any], dtypes: Sequence[type]
-) -> dict[str, tuple]:
-    """Per-key query columns: each CSR column as a zero-copy numpy view
-    over the mapping (read-only, as the mapping is), sliced per key."""
-    arrays = [np.frombuffer(view, dtype=dtype) for view, dtype in zip(views, dtypes)]
-    bounds = off.tolist()
-    return {
-        key: tuple(column[bounds[i] : bounds[i + 1]] for column in arrays)
-        for i, key in enumerate(keys)
-    }
-
-
-def _decode_evidence(
-    mapped: MappedSections,
-) -> tuple[dict[str, tuple[tuple[str, int], ...]], tuple[list[str], Any, Any, Any]]:
-    """The resource → supporters relation, plus the evidence CSR it came
-    from as ``(candidates, off, cand, dist)``: the sorted candidate
-    table and the mapped columns."""
-    resources = mapped.strings("resources")
-    cands = mapped.strings("cands")
-    off, (vcand, vdist) = _csr(mapped, "ev", len(resources), ("cand", "dist"))
-    # one pass over the whole CSR, then per-resource slices of it
-    rows = list(zip([cands[c] for c in vcand.tolist()], vdist.tolist()))
-    bounds = off.tolist()
-    evidence = {
-        doc_id: tuple(rows[bounds[i] : bounds[i + 1]])
-        for i, doc_id in enumerate(resources)
-    }
-    return evidence, (cands, off, vcand, vdist)
-
-
-def _slice_hydrator(
-    mapped: MappedSections, docs: list[str]
-) -> Callable[[], tuple[InvertedIndex, EntityIndex]]:
-    """A closure rebuilding the posting-object indexes of one mapped
-    slice — run at most once, only when merges/re-saves need objects."""
-
-    def hydrate() -> tuple[InvertedIndex, EntityIndex]:
-        terms = mapped.strings("terms")
-        toff, (tdoc, ttf) = _csr(mapped, "term", len(terms), ("doc", "tf"))
-        term_postings = {
-            term: [
-                Posting(docs[tdoc[j]], ttf[j])
-                for j in range(toff[i], toff[i + 1])
-            ]
-            for i, term in enumerate(terms)
-        }
-        entities = mapped.strings("entities")
-        eoff, (edoc, eef, eds) = _csr(mapped, "ent", len(entities), ("doc", "ef", "ds"))
-        entity_postings = {
-            uri: [
-                EntityPosting(docs[edoc[j]], eef[j], eds[j])
-                for j in range(eoff[i], eoff[i + 1])
-            ]
-            for i, uri in enumerate(entities)
-        }
-        return (
-            InvertedIndex.restore(docs, term_postings),
-            EntityIndex.restore(docs, entity_postings),
-        )
-
-    return hydrate
-
-
-def _load_v3_segment(
-    path: pathlib.Path,
-    segment_id: int,
-    entry: dict[str, Any],
-    source: str = "manifest",
-) -> Segment:
-    """Map one section container as a compiled :class:`Segment`,
-    cross-checking its document count (and its resource count, when
-    *entry* records one) against what *source* says."""
+def _load_slice(path: pathlib.Path, segment_id: int, entry: dict[str, Any]) -> Segment:
+    """Map one section container (a segment, or the buffer) as a column
+    :class:`Segment`, cross-checking its document and resource counts
+    against its manifest *entry*."""
     mapped = MappedSections.open(path)
-    docs = mapped.strings("docs")
+    docs = mapped.strings(layout.DOCS)
     if len(docs) != entry["docs"]:
         raise StorageFormatError(
-            f"{path}: segment holds {len(docs)} document(s), "
-            f"{source} says {entry['docs']}"
+            f"{path}: holds {len(docs)} document(s), manifest says {entry['docs']}"
         )
-    terms = mapped.strings("terms")
-    toff, term_views = _csr(mapped, "term", len(terms), ("doc", "tf"))
-    entities = mapped.strings("entities")
-    eoff, entity_views = _csr(mapped, "ent", len(entities), ("doc", "ef", "we", "ds"))
-    evidence, (cands, *evidence_views) = _decode_evidence(mapped)
-    resources = len(frozenset(evidence) | frozenset(docs))
-    if "resources" in entry and resources != entry["resources"]:
+    resources = mapped.strings(layout.RESOURCES)
+    if len(resources) != entry["resources"]:
         raise StorageFormatError(
-            f"{path}: segment holds {resources} resource(s), "
-            f"{source} says {entry['resources']}"
+            f"{path}: holds {len(resources)} resource(s), "
+            f"manifest says {entry['resources']}"
         )
+    ev_off, (cand, dist) = _csr(mapped, "ev", len(resources), ("cand", "dist"))
     return Segment.from_columns(
         segment_id,
         docs,
-        _col_dict(terms, toff, term_views, (np.int64, np.int64)),
-        # the query columns are (doc, ef, we); ds is hydration-only
-        _col_dict(entities, eoff, entity_views[:3], (np.int64, np.int64, np.float64)),
-        evidence,
-        (cands, *(np.frombuffer(view, dtype=np.int64) for view in evidence_views)),
-        _slice_hydrator(mapped, docs),
+        _postings(mapped, layout.TERMS, "term", {"doc": np.int64, "tf": np.int64}, 2),
+        _postings(
+            mapped,
+            layout.ENTITIES,
+            "ent",
+            {"doc": np.int64, "ef": np.int64, "we": np.float64, "ds": np.float64},
+            3,
+        ),
+        EvidenceCsr(
+            resources,
+            mapped.strings(layout.CANDS),
+            np.frombuffer(ev_off, dtype=np.int64),
+            np.frombuffer(cand, dtype=np.int64),
+            np.frombuffer(dist, dtype=np.int64),
+        ),
     )
 
 
-def _load_v3_buffer(
-    path: pathlib.Path, entry: dict[str, Any]
-) -> tuple[InvertedIndex, EntityIndex, dict[str, tuple[tuple[str, int], ...]]]:
-    """The unsealed buffer's ``(term_index, entity_index, evidence)``,
-    as :meth:`SegmentedIndex.restore_compiled` takes it. It rehydrates
-    eagerly — it is small by construction (below the seal threshold) and
-    mutable on the very next observe, so mapping it lazily buys nothing."""
-    mapped = MappedSections.open(path)
-    docs = mapped.strings("docs")
-    if len(docs) != entry["docs"]:
-        raise StorageFormatError(
-            f"{path}: buffer holds {len(docs)} document(s), "
-            f"manifest says {entry['docs']}"
-        )
-    term_index, entity_index = _slice_hydrator(mapped, docs)()
-    evidence = _decode_evidence(mapped)[0]
-    resources = len(frozenset(evidence) | frozenset(docs))
-    if resources != entry["resources"]:
-        raise StorageFormatError(
-            f"{path}: buffer holds {resources} resource(s), "
-            f"manifest says {entry['resources']}"
-        )
-    mapped.close()
-    return term_index, entity_index, evidence
+def _postings(
+    mapped: MappedSections,
+    keys_name: str,
+    prefix: str,
+    dtypes: Mapping[str, type],
+    queried: int,
+) -> PostingColumns:
+    """One CSR posting group as zero-copy numpy views over the mapping
+    (read-only, as the mapping is)."""
+    keys = mapped.strings(keys_name)
+    off, views = _csr(mapped, prefix, len(keys), tuple(dtypes))
+    columns = [
+        np.frombuffer(view, dtype=dtype) for view, dtype in zip(views, dtypes.values())
+    ]
+    return PostingColumns.of(keys, np.frombuffer(off, dtype=np.int64), columns, queried)
 
 
-def _load_v3_segmented(
-    gen_dir: pathlib.Path,
-    analyzer: ResourceAnalyzer,
-    config: FinderConfig,
-    indexed: int,
-    evidence_counts: dict[str, int],
+def _load_generation(
+    gen_dir: pathlib.Path, analyzer: ResourceAnalyzer
 ) -> ExpertFinder:
+    config, indexed, evidence_counts = _load_meta(gen_dir / _META_FILE)
     header, entries, buffer_entry = _read_manifest(gen_dir / _MANIFEST_FILE)
     segments = [
-        _load_v3_segment(gen_dir / entry["file"], entry["id"], entry)
-        for entry in entries
+        _load_slice(gen_dir / entry["file"], entry["id"], entry) for entry in entries
     ]
     buffer = None
     if buffer_entry is not None:
-        buffer = _load_v3_buffer(gen_dir / buffer_entry["file"], buffer_entry)
+        buffer = _load_slice(gen_dir / buffer_entry["file"], -1, buffer_entry)
     segmented = SegmentedIndex.restore_compiled(
         config,
         segments,
@@ -611,46 +516,13 @@ def _load_v3_segmented(
         seal_threshold=header["seal_threshold"],
         fanout=header.get("fanout", 4),
     )
-    return _segmented_finder(
-        gen_dir, analyzer, config, indexed, evidence_counts, segmented
-    )
-
-
-def _load_v3_legacy_monolithic(
-    gen_dir: pathlib.Path,
-    analyzer: ResourceAnalyzer,
-    config: FinderConfig,
-    indexed: int,
-    evidence_counts: dict[str, int],
-) -> ExpertFinder:
-    """A pre-segments monolithic generation: ``index.bin`` is a
-    collection slice in postings order, loaded as the one sealed segment
-    (the compiled ``engine.bin`` beside it is not read)."""
-    segment = _load_v3_segment(
-        gen_dir / _INDEX_BIN, 0, {"docs": indexed}, source="metadata"
-    )
-    segmented = SegmentedIndex.restore_compiled(config, [segment], None)
-    return _segmented_finder(
-        gen_dir, analyzer, config, indexed, evidence_counts, segmented
-    )
-
-
-def _segmented_finder(
-    where: pathlib.Path,
-    analyzer: ResourceAnalyzer,
-    config: FinderConfig,
-    indexed: int,
-    evidence_counts: dict[str, int],
-    segmented: SegmentedIndex,
-) -> ExpertFinder:
     if segmented.document_count != indexed:
         raise StorageFormatError(
-            f"{where}: segments hold {segmented.document_count} "
+            f"{gen_dir}: segments hold {segmented.document_count} "
             f"indexed document(s), metadata says {indexed}"
         )
     return ExpertFinder(
         analyzer,
-        _collect_evidence(segmented),
         config,
         evidence_counts=evidence_counts,
         indexed_count=indexed,
@@ -671,16 +543,7 @@ def load_finder(
     directory = pathlib.Path(directory)
     gen_dir = _read_current(directory)
     try:
-        config, indexed, evidence_counts, index_mode = _load_meta(
-            gen_dir / _META_FILE
-        )
-        if index_mode == "segmented":
-            return _load_v3_segmented(
-                gen_dir, analyzer, config, indexed, evidence_counts
-            )
-        return _load_v3_legacy_monolithic(
-            gen_dir, analyzer, config, indexed, evidence_counts
-        )
+        return _load_generation(gen_dir, analyzer)
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, StorageFormatError):
             raise

@@ -16,9 +16,10 @@ from repro.core.ranking import ExpertRanker
 from repro.index.analyzer import AnalyzedResource
 from repro.index.entity_index import EntityIndex
 from repro.index.inverted import InvertedIndex
-from repro.index.segments import Segment, SegmentedIndex
+from repro.index.segments import Segment, SegmentedIndex, evidence_rows
 from repro.index.statistics import CollectionStatistics
 from repro.index.vsm import VectorSpaceRetriever
+from tests.oracle import merged_slice
 
 
 def _res(doc_id, terms, entities=None, language="en"):
@@ -160,8 +161,9 @@ class TestCompaction:
         )
         index.compact(full=True)
         (segment,) = index.iter_segments()
-        assert list(segment.evidence) == [a.doc_id for a, _ in _STREAM]
-        assert segment.evidence["d4"] == (("alice", 1), ("bob", 2))
+        evidence = dict(evidence_rows(segment.evidence_csr))
+        assert list(evidence) == [a.doc_id for a, _ in _STREAM]
+        assert evidence["d4"] == (("alice", 1), ("bob", 2))
 
     def test_full_compact_sweeps_buffer_into_one_segment(self, config):
         index = _streamed(config, seal_threshold=2, compaction="manual")
@@ -216,7 +218,7 @@ class TestSegmentationInvariance:
         # the object path retrieves over merged_slice(): the merged
         # collection must not depend on how it was segmented
         def retriever(index):
-            term_index, entity_index, _evidence = index.merged_slice()
+            term_index, entity_index, _evidence = merged_slice(index)
             return VectorSpaceRetriever(term_index, entity_index)
 
         reference = retriever(_reference(config))

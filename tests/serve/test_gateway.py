@@ -11,10 +11,12 @@ parser.
 from __future__ import annotations
 
 import asyncio
+import gc
 import http.client
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -95,6 +97,27 @@ class TestEquivalence:
             assert [_triples(r) for r in body["results"]] == [
                 expected[q] for q in queries
             ]
+
+
+class TestHarnessLifecycle:
+    def test_stop_closes_the_event_loop(self, hand_source):
+        harness = GatewayHarness(
+            hand_source, config=GatewayConfig(rate_limit=None)
+        )
+        with harness:
+            # a batch runs in the loop's default executor, so stop() has
+            # executor threads to shut down as well
+            status, _, _ = harness.request(
+                "POST", "/v1/query/batch", {"needs": ["swimming"]}
+            )
+            assert status == 200
+        loop = harness._loop
+        assert loop.is_closed()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del harness, loop
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestReadiness:
@@ -616,6 +639,30 @@ class TestEndpointErrors:
             "POST", "/v1/query", {"need": "theremin concert"}
         )
         assert [e["candidate_id"] for e in after["experts"]] == ["bob"]
+
+    def test_observe_unknown_supporter_is_a_bad_request(self, gateway):
+        # the finder raises KeyError for a supporter that is not a
+        # candidate; the gateway answers 400, indexes nothing and does
+        # not count the observe
+        need = {"need": "zither recital"}
+        _, _, before = gateway.request("POST", "/v1/query", need)
+        _, _, metrics = gateway.request("GET", "/v1/metrics")
+        event = {
+            "node_id": "s:zither:1",
+            "text": "a wonderful zither recital tonight",
+            "supporters": [["nobody:1", 1]],
+        }
+        status, _, body = gateway.request("POST", "/v1/observe", event)
+        assert (status, body["error"]["code"]) == (400, "invalid_input")
+        assert body["error"]["message"] == "unknown candidate 'nobody:1'"
+        _, _, after = gateway.request("POST", "/v1/query", need)
+        assert after == before
+        _, _, metrics_after = gateway.request("GET", "/v1/metrics")
+        assert metrics_after["service"]["observed"] == metrics["service"]["observed"]
+        # the resource id was not consumed either
+        event["supporters"] = [["bob", 1]]
+        status, _, body = gateway.request("POST", "/v1/observe", event)
+        assert (status, body["indexed"]) == (200, True)
 
     def test_crowd_route_unknown_strategy(self, gateway):
         status, _, body = gateway.request(

@@ -13,16 +13,25 @@ from repro.core.config import FinderConfig
 from repro.core.expert_finder import ExpertFinder
 from repro.index.entity_index import EntityIndex, EntityPosting
 from repro.index.inverted import InvertedIndex, Posting
+from repro.index.segments import Segment, evidence_rows
 from repro.storage.jsonl import StorageFormatError
 from repro.storage.binary import MappedSections, write_sections
 from repro.storage.snapshot import SNAPSHOT_VERSION, load_finder, save_finder
-from tests.oracle import oracle_experts
+from tests.oracle import merged_slice, oracle_experts
 
 
 def _generation_dir(snapshot_dir):
     """The generation a v3 snapshot's CURRENT file points at."""
     lines = (snapshot_dir / "CURRENT").read_text(encoding="utf-8").splitlines()
     return snapshot_dir / lines[1]
+
+
+def _holds_posting_objects(segment):
+    """Whether any slot of *segment* holds a posting-object index."""
+    return any(
+        isinstance(getattr(segment, slot), (InvertedIndex, EntityIndex))
+        for slot in Segment.__slots__
+    )
 
 
 def _rewrite_section(path, name, edit):
@@ -173,9 +182,9 @@ class TestFormatGuards:
 
 class TestContentValidation:
     """Corrupt snapshot *content* (a valid container holding bad data)
-    must be rejected at load time. The write buffer hydrates into
-    posting objects at load, so its postings get the content checks of
-    a restored index; every segment's evidence rows are checked against
+    must be rejected at load time. The write buffer thaws into posting
+    objects at load, so its postings get the content checks of a
+    restored index; every segment's evidence rows are checked against
     the configured distance weights. (Matches name the failed check,
     not just the path: tmp_path spells out the test's name.)"""
 
@@ -230,13 +239,13 @@ class TestContentValidation:
 class TestLoadedEngine:
     def test_engine_compiled_at_load(self, snapshot_dir, tiny_dataset):
         # serving warm-starts from snapshots: the kernel scores the
-        # mapped segment columns as loaded — nothing is compiled (or
-        # hydrated) lazily on the first query
+        # mapped segment columns as loaded — nothing is compiled lazily
+        # on the first query, and a segment holds no posting objects
         loaded_finder = ExpertFinder.load(snapshot_dir, tiny_dataset.analyzer)
         assert loaded_finder.find_experts(tiny_dataset.queries[0])
         (segment,) = loaded_finder.segmented_index.iter_segments()
         assert segment.document_count == loaded_finder.indexed_resources
-        assert segment._term_index is None
+        assert not _holds_posting_objects(segment)
 
     def test_loaded_columns_are_read_only_views(self, snapshot_dir, tiny_dataset):
         # the columns are np.frombuffer views over the read-only mapping:
@@ -246,7 +255,7 @@ class TestLoadedEngine:
         columns = [
             column
             for cols in (segment._term_cols, segment._entity_cols)
-            for group in cols.values()
+            for group in (cols.columns, *cols.views.values())
             for column in group
         ]
         assert columns
@@ -263,8 +272,9 @@ class TestLoadedEngine:
         # and it agrees with the decoded evidence relation
         loaded_finder = ExpertFinder.load(snapshot_dir, tiny_dataset.analyzer)
         (segment,) = loaded_finder.segmented_index.iter_segments()
-        cand, dist, first, count = segment._evidence_cols
-        for column in (cand, dist):
+        csr, first, count = segment._evidence_cols
+        cand, dist = csr.cand, csr.dist
+        for column in (csr.off, cand, dist):
             assert not column.flags.writeable and column.base is not None
         with pytest.raises(ValueError, match="read-only"):
             dist[0] = 0
@@ -274,9 +284,8 @@ class TestLoadedEngine:
         assert per_doc.tolist() == count.tolist()
         rows = list(zip([segment.candidates[c] for c in local.tolist()],
                         distances.tolist()))
-        expected = [
-            row for doc_id in segment.doc_ids for row in segment.evidence[doc_id]
-        ]
+        evidence = dict(evidence_rows(csr))
+        expected = [row for doc_id in segment.doc_ids for row in evidence[doc_id]]
         assert rows == expected
 
     def test_restore_rejects_unknown_doc_ids_directly(self):
@@ -554,12 +563,12 @@ class TestSegmentedLoadedSurface:
         self, segmented_snapshot_dir, analyzer
     ):
         # a load builds no whole-collection posting objects: the sealed
-        # segments stay mapped columns until a merge, a re-save or
-        # merged_slice() hydrates them
+        # segments are mapped columns, and merges and re-saves run on
+        # the columns too
         loaded = ExpertFinder.load(segmented_snapshot_dir, analyzer)
         segments = loaded.segmented_index.iter_segments()
         assert len(segments) > 1
-        assert all(segment._term_index is None for segment in segments)
+        assert not any(_holds_posting_objects(segment) for segment in segments)
 
 
 class TestV3Lifecycle:
@@ -597,14 +606,16 @@ class TestV3Lifecycle:
         directory = tmp_path / "lazy"
         finder.save(directory)
         loaded = ExpertFinder.load(directory, analyzer)
-        # sealed segments come back cold: columns mapped, indexes unbuilt
-        segments = loaded.segmented_index._segments
-        assert all(seg._term_index is None for seg in segments)
+        # sealed segments come back as mapped columns, never as indexes
+        segments = loaded.segmented_index.iter_segments()
+        assert not any(_holds_posting_objects(seg) for seg in segments)
         for need, expected in reference.items():
             assert loaded.find_experts(need) == expected
-        # queries score straight off the mapped columns — no hydration
-        assert all(seg._term_index is None for seg in segments)
-        # explicit index access (merge/re-save path) hydrates on demand
-        for seg in segments:
-            assert seg.term_index.document_count == seg.document_count
-        assert all(seg._term_index is not None for seg in segments)
+        # the oracle builds posting objects on demand, from the columns
+        # alone: the same collection the finder was saved from
+        term_index, entity_index, evidence = merged_slice(loaded.segmented_index)
+        original = merged_slice(finder.segmented_index)
+        assert dict(term_index.items()) == dict(original[0].items())
+        assert dict(entity_index.items()) == dict(original[1].items())
+        assert evidence == original[2]
+        assert not any(_holds_posting_objects(seg) for seg in segments)
