@@ -1,42 +1,33 @@
-"""Cold-build benchmark: the parallel pipeline vs the serial path.
+"""Cold-build benchmark: where a cold build spends its time.
 
-Measures the three-stage cold build (shared-frontier gathering, parallel
-text/entity analysis, serial index fill) end to end:
+Times the three-stage cold build (shared-frontier gathering, text/entity
+analysis, index fill) with no pre-built corpus, reading each node's
+linked pages as the dataset's corpus analysis did:
 
-* **equivalence** — the parallel build must produce rankings identical
-  to the serial build for every query (always asserted, any core count);
-* **speedup** — with ≥4 workers on a ≥4-core machine the parallel cold
-  build must be at least 2× faster than the serial one (asserted only
-  when the hardware can deliver it; the numbers are recorded either way).
-  An untimed build runs first, so neither timed build pays the process's
-  one-off costs (lazy imports, the analyzer's word memo) alone.
+* **equivalence** — the cold build must rank ``==`` the corpus-backed
+  build on every paper query (always asserted);
+* **stage split** — the wall seconds of gather / analyze / index
+  (``BuildStats``). An untimed build runs first, so that the timed one
+  does not pay the process's one-off costs (lazy imports, the analyzer's
+  word memo) alone.
 
-Also times the sharded corpus analysis (``ParallelCorpusAnalyzer``) on
-the merged graph — the dominant cost of ``build_dataset``.
+Also times ``CorpusAnalyzer.analyze_graph`` over the merged graph — the
+dominant cost of ``build_dataset`` — and checks that it reproduces the
+dataset's corpus.
 
 Results go to ``benchmarks/results/build.txt`` (human-readable) and
 ``benchmarks/results/BENCH_build.json`` (machine-readable, uploaded as
 a CI artifact so the perf trajectory accumulates across commits).
-``REPRO_BUILD_WORKERS`` overrides the worker count (default: all cores,
-at least 2 so the parallel path is always exercised, at most 8).
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.core.config import FinderConfig
 from repro.core.expert_finder import ExpertFinder
-from repro.extraction.crawler import ParallelCorpusAnalyzer
-from repro.synthetic.dataset import default_analyzer
-
-
-def _worker_count() -> int:
-    override = os.environ.get("REPRO_BUILD_WORKERS", "").strip()
-    if override:
-        return max(1, int(override))
-    return min(max(os.cpu_count() or 1, 2), 8)
+from repro.extraction.crawler import CorpusAnalyzer
+from repro.extraction.url_content import UrlContentExtractor
 
 
 def bench_build(ctx, save_result, save_json):
@@ -44,94 +35,57 @@ def bench_build(ctx, save_result, save_json):
     graph = dataset.merged_graph
     candidates = dataset.candidates_for(None)
     queries = list(dataset.queries)
-    workers = _worker_count()
-    cores = os.cpu_count() or 1
+    url_content = UrlContentExtractor(dataset.networks.web)
 
-    # -- cold finder build: gather + analyze + index, no pre-built corpus --
-    # one untimed build first: the lazy imports (numpy with the segment
-    # compiler) and the analyzer's word memo are one-off costs, which
-    # the first timed build would otherwise pay alone (the pooled build's
-    # forked workers inherit the memo the build before them filled)
-    ExpertFinder.build(graph, candidates, dataset.analyzer, FinderConfig())
+    def cold_build() -> ExpertFinder:
+        return ExpertFinder.build(
+            graph, candidates, dataset.analyzer, FinderConfig(), url_content=url_content
+        )
 
+    cold_build()
     t0 = time.perf_counter()
-    serial = ExpertFinder.build(graph, candidates, dataset.analyzer, FinderConfig())
-    serial_s = time.perf_counter() - t0
+    cold = cold_build()
+    cold_s = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    parallel = ExpertFinder.build(
-        graph,
-        candidates,
-        dataset.analyzer,
-        FinderConfig(),
-        workers=workers,
-        analyzer_factory=default_analyzer,
+    warm = ExpertFinder.build(
+        graph, candidates, dataset.analyzer, FinderConfig(), corpus=dataset.corpus
     )
-    parallel_s = time.perf_counter() - t0
-
-    # determinism guarantee: identical rankings, every query, any workers
     for need in queries:
-        assert parallel.find_experts(need) == serial.find_experts(need), need
+        assert cold.find_experts(need) == warm.find_experts(need), need
 
-    speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
-
-    # -- sharded corpus analysis over the merged graph --
     t0 = time.perf_counter()
-    serial_corpus = ParallelCorpusAnalyzer(dataset.analyzer).analyze_graph(graph)
-    corpus_serial_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    parallel_corpus = ParallelCorpusAnalyzer(
-        dataset.analyzer, workers=workers, analyzer_factory=default_analyzer
-    ).analyze_graph(graph)
-    corpus_parallel_s = time.perf_counter() - t0
+    corpus = CorpusAnalyzer(dataset.analyzer, url_content).analyze_graph(graph)
+    corpus_s = time.perf_counter() - t0
     # same analyses *and* same node order (order fixes index determinism)
-    assert list(parallel_corpus) == list(serial_corpus)
-    assert parallel_corpus == serial_corpus
-    corpus_speedup = (
-        corpus_serial_s / corpus_parallel_s if corpus_parallel_s > 0 else float("inf")
-    )
+    assert list(corpus) == list(dataset.corpus)
+    assert corpus == dataset.corpus
+    corpus_rate = len(corpus) / corpus_s if corpus_s > 0 else float("inf")
 
-    ss, ps = serial.build_stats, parallel.build_stats
+    stats = cold.build_stats
     lines = [
-        "Cold build — parallel pipeline vs serial path",
+        "Cold build — stage split of the serial pipeline",
         f"dataset: scale={dataset.scale.value} seed={dataset.seed} "
-        f"({ss.nodes} nodes, {ss.indexed} indexed), "
-        f"{cores} cores, {workers} workers",
+        f"({stats.nodes} nodes, {stats.indexed} indexed)",
         "",
-        f"serial cold build:    {serial_s:8.3f}s  ({ss.render()})",
-        f"parallel cold build:  {parallel_s:8.3f}s  ({ps.render()})",
-        f"cold-build speedup:   {speedup:8.2f}x",
+        f"cold build:       {cold_s:8.3f}s  ({stats.render()})",
+        f"corpus analysis:  {corpus_s:8.3f}s  "
+        f"({len(corpus)} nodes, {corpus_rate:.0f}/s)",
         "",
-        f"serial corpus analysis:    {corpus_serial_s:8.3f}s "
-        f"({len(serial_corpus)} nodes)",
-        f"parallel corpus analysis:  {corpus_parallel_s:8.3f}s",
-        f"corpus-analysis speedup:   {corpus_speedup:8.2f}x",
-        "",
-        f"rankings identical over {len(queries)} queries: yes",
+        f"cold build ranks == the corpus-backed build over "
+        f"{len(queries)} queries: yes",
     ]
     save_result("build", "\n".join(lines))
     save_json(
         "build",
         dataset,
         {
-            "workers": workers,
-            "serial": {**ss.as_dict(), "wall_s": serial_s},
-            "parallel": {**ps.as_dict(), "wall_s": parallel_s},
-            "cold_build_speedup": speedup,
+            "cold_build": {**stats.as_dict(), "wall_s": cold_s},
             "corpus_analysis": {
-                "nodes": len(serial_corpus),
-                "serial_s": corpus_serial_s,
-                "parallel_s": corpus_parallel_s,
-                "speedup": corpus_speedup,
+                "nodes": len(corpus),
+                "wall_s": corpus_s,
+                "nodes_per_s": corpus_rate,
             },
+            "queries": len(queries),
             "rankings_identical": True,
         },
     )
-
-    # the ≥2x target needs real parallelism: only enforce it when the
-    # machine has ≥4 cores and the build actually used ≥4 workers
-    if cores >= 4 and workers >= 4:
-        assert speedup >= 2.0, (
-            f"parallel cold build ({parallel_s:.3f}s, {workers} workers) "
-            f"not ≥2x faster than serial ({serial_s:.3f}s) on {cores} cores"
-        )

@@ -86,8 +86,6 @@ def bench_serve_http(ctx, save_result, save_json):
 
         t0 = time.perf_counter()
         with ThreadPoolExecutor(max_workers=_CLIENTS) as pool:
-            # repro: lint-ok[fork-safety] thread pool, no fork seam —
-            # the closure never crosses a process boundary
             per_client = list(pool.map(query_client, range(_CLIENTS)))
         single_elapsed = time.perf_counter() - t0
         latencies = sorted(sample for batch in per_client for sample in batch)
@@ -117,7 +115,6 @@ def bench_serve_http(ctx, save_result, save_json):
 
         t0 = time.perf_counter()
         with ThreadPoolExecutor(max_workers=_CLIENTS) as pool:
-            # repro: lint-ok[fork-safety] thread pool, no fork seam
             served = sum(pool.map(batch_client, range(_CLIENTS)))
         batch_elapsed = time.perf_counter() - t0
         batch_needs_per_s = served / batch_elapsed
@@ -149,7 +146,6 @@ def bench_serve_http(ctx, save_result, save_json):
             return count
 
         hammer_pool = ThreadPoolExecutor(max_workers=4)
-        # repro: lint-ok[fork-safety] thread pool, no fork seam
         hammered = [hammer_pool.submit(reload_hammer) for _ in range(4)]
         reload_s = []
         try:

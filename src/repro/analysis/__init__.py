@@ -1,12 +1,11 @@
 """Repo-specific static analysis (``repro lint``).
 
-Five AST-based rules guard the invariants the runtime equivalence
+Four AST-based rules guard the invariants the runtime equivalence
 tests enforce dynamically — catching whole bug classes at review time
 instead of when a benchmark trips:
 
 ========================  ======================================================
 ``determinism``           no unordered iteration / entropy in scoring paths
-``fork-safety``           only module-level callables cross the fork seam
 ``mmap-discipline``       mapped sections are read-only; columns immutable
 ``float-equality``        float scores compare by ordering, never ``==``
 ``section-registry``      layout names come from ``repro.storage.sections``
@@ -30,14 +29,12 @@ from .engine import (
 )
 from .findings import FileResult, Finding, LintReport
 from .floateq import FloatEqualityChecker
-from .forksafety import ForkSafetyChecker
 from .mmapdiscipline import MmapDisciplineChecker
 from .registry import SectionRegistryChecker
 
 #: every registered rule, in report order
 ALL_CHECKERS: tuple[Checker, ...] = (
     DeterminismChecker(),
-    ForkSafetyChecker(),
     MmapDisciplineChecker(),
     FloatEqualityChecker(),
     SectionRegistryChecker(),
@@ -52,7 +49,6 @@ __all__ = [
     "FileResult",
     "Finding",
     "FloatEqualityChecker",
-    "ForkSafetyChecker",
     "LintReport",
     "MmapDisciplineChecker",
     "RULESET_VERSION",

@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from pathlib import Path
 
 from repro.core.config import FinderConfig
@@ -148,18 +148,31 @@ def _build_finder(
     config = FinderConfig(
         alpha=args.alpha, window=args.window, max_distance=args.distance
     )
-    build_kwargs = {
-        name: getattr(args, name)
-        for name in ("workers", "chunk_size", "seal_threshold")
-        if getattr(args, name, None) is not None
-    }
+    cold = getattr(args, "cold", False)
+    url_content: Callable[[str], str] | None = None
+    if cold:
+        # re-analyze every node as the dataset's corpus analysis did,
+        # URL text included; a saved dataset keeps no web pages, and
+        # without them the cold build would index different text
+        from repro.extraction.url_content import UrlContentExtractor
+
+        web = dataset.networks.web
+        if web is None:
+            print(
+                "error: --cold needs the dataset's web pages, which a saved "
+                "dataset does not keep; use --scale instead of --dataset",
+                file=sys.stderr,
+            )
+            raise SystemExit(2)
+        url_content = UrlContentExtractor(web)
     return ExpertFinder.build(
         dataset.graph_for(platform),
         dataset.candidates_for(platform),
         dataset.analyzer,
         config,
-        corpus=None if getattr(args, "cold", False) else dataset.corpus,
-        **build_kwargs,
+        corpus=None if cold else dataset.corpus,
+        url_content=url_content,
+        seal_threshold=getattr(args, "seal_threshold", None),
     )
 
 
@@ -441,23 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--window", type=int, default=100)
     p_index.add_argument("--distance", type=int, default=2, choices=(0, 1, 2))
     p_index.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="worker processes for the analyze build stage "
-        "(results are identical for any count)",
-    )
-    p_index.add_argument(
-        "--chunk-size",
-        type=_positive_int,
-        default=None,
-        help="nodes per worker dispatch (default 256)",
-    )
-    p_index.add_argument(
         "--cold",
         action="store_true",
         help="ignore the dataset's pre-analyzed corpus and re-analyze "
-        "every node (exercises the full parallel pipeline)",
+        "every node, URL text included (writes the same snapshot; "
+        "needs a generated dataset, not --dataset)",
     )
     p_index.add_argument(
         "--snapshot",
@@ -554,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint = sub.add_parser(
         "lint",
         help="run the repo's custom static-analysis rules "
-        "(determinism, fork-safety, mmap discipline, ...)",
+        "(determinism, mmap discipline, ...)",
     )
     p_lint.add_argument(
         "paths",

@@ -1,10 +1,9 @@
 """Per-stage instrumentation of the cold-build pipeline.
 
 A cold :meth:`ExpertFinder.build` runs three stages — gather the
-evidence neighborhoods, analyze the node texts, fill the indexes — and
+evidence neighborhoods, analyze the node texts, fill the index — and
 :class:`BuildStats` records the wall time of each, so the CLI and the
-build benchmark can show where the time went and how the parallel
-stages scale.
+build benchmark can show where the time went.
 """
 
 from __future__ import annotations
@@ -14,21 +13,21 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class BuildStats:
-    """Timings and throughput of one :meth:`ExpertFinder.build` run."""
+    """Timings and throughput of one :meth:`ExpertFinder.build` (or
+    :meth:`ExpertFinder.from_stream`) run."""
 
-    #: worker processes used by the analyze and index stages (1 = serial)
-    workers: int
     #: unique evidence nodes gathered across all candidates
     nodes: int
     #: nodes whose text was analyzed in this build (not served from a corpus)
     analyzed: int
-    #: documents admitted into the indexes (post language cut)
+    #: documents admitted into the index (post language cut)
     indexed: int
     #: wall seconds of the shared-frontier gathering stage
     gather_s: float
     #: wall seconds of the text/entity analysis stage
     analyze_s: float
-    #: wall seconds of the index-fill stage
+    #: wall seconds of the index-fill stage (the write buffer's adds,
+    #: not their compilation into the base segment)
     index_s: float
 
     @property
@@ -46,7 +45,6 @@ class BuildStats:
     def as_dict(self) -> dict[str, float | int]:
         """Flat machine-readable form (used by ``BENCH_build.json``)."""
         return {
-            "workers": self.workers,
             "nodes": self.nodes,
             "analyzed": self.analyzed,
             "indexed": self.indexed,
@@ -62,5 +60,5 @@ class BuildStats:
         return (
             f"gather {self.gather_s:.2f}s · analyze {self.analyze_s:.2f}s "
             f"({self.analyzed} nodes, {self.nodes_per_s:.0f}/s) · "
-            f"index {self.index_s:.2f}s · workers={self.workers}"
+            f"index {self.index_s:.2f}s"
         )

@@ -17,21 +17,18 @@ from __future__ import annotations
 
 import pathlib
 import time
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from types import EllipsisType, MappingProxyType
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
-    from repro.index.segments import SegmentedIndex, SegmentStats
+    from repro.index.segments import SegmentedIndex, SegmentStats, _Rows
 
 from repro.core.build_stats import BuildStats
 from repro.core.config import FinderConfig
 from repro.core.need import ExpertiseNeed
 from repro.core.ranking import ExpertScore
 from repro.index.analyzer import AnalyzedResource, ResourceAnalyzer
-from repro.index.entity_index import EntityIndex
-from repro.index.inverted import InvertedIndex
-from repro.index.parallel import DEFAULT_CHUNK_SIZE, AnalysisTask, analyze_tasks, build_indexes
 from repro.socialgraph.distance import ResourceGatherer, node_text, node_urls
 from repro.socialgraph.graph import SocialGraph
 
@@ -83,9 +80,6 @@ class ExpertFinder:
         *,
         corpus: Mapping[str, AnalyzedResource] | None = None,
         url_content: Callable[[str], str] | None = None,
-        workers: int = 1,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        analyzer_factory: Callable[[], ResourceAnalyzer] | None = None,
         seal_threshold: int | None = None,
         compaction: str = "synchronous",
     ) -> "ExpertFinder":
@@ -101,17 +95,14 @@ class ExpertFinder:
         from it are analyzed on the fly (with *url_content* enrichment if
         provided).
 
-        The build runs as a three-stage pipeline — shared-frontier
-        gathering, text/entity analysis, index fill — and *workers*
-        splits the analysis stage across a process pool in chunks of
-        *chunk_size* nodes (see :mod:`repro.index.parallel`;
-        *analyzer_factory* is only needed on platforms without ``fork``);
-        the index fill is serial. Results are identical for any worker
-        count; per-stage timings are exposed as :attr:`build_stats`.
-
-        The built indexes become the one sealed segment of a
+        The build runs as a three-stage pipeline in one process —
+        shared-frontier gathering, text/entity analysis, index fill —
+        and exposes per-stage timings as :attr:`build_stats`. The index
+        fill hands every gathered node, in gathered order, to the write
+        buffer's ``add`` (the call every :meth:`observe` makes), and the
+        buffer compiles once into the one sealed segment of a
         :class:`~repro.index.segments.SegmentedIndex`; streamed observes
-        then touch only its write buffer, which seals every
+        then touch only a fresh write buffer, which seals every
         *seal_threshold* resources and compacts per *compaction*.
         """
         config = config or FinderConfig()
@@ -135,11 +126,11 @@ class ExpertFinder:
                 evidence_of.setdefault(node_id, []).append((candidate_id, distance))
         gather_s = time.perf_counter() - t0
 
-        # stage 2 — analyze: corpus misses go through the (parallel)
-        # text/entity pipeline; result order follows the gathered order
+        # stage 2 — analyze: corpus misses go through the text/entity
+        # pipeline, in gathered order
         t0 = time.perf_counter()
-        unique_nodes: dict[str, AnalyzedResource | None] = {}
-        tasks: list[AnalysisTask] = []
+        analyzed_of: dict[str, AnalyzedResource] = {}
+        misses = 0
         for node_id, kind in gathered.kinds.items():
             analyzed = corpus.get(node_id) if corpus is not None else None
             if analyzed is None:
@@ -147,44 +138,35 @@ class ExpertFinder:
                 if url_content is not None:
                     for url in node_urls(graph, node_id, kind):
                         text = f"{text} {url_content(url)}"
-                tasks.append((node_id, text, None))
-            unique_nodes[node_id] = analyzed
-        for analyzed in analyze_tasks(
-            analyzer,
-            tasks,
-            workers=workers,
-            chunk_size=chunk_size,
-            analyzer_factory=analyzer_factory,
-        ):
-            unique_nodes[analyzed.doc_id] = analyzed
+                analyzed = analyzer.analyze(node_id, text)
+                misses += 1
+            analyzed_of[node_id] = analyzed
         analyze_s = time.perf_counter() - t0
 
-        # stage 3 — index: fill the two indexes
-        t0 = time.perf_counter()
-        documents = [
-            analyzed
-            for analyzed in unique_nodes.values()
-            if analyzed is not None and analyzed.language in _INDEXABLE_LANGUAGES
-        ]
-        term_index, entity_index = build_indexes(documents)
-        index_s = time.perf_counter() - t0
+        # stage 3 — index: timed from the first add to the last, so that
+        # the compile into the base segment is not counted
+        index_s = 0.0
+
+        def resources() -> Iterator[tuple[AnalyzedResource, _Rows, bool]]:
+            nonlocal index_s
+            t0 = time.perf_counter()
+            for node_id, analyzed in analyzed_of.items():
+                indexed = analyzed.language in _INDEXABLE_LANGUAGES
+                yield analyzed, tuple(evidence_of[node_id]), indexed
+            index_s = time.perf_counter() - t0
 
         finder = cls._assemble(
             analyzer,
-            term_index,
-            entity_index,
-            evidence_of,
+            resources(),
             evidence_counts,
-            len(documents),
             config,
             seal_threshold=seal_threshold,
             compaction=compaction,
         )
         finder._build_stats = BuildStats(
-            workers=workers,
-            nodes=len(unique_nodes),
-            analyzed=len(tasks),
-            indexed=len(documents),
+            nodes=len(analyzed_of),
+            analyzed=misses,
+            indexed=finder.indexed_resources,
             gather_s=gather_s,
             analyze_s=analyze_s,
             index_s=index_s,
@@ -199,9 +181,6 @@ class ExpertFinder:
         analyzer: ResourceAnalyzer,
         config: FinderConfig | None = None,
         *,
-        workers: int = 1,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        analyzer_factory: Callable[[], ResourceAnalyzer] | None = None,
         seal_threshold: int | None = None,
         compaction: str = "synchronous",
     ) -> "ExpertFinder":
@@ -211,13 +190,13 @@ class ExpertFinder:
         order, where *supporters* lists ``(candidate_id, distance)``
         evidence rows exactly as :meth:`observe` takes them.
 
-        Events are analyzed in chunks of ``chunk_size * workers`` (the
-        parallel-analysis pool absorbs each chunk, so peak memory is the
-        chunk plus the growing indexes, not the stream), making this the
-        entry point for the ``xl`` scale's generator
-        (:mod:`repro.synthetic.stream`). The result is identical to
-        building from an equivalent materialized graph, and the layout
-        options — *seal_threshold*, *compaction* — apply unchanged.
+        Each event is analyzed as it arrives and handed to the write
+        buffer's ``add``, so peak memory is the growing index, not the
+        stream, making this the entry point for the ``xl`` scale's
+        generator (:mod:`repro.synthetic.stream`). The buffer compiles
+        once into the base segment. The result is identical to building
+        from an equivalent materialized graph, and the layout options —
+        *seal_threshold*, *compaction* — apply unchanged.
         """
         config = config or FinderConfig()
         if not candidates:
@@ -225,82 +204,54 @@ class ExpertFinder:
         evidence_counts: dict[str, int] = {cid: 0 for cid in candidates}
         if len(evidence_counts) != len(candidates):
             raise ValueError("duplicate candidate ids")
-        evidence_of: dict[str, list[tuple[str, int]]] = {}
-        term_index = InvertedIndex()
-        entity_index = EntityIndex()
-        indexed_count = 0
         seen: set[str] = set()
-        batch: list[AnalysisTask] = []
-        batch_rows: list[tuple[tuple[str, int], ...]] = []
-        flush_at = max(chunk_size, chunk_size * workers)
-        t0 = time.perf_counter()
         analyze_s = 0.0
+        stream_s = 0.0
 
-        def flush() -> None:
-            nonlocal indexed_count, analyze_s
-            ta = time.perf_counter()
-            analyzed_batch = analyze_tasks(
-                analyzer,
-                batch,
-                workers=workers,
-                chunk_size=chunk_size,
-                analyzer_factory=analyzer_factory,
-            )
-            analyze_s += time.perf_counter() - ta
-            for analyzed, rows in zip(analyzed_batch, batch_rows):
-                evidence_of[analyzed.doc_id] = list(rows)
+        def resources() -> Iterator[tuple[AnalyzedResource, _Rows, bool]]:
+            # timed from the first event to the last add, so that the
+            # compile into the base segment is not counted as indexing
+            nonlocal analyze_s, stream_s
+            t0 = time.perf_counter()
+            for event in events:
+                node_id, text, supporters, *rest = event
+                rows = tuple((cid, distance) for cid, distance in supporters)
+                if not rows:
+                    raise ValueError(
+                        f"resource {node_id!r} must support at least one candidate"
+                    )
+                for candidate_id, distance in rows:
+                    if candidate_id not in evidence_counts:
+                        raise KeyError(f"unknown candidate {candidate_id!r}")
+                    if not 0 <= distance <= config.max_distance:
+                        raise ValueError(
+                            f"distance {distance} outside 0..{config.max_distance}"
+                        )
+                if node_id in seen:
+                    raise ValueError(f"resource {node_id!r} already streamed")
+                seen.add(node_id)
+                ta = time.perf_counter()
+                analyzed = analyzer.analyze(
+                    node_id, text, language=rest[0] if rest else None
+                )
+                analyze_s += time.perf_counter() - ta
                 for candidate_id, _distance in rows:
                     evidence_counts[candidate_id] += 1
-                if analyzed.language in _INDEXABLE_LANGUAGES:
-                    term_index.add_document(analyzed.doc_id, analyzed.term_counts)
-                    entity_index.add_document(
-                        analyzed.doc_id, analyzed.entity_counts
-                    )
-                    indexed_count += 1
-            del batch[:]
-            del batch_rows[:]
-
-        for event in events:
-            node_id, text, supporters, *rest = event
-            language = rest[0] if rest else None
-            rows = tuple((cid, distance) for cid, distance in supporters)
-            if not rows:
-                raise ValueError(
-                    f"resource {node_id!r} must support at least one candidate"
-                )
-            for candidate_id, distance in rows:
-                if candidate_id not in evidence_counts:
-                    raise KeyError(f"unknown candidate {candidate_id!r}")
-                if not 0 <= distance <= config.max_distance:
-                    raise ValueError(
-                        f"distance {distance} outside 0..{config.max_distance}"
-                    )
-            if node_id in seen:
-                raise ValueError(f"resource {node_id!r} already streamed")
-            seen.add(node_id)
-            batch.append((node_id, text, language))
-            batch_rows.append(rows)
-            if len(batch) >= flush_at:
-                flush()
-        flush()
-        stream_s = time.perf_counter() - t0
+                yield analyzed, rows, analyzed.language in _INDEXABLE_LANGUAGES
+            stream_s = time.perf_counter() - t0
 
         finder = cls._assemble(
             analyzer,
-            term_index,
-            entity_index,
-            evidence_of,
+            resources(),
             evidence_counts,
-            indexed_count,
             config,
             seal_threshold=seal_threshold,
             compaction=compaction,
         )
         finder._build_stats = BuildStats(
-            workers=workers,
             nodes=len(seen),
             analyzed=len(seen),
-            indexed=indexed_count,
+            indexed=finder.indexed_resources,
             gather_s=0.0,
             analyze_s=analyze_s,
             index_s=stream_s - analyze_s,
@@ -311,26 +262,20 @@ class ExpertFinder:
     def _assemble(
         cls,
         analyzer: ResourceAnalyzer,
-        term_index: InvertedIndex,
-        entity_index: EntityIndex,
-        evidence_of: dict[str, list[tuple[str, int]]],
+        resources: Iterable[tuple[AnalyzedResource, _Rows, bool]],
         evidence_counts: dict[str, int],
-        indexed_count: int,
         config: FinderConfig,
         *,
         seal_threshold: int | None,
         compaction: str,
     ) -> "ExpertFinder":
-        """Compile built indexes into a segmented index — the shared tail
-        of :meth:`build` and :meth:`from_stream`. The finder keeps only
-        the compiled columns, not *term_index*, *entity_index* or
-        *evidence_of*."""
+        """Fill a segmented index with *resources* and wrap it — the
+        shared tail of :meth:`build` and :meth:`from_stream`.
+        *evidence_counts* is read only after *resources* is consumed."""
         from repro.index.segments import DEFAULT_SEAL_THRESHOLD, SegmentedIndex
 
         segmented = SegmentedIndex.from_built(
-            term_index,
-            entity_index,
-            evidence_of,
+            resources,
             config,
             seal_threshold=(
                 DEFAULT_SEAL_THRESHOLD if seal_threshold is None else seal_threshold
@@ -341,7 +286,7 @@ class ExpertFinder:
             analyzer,
             config,
             evidence_counts=evidence_counts,
-            indexed_count=indexed_count,
+            indexed_count=segmented.document_count,
             segmented=segmented,
         )
 

@@ -33,23 +33,6 @@ def scale_from_env(default: DatasetScale = DatasetScale.SMALL) -> DatasetScale:
         raise ValueError(f"REPRO_SCALE must be one of {valid}, got {value!r}") from None
 
 
-def workers_from_env(default: int = 1) -> int:
-    """The cold-build worker count selected by ``REPRO_WORKERS``, or
-    *default*. The worker count only affects build speed, never results."""
-    value = os.environ.get("REPRO_WORKERS", "").strip()
-    if not value:
-        return default
-    try:
-        workers = int(value)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_WORKERS must be a positive integer, got {value!r}"
-        ) from None
-    if workers < 1:
-        raise ValueError(f"REPRO_WORKERS must be >= 1, got {workers}")
-    return workers
-
-
 @dataclass
 class ExperimentContext:
     """Dataset + runner + cached random baseline."""
@@ -60,20 +43,11 @@ class ExperimentContext:
 
     @classmethod
     def create(
-        cls,
-        scale: DatasetScale | None = None,
-        seed: int = DEFAULT_SEED,
-        workers: int | None = None,
+        cls, scale: DatasetScale | None = None, seed: int = DEFAULT_SEED
     ) -> "ExperimentContext":
-        """Build the context; *workers* (default: ``REPRO_WORKERS``, else
-        serial) splits the dataset's corpus-analysis stage, so every
-        experiment sweeping this context benefits from the parallel
-        cold build without any result change."""
-        dataset = build_dataset(
-            scale or scale_from_env(),
-            seed,
-            workers=workers if workers is not None else workers_from_env(),
-        )
+        """Build the context over a fresh dataset (scale default:
+        ``REPRO_SCALE``, else SMALL)."""
+        dataset = build_dataset(scale or scale_from_env(), seed)
         return cls(dataset=dataset, runner=ExperimentRunner(dataset))
 
     @property

@@ -25,11 +25,7 @@ from repro.extraction.api import (
     RateLimitExceeded,
     PermissionDenied,
 )
-from repro.extraction.crawler import (
-    CorpusAnalyzer,
-    ParallelCorpusAnalyzer,
-    ResourceExtractor,
-)
+from repro.extraction.crawler import CorpusAnalyzer, ResourceExtractor
 from repro.extraction.privacy import PrivacyPolicy
 from repro.extraction.url_content import SyntheticWeb, UrlContentExtractor, WebPage
 
@@ -38,7 +34,6 @@ __all__ = [
     "AuthToken",
     "ContainerRecord",
     "CorpusAnalyzer",
-    "ParallelCorpusAnalyzer",
     "PermissionDenied",
     "PlatformClient",
     "PlatformStore",

@@ -24,7 +24,6 @@ from repro.extraction.api import (
     RateLimitExceeded,
 )
 from repro.index.analyzer import AnalyzedResource, ResourceAnalyzer
-from repro.index.parallel import DEFAULT_CHUNK_SIZE, AnalysisTask, analyze_tasks
 from repro.socialgraph.distance import EvidenceKind, RelatedResource
 from repro.socialgraph.graph import SocialGraph
 from repro.socialgraph.metamodel import RelationKind, SocialRelation
@@ -286,58 +285,3 @@ class CorpusAnalyzer:
                 item.node_id, text, language=language
             )
         return corpus
-
-
-class ParallelCorpusAnalyzer(CorpusAnalyzer):
-    """A :class:`CorpusAnalyzer` that splits the analysis across worker
-    processes.
-
-    URL enrichment stays in the parent (it is a lookup, not CPU work);
-    the stemming + entity-annotation pipeline — the expensive part —
-    runs over contiguous *chunk_size* slices of the node stream in a
-    process pool (see :mod:`repro.index.parallel`). The resulting corpus
-    is identical to the serial one for any worker count: the analyzer is
-    deterministic and results are reassembled in graph order.
-    ``workers=1`` delegates to the exact serial path.
-    """
-
-    def __init__(
-        self,
-        analyzer: ResourceAnalyzer,
-        url_content: Callable[[str], str] | None = None,
-        *,
-        workers: int = 1,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        analyzer_factory: Callable[[], ResourceAnalyzer] | None = None,
-    ):
-        super().__init__(analyzer, url_content)
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self._workers = workers
-        self._chunk_size = chunk_size
-        self._analyzer_factory = analyzer_factory
-
-    def analyze_graph(self, graph: SocialGraph) -> dict[str, AnalyzedResource]:
-        """Analyze every profile, resource, and container in *graph*."""
-        if self._workers == 1:
-            return super().analyze_graph(graph)
-        tasks: list[AnalysisTask] = []
-        for profile in graph.profiles():
-            text = self._enrich(
-                f"{profile.display_name} {profile.text}".strip(), profile.urls
-            )
-            tasks.append((profile.profile_id, text, None))
-        for resource in graph.resources():
-            text = self._enrich(resource.text, resource.urls)
-            tasks.append((resource.resource_id, text, resource.language))
-        for container in graph.containers():
-            text = self._enrich(f"{container.name} {container.text}".strip(), container.urls)
-            tasks.append((container.container_id, text, None))
-        results = analyze_tasks(
-            self._analyzer,
-            tasks,
-            workers=self._workers,
-            chunk_size=self._chunk_size,
-            analyzer_factory=self._analyzer_factory,
-        )
-        return {analyzed.doc_id: analyzed for analyzed in results}

@@ -11,7 +11,6 @@ an ``α``-weighted combination of the term contribution
 from repro.index.analyzer import AnalyzedResource, ResourceAnalyzer
 from repro.index.entity_index import EntityIndex, EntityPosting
 from repro.index.inverted import InvertedIndex, Posting
-from repro.index.parallel import analyze_tasks, build_indexes
 from repro.index.statistics import CollectionStatistics
 from repro.index.vsm import ResourceMatch, VectorSpaceRetriever
 
@@ -31,6 +30,4 @@ __all__ = [
     "ResourceAnalyzer",
     "ResourceMatch",
     "VectorSpaceRetriever",
-    "analyze_tasks",
-    "build_indexes",
 ]

@@ -37,8 +37,8 @@ class EntityIndex:
 
     @property
     def version(self) -> int:
-        """Monotonic write counter, bumped by every :meth:`add_document`
-        and :meth:`merge`; same auto-invalidation contract as
+        """Monotonic write counter, bumped by every :meth:`add_document`;
+        same auto-invalidation contract as
         :attr:`repro.index.inverted.InvertedIndex.version`."""
         return self._version
 
@@ -73,28 +73,6 @@ class EntityIndex:
 
     def entities(self) -> tuple[str, ...]:
         return tuple(self._postings)
-
-    def merge(self, other: "EntityIndex") -> None:
-        """Append *other*'s postings into this index.
-
-        Same contract as :meth:`repro.index.inverted.InvertedIndex.merge`:
-        stream-order merging reproduces the serial postings order, a
-        document present in both slices is an error, and the bumped
-        :attr:`version` makes any
-        :class:`~repro.index.statistics.CollectionStatistics` over this
-        index refresh itself on its next read.
-        """
-        overlap = self._doc_ids & other._doc_ids
-        if overlap:
-            example = sorted(overlap)[0]
-            raise ValueError(
-                f"cannot merge: {len(overlap)} document(s) indexed by both "
-                f"slices (e.g. {example!r})"
-            )
-        self._doc_ids |= other._doc_ids
-        self._version += 1
-        for uri, postings in other._postings.items():
-            self._postings.setdefault(uri, []).extend(postings)
 
     # -- snapshot support ----------------------------------------------------------
 

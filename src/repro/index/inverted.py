@@ -33,10 +33,10 @@ class InvertedIndex:
 
     @property
     def version(self) -> int:
-        """Monotonic write counter, bumped by every :meth:`add_document`
-        and :meth:`merge`. Derived caches (collection statistics,
-        memoized posting weights) compare it to auto-invalidate, so a
-        direct write can never leave stale irf values observable."""
+        """Monotonic write counter, bumped by every :meth:`add_document`.
+        Derived caches (collection statistics, memoized posting weights)
+        compare it to auto-invalidate, so a direct write can never leave
+        stale irf values observable."""
         return self._version
 
     def add_document(self, doc_id: str, term_counts: dict[str, int]) -> None:
@@ -70,34 +70,6 @@ class InvertedIndex:
 
     def terms(self) -> tuple[str, ...]:
         return tuple(self._postings)
-
-    def merge(self, other: "InvertedIndex") -> None:
-        """Append *other*'s postings into this index.
-
-        Segment compaction merges adjacent slices of the document
-        stream, and merging them in stream order reproduces the serial
-        postings order exactly — *other*'s postings go after this
-        index's for every shared term, and previously unseen terms keep
-        *other*'s first-seen order. A document indexed by both slices is
-        an error (the collection is append-only; nothing may be indexed
-        twice).
-
-        The merge bumps :attr:`version`, so any
-        :class:`~repro.index.statistics.CollectionStatistics` over this
-        index refreshes itself on its next read — every
-        document-frequency ratio changes.
-        """
-        overlap = self._doc_ids & other._doc_ids
-        if overlap:
-            example = sorted(overlap)[0]
-            raise ValueError(
-                f"cannot merge: {len(overlap)} document(s) indexed by both "
-                f"slices (e.g. {example!r})"
-            )
-        self._doc_ids |= other._doc_ids
-        self._version += 1
-        for term, postings in other._postings.items():
-            self._postings.setdefault(term, []).extend(postings)
 
     # -- snapshot support ----------------------------------------------------------
 

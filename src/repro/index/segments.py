@@ -21,9 +21,8 @@ empty write buffer. The pieces:
   :meth:`SegmentedIndex.compact`. A merge concatenates columns
   (:meth:`Segment.merge`): the merged doc table is a sorted merge of the
   runs' disjoint tables, each key's postings are the sources' postings
-  in segment order — the order a stream-order
-  :meth:`~repro.index.inverted.InvertedIndex.merge` keeps — and the
-  evidence CSR is the sources' CSRs one after the other.
+  in segment order — the order one index filled with the whole stream
+  keeps — and the evidence CSR is the sources' CSRs one after the other.
 
 A query forms its per-item weights ``tw = irf^p`` / ``ew = eirf^p`` once
 from **shared collection statistics** (the union document count and the
@@ -347,8 +346,9 @@ class Segment:
         entity_index: EntityIndex,
         evidence: Mapping[str, Iterable[tuple[str, int]]],
     ):
-        """Compile posting-object indexes and evidence rows (a cold build
-        or a sealed buffer) into columns; the objects are not kept."""
+        """Compile a write buffer's posting-object indexes and evidence
+        rows (at a seal, a save or the end of a cold build) into columns;
+        the objects are not kept."""
         if term_index.doc_ids() != entity_index.doc_ids():
             raise ValueError(
                 "term and entity indexes disagree on the segment's doc ids "
@@ -685,8 +685,8 @@ class _WriteBuffer:
 class SegmentedIndex:
     """Sealed segments + write buffer behind one query interface.
 
-    Construction: :meth:`from_built` wraps a cold build's indexes as the
-    base segment; :meth:`restore_compiled` rebuilds
+    Construction: :meth:`from_built` compiles a cold build's resources
+    into the base segment; :meth:`restore_compiled` rebuilds
     from mapped snapshot segments; the bare constructor starts empty.
     ``compaction`` is ``"synchronous"`` (merge inline after each seal) or
     ``"manual"`` (only explicit :meth:`compact`).
@@ -744,28 +744,29 @@ class SegmentedIndex:
     @classmethod
     def from_built(
         cls,
-        term_index: InvertedIndex,
-        entity_index: EntityIndex,
-        evidence_of: Mapping[str, Sequence[tuple[str, int]]],
+        resources: Iterable[tuple[AnalyzedResource, _Rows, bool]],
         config: FinderConfig,
         *,
         seal_threshold: int = DEFAULT_SEAL_THRESHOLD,
         compaction: str = "synchronous",
         fanout: int = DEFAULT_FANOUT,
     ) -> "SegmentedIndex":
-        """Compile a cold build's indexes + evidence into the base
-        segment (none for an empty build); the index keeps no reference
-        to the objects."""
+        """A cold build's index: each ``(analyzed, evidence rows,
+        indexed)`` resource, in order, goes through the write buffer's
+        ``add`` — the call every observe makes — into a fresh buffer,
+        which compiles once into the base segment (none for an empty
+        build). *resources* is consumed before the compile starts."""
         index = cls(
             config,
             seal_threshold=seal_threshold,
             compaction=compaction,
             fanout=fanout,
         )
-        if evidence_of or term_index.document_count:
-            index._register(
-                Segment(index._next_id(), term_index, entity_index, evidence_of)
-            )
+        buffer = _WriteBuffer()
+        for analyzed, rows, indexed in resources:
+            buffer.add(analyzed, rows, indexed)
+        if buffer.resource_count:
+            index._register(buffer.compile(index._next_id()))
         return index
 
     @classmethod

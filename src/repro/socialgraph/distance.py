@@ -53,9 +53,9 @@ class GatheredEvidence:
     """Result of a shared-frontier :meth:`ResourceGatherer.gather_many` pass.
 
     Both dictionaries preserve first-encounter order, which is what makes
-    the parallel cold build reproduce the serial build exactly: the
-    global node order fixes the index insertion order, and the
-    per-candidate order fixes the evidence bookkeeping order.
+    a cold build deterministic: the global node order fixes the index
+    insertion order (and the resources table of the base segment), and
+    the per-candidate order fixes each node's evidence-row order.
     """
 
     #: candidate id → (node id → minimal distance), in encounter order

@@ -22,7 +22,7 @@ from repro.core.need import ExpertiseNeed
 from repro.entity.annotator import EntityAnnotator
 from repro.entity.knowledge_base import KnowledgeBase
 from repro.extraction.api import AuthToken, PlatformClient
-from repro.extraction.crawler import ParallelCorpusAnalyzer, ResourceExtractor
+from repro.extraction.crawler import CorpusAnalyzer, ResourceExtractor
 from repro.extraction.url_content import UrlContentExtractor
 from repro.index.analyzer import AnalyzedResource, ResourceAnalyzer
 from repro.socialgraph.graph import SocialGraph, merge_graphs
@@ -112,21 +112,18 @@ class EvaluationDataset:
 
 def default_analyzer() -> ResourceAnalyzer:
     """The analyzer every dataset build uses: the standard text pipeline
-    plus the seed knowledge base. Importable (and therefore picklable),
-    so it doubles as the ``analyzer_factory`` for spawn-based worker
-    pools."""
+    plus the seed knowledge base. Snapshot loaders and stream builds,
+    which have no dataset at hand, use it to get an equivalent one."""
     return ResourceAnalyzer(TextPipeline(), EntityAnnotator(build_knowledge_base()))
 
 
 def build_dataset(
-    scale: DatasetScale = DatasetScale.TINY, seed: int = 7, *, workers: int = 1
+    scale: DatasetScale = DatasetScale.TINY, seed: int = 7
 ) -> EvaluationDataset:
     """Build the dataset for *scale* with the given master *seed*.
 
     Fully deterministic: the same (scale, seed) yields bit-identical
-    graphs, corpus, and ground truth — for any *workers* count, which
-    only splits the corpus-analysis stage (the dominant cost) across a
-    process pool.
+    graphs, corpus, and ground truth.
     """
     scale._reject_xl("materialized dataset")
     people = generate_population(seed, size=scale.population_size)
@@ -151,12 +148,7 @@ def build_dataset(
     kb = build_knowledge_base()
     analyzer = ResourceAnalyzer(TextPipeline(), EntityAnnotator(kb))
     url_extractor = UrlContentExtractor(networks.web)
-    corpus = ParallelCorpusAnalyzer(
-        analyzer,
-        url_extractor,
-        workers=workers,
-        analyzer_factory=default_analyzer,
-    ).analyze_graph(merged)
+    corpus = CorpusAnalyzer(analyzer, url_extractor).analyze_graph(merged)
 
     return EvaluationDataset(
         scale=scale,

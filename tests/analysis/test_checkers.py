@@ -12,7 +12,6 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 RULES = [
     "determinism",
-    "fork-safety",
     "mmap-discipline",
     "float-equality",
     "section-registry",
@@ -20,7 +19,6 @@ RULES = [
 
 _FIXTURE_STEM = {
     "determinism": "determinism",
-    "fork-safety": "forksafety",
     "mmap-discipline": "mmap",
     "float-equality": "floateq",
     "section-registry": "sections",
@@ -79,14 +77,6 @@ def test_determinism_covers_text_analysis():
         source = f"# repro: lint-module[{module}]\n{body}"
         result = lint_source(path, source, ALL_CHECKERS)
         assert [f for f in result.findings if f.rule == "determinism"], module
-
-
-def test_forksafety_describes_each_violation_kind():
-    result = _lint_fixture("forksafety_violation.py")
-    messages = " ".join(f.message for f in result.findings)
-    assert "lambda" in messages
-    assert "bound method" in messages
-    assert "inside another function" in messages
 
 
 def test_mmap_rule_separates_view_and_column_subrules():

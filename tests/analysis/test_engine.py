@@ -93,7 +93,7 @@ class TestSuppression:
             "# repro: lint-module[repro.index.fake]\n"
             "def f(a: dict, b: dict) -> list:\n"
             "    return list(a.keys() | b.keys())"
-            "  # repro: lint-ok[fork-safety] wrong rule\n"
+            "  # repro: lint-ok[float-equality] wrong rule\n"
         )
         report = lint_paths([target])
         assert [f.rule for f in report.findings] == ["determinism"]

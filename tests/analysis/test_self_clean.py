@@ -1,6 +1,6 @@
 """Meta-tests: the repo is clean under its own lint rules, and seeded
-violations into a scratch copy of ``repro.index.parallel`` (the cold
-build's fork pool) are caught."""
+violations into a scratch copy of ``repro.index.inverted`` (a module both
+the determinism and the mmap-discipline rule cover) are caught."""
 
 import pathlib
 import shutil
@@ -8,7 +8,7 @@ import shutil
 from repro.analysis import lint_paths
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-PARALLEL = REPO_ROOT / "src" / "repro" / "index" / "parallel.py"
+INVERTED = REPO_ROOT / "src" / "repro" / "index" / "inverted.py"
 
 
 def test_src_is_clean():
@@ -38,15 +38,16 @@ def test_src_suppressions_stay_reviewed():
 
 
 class TestSeededViolations:
-    """Copy ``repro.index.parallel`` into a scratch tree (so it still
-    resolves as a ``repro.index`` module) and seed one violation of each
-    of rules 1-3; ``repro lint`` must catch every one of them."""
+    """Copy ``repro.index.inverted`` into a scratch tree (so it still
+    resolves as a ``repro.index`` module) and seed one violation of the
+    determinism and the mmap-discipline rule; ``repro lint`` must catch
+    both."""
 
     def _scratch_copy(self, tmp_path) -> pathlib.Path:
         scratch = tmp_path / "repro" / "index"
         scratch.mkdir(parents=True)
-        target = scratch / "parallel.py"
-        shutil.copy(PARALLEL, target)
+        target = scratch / "inverted.py"
+        shutil.copy(INVERTED, target)
         return target
 
     def test_unmodified_copy_is_clean(self, tmp_path):
@@ -59,21 +60,14 @@ class TestSeededViolations:
         target = self._scratch_copy(tmp_path)
         source = target.read_text(encoding="utf-8")
 
-        # rule 2 (fork-safety): hand the chunk worker to the pool as a lambda
-        fork_seed = "pool.map(_analyze_chunk, "
-        assert fork_seed in source
-        source = source.replace(
-            fork_seed, "pool.map(lambda chunk: _analyze_chunk(chunk), "
-        )
-
-        # rule 1 (determinism): materialize an index's doc-id frozenset
+        # determinism: materialize an index's doc-id frozenset
         # without sorting it
         source += (
             "\n\ndef _doc_order(term_index):\n"
             "    return list(term_index.doc_ids())\n"
         )
 
-        # rule 3 (mmap-discipline): poke a mapped section in place
+        # mmap-discipline: poke a mapped section in place
         source += (
             "\n\ndef _tamper(mapped, name):\n"
             "    view = mapped.array(name)\n"
@@ -83,4 +77,4 @@ class TestSeededViolations:
         target.write_text(source, encoding="utf-8")
         report = lint_paths([target])
         rules = {f.rule for f in report.findings}
-        assert {"determinism", "fork-safety", "mmap-discipline"} <= rules
+        assert {"determinism", "mmap-discipline"} <= rules

@@ -51,29 +51,6 @@ class TestContext:
         shared_context.cache_clear()
 
 
-class TestWorkersFromEnv:
-    def test_default_when_unset(self, monkeypatch):
-        from repro.experiments.context import workers_from_env
-
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert workers_from_env() == 1
-        assert workers_from_env(default=4) == 4
-
-    def test_reads_env(self, monkeypatch):
-        from repro.experiments.context import workers_from_env
-
-        monkeypatch.setenv("REPRO_WORKERS", " 3 ")
-        assert workers_from_env() == 3
-
-    @pytest.mark.parametrize("value", ["zero", "0", "-2", "1.5"])
-    def test_invalid_values(self, monkeypatch, value):
-        from repro.experiments.context import workers_from_env
-
-        monkeypatch.setenv("REPRO_WORKERS", value)
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            workers_from_env()
-
-
 class TestSharedContextScaleResolution:
     def test_env_resolved_before_cache_lookup(self, monkeypatch):
         """A REPRO_SCALE change must not be masked by a context cached

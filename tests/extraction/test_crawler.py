@@ -249,30 +249,3 @@ class TestAnalyzeEvidenceLanguage:
         assert subset["r_it"].language == "it"
         assert subset["r_it"] == full["r_it"]
 
-
-class TestParallelCorpusAnalyzer:
-    def test_workers_1_is_serial_path(self, graph, analyzer):
-        from repro.extraction.crawler import ParallelCorpusAnalyzer
-
-        serial = CorpusAnalyzer(analyzer).analyze_graph(graph)
-        parallel = ParallelCorpusAnalyzer(analyzer, workers=1).analyze_graph(graph)
-        assert parallel == serial
-        assert list(parallel) == list(serial)
-
-    def test_parallel_matches_serial(self, tiny_dataset):
-        from repro.extraction.crawler import ParallelCorpusAnalyzer
-
-        graph = tiny_dataset.merged_graph
-        analyzer = tiny_dataset.analyzer
-        serial = CorpusAnalyzer(analyzer).analyze_graph(graph)
-        parallel = ParallelCorpusAnalyzer(
-            analyzer, workers=2, chunk_size=128
-        ).analyze_graph(graph)
-        assert list(parallel) == list(serial)  # node order fixes index order
-        assert parallel == serial
-
-    def test_invalid_workers(self, analyzer):
-        from repro.extraction.crawler import ParallelCorpusAnalyzer
-
-        with pytest.raises(ValueError):
-            ParallelCorpusAnalyzer(analyzer, workers=0)

@@ -23,7 +23,7 @@ from repro.core.expert_finder import ExpertFinder
 from repro.index.segments import SegmentedIndex, window_cut
 from repro.socialgraph.graph import SocialGraph
 from repro.socialgraph.metamodel import Platform, RelationKind, Resource, UserProfile
-from tests.oracle import merged_slice, oracle_experts
+from tests.oracle import oracle_experts
 
 ALPHAS = (0.0, 0.6, 1.0)
 WINDOWS = (None, 1, 10, 0.5, 1.0)
@@ -210,12 +210,12 @@ class TestEngineBehavior:
         )
         g.link_resource("a", "t1", RelationKind.CREATES)
         finder = ExpertFinder.build(g, ("a",), analyzer, FinderConfig())
-        broken = {doc: [("a", 99)] for doc in finder.evidence_of}
-        term_index, entity_index, _ = merged_slice(finder.segmented_index)
+        broken = [
+            (analyzer.analyze(doc, "some text here"), (("a", 99),), True)
+            for doc in finder.evidence_of
+        ]
         with pytest.raises(ValueError, match="distance"):
-            SegmentedIndex.from_built(
-                term_index, entity_index, broken, finder.config
-            )
+            SegmentedIndex.from_built(broken, finder.config)
 
 
 

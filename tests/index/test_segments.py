@@ -62,14 +62,9 @@ def _streamed(config, **kwargs):
 
 def _reference(config):
     """The same stream as one cold-built base segment."""
-    term_index = InvertedIndex()
-    entity_index = EntityIndex()
-    evidence = {}
-    for analyzed, supporters in _STREAM:
-        term_index.add_document(analyzed.doc_id, analyzed.term_counts)
-        entity_index.add_document(analyzed.doc_id, analyzed.entity_counts)
-        evidence[analyzed.doc_id] = supporters
-    return SegmentedIndex.from_built(term_index, entity_index, evidence, config)
+    return SegmentedIndex.from_built(
+        [(analyzed, supporters, True) for analyzed, supporters in _STREAM], config
+    )
 
 
 def _rankings(index, window=None):

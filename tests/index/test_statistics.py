@@ -52,8 +52,8 @@ class TestStatistics:
 
 
 class TestAutomaticRefresh:
-    """Write-path auto-invalidation: direct ``add_document``/``merge``
-    calls on the underlying indexes must be visible on the very next
+    """Write-path auto-invalidation: direct ``add_document`` calls on
+    the underlying indexes must be visible on the very next
     statistics read — stale irf values are impossible, with no
     caller-side ``invalidate()`` discipline."""
 
@@ -101,12 +101,8 @@ class TestAutomaticRefresh:
         terms.add_document("d1", {"a": 1})
         entities.add_document("d1", {})
         assert (terms.version, entities.version) == (1, 1)
-        shard_t = InvertedIndex()
-        shard_t.add_document("d2", {"b": 1})
-        shard_e = EntityIndex()
-        shard_e.add_document("d2", {})
-        terms.merge(shard_t)
-        entities.merge(shard_e)
+        terms.add_document("d2", {"b": 1})
+        entities.add_document("d2", {})
         assert (terms.version, entities.version) == (2, 2)
 
     def test_manual_invalidate_still_works(self, stats):

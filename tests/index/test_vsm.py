@@ -146,16 +146,12 @@ class TestRetrieveTopK:
 
 class TestAutomaticWeightRefresh:
     def test_direct_index_merge_refreshes_weights(self, retriever):
-        # a shard merged directly into the underlying indexes (the
-        # parallel build's combiner path) must be retrievable — and must
-        # re-weight existing postings — without a manual invalidate()
+        # a document written directly into the underlying indexes must
+        # be retrievable — and must re-weight existing postings —
+        # without a manual invalidate()
         before = retriever.retrieve(_query(terms={"swim": 1}), alpha=1.0)
-        shard_t = InvertedIndex()
-        shard_t.add_document("d4", {"swim": 2})
-        shard_e = EntityIndex()
-        shard_e.add_document("d4", {})
-        retriever.term_index.merge(shard_t)
-        retriever.entity_index.merge(shard_e)
+        retriever.term_index.add_document("d4", {"swim": 2})
+        retriever.entity_index.add_document("d4", {})
         after = retriever.retrieve(_query(terms={"swim": 1}), alpha=1.0)
         assert "d4" in {m.doc_id for m in after}
         # df(swim) rose from 2 to 3 of now-4 docs → every score shifted

@@ -28,9 +28,9 @@ def merged_slice(index):
     """*index*'s (a :class:`~repro.index.segments.SegmentedIndex`) live
     collection as one ``(term_index, entity_index, evidence)`` triple:
     every segment's postings decoded from its columns, oldest segment
-    first, then the write buffer's — the postings order a stream-order
-    :meth:`InvertedIndex.merge` of the slices keeps — and the evidence
-    relation in stream order."""
+    first, then the write buffer's — the postings order of one index
+    filled with the whole stream — and the evidence relation in stream
+    order."""
     doc_ids = []
     term_postings = {}
     entity_postings = {}

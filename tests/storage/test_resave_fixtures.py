@@ -16,7 +16,8 @@ columns, from one seeded stream: ``stream_resources(stream_candidates(5),
   segment merges into segment 15), then saved.
 
 A loaded finder keeps only columns, so these tests pin the column
-writer and the column merge to what the posting-object code wrote.
+writer and the column merge to what the posting-object code wrote; the
+rebuild test pins a cold build, and the observes after it, as well.
 """
 
 import pathlib
@@ -69,6 +70,21 @@ def test_the_grown_fixture_has_the_shape_it_pins(analyzer, tmp_path):
     assert stats.resources == len(_EVENTS)
     assert stats.documents == len(_EVENTS) - 3  # three evidence-only events
     assert [i for i, event in enumerate(_EVENTS) if len(event) == 4] == [17, 47, 65]
+
+
+def test_the_grown_fixture_rebuilds_byte_for_byte(analyzer, tmp_path):
+    # the fixture's own recipe, run by the current code: pins the cold
+    # build's fill path, and the seals and merges after it, to the bytes
+    # the earlier release wrote
+    finder = ExpertFinder.from_stream(
+        _CANDIDATES, _EVENTS[:20], analyzer, FinderConfig(), seal_threshold=4
+    )
+    for node_id, text, supporters, *language in _EVENTS[20:]:
+        finder.observe(
+            node_id, text, supporters, language=language[0] if language else None
+        )
+    finder.save(tmp_path / "rebuilt")
+    assert _files(tmp_path / "rebuilt") == _files(FIXTURES / GROWN)
 
 
 @pytest.mark.parametrize("name", [GROWN, COMPACTED])

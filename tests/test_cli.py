@@ -58,6 +58,8 @@ class TestParser:
             ("index", "--out", "never-written", "--shards", "2"),
             ("serve-bench", "--shards", "2"),
             ("serve", "--shards", "2"),
+            ("index", "--out", "never-written", "--workers", "2"),
+            ("index", "--out", "never-written", "--chunk-size", "8"),
         ),
     )
     def test_removed_query_path_options_exit_2(self, argv, capsys):
@@ -131,15 +133,38 @@ class TestCommands:
 
     def test_index_parallel_build_reports_stages(self, tmp_path, capsys):
         snap = tmp_path / "snap"
-        code = main(
-            ["index", "--scale", "tiny", "--cold", "--workers", "2",
-             "--chunk-size", "64", "--out", str(snap)]
-        )
+        code = main(["index", "--scale", "tiny", "--cold", "--out", str(snap)])
         assert code == 0
         out = capsys.readouterr().out
         assert "build stages:" in out
-        assert "workers=2" in out
         assert (snap / "CURRENT").exists()
+
+    def test_cold_index_writes_the_warm_snapshot(self, tmp_path, capsys):
+        # a cold build re-analyzes every node with the URL text that the
+        # dataset's corpus analysis read, so it writes the same files
+        warm, cold = tmp_path / "warm", tmp_path / "cold"
+        assert main(["index", "--scale", "tiny", "--out", str(warm)]) == 0
+        assert "(0 nodes," in capsys.readouterr().out  # all from the corpus
+        assert main(["index", "--scale", "tiny", "--cold", "--out", str(cold)]) == 0
+        assert "(0 nodes," not in capsys.readouterr().out
+
+        def files(snapshot):
+            gen = _generation_dir(snapshot)
+            return {path.name: path.read_bytes() for path in sorted(gen.iterdir())}
+
+        assert files(cold) == files(warm)
+
+    def test_cold_index_of_a_saved_dataset_exits_2(self, tmp_path, capsys):
+        # a saved dataset keeps no web pages, so a cold build would index
+        # other text than its corpus holds
+        data, snap = tmp_path / "data", tmp_path / "snap"
+        assert main(["dataset", "--scale", "tiny", "--out", str(data)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["index", "--dataset", str(data), "--cold", "--out", str(snap)])
+        assert exc.value.code == 2
+        assert "--cold" in capsys.readouterr().err
+        assert not snap.exists()
 
     def test_experiments_subset(self, capsys):
         code = main(["experiments", "--scale", "tiny", "--only", "fig5"])
@@ -251,8 +276,6 @@ class TestSegmentedCommands:
 
 _COUNT_FLAGS = [
     ("index", "--seal-threshold"),
-    ("index", "--workers"),
-    ("index", "--chunk-size"),
     ("serve-bench", "--seal-threshold"),
 ]
 
