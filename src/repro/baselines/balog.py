@@ -19,6 +19,12 @@ In the enterprise setting the document–candidate association ``a(d,
 ca)`` must be mined from text; in the social setting it is explicit —
 exactly the paper's point — so we reuse the Table-1 evidence with the
 same distance weights ``wr``, normalized per candidate.
+
+Both models are built from the evidence an ``ExpertFinder`` indexes:
+the same ``gather_many`` traversal, and the same
+``CorpusAnalyzer.analyze_nodes`` loop for nodes missing from the shared
+corpus (platform language annotations included; a cold build here reads
+no linked pages, as the builders take no ``url_content``).
 """
 
 from __future__ import annotations
@@ -32,11 +38,11 @@ from scipy.special import logsumexp
 from repro.core.need import ExpertiseNeed
 from repro.core.ranking import ExpertScore
 from repro.core.scoring import distance_weight
-from repro.index.analyzer import AnalyzedResource, ResourceAnalyzer
-from repro.socialgraph.distance import ResourceGatherer, evidence_text
+from repro.extraction.crawler import CorpusAnalyzer
+from repro.index.analyzer import INDEXABLE_LANGUAGES, AnalyzedResource, ResourceAnalyzer
+from repro.socialgraph.distance import ResourceGatherer, candidate_seeds
 from repro.socialgraph.graph import SocialGraph
 
-_INDEXABLE_LANGUAGES = frozenset({"en", "und"})
 _LOG_FLOOR = -700.0  # below exp() underflow; stands in for log(0)
 
 
@@ -100,35 +106,20 @@ class _BalogBase:
         """Assemble a Balog finder over the same inputs ExpertFinder
         takes (graph + candidate map + analyzer [+ shared corpus])."""
         config = config or BalogConfig()
-        if not candidates:
-            raise ValueError("candidates must be non-empty")
-        if isinstance(candidates, Mapping):
-            seeds = {cid: tuple(pids) for cid, pids in candidates.items()}
-        else:
-            seeds = {pid: (pid,) for pid in candidates}
-        gatherer = ResourceGatherer(graph, include_friends=config.include_friends)
-        documents: dict[str, AnalyzedResource] = {}
+        gathered = ResourceGatherer(
+            graph, include_friends=config.include_friends
+        ).gather_many(candidate_seeds(candidates), config.max_distance)
+        documents, _ = CorpusAnalyzer(analyzer).analyze_nodes(
+            graph, gathered.kinds, corpus
+        )
         associations: dict[str, dict[str, float]] = {}
-        for candidate_id, profile_ids in seeds.items():
-            node_distance: dict[str, int] = {}
-            for profile_id in profile_ids:
-                for item in gatherer.gather(profile_id, config.max_distance):
-                    prev = node_distance.get(item.node_id)
-                    if prev is None or item.distance < prev:
-                        node_distance[item.node_id] = item.distance
-                    if item.node_id not in documents:
-                        analysis = corpus.get(item.node_id) if corpus else None
-                        if analysis is None:
-                            analysis = analyzer.analyze(
-                                item.node_id, evidence_text(graph, item)
-                            )
-                        documents[item.node_id] = analysis
+        for candidate_id, node_distance in gathered.distances.items():
             weights = {
                 node_id: distance_weight(
                     distance, config.max_distance, config.weight_interval
                 )
                 for node_id, distance in node_distance.items()
-                if documents[node_id].language in _INDEXABLE_LANGUAGES
+                if documents[node_id].language in INDEXABLE_LANGUAGES
             }
             total = sum(weights.values())
             if total > 0:
@@ -138,7 +129,7 @@ class _BalogBase:
         documents = {
             doc_id: analysis
             for doc_id, analysis in documents.items()
-            if analysis.language in _INDEXABLE_LANGUAGES
+            if analysis.language in INDEXABLE_LANGUAGES
         }
         return cls(analyzer, config, documents, associations)
 

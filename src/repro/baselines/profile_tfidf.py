@@ -18,7 +18,9 @@ from collections.abc import Mapping, Sequence
 
 from repro.core.need import ExpertiseNeed
 from repro.core.ranking import ExpertScore
+from repro.extraction.crawler import CorpusAnalyzer
 from repro.index.analyzer import AnalyzedResource, ResourceAnalyzer
+from repro.socialgraph.distance import EvidenceKind, candidate_seeds
 from repro.socialgraph.graph import SocialGraph
 
 
@@ -46,24 +48,17 @@ class ProfileTfidfFinder:
     ) -> "ProfileTfidfFinder":
         """Vectorize each candidate's (possibly multi-platform) profile
         text."""
-        if not candidates:
-            raise ValueError("candidates must be non-empty")
-        if isinstance(candidates, Mapping):
-            seeds = {cid: tuple(pids) for cid, pids in candidates.items()}
-        else:
-            seeds = {pid: (pid,) for pid in candidates}
+        seeds = candidate_seeds(candidates)
+        profiles = {
+            pid: EvidenceKind.PROFILE for pids in seeds.values() for pid in pids
+        }
+        analyses, _ = CorpusAnalyzer(analyzer).analyze_nodes(graph, profiles, corpus)
 
         raw_counts: dict[str, dict[str, int]] = {}
         for candidate_id, profile_ids in seeds.items():
             counts: dict[str, int] = {}
             for profile_id in profile_ids:
-                analysis = corpus.get(profile_id) if corpus else None
-                if analysis is None:
-                    profile = graph.profile(profile_id)
-                    analysis = analyzer.analyze(
-                        profile_id, f"{profile.display_name} {profile.text}"
-                    )
-                for term, count in analysis.term_counts.items():
+                for term, count in analyses[profile_id].term_counts.items():
                     counts[term] = counts.get(term, 0) + count
             raw_counts[candidate_id] = counts
 

@@ -10,7 +10,10 @@ Because the experiments sweep configurations over one dataset, the
 expensive text/entity analysis can be done once (see
 :class:`repro.extraction.crawler.CorpusAnalyzer`) and passed in as
 *corpus*; the finder then only selects and indexes the evidence reachable
-under its configuration.
+under its configuration. Nodes missing from it are analyzed by the same
+``CorpusAnalyzer.analyze_nodes`` loop that built the corpus, platform
+language annotations included, so a cold build indexes exactly what a
+corpus-backed one does.
 """
 
 from __future__ import annotations
@@ -28,13 +31,10 @@ from repro.core.build_stats import BuildStats
 from repro.core.config import FinderConfig
 from repro.core.need import ExpertiseNeed
 from repro.core.ranking import ExpertScore
-from repro.index.analyzer import AnalyzedResource, ResourceAnalyzer
-from repro.socialgraph.distance import ResourceGatherer, node_text, node_urls
+from repro.extraction.crawler import CorpusAnalyzer
+from repro.index.analyzer import INDEXABLE_LANGUAGES, AnalyzedResource, ResourceAnalyzer
+from repro.socialgraph.distance import ResourceGatherer, candidate_seeds
 from repro.socialgraph.graph import SocialGraph
-
-#: languages admitted into the index: English resources (paper Sec. 3.1)
-#: plus texts too short for identification (profile fragments)
-_INDEXABLE_LANGUAGES = frozenset({"en", "und"})
 
 #: sentinel for "use the configured window" in rank-time overrides
 #: (``None`` already means "no window", so it cannot double as unset)
@@ -92,8 +92,9 @@ class ExpertFinder:
         LinkedIn evidence under a single candidate.
 
         *corpus* — pre-analyzed node texts keyed by node id; nodes missing
-        from it are analyzed on the fly (with *url_content* enrichment if
-        provided).
+        from it are analyzed on the fly by
+        :meth:`~repro.extraction.crawler.CorpusAnalyzer.analyze_nodes`
+        (with *url_content* enrichment if provided).
 
         The build runs as a three-stage pipeline in one process —
         shared-frontier gathering, text/entity analysis, index fill —
@@ -106,12 +107,7 @@ class ExpertFinder:
         *seal_threshold* resources and compacts per *compaction*.
         """
         config = config or FinderConfig()
-        if not candidates:
-            raise ValueError("candidates must be non-empty")
-        if isinstance(candidates, Mapping):
-            seeds = {cid: tuple(pids) for cid, pids in candidates.items()}
-        else:
-            seeds = {pid: (pid,) for pid in candidates}
+        seeds = candidate_seeds(candidates)
         gatherer = ResourceGatherer(graph, include_friends=config.include_friends)
 
         # stage 1 — gather: one shared-frontier pass over all candidates;
@@ -129,18 +125,9 @@ class ExpertFinder:
         # stage 2 — analyze: corpus misses go through the text/entity
         # pipeline, in gathered order
         t0 = time.perf_counter()
-        analyzed_of: dict[str, AnalyzedResource] = {}
-        misses = 0
-        for node_id, kind in gathered.kinds.items():
-            analyzed = corpus.get(node_id) if corpus is not None else None
-            if analyzed is None:
-                text = node_text(graph, node_id, kind)
-                if url_content is not None:
-                    for url in node_urls(graph, node_id, kind):
-                        text = f"{text} {url_content(url)}"
-                analyzed = analyzer.analyze(node_id, text)
-                misses += 1
-            analyzed_of[node_id] = analyzed
+        analyzed_of, misses = CorpusAnalyzer(analyzer, url_content).analyze_nodes(
+            graph, gathered.kinds, corpus
+        )
         analyze_s = time.perf_counter() - t0
 
         # stage 3 — index: timed from the first add to the last, so that
@@ -151,7 +138,7 @@ class ExpertFinder:
             nonlocal index_s
             t0 = time.perf_counter()
             for node_id, analyzed in analyzed_of.items():
-                indexed = analyzed.language in _INDEXABLE_LANGUAGES
+                indexed = analyzed.language in INDEXABLE_LANGUAGES
                 yield analyzed, tuple(evidence_of[node_id]), indexed
             index_s = time.perf_counter() - t0
 
@@ -237,7 +224,7 @@ class ExpertFinder:
                 analyze_s += time.perf_counter() - ta
                 for candidate_id, _distance in rows:
                     evidence_counts[candidate_id] += 1
-                yield analyzed, rows, analyzed.language in _INDEXABLE_LANGUAGES
+                yield analyzed, rows, analyzed.language in INDEXABLE_LANGUAGES
             stream_s = time.perf_counter() - t0
 
         finder = cls._assemble(
@@ -393,7 +380,7 @@ class ExpertFinder:
             raise ValueError(f"resource {node_id!r} already observed")
 
         analyzed = self._analyzer.analyze(node_id, text, language=language)
-        indexed = analyzed.language in _INDEXABLE_LANGUAGES
+        indexed = analyzed.language in INDEXABLE_LANGUAGES
         self._index.add(analyzed, supporters, index=indexed)
         for candidate_id, _ in supporters:
             self._evidence_counts[candidate_id] += 1

@@ -66,23 +66,18 @@ def run(context: ExperimentContext) -> Fig5Result:
     dataset = context.dataset
     distributions: list[NetworkDistribution] = []
     for platform in Platform:
-        graph = dataset.graphs[platform]
-        gatherer = ResourceGatherer(graph)
         candidates = dataset.candidates_for(platform)
-        by_distance = [set(), set(), set()]
-        for profile_ids in candidates.values():
-            for pid in profile_ids:
-                for item in gatherer.gather(pid, 2):
-                    by_distance[item.distance].add(item.node_id)
+        gathered = ResourceGatherer(dataset.graphs[platform]).gather_many(candidates, 2)
         # a node reachable at several distances counts once, at its
-        # minimum (gather already guarantees per-candidate minimality;
-        # across candidates we keep the global minimum)
-        seen: set[str] = set()
-        counts = []
-        for bucket in by_distance:
-            fresh = bucket - seen
-            counts.append(len(fresh))
-            seen |= fresh
+        # minimum (gather_many already keeps each candidate's minimum;
+        # across candidates we keep the global one)
+        nearest: dict[str, int] = {}
+        for node_distance in gathered.distances.values():
+            for node_id, distance in node_distance.items():
+                nearest[node_id] = min(distance, nearest.get(node_id, distance))
+        counts = [0, 0, 0]
+        for distance in nearest.values():
+            counts[distance] += 1
         distributions.append(
             NetworkDistribution(
                 network=platform.short,

@@ -7,15 +7,20 @@ profiles/resources of followed (and, where visible, friend) users — into
 a :class:`SocialGraph`. Privacy denials are skipped, rate-limit errors
 are retried after a simulated window reset.
 
-``CorpusAnalyzer`` then runs the full analysis flow of Fig. 4 over every
-collected node: URL content enrichment, language identification, text
-processing, and entity annotation, producing the corpus the indexes are
-built from.
+``CorpusAnalyzer`` then runs the full analysis flow of Fig. 4 over the
+collected nodes: URL content enrichment, language identification that
+keeps the platform's annotation, text processing, and entity
+annotation. It is the one place a graph node becomes analyzer input
+(:meth:`CorpusAnalyzer.node_input`) and the one "corpus entry, else
+analyze" loop (:meth:`CorpusAnalyzer.analyze_nodes`): the dataset's
+corpus, a cold :class:`~repro.core.expert_finder.ExpertFinder` build and
+the baselines' builds all run through it, so every path indexes the
+same node identically.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
 from typing import Any
 
 from repro.extraction.api import (
@@ -24,7 +29,7 @@ from repro.extraction.api import (
     RateLimitExceeded,
 )
 from repro.index.analyzer import AnalyzedResource, ResourceAnalyzer
-from repro.socialgraph.distance import EvidenceKind, RelatedResource
+from repro.socialgraph.distance import EvidenceKind
 from repro.socialgraph.graph import SocialGraph
 from repro.socialgraph.metamodel import RelationKind, SocialRelation
 
@@ -215,12 +220,15 @@ class ResourceExtractor:
 
 
 class CorpusAnalyzer:
-    """Run the Fig.-4 analysis flow over every node of a graph.
+    """Run the Fig.-4 analysis flow over graph nodes.
 
-    The result — node id → :class:`AnalyzedResource` — is the reusable
-    corpus the experiment harness shares across finder configurations,
-    so stemming and entity annotation happen once per node, not once per
-    configuration.
+    Every graph-built corpus and finder goes through this one path: the
+    dataset's corpus (:meth:`analyze_graph`), a cold
+    :meth:`~repro.core.expert_finder.ExpertFinder.build` and the
+    baselines' builds (:meth:`analyze_nodes`). The corpus — node id →
+    :class:`AnalyzedResource` — is what the experiment harness shares
+    across finder configurations, so stemming and entity annotation
+    happen once per node, not once per configuration.
     """
 
     def __init__(
@@ -231,57 +239,59 @@ class CorpusAnalyzer:
         self._analyzer = analyzer
         self._url_content = url_content
 
-    def _enrich(self, text: str, urls: tuple[str, ...]) -> str:
-        if self._url_content is None:
-            return text
-        parts = [text]
-        parts.extend(self._url_content(url) for url in urls)
-        return " ".join(p for p in parts if p)
+    def node_input(
+        self, graph: SocialGraph, node_id: str, kind: EvidenceKind
+    ) -> tuple[str, str | None]:
+        """The analyzer input of one graph node: its text — a profile's
+        display name and text, a resource's text, a container's name and
+        text — followed by the text of its linked pages when
+        *url_content* is set, and the platform's language annotation (a
+        resource's ``language``; ``None`` for profiles and containers)."""
+        language: str | None = None
+        if kind is EvidenceKind.PROFILE:
+            profile = graph.profile(node_id)
+            text = f"{profile.display_name} {profile.text}".strip()
+            urls = profile.urls
+        elif kind is EvidenceKind.RESOURCE:
+            resource = graph.resource(node_id)
+            text, urls, language = resource.text, resource.urls, resource.language
+        else:
+            container = graph.container(node_id)
+            text = f"{container.name} {container.text}".strip()
+            urls = container.urls
+        if self._url_content is not None:
+            parts = [text, *(self._url_content(url) for url in urls)]
+            text = " ".join(part for part in parts if part)
+        return text, language
+
+    def analyze_nodes(
+        self,
+        graph: SocialGraph,
+        kinds: Mapping[str, EvidenceKind],
+        corpus: Mapping[str, AnalyzedResource] | None = None,
+    ) -> tuple[dict[str, AnalyzedResource], int]:
+        """Analyze the nodes of *kinds* (node id → kind), in its order:
+        a node's *corpus* entry when there is one, else the analysis of
+        its :meth:`node_input`. Returns the analyses and the number of
+        nodes analyzed here (the corpus misses)."""
+        analyses: dict[str, AnalyzedResource] = {}
+        misses = 0
+        for node_id, kind in kinds.items():
+            analyzed = corpus.get(node_id) if corpus is not None else None
+            if analyzed is None:
+                text, language = self.node_input(graph, node_id, kind)
+                analyzed = self._analyzer.analyze(node_id, text, language=language)
+                misses += 1
+            analyses[node_id] = analyzed
+        return analyses, misses
 
     def analyze_graph(self, graph: SocialGraph) -> dict[str, AnalyzedResource]:
         """Analyze every profile, resource, and container in *graph*."""
-        corpus: dict[str, AnalyzedResource] = {}
+        kinds: dict[str, EvidenceKind] = {}
         for profile in graph.profiles():
-            text = self._enrich(
-                f"{profile.display_name} {profile.text}".strip(), profile.urls
-            )
-            corpus[profile.profile_id] = self._analyzer.analyze(profile.profile_id, text)
+            kinds[profile.profile_id] = EvidenceKind.PROFILE
         for resource in graph.resources():
-            text = self._enrich(resource.text, resource.urls)
-            corpus[resource.resource_id] = self._analyzer.analyze(
-                resource.resource_id, text, language=resource.language
-            )
+            kinds[resource.resource_id] = EvidenceKind.RESOURCE
         for container in graph.containers():
-            text = self._enrich(f"{container.name} {container.text}".strip(), container.urls)
-            corpus[container.container_id] = self._analyzer.analyze(
-                container.container_id, text
-            )
-        return corpus
-
-    def analyze_evidence(
-        self, graph: SocialGraph, items: Iterable[RelatedResource]
-    ) -> dict[str, AnalyzedResource]:
-        """Analyze only the nodes referenced by *items* (cheaper when a
-        single candidate's evidence is needed)."""
-        corpus: dict[str, AnalyzedResource] = {}
-        for item in items:
-            if item.node_id in corpus:
-                continue
-            language: str | None = None
-            if item.kind is EvidenceKind.PROFILE:
-                p = graph.profile(item.node_id)
-                text = self._enrich(f"{p.display_name} {p.text}".strip(), p.urls)
-            elif item.kind is EvidenceKind.RESOURCE:
-                r = graph.resource(item.node_id)
-                text = self._enrich(r.text, r.urls)
-                # honour the platform's language annotation, exactly as
-                # analyze_graph does — otherwise the same node can be
-                # classified differently depending on which path saw it
-                language = r.language
-            else:
-                c = graph.container(item.node_id)
-                text = self._enrich(f"{c.name} {c.text}".strip(), c.urls)
-            corpus[item.node_id] = self._analyzer.analyze(
-                item.node_id, text, language=language
-            )
-        return corpus
+            kinds[container.container_id] = EvidenceKind.CONTAINER
+        return self.analyze_nodes(graph, kinds)[0]

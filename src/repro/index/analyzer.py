@@ -14,6 +14,10 @@ from dataclasses import dataclass, field
 from repro.entity.annotator import EntityAnnotator
 from repro.textproc.pipeline import TextPipeline
 
+#: languages admitted into the index: English resources (paper Sec. 3.1)
+#: plus texts too short for identification (profile fragments)
+INDEXABLE_LANGUAGES = frozenset({"en", "und"})
+
 
 @dataclass(frozen=True)
 class AnalyzedResource:
@@ -52,9 +56,9 @@ class ResourceAnalyzer:
         term_counts: Counter[str] = Counter(analyzed.terms)
         entity_counts: dict[str, tuple[int, float]] = {}
         # Entities are recognized on unstemmed tokens (anchors are surface
-        # forms); only English (or too-short-to-identify) text is
-        # annotated, mirroring the paper's English-only corpus.
-        if analyzed.language in ("en", "und"):
+        # forms); only indexable text is annotated, mirroring the paper's
+        # English-only corpus.
+        if analyzed.language in INDEXABLE_LANGUAGES:
             for ann in self._annotator.annotate_tokens(analyzed.tokens):
                 count, best = entity_counts.get(ann.entity_uri, (0, 0.0))
                 entity_counts[ann.entity_uri] = (count + 1, max(best, ann.d_score))

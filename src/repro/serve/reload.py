@@ -64,8 +64,6 @@ class HotReloader:
         self._guard = asyncio.Lock()
         self._current: Generation | None = None
         self._numbers = 0
-        self.reloads = 0
-        self.last_error: str | None = None
 
     @property
     def ready(self) -> bool:
@@ -94,17 +92,11 @@ class HotReloader:
         caller."""
         async with self._guard:
             loop = asyncio.get_running_loop()
-            try:
-                service = await loop.run_in_executor(None, self._source)
-                label = self._label() if self._label is not None else None
-            except Exception as exc:
-                self.last_error = f"{type(exc).__name__}: {exc}"
-                raise
+            service = await loop.run_in_executor(None, self._source)
+            label = self._label() if self._label is not None else None
             self._numbers += 1
             generation = Generation(service, self._numbers, label)
             self._current = generation
-            self.reloads += 1
-            self.last_error = None
             return generation
 
     def shutdown(self) -> None:

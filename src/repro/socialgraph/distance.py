@@ -13,6 +13,13 @@ experiment: when on, bidirectional (friendship) edges are traversed like
 follows cross profile boundaries, because "bidirectional relationships
 typically reflect a real-world bond … which might not naturally imply
 shared interests or expertise".
+
+Every graph-built finder and the Fig. 5 statistics gather through one
+traversal: :func:`candidate_seeds` turns a builder's candidates into
+seeds, and :meth:`ResourceGatherer.gather_many` walks them all in one
+shared-frontier pass, keeping each node once per candidate at its
+minimal distance. The per-profile :meth:`ResourceGatherer.gather`, with
+its relation paths, is the reference that pass is tested against.
 """
 
 from __future__ import annotations
@@ -134,12 +141,6 @@ class ResourceGatherer:
                 emit(pid2, EvidenceKind.PROFILE, 2, f"{rel}→{rel2}")
         return out
 
-    def gather_all(
-        self, candidate_ids: list[str], max_distance: int = 2
-    ) -> dict[str, list[RelatedResource]]:
-        """Gather evidence for every candidate in *candidate_ids*."""
-        return {cid: self.gather(cid, max_distance) for cid in candidate_ids}
-
     def gather_many(
         self, seeds: Mapping[str, Sequence[str]], max_distance: int = 2
     ) -> GatheredEvidence:
@@ -236,31 +237,15 @@ class ResourceGatherer:
         return gathered
 
 
-def node_text(graph: SocialGraph, node_id: str, kind: EvidenceKind) -> str:
-    """The indexable text of one graph node."""
-    if kind is EvidenceKind.PROFILE:
-        profile = graph.profile(node_id)
-        return f"{profile.display_name} {profile.text}".strip()
-    if kind is EvidenceKind.RESOURCE:
-        return graph.resource(node_id).text
-    container = graph.container(node_id)
-    return f"{container.name} {container.text}".strip()
-
-
-def node_urls(graph: SocialGraph, node_id: str, kind: EvidenceKind) -> tuple[str, ...]:
-    """URLs attached to one graph node (fed to URL content extraction)."""
-    if kind is EvidenceKind.PROFILE:
-        return graph.profile(node_id).urls
-    if kind is EvidenceKind.RESOURCE:
-        return graph.resource(node_id).urls
-    return graph.container(node_id).urls
-
-
-def evidence_text(graph: SocialGraph, item: RelatedResource) -> str:
-    """The indexable text of an evidence item."""
-    return node_text(graph, item.node_id, item.kind)
-
-
-def evidence_urls(graph: SocialGraph, item: RelatedResource) -> tuple[str, ...]:
-    """URLs attached to an evidence item (fed to URL content extraction)."""
-    return node_urls(graph, item.node_id, item.kind)
+def candidate_seeds(
+    candidates: Mapping[str, Sequence[str]] | Sequence[str],
+) -> dict[str, tuple[str, ...]]:
+    """The :meth:`ResourceGatherer.gather_many` seeds of a builder's
+    *candidates*: a sequence of profile ids makes each profile its own
+    candidate, a mapping ``candidate id → profile ids`` keeps one
+    person's profiles on several platforms under one candidate."""
+    if not candidates:
+        raise ValueError("candidates must be non-empty")
+    if isinstance(candidates, Mapping):
+        return {cid: tuple(pids) for cid, pids in candidates.items()}
+    return {pid: (pid,) for pid in candidates}

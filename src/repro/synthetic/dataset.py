@@ -147,6 +147,7 @@ def build_dataset(
 
     kb = build_knowledge_base()
     analyzer = ResourceAnalyzer(TextPipeline(), EntityAnnotator(kb))
+    assert networks.web is not None  # only a loaded dataset lacks its web
     url_extractor = UrlContentExtractor(networks.web)
     corpus = CorpusAnalyzer(analyzer, url_extractor).analyze_graph(merged)
 

@@ -114,7 +114,9 @@ class BuiltNetworks:
     """Everything the generator produced."""
 
     stores: dict[Platform, PlatformStore]
-    web: SyntheticWeb
+    #: the linked pages; None for a loaded dataset, which keeps only
+    #: the crawled graphs
+    web: SyntheticWeb | None
     #: person id → platform → profile id
     profile_ids: dict[str, dict[Platform, str]]
     people: list[Person] = field(default_factory=list)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.baselines.balog import BalogConfig, CandidateModelFinder, DocumentModelFinder
+from repro.extraction.crawler import CorpusAnalyzer
 from repro.socialgraph.graph import SocialGraph
 from repro.socialgraph.metamodel import Platform, RelationKind, Resource, UserProfile
 
@@ -110,6 +111,23 @@ class TestModelDifferences:
         if "bob" in sharp_scores and "bob" in flat_scores:
             # heavier collection smoothing narrows the alice/bob gap
             assert flat_scores["bob"] > sharp_scores["bob"]
+
+
+class TestColdBuildLanguage:
+    @pytest.mark.parametrize("model", [CandidateModelFinder, DocumentModelFinder])
+    def test_cold_build_matches_corpus_backed_build(self, analyzer, model):
+        """A resource the platform annotates as Italian stays out of a
+        cold build's documents, as it does out of a corpus-backed one."""
+        from tests.core.test_expert_finder import annotated_graph
+
+        graph = annotated_graph()
+        corpus = CorpusAnalyzer(analyzer).analyze_graph(graph)
+        warm = model.build(graph, ["u"], analyzer, corpus=corpus)
+        cold = model.build(graph, ["u"], analyzer)
+        assert list(warm._documents) == ["u"]
+        assert cold._documents == warm._documents
+        need = "freestyle swimmer"
+        assert cold.find_experts(need) == warm.find_experts(need)
 
 
 class TestOnTinyDataset:

@@ -1,9 +1,10 @@
 """Stateful differential test: the served path against the object oracle.
 
-A Hypothesis state machine drives one collection through random
-sequences of streamed observes, queries (α, window as a count, a
-fraction or ``None``, ``top_k``), seals, full compactions and save→load
-round trips. After every step the served path — the segments' numpy
+A Hypothesis state machine drives one collection, built with the
+served synchronous tiered compaction or with manual compaction, through
+random sequences of streamed observes, queries (α, window as a count, a
+fraction or ``None``, ``top_k``), seals, tiered and full compactions and
+save→load round trips. After every step the served path — the segments' numpy
 kernel plus the write buffer's dict walk — must rank exactly (``==``)
 like an independent oracle: a :class:`VectorSpaceRetriever` +
 :class:`ExpertRanker` over plain indexes fed the same analyzed
@@ -116,8 +117,9 @@ class SinglePathMachine(RuleBasedStateMachine):
     @initialize(
         cold=st.integers(min_value=1, max_value=24),
         seal_threshold=st.integers(min_value=1, max_value=6),
+        compaction=st.sampled_from(("synchronous", "manual")),
     )
-    def build(self, cold: int, seal_threshold: int) -> None:
+    def build(self, cold: int, seal_threshold: int, compaction: str) -> None:
         self.tmp = tempfile.TemporaryDirectory()
         self.saves = 0
         self.next_event = cold
@@ -135,7 +137,7 @@ class SinglePathMachine(RuleBasedStateMachine):
             _ANALYZER,
             _CONFIG,
             seal_threshold=seal_threshold,
-            compaction="manual",
+            compaction=compaction,
         )
 
     def teardown(self) -> None:
@@ -174,6 +176,10 @@ class SinglePathMachine(RuleBasedStateMachine):
     @rule()
     def compact(self) -> None:
         self.finder.segmented_index.compact(full=True)
+
+    @rule()
+    def compact_tiers(self) -> None:
+        self.finder.segmented_index.compact()
 
     @rule()
     def save_load(self) -> None:

@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import FinderConfig
 from repro.core.expert_finder import ExpertFinder
 from repro.core.need import ExpertiseNeed
+from repro.extraction.crawler import CorpusAnalyzer
 from repro.socialgraph.graph import SocialGraph
 from repro.socialgraph.metamodel import (
     Platform,
@@ -172,3 +173,33 @@ class TestParallelBuild:
         payload = stats.as_dict()
         assert payload["indexed"] == finder.indexed_resources
         assert "nodes_per_s" in payload
+
+
+def annotated_graph():
+    """One Twitter profile that created one English-text resource the
+    platform annotates as Italian."""
+    g = SocialGraph(Platform.TWITTER)
+    g.add_profile(
+        UserProfile(profile_id="u", platform=Platform.TWITTER, display_name="u")
+    )
+    g.add_resource(Resource(
+        resource_id="r", platform=Platform.TWITTER,
+        text="best freestyle swimmer at the pool this morning", language="it",
+    ))
+    g.link_resource("u", "r", RelationKind.CREATES)
+    return g
+
+
+class TestColdBuildLanguage:
+    def test_cold_build_matches_corpus_backed_build(self, analyzer):
+        """A cold build keeps the platform's language annotation, so it
+        indexes and ranks exactly what the corpus-backed build does."""
+        graph = annotated_graph()
+        corpus = CorpusAnalyzer(analyzer).analyze_graph(graph)
+        warm = ExpertFinder.build(graph, ["u"], analyzer, corpus=corpus)
+        cold = ExpertFinder.build(graph, ["u"], analyzer)
+        assert warm.indexed_resources == 1  # the Italian resource stays out
+        assert cold.indexed_resources == warm.indexed_resources
+        assert cold.evidence_of == warm.evidence_of
+        need = "freestyle swimmer"
+        assert cold.find_experts(need) == warm.find_experts(need)

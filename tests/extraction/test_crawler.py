@@ -166,10 +166,21 @@ class TestCorpusAnalyzer:
         corpus = CorpusAnalyzer(analyzer, UrlContentExtractor(web)).analyze_graph(g)
         assert "butterfli" in corpus["r"].term_counts  # stem of butterfly
 
-    def test_analyze_evidence_subset(self, graph, analyzer):
-        items = ResourceGatherer(graph).gather("me", 1)
-        corpus = CorpusAnalyzer(analyzer).analyze_evidence(graph, items)
-        assert set(corpus) == {i.node_id for i in items}
+    def test_analyze_nodes_in_kinds_order(self, graph, analyzer):
+        gathered = ResourceGatherer(graph).gather_many({"me": ("me",)}, 1)
+        corpus, misses = CorpusAnalyzer(analyzer).analyze_nodes(graph, gathered.kinds)
+        assert list(corpus) == list(gathered.kinds)
+        assert misses == len(corpus)
+
+    def test_analyze_nodes_reuses_corpus_entries(self, graph, analyzer):
+        corpus_analyzer = CorpusAnalyzer(analyzer)
+        full = corpus_analyzer.analyze_graph(graph)
+        gathered = ResourceGatherer(graph).gather_many({"me": ("me",)}, 2)
+        partial = {node_id: full[node_id] for node_id in list(gathered.kinds)[::2]}
+        corpus, misses = corpus_analyzer.analyze_nodes(graph, gathered.kinds, partial)
+        assert corpus == {node_id: full[node_id] for node_id in gathered.kinds}
+        assert all(corpus[node_id] is hit for node_id, hit in partial.items())
+        assert misses == len(gathered.kinds) - len(partial)
 
 
 class TestCrossPostFiltering:
@@ -230,7 +241,8 @@ class TestCrossPostFiltering:
 class TestAnalyzeEvidenceLanguage:
     def test_platform_language_annotation_respected(self, analyzer):
         """A resource carrying a platform language annotation must be
-        classified identically by analyze_graph and analyze_evidence."""
+        classified identically by analyze_graph and by the cold builds'
+        analyze_nodes over gathered evidence."""
         from repro.socialgraph.graph import SocialGraph
         from repro.socialgraph.metamodel import RelationKind
 
@@ -244,8 +256,8 @@ class TestAnalyzeEvidenceLanguage:
 
         corpus_analyzer = CorpusAnalyzer(analyzer)
         full = corpus_analyzer.analyze_graph(g)
-        items = ResourceGatherer(g).gather("u", 1)
-        subset = corpus_analyzer.analyze_evidence(g, items)
+        gathered = ResourceGatherer(g).gather_many({"u": ("u",)}, 1)
+        subset, _ = corpus_analyzer.analyze_nodes(g, gathered.kinds)
         assert subset["r_it"].language == "it"
         assert subset["r_it"] == full["r_it"]
 

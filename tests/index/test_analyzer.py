@@ -1,7 +1,5 @@
 """Unit tests for the resource analyzer (terms + entities)."""
 
-import pytest
-
 
 class TestResourceAnalyzer:
     def test_terms_are_stemmed_counts(self, analyzer):

@@ -1,13 +1,10 @@
 """Unit tests for the vector-space retriever (paper Eq. 1–2)."""
 
-import math
-
 import pytest
 
 from repro.index.analyzer import AnalyzedResource
 from repro.index.entity_index import EntityIndex
 from repro.index.inverted import InvertedIndex
-from repro.index.statistics import CollectionStatistics
 from repro.index.vsm import VectorSpaceRetriever, entity_weight
 
 

@@ -2,12 +2,11 @@
 
 import pytest
 
+from repro.extraction.crawler import CorpusAnalyzer
 from repro.socialgraph.distance import (
     EvidenceKind,
     RelatedResource,
     ResourceGatherer,
-    evidence_text,
-    evidence_urls,
 )
 from repro.socialgraph.graph import SocialGraph
 from repro.socialgraph.metamodel import (
@@ -122,28 +121,41 @@ class TestGatherValidation:
         with pytest.raises(KeyError):
             ResourceGatherer(graph).gather("ghost", 1)
 
-    def test_gather_all(self, graph):
-        result = ResourceGatherer(graph).gather_all(["candidate", "star"], 1)
-        assert set(result) == {"candidate", "star"}
-        assert result["star"][0].node_id == "star"
-
 
 class TestEvidenceAccessors:
-    def test_profile_text(self, graph):
-        item = RelatedResource("candidate", "star", EvidenceKind.PROFILE, 1, "follows")
-        assert evidence_text(graph, item) == "star bio of star"
+    """A gathered node's analyzer input, composed by the one
+    ``CorpusAnalyzer.node_input`` every builder uses."""
 
-    def test_resource_text(self, graph):
-        item = RelatedResource("candidate", "r_own", EvidenceKind.RESOURCE, 1, "creates")
-        assert evidence_text(graph, item) == "text r_own"
+    def test_profile_text(self, graph, analyzer):
+        text, _ = CorpusAnalyzer(analyzer).node_input(
+            graph, "star", EvidenceKind.PROFILE
+        )
+        assert text == "star bio of star"
 
-    def test_container_text(self, graph):
-        item = RelatedResource("candidate", "group", EvidenceKind.CONTAINER, 1, "relatesTo")
-        assert "about group" in evidence_text(graph, item)
+    def test_resource_text(self, graph, analyzer):
+        text, _ = CorpusAnalyzer(analyzer).node_input(
+            graph, "r_own", EvidenceKind.RESOURCE
+        )
+        assert text == "text r_own"
 
-    def test_urls(self, graph):
-        item = RelatedResource("candidate", "r_own", EvidenceKind.RESOURCE, 1, "creates")
-        assert evidence_urls(graph, item) == ("http://page/r_own",)
+    def test_container_text(self, graph, analyzer):
+        text, _ = CorpusAnalyzer(analyzer).node_input(
+            graph, "group", EvidenceKind.CONTAINER
+        )
+        assert "about group" in text
+
+    def test_urls(self, graph, analyzer):
+        fetched = []
+
+        def url_content(url):
+            fetched.append(url)
+            return f"page {len(fetched)}"
+
+        text, _ = CorpusAnalyzer(analyzer, url_content).node_input(
+            graph, "r_own", EvidenceKind.RESOURCE
+        )
+        assert tuple(fetched) == ("http://page/r_own",)
+        assert text == "text r_own page 1"
 
     def test_invalid_distance_rejected(self):
         with pytest.raises(ValueError):
@@ -212,17 +224,3 @@ class TestGatherMany:
         gathered = ResourceGatherer(graph).gather_many({}, 2)
         assert gathered.distances == {}
         assert gathered.kinds == {}
-
-
-class TestNodeAccessors:
-    def test_node_text_matches_evidence_text(self, graph):
-        from repro.socialgraph.distance import node_text, node_urls
-
-        for node_id, kind in (
-            ("star", EvidenceKind.PROFILE),
-            ("r_own", EvidenceKind.RESOURCE),
-            ("group", EvidenceKind.CONTAINER),
-        ):
-            item = RelatedResource("candidate", node_id, kind, 1, "x")
-            assert node_text(graph, node_id, kind) == evidence_text(graph, item)
-            assert node_urls(graph, node_id, kind) == evidence_urls(graph, item)

@@ -1,6 +1,5 @@
 """Unit tests for the JSON-lines storage primitives."""
 
-import gzip
 import json
 
 import pytest

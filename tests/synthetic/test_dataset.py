@@ -1,7 +1,5 @@
 """Unit tests for the assembled evaluation dataset."""
 
-import pytest
-
 from repro.socialgraph.metamodel import Platform
 from repro.synthetic.dataset import DatasetScale
 
