@@ -19,9 +19,10 @@ Two sub-rules:
   those;
 * **column mutation** (``repro.index`` only): the compiled column
   attributes (``_term_cols``, ``_entity_cols``, ``_evidence_cols``) may
-  only be written inside the sanctioned construction paths
-  (``__init__``, ``from_columns``, …). The evidence columns hold mapped
+  only be written inside the sanctioned construction path, a segment's
+  one constructor (``__init__``). The evidence columns hold mapped
   views too, and the Eq. 3 fold gathers every ranking's rows from them.
+  (The write buffer's growing columns carry other names.)
 """
 
 from __future__ import annotations
@@ -57,11 +58,7 @@ _MUTATING_METHODS = {
     "setdefault",
 }
 _COLUMN_ATTR = re.compile(r"^_(term|entity|evidence)_cols$")
-_SANCTIONED_COLUMN_WRITERS = {
-    "__init__",
-    "from_columns",
-    "restore_compiled",
-}
+_SANCTIONED_COLUMN_WRITERS = {"__init__"}
 _DICT_MUTATORS = {"update", "clear", "pop", "popitem", "setdefault"}
 
 

@@ -100,8 +100,9 @@ class ExpertFinder:
         shared-frontier gathering, text/entity analysis, index fill —
         and exposes per-stage timings as :attr:`build_stats`. The index
         fill hands every gathered node, in gathered order, to the write
-        buffer's ``add`` (the call every :meth:`observe` makes), and the
-        buffer compiles once into the one sealed segment of a
+        buffer's ``add`` (the call every :meth:`observe` makes), which
+        appends it to the buffer's columns, and the buffer seals once
+        into the one sealed segment of a
         :class:`~repro.index.segments.SegmentedIndex`; streamed observes
         then touch only a fresh write buffer, which seals every
         *seal_threshold* resources and compacts per *compaction*.
@@ -131,7 +132,7 @@ class ExpertFinder:
         analyze_s = time.perf_counter() - t0
 
         # stage 3 — index: timed from the first add to the last, so that
-        # the compile into the base segment is not counted
+        # the seal into the base segment is not counted
         index_s = 0.0
 
         def resources() -> Iterator[tuple[AnalyzedResource, _Rows, bool]]:
@@ -180,8 +181,8 @@ class ExpertFinder:
         Each event is analyzed as it arrives and handed to the write
         buffer's ``add``, so peak memory is the growing index, not the
         stream, making this the entry point for the ``xl`` scale's
-        generator (:mod:`repro.synthetic.stream`). The buffer compiles
-        once into the base segment. The result is identical to building
+        generator (:mod:`repro.synthetic.stream`). The buffer seals once
+        into the base segment. The result is identical to building
         from an equivalent materialized graph, and the layout options —
         *seal_threshold*, *compaction* — apply unchanged.
         """
@@ -197,7 +198,7 @@ class ExpertFinder:
 
         def resources() -> Iterator[tuple[AnalyzedResource, _Rows, bool]]:
             # timed from the first event to the last add, so that the
-            # compile into the base segment is not counted as indexing
+            # seal into the base segment is not counted as indexing
             nonlocal analyze_s, stream_s
             t0 = time.perf_counter()
             for event in events:
@@ -406,9 +407,8 @@ class ExpertFinder:
         parameter sweeps (``window=None`` means "no window"; leave it at
         the default to use the configured window).
 
-        Every live segment scores the need with one numpy kernel and the
-        write buffer with a dict walk; the list equals the object path's,
-        bit for bit.
+        Every live segment and the write buffer score the need with one
+        numpy kernel; the list equals the object path's, bit for bit.
         """
         _check_top_k(top_k)
         return self._index.find_experts(

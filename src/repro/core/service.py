@@ -38,10 +38,14 @@ from collections import OrderedDict
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from types import EllipsisType
+from typing import TYPE_CHECKING
 
 from repro.core.expert_finder import _UNSET, ExpertFinder
 from repro.core.need import ExpertiseNeed
 from repro.core.ranking import ExpertScore
+
+if TYPE_CHECKING:
+    from repro.index.segments import EvidenceCsr
 
 #: cache keys collapse a need to this normal form
 def normalize_need_text(text: str) -> str:
@@ -276,6 +280,14 @@ class ExpertSearchService:
             self._invalidations += 1
 
     # -- introspection -------------------------------------------------------------
+
+    def evidence(self) -> tuple[int, "EvidenceCsr"]:
+        """The finder's whole resource → supporters relation and the
+        number of admitted resources it covers, read together under the
+        lock (an observe appends to the write buffer under it)."""
+        with self._lock:
+            index = self._finder.segmented_index
+            return index.resource_count, index.evidence_csr()
 
     @property
     def cached_results(self) -> int:

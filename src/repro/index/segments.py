@@ -6,10 +6,12 @@ way — Spasojevic et al.): a cold build is one sealed segment plus an
 empty write buffer. The pieces:
 
 * **write buffer** — streamed resources (Eq. 1 term/entity postings plus
-  Eq. 3 evidence rows) land in a small mutable :class:`_WriteBuffer`,
-  scored with plain dict walks; an ``observe`` touches nothing else;
+  Eq. 3 evidence rows) are appended to the columns of a small
+  :class:`_WriteBuffer`, in arrival order; an ``observe`` touches
+  nothing else;
 * **sealed segments** — when the buffer reaches ``seal_threshold``
-  resources it seals into an immutable :class:`Segment` that holds
+  resources its doc indexes are renumbered into doc-id order and it
+  becomes an immutable :class:`Segment` that holds
   columns only, never touched again: the sorted doc-id table, each
   term's ``(doc, tf)`` and each entity's ``(doc, ef, we, ds)`` postings
   as one CSR per group (doc indexes in sorted-id order), the evidence
@@ -26,15 +28,16 @@ empty write buffer. The pieces:
 
 A query forms its per-item weights ``tw = irf^p`` / ``ew = eirf^p`` once
 from **shared collection statistics** (the union document count and the
-summed per-source document frequencies), then each segment scores its
-own documents with one numpy kernel (:meth:`Segment.score`): per query
-item, ``T[docs] += tf·tw`` and ``E[docs] += (ef·ew)·we``, then
-``α·T + (1−α)·E``, keeping positive scores as ``(scores, doc indexes)``
-arrays in ``(-score, doc index)`` order. With an absolute window each
-segment cuts its own matches to the window. The window cut and the
-Eq. 3 fold are columnar too (:meth:`SegmentedIndex._rank`): the windowed
-documents' evidence rows are gathered from each segment's evidence
-columns in global ``(-score, doc_id)`` order, and ``np.bincount`` sums
+summed per-source document frequencies), then each source — every
+segment and the buffer — scores its own documents with one numpy kernel
+(:meth:`_Source.score`): per query item, ``T[docs] += tf·tw`` and
+``E[docs] += (ef·ew)·we``, then ``α·T + (1−α)·E``, keeping positive
+scores as ``(scores, doc indexes)`` arrays in ``(-score, doc_id)``
+order. With an absolute window each source cuts its own matches to the
+window. The window cut and the Eq. 3 fold are columnar too
+(:meth:`SegmentedIndex._rank`): the windowed documents' evidence rows
+are gathered from each source's evidence columns (:meth:`_Source.rows`)
+in global ``(-score, doc_id)`` order, and ``np.bincount`` sums
 ``score · wr`` per candidate over one shared candidate index kept in
 sorted-id order.
 
@@ -42,10 +45,12 @@ The kernel is exact: doc indexes are unique within a column, so each
 fancy-indexed add gives every posting one IEEE addition into its
 document's accumulator, in the query's item order with terms before
 entities — the object path's order — and the products and the α blend
-are the same float operations, elementwise. The per-segment cut is
-exact too: each document lives in exactly one source and, within a
-segment, doc-index order is doc-id order, so the global top-W is
-contained in the union of the per-source top-W. The fold is exact
+are the same float operations, elementwise. The per-source cut is
+exact too: each document lives in exactly one source and each source
+breaks score ties on doc id (within a segment doc-index order is
+doc-id order; the buffer's doc indexes follow arrival, so it sorts its
+kept matches' ids), so the global top-W is contained in the union of
+the per-source top-W. The fold is exact
 because ``np.bincount`` adds its weights in input order into slots that
 start at 0.0, which is the object path's per-candidate dict walk over
 the same rows in the same order. Rankings are therefore
@@ -64,8 +69,9 @@ from __future__ import annotations
 
 import math
 import threading
+from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Any, NamedTuple
 from dataclasses import dataclass
 
@@ -78,8 +84,6 @@ from repro.core.config import FinderConfig
 from repro.core.ranking import ExpertScore
 from repro.core.scoring import distance_weight_table, window_size
 from repro.index.analyzer import AnalyzedResource
-from repro.index.entity_index import EntityIndex, EntityPosting
-from repro.index.inverted import InvertedIndex, Posting
 from repro.index.vsm import entity_weight
 
 #: default buffer size (in resources) at which the buffer seals
@@ -96,13 +100,21 @@ _Rows = tuple[tuple[str, int], ...]
 _Ints = npt.NDArray[np.int64]
 _Floats = npt.NDArray[np.float64]
 
-#: one segment's matches: ``(scores, doc indexes)`` in ``(-score, doc)`` order
+_NO_INTS: _Ints = np.zeros(0, dtype=np.int64)
+
+#: one source's matches: ``(scores, doc indexes)`` in ``(-score, doc_id)``
+#: order
 Hits = tuple[_Floats, _Ints]
 
-#: one source's survivors in its own ``(-score, doc)`` order: ``(scores,
-#: docs, source)``, where *docs* are a segment's doc indexes, or the write
-#: buffer's doc ids when *source* is None
-_Part = tuple[_Floats, Any, "Segment | None"]
+#: a query's weighted terms or entities: ``(key, weight)`` in query order
+_Items = Sequence[tuple[str, float]]
+
+#: a posting group's columns by key, as a query reads them
+_Views = Mapping[str, tuple[Any, ...]]
+
+#: one source's survivors in its own ``(-score, doc_id)`` order:
+#: ``(scores, doc indexes, source)``
+_Part = tuple[_Floats, _Ints, "_Source"]
 
 
 def window_cut(alpha: float, window: int | float | None) -> int | None:
@@ -130,6 +142,15 @@ def _offsets(lengths: Any) -> _Ints:
     off = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=off[1:])
     return off
+
+
+def _sorted_positions(names: Sequence[str]) -> tuple[list[int], _Ints]:
+    """The indexes of *names* in sorted order, and each name's position
+    in that order."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    position = np.empty(len(names), dtype=np.int64)
+    position[order] = np.arange(len(names))
+    return order, position
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,28 +238,6 @@ class EvidenceCsr(NamedTuple):
     dist: _Ints
 
 
-def evidence_csr(evidence: Mapping[str, Iterable[tuple[str, int]]]) -> EvidenceCsr:
-    """*evidence* (resource → ``(candidate id, distance)`` rows, in
-    stream order) as an :class:`EvidenceCsr`."""
-    candidates = sorted({cid for rows in evidence.values() for cid, _ in rows})
-    cand_of = {cid: i for i, cid in enumerate(candidates)}
-    off = [0]
-    cand: list[int] = []
-    dist: list[int] = []
-    for rows in evidence.values():
-        for cid, distance in rows:
-            cand.append(cand_of[cid])
-            dist.append(distance)
-        off.append(len(cand))
-    return EvidenceCsr(
-        list(evidence),
-        candidates,
-        np.array(off, dtype=np.int64),
-        np.array(cand, dtype=np.int64),
-        np.array(dist, dtype=np.int64),
-    )
-
-
 def concat_evidence(parts: Sequence[EvidenceCsr]) -> EvidenceCsr:
     """The relations of *parts* one after the other, over their merged
     sorted candidate table (resources must be disjoint across parts)."""
@@ -320,7 +319,84 @@ class SegmentStats:
     compactions: int
 
 
-class Segment:
+class _Source:
+    """A slice of the collection a query scores: a sealed segment or the
+    write buffer. Both score with the one Eq. 1 kernel (:meth:`score`)
+    and gather evidence rows with the one gather (:meth:`rows`); each
+    supplies the columns they read."""
+
+    __slots__ = ()
+
+    def _query_columns(
+        self, terms: _Items, entities: _Items
+    ) -> tuple[int, _Views, _Views, Sequence[str] | None]:
+        """The document count, each query key's ``(doc, tf)`` / ``(doc,
+        ef, we)`` columns, and the doc ids that break score ties by doc
+        index (None when doc-index order is doc-id order already)."""
+        raise NotImplementedError
+
+    def _row_columns(self) -> tuple[_Ints, _Ints, _Ints, _Ints]:
+        """The ``cand`` and ``dist`` row columns, and each document's
+        first row and row count."""
+        raise NotImplementedError
+
+    def score(
+        self, terms: _Items, entities: _Items, alpha: float, cut: int | None
+    ) -> Hits:
+        """Every positive Eq. 1 match as ``(scores, doc indexes)`` arrays
+        in ``(-score, doc_id)`` order, cut to the best *cut* when given.
+
+        Per query item, in the query's order, the item's column adds
+        ``tf·tw`` into the term accumulator and ``(ef·ew)·we`` into the
+        entity accumulator; a column holds each document once, so every
+        posting is one IEEE add into its document's slot, exactly as the
+        object path's dict walk adds it. The blend runs in place and is
+        ``α*T + (1−α)*E``'s operations, elementwise."""
+        n_docs, term_views, entity_views, ids = self._query_columns(terms, entities)
+        term_acc = np.zeros(n_docs)
+        entity_acc = np.zeros(n_docs)
+        for term, tw in terms:
+            cols = term_views.get(term)
+            if cols is not None:
+                docs, tf = cols
+                term_acc[docs] += tf * tw
+        for uri, ew in entities:
+            ecols = entity_views.get(uri)
+            if ecols is not None:
+                docs, ef, we = ecols
+                entity_acc[docs] += (ef * ew) * we
+        term_acc *= alpha
+        entity_acc *= 1.0 - alpha
+        term_acc += entity_acc
+        hits = np.flatnonzero(term_acc > 0.0)
+        scores = term_acc[hits]
+        if cut is not None and cut < len(hits):
+            # keep every match scoring at least the cut-th best score
+            # before ordering: ties at the boundary then keep the lowest
+            # doc ids, as a full sort would, which is exactly the
+            # source's share of the global window
+            k = len(hits) - cut
+            kept = scores >= np.partition(scores, k)[k]
+            hits = hits[kept]
+            scores = scores[kept]
+        if ids is None:
+            tie = hits
+        else:
+            _order, tie = _sorted_positions([ids[doc] for doc in hits.tolist()])
+        order = np.lexsort((tie, -scores))[:cut]
+        return scores[order], hits[order]
+
+    def rows(self, docs: _Ints) -> tuple[_Ints, _Ints, _Ints]:
+        """The evidence rows of *docs* (doc indexes), document after
+        document in the given order: ``(local candidate indexes,
+        distances, rows per document)``."""
+        cand, dist, first, count = self._row_columns()
+        count = count[docs]
+        at = _expand(first[docs], count)
+        return cand[at], dist[at], count
+
+
+class Segment(_Source):
     """One immutable, columnar slice of the collection.
 
     Holds columns only: the sorted doc-id table, the term and entity
@@ -342,91 +418,25 @@ class Segment:
     def __init__(
         self,
         segment_id: int,
-        term_index: InvertedIndex,
-        entity_index: EntityIndex,
-        evidence: Mapping[str, Iterable[tuple[str, int]]],
-    ):
-        """Compile a write buffer's posting-object indexes and evidence
-        rows (at a seal, a save or the end of a cold build) into columns;
-        the objects are not kept."""
-        if term_index.doc_ids() != entity_index.doc_ids():
-            raise ValueError(
-                "term and entity indexes disagree on the segment's doc ids "
-                f"({term_index.document_count} vs {entity_index.document_count})"
-            )
-        doc_ids = sorted(term_index.doc_ids())
-        doc_of = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-        terms: list[str] = []
-        tdoc: list[int] = []
-        ttf: list[int] = []
-        tlen: list[int] = []
-        for term, postings in term_index.items():
-            terms.append(term)
-            tdoc += [doc_of[p.doc_id] for p in postings]
-            ttf += [p.term_frequency for p in postings]
-            tlen.append(len(postings))
-        entities: list[str] = []
-        edoc: list[int] = []
-        eef: list[int] = []
-        eds: list[float] = []
-        elen: list[int] = []
-        for uri, entity_postings in entity_index.items():
-            entities.append(uri)
-            edoc += [doc_of[p.doc_id] for p in entity_postings]
-            eef += [p.entity_frequency for p in entity_postings]
-            eds += [p.d_score for p in entity_postings]
-            elen.append(len(entity_postings))
-        # the d_score is folded to we = 1 + dScore once; the posting
-        # product at query time is ef · ew · we, the object path's
-        # expression
-        csr = evidence_csr(evidence)
-        doc_ids, first, count = _doc_rows(doc_ids, csr)
-        self.segment_id = segment_id
-        self._doc_ids: list[str] = doc_ids
-        self._term_cols = PostingColumns.of(
-            terms,
-            _offsets(tlen),
-            [np.array(tdoc, dtype=np.int64), np.array(ttf, dtype=np.int64)],
-            2,
-        )
-        self._entity_cols = PostingColumns.of(
-            entities,
-            _offsets(elen),
-            [
-                np.array(edoc, dtype=np.int64),
-                np.array(eef, dtype=np.int64),
-                np.array([entity_weight(d) for d in eds], dtype=np.float64),
-                np.array(eds, dtype=np.float64),
-            ],
-            3,
-        )
-        self._evidence_cols = (csr, first, count)
-
-    @classmethod
-    def from_columns(
-        cls,
-        segment_id: int,
         doc_ids: list[str],
         terms: PostingColumns,
         entities: PostingColumns,
         evidence: EvidenceCsr,
-    ) -> "Segment":
-        """Adopt already-built columns: a snapshot's mapped sections or
-        a merge's concatenation.
+    ):
+        """Adopt built columns: a snapshot's mapped sections, a merge's
+        concatenation or a sealed write buffer's renumbered columns.
 
         *doc_ids* must be the segment's indexed doc ids in sorted order
         (the doc-index order the columns use); column values are numpy
-        arrays, typically read-only ``np.frombuffer`` views over the
+        arrays, on a load read-only ``np.frombuffer`` views over the
         mapping. Only each document's span of *evidence* is derived.
         """
         doc_ids, first, count = _doc_rows(doc_ids, evidence)
-        segment = cls.__new__(cls)
-        segment.segment_id = segment_id
-        segment._doc_ids = doc_ids
-        segment._term_cols = terms
-        segment._entity_cols = entities
-        segment._evidence_cols = (evidence, first, count)
-        return segment
+        self.segment_id = segment_id
+        self._doc_ids: list[str] = doc_ids
+        self._term_cols = terms
+        self._entity_cols = entities
+        self._evidence_cols = (evidence, first, count)
 
     @classmethod
     def merge(cls, segment_id: int, run: Sequence["Segment"]) -> "Segment":
@@ -435,12 +445,10 @@ class Segment:
         their sorted merge and each source's doc indexes are renumbered by
         one remap array; postings and evidence rows keep segment order."""
         joined = [doc_id for segment in run for doc_id in segment.doc_ids]
-        order = sorted(range(len(joined)), key=joined.__getitem__)
-        position = np.empty(len(joined), dtype=np.int64)
-        position[order] = np.arange(len(joined))
+        order, position = _sorted_positions(joined)
         bounds = [0, *accumulate(segment.document_count for segment in run)]
         remaps = [position[start:stop] for start, stop in zip(bounds, bounds[1:])]
-        return cls.from_columns(
+        return cls(
             segment_id,
             [joined[i] for i in order],
             PostingColumns.concat(
@@ -505,187 +513,245 @@ class Segment:
 
     # -- query evaluation ----------------------------------------------------------
 
-    def score(
-        self,
-        terms: Sequence[tuple[str, float]],
-        entities: Sequence[tuple[str, float]],
-        alpha: float,
-        cut: int | None,
-    ) -> Hits:
-        """Every positive Eq. 1 match of this segment as ``(scores, doc
-        indexes)`` arrays in ``(-score, doc index)`` order, cut to the
-        best *cut* when given.
+    def _query_columns(
+        self, terms: _Items, entities: _Items
+    ) -> tuple[int, _Views, _Views, None]:
+        # doc-index order is doc-id order, so ties break on doc index
+        return len(self._doc_ids), self._term_cols.views, self._entity_cols.views, None
 
-        Per query item, in the query's order, the item's column adds
-        ``tf·tw`` into the term accumulator and ``(ef·ew)·we`` into the
-        entity accumulator; a column holds each document once, so every
-        posting is one IEEE add into its document's slot, exactly as the
-        object path's dict walk adds it. The blend runs in place and is
-        ``α*T + (1−α)*E``'s operations, elementwise."""
-        n_docs = len(self._doc_ids)
-        term_acc = np.zeros(n_docs)
-        entity_acc = np.zeros(n_docs)
-        term_cols = self._term_cols.views
-        for term, tw in terms:
-            cols = term_cols.get(term)
-            if cols is not None:
-                docs, tf = cols
-                term_acc[docs] += tf * tw
-        entity_cols = self._entity_cols.views
-        for uri, ew in entities:
-            ecols = entity_cols.get(uri)
-            if ecols is not None:
-                docs, ef, we = ecols
-                entity_acc[docs] += (ef * ew) * we
-        term_acc *= alpha
-        entity_acc *= 1.0 - alpha
-        term_acc += entity_acc
-        hits = np.flatnonzero(term_acc > 0.0)
-        scores = term_acc[hits]
-        if cut is not None and cut < len(hits):
-            # keep every match scoring at least the cut-th best score
-            # before ordering: ties at the boundary then keep the lowest
-            # doc indexes, as a full sort would. Doc-index order is
-            # doc-id order within a segment, so this keeps exactly the
-            # segment's share of the global window
-            k = len(hits) - cut
-            kept = scores >= np.partition(scores, k)[k]
-            hits = hits[kept]
-            scores = scores[kept]
-        order = np.lexsort((hits, -scores))[:cut]
-        return scores[order], hits[order]
-
-    def rows(self, docs: _Ints) -> tuple[_Ints, _Ints, _Ints]:
-        """The evidence rows of *docs* (doc indexes), document after
-        document in the given order: ``(local candidate indexes,
-        distances, rows per document)``."""
+    def _row_columns(self) -> tuple[_Ints, _Ints, _Ints, _Ints]:
         csr, first, count = self._evidence_cols
-        count = count[docs]
-        at = _expand(first[docs], count)
-        return csr.cand[at], csr.dist[at], count
+        return csr.cand, csr.dist, first, count
 
 
-class _WriteBuffer:
-    """The mutable tail of the collection: plain indexes + evidence rows."""
+#: a write-buffer key's postings: one list per column, in arrival order
+_Lists = tuple[list[Any], ...]
 
-    __slots__ = ("term_index", "entity_index", "evidence")
+
+def _views(postings: Mapping[str, _Lists], items: _Items, queried: int) -> _Views:
+    """The first *queried* columns of each of *items*' keys, as arrays."""
+    views = {}
+    for key, _weight in items:
+        lists = postings.get(key)
+        if lists is not None:
+            views[key] = tuple(np.array(column) for column in lists[:queried])
+    return views
+
+
+def _renumbered(
+    postings: Mapping[str, _Lists],
+    remap: _Ints,
+    dtypes: Sequence[type],
+    queried: int,
+) -> PostingColumns:
+    """*postings* as one CSR group, keys in first-seen order and each
+    key's postings in arrival order, with doc indexes renumbered by
+    *remap*."""
+    groups = list(postings.values())
+    lengths = [len(lists[0]) for lists in groups]
+    total = sum(lengths)
+    columns = [
+        np.fromiter(chain.from_iterable(lists[i] for lists in groups), dtype, total)
+        for i, dtype in enumerate(dtypes)
+    ]
+    columns[0] = remap[columns[0]]
+    return PostingColumns.of(list(postings), _offsets(lengths), columns, queried)
+
+
+def _lists(group: PostingColumns) -> dict[str, _Lists]:
+    """A CSR group's postings as per-key column lists."""
+    columns = [column.tolist() for column in group.columns]
+    bounds = group.off.tolist()
+    return {
+        key: tuple(column[bounds[i] : bounds[i + 1]] for column in columns)
+        for i, key in enumerate(group.views)
+    }
+
+
+class _WriteBuffer(_Source):
+    """The growing tail of the collection, as append-only columns in
+    arrival order.
+
+    A document's doc index is its arrival index among the indexed
+    documents. Each term keeps ``(doc, tf)`` lists and each entity
+    ``(doc, ef, we, ds)`` lists, keys in first-seen order and postings in
+    arrival order. The evidence rows are ``array`` columns: per resource,
+    its ``cand`` (an index into a candidate table in first-seen order)
+    and ``dist`` rows, plus each document's first row and row count. The
+    buffer scores and gathers with the :class:`_Source` kernel and
+    gather, as a segment does; only its score ties break on its matches'
+    sorted ids rather than on doc index. A seal renumbers the columns
+    into a :class:`Segment` (:meth:`as_segment`).
+
+    Arrays are read through copies (``np.array``), never through
+    ``np.frombuffer``: an ``array`` that exports its buffer cannot grow.
+    """
+
+    __slots__ = (
+        "doc_ids",
+        "resources",
+        "candidates",
+        "_cand_of",
+        "_terms",
+        "_entities",
+        "_ev_off",
+        "_ev_cand",
+        "_ev_dist",
+        "_row_first",
+        "_row_count",
+    )
 
     def __init__(self) -> None:
-        self.term_index = InvertedIndex()
-        self.entity_index = EntityIndex()
-        self.evidence: dict[str, _Rows] = {}
+        #: indexed doc ids, in arrival (doc-index) order
+        self.doc_ids: list[str] = []
+        #: every resource (indexed or evidence-only), in arrival order
+        self.resources: list[str] = []
+        #: the candidates the evidence rows support, in first-seen order
+        self.candidates: list[str] = []
+        self._cand_of: dict[str, int] = {}
+        self._terms: dict[str, _Lists] = {}
+        self._entities: dict[str, _Lists] = {}
+        self._ev_off = array("q", (0,))
+        self._ev_cand = array("q")
+        self._ev_dist = array("q")
+        self._row_first = array("q")
+        self._row_count = array("q")
 
     @classmethod
-    def thaw(cls, segment: Segment) -> "_WriteBuffer":
-        """A buffer holding *segment*'s collection (a snapshot's buffer
-        container, mapped as columns) as posting objects and evidence
-        rows again. It is small by construction (below the seal
-        threshold) and mutable on the very next observe."""
-        docs = segment.doc_ids
+    def adopt(cls, segment: Segment) -> "_WriteBuffer":
+        """A buffer that continues *segment*'s collection (a snapshot's
+        buffer container): its columns are copied, since mapped views are
+        read-only, and its doc-id order is the arrival order."""
         buffer = cls()
-        buffer.term_index = InvertedIndex.restore(
-            docs,
-            {
-                term: [Posting(docs[doc], tf) for doc, tf in rows]
-                for term, rows in segment.term_columns.rows()
-            },
+        buffer.doc_ids = list(segment.doc_ids)
+        buffer.resources = list(segment.resources)
+        buffer._terms = _lists(segment.term_columns)
+        buffer._entities = _lists(segment.entity_columns)
+        csr = segment.evidence_csr
+        buffer.candidates = list(csr.candidates)
+        buffer._cand_of = {cid: i for i, cid in enumerate(buffer.candidates)}
+        buffer._ev_off = array("q", csr.off.tolist())
+        buffer._ev_cand, buffer._ev_dist, buffer._row_first, buffer._row_count = (
+            array("q", column.tolist()) for column in segment._row_columns()
         )
-        buffer.entity_index = EntityIndex.restore(
-            docs,
-            {
-                uri: [EntityPosting(docs[doc], ef, ds) for doc, ef, _we, ds in rows]
-                for uri, rows in segment.entity_columns.rows()
-            },
-        )
-        buffer.evidence = dict(evidence_rows(segment.evidence_csr))
         return buffer
-
-    def compile(self, segment_id: int) -> Segment:
-        """The buffer's collection as a columnar segment: a seal, or the
-        columns a snapshot writes for the buffer."""
-        return Segment(segment_id, self.term_index, self.entity_index, self.evidence)
 
     @property
     def document_count(self) -> int:
-        return self.term_index.document_count
+        return len(self.doc_ids)
 
     @property
     def resource_count(self) -> int:
-        return len(self.evidence)
+        return len(self.resources)
 
     def add(self, analyzed: AnalyzedResource, rows: _Rows, index: bool) -> None:
-        self.evidence[analyzed.doc_id] = rows
-        if index:
-            self.term_index.add_document(analyzed.doc_id, analyzed.term_counts)
-            self.entity_index.add_document(analyzed.doc_id, analyzed.entity_counts)
+        """Append one resource: its evidence *rows* and, when *index*,
+        its term and entity postings as the next document."""
+        entities = [
+            (uri, ef, ds) for uri, (ef, ds) in analyzed.entity_counts.items() if ef > 0
+        ]
+        if not all(0.0 <= ds <= 1.0 for _uri, _ef, ds in entities):
+            raise ValueError(f"d_score must be in [0, 1]: {analyzed.entity_counts}")
+        first = len(self._ev_cand)
+        cand_of = self._cand_of
+        for cid, distance in rows:
+            c = cand_of.get(cid)
+            if c is None:
+                c = cand_of[cid] = len(self.candidates)
+                self.candidates.append(cid)
+            self._ev_cand.append(c)
+            self._ev_dist.append(distance)
+        self._ev_off.append(len(self._ev_cand))
+        self.resources.append(analyzed.doc_id)
+        if not index:
+            return
+        doc = len(self.doc_ids)
+        self.doc_ids.append(analyzed.doc_id)
+        self._row_first.append(first)
+        self._row_count.append(len(rows))
+        terms = self._terms
+        for term, tf in analyzed.term_counts.items():
+            if tf > 0:
+                lists = terms.get(term)
+                if lists is None:
+                    terms[term] = ([doc], [tf])
+                else:
+                    lists[0].append(doc)
+                    lists[1].append(tf)
+        postings = self._entities
+        for uri, ef, ds in entities:
+            we = entity_weight(ds)
+            lists = postings.get(uri)
+            if lists is None:
+                postings[uri] = ([doc], [ef], [we], [ds])
+            else:
+                for column, value in zip(lists, (doc, ef, we, ds)):
+                    column.append(value)
 
-    def score(
-        self,
-        terms: Sequence[tuple[str, float]],
-        entities: Sequence[tuple[str, float]],
-        alpha: float,
-    ) -> list[tuple[float, str]]:
-        """Dict-walk counterpart of :meth:`Segment.score`, as unsorted
-        ``(-score, doc_id)`` pairs — the buffer is small and changes on
-        every observe, so it is never compiled."""
-        term_scores: dict[str, float] = {}
-        entity_scores: dict[str, float] = {}
-        term_index = self.term_index
-        for term, tw in terms:
-            for posting in term_index.postings(term):
-                doc_id = posting.doc_id
-                term_scores[doc_id] = (
-                    term_scores.get(doc_id, 0.0) + posting.term_frequency * tw
-                )
-        entity_index = self.entity_index
-        for uri, ew in entities:
-            for posting in entity_index.postings(uri):
-                doc_id = posting.doc_id
-                entity_scores[doc_id] = (
-                    entity_scores.get(doc_id, 0.0)
-                    + posting.entity_frequency * ew * entity_weight(posting.d_score)
-                )
-        one_minus_alpha = 1.0 - alpha
-        hits: list[tuple[float, str]] = []
-        hit = hits.append
-        # repro: lint-ok[determinism] emission order is scratch only —
-        # SegmentedIndex sorts the buffer's hits with the total
-        # (-score, doc_id) key before any cut
-        for doc_id in term_scores.keys() | entity_scores.keys():
-            score = (
-                alpha * term_scores.get(doc_id, 0.0)
-                + one_minus_alpha * entity_scores.get(doc_id, 0.0)
-            )
-            if score > 0.0:
-                hit((-score, doc_id))
-        return hits
+    def term_df(self, term: str) -> int:
+        lists = self._terms.get(term)
+        return len(lists[0]) if lists is not None else 0
 
-    def rows(
-        self, doc_ids: Sequence[str], cand_of: Mapping[str, int]
-    ) -> tuple[_Ints, _Ints, _Ints]:
-        """:meth:`Segment.rows` for buffered documents, with candidates
-        numbered by *cand_of*."""
-        evidence = self.evidence
-        cand: list[int] = []
-        dist: list[int] = []
-        count: list[int] = []
-        for doc_id in doc_ids:
-            rows = evidence.get(doc_id, ())
-            count.append(len(rows))
-            for cid, distance in rows:
-                cand.append(cand_of[cid])
-                dist.append(distance)
+    def entity_df(self, entity_uri: str) -> int:
+        lists = self._entities.get(entity_uri)
+        return len(lists[0]) if lists is not None else 0
+
+    def _query_columns(
+        self, terms: _Items, entities: _Items
+    ) -> tuple[int, _Views, _Views, list[str]]:
+        # doc indexes follow arrival, so ties break on the doc ids
         return (
-            np.array(cand, dtype=np.int64),
-            np.array(dist, dtype=np.int64),
-            np.array(count, dtype=np.int64),
+            len(self.doc_ids),
+            _views(self._terms, terms, 2),
+            _views(self._entities, entities, 3),
+            self.doc_ids,
+        )
+
+    def _row_columns(self) -> tuple[_Ints, _Ints, _Ints, _Ints]:
+        return (
+            np.array(self._ev_cand),
+            np.array(self._ev_dist),
+            np.array(self._row_first),
+            np.array(self._row_count),
+        )
+
+    @property
+    def evidence_csr(self) -> EvidenceCsr:
+        """The buffer's evidence as a segment holds it: over the sorted
+        candidate table."""
+        table = self.candidates
+        order, position = _sorted_positions(table)
+        return EvidenceCsr(
+            list(self.resources),
+            [table[i] for i in order],
+            np.array(self._ev_off),
+            position[np.array(self._ev_cand)],
+            np.array(self._ev_dist),
+        )
+
+    def as_segment(self, segment_id: int) -> Segment:
+        """The buffer's collection as a sealed segment (a seal, the end of
+        a cold build, or the columns a snapshot writes for the buffer):
+        one remap array renumbers the doc indexes into doc-id order, and
+        the candidate table is sorted; keys stay in first-seen order and
+        each key's postings in arrival order."""
+        ids = self.doc_ids
+        order, rank = _sorted_positions(ids)
+        return Segment(
+            segment_id,
+            [ids[i] for i in order],
+            _renumbered(self._terms, rank, (np.int64, np.int64), 2),
+            _renumbered(
+                self._entities, rank, (np.int64, np.int64, np.float64, np.float64), 3
+            ),
+            self.evidence_csr,
         )
 
 
 class SegmentedIndex:
     """Sealed segments + write buffer behind one query interface.
 
-    Construction: :meth:`from_built` compiles a cold build's resources
+    Construction: :meth:`from_built` seals a cold build's resources
     into the base segment; :meth:`restore_compiled` rebuilds
     from mapped snapshot segments; the bare constructor starts empty.
     ``compaction`` is ``"synchronous"`` (merge inline after each seal) or
@@ -718,8 +784,9 @@ class SegmentedIndex:
         #: so that candidate-index order is candidate-id order
         self._cand_ids: list[str] = []
         self._cand_of: dict[str, int] = {}
-        #: segment id → its local candidate indexes' shared indexes
-        self._cand_maps: dict[int, _Ints] = {}
+        #: source → its local candidate indexes' shared indexes, built on
+        #: a source's first query (see :meth:`_shared`)
+        self._cand_maps: dict[_Source, _Ints] = {}
         self._seal_threshold = seal_threshold
         self._fanout = fanout
         self._compaction = compaction
@@ -754,8 +821,8 @@ class SegmentedIndex:
         """A cold build's index: each ``(analyzed, evidence rows,
         indexed)`` resource, in order, goes through the write buffer's
         ``add`` — the call every observe makes — into a fresh buffer,
-        which compiles once into the base segment (none for an empty
-        build). *resources* is consumed before the compile starts."""
+        which seals once into the base segment (none for an empty
+        build). *resources* is consumed before the seal starts."""
         index = cls(
             config,
             seal_threshold=seal_threshold,
@@ -766,7 +833,7 @@ class SegmentedIndex:
         for analyzed, rows, indexed in resources:
             buffer.add(analyzed, rows, indexed)
         if buffer.resource_count:
-            index._register(buffer.compile(index._next_id()))
+            index._register(buffer.as_segment(index._next_id()))
         return index
 
     @classmethod
@@ -778,10 +845,9 @@ class SegmentedIndex:
         **kwargs: Any,
     ) -> "SegmentedIndex":
         """Rebuild from column :class:`Segment` objects (the snapshot-v3
-        mmap path, via :meth:`Segment.from_columns`) plus an optional
-        unsealed buffer, mapped the same way and thawed into a
-        :class:`_WriteBuffer`; duplicated resources and out-of-range
-        evidence distances are rejected."""
+        mmap path) plus an optional unsealed buffer, mapped the same way
+        and adopted as a :class:`_WriteBuffer`'s columns; duplicated
+        resources and out-of-range evidence distances are rejected."""
         index = cls(config, **kwargs)
         for segment in segments:
             index._register(segment)
@@ -792,7 +858,7 @@ class SegmentedIndex:
             index._absorb_ids(buffer.resources, "the write buffer")
             index._validate_distances(buffer.distances)
             index._admit(buffer.candidates)
-            index._buffer = _WriteBuffer.thaw(buffer)
+            index._buffer = _WriteBuffer.adopt(buffer)
             index._doc_count += buffer.document_count
         return index
 
@@ -801,8 +867,7 @@ class SegmentedIndex:
         self._validate_distances(segment.distances)
         self._segments = [*self._segments, segment]
         self._doc_count += segment.document_count
-        if not self._admit(segment.candidates):
-            self._cand_maps[segment.segment_id] = self._cand_map(segment)
+        self._admit(segment.candidates)
 
     def _absorb_ids(self, resource_ids: Iterable[str], where: str) -> None:
         admitted = self._resource_ids
@@ -823,23 +888,29 @@ class SegmentedIndex:
         if bad:
             raise ValueError(f"distance {min(bad)} outside 0..{top}")
 
-    def _admit(self, candidate_ids: Iterable[str]) -> bool:
+    def _admit(self, candidate_ids: Iterable[str]) -> None:
         """Add the unseen *candidate_ids* to the shared candidate table,
-        keeping it in sorted-id order; True when that renumbered every
-        live segment's map."""
+        keeping it in sorted-id order; that renumbers the table, so every
+        source's map is dropped and rebuilt on its next query."""
         fresh = set(candidate_ids).difference(self._cand_of)
-        if not fresh:
-            return False
-        self._cand_ids = sorted(fresh.union(self._cand_ids))
-        self._cand_of = {cid: i for i, cid in enumerate(self._cand_ids)}
-        self._cand_maps = {
-            segment.segment_id: self._cand_map(segment) for segment in self._segments
-        }
-        return True
+        if fresh:
+            self._cand_ids = sorted(fresh.union(self._cand_ids))
+            self._cand_of = {cid: i for i, cid in enumerate(self._cand_ids)}
+            self._cand_maps = {}
 
-    def _cand_map(self, segment: Segment) -> _Ints:
-        cand_of = self._cand_of
-        return np.array([cand_of[cid] for cid in segment.candidates], dtype=np.int64)
+    def _shared(self, source: _Source) -> _Ints:
+        """*source*'s map from local to shared candidate indexes, extended
+        over the candidates its table gained since the map was built (only
+        the buffer's table grows)."""
+        known = self._cand_maps.get(source, _NO_INTS)
+        table = source.candidates
+        if len(known) < len(table):
+            cand_of = self._cand_of
+            fresh = [cand_of[cid] for cid in table[len(known) :]]
+            known = self._cand_maps[source] = np.concatenate(
+                (known, np.array(fresh, dtype=np.int64))
+            )
+        return known
 
     def _next_id(self) -> int:
         with self._lock:
@@ -900,11 +971,11 @@ class SegmentedIndex:
         buffer = self._buffer
         if buffer.resource_count == 0:
             return None
-        segment = buffer.compile(self._next_id())
-        self._cand_maps[segment.segment_id] = self._cand_map(segment)
+        segment = buffer.as_segment(self._next_id())
         with self._lock:
             self._segments = [*self._segments, segment]
             self._buffer = _WriteBuffer()
+        self._cand_maps.pop(buffer, None)
         self._seals += 1
         return segment
 
@@ -961,12 +1032,11 @@ class SegmentedIndex:
     def _merge_range(self, start: int, stop: int) -> None:
         run = self._segments[start:stop]
         merged = Segment.merge(self._next_id(), run)
-        self._cand_maps[merged.segment_id] = self._cand_map(merged)
         with self._lock:
             live = self._segments
             self._segments = [*live[:start], merged, *live[stop:]]
         for segment in run:
-            del self._cand_maps[segment.segment_id]
+            self._cand_maps.pop(segment, None)
         self._compactions += 1
 
     # -- shared collection statistics ----------------------------------------------
@@ -994,7 +1064,7 @@ class SegmentedIndex:
         cached = self._irf_cache.get(term)
         if cached is not None:
             return cached
-        df = self._buffer.term_index.document_frequency(term)
+        df = self._buffer.term_df(term)
         for segment in self._segments:
             df += segment.term_df(term)
         value = math.log(1.0 + self._doc_count / df) if df else 0.0
@@ -1006,7 +1076,7 @@ class SegmentedIndex:
         cached = self._eirf_cache.get(entity_uri)
         if cached is not None:
             return cached
-        df = self._buffer.entity_index.document_frequency(entity_uri)
+        df = self._buffer.entity_df(entity_uri)
         for segment in self._segments:
             df += segment.entity_df(entity_uri)
         value = math.log(1.0 + self._doc_count / df) if df else 0.0
@@ -1061,28 +1131,21 @@ class SegmentedIndex:
 
     def _collect(
         self,
-        terms: Sequence[tuple[str, float]],
-        entities: Sequence[tuple[str, float]],
+        terms: _Items,
+        entities: _Items,
         alpha: float,
         cut: int | None,
     ) -> list[_Part]:
-        """The buffer's and every live segment's share of the window: each
+        """Every live segment's and the buffer's share of the window: each
         source's best *cut* matches (all of them when *cut* is None) in
-        its own ``(-score, doc)`` order; sources without a match are left
-        out."""
+        its own ``(-score, doc_id)`` order; sources without a document
+        are not scored, and sources without a match are left out."""
         parts: list[_Part] = []
-        hits = self._buffer.score(terms, entities, alpha)
-        if hits:
-            hits.sort()
-            if cut is not None:
-                del hits[cut:]
-            parts.append(
-                (np.array([-neg for neg, _ in hits]), [doc for _, doc in hits], None)
-            )
-        for segment in self._segments:
-            scores, docs = segment.score(terms, entities, alpha, cut)
-            if len(scores):
-                parts.append((scores, docs, segment))
+        for source in (*self._segments, self._buffer):
+            if source.document_count:
+                scores, docs = source.score(terms, entities, alpha, cut)
+                if len(scores):
+                    parts.append((scores, docs, source))
         return parts
 
     def _rank(
@@ -1142,13 +1205,11 @@ class SegmentedIndex:
             )
         ]
 
-    def _rows(self, source: Segment | None, docs: Any) -> tuple[_Ints, _Ints, _Ints]:
-        """*docs*' evidence rows from *source* (None: the buffer), with
-        shared candidate indexes."""
-        if source is None:
-            return self._buffer.rows(docs, self._cand_of)
+    def _rows(self, source: _Source, docs: _Ints) -> tuple[_Ints, _Ints, _Ints]:
+        """*docs*' evidence rows from *source*, with shared candidate
+        indexes."""
         cand, dist, count = source.rows(docs)
-        return self._cand_maps[source.segment_id][cand], dist, count
+        return self._shared(source)[cand], dist, count
 
     @staticmethod
     def _window_ranks(parts: list[_Part], width: int) -> list[_Ints]:
@@ -1177,14 +1238,8 @@ class SegmentedIndex:
             stops = np.append(starts[1:], len(order))
             slots = _expand(starts[mixed], stops[mixed] - starts[mixed])
             members = order[slots]
-            # a buffer survivor's "doc" is its position in the id list
-            doc_of = np.concatenate(
-                [docs if source is not None else np.arange(len(docs))
-                 for _, docs, source in parts]
-            )
-            names = [
-                docs if source is None else source.doc_ids for _, docs, source in parts
-            ]
+            doc_of = np.concatenate([docs for _, docs, _ in parts])
+            names = [source.doc_ids for _, _, source in parts]
             doc_ids = [
                 names[k][doc]
                 for k, doc in zip(part_of[slots].tolist(), doc_of[members].tolist())
@@ -1222,10 +1277,8 @@ class SegmentedIndex:
         """The whole live resource → supporters relation as one CSR:
         every segment's, oldest first, then the buffer's."""
         parts = [segment.evidence_csr for segment in self._segments]
-        if self._buffer.resource_count:
-            parts.append(evidence_csr(self._buffer.evidence))
-        if not parts:
-            return evidence_csr({})
+        if self._buffer.resource_count or not parts:
+            parts.append(self._buffer.evidence_csr)
         return concat_evidence(parts)
 
     def evidence(self) -> Iterator[tuple[str, _Rows]]:

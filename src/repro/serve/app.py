@@ -72,8 +72,9 @@ class ServeApp:
         )
         self.router = build_router(self)
         #: per-generation co-support communication graph for the team
-        #: endpoint (built lazily, keyed by generation number)
-        self._team_graphs: dict[int, nx.Graph] = {}
+        #: endpoint (built lazily, keyed by generation number, with the
+        #: admitted-resource count it was built from)
+        self._team_graphs: dict[int, tuple[int, nx.Graph]] = {}
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -158,17 +159,22 @@ class ServeApp:
         """The co-support communication graph of one generation:
         candidates are linked when they support the same resource
         (Table-1 gathering places both within graph distance of it).
-        Built once per generation; safe to race — both builders produce
-        the identical graph and the last assignment wins. networkx is
-        imported here, on the team route only, so gateway start-up does
-        not pay for it."""
+        Rebuilt whenever the generation's index has admitted resources
+        since, evidence-only ones included; the evidence is read under
+        the service lock, since observes append to it. Safe to race —
+        builders over the same evidence produce the identical graph and
+        the last assignment wins. networkx is imported here, on the team
+        route only, so gateway start-up does not pay for it."""
+        service = generation.service
         cached = self._team_graphs.get(generation.number)
-        if cached is not None:
-            return cached
+        if cached is not None and (
+            cached[0] == service.finder.segmented_index.resource_count
+        ):
+            return cached[1]
         import networkx as nx
 
         graph = nx.Graph()
-        evidence = generation.service.finder.segmented_index.evidence_csr()
+        admitted, evidence = service.evidence()
         candidates = evidence.candidates
         bounds = evidence.off.tolist()
         cand = evidence.cand.tolist()
@@ -180,5 +186,5 @@ class ServeApp:
             for i, a in enumerate(cids):
                 for b in cids[i + 1 :]:
                     graph.add_edge(a, b)
-        self._team_graphs = {generation.number: graph}
+        self._team_graphs = {generation.number: (admitted, graph)}
         return graph

@@ -17,9 +17,15 @@ lives in mmap-able section containers (:mod:`repro.storage.binary`):
 maps the buffers and builds each :class:`~repro.index.segments.Segment`
 directly over zero-copy, read-only ``np.frombuffer`` views — no JSON
 parsing, no posting objects, no evidence tuples, and N processes
-opening one snapshot share a single page-cache copy. Only the small
-write buffer is thawed back into posting objects. A save writes every
-segment's sections straight from its columns.
+opening one snapshot share a single page-cache copy. Every mapped
+slice's column content is checked in one vectorized pass (doc and
+candidate indexes in range, offsets that never decrease, positive
+frequencies, ``d_score`` in [0, 1] and ``we`` its Eq. 2 weight), so a
+crafted file with a valid checksum is refused at load instead of
+failing or mis-scoring a later query. The small write buffer's columns
+are copied into growable ones (mapped views are read-only). A save
+writes every segment's sections straight from its columns, and the
+buffer's from the segment it would seal into.
 
 A save writes the whole new generation (each file atomically:
 temp + fsync + rename), then atomically replaces ``CURRENT``, then
@@ -281,7 +287,7 @@ def _save_segments(segmented: SegmentedIndex, gen_dir: pathlib.Path) -> None:
         )
     if buffer.resource_count:
         # the buffer keeps no segment id; its container is named for it
-        write_sections(gen_dir / _BUFFER_BIN, _slice_sections(buffer.compile(-1)))
+        write_sections(gen_dir / _BUFFER_BIN, _slice_sections(buffer.as_segment(-1)))
     write_records(
         gen_dir / _MANIFEST_FILE,
         MANIFEST_KIND,
@@ -446,7 +452,8 @@ def _csr(
 def _load_slice(path: pathlib.Path, segment_id: int, entry: dict[str, Any]) -> Segment:
     """Map one section container (a segment, or the buffer) as a column
     :class:`Segment`, cross-checking its document and resource counts
-    against its manifest *entry*."""
+    against its manifest *entry* and its column content with
+    :func:`_check_content`."""
     mapped = MappedSections.open(path)
     docs = mapped.strings(layout.DOCS)
     if len(docs) != entry["docs"]:
@@ -460,25 +467,76 @@ def _load_slice(path: pathlib.Path, segment_id: int, entry: dict[str, Any]) -> S
             f"manifest says {entry['resources']}"
         )
     ev_off, (cand, dist) = _csr(mapped, "ev", len(resources), ("cand", "dist"))
-    return Segment.from_columns(
-        segment_id,
-        docs,
-        _postings(mapped, layout.TERMS, "term", {"doc": np.int64, "tf": np.int64}, 2),
-        _postings(
-            mapped,
-            layout.ENTITIES,
-            "ent",
-            {"doc": np.int64, "ef": np.int64, "we": np.float64, "ds": np.float64},
-            3,
+    terms = _postings(
+        mapped, layout.TERMS, "term", {"doc": np.int64, "tf": np.int64}, 2
+    )
+    entities = _postings(
+        mapped,
+        layout.ENTITIES,
+        "ent",
+        {"doc": np.int64, "ef": np.int64, "we": np.float64, "ds": np.float64},
+        3,
+    )
+    evidence = EvidenceCsr(
+        resources,
+        mapped.strings(layout.CANDS),
+        np.frombuffer(ev_off, dtype=np.int64),
+        np.frombuffer(cand, dtype=np.int64),
+        np.frombuffer(dist, dtype=np.int64),
+    )
+    _check_content(path, len(docs), terms, entities, evidence)
+    return Segment(segment_id, docs, terms, entities, evidence)
+
+
+def _check_content(
+    path: pathlib.Path,
+    n_docs: int,
+    terms: PostingColumns,
+    entities: PostingColumns,
+    evidence: EvidenceCsr,
+) -> None:
+    """Refuse column content that no save writes, in one vectorized pass
+    per column: the checksum vouches only for the bytes, and out-of-range
+    indexes or non-positive frequencies would fail or silently mis-score
+    a later query. (Evidence distances are checked against the
+    configured weight table when the slice joins the index.)"""
+    tdoc, tf = terms.columns
+    edoc, ef, we, ds = entities.columns
+    checks = (
+        (layout.TERM_OFF, _decreasing(terms.off), "offsets decrease"),
+        (layout.ENT_OFF, _decreasing(entities.off), "offsets decrease"),
+        (layout.EV_OFF, _decreasing(evidence.off), "offsets decrease"),
+        (layout.TERM_DOC, _outside(tdoc, n_docs), "doc index out of range"),
+        (layout.ENT_DOC, _outside(edoc, n_docs), "doc index out of range"),
+        (
+            layout.EV_CAND,
+            _outside(evidence.cand, len(evidence.candidates)),
+            "candidate index out of range",
         ),
-        EvidenceCsr(
-            resources,
-            mapped.strings(layout.CANDS),
-            np.frombuffer(ev_off, dtype=np.int64),
-            np.frombuffer(cand, dtype=np.int64),
-            np.frombuffer(dist, dtype=np.int64),
+        (layout.TERM_TF, bool((tf <= 0).any()), "term_frequency must be positive"),
+        (layout.ENT_EF, bool((ef <= 0).any()), "entity_frequency must be positive"),
+        (
+            layout.ENT_DS,
+            not bool(((ds >= 0.0) & (ds <= 1.0)).all()),
+            "d_score must be in [0, 1]",
+        ),
+        (
+            layout.ENT_WE,
+            bool((we != np.where(ds > 0.0, 1.0 + ds, 0.0)).any()),
+            "we must be Eq. 2 of d_score (1 + d_score where d_score > 0, else 0)",
         ),
     )
+    for section, failed, problem in checks:
+        if failed:
+            raise StorageFormatError(f"{path}: section {section}: {problem}")
+
+
+def _decreasing(off: Any) -> bool:
+    return bool((off[1:] < off[:-1]).any())
+
+
+def _outside(indexes: Any, size: int) -> bool:
+    return bool(len(indexes)) and bool(indexes.min() < 0 or indexes.max() >= size)
 
 
 def _postings(

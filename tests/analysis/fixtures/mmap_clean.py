@@ -28,16 +28,10 @@ def read_numpy(sections) -> int:
 
 
 class Segment:
-    def __init__(self) -> None:
+    def __init__(self, term: str) -> None:
         self._term_cols: dict = {}  # construction is sanctioned
-        self._evidence_cols = ()  # so is compiling the evidence columns
-
-    @classmethod
-    def from_columns(cls, term: str) -> "Segment":
-        segment = cls()
-        segment._term_cols[term] = (1, 2)  # adopting loaded columns is sanctioned
-        segment._evidence_cols = (1, 2)  # adopting mapped evidence views too
-        return segment
+        self._term_cols[term] = (1, 2)  # so is filling the columns it adopts
+        self._evidence_cols = (1, 2)  # and adopting mapped evidence views
 
     def rows(self, docs: list) -> tuple:
         cand, dist, first, count = self._evidence_cols  # reads are fine

@@ -89,7 +89,7 @@ def test_mmap_rule_separates_view_and_column_subrules():
 def test_mmap_rule_guards_evidence_columns():
     # the fold's evidence columns are compiled columns too: rebinding
     # them outside construction is a finding, compiling or adopting them
-    # in __init__ / from_columns and reading them are not
+    # in __init__ (a segment's one constructor) and reading them are not
     path = FIXTURES / "mmap_violation.py"
     source = path.read_text(encoding="utf-8")
     result = lint_source(path, source, ALL_CHECKERS)

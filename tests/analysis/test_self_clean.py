@@ -30,11 +30,11 @@ def test_tests_and_benchmarks_are_clean():
 
 
 def test_src_suppressions_stay_reviewed():
-    # the two reasoned determinism suppressions (vsm/segments emit into
-    # consumers that re-sort with a total key); grow this list only with
+    # the one reasoned determinism suppression (vsm emits into a
+    # consumer that re-sorts with a total key); grow this list only with
     # a reason next to the pragma
     report = lint_paths([REPO_ROOT / "src"])
-    assert report.suppressed == 2
+    assert report.suppressed == 1
 
 
 class TestSeededViolations:

@@ -4,8 +4,8 @@ A Hypothesis state machine drives one collection, built with the
 served synchronous tiered compaction or with manual compaction, through
 random sequences of streamed observes, queries (α, window as a count, a
 fraction or ``None``, ``top_k``), seals, tiered and full compactions and
-save→load round trips. After every step the served path — the segments' numpy
-kernel plus the write buffer's dict walk — must rank exactly (``==``)
+save→load round trips. After every step the served path — one numpy
+kernel over every segment and the write buffer — must rank exactly (``==``)
 like an independent oracle: a :class:`VectorSpaceRetriever` +
 :class:`ExpertRanker` over plain indexes fed the same analyzed
 resources. Shrinking turns any divergence into a minimal event

@@ -331,10 +331,11 @@ class TestColumnarFold:
         assert (stats.segments, stats.buffered) == (2, 0)
         self._assert_ties_merge_on_doc_id(finder)
 
-    def test_boundary_ties_split_across_segments_and_the_buffer(self, analyzer):
-        # tied documents whose ids interleave across three sources: the
-        # sealed base (a, d, g), a segment the observes seal at threshold
-        # 3 (b, e, h) and the write buffer (c, f)
+    def _ties_across_three_sources(self, analyzer, observed):
+        """Tied documents whose ids interleave across three sources: the
+        sealed base (a, d, g), a segment the observes seal at threshold
+        3 (b, e, h) and the write buffer, which holds the last two of
+        *observed* in that arrival order."""
         cands = [f"c{i}" for i in range(8)]
         finder = self._stream(
             analyzer,
@@ -343,21 +344,29 @@ class TestColumnarFold:
             seal_threshold=3,
             compaction="manual",
         )
-        for x, c in zip("behcf", cands[3:]):
+        for x, c in zip(observed, cands[3:]):
             finder.observe(f"tie-{x}", self._TIED, [(c, 1)], language="en")
         segments = finder.segmented_index.iter_segments()
         assert [segment.doc_ids for segment in segments] == [
             ["tie-a", "tie-d", "tie-g"],
             ["tie-b", "tie-e", "tie-h"],
         ]
-        assert sorted(finder.segmented_index.write_buffer.evidence) == [
-            "tie-c", "tie-f"
+        assert finder.segmented_index.write_buffer.resources == [
+            f"tie-{x}" for x in observed[3:]
         ]
         self._assert_ties_merge_on_doc_id(finder)
         for need in (self._TIED, "swimming", "race"):
             assert finder.find_experts(need, window=3) == (
                 oracle_experts(finder, need, window=3)
             )
+
+    def test_boundary_ties_split_across_segments_and_the_buffer(self, analyzer):
+        self._ties_across_three_sources(analyzer, "behcf")
+
+    def test_boundary_ties_across_sources_with_a_reversed_buffer(self, analyzer):
+        # the buffer's doc indexes follow arrival (f before c), so its
+        # ties and its share of the window must follow doc-id rank
+        self._ties_across_three_sources(analyzer, "behfc")
 
     @pytest.mark.parametrize("normalize", (False, True))
     def test_equal_totals_rank_on_candidate_id(self, analyzer, normalize):

@@ -16,7 +16,7 @@ from repro.core.ranking import ExpertRanker
 from repro.index.analyzer import AnalyzedResource
 from repro.index.entity_index import EntityIndex
 from repro.index.inverted import InvertedIndex
-from repro.index.segments import Segment, SegmentedIndex, evidence_rows
+from repro.index.segments import SegmentedIndex, evidence_rows
 from repro.index.statistics import CollectionStatistics
 from repro.index.vsm import VectorSpaceRetriever
 from tests.oracle import merged_slice
@@ -307,23 +307,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             index.find_experts(query, alpha=0.5, window=1.5)
 
-    def test_segment_rejects_diverging_doc_ids(self):
-        term_index = InvertedIndex()
-        term_index.add_document("a", {"x": 1})
-        with pytest.raises(ValueError, match="disagree"):
-            Segment(0, term_index, EntityIndex(), {})
-
     def test_restore_rejects_duplicate_doc_across_segments(self, config):
-        def _slice(doc_id):
-            term_index = InvertedIndex()
-            term_index.add_document(doc_id, {"x": 1})
-            entity_index = EntityIndex()
-            entity_index.add_document(doc_id, {})
-            return term_index, entity_index, {doc_id: (("alice", 1),)}
+        def _segment(doc_id):
+            # one resource through the write buffer, sealed at once
+            index = SegmentedIndex(config, seal_threshold=1)
+            index.add(_res(doc_id, {"x": 1}), (("alice", 1),))
+            (segment,) = index.iter_segments()
+            return segment
 
         with pytest.raises(ValueError, match="more than one place"):
             SegmentedIndex.restore_compiled(
-                config,
-                [Segment(0, *_slice("dup")), Segment(1, *_slice("dup"))],
-                None,
+                config, [_segment("dup"), _segment("dup")], None
             )

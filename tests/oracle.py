@@ -5,10 +5,11 @@
 plain dicts, without segments or numpy columns, and no query is
 served through them. :func:`merged_slice` rebuilds a segmented index's
 whole live collection as posting objects and evidence rows (a served
-index keeps only columns), and :func:`oracle_experts` runs the pair
-over it, so tests compare ``finder.find_experts`` against it with
-``==``: exact floats, support counts and tie breaks. The query and
-streaming benchmarks use the same glue.
+index keeps only columns, the write buffer's included), and
+:func:`oracle_experts` runs the pair over it, so tests compare
+``finder.find_experts`` against it with ``==``: exact floats, support
+counts and tie breaks. The query and streaming benchmarks use the same
+glue.
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ def merged_slice(index):
     """*index*'s (a :class:`~repro.index.segments.SegmentedIndex`) live
     collection as one ``(term_index, entity_index, evidence)`` triple:
     every segment's postings decoded from its columns, oldest segment
-    first, then the write buffer's — the postings order of one index
-    filled with the whole stream — and the evidence relation in stream
-    order."""
+    first, then the write buffer's, decoded the same way from the
+    segment it would seal into — the postings order of one index filled
+    with the whole stream — and the evidence relation in stream order."""
     doc_ids = []
     term_postings = {}
     entity_postings = {}
-    for segment in index.iter_segments():
+    buffer = index.write_buffer.as_segment(-1)
+    for segment in (*index.iter_segments(), buffer):
         docs = segment.doc_ids
         doc_ids += docs
         for term, rows in segment.term_columns.rows():
@@ -45,12 +47,6 @@ def merged_slice(index):
             entity_postings.setdefault(uri, []).extend(
                 EntityPosting(docs[doc], ef, ds) for doc, ef, _we, ds in rows
             )
-    buffer = index.write_buffer
-    doc_ids += buffer.term_index.doc_ids()
-    for term, postings in buffer.term_index.items():
-        term_postings.setdefault(term, []).extend(postings)
-    for uri, postings in buffer.entity_index.items():
-        entity_postings.setdefault(uri, []).extend(postings)
     return (
         InvertedIndex.restore(doc_ids, term_postings),
         EntityIndex.restore(doc_ids, entity_postings),

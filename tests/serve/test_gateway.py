@@ -751,6 +751,46 @@ class TestEndpointErrors:
         assert body["members"]
 
 
+class TestTeamGraph:
+    """The team route's co-support graph follows the generation's
+    observes: candidates that come to support one resource are linked."""
+
+    @pytest.mark.parametrize("language", [None, "it"])
+    def test_team_sees_observed_co_support(self, analyzer, language):
+        def source():
+            finder = ExpertFinder.from_stream(
+                ("a", "b", "c"),
+                [
+                    ("ra", "freestyle swimming race", [("a", 1)], "en"),
+                    ("rb", "cooking pasta recipes", [("b", 1)], "en"),
+                    ("rc", "rock guitar chords", [("c", 1)], "en"),
+                ],
+                analyzer,
+                FinderConfig(window=None),
+            )
+            return build_service(finder)
+
+        team = {"skills": ["swimming", "cooking"]}
+        with GatewayHarness(source, config=GatewayConfig(rate_limit=None)) as gw:
+            status, _, body = gw.request("POST", "/v1/crowd/team", team)
+            assert status == 200 and body["members"] == ["a", "b"]
+            assert body["diameter_cost"] == 10.0  # a and b are not linked
+            # one hike both take part in links them, whether the resource
+            # is indexed or (language-cut) evidence only
+            observe = {
+                "node_id": "hike",
+                "text": "weekend hiking trip in the mountains",
+                "supporters": [["a", 1], ["b", 1]],
+            }
+            if language is not None:
+                observe["language"] = language
+            status, _, body = gw.request("POST", "/v1/observe", observe)
+            assert status == 200 and body["indexed"] is (language is None)
+            status, _, body = gw.request("POST", "/v1/crowd/team", team)
+            assert status == 200 and body["members"] == ["a", "b"]
+            assert body["diameter_cost"] == 1.0
+
+
 class TestMetricsEndpoint:
     def test_shape_and_counters(self, gateway):
         for _ in range(3):

@@ -17,7 +17,8 @@ columns, from one seeded stream: ``stream_resources(stream_candidates(5),
 
 A loaded finder keeps only columns, so these tests pin the column
 writer and the column merge to what the posting-object code wrote; the
-rebuild test pins a cold build, and the observes after it, as well.
+rebuild test pins a cold build, and the observes after it, as well, and
+the adopted-buffer test pins a loaded buffer that keeps growing.
 """
 
 import pathlib
@@ -85,6 +86,33 @@ def test_the_grown_fixture_rebuilds_byte_for_byte(analyzer, tmp_path):
         )
     finder.save(tmp_path / "rebuilt")
     assert _files(tmp_path / "rebuilt") == _files(FIXTURES / GROWN)
+
+
+def _observe(finder, events):
+    for node_id, text, supporters, *language in events:
+        finder.observe(
+            node_id, text, supporters, language=language[0] if language else None
+        )
+
+
+def test_an_adopted_buffer_grows_and_seals_byte_for_byte(analyzer, tmp_path):
+    # the fixture's three buffered resources are adopted as columns at
+    # load; six more observes cross two seals and two merges and leave
+    # one buffered resource, and every file must equal what a finder
+    # that was never saved writes after the same observes
+    events = list(stream_resources(_CANDIDATES, len(_EVENTS) + 6, seed=22))
+    assert events[: len(_EVENTS)] == _EVENTS
+    loaded = ExpertFinder.load(_copy(GROWN, tmp_path), analyzer)
+    _observe(loaded, events[len(_EVENTS) :])
+    loaded.save(tmp_path / "grown")
+    never_saved = ExpertFinder.from_stream(
+        _CANDIDATES, events[:20], analyzer, FinderConfig(), seal_threshold=4
+    )
+    _observe(never_saved, events[20:])
+    never_saved.save(tmp_path / "never-saved")
+    stats = loaded.index_stats
+    assert (stats.seals, stats.compactions, stats.buffered) == (2, 2, 1)
+    assert _files(tmp_path / "grown") == _files(tmp_path / "never-saved")
 
 
 @pytest.mark.parametrize("name", [GROWN, COMPACTED])

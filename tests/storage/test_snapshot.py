@@ -182,11 +182,13 @@ class TestFormatGuards:
 
 class TestContentValidation:
     """Corrupt snapshot *content* (a valid container holding bad data)
-    must be rejected at load time. The write buffer thaws into posting
-    objects at load, so its postings get the content checks of a
-    restored index; every segment's evidence rows are checked against
-    the configured distance weights. (Matches name the failed check,
-    not just the path: tmp_path spells out the test's name.)"""
+    must be rejected at load time. Every mapped slice, each segment and
+    the write buffer alike, gets one column check: doc and candidate
+    indexes inside their tables, offsets that never decrease, positive
+    frequencies, ``d_score`` in [0, 1] and ``we`` its Eq. 2 weight; its
+    evidence rows are checked against the configured distance weights.
+    (Matches name the failed check, not just the path: tmp_path spells
+    out the test's name.)"""
 
     @pytest.fixture
     def snapshot(self, analyzer, tmp_path):
@@ -233,6 +235,71 @@ class TestContentValidation:
         segment = sorted(_generation_dir(snapshot).glob("segment-*.bin"))[0]
         self._corrupt(snapshot, segment.name, "ev#dist", lambda d: [99, *d[1:]])
         with pytest.raises(StorageFormatError, match="distance 99 outside"):
+            load_finder(snapshot, analyzer)
+
+    # a sealed segment's columns get the same checks as the buffer's;
+    # each corruption below loaded unnoticed before, then raised on a
+    # query or changed the rankings
+
+    def _corrupt_segment(self, snapshot, section, edit):
+        segment = sorted(_generation_dir(snapshot).glob("segment-*.bin"))[0]
+        self._corrupt(snapshot, segment.name, section, edit)
+
+    @pytest.mark.parametrize("doc", [10**6, -1])
+    def test_rejects_unknown_doc_in_segment_term_postings(
+        self, snapshot, analyzer, doc
+    ):
+        self._corrupt_segment(snapshot, "term#doc", lambda docs: [doc, *docs[1:]])
+        with pytest.raises(StorageFormatError, match="index out of range"):
+            load_finder(snapshot, analyzer)
+
+    def test_rejects_unknown_doc_in_segment_entity_postings(self, snapshot, analyzer):
+        self._corrupt_segment(snapshot, "ent#doc", lambda docs: [10**6, *docs[1:]])
+        with pytest.raises(StorageFormatError, match="index out of range"):
+            load_finder(snapshot, analyzer)
+
+    @pytest.mark.parametrize("tf", [0, -5])
+    def test_rejects_non_positive_segment_term_frequency(
+        self, snapshot, analyzer, tf
+    ):
+        self._corrupt_segment(snapshot, "term#tf", lambda tfs: [tf, *tfs[1:]])
+        with pytest.raises(StorageFormatError, match="term_frequency must be"):
+            load_finder(snapshot, analyzer)
+
+    def test_rejects_segment_d_score_above_one(self, snapshot, analyzer):
+        self._corrupt_segment(snapshot, "ent#ds", lambda ds: [1.5, *ds[1:]])
+        with pytest.raises(StorageFormatError, match="d_score must be in"):
+            load_finder(snapshot, analyzer)
+
+    @pytest.mark.parametrize("file_name", ["buffer.bin", "segment"])
+    def test_rejects_entity_weight_that_is_not_eq2(
+        self, snapshot, analyzer, file_name
+    ):
+        # the stored we must be Eq. 2 of the stored d_score exactly: the
+        # kernel multiplies by it as stored
+        def edit(we):
+            return [1e9, *we[1:]]
+
+        if file_name == "buffer.bin":
+            self._corrupt(snapshot, file_name, "ent#we", edit)
+        else:
+            self._corrupt_segment(snapshot, "ent#we", edit)
+        with pytest.raises(StorageFormatError, match="we must be Eq. 2"):
+            load_finder(snapshot, analyzer)
+
+    @pytest.mark.parametrize("cand", [99, -1])
+    def test_rejects_unknown_candidate_in_evidence_rows(
+        self, snapshot, analyzer, cand
+    ):
+        self._corrupt_segment(snapshot, "ev#cand", lambda c: [cand, *c[1:]])
+        with pytest.raises(StorageFormatError, match="index out of range"):
+            load_finder(snapshot, analyzer)
+
+    @pytest.mark.parametrize("section", ["term#off", "ev#off"])
+    def test_rejects_decreasing_offsets(self, snapshot, analyzer, section):
+        # both ends stay right, so only the content check sees it
+        self._corrupt_segment(snapshot, section, lambda off: [0, off[2] + 1, *off[2:]])
+        with pytest.raises(StorageFormatError, match="offsets decrease"):
             load_finder(snapshot, analyzer)
 
 
