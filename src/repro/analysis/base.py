@@ -10,10 +10,11 @@ Module scoping
 Rules like *determinism* only make sense inside the scoring packages —
 a ``set`` comprehension in a test helper is fine. Each file therefore
 resolves to a dotted module name (the path from its last ``repro``
-component, e.g. ``src/repro/index/vsm.py`` → ``repro.index.vsm``);
+component, e.g. ``src/repro/index/segments.py`` → ``repro.index.segments``);
 files outside the package tree resolve to ``None`` and scoped rules
-skip them. Fixture files opt into a scope explicitly with a module
-pragma on any of their first lines::
+skip them. Fixture files, and the reference scoring path under
+``tests/reference/``, opt into a scope explicitly with a module pragma
+on any of their first lines::
 
     # repro: lint-module[repro.index.fake]
 

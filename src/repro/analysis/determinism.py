@@ -2,8 +2,8 @@
 
 Rankings are byte-identical across the segment kernel, the write
 buffer, seals, compactions and snapshot round trips only because every
-fold that feeds them visits documents in a reproducible order (see ``_match_order`` in
-:mod:`repro.index.vsm` and the ``(-score, doc_id)`` merge keys). A
+fold that feeds them visits documents in a reproducible order (see the
+``(-score, doc_id)`` merge keys of ``SegmentedIndex._rank``). A
 ``for`` over a ``set`` — or over ``dict.keys() | dict.keys()``, which
 is a set again — silently breaks that the moment two scores tie, and
 only at a scale where the hash order happens to differ. Likewise,

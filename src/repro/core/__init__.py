@@ -15,8 +15,8 @@ from repro.core.expert_finder import ExpertFinder
 from repro.core.need import ExpertiseNeed
 from repro.core.need_analysis import DomainScore, NeedAnalyzer
 from repro.core.platform_choice import ChannelRecommendation, PlatformChooser
-from repro.core.ranking import ExpertRanker, ExpertScore
-from repro.core.scoring import apply_window, distance_weight
+from repro.core.ranking import ExpertScore
+from repro.core.scoring import distance_weight
 from repro.core.service import ExpertSearchService, ServiceStats
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "ChannelRecommendation",
     "DomainScore",
     "ExpertFinder",
-    "ExpertRanker",
     "ExpertScore",
     "ExpertSearchService",
     "ExpertiseNeed",
@@ -32,6 +31,5 @@ __all__ = [
     "NeedAnalyzer",
     "PlatformChooser",
     "ServiceStats",
-    "apply_window",
     "distance_weight",
 ]

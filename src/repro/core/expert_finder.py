@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import pathlib
 import time
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Container, Iterable, Iterator, Mapping, Sequence
 from types import EllipsisType, MappingProxyType
 from typing import TYPE_CHECKING, Any
 
@@ -47,6 +47,35 @@ def _check_top_k(top_k: int | None) -> None:
         isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 0
     ):
         raise ValueError(f"top_k must be None or a non-negative int, got {top_k!r}")
+
+
+def _supporter_rows(
+    node_id: str,
+    supporters: Iterable[tuple[str, int]],
+    candidates: Container[str],
+    max_distance: int,
+) -> _Rows:
+    """A streamed resource's *supporters* as evidence rows, refused
+    unless there is at least one, each names a known candidate (a
+    ``KeyError`` otherwise) once, at a distance in 0..*max_distance*.
+    A graph build keeps each node once per candidate, at its minimal
+    distance, so a repeated candidate would count one resource twice
+    in Eq. 3."""
+    rows = tuple((cid, distance) for cid, distance in supporters)
+    if not rows:
+        raise ValueError(f"resource {node_id!r} must support at least one candidate")
+    named: set[str] = set()
+    for candidate_id, distance in rows:
+        if candidate_id not in candidates:
+            raise KeyError(f"unknown candidate {candidate_id!r}")
+        if candidate_id in named:
+            raise ValueError(
+                f"resource {node_id!r} names candidate {candidate_id!r} twice"
+            )
+        named.add(candidate_id)
+        if not 0 <= distance <= max_distance:
+            raise ValueError(f"distance {distance} outside 0..{max_distance}")
+    return rows
 
 
 class ExpertFinder:
@@ -115,12 +144,12 @@ class ExpertFinder:
         # each node is kept once per candidate, at its minimal distance
         t0 = time.perf_counter()
         gathered = gatherer.gather_many(seeds, config.max_distance)
-        evidence_of: dict[str, list[tuple[str, int]]] = {}
+        supporters_of: dict[str, list[tuple[str, int]]] = {}
         evidence_counts: dict[str, int] = {}
         for candidate_id, node_distance in gathered.distances.items():
             evidence_counts[candidate_id] = len(node_distance)
             for node_id, distance in node_distance.items():
-                evidence_of.setdefault(node_id, []).append((candidate_id, distance))
+                supporters_of.setdefault(node_id, []).append((candidate_id, distance))
         gather_s = time.perf_counter() - t0
 
         # stage 2 — analyze: corpus misses go through the text/entity
@@ -140,7 +169,7 @@ class ExpertFinder:
             t0 = time.perf_counter()
             for node_id, analyzed in analyzed_of.items():
                 indexed = analyzed.language in INDEXABLE_LANGUAGES
-                yield analyzed, tuple(evidence_of[node_id]), indexed
+                yield analyzed, tuple(supporters_of[node_id]), indexed
             index_s = time.perf_counter() - t0
 
         finder = cls._assemble(
@@ -203,18 +232,9 @@ class ExpertFinder:
             t0 = time.perf_counter()
             for event in events:
                 node_id, text, supporters, *rest = event
-                rows = tuple((cid, distance) for cid, distance in supporters)
-                if not rows:
-                    raise ValueError(
-                        f"resource {node_id!r} must support at least one candidate"
-                    )
-                for candidate_id, distance in rows:
-                    if candidate_id not in evidence_counts:
-                        raise KeyError(f"unknown candidate {candidate_id!r}")
-                    if not 0 <= distance <= config.max_distance:
-                        raise ValueError(
-                            f"distance {distance} outside 0..{config.max_distance}"
-                        )
+                rows = _supporter_rows(
+                    node_id, supporters, evidence_counts, config.max_distance
+                )
                 if node_id in seen:
                     raise ValueError(f"resource {node_id!r} already streamed")
                 seen.add(node_id)
@@ -318,13 +338,6 @@ class ExpertFinder:
         return self._index.stats
 
     @property
-    def evidence_of(self) -> Mapping[str, Sequence[tuple[str, int]]]:
-        """Read-only view of the resource → supporters relation, decoded
-        from the index's evidence columns on each call and never kept
-        (tests and tooling; queries read the columns)."""
-        return MappingProxyType(dict(self._index.evidence()))
-
-    @property
     def evidence_counts(self) -> Mapping[str, int]:
         """Read-only view of candidate → gathered-evidence counts."""
         return MappingProxyType(self._evidence_counts)
@@ -358,9 +371,10 @@ class ExpertFinder:
 
         *supporters* lists (candidate id, distance) pairs the resource is
         evidence for — e.g. its author at distance 1 and fellow group
-        members at distance 2. Returns True when the resource entered
-        the index (False for non-English content, which is observed as
-        evidence but not indexed, mirroring the build-time language cut).
+        members at distance 2 — naming each candidate once. Returns True
+        when the resource entered the index (False for non-English
+        content, which is observed as evidence but not indexed, mirroring
+        the build-time language cut).
 
         The resource lands in the write buffer and no compiled segment
         state is lost;
@@ -368,22 +382,16 @@ class ExpertFinder:
         non-indexing observe changes no statistics and cannot match any
         query.
         """
-        if not supporters:
-            raise ValueError("a resource must support at least one candidate")
-        for candidate_id, distance in supporters:
-            if not 0 <= distance <= self._config.max_distance:
-                raise ValueError(
-                    f"distance {distance} outside 0..{self._config.max_distance}"
-                )
-            if candidate_id not in self._evidence_counts:
-                raise KeyError(f"unknown candidate {candidate_id!r}")
+        rows = _supporter_rows(
+            node_id, supporters, self._evidence_counts, self._config.max_distance
+        )
         if node_id in self._index:
             raise ValueError(f"resource {node_id!r} already observed")
 
         analyzed = self._analyzer.analyze(node_id, text, language=language)
         indexed = analyzed.language in INDEXABLE_LANGUAGES
-        self._index.add(analyzed, supporters, index=indexed)
-        for candidate_id, _ in supporters:
+        self._index.add(analyzed, rows, index=indexed)
+        for candidate_id, _ in rows:
             self._evidence_counts[candidate_id] += 1
         if indexed:
             self._indexed_count += 1

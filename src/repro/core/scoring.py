@@ -1,4 +1,4 @@
-"""Scoring functions of the expert ranking stage (paper Sec. 2.4.1).
+"""Scoring weights of the matching and ranking stages (paper Sec. 2.4, 2.4.1).
 
 * :func:`distance_weight` — the resource weight ``wr(rᵢ, ex)``, linearly
   decreasing with the graph distance of the resource from the candidate
@@ -6,21 +6,20 @@
 * :func:`distance_weight_table` — ``wr`` precomputed for every
   admissible distance, so per-pair aggregation loops pay one dict
   lookup instead of a recomputation;
-* :func:`apply_window` — the window-size cut on the retrieved resources.
+* :func:`entity_weight` — Eq. 2's entity weight ``we = 1 + dScore``;
+* :func:`window_size` — the window parameter as a resource count.
 
 Eq. 3 itself, ``score(q, ex) = Σ score(q, rᵢ) · wr(rᵢ, ex)``, is folded
-by ``SegmentedIndex._rank`` (:mod:`repro.index.segments`) on the served
-path — one ``np.bincount`` over the windowed documents' evidence rows in
-rank order, weighted by this module's ``wr`` table — and by
-:meth:`repro.core.ranking.ExpertRanker.rank` in the reference path.
+by ``SegmentedIndex._rank`` (:mod:`repro.index.segments`) — one
+``np.bincount`` over the windowed documents' evidence rows in rank
+order, weighted by this module's ``wr`` table. The write buffer stores
+each entity posting's ``we`` from :func:`entity_weight` for the Eq. 1
+kernel.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-
-from repro.index.vsm import ResourceMatch
 
 
 def distance_weight(
@@ -65,6 +64,18 @@ def distance_weight_table(
     }
 
 
+def entity_weight(d_score: float) -> float:
+    """Eq. 2: ``we = 1 + dScore`` for a recognized entity.
+
+    The annotator only emits entities with ``dScore > 0`` (ε-pruning), so
+    the zero branch of Eq. 2 corresponds to entities absent from the
+    resource, which simply contribute nothing to the sum.
+    """
+    if d_score < 0.0:
+        raise ValueError(f"dScore must be non-negative, got {d_score}")
+    return 1.0 + d_score if d_score > 0.0 else 0.0
+
+
 def window_size(window: int | float | None, total_matches: int) -> int:
     """Resolve the window parameter to an absolute resource count.
 
@@ -96,10 +107,3 @@ def window_size(window: int | float | None, total_matches: int) -> int:
         raise ValueError(f"integer window must be positive, got {window}")
     return min(total_matches, window)
 
-
-def apply_window(
-    matches: Sequence[ResourceMatch], window: int | float | None
-) -> Sequence[ResourceMatch]:
-    """Keep the top-*window* matches (input must already be sorted by
-    decreasing score, as :meth:`VectorSpaceRetriever.retrieve` returns)."""
-    return matches[: window_size(window, len(matches))]

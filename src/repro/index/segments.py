@@ -54,10 +54,9 @@ the per-source top-W. The fold is exact
 because ``np.bincount`` adds its weights in input order into slots that
 start at 0.0, which is the object path's per-candidate dict walk over
 the same rows in the same order. Rankings are therefore
-**byte-identical** to :class:`~repro.index.vsm.VectorSpaceRetriever` +
-:class:`~repro.core.ranking.ExpertRanker` over the same collection
-(``tests/core/test_differential.py`` and ``tests/index/test_columnar.py``
-pin this).
+**byte-identical** to the reference path's dict walks over the same
+collection (``tests/reference/``; ``tests/core/test_differential.py``
+and ``tests/index/test_columnar.py`` pin this).
 
 Thread model: one thread queries and writes. The live-segment list is
 swapped immutably under a lock, so a query holds a consistent snapshot
@@ -70,7 +69,7 @@ from __future__ import annotations
 import math
 import threading
 from array import array
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import accumulate, chain
 from typing import Any, NamedTuple
 from dataclasses import dataclass
@@ -82,9 +81,8 @@ import numpy.typing as npt
 # ``repro.core``, so pulling core *package* attributes here would cycle.
 from repro.core.config import FinderConfig
 from repro.core.ranking import ExpertScore
-from repro.core.scoring import distance_weight_table, window_size
+from repro.core.scoring import distance_weight_table, entity_weight, window_size
 from repro.index.analyzer import AnalyzedResource
-from repro.index.vsm import entity_weight
 
 #: default buffer size (in resources) at which the buffer seals
 DEFAULT_SEAL_THRESHOLD = 256
@@ -213,14 +211,6 @@ class PostingColumns:
         view = self.views.get(key)
         return len(view[0]) if view is not None else 0
 
-    def rows(self) -> Iterator[tuple[str, list[tuple[Any, ...]]]]:
-        """Each key with its postings as ``(doc index, *values)`` tuples
-        of Python scalars, in key order then postings order."""
-        rows = list(zip(*(column.tolist() for column in self.columns)))
-        bounds = self.off.tolist()
-        for i, key in enumerate(self.views):
-            yield key, rows[bounds[i] : bounds[i + 1]]
-
 
 class EvidenceCsr(NamedTuple):
     """The resource → supporters relation of Eq. 3 as a CSR.
@@ -263,16 +253,6 @@ def concat_evidence(parts: Sequence[EvidenceCsr]) -> EvidenceCsr:
         ),
         np.concatenate([part.dist for part in parts]),
     )
-
-
-def evidence_rows(csr: EvidenceCsr) -> Iterator[tuple[str, _Rows]]:
-    """Each resource of *csr* with its ``(candidate id, distance)`` rows,
-    in stream order."""
-    candidates = csr.candidates
-    rows = list(zip([candidates[c] for c in csr.cand.tolist()], csr.dist.tolist()))
-    bounds = csr.off.tolist()
-    for i, resource in enumerate(csr.resources):
-        yield resource, tuple(rows[bounds[i] : bounds[i + 1]])
 
 
 def _doc_rows(
@@ -1057,10 +1037,9 @@ class SegmentedIndex:
         return resource_id in self._resource_ids
 
     def irf(self, term: str) -> float:
-        """Inverse resource frequency of *term* over the union — the same
-        integers (and therefore the same float) as a
-        :class:`~repro.index.statistics.CollectionStatistics` over the
-        merged collection."""
+        """Inverse resource frequency of *term* over the union,
+        ``log(1 + N / df)``: the same integers (and therefore the same
+        float) as over one index of the merged collection."""
         cached = self._irf_cache.get(term)
         if cached is not None:
             return cached
@@ -1157,7 +1136,7 @@ class SegmentedIndex:
         The rows are gathered in global ``(-score, doc_id)`` order, so
         ``np.bincount`` — which adds its weights in input order into slots
         starting at 0.0 — sums each candidate's ``score · wr`` exactly as
-        :meth:`~repro.core.ranking.ExpertRanker.rank` does. Candidate
+        the reference's per-candidate dict walk does. Candidate
         indexes follow candidate ids, so ``lexsort`` ranks ties on the
         candidate id."""
         width = window_size(window, sum(len(scores) for scores, _, _ in parts))
@@ -1280,12 +1259,6 @@ class SegmentedIndex:
         if self._buffer.resource_count or not parts:
             parts.append(self._buffer.evidence_csr)
         return concat_evidence(parts)
-
-    def evidence(self) -> Iterator[tuple[str, _Rows]]:
-        """Each admitted resource with its ``(candidate id, distance)``
-        rows, decoded from :meth:`evidence_csr` (tests and tooling; no
-        query reads it)."""
-        return evidence_rows(self.evidence_csr())
 
     @property
     def stats(self) -> SegmentStats:

@@ -497,9 +497,10 @@ def _check_content(
 ) -> None:
     """Refuse column content that no save writes, in one vectorized pass
     per column: the checksum vouches only for the bytes, and out-of-range
-    indexes or non-positive frequencies would fail or silently mis-score
-    a later query. (Evidence distances are checked against the
-    configured weight table when the slice joins the index.)"""
+    indexes, a key naming one document twice or non-positive frequencies
+    would fail or silently mis-score a later query. (Evidence distances
+    are checked against the configured weight table when the slice joins
+    the index.)"""
     tdoc, tf = terms.columns
     edoc, ef, we, ds = entities.columns
     checks = (
@@ -529,10 +530,25 @@ def _check_content(
     for section, failed, problem in checks:
         if failed:
             raise StorageFormatError(f"{path}: section {section}: {problem}")
+    # once offsets and doc indexes are known good: the Eq. 1 kernel's
+    # fancy-indexed add counts a repeated doc index once
+    for section, group in ((layout.TERM_DOC, terms), (layout.ENT_DOC, entities)):
+        if _repeats(group.off, group.columns[0], n_docs):
+            raise StorageFormatError(
+                f"{path}: section {section}: a key names one document twice"
+            )
 
 
 def _decreasing(off: Any) -> bool:
     return bool((off[1:] < off[:-1]).any())
+
+
+def _repeats(off: Any, docs: Any, n_docs: int) -> bool:
+    """Whether any key of a CSR posting group lists one doc index twice:
+    ``key · n_docs + doc`` is unique per posting unless it does."""
+    owner = np.repeat(np.arange(len(off) - 1, dtype=np.int64), np.diff(off))
+    keys = np.sort(owner * n_docs + docs)
+    return bool((keys[1:] == keys[:-1]).any())
 
 
 def _outside(indexes: Any, size: int) -> bool:

@@ -1,14 +1,20 @@
-"""Meta-tests: the repo is clean under its own lint rules, and seeded
-violations into a scratch copy of ``repro.index.inverted`` (a module both
-the determinism and the mmap-discipline rule cover) are caught."""
+"""Meta-tests: the repo is clean under its own lint rules, the
+reference path under ``tests/reference/`` stays in the scoring rules'
+scope, and seeded violations into a scratch copy of its inverted index
+(a module both the determinism and the mmap-discipline rule cover) are
+caught."""
 
 import pathlib
 import shutil
 
-from repro.analysis import lint_paths
+import pytest
+
+from repro.analysis import ALL_CHECKERS, FileContext, lint_paths
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-INVERTED = REPO_ROOT / "src" / "repro" / "index" / "inverted.py"
+REFERENCE = REPO_ROOT / "tests" / "reference"
+INVERTED = REFERENCE / "inverted.py"
+SEGMENTS = REPO_ROOT / "src" / "repro" / "index" / "segments.py"
 
 
 def test_src_is_clean():
@@ -30,18 +36,36 @@ def test_tests_and_benchmarks_are_clean():
 
 
 def test_src_suppressions_stay_reviewed():
-    # the one reasoned determinism suppression (vsm emits into a
-    # consumer that re-sorts with a total key); grow this list only with
-    # a reason next to the pragma
-    report = lint_paths([REPO_ROOT / "src"])
-    assert report.suppressed == 1
+    # src/ carries none; the one reasoned determinism suppression is the
+    # reference retriever's (vsm emits into a consumer that re-sorts
+    # with a total key). Grow either count only with a reason next to
+    # the pragma
+    assert lint_paths([REPO_ROOT / "src"]).suppressed == 0
+    assert lint_paths([REFERENCE]).suppressed == 1
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in REFERENCE.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_reference_modules_stay_in_scoring_scope(path):
+    # outside src/repro a file resolves to no module, and the scoped
+    # rules would skip it silently: each reference module's
+    # lint-module header keeps every rule that covers the served path
+    assert _rules(path) == _rules(SEGMENTS)
+
+
+def _rules(path):
+    ctx = FileContext.parse(path, path.read_text(encoding="utf-8"))
+    return {checker.rule for checker in ALL_CHECKERS if checker.applies_to(ctx)}
 
 
 class TestSeededViolations:
-    """Copy ``repro.index.inverted`` into a scratch tree (so it still
-    resolves as a ``repro.index`` module) and seed one violation of the
-    determinism and the mmap-discipline rule; ``repro lint`` must catch
-    both."""
+    """Copy the reference inverted index (its header places it in the
+    ``repro.index`` scope) into a scratch tree and seed one violation of
+    the determinism and the mmap-discipline rule; ``repro lint`` must
+    catch both."""
 
     def _scratch_copy(self, tmp_path) -> pathlib.Path:
         scratch = tmp_path / "repro" / "index"

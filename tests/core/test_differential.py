@@ -34,13 +34,13 @@ from hypothesis.stateful import (
 
 from repro.core.config import FinderConfig
 from repro.core.expert_finder import ExpertFinder
-from repro.core.ranking import ExpertRanker
-from repro.index.entity_index import EntityIndex
-from repro.index.inverted import InvertedIndex
-from repro.index.statistics import CollectionStatistics
-from repro.index.vsm import VectorSpaceRetriever
 from repro.synthetic.dataset import default_analyzer
 from repro.synthetic.stream import stream_candidates, stream_queries, stream_resources
+from tests.reference.entity_index import EntityIndex
+from tests.reference.inverted import InvertedIndex
+from tests.reference.ranking import ExpertRanker
+from tests.reference.statistics import CollectionStatistics
+from tests.reference.vsm import VectorSpaceRetriever
 
 _ANALYZER = default_analyzer()
 _CONFIG = FinderConfig(window=5)

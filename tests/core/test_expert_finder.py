@@ -15,7 +15,7 @@ from repro.socialgraph.metamodel import (
     SocialRelation,
     UserProfile,
 )
-from tests.oracle import oracle_experts
+from tests.oracle import evidence_of, oracle_experts
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +200,6 @@ class TestColdBuildLanguage:
         cold = ExpertFinder.build(graph, ["u"], analyzer)
         assert warm.indexed_resources == 1  # the Italian resource stays out
         assert cold.indexed_resources == warm.indexed_resources
-        assert cold.evidence_of == warm.evidence_of
+        assert evidence_of(cold) == evidence_of(warm)
         need = "freestyle swimmer"
         assert cold.find_experts(need) == warm.find_experts(need)

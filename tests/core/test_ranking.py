@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.config import FinderConfig
-from repro.core.ranking import ExpertRanker, ExpertScore
-from repro.index.vsm import ResourceMatch
+from repro.core.ranking import ExpertScore
+from tests.reference.ranking import ExpertRanker
+from tests.reference.vsm import ResourceMatch
 
 
 def _match(doc_id: str, score: float) -> ResourceMatch:

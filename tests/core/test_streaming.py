@@ -102,6 +102,22 @@ class TestObserve:
         with pytest.raises(ValueError):
             finder.observe("t9", "text", [], language="en")
 
+    def test_repeated_supporter_rejected(self, finder):
+        # a graph build keeps each node once per candidate; a repeat
+        # would count one resource twice in bob's Eq. 3 sum
+        before = finder.evidence_count("bob")
+        with pytest.raises(ValueError, match="names candidate 'bob' twice"):
+            finder.observe(
+                "t9", "freestyle swimming", [("bob", 1), ("bob", 2)], language="en"
+            )
+        assert finder.evidence_count("bob") == before
+        assert "t9" not in finder.segmented_index
+
+    def test_stream_repeated_supporter_rejected(self, analyzer):
+        events = [("s1", "freestyle swimming", [("alice", 1), ("alice", 2)])]
+        with pytest.raises(ValueError, match="names candidate 'alice' twice"):
+            ExpertFinder.from_stream(("alice", "bob"), events, analyzer)
+
 
 def _served_exactly(finder, need, **kwargs):
     """The oracle's ranking, asserting the served path matches it

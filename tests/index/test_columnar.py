@@ -23,7 +23,7 @@ from repro.core.expert_finder import ExpertFinder
 from repro.index.segments import SegmentedIndex, window_cut
 from repro.socialgraph.graph import SocialGraph
 from repro.socialgraph.metamodel import Platform, RelationKind, Resource, UserProfile
-from tests.oracle import oracle_experts
+from tests.oracle import evidence_of, oracle_experts
 
 ALPHAS = (0.0, 0.6, 1.0)
 WINDOWS = (None, 1, 10, 0.5, 1.0)
@@ -212,7 +212,7 @@ class TestEngineBehavior:
         finder = ExpertFinder.build(g, ("a",), analyzer, FinderConfig())
         broken = [
             (analyzer.analyze(doc, "some text here"), (("a", 99),), True)
-            for doc in finder.evidence_of
+            for doc in evidence_of(finder)
         ]
         with pytest.raises(ValueError, match="distance"):
             SegmentedIndex.from_built(broken, finder.config)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.index.entity_index import EntityIndex, EntityPosting
+from tests.reference.entity_index import EntityIndex, EntityPosting
 
 
 @pytest.fixture

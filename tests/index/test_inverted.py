@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.index.inverted import InvertedIndex, Posting
+from tests.reference.inverted import InvertedIndex, Posting
 
 
 @pytest.fixture

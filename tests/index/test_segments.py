@@ -12,14 +12,14 @@ import math
 import pytest
 
 from repro.core.config import FinderConfig
-from repro.core.ranking import ExpertRanker
 from repro.index.analyzer import AnalyzedResource
-from repro.index.entity_index import EntityIndex
-from repro.index.inverted import InvertedIndex
-from repro.index.segments import SegmentedIndex, evidence_rows
-from repro.index.statistics import CollectionStatistics
-from repro.index.vsm import VectorSpaceRetriever
-from tests.oracle import merged_slice
+from repro.index.segments import SegmentedIndex
+from tests.oracle import evidence_rows, merged_slice
+from tests.reference.entity_index import EntityIndex
+from tests.reference.inverted import InvertedIndex
+from tests.reference.ranking import ExpertRanker
+from tests.reference.statistics import CollectionStatistics
+from tests.reference.vsm import VectorSpaceRetriever
 
 
 def _res(doc_id, terms, entities=None, language="en"):

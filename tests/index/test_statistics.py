@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from repro.index.entity_index import EntityIndex
-from repro.index.inverted import InvertedIndex
-from repro.index.statistics import CollectionStatistics
+from tests.reference.entity_index import EntityIndex
+from tests.reference.inverted import InvertedIndex
+from tests.reference.statistics import CollectionStatistics
 
 
 @pytest.fixture

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.index.analyzer import AnalyzedResource
-from repro.index.entity_index import EntityIndex
-from repro.index.inverted import InvertedIndex
-from repro.index.vsm import VectorSpaceRetriever, entity_weight
+from repro.core.scoring import entity_weight
+from tests.reference.entity_index import EntityIndex
+from tests.reference.inverted import InvertedIndex
+from tests.reference.vsm import VectorSpaceRetriever
 
 
 def _query(terms=None, entities=None):

@@ -1,28 +1,56 @@
 """The reference ranking every served ranking is checked against.
 
-:class:`~repro.index.vsm.VectorSpaceRetriever` (Eq. 1) and
-:class:`~repro.core.ranking.ExpertRanker` (window + Eq. 3) score with
-plain dicts, without segments or numpy columns, and no query is
+:class:`~tests.reference.vsm.VectorSpaceRetriever` (Eq. 1) and
+:class:`~tests.reference.ranking.ExpertRanker` (window + Eq. 3) score
+with plain dicts, without segments or numpy columns, and no query is
 served through them. :func:`merged_slice` rebuilds a segmented index's
 whole live collection as posting objects and evidence rows (a served
 index keeps only columns, the write buffer's included), and
 :func:`oracle_experts` runs the pair over it, so tests compare
 ``finder.find_experts`` against it with ``==``: exact floats, support
 counts and tie breaks. The query and streaming benchmarks use the same
-glue.
+glue. :func:`posting_rows`, :func:`evidence_rows` and
+:func:`evidence_of` decode columns into Python rows for it and for
+the tests; no served path decodes them.
 """
 
 from __future__ import annotations
 
 from repro.core.need import ExpertiseNeed
-from repro.core.ranking import ExpertRanker
-from repro.index.entity_index import EntityIndex, EntityPosting
-from repro.index.inverted import InvertedIndex, Posting
-from repro.index.vsm import VectorSpaceRetriever
+from tests.reference.entity_index import EntityIndex, EntityPosting
+from tests.reference.inverted import InvertedIndex, Posting
+from tests.reference.ranking import ExpertRanker
+from tests.reference.vsm import VectorSpaceRetriever
 
 #: the label the engine-parametrised tests give the oracle, next to
 #: "columnar" for the finder's own served path
 ORACLE = "object"
+
+
+def posting_rows(group):
+    """Each key of *group* (a :class:`~repro.index.segments.PostingColumns`)
+    with its postings as ``(doc index, *values)`` tuples of Python
+    scalars, in key order then postings order."""
+    rows = list(zip(*(column.tolist() for column in group.columns)))
+    bounds = group.off.tolist()
+    for i, key in enumerate(group.views):
+        yield key, rows[bounds[i] : bounds[i + 1]]
+
+
+def evidence_rows(csr):
+    """Each resource of *csr* (an :class:`~repro.index.segments.EvidenceCsr`)
+    with its ``(candidate id, distance)`` rows, in stream order."""
+    candidates = csr.candidates
+    rows = list(zip([candidates[c] for c in csr.cand.tolist()], csr.dist.tolist()))
+    bounds = csr.off.tolist()
+    for i, resource in enumerate(csr.resources):
+        yield resource, tuple(rows[bounds[i] : bounds[i + 1]])
+
+
+def evidence_of(finder):
+    """*finder*'s whole resource → supporters relation as a dict, decoded
+    from its index's evidence columns."""
+    return dict(evidence_rows(finder.segmented_index.evidence_csr()))
 
 
 def merged_slice(index):
@@ -39,18 +67,18 @@ def merged_slice(index):
     for segment in (*index.iter_segments(), buffer):
         docs = segment.doc_ids
         doc_ids += docs
-        for term, rows in segment.term_columns.rows():
+        for term, rows in posting_rows(segment.term_columns):
             term_postings.setdefault(term, []).extend(
                 Posting(docs[doc], tf) for doc, tf in rows
             )
-        for uri, rows in segment.entity_columns.rows():
+        for uri, rows in posting_rows(segment.entity_columns):
             entity_postings.setdefault(uri, []).extend(
                 EntityPosting(docs[doc], ef, ds) for doc, ef, _we, ds in rows
             )
     return (
         InvertedIndex.restore(doc_ids, term_postings),
         EntityIndex.restore(doc_ids, entity_postings),
-        dict(index.evidence()),
+        dict(evidence_rows(index.evidence_csr())),
     )
 
 

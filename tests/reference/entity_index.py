@@ -1,3 +1,4 @@
+# repro: lint-module[repro.index.reference.entity_index]
 """Entity inverted index.
 
 Symmetric to the term index, but each posting also carries the best
@@ -39,7 +40,7 @@ class EntityIndex:
     def version(self) -> int:
         """Monotonic write counter, bumped by every :meth:`add_document`;
         same auto-invalidation contract as
-        :attr:`repro.index.inverted.InvertedIndex.version`."""
+        :attr:`tests.reference.inverted.InvertedIndex.version`."""
         return self._version
 
     def add_document(self, doc_id: str, entity_counts: dict[str, tuple[int, float]]) -> None:

@@ -1,3 +1,4 @@
+# repro: lint-module[repro.index.reference.inverted]
 """Term inverted index.
 
 Maps each stemmed term to its postings list — the documents containing

@@ -1,3 +1,4 @@
+# repro: lint-module[repro.index.reference.statistics]
 """Collection statistics: the frequency functions of paper Eq. 1.
 
 * ``tf(t, r)`` — term frequency of *t* in resource *r*;
@@ -9,7 +10,7 @@
 Both inverse frequencies use the smoothed logarithmic form
 ``log(1 + N / df)``, which is strictly positive for any indexed item
 (an unseen item scores 0). The paper squares these values in Eq. 1;
-the squaring lives in :mod:`repro.index.vsm`, keeping the statistics
+the squaring lives in :mod:`tests.reference.vsm`, keeping the statistics
 reusable by the ablation benchmarks.
 """
 
@@ -17,8 +18,8 @@ from __future__ import annotations
 
 import math
 
-from repro.index.entity_index import EntityIndex
-from repro.index.inverted import InvertedIndex
+from tests.reference.entity_index import EntityIndex
+from tests.reference.inverted import InvertedIndex
 
 
 class CollectionStatistics:
@@ -45,7 +46,7 @@ class CollectionStatistics:
 
         Kept for explicit cache control, but no longer required for
         correctness: every read compares the indexes' write
-        :attr:`~repro.index.inverted.InvertedIndex.version` counters and
+        :attr:`~tests.reference.inverted.InvertedIndex.version` counters and
         self-invalidates when documents were appended underneath —
         streaming updates change every document frequency ratio, and
         caller discipline is not a contract worth relying on."""

@@ -1,3 +1,4 @@
+# repro: lint-module[repro.index.reference.vsm]
 """Vector-space resource retrieval — paper Eq. 1 and Eq. 2.
 
 Given an analyzed expertise need *q* and the indexed collection, the
@@ -18,10 +19,11 @@ and ``ef · eirf² · we`` do not depend on the query, so they are
 memoized per term/entity and invalidated together with the collection
 statistics.
 
-This retriever and :class:`~repro.core.ranking.ExpertRanker` are the
-reference path: no query is served through them, but the tests and the
-query and streaming benchmarks check every served ranking against them
-bit for bit. :func:`entity_weight` is shared with the served path.
+This retriever and :class:`~tests.reference.ranking.ExpertRanker` are
+the reference path: no query is served through them, but the tests and
+the query and streaming benchmarks check every served ranking against
+them bit for bit. Eq. 2's :func:`~repro.core.scoring.entity_weight` is
+shared with the served path.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+from repro.core.scoring import entity_weight
 from repro.index.analyzer import AnalyzedResource
-from repro.index.entity_index import EntityIndex
-from repro.index.inverted import InvertedIndex
-from repro.index.statistics import CollectionStatistics
+from tests.reference.entity_index import EntityIndex
+from tests.reference.inverted import InvertedIndex
+from tests.reference.statistics import CollectionStatistics
 
 
 @dataclass(frozen=True)
@@ -43,18 +46,6 @@ class ResourceMatch:
     score: float
     term_score: float
     entity_score: float
-
-
-def entity_weight(d_score: float) -> float:
-    """Eq. 2: ``we = 1 + dScore`` for a recognized entity.
-
-    The annotator only emits entities with ``dScore > 0`` (ε-pruning), so
-    the zero branch of Eq. 2 corresponds to entities absent from the
-    resource, which simply contribute nothing to the sum.
-    """
-    if d_score < 0.0:
-        raise ValueError(f"dScore must be non-negative, got {d_score}")
-    return 1.0 + d_score if d_score > 0.0 else 0.0
 
 
 class VectorSpaceRetriever:

@@ -664,6 +664,27 @@ class TestEndpointErrors:
         status, _, body = gateway.request("POST", "/v1/observe", event)
         assert (status, body["indexed"]) == (200, True)
 
+    def test_observe_repeated_supporter_is_a_bad_request(self, gateway):
+        # a supporter named twice would count the resource twice in its
+        # Eq. 3 sum; the finder raises ValueError, and the gateway
+        # answers 400 without indexing or counting the observe
+        _, _, metrics = gateway.request("GET", "/v1/metrics")
+        event = {
+            "node_id": "s:zither:2",
+            "text": "a wonderful zither recital tonight",
+            "supporters": [["bob", 1], ["bob", 2]],
+        }
+        status, _, body = gateway.request("POST", "/v1/observe", event)
+        assert (status, body["error"]["code"]) == (400, "invalid_input")
+        assert body["error"]["message"] == (
+            "resource 's:zither:2' names candidate 'bob' twice"
+        )
+        _, _, metrics_after = gateway.request("GET", "/v1/metrics")
+        assert metrics_after["service"]["observed"] == metrics["service"]["observed"]
+        event["supporters"] = [["bob", 1]]
+        status, _, body = gateway.request("POST", "/v1/observe", event)
+        assert (status, body["indexed"]) == (200, True)
+
     def test_crowd_route_unknown_strategy(self, gateway):
         status, _, body = gateway.request(
             "POST",

@@ -11,13 +11,14 @@ import pytest
 
 from repro.core.config import FinderConfig
 from repro.core.expert_finder import ExpertFinder
-from repro.index.entity_index import EntityIndex, EntityPosting
-from repro.index.inverted import InvertedIndex, Posting
-from repro.index.segments import Segment, evidence_rows
+from repro.index.segments import Segment
 from repro.storage.jsonl import StorageFormatError
 from repro.storage.binary import MappedSections, write_sections
 from repro.storage.snapshot import SNAPSHOT_VERSION, load_finder, save_finder
-from tests.oracle import merged_slice, oracle_experts
+from repro.synthetic.stream import stream_candidates, stream_resources
+from tests.oracle import evidence_of, evidence_rows, merged_slice, oracle_experts
+from tests.reference.entity_index import EntityIndex, EntityPosting
+from tests.reference.inverted import InvertedIndex, Posting
 
 
 def _generation_dir(snapshot_dir):
@@ -103,10 +104,10 @@ class TestRoundTrip:
     def test_evidence_relation_preserved(self, built_finder, loaded_finder):
         assert {
             doc: list(map(tuple, supporters))
-            for doc, supporters in loaded_finder.evidence_of.items()
+            for doc, supporters in evidence_of(loaded_finder).items()
         } == {
             doc: list(map(tuple, supporters))
-            for doc, supporters in built_finder.evidence_of.items()
+            for doc, supporters in evidence_of(built_finder).items()
         }
 
     def test_top_k_fast_path_agrees_after_load(self, loaded_finder, tiny_dataset):
@@ -302,6 +303,37 @@ class TestContentValidation:
         with pytest.raises(StorageFormatError, match="offsets decrease"):
             load_finder(snapshot, analyzer)
 
+    @pytest.fixture
+    def streamed(self, analyzer, tmp_path):
+        """A 40-event streamed snapshot: one segment in which terms and
+        entities alike hold keys with two postings or more."""
+        candidates = stream_candidates(5)
+        finder = ExpertFinder.from_stream(
+            candidates, stream_resources(candidates, 40, seed=3), analyzer
+        )
+        directory = tmp_path / "streamed"
+        finder.save(directory)
+        return directory
+
+    @pytest.mark.parametrize("prefix", ["term", "ent"])
+    def test_rejects_key_naming_one_document_twice(self, streamed, analyzer, prefix):
+        # the first key with two postings names its first document twice;
+        # offsets, doc range and frequencies stay valid, and the Eq. 1
+        # kernel's fancy-indexed add would count the repeat once
+        (segment,) = _generation_dir(streamed).glob("segment-*.bin")
+        mapped = MappedSections.open(segment)
+        off = mapped.array(f"{prefix}#off").tolist()
+        del mapped
+        start = next(a for a, b in zip(off, off[1:]) if b - a >= 2)
+
+        def edit(docs):
+            docs[start + 1] = docs[start]
+            return docs
+
+        _rewrite_section(segment, f"{prefix}#doc", edit)
+        with pytest.raises(StorageFormatError, match="names one document twice"):
+            load_finder(streamed, analyzer)
+
 
 class TestLoadedEngine:
     def test_engine_compiled_at_load(self, snapshot_dir, tiny_dataset):
@@ -492,10 +524,10 @@ class TestSegmentedRoundTrip:
         )
         assert {
             doc: list(map(tuple, rows))
-            for doc, rows in loaded_segmented.evidence_of.items()
+            for doc, rows in evidence_of(loaded_segmented).items()
         } == {
             doc: list(map(tuple, rows))
-            for doc, rows in segmented_finder.evidence_of.items()
+            for doc, rows in evidence_of(segmented_finder).items()
         }
 
     def test_streaming_continues_after_load(self, segmented_snapshot_dir, analyzer):

@@ -19,12 +19,12 @@ from repro.evaluation.metrics import (
     precision_at_k,
     reciprocal_rank,
 )
-from repro.index.entity_index import EntityIndex
-from repro.index.inverted import InvertedIndex
-from repro.index.statistics import CollectionStatistics
 from repro.textproc.sanitizer import sanitize
 from repro.textproc.stemmer import PorterStemmer
 from repro.textproc.tokenizer import tokenize
+from tests.reference.entity_index import EntityIndex
+from tests.reference.inverted import InvertedIndex
+from tests.reference.statistics import CollectionStatistics
 
 _STEM = PorterStemmer().stem
 

@@ -1,8 +1,28 @@
 """The documented public API surface must exist and stay importable."""
 
+import ast
 import importlib
+import pathlib
 
 import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: the object reference path of Eq. 1–3 and its column decoders, which
+#: live beside the oracle under tests/
+REFERENCE_NAMES = frozenset({
+    "CollectionStatistics",
+    "EntityIndex",
+    "EntityPosting",
+    "ExpertRanker",
+    "InvertedIndex",
+    "Posting",
+    "ResourceMatch",
+    "VectorSpaceRetriever",
+    "apply_window",
+    "evidence_of",
+    "evidence_rows",
+})
 
 PUBLIC_MODULES = [
     "repro",
@@ -70,3 +90,51 @@ def test_doctests_pass():
         module = importlib.import_module(module_name)
         failures, _ = doctest.testmod(module)
         assert failures == 0, f"doctest failures in {module_name}"
+
+
+def _src_nodes():
+    """Every AST node of every module under src/repro, with its place."""
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            yield f"{path.relative_to(SRC.parent)}:{getattr(node, 'lineno', 0)}", node
+
+
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module or ""]
+    return []
+
+
+def test_src_never_imports_tests():
+    """tests/ holds the oracle and the reference path, and an installed
+    package ships without it: an import of it from src/ would pass
+    every test here and break the installed package."""
+    offenders = [
+        where
+        for where, node in _src_nodes()
+        if any(name.split(".")[0] == "tests" for name in _imported_modules(node))
+    ]
+    assert offenders == []
+
+
+def _bound_names(node):
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        return [node.name]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def test_src_holds_one_eq1_to_3_path():
+    """src/ neither defines nor imports the reference path: the served
+    segmented index is its one Eq. 1–3 implementation."""
+    offenders = [
+        f"{where}: {name}"
+        for where, node in _src_nodes()
+        for name in _bound_names(node)
+        if name in REFERENCE_NAMES
+    ]
+    assert offenders == []
