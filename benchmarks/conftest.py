@@ -14,6 +14,7 @@ import json
 import os
 import pathlib
 import platform
+from collections.abc import Mapping
 
 import pytest
 
@@ -49,17 +50,21 @@ def save_json():
     ``benchmarks/results/BENCH_<name>.json``.
 
     Every file shares one schema: ``benchmark`` (name), ``schema_version``,
-    ``dataset`` (scale + seed), ``environment`` (cpu count + python), and a
-    flat, benchmark-specific ``metrics`` mapping.
+    ``dataset`` (scale + seed; a generated stream adds its sizes),
+    ``environment`` (cpu count + python), and a benchmark-specific
+    ``metrics`` mapping. *dataset* is an evaluation dataset or, for a
+    generated stream, the mapping to record.
     """
 
     RESULTS_DIR.mkdir(exist_ok=True)
 
     def _save(name: str, dataset, metrics: dict) -> None:
+        if not isinstance(dataset, Mapping):
+            dataset = {"scale": dataset.scale.value, "seed": dataset.seed}
         payload = {
             "benchmark": name,
             "schema_version": BENCH_SCHEMA_VERSION,
-            "dataset": {"scale": dataset.scale.value, "seed": dataset.seed},
+            "dataset": dict(dataset),
             "environment": {
                 "cpu_count": os.cpu_count(),
                 "python": platform.python_version(),

@@ -87,14 +87,12 @@ class ExpertFinder:
         config: FinderConfig,
         *,
         evidence_counts: Mapping[str, int],
-        indexed_count: int,
         segmented: "SegmentedIndex",
     ):
         self._analyzer = analyzer
         self._index = segmented
         self._config = config
         self._evidence_counts = dict(evidence_counts)
-        self._indexed_count = indexed_count
         self._build_stats: BuildStats | None = None
 
     # -- construction ------------------------------------------------------------
@@ -294,7 +292,6 @@ class ExpertFinder:
             analyzer,
             config,
             evidence_counts=evidence_counts,
-            indexed_count=segmented.document_count,
             segmented=segmented,
         )
 
@@ -345,7 +342,7 @@ class ExpertFinder:
     @property
     def indexed_resources(self) -> int:
         """Number of evidence items admitted into the indexes."""
-        return self._indexed_count
+        return self._index.document_count
 
     @property
     def build_stats(self) -> BuildStats | None:
@@ -393,8 +390,6 @@ class ExpertFinder:
         self._index.add(analyzed, rows, index=indexed)
         for candidate_id, _ in rows:
             self._evidence_counts[candidate_id] += 1
-        if indexed:
-            self._indexed_count += 1
         return indexed
 
     def _analyze_need(self, need: ExpertiseNeed | str) -> AnalyzedResource:

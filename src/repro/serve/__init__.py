@@ -26,7 +26,7 @@ Module map (request path top to bottom):
   new service off the event loop and atomically swap it in; requests
   already running finish on the old one;
 * :mod:`~repro.serve.harness` — run a gateway in a background thread
-  (used by the tests, ``bench_serve_http``, and the example client).
+  (used by the tests and the example client).
 """
 
 from repro.serve.app import GatewayConfig, ServeApp

@@ -1,7 +1,7 @@
 """Host a gateway in a background thread.
 
-Tests, ``benchmarks/bench_serve_http.py``, and ``examples/http_client.py``
-all need a real listening gateway without giving up the calling thread.
+The tests and ``examples/http_client.py`` need a real listening
+gateway without giving up the calling thread.
 :class:`GatewayHarness` runs an event loop in a daemon thread, starts a
 :class:`~repro.serve.server.GatewayServer` on an ephemeral port, and
 exposes a small synchronous HTTP client (stdlib ``http.client``) for

@@ -599,7 +599,6 @@ def _load_generation(
         analyzer,
         config,
         evidence_counts=evidence_counts,
-        indexed_count=indexed,
         segmented=segmented,
     )
 

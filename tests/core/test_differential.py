@@ -11,6 +11,14 @@ like an independent oracle: a :class:`VectorSpaceRetriever` +
 resources. Shrinking turns any divergence into a minimal event
 sequence.
 
+A fault step saves the finder, truncates one ``.bin`` container of the
+new generation or flips the bits of one of its bytes, and loads it:
+the load must raise :class:`StorageFormatError`, or the loaded finder
+must rank like the oracle (the header's four pad bytes lie outside the
+checksum and are read by nothing). Only ``.bin`` containers are
+corrupted: the JSONL records carry no checksum, so a changed digit
+there can load as another valid value.
+
 Every entity posting of this synthetic stream has ``ef`` 1 or 2, for
 which the products ``(ef·ew)·we`` and ``ef·(ew·we)`` are the same
 float. Hand-written events that name one entity three times are
@@ -20,6 +28,7 @@ entity product shows up as a ranking difference.
 
 from __future__ import annotations
 
+import pathlib
 import tempfile
 
 from hypothesis import settings
@@ -34,6 +43,7 @@ from hypothesis.stateful import (
 
 from repro.core.config import FinderConfig
 from repro.core.expert_finder import ExpertFinder
+from repro.storage.jsonl import StorageFormatError
 from repro.synthetic.dataset import default_analyzer
 from repro.synthetic.stream import stream_candidates, stream_queries, stream_resources
 from tests.reference.entity_index import EntityIndex
@@ -187,6 +197,30 @@ class SinglePathMachine(RuleBasedStateMachine):
         directory = f"{self.tmp.name}/snap-{self.saves}"
         self.finder.save(directory)
         self.finder = ExpertFinder.load(directory, _ANALYZER)
+
+    @rule(data=st.data())
+    def load_corrupted(self, data) -> None:
+        # the intact finder stays the one later steps use
+        self.saves += 1
+        directory = pathlib.Path(self.tmp.name, f"snap-{self.saves}")
+        self.finder.save(directory)
+        current = (directory / "CURRENT").read_text(encoding="utf-8").splitlines()
+        containers = sorted((directory / current[1]).glob("*.bin"))
+        path = data.draw(st.sampled_from(containers))
+        raw = bytearray(path.read_bytes())
+        at = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
+        if data.draw(st.booleans()):
+            del raw[at:]
+        else:
+            raw[at] ^= data.draw(st.integers(min_value=1, max_value=255))
+        path.write_bytes(raw)
+        try:
+            loaded = ExpertFinder.load(directory, _ANALYZER)
+        except StorageFormatError:
+            return
+        for need in _NEEDS:
+            expected = self.oracle.rank(need, 0.6, 5, None)
+            assert loaded.find_experts(need, alpha=0.6, window=5) == expected, need
 
     @invariant()
     def agrees_with_oracle(self) -> None:

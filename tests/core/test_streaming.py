@@ -14,7 +14,7 @@ from repro.socialgraph.metamodel import (
     SocialRelation,
     UserProfile,
 )
-from tests.oracle import oracle_experts
+from tests.oracle import Oracle, oracle_experts
 
 
 @pytest.fixture
@@ -168,6 +168,43 @@ class TestStreamingEngineEquivalence:
         assert finder.segmented_index.document_count == finder.indexed_resources
         _served_exactly(finder, "guitar rock song")
         _served_exactly(finder, "piscina")
+
+
+class TestTinyDatasetStream:
+    def test_every_need_after_every_observe(self, tiny_dataset):
+        """The tiny dataset's finder, sealing every 16 resources, takes 40
+        observes, every 5th one Italian (evidence only): after each one,
+        every paper need ranks like the oracle over the collection as it
+        stands."""
+        queries = list(tiny_dataset.queries)
+        candidates = list(tiny_dataset.candidates_for(None))
+        finder = ExpertFinder.build(
+            tiny_dataset.merged_graph,
+            tiny_dataset.candidates_for(None),
+            tiny_dataset.analyzer,
+            FinderConfig(),
+            corpus=tiny_dataset.corpus,
+            seal_threshold=16,
+        )
+        for i in range(40):
+            italian = i % 5 == 4
+            topic = queries[i % len(queries)].text
+            text = (
+                "questa e una bella giornata per andare in piscina con gli amici"
+                if italian
+                else f"streamed update number {i} about {topic}"
+            )
+            indexed = finder.observe(
+                f"stream:{i}",
+                text,
+                [(candidates[i % len(candidates)], 1 + i % 2)],
+                language="it" if italian else "en",
+            )
+            assert indexed is not italian
+            oracle = Oracle(finder)
+            for need in queries:
+                assert finder.find_experts(need) == oracle.rank(need), (i, need)
+        assert finder.index_stats.seals >= 2
 
 
 # -- segmented streaming ------------------------------------------------------

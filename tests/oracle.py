@@ -6,12 +6,12 @@ with plain dicts, without segments or numpy columns, and no query is
 served through them. :func:`merged_slice` rebuilds a segmented index's
 whole live collection as posting objects and evidence rows (a served
 index keeps only columns, the write buffer's included), and
-:func:`oracle_experts` runs the pair over it, so tests compare
-``finder.find_experts`` against it with ``==``: exact floats, support
-counts and tie breaks. The query and streaming benchmarks use the same
-glue. :func:`posting_rows`, :func:`evidence_rows` and
-:func:`evidence_of` decode columns into Python rows for it and for
-the tests; no served path decodes them.
+:class:`Oracle` runs the pair over it, so tests and
+``benchmarks/bench_scale.py`` compare ``finder.find_experts`` against it
+with ``==``: exact floats, support counts and tie breaks.
+:func:`oracle_experts` is the one-need shorthand. :func:`posting_rows`,
+:func:`evidence_rows` and :func:`evidence_of` decode columns into
+Python rows for it and for the tests; no served path decodes them.
 """
 
 from __future__ import annotations
@@ -82,22 +82,40 @@ def merged_slice(index):
     )
 
 
-def oracle_experts(finder, need, *, top_k=None, alpha=None, window=...):
-    """What ``finder.find_experts(need, ...)`` must return, with the same
-    overrides (``window=None`` means "no window"; leave it unset for the
-    configured one), computed on the reference path."""
-    config = finder.config
-    if window is not ...:
-        config = config.with_(window=window)
-    term_index, entity_index, evidence = merged_slice(finder.segmented_index)
-    retriever = VectorSpaceRetriever(
-        term_index, entity_index, idf_exponent=config.idf_exponent
-    )
-    text = need.text if isinstance(need, ExpertiseNeed) else need
-    query = finder._analyzer.analyze("__query__", text, language="en")
-    matches = retriever.retrieve(query, config.alpha if alpha is None else alpha)
-    ranked = ExpertRanker(evidence, config).rank(matches)
-    return ranked if top_k is None else ranked[:top_k]
+class Oracle:
+    """The reference path over *finder*'s collection as it stands now:
+    the merged slice is decoded once, so one instance ranks many needs.
+    Build a new one after the collection changes."""
+
+    def __init__(self, finder):
+        self._finder = finder
+        term_index, entity_index, self._evidence = merged_slice(
+            finder.segmented_index
+        )
+        self._retriever = VectorSpaceRetriever(
+            term_index, entity_index, idf_exponent=finder.config.idf_exponent
+        )
+
+    def rank(self, need, *, top_k=None, alpha=None, window=...):
+        """What ``finder.find_experts(need, ...)`` must return, with the
+        same overrides (``window=None`` means "no window"; leave it unset
+        for the configured one)."""
+        config = self._finder.config
+        if window is not ...:
+            config = config.with_(window=window)
+        text = need.text if isinstance(need, ExpertiseNeed) else need
+        query = self._finder._analyzer.analyze("__query__", text, language="en")
+        matches = self._retriever.retrieve(
+            query, config.alpha if alpha is None else alpha
+        )
+        ranked = ExpertRanker(self._evidence, config).rank(matches)
+        return ranked if top_k is None else ranked[:top_k]
+
+
+def oracle_experts(finder, need, **overrides):
+    """What ``finder.find_experts(need, **overrides)`` must return,
+    computed on the reference path (see :meth:`Oracle.rank`)."""
+    return Oracle(finder).rank(need, **overrides)
 
 
 def ranked_on(finder, engine, need, **overrides):

@@ -21,8 +21,8 @@ statistics.
 
 This retriever and :class:`~tests.reference.ranking.ExpertRanker` are
 the reference path: no query is served through them, but the tests and
-the query and streaming benchmarks check every served ranking against
-them bit for bit. Eq. 2's :func:`~repro.core.scoring.entity_weight` is
+``benchmarks/bench_scale.py`` check served rankings against them bit
+for bit. Eq. 2's :func:`~repro.core.scoring.entity_weight` is
 shared with the served path.
 """
 

@@ -16,7 +16,13 @@ from repro.storage.jsonl import StorageFormatError
 from repro.storage.binary import MappedSections, write_sections
 from repro.storage.snapshot import SNAPSHOT_VERSION, load_finder, save_finder
 from repro.synthetic.stream import stream_candidates, stream_resources
-from tests.oracle import evidence_of, evidence_rows, merged_slice, oracle_experts
+from tests.oracle import (
+    Oracle,
+    evidence_of,
+    evidence_rows,
+    merged_slice,
+    oracle_experts,
+)
 from tests.reference.entity_index import EntityIndex, EntityPosting
 from tests.reference.inverted import InvertedIndex, Posting
 
@@ -79,9 +85,17 @@ class TestRoundTrip:
         self, built_finder, loaded_finder, tiny_dataset
     ):
         """Every query must rank identically — candidates, exact scores,
-        and support counts (ExpertScore equality compares all three)."""
+        and support counts (ExpertScore equality compares all three) — at
+        the configured window, at absolute windows that each segment cuts
+        before the merge, and at a fractional and no window, which none
+        can; the built finder too."""
+        oracle = Oracle(built_finder)
         for need in tiny_dataset.queries:
-            assert loaded_finder.find_experts(need) == oracle_experts(built_finder, need)
+            assert loaded_finder.find_experts(need) == oracle.rank(need)
+            for window in (10, 5, 1000, 0.25, None):
+                expected = oracle.rank(need, window=window)
+                assert built_finder.find_experts(need, window=window) == expected
+                assert loaded_finder.find_experts(need, window=window) == expected
 
     def test_identical_rankings_under_overrides(
         self, built_finder, loaded_finder, tiny_dataset
