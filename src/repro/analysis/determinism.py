@@ -201,7 +201,13 @@ class DeterminismChecker(Checker):
         "no unordered set/dict-view iteration or entropy sources in "
         "ranking and merge paths"
     )
-    scope = ("repro.index", "repro.core", "repro.textproc", "repro.entity")
+    scope = (
+        "repro.index",
+        "repro.core",
+        "repro.textproc",
+        "repro.entity",
+        "repro.baselines",
+    )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         findings: list[Finding] = []

@@ -24,7 +24,7 @@ from .base import Checker, FileContext
 from .findings import FileResult, Finding, LintReport
 
 #: bump when any checker's behavior changes; invalidates every cache entry
-RULESET_VERSION = 7
+RULESET_VERSION = 8
 
 #: path substrings excluded by default — the lint test fixtures violate
 #: rules on purpose, so ``repro lint tests`` must not trip over them

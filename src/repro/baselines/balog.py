@@ -20,118 +20,98 @@ ca)`` must be mined from text; in the social setting it is explicit —
 exactly the paper's point — so we reuse the Table-1 evidence with the
 same distance weights ``wr``, normalized per candidate.
 
-Both models are built from the evidence an ``ExpertFinder`` indexes:
-the same ``gather_many`` traversal, and the same
-``CorpusAnalyzer.analyze_nodes`` loop for nodes missing from the shared
-corpus (platform language annotations included; a cold build here reads
-no linked pages, as the builders take no ``url_content``).
+Both models rank an :class:`~repro.core.expert_finder.ExpertFinder`'s
+own collection, so they compare with the paper's system on scoring
+alone: the finder's term columns give ``p(t | d)`` and the document
+lengths, and its evidence rows, weighted by its ``wr`` table, give
+``a(d, ca)``. Distance, friends and the ``wr`` interval are the finder's
+``FinderConfig``; smoothing is the models' one option.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 
 from scipy.special import logsumexp
 
+from repro.core.expert_finder import ExpertFinder
 from repro.core.need import ExpertiseNeed
-from repro.core.ranking import ExpertScore
-from repro.core.scoring import distance_weight
-from repro.extraction.crawler import CorpusAnalyzer
-from repro.index.analyzer import INDEXABLE_LANGUAGES, AnalyzedResource, ResourceAnalyzer
-from repro.socialgraph.distance import ResourceGatherer, candidate_seeds
-from repro.socialgraph.graph import SocialGraph
+from repro.core.ranking import ExpertScore, check_top_k
+from repro.core.scoring import distance_weight_table
+from repro.index.segments import Segment
 
 _LOG_FLOOR = -700.0  # below exp() underflow; stands in for log(0)
 
 
-@dataclass(frozen=True)
-class BalogConfig:
-    """Parameters shared by both Balog models."""
-
-    #: Jelinek–Mercer smoothing weight of the collection model
-    smoothing: float = 0.5
-    #: maximum evidence distance (same semantics as FinderConfig)
-    max_distance: int = 2
-    #: wr interval for the association strength a(d, ca)
-    weight_interval: tuple[float, float] = (0.5, 1.0)
-    include_friends: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.smoothing < 1.0:
-            raise ValueError("smoothing must be in (0, 1)")
-        if not 0 <= self.max_distance <= 2:
-            raise ValueError("max_distance must be in 0..2")
+def _term_counts(segment: Segment) -> dict[str, dict[str, int]]:
+    """Each indexed document of *segment*, in doc-index order, with its
+    term counts read back from the term postings."""
+    doc_ids = segment.doc_ids
+    counts: dict[str, dict[str, int]] = {doc_id: {} for doc_id in doc_ids}
+    group = segment.term_columns
+    terms = list(group.views)
+    docs, tfs = (column.tolist() for column in group.columns[:2])
+    bounds = group.off.tolist()
+    for key, term in enumerate(terms):
+        for at in range(bounds[key], bounds[key + 1]):
+            counts[doc_ids[docs[at]]][term] = tfs[at]
+    return counts
 
 
 class _BalogBase:
-    """Shared construction: gather evidence, normalize associations,
-    accumulate collection statistics."""
+    """Shared construction: read the finder's documents, normalize its
+    associations, accumulate collection statistics."""
 
-    def __init__(
-        self,
-        analyzer: ResourceAnalyzer,
-        config: BalogConfig,
-        documents: dict[str, AnalyzedResource],
-        associations: dict[str, dict[str, float]],
-    ):
-        self._analyzer = analyzer
-        self._config = config
-        self._documents = documents
-        self._associations = associations  # candidate → {doc → a(d, ca)}
-        self._doc_lengths = {
-            doc_id: max(1, analysis.length) for doc_id, analysis in documents.items()
-        }
+    def __init__(self, finder: ExpertFinder, *, smoothing: float = 0.5):
+        """Read *finder*'s live collection — its sealed segments, oldest
+        first, then its write buffer as the segment it would seal into,
+        as a snapshot writes them. The model keeps a copy of the
+        collection as it stood at this call: later observes on *finder*
+        do not reach it. *smoothing* is the Jelinek–Mercer weight ``λ``
+        of the collection model, in (0, 1)."""
+        if not 0.0 < smoothing < 1.0:
+            raise ValueError("smoothing must be in (0, 1)")
+        self._analyze_need = finder.analyze_need
+        self._smoothing = smoothing
+        index = finder.segmented_index
+        sources = list(index.iter_segments())
+        if index.write_buffer.resource_count:
+            sources.append(index.write_buffer.as_segment(-1))
+        config = finder.config
+        wr = distance_weight_table(config.max_distance, config.weight_interval)
+
+        #: doc id → {term → tf}
+        self._documents: dict[str, dict[str, int]] = {}
+        weights: dict[str, dict[str, float]] = {}
+        for segment in sources:
+            documents = _term_counts(segment)
+            self._documents.update(documents)
+            csr = segment.evidence_csr
+            off, cand, dist = csr.off.tolist(), csr.cand.tolist(), csr.dist.tolist()
+            # resources in stream order, so each candidate's documents are
+            # in collection order
+            for i, resource in enumerate(csr.resources):
+                if resource not in documents:
+                    continue
+                for row in range(off[i], off[i + 1]):
+                    supported = weights.setdefault(csr.candidates[cand[row]], {})
+                    supported[resource] = wr[dist[row]]
+        self._associations: dict[str, dict[str, float]] = {}  # candidate → a(d, ca)
+        for candidate_id, of_doc in weights.items():
+            total = sum(of_doc.values())
+            if total > 0:
+                self._associations[candidate_id] = {
+                    doc_id: weight / total for doc_id, weight in of_doc.items()
+                }
+        self._doc_lengths: dict[str, int] = {}
         self._collection_counts: dict[str, int] = {}
-        total = 0
-        for analysis in documents.values():
-            for term, count in analysis.term_counts.items():
+        for doc_id, counts in self._documents.items():
+            self._doc_lengths[doc_id] = max(1, sum(counts.values()))
+            for term, count in counts.items():
                 self._collection_counts[term] = (
                     self._collection_counts.get(term, 0) + count
                 )
-                total += count
-        self._collection_total = max(1, total)
-
-    @classmethod
-    def build(
-        cls,
-        graph: SocialGraph,
-        candidates: Mapping[str, Sequence[str]] | Sequence[str],
-        analyzer: ResourceAnalyzer,
-        config: BalogConfig | None = None,
-        *,
-        corpus: Mapping[str, AnalyzedResource] | None = None,
-    ):
-        """Assemble a Balog finder over the same inputs ExpertFinder
-        takes (graph + candidate map + analyzer [+ shared corpus])."""
-        config = config or BalogConfig()
-        gathered = ResourceGatherer(
-            graph, include_friends=config.include_friends
-        ).gather_many(candidate_seeds(candidates), config.max_distance)
-        documents, _ = CorpusAnalyzer(analyzer).analyze_nodes(
-            graph, gathered.kinds, corpus
-        )
-        associations: dict[str, dict[str, float]] = {}
-        for candidate_id, node_distance in gathered.distances.items():
-            weights = {
-                node_id: distance_weight(
-                    distance, config.max_distance, config.weight_interval
-                )
-                for node_id, distance in node_distance.items()
-                if documents[node_id].language in INDEXABLE_LANGUAGES
-            }
-            total = sum(weights.values())
-            if total > 0:
-                associations[candidate_id] = {
-                    node_id: weight / total for node_id, weight in weights.items()
-                }
-        documents = {
-            doc_id: analysis
-            for doc_id, analysis in documents.items()
-            if analysis.language in INDEXABLE_LANGUAGES
-        }
-        return cls(analyzer, config, documents, associations)
+        self._collection_total = max(1, sum(self._collection_counts.values()))
 
     # -- shared probability pieces -----------------------------------------------
 
@@ -139,19 +119,16 @@ class _BalogBase:
         return self._collection_counts.get(term, 0) / self._collection_total
 
     def _p_term_document(self, term: str, doc_id: str) -> float:
-        analysis = self._documents[doc_id]
-        return analysis.term_counts.get(term, 0) / self._doc_lengths[doc_id]
+        return self._documents[doc_id].get(term, 0) / self._doc_lengths[doc_id]
 
     def _query_terms(self, need: ExpertiseNeed | str) -> dict[str, int]:
         """Query term counts, restricted to the collection vocabulary —
         out-of-vocabulary terms have zero probability under every model
         and would floor all candidates equally (standard LM practice is
         to drop them)."""
-        text = need.text if isinstance(need, ExpertiseNeed) else need
-        analysis = self._analyzer.analyze("__query__", text, language="en")
         return {
             term: count
-            for term, count in analysis.term_counts.items()
+            for term, count in self._analyze_need(need).term_counts.items()
             if self._collection_counts.get(term, 0) > 0
         }
 
@@ -182,10 +159,11 @@ class CandidateModelFinder(_BalogBase):
     def find_experts(
         self, need: ExpertiseNeed | str, *, top_k: int | None = None
     ) -> list[ExpertScore]:
+        check_top_k(top_k)
         query = self._query_terms(need)
         if not query:
             return []
-        lam = self._config.smoothing
+        lam = self._smoothing
         log_scores: dict[str, float] = {}
         for candidate_id, assoc in self._associations.items():
             total = 0.0
@@ -213,10 +191,11 @@ class DocumentModelFinder(_BalogBase):
     def find_experts(
         self, need: ExpertiseNeed | str, *, top_k: int | None = None
     ) -> list[ExpertScore]:
+        check_top_k(top_k)
         query = self._query_terms(need)
         if not query:
             return []
-        lam = self._config.smoothing
+        lam = self._smoothing
         # per-document log p(q | d), computed once and reused across
         # candidates sharing the document
         log_p_q_doc: dict[str, float] = {}
@@ -237,7 +216,7 @@ class DocumentModelFinder(_BalogBase):
         log_scores: dict[str, float] = {}
         for candidate_id, assoc in self._associations.items():
             matched = any(
-                self._documents[doc_id].term_counts.get(term, 0) > 0
+                self._documents[doc_id].get(term, 0) > 0
                 for doc_id in assoc
                 for term in query
             )

@@ -8,7 +8,9 @@ against the query — no behavioural trace at all.
 
 It differs from the paper's distance-0 configuration in the similarity
 function (length-normalized cosine vs. Eq. 1's unnormalized dot
-product), making it a genuinely independent comparator.
+product), making it a genuinely independent comparator. It also reads
+every profile, whatever language it is identified as: a distance-0
+finder would drop the non-English ones at its language cut.
 """
 
 from __future__ import annotations
@@ -17,11 +19,9 @@ import math
 from collections.abc import Mapping, Sequence
 
 from repro.core.need import ExpertiseNeed
-from repro.core.ranking import ExpertScore
-from repro.extraction.crawler import CorpusAnalyzer
+from repro.core.ranking import ExpertScore, check_top_k
 from repro.index.analyzer import AnalyzedResource, ResourceAnalyzer
-from repro.socialgraph.distance import EvidenceKind, candidate_seeds
-from repro.socialgraph.graph import SocialGraph
+from repro.socialgraph.distance import candidate_seeds
 
 
 class ProfileTfidfFinder:
@@ -40,25 +40,21 @@ class ProfileTfidfFinder:
     @classmethod
     def build(
         cls,
-        graph: SocialGraph,
         candidates: Mapping[str, Sequence[str]] | Sequence[str],
+        corpus: Mapping[str, AnalyzedResource],
         analyzer: ResourceAnalyzer,
-        *,
-        corpus: Mapping[str, AnalyzedResource] | None = None,
     ) -> "ProfileTfidfFinder":
         """Vectorize each candidate's (possibly multi-platform) profile
-        text."""
-        seeds = candidate_seeds(candidates)
-        profiles = {
-            pid: EvidenceKind.PROFILE for pids in seeds.values() for pid in pids
-        }
-        analyses, _ = CorpusAnalyzer(analyzer).analyze_nodes(graph, profiles, corpus)
-
+        text from its profiles' *corpus* entries; a profile missing from
+        *corpus* raises ``ValueError``. *analyzer* analyzes the needs."""
         raw_counts: dict[str, dict[str, int]] = {}
-        for candidate_id, profile_ids in seeds.items():
+        for candidate_id, profile_ids in candidate_seeds(candidates).items():
             counts: dict[str, int] = {}
             for profile_id in profile_ids:
-                for term, count in analyses[profile_id].term_counts.items():
+                analysis = corpus.get(profile_id)
+                if analysis is None:
+                    raise ValueError(f"profile {profile_id!r} is not in the corpus")
+                for term, count in analysis.term_counts.items():
                     counts[term] = counts.get(term, 0) + count
             raw_counts[candidate_id] = counts
 
@@ -80,6 +76,7 @@ class ProfileTfidfFinder:
         self, need: ExpertiseNeed | str, *, top_k: int | None = None
     ) -> list[ExpertScore]:
         """Rank candidates by cosine similarity of profile to query."""
+        check_top_k(top_k)
         text = need.text if isinstance(need, ExpertiseNeed) else need
         analysis = self._analyzer.analyze("__query__", text, language="en")
         query_vector = {

@@ -30,7 +30,7 @@ if TYPE_CHECKING:
 from repro.core.build_stats import BuildStats
 from repro.core.config import FinderConfig
 from repro.core.need import ExpertiseNeed
-from repro.core.ranking import ExpertScore
+from repro.core.ranking import ExpertScore, check_top_k
 from repro.extraction.crawler import CorpusAnalyzer
 from repro.index.analyzer import INDEXABLE_LANGUAGES, AnalyzedResource, ResourceAnalyzer
 from repro.socialgraph.distance import ResourceGatherer, candidate_seeds
@@ -39,14 +39,6 @@ from repro.socialgraph.graph import SocialGraph
 #: sentinel for "use the configured window" in rank-time overrides
 #: (``None`` already means "no window", so it cannot double as unset)
 _UNSET: EllipsisType = ...
-
-
-def _check_top_k(top_k: int | None) -> None:
-    """``top_k`` is None (the full list) or a non-negative, non-bool int."""
-    if top_k is not None and (
-        isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 0
-    ):
-        raise ValueError(f"top_k must be None or a non-negative int, got {top_k!r}")
 
 
 def _supporter_rows(
@@ -373,11 +365,10 @@ class ExpertFinder:
         content, which is observed as evidence but not indexed, mirroring
         the build-time language cut).
 
-        The resource lands in the write buffer and no compiled segment
-        state is lost;
-        subsequent queries see updated irf/eirf values immediately. A
-        non-indexing observe changes no statistics and cannot match any
-        query.
+        The resource lands in the write buffer and no sealed segment is
+        touched; subsequent queries see updated irf/eirf values
+        immediately. A non-indexing observe changes no statistics and
+        cannot match any query.
         """
         rows = _supporter_rows(
             node_id, supporters, self._evidence_counts, self._config.max_distance
@@ -392,7 +383,9 @@ class ExpertFinder:
             self._evidence_counts[candidate_id] += 1
         return indexed
 
-    def _analyze_need(self, need: ExpertiseNeed | str) -> AnalyzedResource:
+    def analyze_need(self, need: ExpertiseNeed | str) -> AnalyzedResource:
+        """*need*'s text as the query side of Eq. 1 reads it: analyzed as
+        English by the finder's analyzer."""
         text = need.text if isinstance(need, ExpertiseNeed) else need
         return self._analyzer.analyze("__query__", text, language="en")
 
@@ -413,9 +406,9 @@ class ExpertFinder:
         Every live segment and the write buffer score the need with one
         numpy kernel; the list equals the object path's, bit for bit.
         """
-        _check_top_k(top_k)
+        check_top_k(top_k)
         return self._index.find_experts(
-            self._analyze_need(need),
+            self.analyze_need(need),
             alpha=self._config.alpha if alpha is None else alpha,
             window=self._config.window if window is _UNSET else window,
             top_k=top_k,

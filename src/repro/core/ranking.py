@@ -2,10 +2,19 @@
 
 :class:`ExpertScore` is one candidate of the list EX with its Eq. 3
 score, as :meth:`repro.index.segments.SegmentedIndex.find_experts`
-returns it.
+returns it. :func:`check_top_k` is the one check of a ``find_experts``
+call's ``top_k``, shared by the finder and the baselines.
 """
 
 from __future__ import annotations
+
+
+def check_top_k(top_k: int | None) -> None:
+    """``top_k`` is None (the full list) or a non-negative, non-bool int."""
+    if top_k is not None and (
+        isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 0
+    ):
+        raise ValueError(f"top_k must be None or a non-negative int, got {top_k!r}")
 
 
 class ExpertScore:

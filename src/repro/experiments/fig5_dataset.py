@@ -1,7 +1,10 @@
 """Fig. 5 — evaluation dataset distributions.
 
 * **5a**: per social network, the number of expert candidates and the
-  number of distinct resources reachable at distance 0, 1, and 2.
+  number of distinct resources reachable at distance 0, 1, and 2, read
+  from the evidence of that network's paper-setting finder (the one the
+  later tables rank with): each resource counts once, at its nearest
+  distance to any candidate.
 * **5b**: per domain, the number of experts, the average expertise of
   the whole population, and the average expertise of the experts.
 """
@@ -10,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.core.config import FinderConfig
 from repro.experiments.context import ExperimentContext
-from repro.socialgraph.distance import ResourceGatherer
 from repro.socialgraph.metamodel import Platform
 from repro.synthetic.ground_truth import DomainStats
 from repro.synthetic.vocab import DOMAIN_LABELS, DOMAINS
@@ -66,23 +71,17 @@ def run(context: ExperimentContext) -> Fig5Result:
     dataset = context.dataset
     distributions: list[NetworkDistribution] = []
     for platform in Platform:
-        candidates = dataset.candidates_for(platform)
-        gathered = ResourceGatherer(dataset.graphs[platform]).gather_many(candidates, 2)
-        # a node reachable at several distances counts once, at its
-        # minimum (gather_many already keeps each candidate's minimum;
-        # across candidates we keep the global one)
-        nearest: dict[str, int] = {}
-        for node_distance in gathered.distances.values():
-            for node_id, distance in node_distance.items():
-                nearest[node_id] = min(distance, nearest.get(node_id, distance))
-        counts = [0, 0, 0]
-        for distance in nearest.values():
-            counts[distance] += 1
+        finder = context.runner.finder(platform, FinderConfig())
+        evidence = finder.segmented_index.evidence_csr()
+        # every resource has at least one evidence row; it counts once,
+        # at its nearest distance to any candidate
+        nearest = np.minimum.reduceat(evidence.dist, evidence.off[:-1])
+        d0, d1, d2 = np.bincount(nearest, minlength=3).tolist()
         distributions.append(
             NetworkDistribution(
                 network=platform.short,
-                candidates=len(candidates),
-                resources_by_distance=(counts[0], counts[1], counts[2]),
+                candidates=len(dataset.candidates_for(platform)),
+                resources_by_distance=(d0, d1, d2),
             )
         )
     stats = [dataset.ground_truth.domain_stats(d) for d in DOMAINS]

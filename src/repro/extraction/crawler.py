@@ -13,9 +13,10 @@ keeps the platform's annotation, text processing, and entity
 annotation. It is the one place a graph node becomes analyzer input
 (:meth:`CorpusAnalyzer.node_input`) and the one "corpus entry, else
 analyze" loop (:meth:`CorpusAnalyzer.analyze_nodes`): the dataset's
-corpus, a cold :class:`~repro.core.expert_finder.ExpertFinder` build and
-the baselines' builds all run through it, so every path indexes the
-same node identically.
+corpus and every :class:`~repro.core.expert_finder.ExpertFinder` build,
+cold or corpus-backed, run through it, so both index the same node
+identically. The baselines read a finder's collection or the corpus and
+analyze no node themselves.
 """
 
 from __future__ import annotations
@@ -223,9 +224,9 @@ class CorpusAnalyzer:
     """Run the Fig.-4 analysis flow over graph nodes.
 
     Every graph-built corpus and finder goes through this one path: the
-    dataset's corpus (:meth:`analyze_graph`), a cold
-    :meth:`~repro.core.expert_finder.ExpertFinder.build` and the
-    baselines' builds (:meth:`analyze_nodes`). The corpus — node id →
+    dataset's corpus (:meth:`analyze_graph`) and
+    :meth:`~repro.core.expert_finder.ExpertFinder.build`
+    (:meth:`analyze_nodes`). The corpus — node id →
     :class:`AnalyzedResource` — is what the experiment harness shares
     across finder configurations, so stemming and entity annotation
     happen once per node, not once per configuration.

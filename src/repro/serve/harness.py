@@ -48,7 +48,7 @@ class GatewayHarness:
 
     def start(self, *, wait_ready: bool = True, timeout: float = 120.0) -> None:
         """Open the socket; optionally block until the first generation
-        is loaded and compiled (``wait_ready=False`` leaves the gateway
+        is loaded (``wait_ready=False`` leaves the gateway
         answering 503 on ``/readyz`` while the load runs)."""
         self._thread.start()
         asyncio.run_coroutine_threadsafe(

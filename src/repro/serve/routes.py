@@ -6,22 +6,24 @@ Every workload the repo can serve, reachable over a socket:
 ``POST /v1/query``        one expertise need → ranked experts (Eq. 3)
 ``POST /v1/query/batch``  many needs in one request, answered in order
                           through ``find_experts_batch``
-``POST /v1/observe``      append one streamed resource (segmented finders
-                          take the buffer-only write path)
+``POST /v1/observe``      append one streamed resource to the finder's
+                          write buffer
 ``POST /v1/crowd/route``  question routing over the ranking (Fig.-1 scenario)
 ``POST /v1/crowd/jury``   jury selection over the ranking (Cao et al.)
 ``POST /v1/crowd/team``   team formation over several needs (Lappas et al.)
 ``GET  /v1/metrics``      ServiceStats + gateway counters, one JSON document
 ``GET  /healthz``         liveness (always 200 while the process runs)
 ``GET  /readyz``          readiness (503 until the first snapshot generation
-                          is fully loaded and compiled)
+                          is fully loaded)
 ``POST /admin/reload``    load the snapshot's next generation and swap
 ========================  ======================================================
 
-``/v1/query`` ranks inline, on the event-loop thread: one need's p50 is
-about 1.4 ms even at 100,000 resources, and the service's one
-lock serializes every query anyway, so a hop to an executor thread
-would only add two thread switches to each answer. Inline, a query may
+``/v1/query`` ranks inline, on the event-loop thread. At 100,000
+resources one need's p50 is about 1.6 ms as loaded and 2.7 ms after
+3,000 observes, in process on 2 vCPUs
+(``benchmarks/results/BENCH_scale.json``). The service's one lock
+serializes every query anyway, so a hop to an executor thread would
+only add two thread switches to each answer. Inline, a query may
 wait on that lock for one executor-side batch need or observe, as
 ``/v1/metrics`` does when it reads the service's stats. Batch (up to
 ``max_batch_needs`` rankings), observe (a seal with compaction can take

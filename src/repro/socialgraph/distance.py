@@ -14,12 +14,14 @@ follows cross profile boundaries, because "bidirectional relationships
 typically reflect a real-world bond … which might not naturally imply
 shared interests or expertise".
 
-Every graph-built finder and the Fig. 5 statistics gather through one
-traversal: :func:`candidate_seeds` turns a builder's candidates into
+:meth:`~repro.core.expert_finder.ExpertFinder.build` is the one caller
+of the traversal: :func:`candidate_seeds` turns its candidates into
 seeds, and :meth:`ResourceGatherer.gather_many` walks them all in one
 shared-frontier pass, keeping each node once per candidate at its
-minimal distance. The per-profile :meth:`ResourceGatherer.gather`, with
-its relation paths, is the reference that pass is tested against.
+minimal distance. The baselines and the Fig. 5 statistics read what a
+finder gathered, its evidence rows. The per-profile
+:meth:`ResourceGatherer.gather`, with its relation paths, is the
+reference that pass is tested against.
 """
 
 from __future__ import annotations

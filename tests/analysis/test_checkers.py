@@ -69,11 +69,17 @@ def test_determinism_catches_every_seeded_class():
 
 def test_determinism_covers_text_analysis():
     # analysis output order reaches postings order and snapshot bytes, so
-    # the rule covers repro.textproc (and repro.entity) like repro.index
+    # the rule covers repro.textproc (and repro.entity) like repro.index;
+    # the baselines' float sums run in collection order and feed a
+    # pinned table, so it covers repro.baselines too
     path = FIXTURES / "determinism_violation.py"
     header, body = path.read_text(encoding="utf-8").split("\n", 1)
     assert header == "# repro: lint-module[repro.index.fixture_determinism]"
-    for module in ("repro.textproc.fixture_determinism", "repro.entity.fixture_determinism"):
+    for module in (
+        "repro.textproc.fixture_determinism",
+        "repro.entity.fixture_determinism",
+        "repro.baselines.fixture_determinism",
+    ):
         source = f"# repro: lint-module[{module}]\n{body}"
         result = lint_source(path, source, ALL_CHECKERS)
         assert [f for f in result.findings if f.rule == "determinism"], module

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines.profile_tfidf import ProfileTfidfFinder
+from repro.extraction.crawler import CorpusAnalyzer
 from repro.socialgraph.graph import SocialGraph
 from repro.socialgraph.metamodel import Platform, UserProfile
 
@@ -25,8 +26,13 @@ def graph():
 
 
 @pytest.fixture(scope="module")
-def finder(graph, analyzer):
-    return ProfileTfidfFinder.build(graph, ("dev", "chef", "blank"), analyzer)
+def corpus(graph, analyzer):
+    return CorpusAnalyzer(analyzer).analyze_graph(graph)
+
+
+@pytest.fixture(scope="module")
+def finder(corpus, analyzer):
+    return ProfileTfidfFinder.build(("dev", "chef", "blank"), corpus, analyzer)
 
 
 class TestProfileTfidf:
@@ -55,16 +61,18 @@ class TestProfileTfidf:
     def test_top_k(self, finder):
         assert len(finder.find_experts("professional", top_k=1)) <= 1
 
-    def test_multi_profile_candidates(self, graph, analyzer):
-        finder = ProfileTfidfFinder.build(
-            graph, {"both": ("dev", "chef")}, analyzer
-        )
+    def test_multi_profile_candidates(self, corpus, analyzer):
+        finder = ProfileTfidfFinder.build({"both": ("dev", "chef")}, corpus, analyzer)
         ranked = finder.find_experts("python cuisine")
         assert ranked[0].candidate_id == "both"
 
-    def test_empty_candidates_rejected(self, graph, analyzer):
+    def test_empty_candidates_rejected(self, corpus, analyzer):
         with pytest.raises(ValueError):
-            ProfileTfidfFinder.build(graph, [], analyzer)
+            ProfileTfidfFinder.build([], corpus, analyzer)
+
+    def test_profile_missing_from_corpus_rejected(self, corpus, analyzer):
+        with pytest.raises(ValueError, match="'ghost'"):
+            ProfileTfidfFinder.build({"dev": ("dev", "ghost")}, corpus, analyzer)
 
     def test_behavioural_system_beats_profiles_on_dataset(self, tiny_dataset):
         """The paper's core claim, in miniature: behaviour-based finding
@@ -74,10 +82,9 @@ class TestProfileTfidf:
         from repro.evaluation.runner import evaluate_finder
 
         profile_finder = ProfileTfidfFinder.build(
-            tiny_dataset.merged_graph,
             tiny_dataset.candidates_for(None),
+            tiny_dataset.corpus,
             tiny_dataset.analyzer,
-            corpus=tiny_dataset.corpus,
         )
         system = ExpertFinder.build(
             tiny_dataset.merged_graph,

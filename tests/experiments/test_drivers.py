@@ -37,6 +37,28 @@ class TestFig5(object):
         for dist in result.distributions:
             assert dist.resources_by_distance[0] == dist.candidates
 
+    def test_counts_equal_a_direct_gather(self, result, tiny_context):
+        """The finders' evidence counts what one shared-frontier gather
+        per network reaches, each node once at its nearest distance."""
+        from repro.socialgraph.distance import ResourceGatherer
+        from repro.socialgraph.metamodel import Platform
+
+        dataset = tiny_context.dataset
+        expected = []
+        for platform in Platform:
+            gathered = ResourceGatherer(dataset.graphs[platform]).gather_many(
+                dataset.candidates_for(platform), 2
+            )
+            nearest: dict[str, int] = {}
+            for node_distance in gathered.distances.values():
+                for node_id, distance in node_distance.items():
+                    nearest[node_id] = min(distance, nearest.get(node_id, distance))
+            counts = [0, 0, 0]
+            for distance in nearest.values():
+                counts[distance] += 1
+            expected.append(tuple(counts))
+        assert [d.resources_by_distance for d in result.distributions] == expected
+
     def test_linkedin_fewest(self, result):
         totals = {d.network: d.total_resources for d in result.distributions}
         assert totals["LI"] == min(totals.values())

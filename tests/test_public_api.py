@@ -138,3 +138,47 @@ def test_src_holds_one_eq1_to_3_path():
         if name in REFERENCE_NAMES
     ]
     assert offenders == []
+
+
+#: module (relative to src/repro) → the Table 1 traversal and node
+#: analysis it may import: their own packages, the finder's one build
+#: path, and the dataset's one corpus analysis
+TRAVERSAL_IMPORTERS = {
+    "ResourceGatherer": {
+        "socialgraph/distance.py",
+        "socialgraph/__init__.py",
+        "core/expert_finder.py",
+    },
+    "CorpusAnalyzer": {
+        "extraction/crawler.py",
+        "extraction/__init__.py",
+        "core/expert_finder.py",
+        "synthetic/dataset.py",
+    },
+}
+
+
+def test_only_the_finder_walks_and_analyzes_the_graph():
+    """The baselines and the experiments read a finder's collection (or
+    the dataset's corpus); only ExpertFinder.build gathers Table 1
+    evidence and analyzes graph nodes, so no second path can drift."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            offenders += [
+                f"{module}:{node.lineno}: {name}"
+                for name in names
+                if module not in TRAVERSAL_IMPORTERS.get(name, {module})
+            ]
+    assert offenders == []
+    allowed = set().union(*TRAVERSAL_IMPORTERS.values())
+    assert all((SRC / module).is_file() for module in sorted(allowed))
+    assert not any(m.startswith(("baselines/", "experiments/")) for m in allowed)
